@@ -1,4 +1,4 @@
-//! Microbenchmarks of the raw ECC kernels (ablation for DESIGN.md): parity,
+//! Microbenchmarks of the raw ECC kernels: parity,
 //! SECDED encode/check, CRC32C software vs hardware throughput, and the cost
 //! of a protected SpMV relative to the plain one.  These are the building
 //! blocks behind the per-figure overheads.

@@ -19,7 +19,6 @@
 use abft_bench::blas1_bench::{blas1_microbench, trajectory_points_json, Blas1BenchConfig};
 use abft_bench::coverage::{self, check_coverage, measure_coverage, CoverageConfig};
 use abft_bench::ecc_bench::{self, ecc_microbench, EccBenchConfig};
-use abft_bench::json::Json;
 use abft_bench::matrix_file::{self, matrix_file_report, MatrixFileConfig};
 use abft_bench::precond_bench::{self, precond_microbench, PrecondBenchConfig};
 use abft_bench::queue_bench::{self, queue_microbench, QueueBenchConfig};
@@ -34,6 +33,7 @@ use abft_bench::{
 };
 use abft_ecc::analysis::{crc32c_hd6_window, operating_points, sweep_crc32c};
 use abft_ecc::{Crc32c, Crc32cBackend};
+use abft_faultsim::json::Json;
 
 #[derive(Debug, Clone)]
 struct Args {

@@ -17,12 +17,13 @@
 //! the same run, so the comparison is apples to apples.
 
 use crate::best_of;
-use crate::json::Json;
 use abft_core::spmv::protected_spmv;
 use abft_core::{
-    EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig, SpmvWorkspace,
+    EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig, ReductionWorkspace,
+    SpmvWorkspace,
 };
 use abft_ecc::Crc32cBackend;
+use abft_faultsim::json::Json;
 use abft_sparse::builders::poisson_2d_padded;
 
 /// One measured kernel configuration.
@@ -103,6 +104,7 @@ fn protected_cg_solve(
     ws: &mut SpmvWorkspace,
 ) -> f64 {
     let log = FaultLog::new();
+    let mut red = ReductionWorkspace::new();
     let backend = Crc32cBackend::SlicingBy16;
     let mut x = ProtectedVector::zeros(a.rows(), scheme, backend);
     let mut r = ProtectedVector::from_slice(b, scheme, backend);
@@ -111,14 +113,14 @@ fn protected_cg_solve(
     let mut rr = match path {
         KernelPath::GroupDecode => r.dot(&r, &log).unwrap(),
         KernelPath::Masked => r.dot_masked(&r, &log).unwrap(),
-        KernelPath::MaskedParallel => r.dot_masked_parallel(&r, &log).unwrap(),
+        KernelPath::MaskedParallel => r.dot_masked_parallel_with(&r, &log, &mut red).unwrap(),
     };
     for iteration in 0..iters {
         protected_spmv(a, &mut p, &mut w, iteration as u64, &log, ws).expect("clean spmv");
         let pw = match path {
             KernelPath::GroupDecode => p.dot(&w, &log).unwrap(),
             KernelPath::Masked => p.dot_masked(&w, &log).unwrap(),
-            KernelPath::MaskedParallel => p.dot_masked_parallel(&w, &log).unwrap(),
+            KernelPath::MaskedParallel => p.dot_masked_parallel_with(&w, &log, &mut red).unwrap(),
         };
         if pw == 0.0 {
             break;
@@ -135,15 +137,19 @@ fn protected_cg_solve(
                 r.dot_axpy_masked(-alpha, &w, &log).unwrap()
             }
             KernelPath::MaskedParallel => {
-                x.axpy_masked_parallel(alpha, &p, &log).unwrap();
-                r.dot_axpy_masked_parallel(-alpha, &w, &log).unwrap()
+                x.axpy_masked_parallel_with(alpha, &p, &log, &mut red)
+                    .unwrap();
+                r.dot_axpy_masked_parallel_with(-alpha, &w, &log, &mut red)
+                    .unwrap()
             }
         };
         let beta = rr_new / rr;
         match path {
             KernelPath::GroupDecode => p.xpay(beta, &r, &log).unwrap(),
             KernelPath::Masked => p.xpay_masked(beta, &r, &log).unwrap(),
-            KernelPath::MaskedParallel => p.xpay_masked_parallel(beta, &r, &log).unwrap(),
+            KernelPath::MaskedParallel => p
+                .xpay_masked_parallel_with(beta, &r, &log, &mut red)
+                .unwrap(),
         }
         rr = rr_new;
     }
@@ -157,6 +163,7 @@ pub fn blas1_microbench(config: &Blas1BenchConfig) -> Vec<Blas1BenchRow> {
     let a_vals: Vec<f64> = (0..len).map(|i| 1.0 + (i as f64 * 0.13).sin()).collect();
     let b_vals: Vec<f64> = (0..len).map(|i| 0.5 + (i as f64 * 0.07).cos()).collect();
     let log = FaultLog::new();
+    let mut red = ReductionWorkspace::new();
     let mut rows = Vec::new();
 
     for scheme in schemes() {
@@ -194,7 +201,9 @@ pub fn blas1_microbench(config: &Blas1BenchConfig) -> Vec<Blas1BenchRow> {
                     sink += match path {
                         KernelPath::GroupDecode => a.dot(&b, &log).unwrap(),
                         KernelPath::Masked => a.dot_masked(&b, &log).unwrap(),
-                        KernelPath::MaskedParallel => a.dot_masked_parallel(&b, &log).unwrap(),
+                        KernelPath::MaskedParallel => {
+                            a.dot_masked_parallel_with(&b, &log, &mut red).unwrap()
+                        }
                     };
                 }),
             );
@@ -204,7 +213,9 @@ pub fn blas1_microbench(config: &Blas1BenchConfig) -> Vec<Blas1BenchRow> {
                     sink += match path {
                         KernelPath::GroupDecode => a.norm2(&log).unwrap(),
                         KernelPath::Masked => a.norm2_masked(&log).unwrap(),
-                        KernelPath::MaskedParallel => a.norm2_masked_parallel(&log).unwrap(),
+                        KernelPath::MaskedParallel => {
+                            a.norm2_masked_parallel_with(&log, &mut red).unwrap()
+                        }
                     };
                 }),
             );
@@ -220,9 +231,9 @@ pub fn blas1_microbench(config: &Blas1BenchConfig) -> Vec<Blas1BenchRow> {
                     match path {
                         KernelPath::GroupDecode => y.axpy(alpha, &b, &log).unwrap(),
                         KernelPath::Masked => y.axpy_masked(alpha, &b, &log).unwrap(),
-                        KernelPath::MaskedParallel => {
-                            y.axpy_masked_parallel(alpha, &b, &log).unwrap()
-                        }
+                        KernelPath::MaskedParallel => y
+                            .axpy_masked_parallel_with(alpha, &b, &log, &mut red)
+                            .unwrap(),
                     }
                 }),
             );
@@ -234,7 +245,9 @@ pub fn blas1_microbench(config: &Blas1BenchConfig) -> Vec<Blas1BenchRow> {
                     match path {
                         KernelPath::GroupDecode => y.scale(alpha, &log).unwrap(),
                         KernelPath::Masked => y.scale_masked(alpha, &log).unwrap(),
-                        KernelPath::MaskedParallel => y.scale_masked_parallel(alpha, &log).unwrap(),
+                        KernelPath::MaskedParallel => {
+                            y.scale_masked_parallel_with(alpha, &log, &mut red).unwrap()
+                        }
                     }
                 }),
             );
@@ -250,9 +263,9 @@ pub fn blas1_microbench(config: &Blas1BenchConfig) -> Vec<Blas1BenchRow> {
                             y.dot(&y, &log).unwrap()
                         }
                         KernelPath::Masked => y.dot_axpy_masked(alpha, &b, &log).unwrap(),
-                        KernelPath::MaskedParallel => {
-                            y.dot_axpy_masked_parallel(alpha, &b, &log).unwrap()
-                        }
+                        KernelPath::MaskedParallel => y
+                            .dot_axpy_masked_parallel_with(alpha, &b, &log, &mut red)
+                            .unwrap(),
                     };
                 }),
             );

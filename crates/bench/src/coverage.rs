@@ -23,13 +23,13 @@
 //!   (e.g. erasures suddenly classified as masked) cannot hide behind an
 //!   unchanged recovery rate.
 
-use crate::json::Json;
 use abft_core::{EccScheme, ParityConfig, ProtectionConfig, StorageTier};
 use abft_ecc::Crc32cBackend;
+use abft_faultsim::json::Json;
 use abft_faultsim::{
     Campaign, CampaignConfig, FaultOutcome, FaultTarget, InjectionKind, StopRule, StreamConfig,
 };
-use abft_solvers::ReliabilityPolicy;
+use abft_solvers::Reliability;
 
 /// Gate configuration.
 #[derive(Debug, Clone)]
@@ -266,37 +266,37 @@ pub fn measure_coverage(config: &CoverageConfig) -> Vec<CoverageRow> {
             InjectionKind::PrecondFactorFlips,
             "precond factor flip (protected)",
             1,
-            ReliabilityPolicy::Uniform,
+            Reliability::Protected,
         ),
         (
             InjectionKind::PrecondFactorFlips,
             "precond factor flip (unreliable)",
             1,
-            ReliabilityPolicy::Selective,
+            Reliability::Unreliable,
         ),
         (
             InjectionKind::PrecondFactorBurst,
             "precond factor burst (protected)",
             8,
-            ReliabilityPolicy::Uniform,
+            Reliability::Protected,
         ),
         (
             InjectionKind::PrecondFactorBurst,
             "precond factor burst (unreliable)",
             8,
-            ReliabilityPolicy::Selective,
+            Reliability::Unreliable,
         ),
         (
             InjectionKind::InnerApplyBurst,
             "inner-apply burst (protected)",
             8,
-            ReliabilityPolicy::Uniform,
+            Reliability::Protected,
         ),
         (
             InjectionKind::InnerApplyBurst,
             "inner-apply burst (unreliable)",
             8,
-            ReliabilityPolicy::Selective,
+            Reliability::Unreliable,
         ),
     ] {
         rows.push(run_campaign(

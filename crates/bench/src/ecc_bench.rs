@@ -32,7 +32,6 @@
 //! numbers from a 1-core scalar CI box are never mistaken for AVX2 results.
 
 use crate::best_of;
-use crate::json::Json;
 use abft_core::spmv::protected_spmv;
 use abft_core::{
     EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig, SpmvWorkspace,
@@ -40,6 +39,7 @@ use abft_core::{
 use abft_ecc::secded::{SECDED_118, SECDED_56};
 use abft_ecc::sed::parity_u64;
 use abft_ecc::{verify, Crc32c, Crc32cBackend};
+use abft_faultsim::json::Json;
 use abft_sparse::builders::poisson_2d_padded;
 
 /// One measured configuration.

@@ -3,20 +3,19 @@
 //! This crate contains the shared machinery used by both the Criterion
 //! benches (`benches/fig*.rs`, one per figure of the paper) and the
 //! `experiments` binary, which prints the same overhead tables the paper
-//! plots and records in EXPERIMENTS.md.
+//! plots.
 //!
 //! The measurement protocol mirrors the paper's: the workload is a TeaLeaf
 //! heat-conduction solve (CG), the baseline is the unprotected build, and
 //! every number reported is the runtime overhead of a protection
 //! configuration relative to that baseline.  Because this reproduction runs
 //! on a single CPU node, the paper's hardware platforms are replaced by
-//! configurations (serial vs Rayon-parallel, software vs hardware CRC32C) —
-//! see DESIGN.md §3 for the substitution rationale.
+//! configurations (serial vs Rayon-parallel, software vs hardware CRC32C).
 
 use abft_core::{EccScheme, ProtectionConfig};
 use abft_ecc::Crc32cBackend;
 use abft_faultsim::{Campaign, CampaignConfig, FaultOutcome, FaultTarget};
-use abft_solvers::{ProtectionMode, Solver};
+use abft_solvers::Solver;
 use abft_sparse::CsrMatrix;
 use abft_tealeaf::assembly::{assemble_matrix, assemble_rhs, face_coefficients, Conductivity};
 use abft_tealeaf::states::apply_states;
@@ -26,7 +25,6 @@ use std::time::Instant;
 pub mod blas1_bench;
 pub mod coverage;
 pub mod ecc_bench;
-pub mod json;
 pub mod matrix_file;
 pub mod precond_bench;
 pub mod queue_bench;
@@ -91,8 +89,7 @@ pub fn bench_cg_solve(system: &TeaLeafSystem, protection: &ProtectionConfig, ite
     let outcome = Solver::cg()
         .max_iterations(iterations)
         .tolerance(0.0)
-        .protection(ProtectionMode::from_config(protection))
-        .parallel(protection.parallel)
+        .protection(*protection)
         .solve(&system.matrix, &system.rhs)
         .expect("solve must succeed on clean data");
     assert_eq!(outcome.status.iterations, iterations);
@@ -389,7 +386,7 @@ pub fn convergence_impact(nx: usize, ny: usize) -> Vec<ConvergenceRow> {
             let protection =
                 ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::Hardware);
             let result = solver
-                .protection(ProtectionMode::Full(protection))
+                .protection(protection)
                 .solve(&system.matrix, &system.rhs)
                 .expect("protected solve");
             let norm: f64 = result.solution.iter().map(|v| v * v).sum::<f64>().sqrt();

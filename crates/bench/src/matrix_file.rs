@@ -9,13 +9,13 @@
 //! matrix-protected CG solve per tier to show that the storage tier changes
 //! neither the iteration count nor the answer.
 
-use crate::json::Json;
 use abft_core::{
     AnyProtectedMatrix, EccScheme, FaultLog, ProtectedMatrix, ProtectionConfig, SpmvWorkspace,
     StorageTier,
 };
 use abft_ecc::Crc32cBackend;
-use abft_solvers::SolveSpec;
+use abft_faultsim::json::Json;
+use abft_solvers::Solver;
 use abft_sparse::builders::pad_rows_to_min_entries;
 use abft_sparse::load_matrix_market;
 use std::time::Instant;
@@ -165,9 +165,11 @@ pub fn matrix_file_report(config: &MatrixFileConfig) -> Result<MatrixFileReport,
             .map(|i| 1.0 + (i % 5) as f64 * 0.25)
             .collect();
         for tier in tiers {
-            let outcome = SolveSpec::new(EccScheme::Secded64)
-                .matrix_only()
-                .crc_backend(Crc32cBackend::SlicingBy16)
+            let outcome = Solver::cg()
+                .protection(
+                    ProtectionConfig::matrix_only(EccScheme::Secded64)
+                        .with_crc_backend(Crc32cBackend::SlicingBy16),
+                )
                 .max_iterations(10 * matrix.rows().max(100))
                 .tolerance(1e-10)
                 .storage(tier)

@@ -25,14 +25,10 @@
 //! columns genuinely measure time to the *correct* answer.
 
 use crate::best_of;
-use crate::json::Json;
-use abft_core::{EccScheme, FaultLog, FaultLogSnapshot, ProtectedCsr, ProtectionConfig};
+use abft_core::{AnyProtectedMatrix, EccScheme, FaultLog, ProtectionConfig, StorageTier};
 use abft_ecc::Crc32cBackend;
-use abft_solvers::backends::FullyProtected;
-use abft_solvers::{
-    ft_pcg, FaultContext, Ilu0, LinearOperator, Polynomial, Preconditioner, ReliabilityPolicy,
-    SolveStatus, SolverConfig, SolverError,
-};
+use abft_faultsim::json::Json;
+use abft_solvers::{Ilu0, Polynomial, Preconditioner, Reliability, Solver, SolverConfig};
 use abft_sparse::builders::{pad_rows_to_min_entries, poisson_2d_padded};
 use abft_sparse::{load_matrix_market, CsrMatrix};
 
@@ -154,23 +150,6 @@ fn distinct_indices(count: usize, domain: usize) -> Vec<usize> {
     out
 }
 
-/// The shared FT-PCG path (identical to `SolveSpec::solve` and the queue's
-/// per-column dispatch): protected outer loop, caller-tier inner apply.
-fn run_ft_pcg<Op: LinearOperator>(
-    op: &Op,
-    rhs: &[f64],
-    precond: &dyn Preconditioner,
-    config: &SolverConfig,
-) -> Result<(Vec<f64>, SolveStatus, FaultLogSnapshot), SolverError> {
-    let log = FaultLog::new();
-    let base = FaultContext::with_log(&log);
-    let ctx = base.scoped_to(op.reduction_workspace());
-    let b = op.vector_from(rhs);
-    let (mut x, status) = ft_pcg(op, &b, precond, config, &ctx)?;
-    let solution = op.finish(&mut x, &ctx)?;
-    Ok((solution, status, log.snapshot()))
-}
-
 fn relative_l2_distance(x: &[f64], reference: &[f64]) -> f64 {
     let (mut num, mut den) = (0.0, 0.0);
     for (a, b) in x.iter().zip(reference) {
@@ -212,50 +191,51 @@ pub fn precond_microbench(config: &PrecondBenchConfig) -> Vec<PrecondBenchRow> {
         ),
         (file_stem(&config.fixture), fixture),
     ];
-    let solver_config = SolverConfig::new(config.max_iterations, config.tolerance);
+    let solver = Solver::cg().config(SolverConfig::new(config.max_iterations, config.tolerance));
     let protection = ProtectionConfig::full(EccScheme::Secded64);
     let mut rows = Vec::new();
 
     for (matrix_label, matrix) in &matrices {
-        let encoded = ProtectedCsr::from_csr(matrix, &protection).expect("encode matrix");
-        let op = FullyProtected::new(&encoded);
+        let encoded = AnyProtectedMatrix::encode(matrix, &protection, StorageTier::Csr)
+            .expect("encode matrix");
         let rhs: Vec<f64> = (0..matrix.rows())
             .map(|i| 1.0 + (i % 7) as f64 * 0.25)
             .collect();
+        // The production FT-PCG path: protected outer loop, caller-tier
+        // inner apply.
+        let ft_pcg = |precond: &dyn Preconditioner| {
+            solver.solve_encoded(&encoded, &rhs, Some(precond), &FaultLog::new())
+        };
 
         // The fault-free reference every row's answer is checked against:
         // a clean uniform-tier ILU(0) solve.
         let reference_precond = Ilu0::new(
             matrix,
-            ReliabilityPolicy::Uniform.tier(),
+            Reliability::Protected,
             EccScheme::Secded64,
             Crc32cBackend::Auto,
         )
         .expect("factor reference ILU(0)");
-        let (reference, _, _) = run_ft_pcg(&op, &rhs, &reference_precond, &solver_config)
-            .expect("clean reference solve");
+        let reference = ft_pcg(&reference_precond)
+            .expect("clean reference solve")
+            .solution;
 
         // ILU(0) sweeps the flip counts; the polynomial fallback records
         // the fault-free per-iteration trade for patterns ILU rejects.
         let kinds: [(&str, Vec<usize>); 2] = [("ilu0", config.flips.clone()), ("poly", vec![0])];
         for (kind, flip_counts) in &kinds {
-            for policy in [ReliabilityPolicy::Uniform, ReliabilityPolicy::Selective] {
+            for policy in [Reliability::Protected, Reliability::Unreliable] {
                 for &flips in flip_counts {
                     let mut built = match *kind {
                         "ilu0" => Built::Ilu(
-                            Ilu0::new(
-                                matrix,
-                                policy.tier(),
-                                EccScheme::Secded64,
-                                Crc32cBackend::Auto,
-                            )
-                            .expect("factor ILU(0)"),
+                            Ilu0::new(matrix, policy, EccScheme::Secded64, Crc32cBackend::Auto)
+                                .expect("factor ILU(0)"),
                         ),
                         _ => Built::Poly(
                             Polynomial::new(
                                 matrix,
                                 2,
-                                policy.tier(),
+                                policy,
                                 EccScheme::Secded64,
                                 Crc32cBackend::Auto,
                             )
@@ -273,13 +253,12 @@ pub fn precond_microbench(config: &PrecondBenchConfig) -> Vec<PrecondBenchRow> {
                         built.inject(k, 54 + (i % 8) as u32);
                     }
 
-                    let (solution, status, faults) =
-                        run_ft_pcg(&op, &rhs, built.precond(), &solver_config)
-                            .expect("FT-PCG never returns a wrong answer");
+                    let outcome =
+                        ft_pcg(built.precond()).expect("FT-PCG never returns a wrong answer");
                     let ns = best_of(config.repeats, 1, |_| {
-                        let out = run_ft_pcg(&op, &rhs, built.precond(), &solver_config)
-                            .expect("FT-PCG never returns a wrong answer");
-                        std::hint::black_box(out.0);
+                        let out =
+                            ft_pcg(built.precond()).expect("FT-PCG never returns a wrong answer");
+                        std::hint::black_box(out.solution);
                     });
                     rows.push(PrecondBenchRow {
                         matrix: matrix_label.clone(),
@@ -287,11 +266,11 @@ pub fn precond_microbench(config: &PrecondBenchConfig) -> Vec<PrecondBenchRow> {
                         policy: policy.label().into(),
                         factor_flips: flips,
                         mean_ns_to_solution: ns,
-                        iterations: status.iterations,
-                        converged: status.converged,
-                        solution_ok: relative_l2_distance(&solution, &reference) < 1e-6,
-                        bounds_violations: faults.bounds_violations.iter().sum(),
-                        corrected: faults.corrected.iter().sum(),
+                        iterations: outcome.status.iterations,
+                        converged: outcome.status.converged,
+                        solution_ok: relative_l2_distance(&outcome.solution, &reference) < 1e-6,
+                        bounds_violations: outcome.faults.bounds_violations.iter().sum(),
+                        corrected: outcome.faults.corrected.iter().sum(),
                     });
                 }
             }

@@ -22,8 +22,8 @@
 //! solves).
 
 use crate::best_of;
-use crate::json::Json;
 use abft_core::{EccScheme, FaultLogSnapshot, ProtectedCsr, ProtectionConfig, Region};
+use abft_faultsim::json::Json;
 use abft_serve::{JobSpec, SolveQueue};
 use abft_solvers::backends::FullyProtected;
 use abft_solvers::{Solver, SolverConfig};

@@ -20,10 +20,10 @@
 //! (`BENCH_precond.json`).
 
 use crate::blas1_bench::{blas1_microbench, Blas1BenchConfig};
-use crate::json::Json;
 use crate::precond_bench::{precond_microbench, PrecondBenchConfig};
 use crate::queue_bench::{queue_microbench, QueueBenchConfig};
 use crate::spmv_bench::{spmv_microbench, SpmvBenchConfig};
+use abft_faultsim::json::Json;
 
 /// Gate configuration.
 #[derive(Debug, Clone)]

@@ -19,13 +19,13 @@
 //!   each side of the threshold so the fallback is visible in the data.
 
 use crate::best_of;
-use crate::json::Json;
 use abft_core::spmv::protected_spmv_parallel;
 use abft_core::{
     EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig, ReductionWorkspace,
     SpmvWorkspace, PARALLEL_MIN_ELEMENTS,
 };
 use abft_ecc::Crc32cBackend;
+use abft_faultsim::json::Json;
 use abft_sparse::builders::poisson_2d_padded;
 
 /// One measured configuration of the sweep.

@@ -8,13 +8,13 @@
 //! Poisson operator the paper's TeaLeaf deck produces (five entries per
 //! row), at a size where the kernel is memory-bandwidth-bound.
 
-use crate::json::Json;
 use abft_core::spmv::{protected_spmv, protected_spmv_parallel};
 use abft_core::{
     EccScheme, FaultLog, ProtectedCsr, ProtectedMatrix, ProtectedVector, ProtectionConfig,
     SpmvWorkspace,
 };
 use abft_ecc::Crc32cBackend;
+use abft_faultsim::json::Json;
 use abft_sparse::builders::{pad_rows_to_min_entries, poisson_2d_padded};
 use abft_sparse::{load_matrix_market, CsrMatrix};
 use std::time::Instant;

@@ -629,19 +629,9 @@ impl ProtectedVector {
     /// Chunked-parallel [`ProtectedVector::dot_masked`]: block partials are
     /// computed on the worker pool and folded in block order, so the result
     /// is bitwise identical to the serial kernel.  Falls back to serial for
-    /// small vectors.  Allocates a transient [`ReductionWorkspace`]; solver
-    /// loops use [`ProtectedVector::dot_masked_parallel_with`].
-    pub fn dot_masked_parallel(
-        &self,
-        other: &ProtectedVector,
-        log: &FaultLog,
-    ) -> Result<f64, AbftError> {
-        self.dot_masked_parallel_with(other, log, &mut ReductionWorkspace::new())
-    }
-
-    /// [`ProtectedVector::dot_masked_parallel`] with caller-owned scratch:
-    /// the per-block partial slots and per-chunk tallies live in `ws`, so a
-    /// warm workspace makes the call allocation-free.
+    /// small vectors.  The per-block partial slots and per-chunk tallies
+    /// live in the caller-owned `ws`, so a warm workspace makes the call
+    /// allocation-free.
     pub fn dot_masked_parallel_with(
         &self,
         other: &ProtectedVector,
@@ -717,14 +707,7 @@ impl ProtectedVector {
     }
 
     /// Chunked-parallel [`ProtectedVector::norm2_masked`], bitwise identical
-    /// to the serial kernel.  Allocates a transient workspace; solver loops
-    /// use [`ProtectedVector::norm2_masked_parallel_with`].
-    pub fn norm2_masked_parallel(&self, log: &FaultLog) -> Result<f64, AbftError> {
-        self.norm2_masked_parallel_with(log, &mut ReductionWorkspace::new())
-    }
-
-    /// [`ProtectedVector::norm2_masked_parallel`] with caller-owned scratch
-    /// (allocation-free once `ws` is warm).
+    /// to the serial kernel (allocation-free once `ws` is warm).
     pub fn norm2_masked_parallel_with(
         &self,
         log: &FaultLog,
@@ -766,20 +749,8 @@ impl ProtectedVector {
     }
 
     /// Chunked-parallel [`ProtectedVector::axpy_masked`] (elementwise, so
-    /// trivially bitwise identical to the serial kernel).  Allocates a
-    /// transient workspace; solver loops use
-    /// [`ProtectedVector::axpy_masked_parallel_with`].
-    pub fn axpy_masked_parallel(
-        &mut self,
-        alpha: f64,
-        x: &ProtectedVector,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        self.axpy_masked_parallel_with(alpha, x, log, &mut ReductionWorkspace::new())
-    }
-
-    /// [`ProtectedVector::axpy_masked_parallel`] with caller-owned scratch
-    /// (allocation-free once `ws` is warm).
+    /// trivially bitwise identical to the serial kernel; allocation-free
+    /// once `ws` is warm).
     pub fn axpy_masked_parallel_with(
         &mut self,
         alpha: f64,
@@ -803,20 +774,8 @@ impl ProtectedVector {
     }
 
     /// Chunked-parallel [`ProtectedVector::xpay_masked`] (elementwise, so
-    /// trivially bitwise identical to the serial kernel).  Allocates a
-    /// transient workspace; solver loops use
-    /// [`ProtectedVector::xpay_masked_parallel_with`].
-    pub fn xpay_masked_parallel(
-        &mut self,
-        alpha: f64,
-        x: &ProtectedVector,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        self.xpay_masked_parallel_with(alpha, x, log, &mut ReductionWorkspace::new())
-    }
-
-    /// [`ProtectedVector::xpay_masked_parallel`] with caller-owned scratch
-    /// (allocation-free once `ws` is warm).
+    /// trivially bitwise identical to the serial kernel; allocation-free
+    /// once `ws` is warm).
     pub fn xpay_masked_parallel_with(
         &mut self,
         alpha: f64,
@@ -844,15 +803,8 @@ impl ProtectedVector {
     }
 
     /// Chunked-parallel [`ProtectedVector::scale_masked`] (elementwise, so
-    /// trivially bitwise identical to the serial kernel).  Allocates a
-    /// transient workspace; solver loops use
-    /// [`ProtectedVector::scale_masked_parallel_with`].
-    pub fn scale_masked_parallel(&mut self, alpha: f64, log: &FaultLog) -> Result<(), AbftError> {
-        self.scale_masked_parallel_with(alpha, log, &mut ReductionWorkspace::new())
-    }
-
-    /// [`ProtectedVector::scale_masked_parallel`] with caller-owned scratch
-    /// (allocation-free once `ws` is warm).
+    /// trivially bitwise identical to the serial kernel; allocation-free
+    /// once `ws` is warm).
     pub fn scale_masked_parallel_with(
         &mut self,
         alpha: f64,
@@ -948,21 +900,9 @@ impl ProtectedVector {
     /// Chunked-parallel [`ProtectedVector::dot_axpy_masked`]: chunks are
     /// aligned to [`ACC_BLOCK`] boundaries and the block partials are folded
     /// in block order, so the result (and the updated storage) is bitwise
-    /// identical to the serial kernel.  Allocates a transient workspace;
-    /// solver loops use [`ProtectedVector::dot_axpy_masked_parallel_with`].
-    pub fn dot_axpy_masked_parallel(
-        &mut self,
-        alpha: f64,
-        x: &ProtectedVector,
-        log: &FaultLog,
-    ) -> Result<f64, AbftError> {
-        self.dot_axpy_masked_parallel_with(alpha, x, log, &mut ReductionWorkspace::new())
-    }
-
-    /// [`ProtectedVector::dot_axpy_masked_parallel`] with caller-owned
-    /// scratch: the per-chunk tallies and block-partial lists live in `ws`
-    /// (capacity retained across calls), so a warm workspace makes the call
-    /// allocation-free.
+    /// identical to the serial kernel.  The per-chunk tallies and
+    /// block-partial lists live in the caller-owned `ws` (capacity retained
+    /// across calls), so a warm workspace makes the call allocation-free.
     pub fn dot_axpy_masked_parallel_with(
         &mut self,
         alpha: f64,

@@ -25,14 +25,13 @@
 use crate::flip::{FaultSpec, FaultTarget, SolverVectorTarget};
 use crate::outcome::FaultOutcome;
 use abft_core::{
-    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ProtectedMatrix,
-    ProtectedVector, ProtectionConfig, StorageTier,
+    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, ProtectedMatrix, ProtectedVector,
+    ProtectionConfig, StorageTier,
 };
 use abft_solvers::backends::{FullyProtected, MatrixProtected};
 use abft_solvers::{
-    cg_with_poll, ft_pcg, ChebyshevBounds, FaultContext, Ilu0, LinearOperator, Method, Polynomial,
-    PrecondKind, Preconditioner, Reliability, ReliabilityPolicy, SolveStatus, Solver, SolverConfig,
-    SolverError,
+    cg_with_poll, ChebyshevBounds, FaultContext, Ilu0, LinearOperator, Method, Polynomial,
+    PrecondKind, Preconditioner, Reliability, SolveOutcome, Solver, SolverConfig, SolverError,
 };
 use abft_sparse::CsrMatrix;
 use abft_tealeaf::assembly::{assemble_matrix, assemble_rhs, face_coefficients, Conductivity};
@@ -123,10 +122,10 @@ pub struct CampaignConfig {
     /// other kinds.
     pub precond: PrecondKind,
     /// Reliability tier the preconditioner is built in for the inner-apply
-    /// injection kinds: [`ReliabilityPolicy::Selective`] (the default)
-    /// leaves the inner stage unchecked and relies on the outer screen,
-    /// [`ReliabilityPolicy::Uniform`] protects the factors themselves.
-    pub precond_reliability: ReliabilityPolicy,
+    /// injection kinds: [`Reliability::Unreliable`] (the default) leaves the
+    /// inner stage unchecked and relies on the outer screen,
+    /// [`Reliability::Protected`] protects the factors themselves.
+    pub precond_reliability: Reliability,
 }
 
 impl CampaignConfig {
@@ -170,7 +169,7 @@ impl Default for CampaignConfig {
             injection: InjectionKind::BitFlips,
             storage: StorageTier::Csr,
             precond: PrecondKind::Ilu0,
-            precond_reliability: ReliabilityPolicy::Selective,
+            precond_reliability: Reliability::Unreliable,
         }
     }
 }
@@ -653,7 +652,7 @@ impl Campaign {
     /// campaign systems are SPD TeaLeaf assemblies, for which both kinds
     /// always build.
     fn precond_factor_count(&self) -> usize {
-        let tier = self.config.precond_reliability.tier();
+        let tier = self.config.precond_reliability;
         let scheme = self.config.protection.elements;
         let backend = self.config.protection.crc_backend;
         match self.config.precond {
@@ -898,7 +897,7 @@ impl Campaign {
             Ok(p) => p,
             Err(_) => return aborted(FaultOutcome::DetectedAborted),
         };
-        let tier = self.config.precond_reliability.tier();
+        let tier = self.config.precond_reliability;
         let scheme = self.config.protection.elements;
         let backend = self.config.protection.crc_backend;
 
@@ -946,27 +945,22 @@ impl Campaign {
         };
 
         let config = SolverConfig::new(2_000, 1e-15);
-        let result = if self.config.protection.vectors != EccScheme::None {
-            run_ft_pcg(
-                &FullyProtected::new(&protected),
-                &self.rhs,
-                precond,
-                &config,
-            )
-        } else {
-            run_ft_pcg(
-                &MatrixProtected::new(&protected),
-                &self.rhs,
-                precond,
-                &config,
-            )
-        };
+        let result = Solver::cg().config(config).solve_encoded(
+            &protected,
+            &self.rhs,
+            Some(precond),
+            &FaultLog::new(),
+        );
         match result {
             Err(SolverError::Fault(AbftError::OutOfRange { .. })) => {
                 aborted(FaultOutcome::BoundsCaught)
             }
             Err(_) => aborted(FaultOutcome::DetectedAborted),
-            Ok((solution, status, faults)) => {
+            Ok(SolveOutcome {
+                solution,
+                status,
+                faults,
+            }) => {
                 // FT-PCG declares convergence when the *squared* recurrence
                 // residual drops below the absolute tolerance, so that is
                 // exactly what a converged return certifies — recompute the
@@ -1227,24 +1221,6 @@ impl<Op: LinearOperator<Vector = ProtectedVector>> LinearOperator for InjectingO
     ) -> Result<Vec<f64>, SolverError> {
         self.inner.finish(solution, ctx)
     }
-}
-
-/// One full FT-PCG solve with its own fault log: the standalone production
-/// path (`SolveSpec` runs the identical sequence), returned with the
-/// snapshot so the trial can classify what the outer iteration observed.
-fn run_ft_pcg<Op: LinearOperator>(
-    op: &Op,
-    rhs: &[f64],
-    precond: &dyn Preconditioner,
-    config: &SolverConfig,
-) -> Result<(Vec<f64>, SolveStatus, FaultLogSnapshot), SolverError> {
-    let log = FaultLog::new();
-    let base = FaultContext::with_log(&log);
-    let ctx = base.scoped_to(op.reduction_workspace());
-    let b = op.vector_from(rhs);
-    let (mut x, status) = ft_pcg(op, &b, precond, config, &ctx)?;
-    let solution = op.finish(&mut x, &ctx)?;
-    Ok((solution, status, log.snapshot()))
 }
 
 /// Where and how [`InjectingPreconditioner`] strikes.
@@ -1527,7 +1503,7 @@ mod tests {
         let mut cfg = config(EccScheme::Secded64, FaultTarget::DenseVector, 24);
         cfg.injection = InjectionKind::InnerApplyBurst;
         cfg.flips_per_trial = 8;
-        cfg.precond_reliability = ReliabilityPolicy::Selective;
+        cfg.precond_reliability = Reliability::Unreliable;
         let stats = Campaign::new(cfg).run();
         assert_eq!(stats.trials(), 24);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{stats}");
@@ -1542,7 +1518,7 @@ mod tests {
     fn protected_factor_flips_are_corrected_in_the_uniform_tier() {
         let mut cfg = config(EccScheme::Secded64, FaultTarget::DenseVector, 16);
         cfg.injection = InjectionKind::PrecondFactorFlips;
-        cfg.precond_reliability = ReliabilityPolicy::Uniform;
+        cfg.precond_reliability = Reliability::Protected;
         let stats = Campaign::new(cfg).run();
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{stats}");
         assert_eq!(
@@ -1562,7 +1538,7 @@ mod tests {
         cfg.injection = InjectionKind::PrecondFactorBurst;
         cfg.flips_per_trial = 6;
         cfg.precond = PrecondKind::Polynomial(2);
-        cfg.precond_reliability = ReliabilityPolicy::Selective;
+        cfg.precond_reliability = Reliability::Unreliable;
         let stats = Campaign::new(cfg).run();
         assert_eq!(stats.trials(), 16);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{stats}");

@@ -27,8 +27,8 @@
 //! own ChaCha stream keyed by (campaign seed, trial index), so the histogram
 //! is identical for any worker count or dispatch order, and every rate comes
 //! with a Wilson 95 % confidence interval
-//! ([`CampaignStats::wilson_ci`]).  Every statistic in EXPERIMENTS.md can be
-//! regenerated exactly.
+//! ([`CampaignStats::wilson_ci`]).  Every statistic can be regenerated
+//! exactly.
 //!
 //! Three layers sit on top of the per-trial machinery:
 //!

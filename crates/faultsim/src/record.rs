@@ -26,7 +26,7 @@ use crate::flip::{FaultSpec, FaultTarget, SolverVectorTarget};
 use crate::json::Json;
 use crate::outcome::FaultOutcome;
 use abft_core::{Crc32cBackend, EccScheme, ParityConfig, ProtectionConfig, StorageTier};
-use abft_solvers::{Method, PrecondKind, ReliabilityPolicy};
+use abft_solvers::{Method, PrecondKind, Reliability};
 use std::path::Path;
 
 /// One captured, minimized, replayable failure.
@@ -434,19 +434,11 @@ fn precond_from_tag(tag: &str) -> Result<PrecondKind, String> {
     }
 }
 
-fn reliability_tag(policy: ReliabilityPolicy) -> &'static str {
-    match policy {
-        ReliabilityPolicy::Uniform => "uniform",
-        ReliabilityPolicy::Selective => "selective",
-    }
-}
-
-fn reliability_from_tag(tag: &str) -> Result<ReliabilityPolicy, String> {
-    Ok(match tag {
-        "uniform" => ReliabilityPolicy::Uniform,
-        "selective" => ReliabilityPolicy::Selective,
-        other => return Err(format!("unknown reliability tag {other:?}")),
-    })
+fn reliability_from_tag(tag: &str) -> Result<Reliability, String> {
+    [Reliability::Protected, Reliability::Unreliable]
+        .into_iter()
+        .find(|reliability| reliability.label() == tag)
+        .ok_or_else(|| format!("unknown reliability tag {tag:?}"))
 }
 
 fn outcome_tag(outcome: FaultOutcome) -> &'static str {
@@ -635,7 +627,7 @@ fn config_to_json(config: &CampaignConfig) -> Json {
         ("precond", precond_tag(config.precond).into()),
         (
             "precond_reliability",
-            reliability_tag(config.precond_reliability).into(),
+            config.precond_reliability.label().into(),
         ),
     ])
 }

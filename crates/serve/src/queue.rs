@@ -34,11 +34,10 @@
 //! A job carrying a preconditioner choice ([`JobSpec::with_preconditioner`])
 //! runs the flexible inner-outer FT-PCG solver instead of plain CG.  Such
 //! jobs batch by (matrix, config, preconditioner kind **and** reliability
-//! policy): the panel factors the preconditioner once and every column
+//! tier): the panel factors the preconditioner once and every column
 //! reuses the factors, but each column's solve is sequential and
-//! standalone-equivalent — bitwise identical to
-//! [`SolveSpec`](abft_solvers::SolveSpec) against the same encoded matrix,
-//! at any worker count.
+//! standalone-equivalent — it *is* a [`Solver::solve_encoded`] call on the
+//! registered matrix, at any worker count.
 //!
 //! ## Graceful degradation
 //!
@@ -54,16 +53,11 @@
 //! bit-for-bit those of a fault-free drain.
 
 use crate::pool::{submit, Ticket};
-use abft_core::{
-    AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ProtectedMatrix, ProtectionConfig,
-    StorageTier, MAX_PANEL_WIDTH,
-};
-use abft_solvers::backends::{FullyProtected, MatrixProtected};
+use abft_core::{AnyProtectedMatrix, FaultLog, FaultLogSnapshot, ProtectedMatrix, MAX_PANEL_WIDTH};
 use abft_solvers::{
-    block_cg_panel, ft_pcg, FaultContext, LinearOperator, PrecondKind, Preconditioner,
-    ReliabilityPolicy, SolveStatus, SolverConfig, SolverError, Termination,
+    block_cg_panel, decode_checked, with_backend, FaultContext, LinearOperator, PrecondKind,
+    Reliability, SolveStatus, Solver, SolverConfig, SolverError, Termination,
 };
-use abft_sparse::CsrMatrix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -104,11 +98,11 @@ pub struct JobSpec {
     /// ([`Termination::IterationBudget`]).
     pub budget: Option<usize>,
     /// Optional preconditioner: the job runs the flexible inner-outer
-    /// FT-PCG solver instead of plain CG, with the inner apply in the tier
-    /// the [`ReliabilityPolicy`] selects.  Jobs batch together only when
-    /// their preconditioner choice (kind *and* policy) agrees, so a panel
-    /// factors its preconditioner once and every column reuses it.
-    pub precond: Option<(PrecondKind, ReliabilityPolicy)>,
+    /// FT-PCG solver instead of plain CG, with the inner apply in the given
+    /// [`Reliability`] tier.  Jobs batch together only when their
+    /// preconditioner choice (kind *and* tier) agrees, so a panel factors
+    /// its preconditioner once and every column reuses it.
+    pub precond: Option<(PrecondKind, Reliability)>,
 }
 
 impl JobSpec {
@@ -144,11 +138,11 @@ impl JobSpec {
     }
 
     /// Builder-style setter for the preconditioner: run this job through
-    /// the flexible FT-PCG solver with `kind` built in the tier `policy`
-    /// selects ([`ReliabilityPolicy::Selective`] = unchecked inner apply,
-    /// [`ReliabilityPolicy::Uniform`] = protected factors).
-    pub fn with_preconditioner(mut self, kind: PrecondKind, policy: ReliabilityPolicy) -> Self {
-        self.precond = Some((kind, policy));
+    /// the flexible FT-PCG solver with `kind` built in the `reliability`
+    /// tier ([`Reliability::Unreliable`] = unchecked inner apply,
+    /// [`Reliability::Protected`] = protected factors).
+    pub fn with_preconditioner(mut self, kind: PrecondKind, reliability: Reliability) -> Self {
+        self.precond = Some((kind, reliability));
         self
     }
 }
@@ -255,19 +249,12 @@ type PanelKey = (usize, usize, u64, u64, u64);
 
 /// Stable discriminant of a job's preconditioner choice for panel keys:
 /// `0` = unpreconditioned, otherwise [`PrecondKind::key`] shifted to make
-/// room for the reliability-policy bit (kind keys start at 1, so every
+/// room for the reliability-tier bit (kind keys start at 1, so every
 /// preconditioned job maps to a non-zero value).
-fn precond_key(precond: Option<(PrecondKind, ReliabilityPolicy)>) -> u64 {
-    match precond {
-        None => 0,
-        Some((kind, policy)) => {
-            let policy_bit = match policy {
-                ReliabilityPolicy::Uniform => 0,
-                ReliabilityPolicy::Selective => 1,
-            };
-            (kind.key() << 1) | policy_bit
-        }
-    }
+fn precond_key(precond: Option<(PrecondKind, Reliability)>) -> u64 {
+    precond.map_or(0, |(kind, reliability)| {
+        (kind.key() << 1) | u64::from(reliability == Reliability::Unreliable)
+    })
 }
 
 /// The serving front door: register matrices once, submit jobs from many
@@ -340,47 +327,10 @@ impl SolveQueue {
     /// [`ProtectedBlockedCsr`](abft_core::ProtectedBlockedCsr)), an
     /// [`AnyProtectedMatrix`], or an already-shared
     /// `Arc<AnyProtectedMatrix>` handle.  Callers encode with
-    /// [`AnyProtectedMatrix::encode`] (the step the historical
-    /// `register_matrix` / `register_matrix_tiered` pair folded in) and
-    /// hand the result over.
+    /// [`AnyProtectedMatrix::encode`] and hand the result over.
     pub fn register(&mut self, matrix: impl Into<Arc<AnyProtectedMatrix>>) -> MatrixId {
         self.matrices.push(matrix.into());
         MatrixId(self.matrices.len() - 1)
-    }
-
-    /// Encodes and registers a matrix for subsequent jobs (CSR storage).
-    #[deprecated(
-        since = "0.6.0",
-        note = "encode with AnyProtectedMatrix::encode and pass the result to the one-stop SolveQueue::register"
-    )]
-    pub fn register_matrix(
-        &mut self,
-        matrix: &CsrMatrix,
-        protection: &ProtectionConfig,
-    ) -> Result<MatrixId, abft_core::AbftError> {
-        let encoded = AnyProtectedMatrix::encode(matrix, protection, StorageTier::Csr)?;
-        Ok(self.register(encoded))
-    }
-
-    /// Encodes and registers a matrix into an explicit storage tier.
-    #[deprecated(
-        since = "0.6.0",
-        note = "encode with AnyProtectedMatrix::encode and pass the result to the one-stop SolveQueue::register"
-    )]
-    pub fn register_matrix_tiered(
-        &mut self,
-        matrix: &CsrMatrix,
-        protection: &ProtectionConfig,
-        tier: StorageTier,
-    ) -> Result<MatrixId, abft_core::AbftError> {
-        let encoded = AnyProtectedMatrix::encode(matrix, protection, tier)?;
-        Ok(self.register(encoded))
-    }
-
-    /// Registers an already-encoded protected matrix of any storage tier.
-    #[deprecated(since = "0.6.0", note = "SolveQueue::register accepts the same inputs")]
-    pub fn register_encoded(&mut self, matrix: impl Into<AnyProtectedMatrix>) -> MatrixId {
-        self.register(matrix.into())
     }
 
     /// Queues a job; it runs at the next [`SolveQueue::drain`].
@@ -589,7 +539,7 @@ struct RetryMeta {
     config: SolverConfig,
     deadline: Option<Duration>,
     budget: Option<usize>,
-    precond: Option<(PrecondKind, ReliabilityPolicy)>,
+    precond: Option<(PrecondKind, Reliability)>,
     cancel: Arc<AtomicBool>,
     submitted: Instant,
 }
@@ -600,170 +550,106 @@ struct RetryMeta {
 fn solve_panel(
     matrix: &AnyProtectedMatrix,
     config: SolverConfig,
-    precond: Option<(PrecondKind, ReliabilityPolicy)>,
+    precond: Option<(PrecondKind, Reliability)>,
     columns: Vec<PanelColumn>,
 ) -> (Vec<ColumnResult>, FaultLogSnapshot) {
-    if let Some((kind, policy)) = precond {
-        return run_precond_panel(matrix, config, kind, policy, columns);
-    }
-    if matrix.config().vectors != EccScheme::None {
-        run_panel(&FullyProtected::new(matrix), config, columns)
-    } else {
-        run_panel(&MatrixProtected::new(matrix), config, columns)
+    match precond {
+        Some(precond) => run_precond_panel(matrix, config, precond, columns),
+        None => with_backend!(matrix, |op| run_panel(op, config, columns)),
     }
 }
 
 /// The preconditioned panel body: the preconditioner is factored **once**
-/// (the batching payoff for FT-PCG jobs) and each column then runs the
-/// full inner-outer [`ft_pcg`] sequentially — arithmetic and fault
-/// accounting are bit-for-bit those of a standalone preconditioned solve,
-/// regardless of panel composition or the pool's worker count.
+/// from a checked decode of the matrix (the batching payoff for FT-PCG
+/// jobs) and each column then runs [`Solver::solve_encoded`] sequentially —
+/// arithmetic and fault accounting are those of a standalone
+/// preconditioned solve, regardless of panel composition or the pool's
+/// worker count.
 ///
 /// Cancellation and deadlines are observed once, before a column's solve
 /// starts (the sequential FT-PCG loop has no per-iteration poll hook);
 /// per-job iteration budgets are honoured by capping the column's
-/// iteration limit.  All matrix traversals land in the owning column's
-/// log, exactly as standalone — preconditioned panels share no traversal,
-/// so they contribute nothing to [`SolveQueue::matrix_activity`].
+/// iteration limit.  A column's matrix traversals land in its own log,
+/// exactly as standalone; the only shared traversal is the scrub of the
+/// checked decode, which is what the panel reports to
+/// [`SolveQueue::matrix_activity`].
 fn run_precond_panel(
     matrix: &AnyProtectedMatrix,
     config: SolverConfig,
-    kind: PrecondKind,
-    policy: ReliabilityPolicy,
+    (kind, reliability): (PrecondKind, Reliability),
     columns: Vec<PanelColumn>,
 ) -> (Vec<ColumnResult>, FaultLogSnapshot) {
     let width = columns.len();
-    let plain = matrix.to_csr();
-    let scheme = matrix.config().elements;
-    let backend = matrix.config().crc_backend;
-    let built = kind.build(&plain, policy.tier(), scheme, backend);
+    let solver = Solver::cg()
+        .protection(*matrix.config())
+        .preconditioner(kind, reliability);
+    let matrix_log = FaultLog::new();
+    let built =
+        decode_checked(matrix, &matrix_log).and_then(|plain| solver.build_preconditioner(&plain));
+    let idle = SolveStatus {
+        converged: false,
+        iterations: 0,
+        initial_residual: 0.0,
+        final_residual: 0.0,
+    };
 
     let results = columns
         .into_iter()
         .map(|col| {
             let log = FaultLog::new();
-            let idle = SolveStatus {
-                converged: false,
-                iterations: 0,
-                initial_residual: 0.0,
-                final_residual: 0.0,
-            };
-            let precond = match &built {
-                Ok(p) => p.as_ref(),
-                Err(e) => {
-                    let error = Some(e.clone());
-                    return ColumnResult {
-                        id: col.id,
-                        tenant: col.tenant,
-                        solution: None,
-                        status: idle,
-                        termination: Termination::Fault,
-                        error,
-                        faults: log.snapshot(),
-                        panel_width: width,
-                        attempts: col.attempts,
-                        rhs: Some(col.rhs),
-                    };
-                }
-            };
-            if col.cancel.load(Ordering::Relaxed) {
-                return ColumnResult {
-                    id: col.id,
-                    tenant: col.tenant,
-                    solution: Some(vec![0.0; plain.rows()]),
-                    status: idle,
-                    termination: Termination::Cancelled,
-                    error: None,
-                    faults: log.snapshot(),
-                    panel_width: width,
-                    attempts: col.attempts,
-                    rhs: None,
-                };
-            }
-            if col
+            let stopped = if col.cancel.load(Ordering::Relaxed) {
+                Some(Termination::Cancelled)
+            } else if col
                 .deadline
                 .is_some_and(|limit| col.submitted.elapsed() >= limit)
             {
-                return ColumnResult {
-                    id: col.id,
-                    tenant: col.tenant,
-                    solution: Some(vec![0.0; plain.rows()]),
-                    status: idle,
-                    termination: Termination::DeadlineExpired,
-                    error: None,
-                    faults: log.snapshot(),
-                    panel_width: width,
-                    attempts: col.attempts,
-                    rhs: None,
-                };
-            }
-
-            let mut cfg = config;
-            if let Some(budget) = col.budget {
-                cfg.max_iterations = cfg.max_iterations.min(budget);
-            }
-            let outcome = if matrix.config().vectors != EccScheme::None {
-                precond_column(&FullyProtected::new(matrix), &col.rhs, precond, &cfg, &log)
+                Some(Termination::DeadlineExpired)
             } else {
-                precond_column(&MatrixProtected::new(matrix), &col.rhs, precond, &cfg, &log)
+                None
             };
-            match outcome {
-                Ok((solution, status)) => {
-                    let termination = if status.converged {
-                        Termination::Converged
-                    } else if status.iterations < cfg.max_iterations {
-                        Termination::Stalled
-                    } else {
-                        Termination::IterationBudget
-                    };
-                    ColumnResult {
-                        id: col.id,
-                        tenant: col.tenant,
-                        solution: Some(solution),
-                        status,
-                        termination,
-                        error: None,
-                        faults: log.snapshot(),
-                        panel_width: width,
-                        attempts: col.attempts,
-                        rhs: None,
+            let (solution, status, termination, error) = match (&built, stopped) {
+                (Err(e), _) => (None, idle, Termination::Fault, Some(e.clone())),
+                (Ok(_), Some(stopped)) => (Some(vec![0.0; matrix.rows()]), idle, stopped, None),
+                (Ok(precond), None) => {
+                    let mut cfg = config;
+                    if let Some(budget) = col.budget {
+                        cfg.max_iterations = cfg.max_iterations.min(budget);
+                    }
+                    match solver.config(cfg).solve_encoded(
+                        matrix,
+                        &col.rhs,
+                        precond.as_deref(),
+                        &log,
+                    ) {
+                        Ok(outcome) => {
+                            let termination = if outcome.status.converged {
+                                Termination::Converged
+                            } else if outcome.status.iterations < cfg.max_iterations {
+                                Termination::Stalled
+                            } else {
+                                Termination::IterationBudget
+                            };
+                            (Some(outcome.solution), outcome.status, termination, None)
+                        }
+                        Err(e) => (None, idle, Termination::Fault, Some(e)),
                     }
                 }
-                Err(e) => ColumnResult {
-                    id: col.id,
-                    tenant: col.tenant,
-                    solution: None,
-                    status: idle,
-                    termination: Termination::Fault,
-                    error: Some(e),
-                    faults: log.snapshot(),
-                    panel_width: width,
-                    attempts: col.attempts,
-                    rhs: Some(col.rhs),
-                },
+            };
+            ColumnResult {
+                id: col.id,
+                tenant: col.tenant,
+                solution,
+                status,
+                termination,
+                error,
+                faults: log.snapshot(),
+                panel_width: width,
+                attempts: col.attempts,
+                rhs: (termination == Termination::Fault).then_some(col.rhs),
             }
         })
         .collect();
-    (results, FaultLogSnapshot::default())
-}
-
-/// One column's standalone-equivalent FT-PCG solve: own context, own
-/// reduction scope, own decode — bitwise the same as
-/// [`SolveSpec::solve`](abft_solvers::SolveSpec::solve) against the same
-/// encoded matrix.
-fn precond_column<Op: LinearOperator>(
-    op: &Op,
-    rhs: &[f64],
-    precond: &dyn Preconditioner,
-    config: &SolverConfig,
-    log: &FaultLog,
-) -> Result<(Vec<f64>, SolveStatus), SolverError> {
-    let base = FaultContext::with_log(log);
-    let ctx = base.scoped_to(op.reduction_workspace());
-    let b = op.vector_from(rhs);
-    let (mut x, status) = ft_pcg(op, &b, precond, config, &ctx)?;
-    let solution = op.finish(&mut x, &ctx)?;
-    Ok((solution, status))
+    (results, matrix_log.snapshot())
 }
 
 /// The generic panel body: per-column fault contexts, a scratch matrix

@@ -21,9 +21,7 @@ use abft_core::{
     ReductionWorkspace, SpmmWorkspace, SpmvWorkspace,
 };
 use abft_ecc::Crc32cBackend;
-use abft_sparse::spmv::{
-    axpy_parallel, dot_parallel, dot_parallel_with, spmv_parallel, spmv_serial,
-};
+use abft_sparse::spmv::{axpy_parallel, dot_parallel_with, spmv_parallel, spmv_serial};
 use abft_sparse::vector::{blas_axpy, blas_dot};
 use abft_sparse::CsrMatrix;
 use std::cell::RefCell;
@@ -49,6 +47,16 @@ impl PlainVector {
     }
 }
 
+/// Runs a parallel reduction kernel with the workspace the context carries
+/// (the backend's, preallocated — see [`FaultContext::scoped_to`]), or with
+/// a transient one for contexts built outside the solve front door.
+fn with_reduction<T>(ctx: &FaultContext, kernel: impl FnOnce(&mut ReductionWorkspace) -> T) -> T {
+    match ctx.reduction() {
+        Some(cell) => kernel(&mut cell.borrow_mut()),
+        None => kernel(&mut ReductionWorkspace::new()),
+    }
+}
+
 impl SolverVector for PlainVector {
     fn len(&self) -> usize {
         self.data.len()
@@ -56,15 +64,9 @@ impl SolverVector for PlainVector {
 
     fn dot(&self, other: &Self, ctx: &FaultContext) -> Result<f64, SolverError> {
         Ok(if self.parallel {
-            // Reuse the backend's per-chunk partial buffer when the context
-            // carries one (bitwise identical to the allocating path).
-            match ctx.reduction() {
-                Some(cell) => {
-                    let mut ws = cell.borrow_mut();
-                    dot_parallel_with(&self.data, &other.data, ws.plain_chunk_buffer())
-                }
-                None => dot_parallel(&self.data, &other.data),
-            }
+            with_reduction(ctx, |ws| {
+                dot_parallel_with(&self.data, &other.data, ws.plain_chunk_buffer())
+            })
         } else {
             blas_dot(&self.data, &other.data)
         })
@@ -139,82 +141,62 @@ impl SolverVector for ProtectedVector {
     }
 
     fn dot(&self, other: &Self, ctx: &FaultContext) -> Result<f64, SolverError> {
+        let log = ctx.log();
         Ok(if self.is_parallel() {
-            match ctx.reduction() {
-                Some(cell) => {
-                    self.dot_masked_parallel_with(other, ctx.log(), &mut cell.borrow_mut())?
-                }
-                None => self.dot_masked_parallel(other, ctx.log())?,
-            }
+            with_reduction(ctx, |ws| self.dot_masked_parallel_with(other, log, ws))?
         } else {
-            self.dot_masked(other, ctx.log())?
+            self.dot_masked(other, log)?
         })
     }
 
     fn norm2(&self, ctx: &FaultContext) -> Result<f64, SolverError> {
         // Single pass: one check per group, not the two of dot(self, self).
+        let log = ctx.log();
         Ok(if self.is_parallel() {
-            match ctx.reduction() {
-                Some(cell) => self.norm2_masked_parallel_with(ctx.log(), &mut cell.borrow_mut())?,
-                None => self.norm2_masked_parallel(ctx.log())?,
-            }
+            with_reduction(ctx, |ws| self.norm2_masked_parallel_with(log, ws))?
         } else {
-            self.norm2_masked(ctx.log())?
+            self.norm2_masked(log)?
         })
     }
 
     fn axpy(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<(), SolverError> {
+        let log = ctx.log();
         if self.is_parallel() {
-            match ctx.reduction() {
-                Some(cell) => {
-                    self.axpy_masked_parallel_with(alpha, x, ctx.log(), &mut cell.borrow_mut())?
-                }
-                None => self.axpy_masked_parallel(alpha, x, ctx.log())?,
-            }
+            with_reduction(ctx, |ws| self.axpy_masked_parallel_with(alpha, x, log, ws))?;
         } else {
-            self.axpy_masked(alpha, x, ctx.log())?;
+            self.axpy_masked(alpha, x, log)?;
         }
         Ok(())
     }
 
     fn xpay(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<(), SolverError> {
+        let log = ctx.log();
         if self.is_parallel() {
-            match ctx.reduction() {
-                Some(cell) => {
-                    self.xpay_masked_parallel_with(alpha, x, ctx.log(), &mut cell.borrow_mut())?
-                }
-                None => self.xpay_masked_parallel(alpha, x, ctx.log())?,
-            }
+            with_reduction(ctx, |ws| self.xpay_masked_parallel_with(alpha, x, log, ws))?;
         } else {
-            self.xpay_masked(alpha, x, ctx.log())?;
+            self.xpay_masked(alpha, x, log)?;
         }
         Ok(())
     }
 
     fn scale(&mut self, alpha: f64, ctx: &FaultContext) -> Result<(), SolverError> {
+        let log = ctx.log();
         if self.is_parallel() {
-            match ctx.reduction() {
-                Some(cell) => {
-                    self.scale_masked_parallel_with(alpha, ctx.log(), &mut cell.borrow_mut())?
-                }
-                None => self.scale_masked_parallel(alpha, ctx.log())?,
-            }
+            with_reduction(ctx, |ws| self.scale_masked_parallel_with(alpha, log, ws))?;
         } else {
-            self.scale_masked(alpha, ctx.log())?;
+            self.scale_masked(alpha, log)?;
         }
         Ok(())
     }
 
     fn dot_axpy(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<f64, SolverError> {
+        let log = ctx.log();
         Ok(if self.is_parallel() {
-            match ctx.reduction() {
-                Some(cell) => {
-                    self.dot_axpy_masked_parallel_with(alpha, x, ctx.log(), &mut cell.borrow_mut())?
-                }
-                None => self.dot_axpy_masked_parallel(alpha, x, ctx.log())?,
-            }
+            with_reduction(ctx, |ws| {
+                self.dot_axpy_masked_parallel_with(alpha, x, log, ws)
+            })?
         } else {
-            self.dot_axpy_masked(alpha, x, ctx.log())?
+            self.dot_axpy_masked(alpha, x, log)?
         })
     }
 
@@ -260,30 +242,54 @@ impl SolverVector for ProtectedVector {
     }
 }
 
-/// Gershgorin bounds computed by walking the protected storage directly —
-/// mirrors [`ChebyshevBounds::estimate_gershgorin`] without materialising a
-/// plain matrix.
-fn gershgorin_protected<M: ProtectedMatrix>(matrix: &M) -> ChebyshevBounds {
-    let rows = matrix.rows();
-    let mut diag = vec![0.0f64; rows];
-    let mut off = vec![0.0f64; rows];
-    matrix.visit_entries(&mut |row, col, value| {
-        if col as usize == row {
-            diag[row] = value;
+/// The checked decode of the solve path.  Whole-matrix reads outside the
+/// SpMV kernels (Jacobi's diagonal, Gershgorin bounds, the matrix a
+/// preconditioner is factored from) would otherwise go through the
+/// unchecked `visit_entries`/`to_csr` walkers, so they read this plain
+/// decode of a scrubbed private copy instead: the scrub verifies every
+/// codeword, repairing the row structure before anything is indexed through
+/// it, and the borrowed matrix is never written.  An uncorrectable codeword
+/// is a [`SolverError::Fault`], never a wild index.
+pub fn decode_checked<M: ProtectedMatrix + Clone>(
+    matrix: &M,
+    log: &FaultLog,
+) -> Result<CsrMatrix, SolverError> {
+    let mut scrubbed = matrix.clone();
+    scrubbed.scrub(log)?;
+    Ok(scrubbed.to_csr())
+}
+
+/// [`LinearOperator::bounds_hint`] of the protected backends.  The trait
+/// method carries no context, so the checked decode records into a scratch
+/// log; a matrix that fails it yields no hint.
+fn bounds_hint_checked<M: ProtectedMatrix + Clone>(matrix: &M) -> Option<ChebyshevBounds> {
+    let plain = decode_checked(matrix, &FaultLog::new()).ok()?;
+    Some(ChebyshevBounds::estimate_gershgorin(&plain))
+}
+
+/// Runs `$body` with `$op` bound to the backend `$matrix` was encoded for —
+/// [`MatrixProtected`] when its configuration leaves the dense vectors
+/// plain, [`FullyProtected`] otherwise.  The two backends compute with
+/// different vector types, so the body is instantiated once per arm; this
+/// macro is the only place a configuration is turned into a backend.
+#[macro_export]
+macro_rules! with_backend {
+    ($matrix:expr, |$op:ident| $body:expr) => {{
+        let matrix = $matrix;
+        if $crate::backends::protects_vectors(matrix) {
+            let $op = &$crate::backends::FullyProtected::new(matrix);
+            $body
         } else {
-            off[row] += value.abs();
+            let $op = &$crate::backends::MatrixProtected::new(matrix);
+            $body
         }
-    });
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    for (d, o) in diag.iter().zip(&off) {
-        min = min.min(d - o);
-        max = max.max(d + o);
-    }
-    ChebyshevBounds {
-        min: min.max(1e-3 * max.max(1.0)),
-        max: max.max(1e-30),
-    }
+    }};
+}
+
+/// The predicate behind [`with_backend!`](crate::with_backend).
+#[doc(hidden)]
+pub fn protects_vectors<M: ProtectedMatrix>(matrix: &M) -> bool {
+    matrix.config().vectors != EccScheme::None
 }
 
 /// The unprotected baseline backend.
@@ -381,7 +387,7 @@ impl<'a, M: ProtectedMatrix> MatrixProtected<'a, M> {
     }
 }
 
-impl<M: ProtectedMatrix> LinearOperator for MatrixProtected<'_, M> {
+impl<M: ProtectedMatrix + Clone> LinearOperator for MatrixProtected<'_, M> {
     type Vector = PlainVector;
 
     fn rows(&self) -> usize {
@@ -430,8 +436,10 @@ impl<M: ProtectedMatrix> LinearOperator for MatrixProtected<'_, M> {
         )?)
     }
 
-    fn diagonal(&self, _ctx: &FaultContext) -> Result<Vec<f64>, SolverError> {
-        Ok(self.matrix.diagonal())
+    fn diagonal(&self, ctx: &FaultContext) -> Result<Vec<f64>, SolverError> {
+        Ok(decode_checked(self.matrix, ctx.log())?
+            .diagonal()
+            .into_vec())
     }
 
     fn vector_from(&self, values: &[f64]) -> PlainVector {
@@ -443,7 +451,7 @@ impl<M: ProtectedMatrix> LinearOperator for MatrixProtected<'_, M> {
     }
 
     fn bounds_hint(&self) -> Option<ChebyshevBounds> {
-        Some(gershgorin_protected(self.matrix))
+        bounds_hint_checked(self.matrix)
     }
 
     fn reduction_workspace(&self) -> Option<&RefCell<ReductionWorkspace>> {
@@ -494,28 +502,9 @@ impl<'a, M: ProtectedMatrix> FullyProtected<'a, M> {
             reduction: RefCell::new(ReductionWorkspace::new()),
         }
     }
-
-    /// Wraps a protected matrix with an explicit vector scheme and CRC
-    /// backend, overriding the matrix configuration (the historical
-    /// `solve_fully_protected` contract).
-    pub fn with_vectors(matrix: &'a M, scheme: EccScheme, crc_backend: Crc32cBackend) -> Self {
-        FullyProtected {
-            matrix,
-            scheme,
-            crc_backend,
-            workspace: RefCell::new(SpmvWorkspace::new()),
-            spmm: RefCell::new(SpmmWorkspace::new()),
-            reduction: RefCell::new(ReductionWorkspace::new()),
-        }
-    }
-
-    /// The vector protection scheme in use.
-    pub fn vector_scheme(&self) -> EccScheme {
-        self.scheme
-    }
 }
 
-impl<M: ProtectedMatrix> LinearOperator for FullyProtected<'_, M> {
+impl<M: ProtectedMatrix + Clone> LinearOperator for FullyProtected<'_, M> {
     type Vector = ProtectedVector;
 
     fn rows(&self) -> usize {
@@ -578,8 +567,10 @@ impl<M: ProtectedMatrix> LinearOperator for FullyProtected<'_, M> {
         Ok(())
     }
 
-    fn diagonal(&self, _ctx: &FaultContext) -> Result<Vec<f64>, SolverError> {
-        Ok(self.matrix.diagonal())
+    fn diagonal(&self, ctx: &FaultContext) -> Result<Vec<f64>, SolverError> {
+        Ok(decode_checked(self.matrix, ctx.log())?
+            .diagonal()
+            .into_vec())
     }
 
     fn vector_from(&self, values: &[f64]) -> ProtectedVector {
@@ -605,7 +596,7 @@ impl<M: ProtectedMatrix> LinearOperator for FullyProtected<'_, M> {
     }
 
     fn bounds_hint(&self) -> Option<ChebyshevBounds> {
-        Some(gershgorin_protected(self.matrix))
+        bounds_hint_checked(self.matrix)
     }
 
     fn reduction_workspace(&self) -> Option<&RefCell<ReductionWorkspace>> {
@@ -709,7 +700,6 @@ mod tests {
             .with_crc_backend(Crc32cBackend::SlicingBy16);
         let full_matrix = ProtectedCsr::from_csr(&m, &full_cfg).unwrap();
         let full = FullyProtected::new(&full_matrix);
-        assert_eq!(full.vector_scheme(), EccScheme::Secded64);
         let mut x3 = full.vector_from(&values);
         let mut y3 = full.zero_vector(m.rows());
         full.apply(&mut x3, &mut y3, 0, &ctx).unwrap();

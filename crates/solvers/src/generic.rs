@@ -845,18 +845,6 @@ pub fn ft_pcg<Op: LinearOperator>(
     Ok((x, status))
 }
 
-/// Alias for [`ft_pcg`] under the algorithm's textbook name (flexible
-/// conjugate gradients).
-pub fn fcg<Op: LinearOperator>(
-    op: &Op,
-    b: &Op::Vector,
-    precond: &dyn Preconditioner,
-    config: &SolverConfig,
-    ctx: &FaultContext,
-) -> Result<(Op::Vector, SolveStatus), SolverError> {
-    ft_pcg(op, b, precond, config, ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

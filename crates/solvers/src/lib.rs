@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use abft_core::{EccScheme, ProtectionConfig};
-//! use abft_solvers::{ProtectionMode, Solver};
+//! use abft_solvers::Solver;
 //! use abft_sparse::builders::poisson_2d_padded;
 //!
 //! let a = poisson_2d_padded(16, 16);
@@ -41,10 +41,9 @@
 //! let plain = Solver::cg().tolerance(1e-16).solve(&a, &b).unwrap();
 //!
 //! // Same solver, fully protected data structures.
-//! let config = ProtectionConfig::full(EccScheme::Secded64);
 //! let protected = Solver::cg()
 //!     .tolerance(1e-16)
-//!     .protection(ProtectionMode::Full(config))
+//!     .protection(ProtectionConfig::full(EccScheme::Secded64))
 //!     .solve(&a, &b)
 //!     .unwrap();
 //!
@@ -67,15 +66,14 @@ pub mod chebyshev;
 pub mod generic;
 pub mod precond;
 pub mod solver;
-pub mod spec;
 pub mod status;
 
 pub use backend::{FaultContext, LinearOperator, SolverError, SolverVector};
+pub use backends::decode_checked;
 pub use chebyshev::ChebyshevBounds;
 pub use generic::{
-    block_cg, block_cg_panel, cg_with_poll, fcg, ft_pcg, BlockColumnOutcome, CgPollState,
+    block_cg, block_cg_panel, cg_with_poll, ft_pcg, BlockColumnOutcome, CgPollState,
 };
-pub use precond::{Ilu0, Polynomial, PrecondKind, Preconditioner, Reliability, ReliabilityPolicy};
-pub use solver::{Method, ProtectionMode, SolveOutcome, Solver};
-pub use spec::SolveSpec;
+pub use precond::{Ilu0, Polynomial, PrecondKind, Preconditioner, Reliability};
+pub use solver::{Method, SolveOutcome, Solver};
 pub use status::{SolveStatus, SolverConfig, Termination};

@@ -37,60 +37,31 @@
 use std::cell::RefCell;
 
 use crate::backend::{FaultContext, SolverError};
-use abft_core::{EccScheme, ProtectedMatrix, ProtectedVector};
+use abft_core::{EccScheme, ProtectedVector};
 use abft_ecc::Crc32cBackend;
 use abft_sparse::CsrMatrix;
 
-/// The reliability tier a preconditioner's factor storage and apply run in.
+/// The reliability tier a preconditioner's factor storage and apply run in
+/// — the selective-reliability decision of a solve
+/// ([`Solver::preconditioner`](crate::Solver::preconditioner)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Reliability {
-    /// Factors in [`ProtectedVector`] storage; every apply certifies them
-    /// through checked masked reads.
+    /// Uniform protection: factors in [`ProtectedVector`] storage, every
+    /// apply certifies them through checked masked reads.
     #[default]
     Protected,
-    /// Plain `Vec<f64>` factors, zero checks, allocation-free applies.
+    /// Selective reliability: plain `Vec<f64>` factors, zero checks,
+    /// allocation-free applies; the outer solver screens the result.
     Unreliable,
 }
 
 impl Reliability {
-    /// Human-readable label (bench/report rows).
+    /// The policy this tier stands for, `"uniform"` or `"selective"` — the
+    /// label of bench rows and the failure corpus.
     pub fn label(self) -> &'static str {
         match self {
-            Reliability::Protected => "protected",
-            Reliability::Unreliable => "unreliable",
-        }
-    }
-}
-
-/// Whether a solve protects its inner preconditioner like everything else
-/// or deliberately runs it unreliably — the one-knob form of the
-/// selective-reliability decision exposed on
-/// [`SolveSpec`](crate::spec::SolveSpec).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ReliabilityPolicy {
-    /// Uniform protection: the inner apply runs in the
-    /// [`Reliability::Protected`] tier, like the paper's baseline design.
-    #[default]
-    Uniform,
-    /// Selective reliability: the inner apply runs in the
-    /// [`Reliability::Unreliable`] tier and is screened, not verified.
-    Selective,
-}
-
-impl ReliabilityPolicy {
-    /// The preconditioner tier this policy builds.
-    pub fn tier(self) -> Reliability {
-        match self {
-            ReliabilityPolicy::Uniform => Reliability::Protected,
-            ReliabilityPolicy::Selective => Reliability::Unreliable,
-        }
-    }
-
-    /// Human-readable label (bench/report rows).
-    pub fn label(self) -> &'static str {
-        match self {
-            ReliabilityPolicy::Uniform => "uniform",
-            ReliabilityPolicy::Selective => "selective",
+            Reliability::Protected => "uniform",
+            Reliability::Unreliable => "selective",
         }
     }
 }
@@ -130,9 +101,9 @@ pub trait Preconditioner {
     }
 }
 
-/// Which concrete preconditioner a [`SolveSpec`](crate::spec::SolveSpec)
-/// or queue job asks for — plain data, hashable, so the serving layer can
-/// batch jobs by (matrix, config, precond) key.
+/// Which concrete preconditioner a [`Solver`](crate::Solver) or queue job
+/// asks for — plain data, hashable, so the serving layer can batch jobs by
+/// (matrix, config, precond) key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrecondKind {
     /// ILU(0) on the matrix's own sparsity pattern.
@@ -329,16 +300,6 @@ impl Ilu0 {
         })
     }
 
-    /// Factors a protected matrix of any storage tier by decoding it
-    /// (masked, unchecked) back to CSR first.
-    pub fn from_protected<M: ProtectedMatrix>(
-        matrix: &M,
-        reliability: Reliability,
-    ) -> Result<Self, SolverError> {
-        let cfg = matrix.config();
-        Ilu0::new(&matrix.to_csr(), reliability, cfg.vectors, cfg.crc_backend)
-    }
-
     /// Number of stored factor values (the injection index domain of
     /// [`Ilu0::inject_factor_bit_flip`]).
     pub fn factor_count(&self) -> usize {
@@ -526,22 +487,6 @@ impl Polynomial {
             scratch: RefCell::new(vec![0.0; n]),
             bound,
         })
-    }
-
-    /// Builds from a protected matrix of any storage tier.
-    pub fn from_protected<M: ProtectedMatrix>(
-        matrix: &M,
-        steps: usize,
-        reliability: Reliability,
-    ) -> Result<Self, SolverError> {
-        let cfg = matrix.config();
-        Polynomial::new(
-            &matrix.to_csr(),
-            steps,
-            reliability,
-            cfg.vectors,
-            cfg.crc_backend,
-        )
     }
 
     /// Number of stored factor values (matrix values plus the inverse
@@ -751,7 +696,5 @@ mod tests {
             PrecondKind::Polynomial(3).key()
         );
         assert_eq!(PrecondKind::Ilu0.key(), 1);
-        assert_eq!(ReliabilityPolicy::Uniform.tier(), Reliability::Protected);
-        assert_eq!(ReliabilityPolicy::Selective.tier(), Reliability::Unreliable);
     }
 }

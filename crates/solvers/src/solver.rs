@@ -1,41 +1,44 @@
-//! The builder-style front door of the solver crate.
+//! The front door of the solver crate: one builder, one driver.
 //!
-//! One entry point serves the whole solver × protection matrix:
+//! A [`Solver`] carries the two decisions of a protected solve — *how the
+//! data is protected* (a [`ProtectionConfig`], slid underneath the
+//! unmodified method) and *which tier the inner preconditioner apply runs
+//! in* ([`Solver::preconditioner`]) — next to the method and its stopping
+//! criteria:
 //!
 //! ```
-//! use abft_solvers::{ProtectionMode, Solver};
 //! use abft_core::{EccScheme, ProtectionConfig};
+//! use abft_solvers::{PrecondKind, Reliability, Solver};
 //! use abft_sparse::builders::poisson_2d_padded;
 //!
-//! let a = poisson_2d_padded(8, 8);
+//! let a = poisson_2d_padded(16, 16);
 //! let b = vec![1.0; a.rows()];
 //! let outcome = Solver::cg()
-//!     .max_iterations(500)
 //!     .tolerance(1e-16)
-//!     .protection(ProtectionMode::Full(ProtectionConfig::full(
-//!         EccScheme::Secded64,
-//!     )))
+//!     .protection(ProtectionConfig::full(EccScheme::Secded64))
+//!     .preconditioner(PrecondKind::Ilu0, Reliability::Unreliable)
 //!     .solve(&a, &b)
 //!     .unwrap();
 //! assert!(outcome.status.converged);
 //! assert_eq!(outcome.faults.total_uncorrectable(), 0);
 //! ```
 //!
-//! [`Solver::solve`] encodes the matrix for the selected
-//! [`ProtectionMode`] and dispatches the chosen [`Method`] through the
-//! generic implementations in [`crate::generic`]; [`Solver::solve_operator`]
-//! is the advanced path for callers that already hold a backend (e.g. the
-//! fault-injection campaigns, which corrupt a [`abft_core::ProtectedCsr`]
-//! before solving on it).
+//! Every entry point funnels into one private driver (scope the fault
+//! context to the backend, run the CG family or — with a preconditioner —
+//! the inner-outer [`ft_pcg`](crate::generic::ft_pcg), `finish`, snapshot):
+//! [`Solver::solve`] encodes the matrix and picks the backend,
+//! [`Solver::solve_encoded`] picks the backend for a matrix the caller
+//! already encoded (the serving queue, the fault campaigns), and
+//! [`Solver::solve_operator`] runs on a backend the caller pinned itself.
 
 use crate::backend::{FaultContext, LinearOperator, SolverError};
-use crate::backends::{FullyProtected, MatrixProtected, Plain};
+use crate::backends::{decode_checked, Plain};
 use crate::chebyshev::ChebyshevBounds;
 use crate::generic;
+use crate::precond::{PrecondKind, Preconditioner, Reliability};
 use crate::status::{SolveStatus, SolverConfig};
-use abft_core::{
-    AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ProtectionConfig, StorageTier,
-};
+use crate::with_backend;
+use abft_core::{AnyProtectedMatrix, FaultLog, FaultLogSnapshot, ProtectionConfig, StorageTier};
 use abft_sparse::CsrMatrix;
 
 /// The iterative method to run.
@@ -52,49 +55,6 @@ pub enum Method {
     Ppcg,
 }
 
-/// Which protection tier the solve runs under.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ProtectionMode {
-    /// No protection: plain matrix and plain work vectors (the baseline).
-    #[default]
-    Plain,
-    /// Protected matrix, plain work vectors (Figures 4–8).  The `vectors`
-    /// field of the configuration is ignored.
-    Matrix(ProtectionConfig),
-    /// Protected matrix and protected work vectors (Figure 9 / combined).
-    Full(ProtectionConfig),
-}
-
-impl ProtectionMode {
-    /// Derives the mode a [`ProtectionConfig`] describes: `Plain` when
-    /// nothing is protected, `Matrix` when only the matrix regions are, and
-    /// `Full` when the dense vectors are protected too.
-    pub fn from_config(config: &ProtectionConfig) -> Self {
-        if config.is_unprotected() {
-            ProtectionMode::Plain
-        } else if config.vectors == EccScheme::None {
-            ProtectionMode::Matrix(*config)
-        } else {
-            ProtectionMode::Full(*config)
-        }
-    }
-
-    /// The configuration behind this mode, when one exists.
-    pub fn config(&self) -> Option<&ProtectionConfig> {
-        match self {
-            ProtectionMode::Plain => None,
-            ProtectionMode::Matrix(cfg) | ProtectionMode::Full(cfg) => Some(cfg),
-        }
-    }
-
-    /// Whether the kernels would run in parallel under this mode's
-    /// configuration (`None` for the plain mode, which follows
-    /// [`Solver::parallel`] instead).
-    pub fn parallel(&self) -> Option<bool> {
-        self.config().map(|cfg| cfg.parallel)
-    }
-}
-
 /// Result of a [`Solver`] run: the decoded solution, convergence
 /// information, and a snapshot of the integrity-check activity.
 #[derive(Debug, Clone)]
@@ -107,17 +67,18 @@ pub struct SolveOutcome {
     pub faults: FaultLogSnapshot,
 }
 
-/// Builder-style solver front door: method, stopping criteria, protection
-/// mode, and method-specific knobs, all in one place.
+/// Builder-style solver front door: method, stopping criteria, protection,
+/// storage tier, method-specific knobs and the preconditioner, all in one
+/// place.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Solver {
     method: Method,
     config: SolverConfig,
-    protection: ProtectionMode,
+    protection: ProtectionConfig,
     storage: StorageTier,
-    parallel: bool,
     bounds: Option<ChebyshevBounds>,
     inner_steps: usize,
+    precond: Option<(PrecondKind, Reliability)>,
 }
 
 impl Default for Solver {
@@ -133,11 +94,11 @@ impl Solver {
         Solver {
             method,
             config: SolverConfig::default(),
-            protection: ProtectionMode::Plain,
+            protection: ProtectionConfig::unprotected(),
             storage: StorageTier::Csr,
-            parallel: false,
             bounds: None,
             inner_steps: 4,
+            precond: None,
         }
     }
 
@@ -179,35 +140,21 @@ impl Solver {
         self
     }
 
-    /// Selects the protection tier.
-    pub fn protection(mut self, protection: ProtectionMode) -> Self {
+    /// Selects what [`Solver::solve`] protects, and how: an unprotected
+    /// configuration (the default) runs the plain baseline, one that leaves
+    /// the dense vectors plain runs the matrix-only tier (Figures 4–8), any
+    /// other the fully protected tier (Figure 9 / combined).  Parity, check
+    /// interval, CRC backend and the parallel-kernel flag (which plain
+    /// solves follow too) all ride in the configuration.
+    pub fn protection(mut self, protection: ProtectionConfig) -> Self {
         self.protection = protection;
         self
     }
 
-    /// Selects the protected storage tier a protected solve encodes the
-    /// matrix into (CSR by default; ignored by [`ProtectionMode::Plain`]).
-    #[deprecated(
-        since = "0.6.0",
-        note = "configure solves through the one-stop SolveSpec builder: SolveSpec::new(scheme).storage(tier)"
-    )]
+    /// Selects the protected storage tier [`Solver::solve`] encodes the
+    /// matrix into (CSR by default; unused by unprotected solves).
     pub fn storage(mut self, storage: StorageTier) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Crate-internal (non-deprecated) form of [`Solver::storage`], so the
-    /// [`SolveSpec`](crate::spec::SolveSpec) front door can delegate
-    /// without tripping the deprecation it exists to resolve.
-    pub(crate) fn storage_tier(mut self, storage: StorageTier) -> Self {
-        self.storage = storage;
-        self
-    }
-
-    /// Uses the Rayon-parallel kernels for plain solves.  Protected solves
-    /// follow the `parallel` flag of their [`ProtectionConfig`].
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -225,20 +172,44 @@ impl Solver {
         self
     }
 
+    /// Attaches a preconditioner: the solve becomes the flexible
+    /// inner-outer FT-PCG of [`crate::generic::ft_pcg`] (requires
+    /// [`Method::Cg`]).  `reliability` is the selective-reliability
+    /// decision: [`Reliability::Protected`] keeps the factors in checked
+    /// storage like everything else, [`Reliability::Unreliable`] runs the
+    /// inner apply unchecked and lets the outer iteration screen it.
+    pub fn preconditioner(mut self, kind: PrecondKind, reliability: Reliability) -> Self {
+        self.precond = Some((kind, reliability));
+        self
+    }
+
     /// The configured method.
     pub fn method(&self) -> Method {
         self.method
     }
 
-    /// The configured protection mode.
-    pub fn protection_mode(&self) -> ProtectionMode {
-        self.protection
+    /// Builds the attached preconditioner for `a` in its reliability tier
+    /// (`None` when no preconditioner is attached).  Protected factors are
+    /// encoded with the element scheme of the protection configuration.
+    pub fn build_preconditioner(
+        &self,
+        a: &CsrMatrix,
+    ) -> Result<Option<Box<dyn Preconditioner>>, SolverError> {
+        let Some((kind, reliability)) = self.precond else {
+            return Ok(None);
+        };
+        let ProtectionConfig {
+            elements,
+            crc_backend,
+            ..
+        } = self.protection;
+        kind.build(a, reliability, elements, crc_backend).map(Some)
     }
 
-    /// Solves `A x = b`, encoding the matrix for the configured protection
-    /// mode first.
+    /// Solves `A x = b`, encoding the matrix under the configured
+    /// protection first.
     pub fn solve(&self, a: &CsrMatrix, b: &[f64]) -> Result<SolveOutcome, SolverError> {
-        self.solve_dispatch(a, b, None)
+        self.solve_logged(a, b, &FaultLog::new())
     }
 
     /// Like [`Solver::solve`], but records integrity-check activity live
@@ -250,49 +221,59 @@ impl Solver {
         b: &[f64],
         log: &FaultLog,
     ) -> Result<SolveOutcome, SolverError> {
-        self.solve_dispatch(a, b, Some(log))
-    }
-
-    fn solve_dispatch(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        log: Option<&FaultLog>,
-    ) -> Result<SolveOutcome, SolverError> {
         // Estimate Chebyshev bounds from the plain matrix up front: cheaper
         // and exact, where the protected backends would have to decode.
         let mut solver = *self;
         if solver.bounds.is_none() && matches!(self.method, Method::Chebyshev | Method::Ppcg) {
             solver.bounds = Some(ChebyshevBounds::estimate_gershgorin(a));
         }
-        let owned = FaultLog::new();
-        let ctx = FaultContext::with_log(log.unwrap_or(&owned));
-        match self.protection {
-            ProtectionMode::Plain => solver.solve_in(&Plain::new(a, self.parallel), b, &ctx),
-            ProtectionMode::Matrix(cfg) => {
-                let cfg = ProtectionConfig {
-                    vectors: EccScheme::None,
-                    ..cfg
-                };
-                let protected = AnyProtectedMatrix::encode(a, &cfg, self.storage)?;
-                solver.solve_in(&MatrixProtected::new(&protected), b, &ctx)
-            }
-            ProtectionMode::Full(cfg) => {
-                let protected = AnyProtectedMatrix::encode(a, &cfg, self.storage)?;
-                solver.solve_in(&FullyProtected::new(&protected), b, &ctx)
-            }
+        let precond = self.build_preconditioner(a)?;
+        if self.protection.is_unprotected() {
+            let op = Plain::new(a, self.protection.parallel);
+            return solver.solve_in(&op, b, precond.as_deref(), &FaultContext::with_log(log));
         }
+        let encoded = AnyProtectedMatrix::encode(a, &self.protection, self.storage)?;
+        solver.solve_encoded(&encoded, b, precond.as_deref(), log)
+    }
+
+    /// Solves on an already-encoded matrix, on the backend its
+    /// configuration selects — the entry for callers that keep (or
+    /// deliberately corrupt) the encoded matrix across solves.  Activity is
+    /// recorded live into `log`.
+    ///
+    /// `precond` supplies an already-built preconditioner (the serving
+    /// queue factors once per panel, the campaigns inject into the factors
+    /// first); with `None`, a preconditioner attached through
+    /// [`Solver::preconditioner`] is factored from a checked decode of the
+    /// matrix.  The protection and storage settings of the builder are not
+    /// consulted: the matrix carries its own.
+    pub fn solve_encoded(
+        &self,
+        matrix: &AnyProtectedMatrix,
+        b: &[f64],
+        precond: Option<&dyn Preconditioner>,
+        log: &FaultLog,
+    ) -> Result<SolveOutcome, SolverError> {
+        let built = match (precond, self.precond) {
+            (None, Some(_)) => self.build_preconditioner(&decode_checked(matrix, log)?)?,
+            _ => None,
+        };
+        let precond = precond.or(built.as_deref());
+        let ctx = FaultContext::with_log(log);
+        with_backend!(matrix, |op| self.solve_in(op, b, precond, &ctx))
     }
 
     /// Solves on an existing backend operator — the advanced path for
-    /// callers that built (or deliberately corrupted) the protected matrix
-    /// themselves.
+    /// callers that pin the backend themselves (fault-injecting decorators,
+    /// the matrix-only tier on a fully configured matrix).  There is no
+    /// matrix to factor here, so a solver with a preconditioner attached is
+    /// [`SolverError::Unsupported`]; use [`Solver::solve_encoded`].
     pub fn solve_operator<Op: LinearOperator>(
         &self,
         op: &Op,
         b: &[f64],
     ) -> Result<SolveOutcome, SolverError> {
-        self.solve_in(op, b, &FaultContext::new())
+        self.solve_operator_in(op, b, &FaultContext::new())
     }
 
     /// Like [`Solver::solve_operator`], but records integrity-check activity
@@ -304,13 +285,30 @@ impl Solver {
         b: &[f64],
         log: &FaultLog,
     ) -> Result<SolveOutcome, SolverError> {
-        self.solve_in(op, b, &FaultContext::with_log(log))
+        self.solve_operator_in(op, b, &FaultContext::with_log(log))
     }
 
+    fn solve_operator_in<Op: LinearOperator>(
+        &self,
+        op: &Op,
+        b: &[f64],
+        ctx: &FaultContext<'_>,
+    ) -> Result<SolveOutcome, SolverError> {
+        if self.precond.is_some() {
+            return Err(SolverError::Unsupported(
+                "solve_operator has no matrix to factor a preconditioner from; use solve_encoded"
+                    .into(),
+            ));
+        }
+        self.solve_in(op, b, None, ctx)
+    }
+
+    /// The one driver every entry point ends in.
     fn solve_in<Op: LinearOperator>(
         &self,
         op: &Op,
         b: &[f64],
+        precond: Option<&dyn Preconditioner>,
         ctx: &FaultContext<'_>,
     ) -> Result<SolveOutcome, SolverError> {
         // Scope the context to this operator: protected backends expose
@@ -318,14 +316,20 @@ impl Solver {
         // its preallocated partial slots across every iteration.
         let ctx = &ctx.scoped_to(op.reduction_workspace());
         let bvec = op.vector_from(b);
-        let (mut x, status) = match self.method {
-            Method::Cg => generic::cg(op, &bvec, &self.config, ctx)?,
-            Method::Jacobi => generic::jacobi(op, &bvec, &self.config, ctx)?,
-            Method::Chebyshev => {
+        let (mut x, status) = match (precond, self.method) {
+            (Some(precond), Method::Cg) => generic::ft_pcg(op, &bvec, precond, &self.config, ctx)?,
+            (Some(_), _) => {
+                return Err(SolverError::Unsupported(
+                    "preconditioned solves run FT-PCG and need Method::Cg".into(),
+                ))
+            }
+            (None, Method::Cg) => generic::cg(op, &bvec, &self.config, ctx)?,
+            (None, Method::Jacobi) => generic::jacobi(op, &bvec, &self.config, ctx)?,
+            (None, Method::Chebyshev) => {
                 let bounds = self.bounds_for(op)?;
                 generic::chebyshev(op, &bvec, bounds, &self.config, ctx)?
             }
-            Method::Ppcg => {
+            (None, Method::Ppcg) => {
                 let bounds = self.bounds_for(op)?;
                 generic::ppcg(op, &bvec, bounds, self.inner_steps, &self.config, ctx)?
             }
@@ -351,6 +355,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abft_core::{EccScheme, Region};
     use abft_ecc::Crc32cBackend;
     use abft_sparse::builders::poisson_2d_padded;
     use abft_sparse::spmv::spmv_serial;
@@ -371,6 +376,17 @@ mod tests {
             .sqrt()
     }
 
+    /// Unprotected, matrix-only and full SECDED64 — one config per backend.
+    fn protections() -> [ProtectionConfig; 3] {
+        [
+            ProtectionConfig::unprotected(),
+            ProtectionConfig::matrix_only(EccScheme::Secded64)
+                .with_crc_backend(Crc32cBackend::SlicingBy16),
+            ProtectionConfig::full(EccScheme::Secded64)
+                .with_crc_backend(Crc32cBackend::SlicingBy16),
+        ]
+    }
+
     /// The acceptance matrix of the redesign: every method × every
     /// protection tier solves through the one front door.
     #[test]
@@ -382,25 +398,14 @@ mod tests {
             (Method::Chebyshev, 3000, 1e-14),
             (Method::Ppcg, 500, 1e-18),
         ];
-        let modes = [
-            ProtectionMode::Plain,
-            ProtectionMode::Matrix(
-                ProtectionConfig::matrix_only(EccScheme::Secded64)
-                    .with_crc_backend(Crc32cBackend::SlicingBy16),
-            ),
-            ProtectionMode::Full(
-                ProtectionConfig::full(EccScheme::Secded64)
-                    .with_crc_backend(Crc32cBackend::SlicingBy16),
-            ),
-        ];
         for (method, max_iterations, tolerance) in methods {
-            for mode in modes {
+            for protection in protections() {
                 let outcome = Solver::new(method)
                     .max_iterations(max_iterations)
                     .tolerance(tolerance)
-                    .protection(mode)
+                    .protection(protection)
                     .solve(&a, &b)
-                    .unwrap_or_else(|e| panic!("{method:?} / {mode:?}: {e}"));
+                    .unwrap_or_else(|e| panic!("{method:?} / {protection:?}: {e}"));
                 let tol = if method == Method::Chebyshev {
                     1e-3
                 } else {
@@ -408,7 +413,7 @@ mod tests {
                 };
                 assert!(
                     residual_norm(&a, &outcome.solution, &b) < tol,
-                    "{method:?} / {mode:?}"
+                    "{method:?} / {protection:?}"
                 );
                 assert_eq!(outcome.faults.total_uncorrectable(), 0);
             }
@@ -417,63 +422,59 @@ mod tests {
 
     #[test]
     fn builder_knobs_are_recorded() {
+        let protection = ProtectionConfig::matrix_only(EccScheme::Sed).with_parallel(true);
         let solver = Solver::ppcg()
             .max_iterations(7)
             .tolerance(1e-3)
-            .parallel(true)
+            .protection(protection)
+            .storage(StorageTier::Coo)
             .inner_steps(9)
-            .bounds(ChebyshevBounds::new(1.0, 2.0));
+            .bounds(ChebyshevBounds::new(1.0, 2.0))
+            .preconditioner(PrecondKind::Polynomial(2), Reliability::Unreliable);
         assert_eq!(solver.method(), Method::Ppcg);
-        assert_eq!(solver.config.max_iterations, 7);
-        assert_eq!(solver.config.tolerance, 1e-3);
-        assert!(solver.parallel);
+        assert_eq!(solver.config, SolverConfig::new(7, 1e-3));
+        assert_eq!(solver.protection, protection);
+        assert_eq!(solver.storage, StorageTier::Coo);
         assert_eq!(solver.inner_steps, 9);
         assert_eq!(solver.bounds, Some(ChebyshevBounds::new(1.0, 2.0)));
+        assert_eq!(
+            solver.precond,
+            Some((PrecondKind::Polynomial(2), Reliability::Unreliable))
+        );
         assert_eq!(Solver::default().method(), Method::Cg);
         assert_eq!(Solver::jacobi().method(), Method::Jacobi);
         assert_eq!(Solver::chebyshev().method(), Method::Chebyshev);
+        assert!(Solver::default().protection.is_unprotected());
     }
 
     #[test]
     fn protection_mode_derivation() {
-        assert_eq!(
-            ProtectionMode::from_config(&ProtectionConfig::unprotected()),
-            ProtectionMode::Plain
-        );
-        let matrix_cfg = ProtectionConfig::matrix_only(EccScheme::Sed);
-        assert_eq!(
-            ProtectionMode::from_config(&matrix_cfg),
-            ProtectionMode::Matrix(matrix_cfg)
-        );
-        let full_cfg = ProtectionConfig::full(EccScheme::Crc32c);
-        assert_eq!(
-            ProtectionMode::from_config(&full_cfg),
-            ProtectionMode::Full(full_cfg)
-        );
-        assert!(ProtectionMode::Plain.config().is_none());
-        assert_eq!(ProtectionMode::Full(full_cfg).config(), Some(&full_cfg));
-        assert_eq!(ProtectionMode::Matrix(matrix_cfg).parallel(), Some(false));
+        // The backend follows from the config alone: nothing protected →
+        // no check at all; vectors left plain → matrix checks only; vectors
+        // protected → dense-vector checks too.
+        let (a, b) = system();
+        let vector = Region::ALL
+            .iter()
+            .position(|r| *r == Region::DenseVector)
+            .unwrap();
+        let solver = Solver::cg().max_iterations(500).tolerance(1e-18);
+        let [plain, matrix, full] =
+            protections().map(|p| solver.protection(p).solve(&a, &b).unwrap().faults);
+        assert_eq!(plain.total_checks(), 0);
+        assert!(matrix.total_checks() > 0);
+        assert_eq!(matrix.checks[vector], 0);
+        assert!(full.checks[vector] > 0);
     }
 
     #[test]
     fn matrix_mode_ignores_stray_vector_scheme() {
-        // A Full-style config passed as Matrix mode must not protect vectors.
-        let (a, b) = system();
-        let cfg = ProtectionConfig::full(EccScheme::Secded64)
-            .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let matrix = Solver::cg()
-            .max_iterations(500)
-            .tolerance(1e-18)
-            .protection(ProtectionMode::Matrix(cfg))
-            .solve(&a, &b)
-            .unwrap();
-        let plain = Solver::cg()
-            .max_iterations(500)
-            .tolerance(1e-18)
-            .solve(&a, &b)
-            .unwrap();
-        // Matrix protection never perturbs values, so the trajectory is
+        // Matrix protection never perturbs values and a matrix-only config
+        // never protects the work vectors, so the trajectory is
         // bit-identical to the baseline (no vector masking noise).
+        let (a, b) = system();
+        let solver = Solver::cg().max_iterations(500).tolerance(1e-18);
+        let matrix = solver.protection(protections()[1]).solve(&a, &b).unwrap();
+        let plain = solver.solve(&a, &b).unwrap();
         assert_eq!(matrix.solution, plain.solution);
         assert_eq!(matrix.status.iterations, plain.status.iterations);
     }
@@ -483,24 +484,13 @@ mod tests {
         // Clean-matrix SpMV is bitwise identical across the storage tiers,
         // so the CG trajectory (and iteration count) must be too.
         let (a, b) = system();
-        let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64)
-            .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let base = Solver::cg()
+        let solver = Solver::cg()
             .max_iterations(500)
             .tolerance(1e-18)
-            .protection(ProtectionMode::Matrix(cfg))
-            .solve(&a, &b)
-            .unwrap();
+            .protection(protections()[1]);
+        let base = solver.solve(&a, &b).unwrap();
         for tier in [StorageTier::Coo, StorageTier::BlockedCsr(3)] {
-            // The deprecated builder shim must keep working verbatim.
-            #[allow(deprecated)]
-            let outcome = Solver::cg()
-                .max_iterations(500)
-                .tolerance(1e-18)
-                .protection(ProtectionMode::Matrix(cfg))
-                .storage(tier)
-                .solve(&a, &b)
-                .unwrap();
+            let outcome = solver.storage(tier).solve(&a, &b).unwrap();
             assert_eq!(outcome.solution, base.solution, "{tier:?}");
             assert_eq!(
                 outcome.status.iterations, base.status.iterations,
@@ -514,15 +504,69 @@ mod tests {
         use crate::backends::MatrixProtected;
         use abft_core::ProtectedCsr;
         let (a, b) = system();
-        let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64)
-            .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = ProtectedCsr::from_csr(&a, &cfg).unwrap();
-        let outcome = Solver::cg()
-            .max_iterations(500)
-            .tolerance(1e-18)
-            .solve_operator(&MatrixProtected::new(&protected), &b)
-            .unwrap();
+        let protected = ProtectedCsr::from_csr(&a, &protections()[1]).unwrap();
+        let solver = Solver::cg().max_iterations(500).tolerance(1e-18);
+        let op = MatrixProtected::new(&protected);
+        let outcome = solver.solve_operator(&op, &b).unwrap();
         assert!(outcome.status.converged);
         assert!(residual_norm(&a, &outcome.solution, &b) < 1e-7);
+        // A pinned backend has no matrix to factor a preconditioner from.
+        let err = solver
+            .preconditioner(PrecondKind::Ilu0, Reliability::Protected)
+            .solve_operator(&op, &b)
+            .unwrap_err();
+        assert!(matches!(err, SolverError::Unsupported(_)));
+    }
+
+    #[test]
+    fn preconditioned_solves_converge_in_fewer_iterations() {
+        let (a, b) = system();
+        let solver = Solver::cg()
+            .max_iterations(500)
+            .tolerance(1e-16)
+            .protection(ProtectionConfig::full(EccScheme::Secded64));
+        let baseline = solver.solve(&a, &b).unwrap();
+        for reliability in [Reliability::Protected, Reliability::Unreliable] {
+            let pcg = solver
+                .preconditioner(PrecondKind::Ilu0, reliability)
+                .solve(&a, &b)
+                .unwrap();
+            assert!(pcg.status.converged, "{reliability:?}");
+            assert!(
+                residual_norm(&a, &pcg.solution, &b) < 1e-6,
+                "{reliability:?}"
+            );
+            assert!(
+                pcg.status.iterations < baseline.status.iterations,
+                "{reliability:?}: ILU(0) must accelerate CG"
+            );
+            assert_eq!(pcg.faults.total_uncorrectable(), 0);
+        }
+    }
+
+    #[test]
+    fn preconditioned_solves_work_in_every_protection_mode() {
+        let (a, b) = system();
+        for protection in protections() {
+            let outcome = Solver::cg()
+                .protection(protection)
+                .preconditioner(PrecondKind::Polynomial(3), Reliability::Unreliable)
+                .max_iterations(500)
+                .tolerance(1e-16)
+                .solve(&a, &b)
+                .unwrap();
+            assert!(outcome.status.converged, "{protection:?}");
+            assert!(residual_norm(&a, &outcome.solution, &b) < 1e-6);
+        }
+    }
+
+    #[test]
+    fn preconditioner_requires_cg() {
+        let (a, b) = system();
+        let err = Solver::jacobi()
+            .preconditioner(PrecondKind::Ilu0, Reliability::Protected)
+            .solve(&a, &b)
+            .unwrap_err();
+        assert!(matches!(err, SolverError::Unsupported(_)));
     }
 }

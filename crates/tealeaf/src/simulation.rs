@@ -8,10 +8,9 @@
 //! every overhead figure in the paper.
 //!
 //! The solver × protection dispatch is a single call into the generic
-//! [`Solver`] builder: the protection tier is derived from the
-//! [`ProtectionConfig`] and slid underneath whichever method the deck
-//! selects, so every solver (CG, Jacobi, Chebyshev, PPCG) runs in every
-//! protection mode.
+//! [`Solver`] builder: the [`ProtectionConfig`] is handed over as is and
+//! slid underneath whichever method the deck selects, so every solver (CG,
+//! Jacobi, Chebyshev, PPCG) runs in every protection mode.
 
 use crate::assembly::{
     assemble_matrix, assemble_rhs, energy_from_u, face_coefficients, Conductivity,
@@ -21,7 +20,7 @@ use crate::grid::Grid;
 use crate::states::apply_states;
 use crate::summary::FieldSummary;
 use abft_core::{FaultLogSnapshot, ProtectionConfig};
-use abft_solvers::{Method, ProtectionMode, Solver, SolverConfig, SolverError};
+use abft_solvers::{Method, Solver, SolverConfig, SolverError};
 use std::time::Instant;
 
 /// Per-time-step results.
@@ -150,8 +149,7 @@ impl Simulation {
         };
         Solver::new(method)
             .config(SolverConfig::new(self.deck.max_iters, self.deck.eps))
-            .protection(ProtectionMode::from_config(&self.protection))
-            .parallel(self.protection.parallel)
+            .protection(self.protection)
     }
 
     /// Advances the simulation by one time-step.

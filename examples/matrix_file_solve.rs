@@ -40,9 +40,10 @@ fn main() {
         .collect();
 
     // 2. One fully protected CG solve per storage tier, all described by
-    //    the one-stop SolveSpec builder.
+    //    the one Solver builder.
     let config = ProtectionConfig::full(EccScheme::Secded64);
-    let spec = SolveSpec::new(EccScheme::Secded64)
+    let spec = Solver::cg()
+        .protection(config)
         .max_iterations(1000)
         .tolerance(1e-12);
     let mut outcomes = Vec::new();

@@ -36,9 +36,8 @@ fn main() {
     );
 
     // ... the same solve with the matrix protected (Figures 4-8):
-    let config = ProtectionConfig::full(EccScheme::Secded64);
     let matrix_protected = solver
-        .protection(ProtectionMode::Matrix(config))
+        .protection(ProtectionConfig::matrix_only(EccScheme::Secded64))
         .solve(&matrix, &rhs)
         .expect("matrix-protected solve");
     println!(
@@ -48,8 +47,9 @@ fn main() {
     );
 
     // ... and fully protected — matrix and every work vector (Figure 9):
+    let config = ProtectionConfig::full(EccScheme::Secded64);
     let clean = solver
-        .protection(ProtectionMode::Full(config))
+        .protection(config)
         .solve(&matrix, &rhs)
         .expect("fully protected solve");
     println!(

@@ -5,14 +5,14 @@
 //! cargo run --release --example selective_reliability
 //! ```
 //!
-//! The one-stop [`SolveSpec`] builder attaches a preconditioner to a
-//! protected solve and chooses its reliability tier: `Uniform` stores the
-//! factors in SECDED-protected words (every read checked and corrected),
-//! `Selective` stores plain `f64`s with **zero** integrity checks and
-//! relies on the fully protected outer FT-PCG iteration — a bounded-norm
-//! screen on each inner result plus the recurrence running entirely in
-//! protected vectors — to own correctness.  Inner faults then cost
-//! *iterations*, never *answers*.
+//! [`Solver::preconditioner`] attaches a preconditioner to a protected
+//! solve and chooses its reliability tier: `Protected` (uniform) stores
+//! the factors in SECDED-protected words (every read checked and
+//! corrected), `Unreliable` (selective) stores plain `f64`s with **zero**
+//! integrity checks and relies on the fully protected outer FT-PCG
+//! iteration — a bounded-norm screen on each inner result plus the
+//! recurrence running entirely in protected vectors — to own correctness.
+//! Inner faults then cost *iterations*, never *answers*.
 //!
 //! The demo runs the clean comparison first, then injects high-exponent
 //! bit flips into the unreliable factors and into the protected factors,
@@ -22,9 +22,7 @@
 
 use abft_suite::core::{AnyProtectedMatrix, FaultLog, ProtectionConfig, StorageTier};
 use abft_suite::prelude::*;
-use abft_suite::solvers::backends::FullyProtected;
-use abft_suite::solvers::generic::ft_pcg;
-use abft_suite::solvers::{FaultContext, Ilu0, LinearOperator, Reliability};
+use abft_suite::solvers::Ilu0;
 use abft_suite::sparse::builders::poisson_2d_padded;
 use abft_suite::sparse::spmv::spmv_serial;
 
@@ -40,27 +38,6 @@ fn relative_residual(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
     (resid / norm).sqrt()
 }
 
-/// Runs the flexible inner-outer FT-PCG against a fully protected
-/// operator with the given (possibly corrupted) preconditioner.
-fn solve_with(
-    protected: &AnyProtectedMatrix,
-    rhs: &[f64],
-    precond: &Ilu0,
-    config: &SolverConfig,
-) -> (Vec<f64>, SolveStatus, u64, u64) {
-    let op = FullyProtected::new(protected);
-    let log = FaultLog::new();
-    let base = FaultContext::with_log(&log);
-    let ctx = base.scoped_to(op.reduction_workspace());
-    let b = op.vector_from(rhs);
-    let (mut x, status) = ft_pcg(&op, &b, precond, config, &ctx).expect("ft_pcg");
-    let solution = op.finish(&mut x, &ctx).expect("finish");
-    let snap = log.snapshot();
-    let corrected: u64 = snap.corrected.iter().sum();
-    let screened: u64 = snap.bounds_violations.iter().sum();
-    (solution, status, corrected, screened)
-}
-
 fn main() {
     let matrix = poisson_2d_padded(48, 48);
     let rhs: Vec<f64> = (0..matrix.rows())
@@ -73,24 +50,22 @@ fn main() {
         matrix.nnz()
     );
 
-    // 1. The one-stop spec: same protected solve, three preconditioning
+    // 1. One builder: same protected solve, three preconditioning
     //    choices.  Selective pays no integrity checks in the inner stage.
-    for (label, spec) in [
-        ("no preconditioner", SolveSpec::new(EccScheme::Secded64)),
+    let protection = ProtectionConfig::full(EccScheme::Secded64);
+    let solver = Solver::cg().config(config).protection(protection);
+    for (label, solver) in [
+        ("no preconditioner", solver),
         (
             "ilu0, uniform   ",
-            SolveSpec::new(EccScheme::Secded64)
-                .preconditioner(PrecondKind::Ilu0)
-                .reliability(ReliabilityPolicy::Uniform),
+            solver.preconditioner(PrecondKind::Ilu0, Reliability::Protected),
         ),
         (
             "ilu0, selective ",
-            SolveSpec::new(EccScheme::Secded64)
-                .preconditioner(PrecondKind::Ilu0)
-                .reliability(ReliabilityPolicy::Selective),
+            solver.preconditioner(PrecondKind::Ilu0, Reliability::Unreliable),
         ),
     ] {
-        let outcome = spec.config(config).solve(&matrix, &rhs).expect(label);
+        let outcome = solver.solve(&matrix, &rhs).expect(label);
         println!(
             "{label}: {:>4} iterations, converged = {}, rel. residual = {:.2e}",
             outcome.status.iterations,
@@ -101,7 +76,6 @@ fn main() {
 
     // 2. Now corrupt the stored factors — persistent SDC in the inner
     //    stage, the case uniform reliability exists for.
-    let protection = ProtectionConfig::full(EccScheme::Secded64);
     let protected =
         AnyProtectedMatrix::encode(&matrix, &protection, StorageTier::Csr).expect("encode");
     let flips: Vec<(usize, u32)> = (0..2).map(|i| (13 + i * 997, 52 + i as u32)).collect();
@@ -130,14 +104,19 @@ fn main() {
     );
 
     for (label, precond) in [("selective", &selective), ("uniform  ", &uniform)] {
-        let (solution, status, corrected, screened) =
-            solve_with(&protected, &rhs, precond, &config);
+        // The same driver on the pre-encoded matrix, with the (corrupted)
+        // preconditioner handed in.
+        let outcome = solver
+            .solve_encoded(&protected, &rhs, Some(precond), &FaultLog::new())
+            .expect("ft_pcg");
+        let corrected = outcome.faults.total_corrected();
+        let screened: u64 = outcome.faults.bounds_violations.iter().sum();
         println!(
             "{label}: {:>4} iterations, converged = {}, corrected = {corrected}, \
              screened = {screened}, rel. residual = {:.2e}",
-            status.iterations,
-            status.converged,
-            relative_residual(&matrix, &solution, &rhs)
+            outcome.status.iterations,
+            outcome.status.converged,
+            relative_residual(&matrix, &outcome.solution, &rhs)
         );
     }
     println!(

@@ -17,8 +17,12 @@
 //! * [`faultsim`] — bit-flip injection and fault campaigns
 //!
 //! See the README for a quickstart showing one solve in each protection
-//! mode, and DESIGN.md / EXPERIMENTS.md for the mapping from the paper's
-//! figures to the benchmark harness.
+//! mode; its Rust snippets compile as doctests of this crate.
+
+// Compile the README's Rust snippets (`cargo test --doc`).
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
 
 pub use abft_core as core;
 pub use abft_ecc as ecc;
@@ -41,8 +45,8 @@ pub mod prelude {
     };
     pub use abft_serve::{JobOutcome, JobSpec, SolveQueue};
     pub use abft_solvers::{
-        Method, PrecondKind, Preconditioner, ProtectionMode, Reliability, ReliabilityPolicy,
-        SolveOutcome, SolveSpec, SolveStatus, Solver, SolverConfig, SolverError, Termination,
+        Method, PrecondKind, Preconditioner, Reliability, SolveOutcome, SolveStatus, Solver,
+        SolverConfig, SolverError, Termination,
     };
     pub use abft_sparse::{CooMatrix, CsrMatrix, Vector};
     pub use abft_tealeaf::{Deck, Simulation, SolverKind};

@@ -18,7 +18,7 @@
 //!    checks it performed, pinned at `len % group != 0`.
 
 use abft_suite::core::protected_vector::masking_relative_error_bound;
-use abft_suite::core::{EccScheme, FaultLog, ProtectedVector};
+use abft_suite::core::{EccScheme, FaultLog, ProtectedVector, ReductionWorkspace};
 use abft_suite::prelude::Crc32cBackend;
 
 fn sample(n: usize, seed: f64) -> Vec<f64> {
@@ -128,13 +128,14 @@ fn parallel_kernels_match_serial_bitwise() {
             let a = encode(&a_vals, scheme);
             let b = encode(&b_vals, scheme);
             let log = FaultLog::new();
+            let mut ws = ReductionWorkspace::new();
 
             let serial = a.dot_masked(&b, &log).unwrap();
-            let parallel = a.dot_masked_parallel(&b, &log).unwrap();
+            let parallel = a.dot_masked_parallel_with(&b, &log, &mut ws).unwrap();
             assert_eq!(parallel.to_bits(), serial.to_bits(), "{scheme:?} n={n} dot");
 
             let serial = a.norm2_masked(&log).unwrap();
-            let parallel = a.norm2_masked_parallel(&log).unwrap();
+            let parallel = a.norm2_masked_parallel_with(&log, &mut ws).unwrap();
             assert_eq!(
                 parallel.to_bits(),
                 serial.to_bits(),
@@ -144,13 +145,15 @@ fn parallel_kernels_match_serial_bitwise() {
             let mut s = a.clone();
             s.axpy_masked(1.5, &b, &log).unwrap();
             let mut p = a.clone();
-            p.axpy_masked_parallel(1.5, &b, &log).unwrap();
+            p.axpy_masked_parallel_with(1.5, &b, &log, &mut ws).unwrap();
             assert_eq!(p.raw(), s.raw(), "{scheme:?} n={n} axpy");
 
             let mut s = a.clone();
             let serial = s.dot_axpy_masked(-0.5, &b, &log).unwrap();
             let mut p = a.clone();
-            let parallel = p.dot_axpy_masked_parallel(-0.5, &b, &log).unwrap();
+            let parallel = p
+                .dot_axpy_masked_parallel_with(-0.5, &b, &log, &mut ws)
+                .unwrap();
             assert_eq!(p.raw(), s.raw(), "{scheme:?} n={n} dot_axpy storage");
             assert_eq!(
                 parallel.to_bits(),
@@ -378,7 +381,6 @@ fn sharded_scheduler_parity_under_worker_sweeps() {
     // workspace-backed variants the solver backends run and the new
     // parallel XPAY/scale.  Check tallies are per codeword group, so the
     // bulk fault accounting must not depend on the chunk split either.
-    use abft_suite::core::ReductionWorkspace;
     let n = 40_000;
     for workers in [2usize, 8] {
         rayon::set_worker_limit(Some(workers));
@@ -473,7 +475,6 @@ fn sharded_scheduler_parity_under_worker_sweeps() {
 /// every depth.
 #[test]
 fn nested_scoped_contexts_keep_the_outer_reduction_workspace() {
-    use abft_suite::core::ReductionWorkspace;
     use abft_suite::solvers::FaultContext;
     use std::cell::RefCell;
 

@@ -37,10 +37,7 @@ fn every_scheme_solves_the_tealeaf_system_cleanly() {
             ProtectionConfig::vectors_only(scheme),
             ProtectionConfig::full(scheme),
         ] {
-            let result = solver
-                .protection(ProtectionMode::from_config(&protection))
-                .solve(&matrix, &rhs)
-                .unwrap();
+            let result = solver.protection(protection).solve(&matrix, &rhs).unwrap();
             assert!(result.status.converged, "{}", protection.describe());
             assert_eq!(result.faults.total_uncorrectable(), 0);
             let norm: f64 = baseline.solution.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -67,15 +64,11 @@ fn parallel_and_serial_protected_solves_agree() {
     let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
     for scheme in [EccScheme::Sed, EccScheme::Secded64, EccScheme::Crc32c] {
         let serial = solver
-            .protection(ProtectionMode::Matrix(ProtectionConfig::matrix_only(
-                scheme,
-            )))
+            .protection(ProtectionConfig::matrix_only(scheme))
             .solve(&matrix, &rhs)
             .unwrap();
         let parallel = solver
-            .protection(ProtectionMode::Matrix(
-                ProtectionConfig::matrix_only(scheme).with_parallel(true),
-            ))
+            .protection(ProtectionConfig::matrix_only(scheme).with_parallel(true))
             .solve(&matrix, &rhs)
             .unwrap();
         // The parallel dot products reduce in a different order, so the
@@ -99,10 +92,7 @@ fn injected_fault_mid_pipeline_is_absorbed() {
     let (matrix, rhs) = tealeaf_system(16, 16);
     let protection = ProtectionConfig::full(EccScheme::Crc32c);
     let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
-    let clean = solver
-        .protection(ProtectionMode::Full(protection))
-        .solve(&matrix, &rhs)
-        .unwrap();
+    let clean = solver.protection(protection).solve(&matrix, &rhs).unwrap();
 
     let log = FaultLog::new();
     let mut protected = ProtectedCsr::from_csr(&matrix, &protection).unwrap();

@@ -65,7 +65,7 @@ fn scenarios() -> Vec<(CampaignConfig, FaultOutcome)> {
                 target: FaultTarget::DenseVector,
                 injection: InjectionKind::InnerApplyBurst,
                 flips_per_trial: 8,
-                precond_reliability: ReliabilityPolicy::Selective,
+                precond_reliability: Reliability::Unreliable,
                 ..base
             },
             FaultOutcome::BoundsCaught,

@@ -2,7 +2,7 @@
 //! iteration with an *unreliable* inner preconditioner tier must never
 //! return a silently wrong answer, and routing a preconditioned solve
 //! through the serving queue must be an efficiency decision only — the
-//! answer bits are those of the standalone [`SolveSpec`] solve for every
+//! answer bits are those of the standalone [`Solver`] solve for every
 //! worker count.
 
 use abft_suite::core::{AnyProtectedMatrix, ProtectionConfig, StorageTier};
@@ -30,7 +30,7 @@ fn unreliable_inner_tier_never_corrupts_silently_over_256_trials() {
         target: abft_suite::faultsim::FaultTarget::DenseVector,
         injection: InjectionKind::InnerApplyBurst,
         precond: PrecondKind::Ilu0,
-        precond_reliability: ReliabilityPolicy::Selective,
+        precond_reliability: Reliability::Unreliable,
         seed: 20170905,
         ..CampaignConfig::default()
     })
@@ -74,7 +74,7 @@ fn corrupted_unreliable_factors_never_corrupt_silently() {
             target: abft_suite::faultsim::FaultTarget::DenseVector,
             injection: InjectionKind::PrecondFactorFlips,
             precond: kind,
-            precond_reliability: ReliabilityPolicy::Selective,
+            precond_reliability: Reliability::Unreliable,
             seed: 20170905,
             ..CampaignConfig::default()
         })
@@ -97,7 +97,7 @@ fn rhs_for(rows: usize, seed: usize) -> Vec<f64> {
 /// and returns each tenant's solution bits in canonical tenant order.
 fn queue_solutions(
     matrix: &CsrMatrix,
-    jobs: &[(PrecondKind, ReliabilityPolicy)],
+    jobs: &[(PrecondKind, Reliability)],
     config: SolverConfig,
     width: usize,
 ) -> Vec<Vec<u64>> {
@@ -129,26 +129,25 @@ fn queue_solutions(
 }
 
 /// Batching through the queue is never a semantics decision: a
-/// preconditioned job's answer is bit-for-bit the standalone
-/// [`SolveSpec`] solve against the same system, for worker counts 1, 2
-/// and 8 alike.
+/// preconditioned job's answer is bit-for-bit the standalone [`Solver`]
+/// solve against the same system, for worker counts 1, 2 and 8 alike.
 #[test]
 fn queue_ft_pcg_matches_standalone_solve_spec_bit_for_bit() {
     let matrix = poisson_2d_padded(24, 24);
     let config = SolverConfig::new(2_000, 1e-15);
     let jobs = [
-        (PrecondKind::Ilu0, ReliabilityPolicy::Selective),
-        (PrecondKind::Ilu0, ReliabilityPolicy::Uniform),
-        (PrecondKind::Polynomial(2), ReliabilityPolicy::Selective),
+        (PrecondKind::Ilu0, Reliability::Unreliable),
+        (PrecondKind::Ilu0, Reliability::Protected),
+        (PrecondKind::Polynomial(2), Reliability::Unreliable),
     ];
 
     let standalone: Vec<Vec<u64>> = jobs
         .iter()
         .enumerate()
         .map(|(t, &(kind, policy))| {
-            let outcome = SolveSpec::new(EccScheme::Secded64)
-                .preconditioner(kind)
-                .reliability(policy)
+            let outcome = Solver::cg()
+                .protection(ProtectionConfig::full(EccScheme::Secded64))
+                .preconditioner(kind, policy)
                 .config(config)
                 .solve(&matrix, &rhs_for(matrix.rows(), t + 3))
                 .unwrap();

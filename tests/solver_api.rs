@@ -157,10 +157,10 @@ fn matrix_protection_preserves_the_plain_trajectory_for_all_methods() {
         let plain = solver.solve(&a, &b).unwrap();
         for scheme in EccScheme::ALL {
             let protected = solver
-                .protection(ProtectionMode::Matrix(
+                .protection(
                     ProtectionConfig::matrix_only(scheme)
                         .with_crc_backend(Crc32cBackend::SlicingBy16),
-                ))
+                )
                 .solve(&a, &b)
                 .unwrap();
             assert_eq!(
@@ -191,9 +191,9 @@ fn fully_protected_solves_stay_within_masking_noise_for_all_methods() {
         let plain = solver.solve(&a, &b).unwrap();
         for scheme in EccScheme::ALL {
             let protected = solver
-                .protection(ProtectionMode::Full(
+                .protection(
                     ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::SlicingBy16),
-                ))
+                )
                 .solve(&a, &b)
                 .unwrap();
             assert!(
@@ -360,5 +360,115 @@ fn campaign_covers_protected_chebyshev_and_ppcg() {
         assert_eq!(stats.trials(), 20);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{method:?}");
         assert!(stats.count(FaultOutcome::Corrected) > 0, "{method:?}");
+    }
+}
+
+/// One solve path: whichever door a solve comes in through — the builder
+/// encoding the matrix itself, the caller handing over the encoded matrix,
+/// or a width-1 serving-queue job — it is the same arithmetic, and the two
+/// `Solver` doors report the same integrity-check activity.
+#[test]
+fn every_entry_runs_the_one_solve_path_bit_for_bit() {
+    let (a, b) = system();
+    let config = SolverConfig::new(500, 1e-16);
+    let precond = (PrecondKind::Ilu0, Reliability::Unreliable);
+    for protection in [
+        ProtectionConfig::matrix_only(EccScheme::Secded64),
+        ProtectionConfig::full(EccScheme::Secded64),
+    ] {
+        for precond in [None, Some(precond)] {
+            let label = format!("{} / {precond:?}", protection.describe());
+            let encoded = AnyProtectedMatrix::encode(&a, &protection, StorageTier::Csr).unwrap();
+            let mut queue = SolveQueue::new(1);
+            let id = queue.register(encoded.clone());
+            let mut solver = Solver::cg().config(config).protection(protection);
+            let mut job = JobSpec::new("tenant", id, b.clone()).with_config(config);
+            if let Some((kind, reliability)) = precond {
+                solver = solver.preconditioner(kind, reliability);
+                job = job.with_preconditioner(kind, reliability);
+            }
+            let direct = solver.solve(&a, &b).unwrap();
+            assert!(direct.status.converged, "{label}");
+
+            let built = solver.build_preconditioner(&a).unwrap();
+            let log = FaultLog::new();
+            let pre_encoded = solver
+                .solve_encoded(&encoded, &b, built.as_deref(), &log)
+                .unwrap();
+            assert_eq!(pre_encoded.solution, direct.solution, "{label}");
+            assert_eq!(pre_encoded.status, direct.status, "{label}");
+            assert_eq!(pre_encoded.faults, direct.faults, "{label}");
+            assert_eq!(log.snapshot(), direct.faults, "{label}");
+            // Left to factor the preconditioner itself, `solve_encoded`
+            // decodes the matrix (checked) and lands on the same bits.
+            let self_built = solver
+                .solve_encoded(&encoded, &b, None, &FaultLog::new())
+                .unwrap();
+            assert_eq!(self_built.solution, direct.solution, "{label}");
+
+            queue.submit(job);
+            let queued = queue.drain().pop().unwrap();
+            assert_eq!(queued.termination, Termination::Converged, "{label}");
+            assert_eq!(queued.solution.as_ref(), Some(&direct.solution), "{label}");
+            assert_eq!(
+                queued.status.iterations, direct.status.iterations,
+                "{label}"
+            );
+        }
+    }
+}
+
+/// Regression: whole-matrix reads on the solve path (Jacobi's diagonal, the
+/// Gershgorin bounds of a bounds-less Chebyshev solve, the plain copy the
+/// queue factors a preconditioner from) used the unchecked decode, so one
+/// *correctable* structure flip sent them indexing out of bounds.  They now
+/// share the checked decode: the solve either absorbs the flip (and says so)
+/// or stops with a fault — it never panics.
+#[test]
+fn structure_flips_never_panic_the_whole_matrix_reads() {
+    let a = poisson_2d_padded(16, 16);
+    let b = vec![1.0; a.rows()];
+    let tiers = [
+        StorageTier::Csr,
+        StorageTier::Coo,
+        StorageTier::BlockedCsr(3),
+    ];
+    for scheme in [EccScheme::Secded64, EccScheme::Crc32c] {
+        for tier in tiers {
+            let label = format!("{scheme:?}/{tier:?}");
+            let protection = ProtectionConfig::full(scheme);
+            let mut corrupt = AnyProtectedMatrix::encode(&a, &protection, tier).unwrap();
+            corrupt.inject_structure_bit_flip(40, 20);
+
+            for solver in [
+                Solver::jacobi().max_iterations(20_000).tolerance(1e-12),
+                Solver::chebyshev().max_iterations(4_000).tolerance(1e-12),
+            ] {
+                let method = solver.method();
+                match solver.solve_operator(&MatrixProtected::new(&corrupt), &b) {
+                    Ok(outcome) => {
+                        assert!(outcome.status.converged, "{label}/{method:?}");
+                        assert!(outcome.faults.total_corrected() >= 1, "{label}/{method:?}");
+                    }
+                    Err(e) => assert!(
+                        matches!(e, SolverError::Fault(_)),
+                        "{label}/{method:?}: {e}"
+                    ),
+                }
+            }
+
+            let mut queue = SolveQueue::new(1);
+            let id = queue.register(corrupt);
+            queue.submit(
+                JobSpec::new("tenant", id, b.clone())
+                    .with_config(SolverConfig::new(2_000, 1e-12))
+                    .with_preconditioner(PrecondKind::Ilu0, Reliability::Unreliable),
+            );
+            let job = queue.drain().pop().unwrap();
+            match job.termination {
+                Termination::Converged => assert!(job.faults.total_corrected() >= 1, "{label}"),
+                other => assert_eq!(other, Termination::Fault, "{label}"),
+            }
+        }
     }
 }
