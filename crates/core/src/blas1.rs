@@ -365,14 +365,18 @@ fn zip_range(
                 *sw = payload | parity_u64(payload) as u64;
             }
         }
+        _ if codec.has_batched_kernel() && codec.run_clean(s) && codec.run_clean(x) => {
+            // Batched screening pass: one predicate over each operand's
+            // whole range replaces the per-group checks, and the results
+            // are written a staged run at a time.  Schemes without a lane
+            // kernel (CRC32C) keep the interleaved per-group walk below.
+            *tally += 2 * (s.len() / codec.group()) as u64;
+            codec.rewrite_staged(s, s.len().min(len - base), |j, sw| {
+                op(f64::from_bits(sw & mask), f64::from_bits(x[j] & mask))
+            });
+        }
         _ => {
             let group = codec.group();
-            // Batched screening pass: one predicate over each operand's
-            // whole range replaces the per-group checks; the walk below
-            // still re-encodes every group (that work is the write side,
-            // not the check side).  Schemes without a lane kernel (CRC32C)
-            // keep the interleaved per-group check.
-            let clean = codec.has_batched_kernel() && codec.run_clean(s) && codec.run_clean(x);
             let mut off = 0;
             while off < s.len() {
                 *tally += 2;
@@ -381,7 +385,7 @@ fn zip_range(
                 {
                     let gs = &s[off..off + group];
                     let gx = &x[off..off + group];
-                    if clean || (codec.is_clean(gs) && codec.is_clean(gx)) {
+                    if codec.is_clean(gs) && codec.is_clean(gx) {
                         for j in 0..logical {
                             buf[j] = op(f64::from_bits(gs[j] & mask), f64::from_bits(gx[j] & mask));
                         }
@@ -439,11 +443,15 @@ fn scale_range(
                 *sw = payload | parity_u64(payload) as u64;
             }
         }
+        _ if codec.has_batched_kernel() && codec.run_clean(s) => {
+            // One batched predicate, staged writes (see `zip_range`).
+            *tally += (s.len() / codec.group()) as u64;
+            codec.rewrite_staged(s, s.len().min(len - base), |_, sw| {
+                f64::from_bits(sw & mask) * alpha
+            });
+        }
         _ => {
             let group = codec.group();
-            // One batched predicate replaces the per-group checks (see
-            // `zip_range`).
-            let clean = codec.has_batched_kernel() && codec.run_clean(s);
             let mut off = 0;
             while off < s.len() {
                 *tally += 1;
@@ -451,7 +459,7 @@ fn scale_range(
                 let mut buf = [0.0f64; MAX_GROUP];
                 {
                     let gs = &s[off..off + group];
-                    if clean || codec.is_clean(gs) {
+                    if codec.is_clean(gs) {
                         for j in 0..logical {
                             buf[j] = f64::from_bits(gs[j] & mask) * alpha;
                         }
@@ -523,11 +531,20 @@ fn dot_axpy_block(
                 acc += stored * stored;
             }
         }
+        _ if codec.has_batched_kernel() && codec.run_clean(s) && codec.run_clean(x) => {
+            // One batched predicate per operand, staged writes (see
+            // `zip_range`); the squares accumulate in element order, as in
+            // the walk below.
+            *tally += 2 * (s.len() / codec.group()) as u64;
+            codec.rewrite_staged(s, s.len().min(len - base), |j, sw| {
+                let updated = f64::from_bits(sw & mask) + alpha * f64::from_bits(x[j] & mask);
+                let stored = f64::from_bits(updated.to_bits() & mask);
+                acc += stored * stored;
+                updated
+            });
+        }
         _ => {
             let group = codec.group();
-            // One batched predicate per operand replaces the per-group
-            // checks (see `zip_range`).
-            let clean = codec.has_batched_kernel() && codec.run_clean(s) && codec.run_clean(x);
             let mut off = 0;
             while off < s.len() {
                 *tally += 2;
@@ -536,7 +553,7 @@ fn dot_axpy_block(
                 {
                     let gs = &s[off..off + group];
                     let gx = &x[off..off + group];
-                    if clean || (codec.is_clean(gs) && codec.is_clean(gx)) {
+                    if codec.is_clean(gs) && codec.is_clean(gx) {
                         for j in 0..logical {
                             buf[j] =
                                 f64::from_bits(gs[j] & mask) + alpha * f64::from_bits(gx[j] & mask);

@@ -30,7 +30,7 @@ use crate::csr_element::{ElementCodec, COL_MASK_24, COL_MASK_31};
 use crate::error::AbftError;
 use crate::policy::CheckPolicy;
 use crate::protected_csr::{
-    check_element_secded64, check_pair_secded128, check_row_crc, fma_panel,
+    check_element_secded64, check_pair_secded128, check_row_crc, fma_panel, verify_elements,
 };
 use crate::protected_matrix::ProtectedMatrix;
 use crate::report::{FaultLog, Region};
@@ -262,68 +262,42 @@ impl ProtectedCoo {
     /// Verifies every codeword of the matrix (elements and row indices)
     /// without modifying storage.
     pub fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        // Row indices first: the element pass needs trustworthy row runs for
-        // the row-granular CRC codewords.
+        // Row indices first.  The row-granular CRC codewords need the row
+        // runs, counted here from the *checked* decode: a correctable
+        // row-index flip must not shift the slice a checksum is computed
+        // over.
+        let crc_rows = self.config.elements == EccScheme::Crc32c;
+        let mut row_ptr = vec![0u32; if crc_rows { self.rows + 1 } else { 0 }];
         let mut rp_checks = 0u64;
-        let result = (0..self.row_indices.len())
-            .try_for_each(|k| self.decode_row_checked(k, log, &mut rp_checks).map(|_| ()));
+        let result = (0..self.row_indices.len()).try_for_each(|k| {
+            let row = self.decode_row_checked(k, log, &mut rp_checks)? as usize;
+            if crc_rows && row < self.rows {
+                row_ptr[row + 1] += 1;
+            }
+            Ok(())
+        });
         if rp_checks > 0 {
             log.record_checks(Region::RowPointer, rp_checks);
         }
         result?;
-        let mut scratch = Vec::new();
-        match self.config.elements {
-            EccScheme::None => Ok(()),
-            EccScheme::Sed => {
-                for k in 0..self.values.len() {
-                    log.record_check(Region::CsrElements);
-                    if parity_u64(self.values[k].to_bits()) ^ parity_u32(self.col_indices[k]) != 0 {
-                        log.record_uncorrectable(Region::CsrElements);
-                        return Err(AbftError::Uncorrectable {
-                            region: Region::CsrElements,
-                            index: k,
-                        });
-                    }
-                }
-                Ok(())
-            }
-            EccScheme::Secded64 => {
-                for k in 0..self.values.len() {
-                    log.record_check(Region::CsrElements);
-                    check_element_secded64(self.values[k], self.col_indices[k], k, log)?;
-                }
-                Ok(())
-            }
-            EccScheme::Secded128 => {
-                let mut k = 0;
-                while k < self.values.len() {
-                    log.record_check(Region::CsrElements);
-                    check_pair_secded128(&self.values, &self.col_indices, k, log)?;
-                    k += 2;
-                }
-                Ok(())
-            }
-            EccScheme::Crc32c => {
-                let row_ptr = self.masked_row_pointer();
-                for row in 0..self.rows {
-                    let (start, end) = (row_ptr[row] as usize, row_ptr[row + 1] as usize);
-                    if start == end {
-                        continue;
-                    }
-                    log.record_check(Region::CsrElements);
-                    check_row_crc(
-                        &self.crc,
-                        &self.values,
-                        &self.col_indices,
-                        start,
-                        end,
-                        &mut scratch,
-                        log,
-                    )?;
-                }
-                Ok(())
-            }
+        if !crc_rows {
+            return verify_elements(self.config.elements, &self.values, &self.col_indices, log);
         }
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let mut start = 0usize;
+        let result = row_ptr[1..].iter().try_for_each(|&count| {
+            let end = start + count as usize;
+            if start < end {
+                tally += 1;
+                let (values, cols) = (&self.values, &self.col_indices);
+                check_row_crc(&self.crc, values, cols, start, end, &mut scratch, log)?;
+            }
+            start = end;
+            Ok(())
+        });
+        log.record_checks(Region::CsrElements, tally);
+        result
     }
 
     /// Re-verifies every codeword and repairs correctable errors in place.

@@ -31,6 +31,12 @@ use abft_ecc::sed::{parity_u32, parity_u64};
 use abft_ecc::{Crc32c, SECDED_176, SECDED_88};
 use abft_sparse::CsrMatrix;
 
+/// Rows per block of the SECDED64 SpMV/SpMM kernels: each block's
+/// contiguous element run is certified by one batched predicate (which needs
+/// runs of at least 16 codewords to use its in-register kernel) before the
+/// multiply loops run over it.
+const ROW_BLOCK: usize = 64;
+
 /// A CSR matrix whose elements and row pointer carry embedded software ECC.
 #[derive(Debug, Clone)]
 pub struct ProtectedCsr {
@@ -201,25 +207,29 @@ impl ProtectedCsr {
     /// performs at the end of each time-step.
     pub fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
         self.row_pointer.check_all(log)?;
-        if self.config.elements == EccScheme::None {
-            return Ok(());
-        }
-        let mut scratch = Vec::new();
-        if self.config.elements == EccScheme::Crc32c {
-            // Row-granular codewords need the row boundaries; read them
-            // entry-wise instead of materialising the whole plain vector.
-            for row in 0..self.rows {
-                let start = self.row_pointer.get_masked(row) as usize;
-                let end = self.row_pointer.get_masked(row + 1) as usize;
-                self.verify_row(start, end, &mut scratch, log)?;
-            }
-        } else {
+        if self.config.elements != EccScheme::Crc32c {
             // Element- and pair-granular codewords are independent of the row
             // structure; one pass over the element range checks each codeword
             // exactly once.
-            self.verify_row(0, self.nnz, &mut scratch, log)?;
+            return verify_elements(self.config.elements, &self.values, &self.col_indices, log);
         }
-        Ok(())
+        // Row-granular codewords need the row boundaries, read through the
+        // checked path: a correctable row-pointer flip must not shift the
+        // slice a row's checksum is computed over.  `check_all` above has
+        // already counted the row-pointer codewords, so the cursor's tally
+        // is dropped.
+        let rp_checked = self.row_pointer.scheme() != EccScheme::None;
+        let mut cursor = RpCursor::new(&self.row_pointer);
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let result = (0..self.rows).try_for_each(|row| {
+            let (start, end) = cursor.row_range(row, rp_checked, log, &mut 0)?;
+            tally += 1;
+            self.checked_row_crc(start, end, &mut scratch, log)
+                .map(|_| ())
+        });
+        log.record_checks(Region::CsrElements, tally);
+        result
     }
 
     /// Re-verifies every codeword and repairs correctable errors in place.
@@ -356,33 +366,52 @@ impl ProtectedCsr {
                 }
             }
             EccScheme::Secded64 => {
-                for (i, yi) in y.iter_mut().enumerate() {
-                    let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                    *elem_checks += (end - start) as u64;
-                    let mut acc = 0.0;
-                    if abft_ecc::verify::secded88_elements_clean(
-                        &values[start..end],
-                        &cols[start..end],
-                    ) {
-                        // Batched syndrome gather certified the row clean —
-                        // the correcting per-element decode is skipped and
-                        // the masked column feeds the bounds-checked read
-                        // directly (identical to the corrected outputs of a
-                        // clean `check_element_secded64`).
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
+                let mut bounds = [0usize; ROW_BLOCK + 1];
+                for (b, block) in y.chunks_mut(ROW_BLOCK).enumerate() {
+                    let first = row0 + b * ROW_BLOCK;
+                    let certified = self.certify_block(
+                        &mut cursor,
+                        first,
+                        block.len(),
+                        rp_checked,
+                        &mut bounds,
+                    );
+                    for (i, yi) in block.iter_mut().enumerate() {
+                        let (start, end) = if certified {
+                            *rp_checks += 2 * rp_checked as u64;
+                            (bounds[i], bounds[i + 1])
+                        } else {
+                            cursor.row_range(first + i, rp_checked, log, rp_checks)?
+                        };
+                        *elem_checks += (end - start) as u64;
+                        let mut acc = 0.0;
+                        if certified
+                            || abft_ecc::verify::secded88_elements_clean(
+                                &values[start..end],
+                                &cols[start..end],
+                            )
                         {
-                            acc += v * read_x(x, (c & COL_MASK_24) as usize, start + k, log)?;
+                            // The batched syndrome predicate certified the
+                            // row clean — the correcting per-element decode
+                            // is skipped and the masked column feeds the
+                            // bounds-checked read directly (identical to the
+                            // corrected outputs of a clean
+                            // `check_element_secded64`).
+                            for (k, (&v, &c)) in
+                                values[start..end].iter().zip(&cols[start..end]).enumerate()
+                            {
+                                acc += v * read_x(x, (c & COL_MASK_24) as usize, start + k, log)?;
+                            }
+                        } else {
+                            for (k, (&v, &c)) in
+                                values[start..end].iter().zip(&cols[start..end]).enumerate()
+                            {
+                                let (value, col) = check_element_secded64(v, c, start + k, log)?;
+                                acc += value * read_x(x, col as usize, start + k, log)?;
+                            }
                         }
-                    } else {
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let (value, col) = check_element_secded64(v, c, start + k, log)?;
-                            acc += value * read_x(x, col as usize, start + k, log)?;
-                        }
+                        *yi = acc;
                     }
-                    *yi = acc;
                 }
             }
             EccScheme::Secded128 => {
@@ -561,28 +590,43 @@ impl ProtectedCsr {
                 }
             }
             EccScheme::Secded64 => {
-                for (i, row) in products.chunks_exact_mut(width).enumerate() {
-                    let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                    *elem_checks += (end - start) as u64;
-                    let mut acc = [0.0f64; MAX_PANEL_WIDTH];
-                    if abft_ecc::verify::secded88_elements_clean(
-                        &values[start..end],
-                        &cols[start..end],
-                    ) {
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
+                let mut bounds = [0usize; ROW_BLOCK + 1];
+                for (b, block) in products.chunks_mut(ROW_BLOCK * width).enumerate() {
+                    let first = row0 + b * ROW_BLOCK;
+                    let rows = block.len() / width;
+                    let certified =
+                        self.certify_block(&mut cursor, first, rows, rp_checked, &mut bounds);
+                    for (i, row) in block.chunks_exact_mut(width).enumerate() {
+                        let (start, end) = if certified {
+                            *rp_checks += 2 * rp_checked as u64;
+                            (bounds[i], bounds[i + 1])
+                        } else {
+                            cursor.row_range(first + i, rp_checked, log, rp_checks)?
+                        };
+                        *elem_checks += (end - start) as u64;
+                        let mut acc = [0.0f64; MAX_PANEL_WIDTH];
+                        if certified
+                            || abft_ecc::verify::secded88_elements_clean(
+                                &values[start..end],
+                                &cols[start..end],
+                            )
                         {
-                            fma_panel(xs, v, (c & COL_MASK_24) as usize, start + k, &mut acc, log)?;
+                            for (k, (&v, &c)) in
+                                values[start..end].iter().zip(&cols[start..end]).enumerate()
+                            {
+                                let col = (c & COL_MASK_24) as usize;
+                                fma_panel(xs, v, col, start + k, &mut acc, log)?;
+                            }
+                        } else {
+                            for (k, (&v, &c)) in
+                                values[start..end].iter().zip(&cols[start..end]).enumerate()
+                            {
+                                let (value, col) = check_element_secded64(v, c, start + k, log)?;
+                                fma_panel(xs, value, col as usize, start + k, &mut acc, log)?;
+                            }
                         }
-                    } else {
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let (value, col) = check_element_secded64(v, c, start + k, log)?;
-                            fma_panel(xs, value, col as usize, start + k, &mut acc, log)?;
-                        }
+                        row.copy_from_slice(&acc[..width]);
                     }
-                    row.copy_from_slice(&acc[..width]);
                 }
             }
             EccScheme::Secded128 => {
@@ -636,11 +680,37 @@ impl ProtectedCsr {
         Ok(())
     }
 
-    /// Non-mutating SECDED64 element check; returns the (transiently
-    /// corrected) value and masked column index.
-    #[inline]
-    fn checked_element_secded64(&self, k: usize, log: &FaultLog) -> Result<(f64, u32), AbftError> {
-        check_element_secded64(self.values[k], self.col_indices[k], k, log)
+    /// The block walker shared by the SECDED64 arms of the SpMV and SpMM
+    /// kernels: reads the row bounds of rows `first..first + rows` into
+    /// `bounds[..=rows]` and certifies the block's contiguous element run
+    /// with one batched predicate.  `true` means every row-pointer codeword
+    /// read verified clean (or had already been decoded by `cursor`), the
+    /// bounds are ordered and in range, and every element codeword is
+    /// clean, so the multiply loops may run straight off `bounds`.
+    /// Nothing is recorded either way: on `false` the caller re-walks the
+    /// block row by row through the logging path, which then reports
+    /// exactly the events, indices and check counts it always has.
+    fn certify_block(
+        &self,
+        cursor: &mut RpCursor,
+        first: usize,
+        rows: usize,
+        rp_checked: bool,
+        bounds: &mut [usize; ROW_BLOCK + 1],
+    ) -> bool {
+        for (i, bound) in bounds[..=rows].iter_mut().enumerate() {
+            match cursor.entry_if_clean(first + i, rp_checked) {
+                Some(entry) => *bound = entry as usize,
+                None => return false,
+            }
+        }
+        let (start, end) = (bounds[0], bounds[rows]);
+        bounds[..=rows].is_sorted()
+            && end <= self.nnz
+            && abft_ecc::verify::secded88_elements_clean(
+                &self.values[start..end],
+                &self.col_indices[start..end],
+            )
     }
 
     /// Non-mutating SECDED128 pair check; returns corrected values and masked
@@ -670,53 +740,6 @@ impl ProtectedCsr {
             scratch,
             log,
         )
-    }
-
-    /// Non-mutating verification of one row's elements (used by
-    /// [`ProtectedCsr::verify_all`]).
-    fn verify_row(
-        &self,
-        start: usize,
-        end: usize,
-        scratch: &mut Vec<u8>,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        match self.config.elements {
-            EccScheme::None => Ok(()),
-            EccScheme::Sed => {
-                for k in start..end {
-                    log.record_check(Region::CsrElements);
-                    if parity_u64(self.values[k].to_bits()) ^ parity_u32(self.col_indices[k]) != 0 {
-                        log.record_uncorrectable(Region::CsrElements);
-                        return Err(AbftError::Uncorrectable {
-                            region: Region::CsrElements,
-                            index: k,
-                        });
-                    }
-                }
-                Ok(())
-            }
-            EccScheme::Secded64 => {
-                for k in start..end {
-                    log.record_check(Region::CsrElements);
-                    self.checked_element_secded64(k, log)?;
-                }
-                Ok(())
-            }
-            EccScheme::Secded128 => {
-                let mut k = start & !1;
-                while k < end {
-                    log.record_check(Region::CsrElements);
-                    self.checked_pair_secded128(k, log)?;
-                    k += 2;
-                }
-                Ok(())
-            }
-            EccScheme::Crc32c => {
-                log.record_check(Region::CsrElements);
-                self.checked_row_crc(start, end, scratch, log).map(|_| ())
-            }
-        }
     }
 }
 
@@ -804,9 +827,72 @@ impl ProtectedMatrix for ProtectedCsr {
     }
 }
 
+/// Non-mutating verification of every element codeword of the element- and
+/// pair-granular schemes (SED, SECDED64, SECDED128) — the `verify_all` body
+/// the CSR and COO tiers share.  Schemes with a batched predicate certify
+/// the whole range with it and walk (attributing the fault) only when it
+/// fails; checks are tallied locally and flushed once, on the error path
+/// too.  `None` and the row-granular CRC32C have nothing to do here.
+pub(crate) fn verify_elements(
+    scheme: EccScheme,
+    values: &[f64],
+    cols: &[u32],
+    log: &FaultLog,
+) -> Result<(), AbftError> {
+    let mut tally = 0u64;
+    let result = verify_elements_inner(scheme, values, cols, log, &mut tally);
+    if tally > 0 {
+        log.record_checks(Region::CsrElements, tally);
+    }
+    result
+}
+
+fn verify_elements_inner(
+    scheme: EccScheme,
+    values: &[f64],
+    cols: &[u32],
+    log: &FaultLog,
+    tally: &mut u64,
+) -> Result<(), AbftError> {
+    match scheme {
+        EccScheme::None | EccScheme::Crc32c => {}
+        EccScheme::Sed if abft_ecc::verify::sed_elements_clean(values, cols) => {
+            *tally += values.len() as u64;
+        }
+        EccScheme::Sed => {
+            for (k, (&v, &c)) in values.iter().zip(cols).enumerate() {
+                *tally += 1;
+                if parity_u64(v.to_bits()) ^ parity_u32(c) != 0 {
+                    log.record_uncorrectable(Region::CsrElements);
+                    return Err(AbftError::Uncorrectable {
+                        region: Region::CsrElements,
+                        index: k,
+                    });
+                }
+            }
+        }
+        EccScheme::Secded64 if abft_ecc::verify::secded88_elements_clean(values, cols) => {
+            *tally += values.len() as u64;
+        }
+        EccScheme::Secded64 => {
+            for (k, (&v, &c)) in values.iter().zip(cols).enumerate() {
+                *tally += 1;
+                check_element_secded64(v, c, k, log)?;
+            }
+        }
+        EccScheme::Secded128 => {
+            for pair in (0..values.len()).step_by(2) {
+                *tally += 1;
+                check_pair_secded128(values, cols, pair, log)?;
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Non-mutating SECDED64 check of one element's (value, encoded index) pair:
-/// the single source for the SpMV kernel, [`ProtectedCsr::verify_all`] and
-/// the unpaired SECDED128 tail.  Returns the (transiently corrected) value
+/// the single source for the SpMV kernel, [`verify_elements`] and the
+/// unpaired SECDED128 tail.  Returns the (transiently corrected) value
 /// and masked column index; `index` is the absolute element position for
 /// error reporting.
 #[inline(always)]
@@ -1012,6 +1098,30 @@ impl<'a> RpCursor<'a> {
             cached: usize::MAX,
             entries: [0; 8],
         }
+    }
+
+    /// Entry `i` when reading it needs nothing recorded: unchecked reads
+    /// (`rp_checked` off), a codeword that verifies strictly clean, or a
+    /// group this cursor has already decoded.  `None` leaves the cache
+    /// untouched for the logging [`RpCursor::entry_checked`] to redo.
+    #[inline]
+    fn entry_if_clean(&mut self, i: usize, rp_checked: bool) -> Option<u32> {
+        if !rp_checked {
+            return Some(self.rp.get_masked(i));
+        }
+        if self.group <= 1 {
+            let clean = parity_u32(self.rp.raw()[i]) == 0;
+            return clean.then(|| self.rp.get_masked(i));
+        }
+        let g = i / self.group;
+        if g != self.cached {
+            self.entries = self.rp.group_if_clean(g)?;
+            self.cached = g;
+        }
+        Some(mask_entry(
+            self.rp.scheme(),
+            self.entries[i - g * self.group],
+        ))
     }
 
     /// Fully checked read of entry `i` through the group cache.

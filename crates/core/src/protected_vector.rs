@@ -49,6 +49,12 @@ pub(crate) const MAX_GROUP: usize = 4;
 /// A multiple of every group size.
 pub const ACC_BLOCK: usize = 4096;
 
+/// Elements the write paths compute into a stack buffer before one
+/// [`GroupCodec::encode_run`] writes them back: long enough to feed the
+/// batched encoder whole batches, short enough to stay in L1.  A multiple
+/// of every group size and a divisor of [`ACC_BLOCK`].
+pub(crate) const ENCODE_STAGE: usize = 128;
+
 /// A dense `f64` vector whose elements carry embedded ECC in their
 /// least-significant mantissa bits.
 ///
@@ -151,14 +157,7 @@ impl ProtectedVector {
             parallel: false,
             parity: None,
         };
-        let mut base = 0;
-        while base < values.len() {
-            let count = group.min(values.len() - base);
-            let mut buf = [0.0f64; MAX_GROUP];
-            buf[..count].copy_from_slice(&values[base..base + count]);
-            v.encode_group(base, &buf);
-            base += group;
-        }
+        v.fill_from_fn(|i| values[i]);
         v
     }
 
@@ -342,21 +341,12 @@ impl ProtectedVector {
         Ok(repaired)
     }
 
-    /// Overwrites every element with `f(i)`, encoding one group at a time
-    /// (pure write buffering: no read-side integrity work).
+    /// Overwrites every element with `f(i)`, encoding one staged run of
+    /// groups at a time (pure write buffering: no read-side integrity work).
     pub fn fill_from_fn(&mut self, mut f: impl FnMut(usize) -> f64) {
-        let group = self.group_size();
         let len = self.len;
-        let mut base = 0;
-        while base < len {
-            let count = group.min(len - base);
-            let mut buf = [0.0f64; MAX_GROUP];
-            for (j, b) in buf[..count].iter_mut().enumerate() {
-                *b = f(base + j);
-            }
-            self.encode_group(base, &buf);
-            base += group;
-        }
+        self.codec()
+            .rewrite_staged(&mut self.data, len, |i, _| f(i));
         self.parity_commit();
     }
 
@@ -367,18 +357,9 @@ impl ProtectedVector {
         &mut self,
         mut f: impl FnMut(usize) -> Result<f64, AbftError>,
     ) -> Result<(), AbftError> {
-        let group = self.group_size();
         let len = self.len;
-        let mut base = 0;
-        while base < len {
-            let count = group.min(len - base);
-            let mut buf = [0.0f64; MAX_GROUP];
-            for (j, b) in buf[..count].iter_mut().enumerate() {
-                *b = f(base + j)?;
-            }
-            self.encode_group(base, &buf);
-            base += group;
-        }
+        self.codec()
+            .try_rewrite_staged(&mut self.data, len, |i, _| f(i))?;
         self.parity_commit();
         Ok(())
     }
@@ -1462,6 +1443,70 @@ impl GroupCodec {
         Some(fixed)
     }
 
+    /// Canonical encode of a whole-group-aligned run: `out[i]` receives the
+    /// codeword word of `values[i]` (equal lengths, a multiple of the group
+    /// size; padding elements must be zero).  SECDED64 goes through the
+    /// dispatched batched encoder of [`abft_ecc::verify`]; every other
+    /// scheme loops [`GroupCodec::encode`] group by group.  Bit-identical
+    /// to the per-group encode for every scheme.
+    #[inline]
+    pub(crate) fn encode_run(&self, values: &[f64], out: &mut [u64]) {
+        debug_assert_eq!(values.len(), out.len());
+        if self.scheme == EccScheme::Secded64 {
+            return abft_ecc::verify::secded64_encode_words(values, out);
+        }
+        let group = self.group();
+        debug_assert_eq!(values.len() % group, 0);
+        let mut buf = [0.0f64; MAX_GROUP];
+        for (v, o) in values.chunks_exact(group).zip(out.chunks_exact_mut(group)) {
+            buf[..group].copy_from_slice(v);
+            self.encode(&buf, o);
+        }
+    }
+
+    /// `words[j] ← encode(f(j, words[j]))` over a whole-group-aligned run
+    /// whose first `logical` words are user-visible (the rest is padding,
+    /// rewritten as zero): [`ENCODE_STAGE`] results at a time are computed
+    /// into a stack buffer and written with one [`GroupCodec::encode_run`].
+    /// `f` sees the stored word unchecked — callers certify the run first.
+    /// Stops at the first error, leaving the stages before it written.
+    #[inline]
+    pub(crate) fn try_rewrite_staged<E>(
+        &self,
+        words: &mut [u64],
+        logical: usize,
+        mut f: impl FnMut(usize, u64) -> Result<f64, E>,
+    ) -> Result<(), E> {
+        let mut stage = [0.0f64; ENCODE_STAGE];
+        for (b, out) in words.chunks_mut(ENCODE_STAGE).enumerate() {
+            let at = b * ENCODE_STAGE;
+            let n = out.len().min(logical - at);
+            for (j, (slot, &w)) in stage[..n].iter_mut().zip(out.iter()).enumerate() {
+                *slot = f(at + j, w)?;
+            }
+            stage[n..out.len()].fill(0.0);
+            self.encode_run(&stage[..out.len()], out);
+        }
+        Ok(())
+    }
+
+    /// Infallible [`GroupCodec::try_rewrite_staged`].
+    #[inline]
+    pub(crate) fn rewrite_staged(
+        &self,
+        words: &mut [u64],
+        logical: usize,
+        mut f: impl FnMut(usize, u64) -> f64,
+    ) {
+        let done = self.try_rewrite_staged(words, logical, |j, w| {
+            Ok::<_, std::convert::Infallible>(f(j, w))
+        });
+        match done {
+            Ok(()) => {}
+            Err(never) => match never {},
+        }
+    }
+
     /// Canonical encode of one group from plain values (the reserved LSBs of
     /// the inputs are discarded).  `out.len()` must equal the group size;
     /// entries in `values` beyond the logical length must be zero.
@@ -1481,13 +1526,7 @@ impl GroupCodec {
                     *o = payload | parity_u64(payload) as u64;
                 }
             }
-            EccScheme::Secded64 => {
-                for (o, v) in out.iter_mut().zip(values) {
-                    let payload = [v.to_bits() >> 8];
-                    let red = SECDED_56.encode(&payload) as u64;
-                    *o = (payload[0] << 8) | red;
-                }
-            }
+            EccScheme::Secded64 => abft_ecc::verify::scalar::secded64_encode_words(values, out),
             EccScheme::Secded128 => {
                 let b0 = values[0].to_bits() >> 5;
                 let b1 = if count > 1 {

@@ -216,10 +216,7 @@ impl ProtectedRowPointer {
     pub(crate) fn decode_group(&self, g: usize, log: &FaultLog) -> Result<[u32; 8], AbftError> {
         let group = self.scheme.row_pointer_group();
         let base = g * group;
-        let mut entries = [0u32; 8];
-        for (j, e) in entries[..group].iter_mut().enumerate() {
-            *e = self.data.get(base + j).copied().unwrap_or(0);
-        }
+        let mut entries = self.load_group(g);
         match check_group(self.scheme, &self.crc, &mut entries[..group]) {
             GroupOutcome::Clean => {}
             GroupOutcome::Corrected => log.record_corrected(Region::RowPointer),
@@ -234,14 +231,47 @@ impl ProtectedRowPointer {
         Ok(entries)
     }
 
+    /// The stored entries of group `g` (zero beyond the end of the vector).
+    fn load_group(&self, g: usize) -> [u32; 8] {
+        let group = self.scheme.row_pointer_group();
+        let mut entries = [0u32; 8];
+        for (j, e) in entries[..group].iter_mut().enumerate() {
+            *e = self.data.get(g * group + j).copied().unwrap_or(0);
+        }
+        entries
+    }
+
+    /// The stored entries of group `g` when its codeword verifies strictly
+    /// clean — [`ProtectedRowPointer::decode_group`] minus correction and
+    /// logging, for callers that certify first and attribute on a re-walk.
+    pub(crate) fn group_if_clean(&self, g: usize) -> Option<[u32; 8]> {
+        let group = self.scheme.row_pointer_group();
+        let mut entries = self.load_group(g);
+        matches!(
+            check_group(self.scheme, &self.crc, &mut entries[..group]),
+            GroupOutcome::Clean
+        )
+        .then_some(entries)
+    }
+
     /// Verifies every codeword; errors are logged, single flips are *not*
     /// written back (use [`ProtectedRowPointer::scrub`] for that).
     pub fn check_all(&self, log: &FaultLog) -> Result<(), AbftError> {
+        // Tallied locally, flushed once — on the error path too.
+        let mut tally = 0u64;
+        let result = self.check_all_inner(log, &mut tally);
+        if tally > 0 {
+            log.record_checks(Region::RowPointer, tally);
+        }
+        result
+    }
+
+    fn check_all_inner(&self, log: &FaultLog, tally: &mut u64) -> Result<(), AbftError> {
         match self.scheme {
             EccScheme::None => Ok(()),
             EccScheme::Sed => {
                 for (i, &e) in self.data.iter().enumerate() {
-                    log.record_check(Region::RowPointer);
+                    *tally += 1;
                     if parity_u32(e) != 0 {
                         log.record_uncorrectable(Region::RowPointer);
                         return Err(AbftError::Uncorrectable {
@@ -255,7 +285,7 @@ impl ProtectedRowPointer {
             _ => {
                 let group = self.scheme.row_pointer_group();
                 for g in 0..self.data.len().div_ceil(group) {
-                    log.record_check(Region::RowPointer);
+                    *tally += 1;
                     self.decode_group(g, log)?;
                 }
                 Ok(())
@@ -278,10 +308,7 @@ impl ProtectedRowPointer {
                 let group = self.scheme.row_pointer_group();
                 for g in 0..self.data.len().div_ceil(group) {
                     let base = g * group;
-                    let mut entries = [0u32; 8];
-                    for (j, e) in entries[..group].iter_mut().enumerate() {
-                        *e = self.data.get(base + j).copied().unwrap_or(0);
-                    }
+                    let mut entries = self.load_group(g);
                     match check_group(self.scheme, &self.crc, &mut entries[..group]) {
                         GroupOutcome::Clean => {}
                         GroupOutcome::Corrected => {

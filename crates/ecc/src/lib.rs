@@ -24,15 +24,18 @@
 //! * [`analysis`] — code-capability analysis helpers used by the tests and
 //!   the `experiments --crc-capability` harness: syndrome uniqueness checks,
 //!   detection exhaustiveness over bounded error weights.
-//! * [`verify`] — batched, SIMD-accelerated verify-only kernels with
-//!   runtime ISA dispatch (SSE2/AVX2 resolved once into a function-pointer
-//!   table, portable scalar reference kept): the check-throughput layer the
-//!   hot SpMV and BLAS-1 consumers run on.
+//! * [`verify`] — batched, SIMD-accelerated verify-only kernels and the
+//!   SECDED64 encode, with runtime ISA dispatch (SSE2/AVX2 resolved once
+//!   into a function-pointer table, portable scalar reference kept): the
+//!   check- and write-throughput layer the hot SpMV and BLAS-1 consumers
+//!   run on.
 //!
 //! The crate is `no_std`-friendly in spirit (no allocation in the hot paths)
 //! but uses `std` for feature detection and the analysis helpers.
 
 #![deny(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod analysis;
 pub mod bitops;

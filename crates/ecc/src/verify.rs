@@ -1,22 +1,27 @@
-//! Batched, SIMD-accelerated verify-only ECC kernels with runtime ISA
-//! dispatch.
+//! Batched, SIMD-accelerated ECC kernels — verify-only predicates and the
+//! SECDED64 encode — with runtime ISA dispatch.
 //!
 //! The full-protection scheme makes every SpMV and every vector read pay an
-//! integrity check, so check throughput *is* solver throughput.  The
-//! verify-only predicates ([`crate::Secded::verify`], SED parity) already
-//! avoid the correction machinery; this module removes the remaining scalar
-//! bit-twiddling by verifying **2–4 codewords per step**:
+//! integrity check and every vector write pay an encode, so their
+//! throughput *is* solver throughput.  The verify-only predicates
+//! ([`crate::Secded::verify`], SED parity) already avoid the correction
+//! machinery; this module removes the remaining scalar bit-twiddling by
+//! working on **runs of codewords**:
 //!
-//! * every codeword layout the hot kernels touch is reduced to *"XOR a
-//!   handful of table lookups and compare with zero"* through a **flattened
-//!   full-codeword syndrome table** built at compile time (one `u32` per
-//!   `(byte position, byte value)` pair, stored redundancy folded in — see
-//!   the private `tables` module), so a 72-bit vector codeword is clean iff the XOR of
-//!   8 lookups is zero, with no shifts, masks, or popcounts left at runtime;
-//! * on x86-64 with AVX2 the lookups become one 8-lane `vpgatherdd` per
-//!   codeword and the zero-tests are merged across a batch of 2–4 codewords;
-//!   SED parity folds 4 words per step with plain vertical XORs (SSE2 folds
-//!   2);
+//! * every check is GF(2)-linear, so a codeword layout reduces to *"XOR a
+//!   handful of table lookups and compare with zero"* through tables built
+//!   at compile time from one per-bit description of the layout (the
+//!   private `tables` module): a flattened `u32` table per `(byte position,
+//!   byte value)` for the scalar tiers, and its nibble-split `u8` form for
+//!   the in-register kernels;
+//! * on x86-64 with AVX2 the byte-wide layouts (SECDED64 words, SECDED88
+//!   elements) take **16 codewords per step with no table load at all**:
+//!   the batch is byte-transposed in registers and each byte position is
+//!   looked up with `vpshufb` against its two 16-entry nibble tables — and
+//!   the SECDED64 *encode* is the same map with the redundancy byte as its
+//!   output.  SECDED128 (9 syndrome bits) keeps an 8-lane `vpgatherdd`;
+//!   SED parity folds 4 words per step with plain vertical XORs (SSE2
+//!   folds 2);
 //! * the implementation is selected **once**, at first use, into a
 //!   process-wide function-pointer table (a `OnceLock` function table) from
 //!   `is_x86_feature_detected!` — feature detection never runs inside a
@@ -32,11 +37,11 @@
 //!
 //! Setting the environment variable **`ABFT_ECC_FORCE_SCALAR=1`** (any
 //! non-empty value other than `0`) before the first ECC operation pins the
-//! dispatch to the scalar implementations *and* disables the hardware CRC32C
-//! instruction, so tests and benchmarks can exercise the portable fallback
-//! on hosts that do have the fast paths.  The variable is read once, when
-//! the dispatch table is first resolved; changing it afterwards has no
-//! effect.
+//! dispatch — verify and encode — to the scalar implementations *and*
+//! disables the hardware CRC32C instruction, so tests and benchmarks can
+//! exercise the portable fallback on hosts that do have the fast paths.
+//! The variable is read once, when the dispatch table is first resolved;
+//! changing it afterwards has no effect.
 //!
 //! # What is *not* here
 //!
@@ -46,7 +51,7 @@
 //! assumption, so the batched predicates are the common case and the scalar
 //! decode is the cold path.
 
-use crate::secded::data_bit_position;
+use crate::secded::{data_bit_position, SECDED_56};
 use std::sync::OnceLock;
 
 /// Instruction set selected by the runtime dispatch.
@@ -55,9 +60,10 @@ pub enum Isa {
     /// Portable scalar reference implementations.
     Scalar,
     /// SSE2: 2-lane parity folds; table kernels batch 4 codewords per step
-    /// for instruction-level parallelism (x86-64 baseline, no gather).
+    /// for instruction-level parallelism (x86-64 baseline).
     Sse2,
-    /// AVX2: 4-lane parity folds and 8-lane `vpgatherdd` syndrome lookups.
+    /// AVX2: 4-lane parity folds, in-register `vpshufb` nibble-table
+    /// syndromes and encode (16 codewords per step).
     Avx2,
 }
 
@@ -73,7 +79,7 @@ impl Isa {
     }
 }
 
-/// The resolved kernel table: one function pointer per batched predicate.
+/// The resolved kernel table: one function pointer per batched kernel.
 struct Kernels {
     isa: Isa,
     sed_words: fn(&[u64]) -> bool,
@@ -81,6 +87,7 @@ struct Kernels {
     secded64_words: fn(&[u64]) -> bool,
     secded128_words: fn(&[u64]) -> bool,
     secded88_elements: fn(&[f64], &[u32]) -> bool,
+    secded64_encode: fn(&[f64], &mut [u64]),
 }
 
 static KERNELS: OnceLock<Kernels> = OnceLock::new();
@@ -114,6 +121,7 @@ fn resolve() -> Kernels {
                 secded64_words: avx2::secded64_words_clean,
                 secded128_words: avx2::secded128_words_clean,
                 secded88_elements: avx2::secded88_elements_clean,
+                secded64_encode: avx2::secded64_encode_words,
             };
         }
         if std::arch::is_x86_feature_detected!("sse2") {
@@ -121,11 +129,12 @@ fn resolve() -> Kernels {
                 isa: Isa::Sse2,
                 sed_words: sse2::sed_words_clean,
                 sed_elements: sse2::sed_elements_clean,
-                // x86 without AVX2 has no usable gather; the table kernels
-                // batch 4 codewords per step in scalar registers instead.
+                // Without AVX2 the table kernels batch 4 codewords per step
+                // in scalar registers and the encode stays per word.
                 secded64_words: batched::secded64_words_clean,
                 secded128_words: batched::secded128_words_clean,
                 secded88_elements: batched::secded88_elements_clean,
+                secded64_encode: scalar::secded64_encode_words,
             };
         }
     }
@@ -140,6 +149,7 @@ fn scalar_kernels() -> Kernels {
         secded64_words: scalar::secded64_words_clean,
         secded128_words: scalar::secded128_words_clean,
         secded88_elements: scalar::secded88_elements_clean,
+        secded64_encode: scalar::secded64_encode_words,
     }
 }
 
@@ -212,6 +222,26 @@ pub fn secded88_elements_clean(values: &[f64], cols: &[u32]) -> bool {
     (kernels().secded88_elements)(values, cols)
 }
 
+/// Batched encode of SECDED64 dense-vector codewords: `out[i]` becomes the
+/// clean codeword of `values[i]` — its 56 high bits kept, the low byte
+/// replaced by the 7 redundancy bits (bit 7 zero).  Bit-identical to
+/// encoding each word with [`SECDED_56`]; `values` and `out` must have equal
+/// lengths.
+///
+/// ```
+/// use abft_ecc::verify::{secded64_encode_words, secded64_words_clean};
+/// let values = [1.0f64, -2.5, 3.25e7];
+/// let mut words = [0u64; 3];
+/// secded64_encode_words(&values, &mut words);
+/// assert!(secded64_words_clean(&words));
+/// assert_eq!(words[1] >> 8, (-2.5f64).to_bits() >> 8);
+/// ```
+#[inline]
+pub fn secded64_encode_words(values: &[f64], out: &mut [u64]) {
+    assert_eq!(values.len(), out.len(), "secded64_encode_words: length");
+    (kernels().secded64_encode)(values, out)
+}
+
 /// Compile-time construction of the flattened full-codeword syndrome
 /// tables.
 ///
@@ -230,7 +260,8 @@ pub fn secded88_elements_clean(values: &[f64], cols: &[u32]) -> bool {
 ///
 /// Folding eight adjacent bits at a time yields one 256-entry `u32` table
 /// per byte position; the tables for one layout are flattened into a single
-/// array so a SIMD gather can index them as `position * 256 + byte`.
+/// array indexed as `position * 256 + byte`.  Folding four at a time yields
+/// the nibble tables of the in-register kernels ([`NibbleLut`]).
 mod tables {
     use super::data_bit_position;
 
@@ -359,6 +390,87 @@ mod tables {
     /// Flattened table for the SECDED88 element codeword (12 byte positions:
     /// 8 value bytes then 4 column bytes).
     pub(super) static ELEM88: [u32; 12 * 256] = fill(elem88_roles(), 7);
+
+    /// Which GF(2)-linear map of a layout a [`NibbleLut`] tabulates.
+    #[derive(Clone, Copy)]
+    enum Map {
+        /// The full-codeword syndrome ([`column`]): zero iff clean.
+        Syndrome,
+        /// The redundancy byte a payload encodes to: Hamming check bits plus
+        /// the overall-parity bit, which is linear in the payload too (a
+        /// payload bit toggles the data parity and the parity of the check
+        /// bits its position sets).  Reserved bits contribute nothing, so
+        /// stale redundancy in the input is ignored.
+        Encode,
+    }
+
+    /// One per-bit column narrowed to a byte for the in-register kernels:
+    /// the redundancy bits fill the low bits and the must-be-zero sentinel
+    /// takes bit 7, so only layouts with at most 8 such bits have one.
+    const fn column8(role: Role, check_bits: u32, map: Map) -> u8 {
+        match (map, role) {
+            (Map::Syndrome, Role::Zero) => {
+                assert!(check_bits < 7, "no spare bit for the sentinel");
+                0x80
+            }
+            (Map::Syndrome, _) => {
+                let c = column(role, check_bits);
+                assert!(c < 256);
+                c as u8
+            }
+            (Map::Encode, Role::Payload(j)) => {
+                let pos = data_bit_position(j) as u32;
+                (pos | ((1 ^ (pos.count_ones() & 1)) << check_bits)) as u8
+            }
+            (Map::Encode, _) => 0,
+        }
+    }
+
+    /// Nibble-split byte tables of one layout, shaped for `vpshufb`: byte
+    /// `b` at byte position `p` contributes `lo[p][b & 15] ^ hi[p][b >> 4]`.
+    /// Register `i` of a kernel holds byte position `2i` of 16 codewords in
+    /// its low 128-bit lane and position `2i + 1` in its high lane, so the
+    /// 16-entry tables are stored lane-paired the same way.
+    pub(super) struct NibbleLut<const REGS: usize> {
+        pub(super) lo: [[u8; 32]; REGS],
+        pub(super) hi: [[u8; 32]; REGS],
+    }
+
+    const fn nibble_lut<const BITS: usize, const REGS: usize>(
+        roles: [Role; BITS],
+        check_bits: u32,
+        map: Map,
+    ) -> NibbleLut<REGS> {
+        assert!(BITS == REGS * 16);
+        let mut lut = NibbleLut {
+            lo: [[0; 32]; REGS],
+            hi: [[0; 32]; REGS],
+        };
+        let mut p = 0;
+        while p < BITS / 8 {
+            let mut n = 1usize;
+            while n < 16 {
+                let low = n & n.wrapping_neg();
+                let bit = low.trailing_zeros() as usize;
+                let at = (p % 2) * 16;
+                lut.lo[p / 2][at + n] =
+                    lut.lo[p / 2][at + (n ^ low)] ^ column8(roles[p * 8 + bit], check_bits, map);
+                lut.hi[p / 2][at + n] = lut.hi[p / 2][at + (n ^ low)]
+                    ^ column8(roles[p * 8 + 4 + bit], check_bits, map);
+                n += 1;
+            }
+            p += 1;
+        }
+        lut
+    }
+
+    /// Syndrome of the SECDED64 vector codeword, nibble-split.
+    pub(super) static VEC64_NIBBLES: NibbleLut<4> = nibble_lut(vec64_roles(), 6, Map::Syndrome);
+    /// Redundancy byte of the SECDED64 vector codeword, nibble-split.
+    pub(super) static VEC64_ENCODE: NibbleLut<4> = nibble_lut(vec64_roles(), 6, Map::Encode);
+    /// Syndrome of the SECDED88 element codeword, nibble-split (registers
+    /// 0–3 cover the value bytes, 4–5 the column bytes).
+    pub(super) static ELEM88_NIBBLES: NibbleLut<6> = nibble_lut(elem88_roles(), 7, Map::Syndrome);
 }
 
 /// Full-codeword syndrome of one SECDED64 vector word: zero iff clean.
@@ -477,6 +589,15 @@ pub mod scalar {
         }
         acc == 0
     }
+
+    /// Scalar [`super::secded64_encode_words`]: one [`SECDED_56`] encode
+    /// per word.
+    pub fn secded64_encode_words(values: &[f64], out: &mut [u64]) {
+        for (o, v) in out.iter_mut().zip(values) {
+            let payload = v.to_bits() >> 8;
+            *o = (payload << 8) | SECDED_56.encode(&[payload]) as u64;
+        }
+    }
 }
 
 /// Four-codewords-per-step table kernels for x86 tiers without gather
@@ -536,6 +657,45 @@ mod batched {
 /// SSE2 kernels: two 64-bit lanes per step for the parity folds.
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
+    use std::arch::x86_64::*;
+
+    /// Element types the SIMD kernels load from: plain integers and floats,
+    /// every bit pattern of which is initialised and valid.
+    pub(super) trait Pod: Copy {}
+    impl Pod for u8 {}
+    impl Pod for u32 {}
+    impl Pod for u64 {}
+    impl Pod for f64 {}
+
+    /// Unaligned load of the 16 bytes starting at element `at` of `src`.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    pub(super) fn load16<T: Pod>(src: &[T], at: usize) -> __m128i {
+        assert!((at + 16 / size_of::<T>()) <= src.len());
+        // SAFETY: the assert keeps all 16 bytes read inside `src`, `T: Pod`
+        // makes them initialised, and `loadu` has no alignment requirement.
+        unsafe { _mm_loadu_si128(src.as_ptr().add(at).cast()) }
+    }
+
+    /// Folds the parity of each 64-bit lane into the lane's bit 0.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn fold_parity(mut v: __m128i) -> __m128i {
+        v = _mm_xor_si128(v, _mm_srli_epi64::<32>(v));
+        v = _mm_xor_si128(v, _mm_srli_epi64::<16>(v));
+        v = _mm_xor_si128(v, _mm_srli_epi64::<8>(v));
+        v = _mm_xor_si128(v, _mm_srli_epi64::<4>(v));
+        v = _mm_xor_si128(v, _mm_srli_epi64::<2>(v));
+        _mm_xor_si128(v, _mm_srli_epi64::<1>(v))
+    }
+
+    /// `true` when bit 0 of either lane of `acc` is set.
+    #[target_feature(enable = "sse2")]
+    #[inline]
+    fn any_odd(acc: __m128i) -> bool {
+        _mm_cvtsi128_si64(_mm_or_si128(acc, _mm_srli_si128::<8>(acc))) & 1 != 0
+    }
+
     /// 2-lane SED parity scan.
     pub(super) fn sed_words_clean(words: &[u64]) -> bool {
         // SAFETY: only installed in the dispatch table when SSE2 is
@@ -544,22 +704,13 @@ mod sse2 {
     }
 
     #[target_feature(enable = "sse2")]
-    unsafe fn sed_words_clean_impl(words: &[u64]) -> bool {
-        use std::arch::x86_64::*;
+    fn sed_words_clean_impl(words: &[u64]) -> bool {
         let mut chunks = words.chunks_exact(2);
         let mut acc = _mm_setzero_si128();
         for pair in &mut chunks {
-            let mut v = _mm_loadu_si128(pair.as_ptr() as *const __m128i);
-            v = _mm_xor_si128(v, _mm_srli_epi64::<32>(v));
-            v = _mm_xor_si128(v, _mm_srli_epi64::<16>(v));
-            v = _mm_xor_si128(v, _mm_srli_epi64::<8>(v));
-            v = _mm_xor_si128(v, _mm_srli_epi64::<4>(v));
-            v = _mm_xor_si128(v, _mm_srli_epi64::<2>(v));
-            v = _mm_xor_si128(v, _mm_srli_epi64::<1>(v));
-            acc = _mm_or_si128(acc, v);
+            acc = _mm_or_si128(acc, fold_parity(load16(pair, 0)));
         }
-        let lanes = _mm_or_si128(acc, _mm_srli_si128::<8>(acc));
-        let mut bad = (_mm_cvtsi128_si64(lanes) & 1) != 0;
+        let mut bad = any_odd(acc);
         for &w in chunks.remainder() {
             bad |= (w.count_ones() & 1) != 0;
         }
@@ -573,27 +724,17 @@ mod sse2 {
     }
 
     #[target_feature(enable = "sse2")]
-    unsafe fn sed_elements_clean_impl(values: &[f64], cols: &[u32]) -> bool {
-        use std::arch::x86_64::*;
+    fn sed_elements_clean_impl(values: &[f64], cols: &[u32]) -> bool {
         let n = values.len().min(cols.len());
         let mut acc = _mm_setzero_si128();
         let mut k = 0;
         while k + 2 <= n {
-            let v = _mm_loadu_si128(values.as_ptr().add(k) as *const __m128i);
             // Zero-extend the two columns into 64-bit lanes.
             let c = _mm_set_epi64x(cols[k + 1] as i64, cols[k] as i64);
-            let mut x = _mm_xor_si128(v, c);
-            x = _mm_xor_si128(x, _mm_srli_epi64::<32>(x));
-            x = _mm_xor_si128(x, _mm_srli_epi64::<16>(x));
-            x = _mm_xor_si128(x, _mm_srli_epi64::<8>(x));
-            x = _mm_xor_si128(x, _mm_srli_epi64::<4>(x));
-            x = _mm_xor_si128(x, _mm_srli_epi64::<2>(x));
-            x = _mm_xor_si128(x, _mm_srli_epi64::<1>(x));
-            acc = _mm_or_si128(acc, x);
+            acc = _mm_or_si128(acc, fold_parity(_mm_xor_si128(load16(values, k), c)));
             k += 2;
         }
-        let lanes = _mm_or_si128(acc, _mm_srli_si128::<8>(acc));
-        let mut bad = (_mm_cvtsi128_si64(lanes) & 1) != 0;
+        let mut bad = any_odd(acc);
         while k < n {
             bad |= ((values[k].to_bits().count_ones() + cols[k].count_ones()) & 1) != 0;
             k += 1;
@@ -602,10 +743,68 @@ mod sse2 {
     }
 }
 
-/// AVX2 kernels: 4-lane parity folds and 8-lane gathered syndrome lookups.
+/// AVX2 kernels: 4-lane parity folds, in-register nibble-table (`vpshufb`)
+/// syndromes and encode for the byte-wide SECDED layouts, and 8-lane
+/// gathered lookups for SECDED128 (whose 9 syndrome bits do not fit the
+/// byte tables).
+///
+/// The `vpshufb` kernels take 16 codewords per step.  A syndrome is
+/// GF(2)-linear, so byte `b` at byte position `p` contributes
+/// `lo[p][b & 15] ^ hi[p][b >> 4]` — two 16-entry byte tables, which is
+/// exactly what `vpshufb` looks up 32-at-a-time from a register.  The 16
+/// codewords are byte-transposed so each 128-bit lane holds one byte
+/// position of all of them, every lane is looked up against its own pair of
+/// tables, and the lanes are XOR-folded into 16 syndrome bytes: no memory
+/// access beyond the codewords themselves, where the gathers these kernels
+/// replace issued 8 loads per word.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::tables;
+    use super::sse2::{load16, Pod};
+    use super::tables::{self, NibbleLut};
+    use std::arch::x86_64::*;
+
+    /// Codewords per step of the `vpshufb` kernels.
+    const BATCH: usize = 16;
+
+    /// Unaligned load of the 32 bytes starting at element `at` of `src`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load32<T: Pod>(src: &[T], at: usize) -> __m256i {
+        assert!((at + 32 / size_of::<T>()) <= src.len());
+        // SAFETY: the assert keeps all 32 bytes read inside `src`, `T: Pod`
+        // makes them initialised, and `loadu` has no alignment requirement.
+        unsafe { _mm256_loadu_si256(src.as_ptr().add(at).cast()) }
+    }
+
+    /// Unaligned store of `v` over the 4 words starting at `dst[at]`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn store32(dst: &mut [u64], at: usize, v: __m256i) {
+        assert!(at + 4 <= dst.len());
+        // SAFETY: the assert keeps all 32 bytes written inside `dst`, and
+        // `storeu` has no alignment requirement.
+        unsafe { _mm256_storeu_si256(dst.as_mut_ptr().add(at).cast(), v) }
+    }
+
+    /// Folds the parity of each 64-bit lane into the lane's bit 0.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn fold_parity(mut v: __m256i) -> __m256i {
+        v = _mm256_xor_si256(v, _mm256_srli_epi64::<32>(v));
+        v = _mm256_xor_si256(v, _mm256_srli_epi64::<16>(v));
+        v = _mm256_xor_si256(v, _mm256_srli_epi64::<8>(v));
+        v = _mm256_xor_si256(v, _mm256_srli_epi64::<4>(v));
+        v = _mm256_xor_si256(v, _mm256_srli_epi64::<2>(v));
+        _mm256_xor_si256(v, _mm256_srli_epi64::<1>(v))
+    }
+
+    /// `true` when bit 0 of any 64-bit lane of `acc` is set.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn any_odd(acc: __m256i) -> bool {
+        let odd = _mm256_and_si256(acc, _mm256_set1_epi64x(1));
+        _mm256_testz_si256(odd, odd) == 0
+    }
 
     /// 4-lane SED parity scan.
     pub(super) fn sed_words_clean(words: &[u64]) -> bool {
@@ -615,23 +814,13 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn sed_words_clean_impl(words: &[u64]) -> bool {
-        use std::arch::x86_64::*;
+    fn sed_words_clean_impl(words: &[u64]) -> bool {
         let mut chunks = words.chunks_exact(4);
         let mut acc = _mm256_setzero_si256();
         for quad in &mut chunks {
-            let mut v = _mm256_loadu_si256(quad.as_ptr() as *const __m256i);
-            v = _mm256_xor_si256(v, _mm256_srli_epi64::<32>(v));
-            v = _mm256_xor_si256(v, _mm256_srli_epi64::<16>(v));
-            v = _mm256_xor_si256(v, _mm256_srli_epi64::<8>(v));
-            v = _mm256_xor_si256(v, _mm256_srli_epi64::<4>(v));
-            v = _mm256_xor_si256(v, _mm256_srli_epi64::<2>(v));
-            v = _mm256_xor_si256(v, _mm256_srli_epi64::<1>(v));
-            acc = _mm256_or_si256(acc, v);
+            acc = _mm256_or_si256(acc, fold_parity(load32(quad, 0)));
         }
-        let ones = _mm256_set1_epi64x(1);
-        let bad_mask = _mm256_and_si256(acc, ones);
-        let mut bad = _mm256_testz_si256(bad_mask, bad_mask) == 0;
+        let mut bad = any_odd(acc);
         for &w in chunks.remainder() {
             bad |= (w.count_ones() & 1) != 0;
         }
@@ -645,28 +834,17 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn sed_elements_clean_impl(values: &[f64], cols: &[u32]) -> bool {
-        use std::arch::x86_64::*;
+    fn sed_elements_clean_impl(values: &[f64], cols: &[u32]) -> bool {
         let n = values.len().min(cols.len());
         let mut acc = _mm256_setzero_si256();
         let mut k = 0;
         while k + 4 <= n {
-            let v = _mm256_loadu_si256(values.as_ptr().add(k) as *const __m256i);
-            let c32 = _mm_loadu_si128(cols.as_ptr().add(k) as *const __m128i);
-            let c = _mm256_cvtepu32_epi64(c32);
-            let mut x = _mm256_xor_si256(v, c);
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<32>(x));
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<16>(x));
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<8>(x));
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<4>(x));
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<2>(x));
-            x = _mm256_xor_si256(x, _mm256_srli_epi64::<1>(x));
-            acc = _mm256_or_si256(acc, x);
+            let v = load32(values, k);
+            let c = _mm256_cvtepu32_epi64(load16(cols, k));
+            acc = _mm256_or_si256(acc, fold_parity(_mm256_xor_si256(v, c)));
             k += 4;
         }
-        let ones = _mm256_set1_epi64x(1);
-        let bad_mask = _mm256_and_si256(acc, ones);
-        let mut bad = _mm256_testz_si256(bad_mask, bad_mask) == 0;
+        let mut bad = any_odd(acc);
         while k < n {
             bad |= ((values[k].to_bits().count_ones() + cols[k].count_ones()) & 1) != 0;
             k += 1;
@@ -674,90 +852,208 @@ mod avx2 {
         !bad
     }
 
-    /// Gathers the 8 per-byte-position table entries of one 64-bit storage
-    /// word: lane `i` reads `table[i * 256 + byte_i(w) + base_lane * 256]`.
-    ///
-    /// Returns the 8 lanes un-reduced so callers can XOR several gathers
-    /// before the horizontal fold.
+    /// `[0, 2, 1, 3]` as a `vpermq` immediate: swaps the two middle 64-bit
+    /// quarters, turning `[a.lo, b.lo | a.hi, b.hi]` into `[a | b]`.
+    const MIDDLE_SWAP: i32 = 0b11_01_10_00;
+
+    /// Byte-transposes 16 `u64` codewords (`r[q]` = codewords `4q..4q+4`):
+    /// register `i` of the result holds byte `2i` of all 16 in its low lane
+    /// and byte `2i + 1` in its high lane, the codewords of every lane in
+    /// the order `0 1 4 5 8 9 12 13 2 3 6 7 10 11 14 15`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn gather8(
-        table: &'static [u32],
-        w: u64,
-        offsets: std::arch::x86_64::__m256i,
-    ) -> std::arch::x86_64::__m256i {
-        use std::arch::x86_64::*;
-        // The 8 bytes of `w`, zero-extended to 32-bit lanes.
-        let bytes = _mm_set_epi64x(0, w as i64);
-        let idx = _mm256_add_epi32(_mm256_cvtepu8_epi32(bytes), offsets);
-        _mm256_i32gather_epi32::<4>(table.as_ptr() as *const i32, idx)
+    fn transpose_words(r: [__m256i; 4]) -> [__m256i; 4] {
+        // Per lane (two codewords a, b): a0 b0 a1 b1 … a7 b7.
+        let zip = _mm256_setr_epi8(
+            0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15, //
+            0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15,
+        );
+        let r = r.map(|v| _mm256_shuffle_epi8(v, zip));
+        let (a_lo, a_hi) = (
+            _mm256_unpacklo_epi16(r[0], r[1]),
+            _mm256_unpackhi_epi16(r[0], r[1]),
+        );
+        let (b_lo, b_hi) = (
+            _mm256_unpacklo_epi16(r[2], r[3]),
+            _mm256_unpackhi_epi16(r[2], r[3]),
+        );
+        [
+            _mm256_unpacklo_epi32(a_lo, b_lo),
+            _mm256_unpackhi_epi32(a_lo, b_lo),
+            _mm256_unpacklo_epi32(a_hi, b_hi),
+            _mm256_unpackhi_epi32(a_hi, b_hi),
+        ]
+        .map(|v| _mm256_permute4x64_epi64::<MIDDLE_SWAP>(v))
     }
 
-    /// XOR-reduce 8 × u32 lanes to one u32.
+    /// Byte-transposes 16 `u32` columns (`c[q]` = columns `8q..8q+8`):
+    /// register `i` holds byte `2i` | byte `2i + 1`, the columns of every
+    /// lane in the order `0 1 2 3 8 9 10 11 4 5 6 7 12 13 14 15`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn xor_reduce(v: std::arch::x86_64::__m256i) -> u32 {
-        use std::arch::x86_64::*;
-        let lo = _mm256_castsi256_si128(v);
-        let hi = _mm256_extracti128_si256::<1>(v);
-        let x = _mm_xor_si128(lo, hi);
-        let x = _mm_xor_si128(x, _mm_srli_si128::<8>(x));
-        let x = _mm_xor_si128(x, _mm_srli_si128::<4>(x));
-        _mm_cvtsi128_si32(x) as u32
+    fn transpose_cols(c: [__m256i; 2]) -> [__m256i; 2] {
+        // Per lane (four columns a–d): a0 b0 c0 d0 a1 b1 c1 d1 ….
+        let zip = _mm256_setr_epi8(
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15, //
+            0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+        );
+        let c = c.map(|v| _mm256_shuffle_epi8(v, zip));
+        [
+            _mm256_unpacklo_epi32(c[0], c[1]),
+            _mm256_unpackhi_epi32(c[0], c[1]),
+        ]
+        .map(|v| _mm256_permute4x64_epi64::<MIDDLE_SWAP>(v))
     }
 
-    /// Byte-position offsets 0, 256, 512, … for lanes 0–7 of a gather.
+    /// XOR over the transposed registers `t` of both nibble lookups against
+    /// `lut.lo[first..]` / `lut.hi[first..]`, lanes folded: every byte of
+    /// the result (both lanes alike) is the whole map of one codeword.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn lane_offsets(base: i32) -> std::arch::x86_64::__m256i {
-        use std::arch::x86_64::*;
-        _mm256_add_epi32(
-            _mm256_set1_epi32(base * 256),
-            _mm256_setr_epi32(0, 256, 512, 768, 1024, 1280, 1536, 1792),
-        )
+    fn lookup_fold<const N: usize, const REGS: usize>(
+        t: [__m256i; N],
+        lut: &NibbleLut<REGS>,
+        first: usize,
+    ) -> __m256i {
+        let nibble = _mm256_set1_epi8(0x0F);
+        let mut s = _mm256_setzero_si256();
+        for (i, &v) in t.iter().enumerate() {
+            let lo = _mm256_and_si256(v, nibble);
+            let hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), nibble);
+            s = _mm256_xor_si256(s, _mm256_shuffle_epi8(load32(&lut.lo[first + i], 0), lo));
+            s = _mm256_xor_si256(s, _mm256_shuffle_epi8(load32(&lut.hi[first + i], 0), hi));
+        }
+        _mm256_xor_si256(s, _mm256_permute2x128_si256::<1>(s, s))
+    }
+
+    /// Loads the four registers of one 16-codeword batch at `src[at..]`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load_words<T: Pod>(src: &[T], at: usize) -> [__m256i; 4] {
+        [0, 4, 8, 12].map(|q| load32(src, at + q))
+    }
+
+    /// Start of every 16-codeword batch covering `0..n` (`n ≥ 16`): whole
+    /// batches, then one more ending at `n` when `n` is not a multiple —
+    /// it overlaps its predecessor, which a pure function of the codewords
+    /// can afford and a scalar tail loop cannot beat.
+    fn batches(n: usize) -> impl Iterator<Item = usize> {
+        (0..n / BATCH)
+            .map(|b| b * BATCH)
+            .chain((!n.is_multiple_of(BATCH)).then(|| n - BATCH))
     }
 
     pub(super) fn secded64_words_clean(words: &[u64]) -> bool {
+        if words.len() < BATCH {
+            return super::batched::secded64_words_clean(words);
+        }
         // SAFETY: installed only when AVX2 is detected.
         unsafe { secded64_words_clean_impl(words) }
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn secded64_words_clean_impl(words: &[u64]) -> bool {
-        use std::arch::x86_64::*;
-        let table = &tables::VEC64[..];
-        let offsets = lane_offsets(0);
-        let mut chunks = words.chunks_exact(4);
+    fn secded64_words_clean_impl(words: &[u64]) -> bool {
         let mut acc = _mm256_setzero_si256();
-        for quad in &mut chunks {
-            // Four independent gathers per step: the syndromes of four
-            // codewords are in flight at once and only the combined lanes
-            // are tested.
-            let s0 = gather8(table, quad[0], offsets);
-            let s1 = gather8(table, quad[1], offsets);
-            let s2 = gather8(table, quad[2], offsets);
-            let s3 = gather8(table, quad[3], offsets);
-            // Lanes of distinct words must not cancel each other: a clean
-            // batch has every *individual* syndrome zero, so fold each
-            // word's lanes and OR the results.  XOR within one word's lanes
-            // is the reduction; OR across words preserves failures.
-            let r01 = _mm256_or_si256(xor_pairwise(s0), xor_pairwise(s1));
-            let r23 = _mm256_or_si256(xor_pairwise(s2), xor_pairwise(s3));
-            acc = _mm256_or_si256(acc, _mm256_or_si256(r01, r23));
+        for at in batches(words.len()) {
+            let t = transpose_words(load_words(words, at));
+            // Every byte is one codeword's own syndrome: OR keeps each
+            // failure visible, nothing cancels across codewords.
+            acc = _mm256_or_si256(acc, lookup_fold(t, &tables::VEC64_NIBBLES, 0));
         }
-        let mut bad = _mm256_testz_si256(acc, acc) == 0;
-        for &w in chunks.remainder() {
-            bad |= super::vec64_syndrome(w) != 0;
-        }
-        !bad
+        _mm256_testz_si256(acc, acc) != 0
     }
 
-    /// Reduces one word's 8 syndrome lanes by XOR into every lane (so an OR
-    /// with other words' reductions keeps per-word failures visible).
+    pub(super) fn secded88_elements_clean(values: &[f64], cols: &[u32]) -> bool {
+        let n = values.len().min(cols.len());
+        if n < BATCH {
+            return super::batched::secded88_elements_clean(values, cols);
+        }
+        // SAFETY: installed only when AVX2 is detected.
+        unsafe { secded88_elements_clean_impl(&values[..n], &cols[..n]) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn secded88_elements_clean_impl(values: &[f64], cols: &[u32]) -> bool {
+        // The column partial syndromes come out in `transpose_cols` order;
+        // this permutation brings them to `transpose_words` order.
+        let align = _mm256_setr_epi8(
+            0, 1, 8, 9, 4, 5, 12, 13, 2, 3, 10, 11, 6, 7, 14, 15, //
+            0, 1, 8, 9, 4, 5, 12, 13, 2, 3, 10, 11, 6, 7, 14, 15,
+        );
+        let lut = &tables::ELEM88_NIBBLES;
+        let mut acc = _mm256_setzero_si256();
+        for at in batches(values.len()) {
+            let v = lookup_fold(transpose_words(load_words(values, at)), lut, 0);
+            let c = transpose_cols([load32(cols, at), load32(cols, at + 8)]);
+            let c = _mm256_shuffle_epi8(lookup_fold(c, lut, 4), align);
+            acc = _mm256_or_si256(acc, _mm256_xor_si256(v, c));
+        }
+        _mm256_testz_si256(acc, acc) != 0
+    }
+
+    pub(super) fn secded64_encode_words(values: &[f64], out: &mut [u64]) {
+        if values.len() < BATCH {
+            return super::scalar::secded64_encode_words(values, out);
+        }
+        // SAFETY: installed only when AVX2 is detected.
+        unsafe { secded64_encode_words_impl(values, out) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn secded64_encode_words_impl(values: &[f64], out: &mut [u64]) {
+        let payload = _mm256_set1_epi64x(!0xFF);
+        // Output register q takes its four redundancy bytes from positions
+        // 2q, 2q+1 (low lane) and 8+2q, 9+2q (high lane) of the folded
+        // lookup (see `transpose_words` for the order) into byte 0 of each
+        // word; index bytes with the top bit set write zero.
+        let z = -128i8;
+        let spread0 = _mm256_setr_epi8(
+            0, z, z, z, z, z, z, z, 1, z, z, z, z, z, z, z, //
+            8, z, z, z, z, z, z, z, 9, z, z, z, z, z, z, z,
+        );
+        let spread = [0, 2, 4, 6].map(|by| _mm256_add_epi8(spread0, _mm256_set1_epi8(by)));
+        for at in batches(values.len()) {
+            let r = load_words(values, at);
+            let red = lookup_fold(transpose_words(r), &tables::VEC64_ENCODE, 0);
+            for q in 0..4 {
+                let word = _mm256_or_si256(
+                    _mm256_and_si256(r[q], payload),
+                    _mm256_shuffle_epi8(red, spread[q]),
+                );
+                store32(out, at + 4 * q, word);
+            }
+        }
+    }
+
+    /// Gathers the 8 per-byte-position table entries of one 64-bit storage
+    /// word: lane `i` reads `table[(base + i) * 256 + byte_i(w)]`.
+    ///
+    /// Returns the 8 lanes un-reduced so callers can XOR several gathers
+    /// before the horizontal fold.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn xor_pairwise(v: std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i {
-        use std::arch::x86_64::*;
+    fn gather8<const SIZE: usize>(table: &'static [u32; SIZE], w: u64, base: usize) -> __m256i {
+        assert!((base + 8) * 256 <= SIZE);
+        // The 8 bytes of `w`, zero-extended to 32-bit lanes, plus the
+        // byte-position offsets 0, 256, 512, … of the lanes.
+        let idx = _mm256_add_epi32(
+            _mm256_cvtepu8_epi32(_mm_set_epi64x(0, w as i64)),
+            _mm256_add_epi32(
+                _mm256_set1_epi32(base as i32 * 256),
+                _mm256_setr_epi32(0, 256, 512, 768, 1024, 1280, 1536, 1792),
+            ),
+        );
+        // SAFETY: lane i indexes entry (base + i) * 256 + byte with
+        // i < 8 and byte < 256, below the SIZE the assert bounds.
+        unsafe { _mm256_i32gather_epi32::<4>(table.as_ptr().cast(), idx) }
+    }
+
+    /// Reduces one codeword's 8 syndrome lanes by XOR into every lane (so
+    /// an OR with other codewords' reductions keeps per-codeword failures
+    /// visible).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn xor_pairwise(v: __m256i) -> __m256i {
         let swapped = _mm256_permute4x64_epi64::<0b01_00_11_10>(v);
         let x = _mm256_xor_si256(v, swapped);
         let x = _mm256_xor_si256(x, _mm256_shuffle_epi32::<0b01_00_11_10>(x));
@@ -770,24 +1066,15 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn secded128_words_clean_impl(words: &[u64]) -> bool {
-        use std::arch::x86_64::*;
-        let table = &tables::VEC128[..];
-        let off_lo = lane_offsets(0);
-        let off_hi = lane_offsets(8);
+    fn secded128_words_clean_impl(words: &[u64]) -> bool {
+        let table = &tables::VEC128;
         let mut chunks = words.chunks_exact(4);
         let mut acc = _mm256_setzero_si256();
         for quad in &mut chunks {
             // Two codeword pairs per step; lanes of one pair XOR together
             // (both gathers belong to the same codeword), pairs OR.
-            let p0 = _mm256_xor_si256(
-                gather8(table, quad[0], off_lo),
-                gather8(table, quad[1], off_hi),
-            );
-            let p1 = _mm256_xor_si256(
-                gather8(table, quad[2], off_lo),
-                gather8(table, quad[3], off_hi),
-            );
+            let p0 = _mm256_xor_si256(gather8(table, quad[0], 0), gather8(table, quad[1], 8));
+            let p1 = _mm256_xor_si256(gather8(table, quad[2], 0), gather8(table, quad[3], 8));
             acc = _mm256_or_si256(acc, _mm256_or_si256(xor_pairwise(p0), xor_pairwise(p1)));
         }
         let mut bad = _mm256_testz_si256(acc, acc) == 0;
@@ -796,61 +1083,6 @@ mod avx2 {
             bad |= super::vec128_syndrome(rem[0], rem[1]) != 0;
         }
         !bad
-    }
-
-    pub(super) fn secded88_elements_clean(values: &[f64], cols: &[u32]) -> bool {
-        // SAFETY: installed only when AVX2 is detected.
-        unsafe { secded88_elements_clean_impl(values, cols) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn secded88_elements_clean_impl(values: &[f64], cols: &[u32]) -> bool {
-        use std::arch::x86_64::*;
-        let table = &tables::ELEM88[..];
-        let off_val = lane_offsets(0);
-        // Column bytes live at byte positions 8–11; process two elements'
-        // columns per 8-lane gather (lanes 0–3 element k, lanes 4–7
-        // element k+1).
-        let off_col = _mm256_add_epi32(
-            _mm256_set1_epi32(8 * 256),
-            _mm256_setr_epi32(0, 256, 512, 768, 0, 256, 512, 768),
-        );
-        let n = values.len().min(cols.len());
-        let mut acc = _mm256_setzero_si256();
-        let mut k = 0;
-        while k + 2 <= n {
-            let s0 = gather8(table, values[k].to_bits(), off_val);
-            let s1 = gather8(table, values[k + 1].to_bits(), off_val);
-            // Both columns' bytes in one gather.
-            let col_bytes = _mm_set_epi64x(0, (cols[k] as u64 | (cols[k + 1] as u64) << 32) as i64);
-            let cidx = _mm256_add_epi32(_mm256_cvtepu8_epi32(col_bytes), off_col);
-            let sc = _mm256_i32gather_epi32::<4>(table.as_ptr() as *const i32, cidx);
-            // Element k owns lanes 0–3 of `sc`, element k+1 lanes 4–7;
-            // XOR-fold each element's value lanes down and combine with its
-            // column lanes, then OR the two elements' residues.
-            let c0 = _mm256_castsi256_si128(sc);
-            let c1 = _mm256_extracti128_si256::<1>(sc);
-            let r0 = xor_reduce(s0) ^ xor_reduce128(c0);
-            let r1 = xor_reduce(s1) ^ xor_reduce128(c1);
-            acc = _mm256_or_si256(acc, _mm256_set1_epi32((r0 | r1) as i32));
-            k += 2;
-        }
-        let mut bad = _mm256_testz_si256(acc, acc) == 0;
-        while k < n {
-            bad |= super::elem88_syndrome(values[k], cols[k]) != 0;
-            k += 1;
-        }
-        !bad
-    }
-
-    /// XOR-reduce 4 × u32 lanes to one u32.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn xor_reduce128(v: std::arch::x86_64::__m128i) -> u32 {
-        use std::arch::x86_64::*;
-        let x = _mm_xor_si128(v, _mm_srli_si128::<8>(v));
-        let x = _mm_xor_si128(x, _mm_srli_si128::<4>(x));
-        _mm_cvtsi128_si32(x) as u32
     }
 }
 
@@ -1092,6 +1324,156 @@ mod tests {
                 let reference = impls[1].1(&bv, &bc);
                 for (name, f) in &impls {
                     assert_eq!(f(&bv, &bc), reference, "{name} len={len} trial={trial}");
+                }
+            }
+        }
+    }
+
+    /// A clean run of SECDED64 words and one of SECDED88 elements.
+    fn clean_runs(len: usize, x: &mut u64) -> (Vec<u64>, Vec<f64>, Vec<u32>) {
+        let words = (0..len).map(|_| encode_vec64(xorshift(x))).collect();
+        let (values, cols) = (0..len)
+            .map(|_| encode_elem88(f64::from_bits(xorshift(x)), xorshift(x) as u32))
+            .unzip();
+        (words, values, cols)
+    }
+
+    /// Flips raw bit `bit` (0–63 value, 64–95 column) of element `i`.
+    fn flip_element(values: &mut [f64], cols: &mut [u32], i: usize, bit: usize) {
+        if bit < 64 {
+            values[i] = f64::from_bits(values[i].to_bits() ^ (1u64 << bit));
+        } else {
+            cols[i] ^= 1u32 << (bit - 64);
+        }
+    }
+
+    #[test]
+    fn every_bit_of_every_batch_slot_is_seen() {
+        // 16 fills one in-register batch exactly; 33 adds a second batch
+        // and the overlapped tail batch.
+        let mut x = 0x5EED_0001u64;
+        for len in [16usize, 33] {
+            let (words, values, cols) = clean_runs(len, &mut x);
+            for slot in 0..len {
+                for bit in 0..64 {
+                    let mut bad = words.clone();
+                    bad[slot] ^= 1u64 << bit;
+                    assert!(!scalar::secded64_words_clean(&bad));
+                    for (name, f) in word_impls("secded64") {
+                        assert!(!f(&bad), "{name} len={len} slot={slot} bit={bit}");
+                    }
+                }
+                for bit in 0..96 {
+                    let (mut bv, mut bc) = (values.clone(), cols.clone());
+                    flip_element(&mut bv, &mut bc, slot, bit);
+                    assert!(!scalar::secded88_elements_clean(&bv, &bc));
+                    for (name, f) in element_impls() {
+                        assert!(!f(&bv, &bc), "{name} len={len} slot={slot} bit={bit}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_flips_in_two_codewords_of_a_batch_do_not_cancel() {
+        let mut x = 0x5EED_0002u64;
+        let (words, values, cols) = clean_runs(16, &mut x);
+        for a in 0..16 {
+            for b in a + 1..16 {
+                for bit in (0..64).step_by(7) {
+                    let mut bad = words.clone();
+                    bad[a] ^= 1u64 << bit;
+                    bad[b] ^= 1u64 << bit;
+                    for (name, f) in word_impls("secded64") {
+                        assert!(!f(&bad), "{name} words {a},{b} bit {bit}");
+                    }
+                }
+                for bit in (0..96).step_by(5) {
+                    let (mut bv, mut bc) = (values.clone(), cols.clone());
+                    flip_element(&mut bv, &mut bc, a, bit);
+                    flip_element(&mut bv, &mut bc, b, bit);
+                    for (name, f) in element_impls() {
+                        assert!(!f(&bv, &bc), "{name} elements {a},{b} bit {bit}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_length_and_offset_agrees_with_scalar() {
+        let mut x = 0x5EED_0003u64;
+        let (words, values, cols) = clean_runs(16 + 33, &mut x);
+        for offset in 0..16 {
+            for len in 0..=33 {
+                let w = &words[offset..offset + len];
+                let (v, c) = (&values[offset..offset + len], &cols[offset..offset + len]);
+                for (name, f) in word_impls("secded64") {
+                    assert!(f(w), "{name} clean offset={offset} len={len}");
+                }
+                for (name, f) in element_impls() {
+                    assert!(f(v, c), "{name} clean offset={offset} len={len}");
+                }
+                if len == 0 {
+                    continue;
+                }
+                // One single and one double flip per window.
+                let i = (xorshift(&mut x) as usize) % len;
+                let (b0, b1) = (xorshift(&mut x) % 64, xorshift(&mut x) % 64);
+                let mut bad = w.to_vec();
+                for (round, bit) in [b0, b1].into_iter().enumerate() {
+                    bad[i] ^= 1u64 << bit;
+                    let reference = scalar::secded64_words_clean(&bad);
+                    for (name, f) in word_impls("secded64") {
+                        assert_eq!(f(&bad), reference, "{name} {offset}+{len} round {round}");
+                    }
+                }
+                let (mut bv, mut bc) = (v.to_vec(), c.to_vec());
+                for (round, bit) in [b0 as usize, 64 + b1 as usize % 32].into_iter().enumerate() {
+                    flip_element(&mut bv, &mut bc, i, bit);
+                    let reference = scalar::secded88_elements_clean(&bv, &bc);
+                    for (name, f) in element_impls() {
+                        assert_eq!(
+                            f(&bv, &bc),
+                            reference,
+                            "{name} {offset}+{len} round {round}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_encode_is_bit_identical_to_the_per_word_encoder() {
+        type EncodeImpl = (&'static str, fn(&[f64], &mut [u64]));
+        let mut impls: Vec<EncodeImpl> = vec![
+            ("dispatch", secded64_encode_words),
+            ("scalar", scalar::secded64_encode_words),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            impls.push(("avx2", avx2::secded64_encode_words));
+        }
+        let mut x = 0x5EED_0004u64;
+        // Low bytes are random too: stale redundancy must not leak in.
+        let values: Vec<f64> = (0..100_000)
+            .map(|_| f64::from_bits(xorshift(&mut x)))
+            .collect();
+        let expect: Vec<u64> = values
+            .iter()
+            .map(|v| encode_vec64(v.to_bits() >> 8))
+            .collect();
+        for (name, f) in &impls {
+            let mut out = vec![0u64; values.len()];
+            f(&values, &mut out);
+            assert!(out == expect, "{name}: 100000 payloads");
+            for offset in 0..16 {
+                for len in 0..=33 {
+                    let mut out = vec![u64::MAX; len];
+                    f(&values[offset..offset + len], &mut out);
+                    assert_eq!(out, expect[offset..offset + len], "{name} {offset}+{len}");
                 }
             }
         }
