@@ -210,7 +210,7 @@ fn dot_block(
                 acc += f64::from_bits(aw & mask) * f64::from_bits(bw & mask);
             }
         }
-        _ if codec.has_batched_kernel() && codec.run_clean(a) && codec.run_clean(b) => {
+        _ if codec.run_clean(a) && codec.run_clean(b) => {
             // Batched screening pass certified every group of the block;
             // accumulate the logical elements straight off the raw words.
             // Group-order accumulation equals element-order accumulation,
@@ -287,7 +287,7 @@ fn norm_block(
                 acc += v * v;
             }
         }
-        _ if codec.has_batched_kernel() && codec.run_clean(a) => {
+        _ if codec.run_clean(a) => {
             *tally += (a.len() / codec.group()) as u64;
             let logical = a.len().min(len - base);
             for &aw in &a[..logical] {
@@ -365,11 +365,10 @@ fn zip_range(
                 *sw = payload | parity_u64(payload) as u64;
             }
         }
-        _ if codec.has_batched_kernel() && codec.run_clean(s) && codec.run_clean(x) => {
+        _ if codec.run_clean(s) && codec.run_clean(x) => {
             // Batched screening pass: one predicate over each operand's
             // whole range replaces the per-group checks, and the results
-            // are written a staged run at a time.  Schemes without a lane
-            // kernel (CRC32C) keep the interleaved per-group walk below.
+            // are written a staged run at a time.
             *tally += 2 * (s.len() / codec.group()) as u64;
             codec.rewrite_staged(s, s.len().min(len - base), |j, sw| {
                 op(f64::from_bits(sw & mask), f64::from_bits(x[j] & mask))
@@ -443,7 +442,7 @@ fn scale_range(
                 *sw = payload | parity_u64(payload) as u64;
             }
         }
-        _ if codec.has_batched_kernel() && codec.run_clean(s) => {
+        _ if codec.run_clean(s) => {
             // One batched predicate, staged writes (see `zip_range`).
             *tally += (s.len() / codec.group()) as u64;
             codec.rewrite_staged(s, s.len().min(len - base), |_, sw| {
@@ -531,7 +530,7 @@ fn dot_axpy_block(
                 acc += stored * stored;
             }
         }
-        _ if codec.has_batched_kernel() && codec.run_clean(s) && codec.run_clean(x) => {
+        _ if codec.run_clean(s) && codec.run_clean(x) => {
             // One batched predicate per operand, staged writes (see
             // `zip_range`); the squares accumulate in element order, as in
             // the walk below.

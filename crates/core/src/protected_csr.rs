@@ -31,10 +31,10 @@ use abft_ecc::sed::{parity_u32, parity_u64};
 use abft_ecc::{Crc32c, SECDED_176, SECDED_88};
 use abft_sparse::CsrMatrix;
 
-/// Rows per block of the SECDED64 SpMV/SpMM kernels: each block's
-/// contiguous element run is certified by one batched predicate (which needs
-/// runs of at least 16 codewords to use its in-register kernel) before the
-/// multiply loops run over it.
+/// Rows per block of the SECDED64 and CRC32C SpMV/SpMM kernels: each
+/// block's contiguous element run is certified by one batched predicate
+/// (which needs runs of at least 16 SECDED codewords, or 4 CRC32C rows, to
+/// use its fast kernel) before the multiply loops run over it.
 const ROW_BLOCK: usize = 64;
 
 /// A CSR matrix whose elements and row pointer carry embedded software ECC.
@@ -221,12 +221,20 @@ impl ProtectedCsr {
         let rp_checked = self.row_pointer.scheme() != EccScheme::None;
         let mut cursor = RpCursor::new(&self.row_pointer);
         let mut scratch = Vec::new();
+        let mut bounds = [0usize; ROW_BLOCK + 1];
         let mut tally = 0u64;
-        let result = (0..self.rows).try_for_each(|row| {
-            let (start, end) = cursor.row_range(row, rp_checked, log, &mut 0)?;
-            tally += 1;
-            self.checked_row_crc(start, end, &mut scratch, log)
-                .map(|_| ())
+        let result = (0..self.rows).step_by(ROW_BLOCK).try_for_each(|first| {
+            let rows = ROW_BLOCK.min(self.rows - first);
+            if self.certify_block(&mut cursor, first, rows, rp_checked, &mut bounds) {
+                tally += rows as u64;
+                return Ok(());
+            }
+            (first..first + rows).try_for_each(|row| {
+                let (start, end) = cursor.row_range(row, rp_checked, log, &mut 0)?;
+                tally += 1;
+                self.checked_row_crc(start, end, &mut scratch, log)
+                    .map(|_| ())
+            })
         });
         log.record_checks(Region::CsrElements, tally);
         result
@@ -435,32 +443,52 @@ impl ProtectedCsr {
                 }
             }
             EccScheme::Crc32c => {
-                for (i, yi) in y.iter_mut().enumerate() {
-                    let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                    *elem_checks += (end - start) as u64;
-                    let correction = self.checked_row_crc(start, end, scratch, log)?;
-                    let mut acc = 0.0;
-                    if let Some((elem, vbits, cbits)) = correction {
-                        // Rare: apply the located single-flip correction while
-                        // reading.
-                        for k in start..end {
-                            let (mut value, mut col) =
-                                (values[k], (cols[k] & COL_MASK_24) as usize);
-                            if start + elem == k {
-                                value = f64::from_bits(vbits);
-                                col = cbits as usize;
+                let mut bounds = [0usize; ROW_BLOCK + 1];
+                for (b, block) in y.chunks_mut(ROW_BLOCK).enumerate() {
+                    let first = row0 + b * ROW_BLOCK;
+                    let certified = self.certify_block(
+                        &mut cursor,
+                        first,
+                        block.len(),
+                        rp_checked,
+                        &mut bounds,
+                    );
+                    for (i, yi) in block.iter_mut().enumerate() {
+                        let (start, end) = if certified {
+                            *rp_checks += 2 * rp_checked as u64;
+                            (bounds[i], bounds[i + 1])
+                        } else {
+                            cursor.row_range(first + i, rp_checked, log, rp_checks)?
+                        };
+                        *elem_checks += (end - start) as u64;
+                        let correction = if certified {
+                            None
+                        } else {
+                            self.checked_row_crc(start, end, scratch, log)?
+                        };
+                        let mut acc = 0.0;
+                        if let Some((elem, vbits, cbits)) = correction {
+                            // Rare: apply the located single-flip correction
+                            // while reading.
+                            for k in start..end {
+                                let (mut value, mut col) =
+                                    (values[k], (cols[k] & COL_MASK_24) as usize);
+                                if start + elem == k {
+                                    value = f64::from_bits(vbits);
+                                    col = cbits as usize;
+                                }
+                                acc += value * read_x(x, col, k, log)?;
                             }
-                            acc += value * read_x(x, col, k, log)?;
+                        } else {
+                            for (k, (&v, &c)) in
+                                values[start..end].iter().zip(&cols[start..end]).enumerate()
+                            {
+                                let col = (c & COL_MASK_24) as usize;
+                                acc += v * read_x(x, col, start + k, log)?;
+                            }
                         }
-                    } else {
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let col = (c & COL_MASK_24) as usize;
-                            acc += v * read_x(x, col, start + k, log)?;
-                        }
+                        *yi = acc;
                     }
-                    *yi = acc;
                 }
             }
         }
@@ -650,43 +678,61 @@ impl ProtectedCsr {
                 }
             }
             EccScheme::Crc32c => {
-                for (i, row) in products.chunks_exact_mut(width).enumerate() {
-                    let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                    *elem_checks += (end - start) as u64;
-                    let correction = self.checked_row_crc(start, end, scratch, log)?;
-                    let mut acc = [0.0f64; MAX_PANEL_WIDTH];
-                    if let Some((elem, vbits, cbits)) = correction {
-                        for k in start..end {
-                            let (mut value, mut col) =
-                                (values[k], (cols[k] & COL_MASK_24) as usize);
-                            if start + elem == k {
-                                value = f64::from_bits(vbits);
-                                col = cbits as usize;
+                let mut bounds = [0usize; ROW_BLOCK + 1];
+                for (b, block) in products.chunks_mut(ROW_BLOCK * width).enumerate() {
+                    let first = row0 + b * ROW_BLOCK;
+                    let rows = block.len() / width;
+                    let certified =
+                        self.certify_block(&mut cursor, first, rows, rp_checked, &mut bounds);
+                    for (i, row) in block.chunks_exact_mut(width).enumerate() {
+                        let (start, end) = if certified {
+                            *rp_checks += 2 * rp_checked as u64;
+                            (bounds[i], bounds[i + 1])
+                        } else {
+                            cursor.row_range(first + i, rp_checked, log, rp_checks)?
+                        };
+                        *elem_checks += (end - start) as u64;
+                        let correction = if certified {
+                            None
+                        } else {
+                            self.checked_row_crc(start, end, scratch, log)?
+                        };
+                        let mut acc = [0.0f64; MAX_PANEL_WIDTH];
+                        if let Some((elem, vbits, cbits)) = correction {
+                            for k in start..end {
+                                let (mut value, mut col) =
+                                    (values[k], (cols[k] & COL_MASK_24) as usize);
+                                if start + elem == k {
+                                    value = f64::from_bits(vbits);
+                                    col = cbits as usize;
+                                }
+                                fma_panel(xs, value, col, k, &mut acc, log)?;
                             }
-                            fma_panel(xs, value, col, k, &mut acc, log)?;
+                        } else {
+                            for (k, (&v, &c)) in
+                                values[start..end].iter().zip(&cols[start..end]).enumerate()
+                            {
+                                let col = (c & COL_MASK_24) as usize;
+                                fma_panel(xs, v, col, start + k, &mut acc, log)?;
+                            }
                         }
-                    } else {
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let col = (c & COL_MASK_24) as usize;
-                            fma_panel(xs, v, col, start + k, &mut acc, log)?;
-                        }
+                        row.copy_from_slice(&acc[..width]);
                     }
-                    row.copy_from_slice(&acc[..width]);
                 }
             }
         }
         Ok(())
     }
 
-    /// The block walker shared by the SECDED64 arms of the SpMV and SpMM
-    /// kernels: reads the row bounds of rows `first..first + rows` into
-    /// `bounds[..=rows]` and certifies the block's contiguous element run
-    /// with one batched predicate.  `true` means every row-pointer codeword
-    /// read verified clean (or had already been decoded by `cursor`), the
-    /// bounds are ordered and in range, and every element codeword is
-    /// clean, so the multiply loops may run straight off `bounds`.
+    /// The block walker shared by the SECDED64 and CRC32C arms of the SpMV
+    /// and SpMM kernels and the CRC32C `verify_all`: reads the row bounds of
+    /// rows `first..first + rows` into `bounds[..=rows]` and certifies the
+    /// block's contiguous element run with one batched predicate (per
+    /// element under SECDED64, per row under CRC32C).  `true` means every
+    /// row-pointer codeword read verified clean (or had already been
+    /// decoded by `cursor`), the bounds are ordered and in range, and every
+    /// element codeword is clean, so the multiply loops may run straight
+    /// off `bounds`.
     /// Nothing is recorded either way: on `false` the caller re-walks the
     /// block row by row through the logging path, which then reports
     /// exactly the events, indices and check counts it always has.
@@ -704,13 +750,18 @@ impl ProtectedCsr {
                 None => return false,
             }
         }
+        let bounds = &bounds[..=rows];
         let (start, end) = (bounds[0], bounds[rows]);
-        bounds[..=rows].is_sorted()
-            && end <= self.nnz
-            && abft_ecc::verify::secded88_elements_clean(
-                &self.values[start..end],
-                &self.col_indices[start..end],
-            )
+        if !bounds.is_sorted() || end > self.nnz {
+            return false;
+        }
+        let (values, cols) = (&self.values, &self.col_indices);
+        match self.config.elements {
+            EccScheme::Crc32c => {
+                abft_ecc::verify::crc32c_rows_clean(&self.crc, values, cols, bounds)
+            }
+            _ => abft_ecc::verify::secded88_elements_clean(&values[start..end], &cols[start..end]),
+        }
     }
 
     /// Non-mutating SECDED128 pair check; returns corrected values and masked
@@ -972,7 +1023,9 @@ pub(crate) fn check_pair_secded128(
 /// kernels and the COO tier.  Returns `Ok(None)` when the row `start..end`
 /// is clean, `Ok(Some((element, value_bits, col)))` when a single flip was
 /// located (transient correction to apply while reading; `element` is
-/// row-relative), and an error when the row is uncorrectable.
+/// row-relative), and an error when the row is uncorrectable.  A clean row
+/// is certified from registers; only a failing one is staged into `scratch`
+/// for the trial correction.
 pub(crate) fn check_row_crc(
     crc: &Crc32c,
     values: &[f64],
@@ -982,6 +1035,9 @@ pub(crate) fn check_row_crc(
     scratch: &mut Vec<u8>,
     log: &FaultLog,
 ) -> Result<Option<(usize, u64, u32)>, AbftError> {
+    if abft_ecc::verify::crc32c_rows_clean(crc, values, cols, &[start, end]) {
+        return Ok(None);
+    }
     scratch.clear();
     for k in start..end {
         scratch.extend_from_slice(&values[k].to_bits().to_le_bytes());
@@ -1085,6 +1141,8 @@ pub(crate) fn x_out_of_range(log: &FaultLog, index: usize, col: usize, limit: us
 /// per kernel invocation rather than once per touching row.
 struct RpCursor<'a> {
     rp: &'a ProtectedRowPointer,
+    /// Entries per codeword group — a power of two, so the kernels' per-row
+    /// group lookup is a shift and a mask, not a division.
     group: usize,
     cached: usize,
     entries: [u32; 8],
@@ -1092,12 +1150,26 @@ struct RpCursor<'a> {
 
 impl<'a> RpCursor<'a> {
     fn new(rp: &'a ProtectedRowPointer) -> Self {
+        let group = rp.scheme().row_pointer_group();
+        debug_assert!(group.is_power_of_two());
         RpCursor {
             rp,
-            group: rp.scheme().row_pointer_group(),
+            group,
             cached: usize::MAX,
             entries: [0; 8],
         }
+    }
+
+    /// The codeword group holding entry `i`.
+    #[inline(always)]
+    fn group_of(&self, i: usize) -> usize {
+        i >> self.group.trailing_zeros()
+    }
+
+    /// Entry `i` of the cached group, redundancy masked off.
+    #[inline(always)]
+    fn cached_entry(&self, i: usize) -> u32 {
+        mask_entry(self.rp.scheme(), self.entries[i & (self.group - 1)])
     }
 
     /// Entry `i` when reading it needs nothing recorded: unchecked reads
@@ -1113,15 +1185,12 @@ impl<'a> RpCursor<'a> {
             let clean = parity_u32(self.rp.raw()[i]) == 0;
             return clean.then(|| self.rp.get_masked(i));
         }
-        let g = i / self.group;
+        let g = self.group_of(i);
         if g != self.cached {
             self.entries = self.rp.group_if_clean(g)?;
             self.cached = g;
         }
-        Some(mask_entry(
-            self.rp.scheme(),
-            self.entries[i - g * self.group],
-        ))
+        Some(self.cached_entry(i))
     }
 
     /// Fully checked read of entry `i` through the group cache.
@@ -1131,15 +1200,12 @@ impl<'a> RpCursor<'a> {
             // Per-entry codewords (None / SED) have nothing to cache.
             return self.rp.read_entry(i, true, log);
         }
-        let g = i / self.group;
+        let g = self.group_of(i);
         if g != self.cached {
             self.entries = self.rp.decode_group(g, log)?;
             self.cached = g;
         }
-        Ok(mask_entry(
-            self.rp.scheme(),
-            self.entries[i - g * self.group],
-        ))
+        Ok(self.cached_entry(i))
     }
 
     /// The decoded element range of `row`: full codeword checks when

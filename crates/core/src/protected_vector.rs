@@ -1191,12 +1191,10 @@ impl GroupCodec {
     ///
     /// This is the block-granular screening pass of the masked kernels: one
     /// call certifies an entire [`ACC_BLOCK`] (or a whole vector) through
-    /// the SIMD-dispatched predicates of [`abft_ecc::verify`], and only a
-    /// failing run is re-walked group by group to locate, correct and
-    /// attribute the fault.  CRC32C groups have no batched lane kernel —
-    /// their cost is the checksum itself, which [`Crc32c::auto`]'s
-    /// width policy already serves — so they loop [`GroupCodec::is_clean`]
-    /// per group.
+    /// the dispatched predicates of [`abft_ecc::verify`] — SIMD lanes for
+    /// the parity and Hamming schemes, four checksum chains in flight for
+    /// CRC32C — and only a failing run is re-walked group by group to
+    /// locate, correct and attribute the fault.
     #[inline]
     pub(crate) fn run_clean(&self, words: &[u64]) -> bool {
         match self.scheme {
@@ -1204,24 +1202,8 @@ impl GroupCodec {
             EccScheme::Sed => abft_ecc::verify::sed_words_clean(words),
             EccScheme::Secded64 => abft_ecc::verify::secded64_words_clean(words),
             EccScheme::Secded128 => abft_ecc::verify::secded128_words_clean(words),
-            EccScheme::Crc32c => words.chunks_exact(4).all(|group| self.is_clean(group)),
+            EccScheme::Crc32c => abft_ecc::verify::crc32c_groups_clean(&self.crc, words),
         }
-    }
-
-    /// Whether [`GroupCodec::run_clean`] is backed by a batched SIMD lane
-    /// kernel for this scheme.  CRC32C is checksum-bound — its `run_clean`
-    /// is the same per-group checksum loop the block kernels already
-    /// interleave, so screening a block with it up front would only add a
-    /// second traversal; the block kernels keep the interleaved per-group
-    /// check for it.  Whole-vector certifies (`check_all`/`scrub`) still
-    /// use `run_clean` for CRC32C, where the verify-only checksum replaces
-    /// a correcting group decode.
-    #[inline]
-    pub(crate) fn has_batched_kernel(&self) -> bool {
-        matches!(
-            self.scheme,
-            EccScheme::Sed | EccScheme::Secded64 | EccScheme::Secded128
-        )
     }
 
     /// Check-only verification of one group (`words.len()` must equal the
@@ -1445,15 +1427,19 @@ impl GroupCodec {
 
     /// Canonical encode of a whole-group-aligned run: `out[i]` receives the
     /// codeword word of `values[i]` (equal lengths, a multiple of the group
-    /// size; padding elements must be zero).  SECDED64 goes through the
-    /// dispatched batched encoder of [`abft_ecc::verify`]; every other
-    /// scheme loops [`GroupCodec::encode`] group by group.  Bit-identical
-    /// to the per-group encode for every scheme.
+    /// size; padding elements must be zero).  SECDED64 and CRC32C go
+    /// through the dispatched batched encoders of [`abft_ecc::verify`];
+    /// every other scheme loops [`GroupCodec::encode`] group by group.
+    /// Bit-identical to the per-group encode for every scheme.
     #[inline]
     pub(crate) fn encode_run(&self, values: &[f64], out: &mut [u64]) {
         debug_assert_eq!(values.len(), out.len());
-        if self.scheme == EccScheme::Secded64 {
-            return abft_ecc::verify::secded64_encode_words(values, out);
+        match self.scheme {
+            EccScheme::Secded64 => return abft_ecc::verify::secded64_encode_words(values, out),
+            EccScheme::Crc32c => {
+                return abft_ecc::verify::crc32c_encode_groups(&self.crc, values, out)
+            }
+            _ => {}
         }
         let group = self.group();
         debug_assert_eq!(values.len() % group, 0);
@@ -1779,6 +1765,42 @@ mod tests {
             masking_relative_error_bound(EccScheme::Secded128)
                 < masking_relative_error_bound(EccScheme::Secded64)
         );
+    }
+
+    #[test]
+    fn run_encode_and_certify_equal_the_per_group_codec() {
+        // 10⁵ payloads with random low bits: stale redundancy must not leak
+        // into a codeword.
+        let mut x = 0x5EED_0020u64;
+        let values: Vec<f64> = (0..100_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                f64::from_bits(x)
+            })
+            .collect();
+        for scheme in all_schemes() {
+            for backend in [Crc32cBackend::Auto, Crc32cBackend::SlicingBy8] {
+                let codec = ProtectedVector::zeros(0, scheme, backend).codec();
+                let group = codec.group();
+                let mut run = vec![0u64; values.len()];
+                codec.encode_run(&values, &mut run);
+                let mut per_group = vec![0u64; values.len()];
+                let mut buf = [0.0f64; MAX_GROUP];
+                for (v, o) in values.chunks(group).zip(per_group.chunks_mut(group)) {
+                    buf[..group].copy_from_slice(v);
+                    codec.encode(&buf, o);
+                }
+                assert!(run == per_group, "{scheme:?} {backend:?}");
+                assert!(codec.run_clean(&run), "{scheme:?} {backend:?}");
+                assert!(run.chunks(group).all(|g| codec.is_clean(g)));
+                if scheme != EccScheme::None {
+                    run[77_777] ^= 1 << 21;
+                    assert!(!codec.run_clean(&run), "{scheme:?} {backend:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -411,13 +411,15 @@ fn encode_group(scheme: EccScheme, crc: &Crc32c, data: &mut [u32], base: usize) 
 }
 
 /// CRC32C over the group's masked payloads (little-endian 32-bit words with
-/// zeroed top nibbles).
+/// zeroed top nibbles), hashed two entries per 64-bit word — the same byte
+/// string, without staging it.
 fn crc_group_checksum(crc: &Crc32c, entries: &[u32]) -> u32 {
-    let mut bytes = [0u8; 32];
-    for (j, &e) in entries.iter().enumerate() {
-        bytes[j * 4..j * 4 + 4].copy_from_slice(&(e & ROW_PTR_MASK_28).to_le_bytes());
+    debug_assert_eq!(entries.len(), 8);
+    let mut words = [0u64; 4];
+    for (w, pair) in words.iter_mut().zip(entries.chunks_exact(2)) {
+        *w = (pair[0] & ROW_PTR_MASK_28) as u64 | ((pair[1] & ROW_PTR_MASK_28) as u64) << 32;
     }
-    crc.checksum(&bytes[..entries.len() * 4])
+    crc.checksum_words(&words)
 }
 
 enum GroupOutcome {

@@ -29,11 +29,17 @@
 //!   policy ([`auto_software_width`]).  [`Crc32c::auto`] is the recommended
 //!   constructor.
 //!
-//! Hardware support is probed **once** per process (a `OnceLock`), not per
-//! construction or per update; setting `ABFT_ECC_FORCE_SCALAR=1` before the
-//! first use disables the hardware path (and the SIMD verify kernels — see
-//! [`crate::verify`]), pinning everything to the portable software
-//! implementations.
+//! Hardware support is probed **once** per process (a `OnceLock`) and
+//! resolved into each [`Crc32c`] **at construction**, never per update;
+//! setting `ABFT_ECC_FORCE_SCALAR=1` before the first use disables the
+//! hardware path (and the SIMD verify kernels — see [`crate::verify`]),
+//! pinning everything to the portable software implementations.
+//!
+//! One `crc32` chain per codeword leaves two thirds of the instruction's
+//! throughput idle (3-cycle latency, one issue per cycle); the batched
+//! kernels that keep several codewords in flight are
+//! [`crate::verify::crc32c_groups_clean`] and its siblings, built on this
+//! module's `hw` steps.
 
 /// The CRC-32C (Castagnoli) polynomial in reflected (LSB-first) form.
 pub const CRC32C_POLY_REFLECTED: u32 = 0x82F6_3B78;
@@ -106,6 +112,11 @@ pub enum Crc32cBackend {
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32c {
     backend: Crc32cBackend,
+    /// Whether updates run on the CPU's CRC instruction: `Hardware` or
+    /// `Auto` was requested and [`hardware_available`] said yes when this
+    /// value was built.  Private, so only [`Crc32c::new`] can set it — the
+    /// `unsafe` calls into the `hw` module rest on that.
+    hardware: bool,
 }
 
 impl Default for Crc32c {
@@ -118,11 +129,13 @@ impl Crc32c {
     /// Uses the requested backend.  Falls back to slicing-by-16 if hardware
     /// support is requested but not present on this CPU.
     pub fn new(backend: Crc32cBackend) -> Self {
+        let wanted = matches!(backend, Crc32cBackend::Hardware | Crc32cBackend::Auto);
+        let hardware = wanted && hardware_available();
         let backend = match backend {
-            Crc32cBackend::Hardware if !hardware_available() => Crc32cBackend::SlicingBy16,
+            Crc32cBackend::Hardware if !hardware => Crc32cBackend::SlicingBy16,
             other => other,
         };
-        Crc32c { backend }
+        Crc32c { backend, hardware }
     }
 
     /// The measured selection policy: the hardware instruction when the CPU
@@ -143,9 +156,7 @@ impl Crc32c {
     /// }
     /// ```
     pub fn auto() -> Self {
-        Crc32c {
-            backend: Crc32cBackend::Auto,
-        }
+        Crc32c::new(Crc32cBackend::Auto)
     }
 
     /// Picks the fastest backend available on this CPU — hardware if
@@ -153,9 +164,7 @@ impl Crc32c {
     /// policy.
     pub fn best() -> Self {
         if hardware_available() {
-            Crc32c {
-                backend: Crc32cBackend::Hardware,
-            }
+            Crc32c::new(Crc32cBackend::Hardware)
         } else {
             Crc32c::auto()
         }
@@ -165,6 +174,15 @@ impl Crc32c {
     #[inline]
     pub fn backend(&self) -> Crc32cBackend {
         self.backend
+    }
+
+    /// Whether this calculator runs on the CPU's CRC instruction — the
+    /// condition under which the batched kernels of [`crate::verify`] may
+    /// hash from registers instead of calling back into it per codeword.
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    #[inline]
+    pub(crate) fn is_hardware(&self) -> bool {
+        self.hardware
     }
 
     /// Computes the CRC32C of `data` (standard init `!0`, final XOR `!0`).
@@ -178,21 +196,24 @@ impl Crc32c {
     /// order).
     #[inline]
     pub fn checksum_words(&self, words: &[u64]) -> u32 {
-        let mut state = !0u32;
-        for &w in words {
-            state = self.update(state, &w.to_le_bytes());
-        }
-        !state
+        self.checksum_words_masked(words, !0)
     }
 
     /// CRC32C of `words` with `mask` ANDed onto every word before hashing —
     /// the dense-vector group checksum, where the reserved redundancy bits
-    /// must be cleared.  The masked words are staged through one stack buffer
-    /// so the slicing backends see contiguous runs of bytes instead of
-    /// 8-byte fragments; this is the bulk check entry point the masked-slice
-    /// vector kernels verify each codeword group with.
+    /// must be cleared.  The backend is dispatched once for the whole
+    /// slice: the hardware path hashes the words straight from registers,
+    /// and the software paths stage them through one stack buffer so the
+    /// slicing backends see contiguous runs of bytes instead of 8-byte
+    /// fragments.
     #[inline]
     pub fn checksum_words_masked(&self, words: &[u64], mask: u64) -> u32 {
+        if self.hardware {
+            // SAFETY: `hardware` is set only by `new`, after
+            // `hardware_available` reported the CRC instruction.
+            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+            return !unsafe { hw::update_words(!0, words, mask) };
+        }
         let mut state = !0u32;
         let mut buf = [0u8; 64];
         for chunk in words.chunks(8) {
@@ -213,23 +234,23 @@ impl Crc32c {
     /// codeword per call).
     #[inline]
     pub fn update(&self, state: u32, data: &[u8]) -> u32 {
+        if self.hardware {
+            // SAFETY: `hardware` is set only by `new`, after
+            // `hardware_available` reported the CRC instruction.
+            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+            return unsafe { hw::update(state, data) };
+        }
         match self.backend {
             Crc32cBackend::Naive => update_naive(state, data),
             Crc32cBackend::SlicingBy4 => update_slicing4(state, data),
             Crc32cBackend::SlicingBy8 => update_slicing8(state, data),
-            Crc32cBackend::SlicingBy16 => update_slicing16(state, data),
-            Crc32cBackend::Hardware => update_hardware(state, data),
-            Crc32cBackend::Auto => {
-                if hardware_available() {
-                    update_hardware(state, data)
-                } else {
-                    match auto_software_width(data.len()) {
-                        Crc32cBackend::SlicingBy4 => update_slicing4(state, data),
-                        Crc32cBackend::SlicingBy8 => update_slicing8(state, data),
-                        _ => update_slicing16(state, data),
-                    }
-                }
-            }
+            // `new` never leaves `Hardware` selected without the instruction.
+            Crc32cBackend::SlicingBy16 | Crc32cBackend::Hardware => update_slicing16(state, data),
+            Crc32cBackend::Auto => match auto_software_width(data.len()) {
+                Crc32cBackend::SlicingBy4 => update_slicing4(state, data),
+                Crc32cBackend::SlicingBy8 => update_slicing8(state, data),
+                _ => update_slicing16(state, data),
+            },
         }
     }
 }
@@ -268,10 +289,10 @@ pub fn auto_software_width(len: usize) -> Crc32cBackend {
 
 /// Returns `true` when this CPU exposes a CRC32C instruction.
 ///
-/// The probe runs **once** per process and is cached (construction paths
-/// and the per-update dispatch previously re-ran feature detection on every
-/// call).  `ABFT_ECC_FORCE_SCALAR=1`, read at the same moment, forces
-/// `false` so tests can pin the software paths on hardware-capable hosts.
+/// The probe runs **once** per process and is cached; [`Crc32c::new`]
+/// reads it at construction, the update paths never do.
+/// `ABFT_ECC_FORCE_SCALAR=1`, read at the same moment, forces `false` so
+/// tests can pin the software paths on hardware-capable hosts.
 pub fn hardware_available() -> bool {
     static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *AVAILABLE.get_or_init(|| {
@@ -371,59 +392,74 @@ fn update_byte_table(mut state: u32, data: &[u8]) -> u32 {
     state
 }
 
-/// Hardware-accelerated update.  Falls back to slicing-by-16 when the CPU
-/// lacks a CRC instruction (the runtime constructor never selects this
-/// backend in that case).  The feature probe is the cached
-/// [`hardware_available`] — resolved once per process, never inside this
-/// call.
-#[inline]
-pub fn update_hardware(state: u32, data: &[u8]) -> u32 {
-    if hardware_available() {
+/// The CPU's CRC32C instruction: one step per operand width, and the
+/// single-chain runs built from them.  Every function here requires the
+/// instruction ([`hardware_available`]); callers outside a matching
+/// `#[target_feature]` context reach them through `unsafe` on that proof.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+pub(crate) mod hw {
+    #[cfg(target_arch = "aarch64")]
+    use std::arch::aarch64::{__crc32cb, __crc32cd, __crc32cw};
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::{_mm_crc32_u32, _mm_crc32_u64, _mm_crc32_u8};
+
+    /// Advances `state` over the 8 little-endian bytes of `word`.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    #[inline]
+    pub(crate) fn step64(state: u32, word: u64) -> u32 {
         #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: `hardware_available` verified SSE4.2 at first use.
-            return unsafe { update_sse42(state, data) };
-        }
+        return _mm_crc32_u64(state as u64, word) as u32;
         #[cfg(target_arch = "aarch64")]
-        {
-            // SAFETY: `hardware_available` verified the CRC extension.
-            return unsafe { update_aarch64(state, data) };
+        return __crc32cd(state, word);
+    }
+
+    /// Advances `state` over the 4 little-endian bytes of `word`.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    #[inline]
+    pub(crate) fn step32(state: u32, word: u32) -> u32 {
+        #[cfg(target_arch = "x86_64")]
+        return _mm_crc32_u32(state, word);
+        #[cfg(target_arch = "aarch64")]
+        return __crc32cw(state, word);
+    }
+
+    /// Advances `state` over one byte.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    #[inline]
+    fn step8(state: u32, byte: u8) -> u32 {
+        #[cfg(target_arch = "x86_64")]
+        return _mm_crc32_u8(state, byte);
+        #[cfg(target_arch = "aarch64")]
+        return __crc32cb(state, byte);
+    }
+
+    /// Streaming update over a byte slice: 8 bytes per step, then the tail.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    pub(crate) fn update(mut state: u32, data: &[u8]) -> u32 {
+        let mut chunks = data.chunks_exact(8);
+        for chunk in &mut chunks {
+            let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)"));
+            state = step64(state, word);
         }
+        for &byte in chunks.remainder() {
+            state = step8(state, byte);
+        }
+        state
     }
-    #[allow(unreachable_code)]
-    update_slicing16(state, data)
-}
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-unsafe fn update_sse42(mut state: u32, data: &[u8]) -> u32 {
-    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut chunks = data.chunks_exact(8);
-    let mut state64 = state as u64;
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().unwrap());
-        state64 = _mm_crc32_u64(state64, word);
+    /// Streaming update over `words[i] & mask`, hashed from registers.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    pub(crate) fn update_words(mut state: u32, words: &[u64], mask: u64) -> u32 {
+        for &w in words {
+            state = step64(state, w & mask);
+        }
+        state
     }
-    state = state64 as u32;
-    for &byte in chunks.remainder() {
-        state = _mm_crc32_u8(state, byte);
-    }
-    state
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "crc")]
-unsafe fn update_aarch64(mut state: u32, data: &[u8]) -> u32 {
-    use std::arch::aarch64::{__crc32cb, __crc32cd};
-    let mut chunks = data.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().unwrap());
-        state = __crc32cd(state, word);
-    }
-    for &byte in chunks.remainder() {
-        state = __crc32cb(state, byte);
-    }
-    state
 }
 
 #[cfg(test)]
@@ -518,7 +554,12 @@ mod tests {
         for w in words {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
-        for backend in [Crc32cBackend::Naive, Crc32cBackend::SlicingBy16] {
+        for backend in [
+            Crc32cBackend::Naive,
+            Crc32cBackend::SlicingBy16,
+            Crc32cBackend::Hardware,
+            Crc32cBackend::Auto,
+        ] {
             let crc = Crc32c::new(backend);
             assert_eq!(crc.checksum_words(&words), crc.checksum(&bytes));
             assert_eq!(crc.checksum_words_masked(&words, !0), crc.checksum(&bytes));

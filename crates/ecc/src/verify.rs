@@ -1,5 +1,6 @@
-//! Batched, SIMD-accelerated ECC kernels — verify-only predicates and the
-//! SECDED64 encode — with runtime ISA dispatch.
+//! Batched, SIMD-accelerated ECC kernels — verify-only predicates, the
+//! SECDED64 encode and the multi-stream CRC32C kernels — with runtime ISA
+//! dispatch.
 //!
 //! The full-protection scheme makes every SpMV and every vector read pay an
 //! integrity check and every vector write pay an encode, so their
@@ -22,6 +23,12 @@
 //!   output.  SECDED128 (9 syndrome bits) keeps an 8-lane `vpgatherdd`;
 //!   SED parity folds 4 words per step with plain vertical XORs (SSE2
 //!   folds 2);
+//! * CRC32C is not lane-parallel but it is *chain*-parallel: the `crc32`
+//!   instruction (x86-64 SSE4.2, AArch64 CRC) has a 3-cycle latency and
+//!   issues once per cycle, so the CRC32C kernels hash four codewords at a
+//!   time — four independent dependency chains, operands taken straight
+//!   from registers, no byte staging — for the 4-word dense-vector group
+//!   and the row-wide CSR codeword alike;
 //! * the implementation is selected **once**, at first use, into a
 //!   process-wide function-pointer table (a `OnceLock` function table) from
 //!   `is_x86_feature_detected!` — feature detection never runs inside a
@@ -38,8 +45,9 @@
 //! Setting the environment variable **`ABFT_ECC_FORCE_SCALAR=1`** (any
 //! non-empty value other than `0`) before the first ECC operation pins the
 //! dispatch — verify and encode — to the scalar implementations *and*
-//! disables the hardware CRC32C instruction, so tests and benchmarks can
-//! exercise the portable fallback on hosts that do have the fast paths.
+//! disables the hardware CRC32C instruction (the CRC32C kernels then loop
+//! the configured software backend per codeword), so tests and benchmarks
+//! can exercise the portable fallback on hosts that do have the fast paths.
 //! The variable is read once, when the dispatch table is first resolved;
 //! changing it afterwards has no effect.
 //!
@@ -51,6 +59,7 @@
 //! assumption, so the batched predicates are the common case and the scalar
 //! decode is the cold path.
 
+use crate::crc32c::Crc32c;
 use crate::secded::{data_bit_position, SECDED_56};
 use std::sync::OnceLock;
 
@@ -88,6 +97,9 @@ struct Kernels {
     secded128_words: fn(&[u64]) -> bool,
     secded88_elements: fn(&[f64], &[u32]) -> bool,
     secded64_encode: fn(&[f64], &mut [u64]),
+    crc32c_groups: fn(&Crc32c, &[u64]) -> bool,
+    crc32c_encode: fn(&Crc32c, &[f64], &mut [u64]),
+    crc32c_rows: fn(&Crc32c, &[f64], &[u32], &[usize]) -> bool,
 }
 
 static KERNELS: OnceLock<Kernels> = OnceLock::new();
@@ -122,6 +134,7 @@ fn resolve() -> Kernels {
                 secded128_words: avx2::secded128_words_clean,
                 secded88_elements: avx2::secded88_elements_clean,
                 secded64_encode: avx2::secded64_encode_words,
+                ..scalar_kernels()
             };
         }
         if std::arch::is_x86_feature_detected!("sse2") {
@@ -134,15 +147,18 @@ fn resolve() -> Kernels {
                 secded64_words: batched::secded64_words_clean,
                 secded128_words: batched::secded128_words_clean,
                 secded88_elements: batched::secded88_elements_clean,
-                secded64_encode: scalar::secded64_encode_words,
+                ..scalar_kernels()
             };
         }
     }
     scalar_kernels()
 }
 
+/// The scalar lane kernels, with the CRC32C tier the CPU offers: the CRC
+/// instruction is independent of the SIMD width, so every lane tier takes
+/// its CRC32C entries from here.
 fn scalar_kernels() -> Kernels {
-    Kernels {
+    let lanes = Kernels {
         isa: Isa::Scalar,
         sed_words: scalar::sed_words_clean,
         sed_elements: scalar::sed_elements_clean,
@@ -150,7 +166,20 @@ fn scalar_kernels() -> Kernels {
         secded128_words: scalar::secded128_words_clean,
         secded88_elements: scalar::secded88_elements_clean,
         secded64_encode: scalar::secded64_encode_words,
+        crc32c_groups: scalar::crc32c_groups_clean,
+        crc32c_encode: scalar::crc32c_encode_groups,
+        crc32c_rows: scalar::crc32c_rows_clean,
+    };
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    if crate::crc32c::hardware_available() {
+        return Kernels {
+            crc32c_groups: crc_hw::crc32c_groups_clean,
+            crc32c_encode: crc_hw::crc32c_encode_groups,
+            crc32c_rows: crc_hw::crc32c_rows_clean,
+            ..lanes
+        };
     }
+    lanes
 }
 
 #[inline]
@@ -240,6 +269,107 @@ pub fn secded88_elements_clean(values: &[f64], cols: &[u32]) -> bool {
 pub fn secded64_encode_words(values: &[f64], out: &mut [u64]) {
     assert_eq!(values.len(), out.len(), "secded64_encode_words: length");
     (kernels().secded64_encode)(values, out)
+}
+
+/// Words per CRC32C dense-vector codeword.
+const CRC_GROUP: usize = 4;
+/// AND-mask clearing the checksum byte each word of a CRC32C dense-vector
+/// codeword reserves.
+const CRC_WORD_MASK: u64 = !0xFF;
+/// AND-mask selecting the 24 column bits the row-wide CSR codeword hashes.
+const CRC_COL_MASK: u32 = 0x00FF_FFFF;
+/// Entries of a row whose spare column bytes hold the row's checksum.
+const CRC_ROW_MIN: usize = 4;
+
+/// The checksum a CRC32C dense-vector codeword stores: byte `j` in the low
+/// byte of word `j`.
+#[inline(always)]
+fn crc_group_stored(group: &[u64]) -> u32 {
+    (group[0] & 0xFF) as u32
+        | ((group[1] & 0xFF) as u32) << 8
+        | ((group[2] & 0xFF) as u32) << 16
+        | ((group[3] & 0xFF) as u32) << 24
+}
+
+/// The checksum a row-wide CSR codeword stores: byte `j` in the top byte of
+/// the row's `j`-th column index.
+#[inline(always)]
+fn crc_row_stored(row_cols: &[u32]) -> u32 {
+    row_cols[0] >> 24
+        | (row_cols[1] >> 24) << 8
+        | (row_cols[2] >> 24) << 16
+        | (row_cols[3] >> 24) << 24
+}
+
+/// The value and column slices of row `start..end` when it can hold a
+/// row-wide CRC32C codeword: at least [`CRC_ROW_MIN`] entries, inside both
+/// arrays.
+#[inline(always)]
+fn crc_row<'a>(
+    values: &'a [f64],
+    cols: &'a [u32],
+    start: usize,
+    end: usize,
+) -> Option<(&'a [f64], &'a [u32])> {
+    if end.checked_sub(start)? < CRC_ROW_MIN {
+        return None;
+    }
+    Some((values.get(start..end)?, cols.get(start..end)?))
+}
+
+/// Batched verify of CRC32C dense-vector codewords: `true` iff every
+/// consecutive group of four words is a clean codeword — the CRC32C of the
+/// four words with their low bytes cleared equals the checksum those low
+/// bytes store (byte `j` in word `j`).  `words.len()` must be a multiple of
+/// four (protected-vector storage is always padded to whole groups).
+///
+/// With `crc` on the CPU's CRC instruction four groups are hashed at a
+/// time from registers; any other backend (an explicitly configured
+/// software one, a CPU without the instruction, `ABFT_ECC_FORCE_SCALAR=1`)
+/// computes each group's checksum with `crc` itself.
+///
+/// ```
+/// use abft_ecc::verify::{crc32c_encode_groups, crc32c_groups_clean};
+/// use abft_ecc::Crc32c;
+/// let crc = Crc32c::auto();
+/// let mut words = [0u64; 8];
+/// crc32c_encode_groups(&crc, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], &mut words);
+/// assert!(crc32c_groups_clean(&crc, &words));
+/// words[5] ^= 1 << 40;
+/// assert!(!crc32c_groups_clean(&crc, &words));
+/// ```
+#[inline]
+pub fn crc32c_groups_clean(crc: &Crc32c, words: &[u64]) -> bool {
+    debug_assert_eq!(words.len() % CRC_GROUP, 0);
+    (kernels().crc32c_groups)(crc, words)
+}
+
+/// Batched encode of CRC32C dense-vector codewords: every group of four
+/// `out` words becomes the clean codeword of the matching four `values` —
+/// their 56 high bits kept, the low byte of word `j` replaced by byte `j`
+/// of the group's checksum.  Bit-identical to encoding group by group;
+/// `values` and `out` must have equal lengths, a multiple of four.
+#[inline]
+pub fn crc32c_encode_groups(crc: &Crc32c, values: &[f64], out: &mut [u64]) {
+    assert_eq!(values.len(), out.len(), "crc32c_encode_groups: length");
+    debug_assert_eq!(values.len() % CRC_GROUP, 0);
+    (kernels().crc32c_encode)(crc, values, out)
+}
+
+/// Batched verify of row-wide CRC32C CSR codewords: `true` iff every row
+/// `bounds[r]..bounds[r + 1]` is a clean codeword — the CRC32C over its
+/// elements, each hashed as the 8 value bytes followed by the 24-bit column
+/// as a 32-bit word, equals the checksum stored in the top bytes of the
+/// row's first four column indices.  A row that is shorter than four
+/// entries, runs backwards or leaves the arrays is reported not clean, so
+/// callers may pass bounds they have not validated yet.
+///
+/// Four rows are hashed at a time on the CPU's CRC instruction; other
+/// backends compute each row's checksum with `crc` itself (see
+/// [`crc32c_groups_clean`]).
+#[inline]
+pub fn crc32c_rows_clean(crc: &Crc32c, values: &[f64], cols: &[u32], bounds: &[usize]) -> bool {
+    (kernels().crc32c_rows)(crc, values, cols, bounds)
 }
 
 /// Compile-time construction of the flattened full-codeword syndrome
@@ -597,6 +727,221 @@ pub mod scalar {
             let payload = v.to_bits() >> 8;
             *o = (payload << 8) | SECDED_56.encode(&[payload]) as u64;
         }
+    }
+
+    /// Portable [`super::crc32c_groups_clean`]: one `crc` checksum per
+    /// group.
+    pub fn crc32c_groups_clean(crc: &Crc32c, words: &[u64]) -> bool {
+        words
+            .chunks_exact(CRC_GROUP)
+            .all(|g| crc_group_stored(g) == crc.checksum_words_masked(g, CRC_WORD_MASK))
+    }
+
+    /// Portable [`super::crc32c_encode_groups`]: one `crc` checksum per
+    /// group.
+    pub fn crc32c_encode_groups(crc: &Crc32c, values: &[f64], out: &mut [u64]) {
+        let groups = values.chunks_exact(CRC_GROUP);
+        for (v, o) in groups.zip(out.chunks_exact_mut(CRC_GROUP)) {
+            for (w, x) in o.iter_mut().zip(v) {
+                *w = x.to_bits() & CRC_WORD_MASK;
+            }
+            let checksum = crc.checksum_words(o);
+            for (j, w) in o.iter_mut().enumerate() {
+                *w |= ((checksum >> (8 * j)) & 0xFF) as u64;
+            }
+        }
+    }
+
+    /// Portable [`super::crc32c_rows_clean`]: one `crc` checksum per row,
+    /// its elements staged through a stack buffer so the slicing backends
+    /// see contiguous runs of bytes.
+    pub fn crc32c_rows_clean(crc: &Crc32c, values: &[f64], cols: &[u32], bounds: &[usize]) -> bool {
+        /// Elements staged per `update` call.
+        const STAGE: usize = 16;
+        bounds.windows(2).all(|w| {
+            let Some((v, c)) = crc_row(values, cols, w[0], w[1]) else {
+                return false;
+            };
+            let mut state = !0u32;
+            let mut buf = [0u8; STAGE * 12];
+            for (v, c) in v.chunks(STAGE).zip(c.chunks(STAGE)) {
+                for (slot, (x, col)) in buf.chunks_exact_mut(12).zip(v.iter().zip(c)) {
+                    slot[..8].copy_from_slice(&x.to_bits().to_le_bytes());
+                    slot[8..].copy_from_slice(&(col & CRC_COL_MASK).to_le_bytes());
+                }
+                state = crc.update(state, &buf[..v.len() * 12]);
+            }
+            !state == crc_row_stored(c)
+        })
+    }
+}
+
+/// CRC32C kernels on the CPU's CRC instruction (x86-64 SSE4.2, AArch64
+/// CRC): `STREAMS` codewords are hashed at a time, one dependency chain
+/// each, so the instruction's 3-cycle latency overlaps instead of
+/// serialising, and every operand comes straight from a register — no byte
+/// staging.  A `crc` configured with a software backend is handed to the
+/// portable loop instead, so an explicit choice still computes with that
+/// backend.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+mod crc_hw {
+    use super::*;
+    use crate::crc32c::hw::{step32, step64};
+
+    /// Codewords in flight per step.
+    const STREAMS: usize = 4;
+
+    pub(super) fn crc32c_groups_clean(crc: &Crc32c, words: &[u64]) -> bool {
+        if !crc.is_hardware() {
+            return scalar::crc32c_groups_clean(crc, words);
+        }
+        // SAFETY: `is_hardware` is true only for a `Crc32c` built after the
+        // CRC instruction was detected.
+        unsafe { groups_clean_impl(words) }
+    }
+
+    /// Raw CRC states of `STREAMS` consecutive groups, `word(i)` giving the
+    /// `i`-th masked word of the batch.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    #[inline]
+    fn batch_states(word: impl Fn(usize) -> u64) -> [u32; STREAMS] {
+        let mut states = [!0u32; STREAMS];
+        for j in 0..CRC_GROUP {
+            for (k, state) in states.iter_mut().enumerate() {
+                *state = step64(*state, word(CRC_GROUP * k + j));
+            }
+        }
+        states
+    }
+
+    /// Raw CRC state of one group on a single chain (batch tails).
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    #[inline]
+    fn group_state(word: impl Fn(usize) -> u64) -> u32 {
+        (0..CRC_GROUP).fold(!0, |state, j| step64(state, word(j)))
+    }
+
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    fn groups_clean_impl(words: &[u64]) -> bool {
+        // Every group's own mismatch is ORed in: nothing cancels across
+        // codewords.
+        let mut bad = 0u32;
+        let mut batches = words.chunks_exact(CRC_GROUP * STREAMS);
+        for batch in &mut batches {
+            let states = batch_states(|i| batch[i] & CRC_WORD_MASK);
+            for (state, group) in states.iter().zip(batch.chunks_exact(CRC_GROUP)) {
+                bad |= !state ^ crc_group_stored(group);
+            }
+        }
+        for group in batches.remainder().chunks_exact(CRC_GROUP) {
+            let state = group_state(|j| group[j] & CRC_WORD_MASK);
+            bad |= !state ^ crc_group_stored(group);
+        }
+        bad == 0
+    }
+
+    pub(super) fn crc32c_encode_groups(crc: &Crc32c, values: &[f64], out: &mut [u64]) {
+        if !crc.is_hardware() {
+            return scalar::crc32c_encode_groups(crc, values, out);
+        }
+        // SAFETY: as in `crc32c_groups_clean`.
+        unsafe { encode_groups_impl(values, out) }
+    }
+
+    /// Writes one group's codeword from its raw CRC state.
+    #[inline(always)]
+    fn store_group(values: &[f64], state: u32, out: &mut [u64]) {
+        let checksum = !state;
+        for (j, (w, v)) in out.iter_mut().zip(values).enumerate() {
+            *w = (v.to_bits() & CRC_WORD_MASK) | ((checksum >> (8 * j)) & 0xFF) as u64;
+        }
+    }
+
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    fn encode_groups_impl(values: &[f64], out: &mut [u64]) {
+        const BATCH: usize = CRC_GROUP * STREAMS;
+        let mut batches = values.chunks_exact(BATCH);
+        let mut outs = out.chunks_exact_mut(BATCH);
+        for (batch, out) in (&mut batches).zip(&mut outs) {
+            let states = batch_states(|i| batch[i].to_bits() & CRC_WORD_MASK);
+            let groups = batch.chunks_exact(CRC_GROUP);
+            for ((v, state), o) in groups.zip(states).zip(out.chunks_exact_mut(CRC_GROUP)) {
+                store_group(v, state, o);
+            }
+        }
+        let groups = batches.remainder().chunks_exact(CRC_GROUP);
+        for (v, o) in groups.zip(outs.into_remainder().chunks_exact_mut(CRC_GROUP)) {
+            store_group(v, group_state(|j| v[j].to_bits() & CRC_WORD_MASK), o);
+        }
+    }
+
+    pub(super) fn crc32c_rows_clean(
+        crc: &Crc32c,
+        values: &[f64],
+        cols: &[u32],
+        bounds: &[usize],
+    ) -> bool {
+        if !crc.is_hardware() {
+            return scalar::crc32c_rows_clean(crc, values, cols, bounds);
+        }
+        // SAFETY: as in `crc32c_groups_clean`.
+        unsafe { rows_clean_impl(values, cols, bounds) }
+    }
+
+    /// Advances `state` over the elements of (part of) one row.
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    #[inline]
+    fn row_state(state: u32, values: &[f64], cols: &[u32]) -> u32 {
+        values.iter().zip(cols).fold(state, |state, (v, c)| {
+            step32(step64(state, v.to_bits()), c & CRC_COL_MASK)
+        })
+    }
+
+    #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
+    #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
+    fn rows_clean_impl(values: &[f64], cols: &[u32], bounds: &[usize]) -> bool {
+        let rows = bounds.len().saturating_sub(1);
+        let mut bad = 0u32;
+        let mut r = 0;
+        while r + STREAMS <= rows {
+            // The batch's rows advance in lockstep over the length they
+            // share — all of it when the rows are equally long, as stencil
+            // rows are — and each finishes its own tail on one chain.
+            let mut v = [&values[..0]; STREAMS];
+            let mut c = [&cols[..0]; STREAMS];
+            let mut shared = usize::MAX;
+            for k in 0..STREAMS {
+                let Some(row) = crc_row(values, cols, bounds[r + k], bounds[r + k + 1]) else {
+                    return false;
+                };
+                (v[k], c[k]) = row;
+                shared = shared.min(row.0.len());
+            }
+            let mut states = [!0u32; STREAMS];
+            for e in 0..shared {
+                for k in 0..STREAMS {
+                    states[k] =
+                        step32(step64(states[k], v[k][e].to_bits()), c[k][e] & CRC_COL_MASK);
+                }
+            }
+            for k in 0..STREAMS {
+                let state = row_state(states[k], &v[k][shared..], &c[k][shared..]);
+                bad |= !state ^ crc_row_stored(c[k]);
+            }
+            r += STREAMS;
+        }
+        for w in bounds[r..].windows(2) {
+            let Some((v, c)) = crc_row(values, cols, w[0], w[1]) else {
+                return false;
+            };
+            bad |= !row_state(!0, v, c) ^ crc_row_stored(c);
+        }
+        bad == 0
     }
 }
 
@@ -1475,6 +1820,298 @@ mod tests {
                     f(&values[offset..offset + len], &mut out);
                     assert_eq!(out, expect[offset..offset + len], "{name} {offset}+{len}");
                 }
+            }
+        }
+    }
+
+    type CrcGroupsFn = fn(&Crc32c, &[u64]) -> bool;
+    type CrcEncodeFn = fn(&Crc32c, &[f64], &mut [u64]);
+    type CrcRowsFn = fn(&Crc32c, &[f64], &[u32], &[usize]) -> bool;
+
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    use super::crc_hw as hardware_tier;
+    // Never selected: `hardware_available` is false on such targets.
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    use super::scalar as hardware_tier;
+
+    /// Every way one CRC32C kernel can be reached, given its `[dispatched,
+    /// portable, hardware]` entry points: each with the calculators that
+    /// matter there, the hardware tier only on a host with the instruction.
+    fn crc_impls<F: Copy>(
+        [dispatch, portable, hardware]: [F; 3],
+    ) -> Vec<(&'static str, F, Crc32c)> {
+        use crate::crc32c::Crc32cBackend::*;
+        let mut impls = vec![
+            ("dispatch/auto", dispatch, Crc32c::auto()),
+            ("dispatch/naive", dispatch, Crc32c::new(Naive)),
+            ("dispatch/by8", dispatch, Crc32c::new(SlicingBy8)),
+            ("portable/auto", portable, Crc32c::auto()),
+            ("portable/by4", portable, Crc32c::new(SlicingBy4)),
+            ("portable/by16", portable, Crc32c::new(SlicingBy16)),
+        ];
+        if crate::crc32c::hardware_available() {
+            impls.push(("hardware", hardware, Crc32c::new(Hardware)));
+            // A software backend handed to the hardware tier computes with
+            // that backend.
+            impls.push(("hardware/by8", hardware, Crc32c::new(SlicingBy8)));
+        }
+        impls
+    }
+
+    fn crc_groups_impls() -> Vec<(&'static str, CrcGroupsFn, Crc32c)> {
+        crc_impls([
+            crc32c_groups_clean,
+            scalar::crc32c_groups_clean,
+            hardware_tier::crc32c_groups_clean,
+        ])
+    }
+
+    fn crc_encode_impls() -> Vec<(&'static str, CrcEncodeFn, Crc32c)> {
+        crc_impls([
+            crc32c_encode_groups,
+            scalar::crc32c_encode_groups,
+            hardware_tier::crc32c_encode_groups,
+        ])
+    }
+
+    fn crc_rows_impls() -> Vec<(&'static str, CrcRowsFn, Crc32c)> {
+        crc_impls([
+            crc32c_rows_clean,
+            scalar::crc32c_rows_clean,
+            hardware_tier::crc32c_rows_clean,
+        ])
+    }
+
+    /// The bit-at-a-time reference every kernel is held to.
+    fn naive_crc(bytes: &[u8]) -> u32 {
+        Crc32c::new(crate::crc32c::Crc32cBackend::Naive).checksum(bytes)
+    }
+
+    /// The clean dense-vector codeword of four values, one reference
+    /// checksum per codeword.
+    fn encode_crc_group(values: &[f64]) -> [u64; 4] {
+        let mut words = [0u64; 4];
+        let mut bytes = Vec::new();
+        for (w, v) in words.iter_mut().zip(values) {
+            *w = v.to_bits() & !0xFF;
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        let checksum = naive_crc(&bytes);
+        for (j, w) in words.iter_mut().enumerate() {
+            *w |= ((checksum >> (8 * j)) & 0xFF) as u64;
+        }
+        words
+    }
+
+    /// Reference verdict on a run of dense-vector codewords.
+    fn crc_groups_reference(words: &[u64]) -> bool {
+        words.chunks_exact(4).all(|g| {
+            let values: Vec<f64> = g.iter().map(|&w| f64::from_bits(w)).collect();
+            encode_crc_group(&values)[..] == *g
+        })
+    }
+
+    /// Clean row-wide codewords for rows of the given lengths: values,
+    /// encoded columns and row bounds, one reference checksum per row.
+    fn encode_crc_rows(lens: &[usize], x: &mut u64) -> (Vec<f64>, Vec<u32>, Vec<usize>) {
+        let (mut values, mut cols, mut bounds) = (Vec::new(), Vec::new(), vec![0usize]);
+        for &len in lens {
+            let start = values.len();
+            let mut bytes = Vec::new();
+            for _ in 0..len {
+                let (v, c) = (xorshift(x), xorshift(x) as u32 & 0x00FF_FFFF);
+                values.push(f64::from_bits(v));
+                cols.push(c);
+                bytes.extend_from_slice(&v.to_le_bytes());
+                bytes.extend_from_slice(&c.to_le_bytes());
+            }
+            let checksum = naive_crc(&bytes);
+            for j in 0..4 {
+                cols[start + j] |= ((checksum >> (8 * j)) & 0xFF) << 24;
+            }
+            bounds.push(values.len());
+        }
+        (values, cols, bounds)
+    }
+
+    /// Reference verdict on a block of row-wide codewords.
+    fn crc_rows_reference(values: &[f64], cols: &[u32], bounds: &[usize]) -> bool {
+        bounds.windows(2).all(|w| {
+            let mut bytes = Vec::new();
+            for k in w[0]..w[1] {
+                bytes.extend_from_slice(&values[k].to_bits().to_le_bytes());
+                bytes.extend_from_slice(&(cols[k] & 0x00FF_FFFF).to_le_bytes());
+            }
+            let stored = (0..4).fold(0u32, |acc, j| acc | (cols[w[0] + j] >> 24) << (8 * j));
+            naive_crc(&bytes) == stored
+        })
+    }
+
+    /// Row lengths cycling through 4..=9 in no particular order.
+    fn mixed_row_lens(rows: usize, x: &mut u64) -> Vec<usize> {
+        (0..rows).map(|_| 4 + (xorshift(x) % 6) as usize).collect()
+    }
+
+    #[test]
+    fn crc32c_kernels_equal_the_naive_checksum_per_codeword() {
+        let mut x = 0x5EED_0010u64;
+        // Runs of 0..=17 codewords starting 0..4 codewords into a longer
+        // one: every phase of the four-in-flight batches and their tails.
+        let values: Vec<f64> = (0..4 * 21)
+            .map(|_| f64::from_bits(xorshift(&mut x)))
+            .collect();
+        let words: Vec<u64> = values.chunks(4).flat_map(encode_crc_group).collect();
+        let lens = mixed_row_lens(21, &mut x);
+        let (rv, rc, rb) = encode_crc_rows(&lens, &mut x);
+        for offset in 0..4 {
+            for len in 0..=17 {
+                let label = format!("offset {offset} len {len}");
+                let w = &words[4 * offset..4 * (offset + len)];
+                for (name, f, crc) in crc_groups_impls() {
+                    assert!(f(&crc, w), "{name} clean groups {label}");
+                }
+                for (name, f, crc) in crc_encode_impls() {
+                    let mut out = vec![u64::MAX; 4 * len];
+                    f(&crc, &values[4 * offset..4 * (offset + len)], &mut out);
+                    assert_eq!(out, w, "{name} encode {label}");
+                }
+                let b = &rb[offset..=offset + len];
+                for (name, f, crc) in crc_rows_impls() {
+                    assert!(f(&crc, &rv, &rc, b), "{name} clean rows {label}");
+                }
+                if len == 0 {
+                    continue;
+                }
+                // One single and one double flip per window.
+                let mut bad = w.to_vec();
+                let (mut bv, mut bc) = (rv.clone(), rc.clone());
+                let word = (xorshift(&mut x) as usize) % bad.len();
+                let element = b[0] + (xorshift(&mut x) as usize) % (b[len] - b[0]);
+                for round in 0..2 {
+                    bad[word] ^= 1u64 << (xorshift(&mut x) % 64);
+                    let reference = crc_groups_reference(&bad);
+                    for (name, f, crc) in crc_groups_impls() {
+                        assert_eq!(f(&crc, &bad), reference, "{name} groups {label} #{round}");
+                    }
+                    flip_element(&mut bv, &mut bc, element, (xorshift(&mut x) % 96) as usize);
+                    let reference = crc_rows_reference(&bv, &bc, b);
+                    for (name, f, crc) in crc_rows_impls() {
+                        assert_eq!(
+                            f(&crc, &bv, &bc, b),
+                            reference,
+                            "{name} rows {label} #{round}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_of_every_crc32c_codeword_is_seen() {
+        // 4 fills the in-flight batch exactly, 5 adds a one-chain tail, 17
+        // makes four batches and a tail.
+        let mut x = 0x5EED_0011u64;
+        for run in [4usize, 5, 17] {
+            let values: Vec<f64> = (0..4 * run)
+                .map(|_| f64::from_bits(xorshift(&mut x)))
+                .collect();
+            let words: Vec<u64> = values.chunks(4).flat_map(encode_crc_group).collect();
+            for slot in 0..words.len() {
+                for bit in 0..64 {
+                    let mut bad = words.clone();
+                    bad[slot] ^= 1u64 << bit;
+                    for (name, f, crc) in crc_groups_impls() {
+                        assert!(!f(&crc, &bad), "{name} run={run} slot={slot} bit={bit}");
+                    }
+                }
+            }
+            let lens = mixed_row_lens(run, &mut x);
+            let (rv, rc, rb) = encode_crc_rows(&lens, &mut x);
+            for row in 0..run {
+                for element in rb[row]..rb[row + 1] {
+                    for bit in 0..96 {
+                        let (mut bv, mut bc) = (rv.clone(), rc.clone());
+                        flip_element(&mut bv, &mut bc, element, bit);
+                        // The spare byte of a row's fifth and later columns
+                        // holds nothing and is masked out of the codeword.
+                        let spare = bit >= 88 && element >= rb[row] + 4;
+                        for (name, f, crc) in crc_rows_impls() {
+                            assert_eq!(
+                                f(&crc, &bv, &bc, &rb),
+                                spare,
+                                "{name} run={run} element={element} bit={bit}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_flips_in_two_crc32c_codewords_of_a_batch_do_not_cancel() {
+        let mut x = 0x5EED_0012u64;
+        let values: Vec<f64> = (0..16).map(|_| f64::from_bits(xorshift(&mut x))).collect();
+        let words: Vec<u64> = values.chunks(4).flat_map(encode_crc_group).collect();
+        let (rv, rc, rb) = encode_crc_rows(&[5, 5, 7, 4], &mut x);
+        for a in 0..4 {
+            for b in a + 1..4 {
+                for bit in (0..64).step_by(5) {
+                    let mut bad = words.clone();
+                    bad[4 * a + 1] ^= 1u64 << bit;
+                    bad[4 * b + 1] ^= 1u64 << bit;
+                    for (name, f, crc) in crc_groups_impls() {
+                        assert!(!f(&crc, &bad), "{name} groups {a},{b} bit {bit}");
+                    }
+                }
+                for bit in (0..88).step_by(5) {
+                    let (mut bv, mut bc) = (rv.clone(), rc.clone());
+                    flip_element(&mut bv, &mut bc, rb[a] + 2, bit);
+                    flip_element(&mut bv, &mut bc, rb[b] + 2, bit);
+                    for (name, f, crc) in crc_rows_impls() {
+                        assert!(!f(&crc, &bv, &bc, &rb), "{name} rows {a},{b} bit {bit}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc32c_rows_that_cannot_hold_a_codeword_are_not_clean() {
+        let mut x = 0x5EED_0013u64;
+        let (rv, rc, rb) = encode_crc_rows(&[5, 6, 4, 7, 5], &mut x);
+        let n = rv.len();
+        for (name, f, crc) in crc_rows_impls() {
+            assert!(f(&crc, &rv, &rc, &rb), "{name}");
+            assert!(f(&crc, &rv, &rc, &[]), "{name} no bounds");
+            assert!(f(&crc, &rv, &rc, &[3]), "{name} no rows");
+            // Shorter than four entries, backwards, past the arrays.
+            for bounds in [
+                &[0usize, 3][..],
+                &[5, 0],
+                &[n - 4, n + 1],
+                &[0, 5, 11, 13, 22, 27],
+            ] {
+                assert!(!f(&crc, &rv, &rc, bounds), "{name} {bounds:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32c_batched_encode_is_bit_identical_to_the_per_group_encoder() {
+        let mut x = 0x5EED_0014u64;
+        // Low bytes are random too: stale redundancy must not leak in.
+        let values: Vec<f64> = (0..100_000)
+            .map(|_| f64::from_bits(xorshift(&mut x)))
+            .collect();
+        let expect: Vec<u64> = values.chunks(4).flat_map(encode_crc_group).collect();
+        for (name, f, crc) in crc_encode_impls() {
+            let mut out = vec![0u64; values.len()];
+            f(&crc, &values, &mut out);
+            assert!(out == expect, "{name}: 100000 payloads");
+            for (gname, g, gcrc) in crc_groups_impls() {
+                assert!(g(&gcrc, &out), "{name} -> {gname}");
             }
         }
     }

@@ -16,8 +16,7 @@
 //! element protection.
 
 use crate::grid::Grid;
-use abft_sparse::builders::pad_rows_to_min_entries;
-use abft_sparse::{CooMatrix, CsrMatrix};
+use abft_sparse::CsrMatrix;
 
 /// How the cell conductivity is derived from density.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,12 +72,22 @@ pub fn face_coefficients(
 }
 
 /// Assembles the implicit conduction operator `I + Δt·K` as a CSR matrix with
-/// exactly five stored entries per row.
+/// exactly five stored entries per row (fewer only on grids of fewer than
+/// five cells).
+///
+/// Rows are emitted straight into CSR in row order, columns ascending.
+/// Boundary rows have fewer than five neighbours; like TeaLeaf they are
+/// padded with explicit zeros, placed at the lowest columns the row does
+/// not use.
 pub fn assemble_matrix(grid: &Grid, coeffs: &FaceCoefficients, dt: f64) -> CsrMatrix {
     let n = grid.cells();
     let rx = dt / (grid.dx() * grid.dx());
     let ry = dt / (grid.dy() * grid.dy());
-    let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
+    let per_row = 5.min(n);
+    let mut values = Vec::with_capacity(per_row * n);
+    let mut col_indices = Vec::with_capacity(per_row * n);
+    let mut row_pointer = Vec::with_capacity(n + 1);
+    row_pointer.push(0u32);
     for j in 0..grid.ny {
         for i in 0..grid.nx {
             let idx = grid.index(i, j);
@@ -95,25 +104,46 @@ pub fn assemble_matrix(grid: &Grid, coeffs: &FaceCoefficients, dt: f64) -> CsrMa
                 0.0
             };
             let centre = 1.0 + rx * (west + east) + ry * (south + north);
+            // The stencil's neighbours, already in ascending column order.
+            let mut row = [(0u32, 0.0f64); 5];
+            let mut len = 0;
+            let mut push = |col: usize, value: f64| {
+                row[len] = (col as u32, value);
+                len += 1;
+            };
             if j > 0 {
-                coo.push(idx, idx - grid.nx, -ry * south);
+                push(idx - grid.nx, -ry * south);
             }
             if i > 0 {
-                coo.push(idx, idx - 1, -rx * west);
+                push(idx - 1, -rx * west);
             }
-            coo.push(idx, idx, centre);
+            push(idx, centre);
             if i + 1 < grid.nx {
-                coo.push(idx, idx + 1, -rx * east);
+                push(idx + 1, -rx * east);
             }
             if j + 1 < grid.ny {
-                coo.push(idx, idx + grid.nx, -ry * north);
+                push(idx + grid.nx, -ry * north);
             }
+            if len < per_row {
+                let mut candidate = 0u32;
+                while len < per_row {
+                    if row[..len].iter().all(|&(col, _)| col != candidate) {
+                        row[len] = (candidate, 0.0);
+                        len += 1;
+                    }
+                    candidate += 1;
+                }
+                row[..len].sort_unstable_by_key(|&(col, _)| col);
+            }
+            for &(col, value) in &row[..len] {
+                col_indices.push(col);
+                values.push(value);
+            }
+            row_pointer.push(col_indices.len() as u32);
         }
     }
-    let matrix = coo.to_csr().expect("conduction assembly is valid");
-    // Boundary rows have fewer than five neighbours; pad with explicit zeros
-    // so every row stores five entries, as in TeaLeaf.
-    pad_rows_to_min_entries(&matrix, 5.min(grid.cells()))
+    CsrMatrix::try_new(n, n, values, col_indices, row_pointer)
+        .expect("conduction assembly is valid")
 }
 
 /// Builds the right-hand side `u₀ = ρ·e` (cell energy density).
@@ -131,6 +161,83 @@ pub fn energy_from_u(u: &[f64], density: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abft_sparse::builders::pad_rows_to_min_entries;
+    use abft_sparse::CooMatrix;
+
+    /// The assembly route [`assemble_matrix`] replaced: grid → COO → sort →
+    /// CSR, then zero-padded through a second COO and a second sort.
+    fn assemble_via_coo(grid: &Grid, coeffs: &FaceCoefficients, dt: f64) -> CsrMatrix {
+        let n = grid.cells();
+        let rx = dt / (grid.dx() * grid.dx());
+        let ry = dt / (grid.dy() * grid.dy());
+        let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
+        for j in 0..grid.ny {
+            for i in 0..grid.nx {
+                let idx = grid.index(i, j);
+                let west = coeffs.kx[idx];
+                let east = if i + 1 < grid.nx {
+                    coeffs.kx[grid.index(i + 1, j)]
+                } else {
+                    0.0
+                };
+                let south = coeffs.ky[idx];
+                let north = if j + 1 < grid.ny {
+                    coeffs.ky[grid.index(i, j + 1)]
+                } else {
+                    0.0
+                };
+                let centre = 1.0 + rx * (west + east) + ry * (south + north);
+                if j > 0 {
+                    coo.push(idx, idx - grid.nx, -ry * south);
+                }
+                if i > 0 {
+                    coo.push(idx, idx - 1, -rx * west);
+                }
+                coo.push(idx, idx, centre);
+                if i + 1 < grid.nx {
+                    coo.push(idx, idx + 1, -rx * east);
+                }
+                if j + 1 < grid.ny {
+                    coo.push(idx, idx + grid.nx, -ry * north);
+                }
+            }
+        }
+        let matrix = coo.to_csr().expect("conduction assembly is valid");
+        pad_rows_to_min_entries(&matrix, 5.min(grid.cells()))
+    }
+
+    #[test]
+    fn direct_assembly_equals_the_coo_route_bit_for_bit() {
+        for (nx, ny) in [
+            (1, 1),
+            (1, 3),
+            (1, 9),
+            (3, 1),
+            (9, 1),
+            (2, 2),
+            (5, 7),
+            (32, 32),
+        ] {
+            let grid = Grid::new(nx, ny, nx as f64 * 0.7, ny as f64 * 1.3);
+            let density: Vec<f64> = (0..grid.cells())
+                .map(|idx| 0.2 + ((idx * 7) % 13) as f64 * 0.31)
+                .collect();
+            for conductivity in [Conductivity::Reciprocal, Conductivity::Density] {
+                let coeffs = face_coefficients(&grid, &density, conductivity);
+                let got = assemble_matrix(&grid, &coeffs, 0.004);
+                let want = assemble_via_coo(&grid, &coeffs, 0.004);
+                let label = format!("{nx}x{ny} {conductivity:?}");
+                assert_eq!(got.row_pointer(), want.row_pointer(), "{label}");
+                // Column order, and with it where boundary rows put their
+                // explicit zeros.
+                assert_eq!(got.col_indices(), want.col_indices(), "{label}");
+                let bits =
+                    |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{label}");
+                assert_eq!(got, want, "{label}");
+            }
+        }
+    }
 
     fn uniform_problem(nx: usize, ny: usize) -> (Grid, Vec<f64>, Vec<f64>) {
         let grid = Grid::new(nx, ny, nx as f64, ny as f64);

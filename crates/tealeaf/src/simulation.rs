@@ -223,9 +223,15 @@ mod tests {
     #[test]
     fn protected_runs_match_unprotected_within_masking_noise() {
         let baseline = Simulation::new(small_deck(SolverKind::Cg)).run().unwrap();
-        for scheme in EccScheme::ALL {
-            let protection =
-                ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::SlicingBy16);
+        // CRC32C once per kernel tier: a software backend loops per
+        // codeword, `Auto` takes the multi-stream kernels where the CPU has
+        // the instruction.
+        let cases = EccScheme::ALL
+            .map(|scheme| (scheme, Crc32cBackend::SlicingBy16))
+            .into_iter()
+            .chain([(EccScheme::Crc32c, Crc32cBackend::Auto)]);
+        for (scheme, backend) in cases {
+            let protection = ProtectionConfig::full(scheme).with_crc_backend(backend);
             let report = Simulation::new(small_deck(SolverKind::Cg))
                 .with_protection(protection)
                 .run()

@@ -89,16 +89,50 @@ impl State {
 
 /// Fills the density and energy fields from an ordered list of states (later
 /// states overwrite earlier ones, as in TeaLeaf).
+///
+/// The separable geometries are not tested cell by cell: a background state
+/// is a `fill`, and a rectangle's predicate splits into one test per column
+/// and one per row ([`State::contains_cell`] compares the two coordinates of
+/// the cell centre independently).
 pub fn apply_states(grid: &Grid, states: &[State], density: &mut [f64], energy: &mut [f64]) {
     assert_eq!(density.len(), grid.cells());
     assert_eq!(energy.len(), grid.cells());
     for state in states {
-        for j in 0..grid.ny {
-            for i in 0..grid.nx {
-                if state.contains_cell(grid, i, j) {
-                    let idx = grid.index(i, j);
-                    density[idx] = state.density;
-                    energy[idx] = state.energy;
+        match state.geometry {
+            Geometry::Everywhere => {
+                density.fill(state.density);
+                energy.fill(state.energy);
+            }
+            Geometry::Rectangle {
+                x_min,
+                x_max,
+                y_min,
+                y_max,
+            } => {
+                let columns: Vec<usize> = (0..grid.nx)
+                    .filter(|&i| {
+                        let cx = grid.cell_centre(i, 0).0;
+                        cx >= x_min && cx < x_max
+                    })
+                    .collect();
+                for j in 0..grid.ny {
+                    let cy = grid.cell_centre(0, j).1;
+                    if cy >= y_min && cy < y_max {
+                        for &i in &columns {
+                            density[grid.index(i, j)] = state.density;
+                            energy[grid.index(i, j)] = state.energy;
+                        }
+                    }
+                }
+            }
+            Geometry::Circle { .. } | Geometry::Point { .. } => {
+                for j in 0..grid.ny {
+                    for i in 0..grid.nx {
+                        if state.contains_cell(grid, i, j) {
+                            density[grid.index(i, j)] = state.density;
+                            energy[grid.index(i, j)] = state.energy;
+                        }
+                    }
                 }
             }
         }
@@ -158,6 +192,66 @@ mod tests {
         assert!(point.contains_cell(&grid, 7, 2));
         assert!(!point.contains_cell(&grid, 7, 3));
         assert!(!point.contains_cell(&grid, 6, 2));
+    }
+
+    /// The separable fast paths against the per-cell predicate, on regions
+    /// that straddle the domain edge, miss it, or are empty.
+    #[test]
+    fn fields_equal_the_per_cell_predicate() {
+        let grid = Grid::new(13, 9, 10.0, 4.5);
+        let rectangle = |x_min, x_max, y_min, y_max, value| State {
+            geometry: Geometry::Rectangle {
+                x_min,
+                x_max,
+                y_min,
+                y_max,
+            },
+            density: value,
+            energy: value + 0.5,
+        };
+        let states = [
+            State::background(0.2, 1.0),
+            rectangle(0.0, 5.0, 0.0, 2.0, 1.0),
+            rectangle(-3.0, 1.2, 3.9, 40.0, 2.0),
+            rectangle(4.0, 4.0, 0.0, 4.5, 3.0),
+            rectangle(20.0, 30.0, 0.0, 4.5, 4.0),
+            State {
+                geometry: Geometry::Circle {
+                    x: 6.0,
+                    y: 2.0,
+                    radius: 1.7,
+                },
+                density: 5.0,
+                energy: 5.5,
+            },
+            State {
+                geometry: Geometry::Point { x: 9.9, y: 0.1 },
+                density: 6.0,
+                energy: 6.5,
+            },
+            rectangle(5.5, 7.5, 1.0, 3.0, 7.0),
+        ];
+        let (mut density, mut energy) = (vec![0.0; grid.cells()], vec![0.0; grid.cells()]);
+        apply_states(&grid, &states, &mut density, &mut energy);
+        let (mut want_d, mut want_e) = (vec![0.0; grid.cells()], vec![0.0; grid.cells()]);
+        for state in &states {
+            for j in 0..grid.ny {
+                for i in 0..grid.nx {
+                    if state.contains_cell(&grid, i, j) {
+                        want_d[grid.index(i, j)] = state.density;
+                        want_e[grid.index(i, j)] = state.energy;
+                    }
+                }
+            }
+        }
+        assert_eq!(density, want_d);
+        assert_eq!(energy, want_e);
+        // Every state above left a mark except the empty and the outside
+        // rectangle.
+        for value in [0.2, 1.0, 2.0, 5.0, 6.0, 7.0] {
+            assert!(density.contains(&value), "{value}");
+        }
+        assert!(!density.contains(&3.0) && !density.contains(&4.0));
     }
 
     #[test]

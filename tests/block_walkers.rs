@@ -1,8 +1,8 @@
 //! Fault paths through the block-granular kernels.
 //!
-//! The SECDED64 SpMV/SpMM kernels certify 64 rows of elements with one
-//! batched predicate and the masked BLAS-1 updates certify whole runs and
-//! write back 128 staged results at a time.  Blocking must not be
+//! The SECDED64 and CRC32C SpMV/SpMM kernels certify 64 rows of elements
+//! with one batched predicate and the masked BLAS-1 kernels certify whole
+//! runs and write back 128 staged results at a time.  Blocking must not be
 //! observable: with a fault planted at a block edge, the outputs, the
 //! [`FaultLogSnapshot`] and the reported error must equal those of per-row /
 //! per-group execution.  The per-row reference here is the same public
@@ -39,9 +39,19 @@ enum Flip {
     Column(usize),
     /// Two flipped value bits of element `k`: uncorrectable.
     Double(usize),
-    /// One flipped payload bit of row-pointer entry `row` (CSR tiers).
-    RowPointer(usize),
+    /// One flipped bit of the redundancy byte element `k` carries (a
+    /// checksum byte under CRC32C, where `k` must be one of its row's first
+    /// four elements).
+    Checksum(usize),
+    /// Flipped bits of row-pointer entry `row` (CSR tiers): one payload bit
+    /// is corrected, one redundancy bit leaves the payload intact, two
+    /// payload bits are uncorrectable.
+    RowPointer(usize, &'static [u32]),
 }
+
+const RP_PAYLOAD: &[u32] = &[2];
+const RP_REDUNDANCY: &[u32] = &[29];
+const RP_DOUBLE: &[u32] = &[2, 11];
 
 fn plant(a: &mut AnyProtectedMatrix, what: Flip) {
     match what {
@@ -51,7 +61,8 @@ fn plant(a: &mut AnyProtectedMatrix, what: Flip) {
             a.inject_value_bit_flip(k, 3);
             a.inject_value_bit_flip(k, 40);
         }
-        Flip::RowPointer(row) => {
+        Flip::Checksum(k) => a.inject_col_bit_flip(k, 28),
+        Flip::RowPointer(row, bits) => {
             let entry = match a {
                 AnyProtectedMatrix::Coo(_) => unreachable!("CSR tiers only"),
                 AnyProtectedMatrix::BlockedCsr(b) => {
@@ -64,7 +75,9 @@ fn plant(a: &mut AnyProtectedMatrix, what: Flip) {
                 }
                 AnyProtectedMatrix::Csr(_) => row,
             };
-            a.inject_structure_bit_flip(entry, 2);
+            for &bit in bits {
+                a.inject_structure_bit_flip(entry, bit);
+            }
         }
     }
 }
@@ -159,11 +172,33 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
     for k in elements {
         plants.extend([Flip::Value(k), Flip::Column(k), Flip::Double(k)]);
     }
-    plants.push(Flip::RowPointer(100));
+    for row in [64, 128, 2592 + 64] {
+        plants.push(Flip::Checksum(at(row)));
+    }
+    for row in [64, 100, 127, 128] {
+        plants
+            .extend([RP_PAYLOAD, RP_REDUNDANCY, RP_DOUBLE].map(|bits| Flip::RowPointer(row, bits)));
+    }
 
-    for tier in TIERS {
+    // COO keeps its own per-row CRC32C kernel; the row-block walker under
+    // CRC32C is the CSR tiers'.
+    let cases = [
+        (
+            ProtectionConfig::matrix_only(EccScheme::Secded64),
+            &TIERS[..],
+        ),
+        (
+            ProtectionConfig::full(EccScheme::Crc32c),
+            &[StorageTier::Csr, StorageTier::BlockedCsr(3)],
+        ),
+    ];
+    for (cfg, &tier) in cases
+        .iter()
+        .flat_map(|(cfg, tiers)| tiers.iter().map(move |tier| (cfg, tier)))
+    {
         for parallel in [false, true] {
-            let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64).with_parallel(parallel);
+            let scheme = cfg.elements;
+            let cfg = cfg.with_parallel(parallel);
             let clean = AnyProtectedMatrix::encode(&plain, &cfg, tier).unwrap();
             for width in [1usize, 8] {
                 let xs = &xs[..width];
@@ -174,10 +209,11 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                     // kernel bisects the *unchecked* row indices for its
                     // first element, so a call per row is no reference for
                     // a flipped row index.
-                    if tier == StorageTier::Coo && matches!(what, Flip::RowPointer(_)) {
+                    if tier == StorageTier::Coo && matches!(what, Flip::RowPointer(..)) {
                         continue;
                     }
-                    let label = format!("{tier:?} parallel={parallel} width={width} {what:?}");
+                    let label =
+                        format!("{scheme:?} {tier:?} parallel={parallel} width={width} {what:?}");
                     let mut corrupt = clean.clone();
                     plant(&mut corrupt, what);
                     let got = run_kernel(&corrupt, xs);
@@ -189,7 +225,7 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                     // per touching row in the reference, once per range in
                     // the kernel.  Both must see it; the count is not
                     // comparable.
-                    if matches!(what, Flip::RowPointer(_)) {
+                    if matches!(what, Flip::RowPointer(..)) && got.result.is_ok() {
                         assert!(g.corrected[ROW_STRUCTURE] >= 1, "{label}");
                         assert!(w.corrected[ROW_STRUCTURE] >= 1, "{label}");
                         g.corrected[ROW_STRUCTURE] = 0;
@@ -202,7 +238,10 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                         w.checks[ROW_STRUCTURE] = g.checks[ROW_STRUCTURE];
                     }
                     if got.result.is_err() {
-                        assert!(matches!(what, Flip::Double(_)), "{label}");
+                        assert!(
+                            matches!(what, Flip::Double(_) | Flip::RowPointer(_, RP_DOUBLE)),
+                            "{label}"
+                        );
                         assert!(
                             matches!(got.result, Err(AbftError::Uncorrectable { .. })),
                             "{label}"
@@ -218,7 +257,7 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                     }
                     assert_eq!(g, w, "{label}");
                     assert_eq!(g.checks, fault_free.faults.checks, "{label}");
-                    if !matches!(what, Flip::RowPointer(_)) {
+                    if !matches!(what, Flip::RowPointer(..)) {
                         assert_eq!(g.total_corrected(), 1, "{label}");
                     }
                     assert_eq!(bits(&got.ys), bits(&want.ys), "{label}");
@@ -267,72 +306,87 @@ fn sample(n: usize, seed: f64) -> Vec<f64> {
         .collect()
 }
 
-/// `axpy/xpay/scale/dot_axpy_masked` against the group-decode reference
+/// `dot/axpy/xpay/scale/dot_axpy_masked` against the group-decode reference
 /// with a flip in `s` or in `x` at the edges of the 128-element write
-/// stages and of the 4096-element accumulation blocks.
+/// stages and of the 4096-element accumulation blocks, in the trailing
+/// partial group and in its padding.
 #[test]
 fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
-    let n = 8200;
-    let encode = |seed: f64| {
-        ProtectedVector::from_slice(&sample(n, seed), EccScheme::Secded64, Crc32cBackend::Auto)
-    };
-    let (s0, x0) = (encode(1.0), encode(7.5));
-    let alpha = 0.625;
-    for index in [0usize, 127, 128, 255, 4095, 4096, 4223, n - 1] {
-        for in_x in [false, true] {
-            for flips in [&[33u32][..], &[20, 45]] {
-                let label = format!("index {index} in_x={in_x} flips={flips:?}");
-                let (mut s, mut x) = (s0.clone(), x0.clone());
-                for &bit in flips {
-                    if in_x { &mut x } else { &mut s }.inject_bit_flip(index, bit);
-                }
-                type Kernel = fn(
-                    &mut ProtectedVector,
-                    f64,
-                    &ProtectedVector,
-                    &FaultLog,
-                ) -> Result<f64, AbftError>;
-                let pairs: [(&str, Kernel, Kernel); 4] = [
-                    (
-                        "axpy",
-                        |s, a, x, log| s.axpy_masked(a, x, log).map(|()| 0.0),
-                        |s, a, x, log| s.axpy(a, x, log).map(|()| 0.0),
-                    ),
-                    (
-                        "xpay",
-                        |s, a, x, log| s.xpay_masked(a, x, log).map(|()| 0.0),
-                        |s, a, x, log| s.xpay(a, x, log).map(|()| 0.0),
-                    ),
-                    (
-                        "scale",
-                        |s, a, _, log| s.scale_masked(a, log).map(|()| 0.0),
-                        |s, a, _, log| s.scale(a, log).map(|()| 0.0),
-                    ),
-                    (
-                        "dot_axpy",
-                        |s, a, x, log| s.dot_axpy_masked(a, x, log),
-                        |s, a, x, log| {
-                            s.axpy(a, x, log)?;
-                            s.dot(s, &FaultLog::new())
-                        },
-                    ),
-                ];
-                for (name, masked, reference) in pairs {
-                    if name == "scale" && in_x {
-                        continue;
+    // Not a multiple of four: CRC32C's last group holds two elements and
+    // two padding words.
+    let n = 8202;
+    for scheme in [EccScheme::Secded64, EccScheme::Crc32c] {
+        let encode =
+            |seed: f64| ProtectedVector::from_slice(&sample(n, seed), scheme, Crc32cBackend::Auto);
+        let (s0, x0) = (encode(1.0), encode(7.5));
+        let alpha = 0.625;
+        let mut indices = vec![0usize, 127, 128, 255, 4095, 4096, 4223, n - 1];
+        indices.extend(n..s0.raw().len());
+        for index in indices {
+            for in_x in [false, true] {
+                // A payload bit, a redundancy bit, two payload bits.
+                for flips in [&[33u32][..], &[3], &[20, 45]] {
+                    let label = format!("{scheme:?} index {index} in_x={in_x} flips={flips:?}");
+                    let (mut s, mut x) = (s0.clone(), x0.clone());
+                    for &bit in flips {
+                        if in_x { &mut x } else { &mut s }.inject_bit_flip(index, bit);
                     }
-                    let (mut sm, mut sr) = (s.clone(), s.clone());
-                    let (log_m, log_r) = (FaultLog::new(), FaultLog::new());
-                    let got = masked(&mut sm, alpha, &x, &log_m);
-                    let want = reference(&mut sr, alpha, &x, &log_r);
-                    assert_eq!(got.is_ok(), flips.len() == 1, "{name} {label}");
-                    assert_eq!(
-                        got.as_ref().map(|v| v.to_bits()),
-                        want.as_ref().map(|v| v.to_bits()),
-                        "{name} {label}"
-                    );
-                    assert_eq!(log_m.snapshot(), log_r.snapshot(), "{name} {label}");
-                    assert_eq!(sm.raw(), sr.raw(), "{name} {label}");
+                    // Padding words are architecturally zero, so any damage
+                    // confined to them is repaired.
+                    let recoverable = flips.len() == 1 || index >= n;
+                    type Kernel = fn(
+                        &mut ProtectedVector,
+                        f64,
+                        &ProtectedVector,
+                        &FaultLog,
+                    ) -> Result<f64, AbftError>;
+                    let pairs: [(&str, Kernel, Kernel); 5] = [
+                        (
+                            "dot",
+                            |s, _, x, log| s.dot_masked(x, log),
+                            |s, _, x, log| s.dot(x, log),
+                        ),
+                        (
+                            "axpy",
+                            |s, a, x, log| s.axpy_masked(a, x, log).map(|()| 0.0),
+                            |s, a, x, log| s.axpy(a, x, log).map(|()| 0.0),
+                        ),
+                        (
+                            "xpay",
+                            |s, a, x, log| s.xpay_masked(a, x, log).map(|()| 0.0),
+                            |s, a, x, log| s.xpay(a, x, log).map(|()| 0.0),
+                        ),
+                        (
+                            "scale",
+                            |s, a, _, log| s.scale_masked(a, log).map(|()| 0.0),
+                            |s, a, _, log| s.scale(a, log).map(|()| 0.0),
+                        ),
+                        (
+                            "dot_axpy",
+                            |s, a, x, log| s.dot_axpy_masked(a, x, log),
+                            |s, a, x, log| {
+                                s.axpy(a, x, log)?;
+                                s.dot(s, &FaultLog::new())
+                            },
+                        ),
+                    ];
+                    for (name, masked, reference) in pairs {
+                        if name == "scale" && in_x {
+                            continue;
+                        }
+                        let (mut sm, mut sr) = (s.clone(), s.clone());
+                        let (log_m, log_r) = (FaultLog::new(), FaultLog::new());
+                        let got = masked(&mut sm, alpha, &x, &log_m);
+                        let want = reference(&mut sr, alpha, &x, &log_r);
+                        assert_eq!(got.is_ok(), recoverable, "{name} {label}");
+                        assert_eq!(
+                            got.as_ref().map(|v| v.to_bits()),
+                            want.as_ref().map(|v| v.to_bits()),
+                            "{name} {label}"
+                        );
+                        assert_eq!(log_m.snapshot(), log_r.snapshot(), "{name} {label}");
+                        assert_eq!(sm.raw(), sr.raw(), "{name} {label}");
+                    }
                 }
             }
         }
