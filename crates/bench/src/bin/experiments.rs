@@ -16,17 +16,8 @@
 //! Absolute times depend on the host; the quantity to compare against the
 //! paper is the *relative overhead* column and its ordering across schemes.
 
-use abft_bench::blas1_bench::{blas1_microbench, trajectory_points_json, Blas1BenchConfig};
 use abft_bench::coverage::{self, check_coverage, measure_coverage, CoverageConfig};
-use abft_bench::ecc_bench::{self, ecc_microbench, EccBenchConfig};
 use abft_bench::matrix_file::{self, matrix_file_report, MatrixFileConfig};
-use abft_bench::precond_bench::{self, precond_microbench, PrecondBenchConfig};
-use abft_bench::queue_bench::{self, queue_microbench, QueueBenchConfig};
-use abft_bench::regression::{check_regression, GateConfig};
-use abft_bench::scaling_bench::{self, scaling_microbench, ScalingBenchConfig};
-use abft_bench::spmv_bench::{
-    render_table, spmv_microbench, trajectory_point_json, SpmvBenchConfig,
-};
 use abft_bench::{
     combined_full_protection, convergence_impact, fault_campaign_summary, figure4, figure5,
     figure6, figure7, figure8, figure9, FigureTable, MeasurementConfig,
@@ -45,23 +36,10 @@ struct Args {
     combined: bool,
     full: bool,
     smoke: bool,
-    bench_spmv: bool,
-    bench_blas1: bool,
-    bench_ecc: bool,
-    bench_scaling: bool,
-    bench_queue: bool,
     bench_coverage: bool,
-    bench_precond: bool,
-    check_regression: bool,
     check_coverage: bool,
-    baseline_spmv: String,
-    baseline_blas1: String,
-    baseline_queue: String,
-    baseline_precond: String,
     baseline_coverage: String,
-    gate_tolerance: f64,
     coverage_tolerance: f64,
-    bench_label: String,
     matrix_file: Option<String>,
     num_blocks: usize,
     parallel: bool,
@@ -86,23 +64,10 @@ impl Default for Args {
             combined: false,
             full: false,
             smoke: false,
-            bench_spmv: false,
-            bench_blas1: false,
-            bench_ecc: false,
-            bench_scaling: false,
-            bench_queue: false,
             bench_coverage: false,
-            bench_precond: false,
-            check_regression: false,
             check_coverage: false,
-            baseline_spmv: "BENCH_spmv.json".to_string(),
-            baseline_blas1: "BENCH_blas1.json".to_string(),
-            baseline_queue: "BENCH_queue.json".to_string(),
-            baseline_precond: "BENCH_precond.json".to_string(),
             baseline_coverage: "BENCH_coverage.json".to_string(),
-            gate_tolerance: 25.0,
             coverage_tolerance: 5.0,
-            bench_label: "current".to_string(),
             matrix_file: None,
             num_blocks: 8,
             parallel: false,
@@ -127,36 +92,15 @@ const HELP: &str = "experiments — regenerate the paper's figures.
   --crc-capability     §IV CRC32C detection-capability table
   --full               paper-sized workload (2048x2048, 100 CG iterations)
   --smoke              tiny CI preset: every section at 24x24, 3 iterations
-  --bench-spmv         SpMV kernel microbenchmark (the BENCH_spmv.json sweep)
-  --bench-blas1        protected BLAS-1 microbenchmark (the BENCH_blas1.json sweep)
-  --bench-ecc          ECC check-throughput microbenchmark: per-group vs
-                       batched-SIMD verify, CRC slicing-width sweep
-                       (the BENCH_ecc.json sweep)
-  --bench-scaling      worker-count scaling sweep (the BENCH_scaling.json sweep)
-  --bench-queue        multi-tenant serving throughput: serial dispatch vs
-                       SolveQueue panels at k in {1,2,4,8}
-                       (the BENCH_queue.json sweep)
   --bench-coverage     fixed-seed smoke fault-coverage campaign: bit flips for
                        every scheme x region plus the parity-tier erasure
                        scenarios (the BENCH_coverage.json matrix)
-  --bench-precond      selective-reliability sweep: uniform vs selective
-                       FT-PCG time-to-correct-solution under injected factor
-                       corruption (the BENCH_precond.json crossover)
-  --check-regression   CI gate: re-measure and compare overhead ratios against
-                       the committed BENCH_spmv.json / BENCH_blas1.json /
-                       BENCH_queue.json (exit 1 on >25% degradation)
   --check-coverage     CI gate: re-run the smoke coverage campaign and compare
                        safe / recovered / rebuilt rates against the committed
                        BENCH_coverage.json (exit 1 on a rate drop)
-  --baseline-spmv P    SpMV baseline file for --check-regression
-  --baseline-blas1 P   BLAS-1 baseline file for --check-regression
-  --baseline-queue P   serving-throughput baseline file for --check-regression
-  --baseline-precond P selective-reliability baseline file for --check-regression
   --baseline-coverage P coverage baseline file for --check-coverage
-  --gate-tolerance PCT allowed ratio degradation for --check-regression
   --coverage-tolerance PP allowed rate drop (percentage points) for
                        --check-coverage
-  --bench-label L      trajectory-point label for --bench-* JSON output
   --matrix-file M      run the protected kernels on a Matrix Market file:
                        SpMV overhead per scheme on every storage tier (CSR,
                        COO, blocked CSR), plus a per-tier matrix-protected
@@ -197,31 +141,14 @@ fn parse_args() -> Result<Args, String> {
             "--combined" => args.combined = true,
             "--full" => args.full = true,
             "--smoke" => args.smoke = true,
-            "--bench-spmv" => args.bench_spmv = true,
-            "--bench-blas1" => args.bench_blas1 = true,
-            "--bench-ecc" => args.bench_ecc = true,
-            "--bench-scaling" => args.bench_scaling = true,
-            "--bench-queue" => args.bench_queue = true,
             "--bench-coverage" => args.bench_coverage = true,
-            "--bench-precond" => args.bench_precond = true,
-            "--check-regression" => args.check_regression = true,
             "--check-coverage" => args.check_coverage = true,
-            "--baseline-spmv" => args.baseline_spmv = value("--baseline-spmv")?,
-            "--baseline-blas1" => args.baseline_blas1 = value("--baseline-blas1")?,
-            "--baseline-queue" => args.baseline_queue = value("--baseline-queue")?,
-            "--baseline-precond" => args.baseline_precond = value("--baseline-precond")?,
             "--baseline-coverage" => args.baseline_coverage = value("--baseline-coverage")?,
-            "--gate-tolerance" => {
-                args.gate_tolerance = value("--gate-tolerance")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
             "--coverage-tolerance" => {
                 args.coverage_tolerance = value("--coverage-tolerance")?
                     .parse()
                     .map_err(|e| format!("{e}"))?
             }
-            "--bench-label" => args.bench_label = value("--bench-label")?,
             "--matrix-file" => args.matrix_file = Some(value("--matrix-file")?),
             "--num-blocks" => {
                 args.num_blocks = value("--num-blocks")?.parse().map_err(|e| format!("{e}"))?
@@ -390,47 +317,6 @@ fn main() {
         return;
     }
 
-    if args.check_regression {
-        // The gate re-measures at the committed workload size (--nx, default
-        // 256) with CI-cheap iteration counts and compares overhead ratios;
-        // do not combine with --smoke, which shrinks --nx away from the
-        // committed workload.
-        let config = GateConfig {
-            spmv_baseline: args.baseline_spmv.clone(),
-            blas1_baseline: args.baseline_blas1.clone(),
-            queue_baseline: args.baseline_queue.clone(),
-            precond_baseline: args.baseline_precond.clone(),
-            nx: args.nx,
-            iters: args.iterations.min(8),
-            repeats: args.repeats.min(2),
-            tolerance_pct: args.gate_tolerance,
-        };
-        println!(
-            "Perf-regression gate: fresh {0}x{0} measurement vs {1} + {2} + {3} + {4} (tolerance +{5}%)",
-            config.nx,
-            config.spmv_baseline,
-            config.blas1_baseline,
-            config.queue_baseline,
-            config.precond_baseline,
-            config.tolerance_pct
-        );
-        match check_regression(&config) {
-            Ok(report) => {
-                print!("{}", report.render());
-                if report.regressed() {
-                    eprintln!("perf-regression gate FAILED");
-                    std::process::exit(1);
-                }
-                println!("perf-regression gate passed");
-            }
-            Err(err) => {
-                eprintln!("perf-regression gate could not run: {err}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     if args.check_coverage {
         let config = CoverageConfig {
             baseline: args.baseline_coverage.clone(),
@@ -487,168 +373,6 @@ fn main() {
         if let Some(path) = &args.json {
             std::fs::write(path, coverage::coverage_json(&config, &rows).render())
                 .expect("write JSON output");
-            println!("machine-readable results written to {path}");
-        }
-        return;
-    }
-
-    if args.bench_precond {
-        let config = if args.smoke {
-            PrecondBenchConfig::smoke()
-        } else {
-            PrecondBenchConfig {
-                n: args.nx,
-                repeats: args.repeats.min(2),
-                ..PrecondBenchConfig::default()
-            }
-        };
-        println!(
-            "Selective-reliability sweep ({0}x{0} Poisson grid + {1}, factor flips {2:?}, {3} repeats)",
-            config.n, config.fixture, config.flips, config.repeats
-        );
-        let rows = precond_microbench(&config);
-        print!("{}", precond_bench::render_table(&rows));
-        if let Some(path) = &args.json {
-            let point = precond_bench::trajectory_point_json(&args.bench_label, &config, &rows);
-            let doc = Json::obj([("trajectory", Json::Arr(vec![point]))]);
-            std::fs::write(path, doc.render()).expect("write JSON output");
-            println!("machine-readable results written to {path}");
-        }
-        return;
-    }
-
-    if args.bench_queue {
-        let config = if args.smoke {
-            QueueBenchConfig::smoke()
-        } else {
-            QueueBenchConfig {
-                n: args.nx,
-                iters: args.iterations.min(25),
-                repeats: args.repeats.min(2),
-                ..QueueBenchConfig::default()
-            }
-        };
-        println!(
-            "Multi-tenant serving throughput ({0}x{0} Poisson grid, {1} jobs, widths {2:?}, {3} CG iters/solve, {4} repeats)",
-            config.n, config.jobs, config.widths, config.iters, config.repeats
-        );
-        let rows = queue_microbench(&config);
-        print!("{}", queue_bench::render_table(&rows));
-        if let Some(path) = &args.json {
-            let point = queue_bench::trajectory_point_json(&args.bench_label, &config, &rows);
-            let doc = Json::obj([("trajectory", Json::Arr(vec![point]))]);
-            std::fs::write(path, doc.render()).expect("write JSON output");
-            println!("machine-readable results written to {path}");
-        }
-        return;
-    }
-
-    if args.bench_scaling {
-        let config = if args.smoke {
-            ScalingBenchConfig::smoke()
-        } else {
-            ScalingBenchConfig {
-                iters: args.iterations.min(8),
-                repeats: args.repeats,
-                ..ScalingBenchConfig::default()
-            }
-        };
-        println!(
-            "Worker-count scaling sweep (sizes {:?}, workers {:?}, {} iters, {} repeats)",
-            config.sizes, config.workers, config.iters, config.repeats
-        );
-        let rows = scaling_microbench(&config);
-        print!("{}", scaling_bench::render_table(&config, &rows));
-        if let Some(path) = &args.json {
-            let point = scaling_bench::trajectory_point_json(&args.bench_label, &config, &rows);
-            let doc = Json::obj([("trajectory", Json::Arr(vec![point]))]);
-            std::fs::write(path, doc.render()).expect("write JSON output");
-            println!("machine-readable results written to {path}");
-        }
-        return;
-    }
-
-    if args.bench_ecc {
-        let config = if args.smoke {
-            EccBenchConfig::smoke()
-        } else {
-            EccBenchConfig {
-                elements: args.nx * args.nx,
-                grid_n: args.nx,
-                iters: args.iterations.max(2),
-                repeats: args.repeats,
-                ..EccBenchConfig::default()
-            }
-        };
-        println!(
-            "ECC check-throughput microbenchmark ({} elements, grid {}x{}, {} iters, {} repeats; ISA {}, hardware CRC {})",
-            config.elements,
-            config.grid_n,
-            config.grid_n,
-            config.iters,
-            config.repeats,
-            abft_ecc::verify::detected_isa().label(),
-            abft_ecc::crc32c::hardware_available(),
-        );
-        let rows = ecc_microbench(&config);
-        print!("{}", ecc_bench::render_table(&rows));
-        if let Some(path) = &args.json {
-            let points = ecc_bench::trajectory_points_json(&args.bench_label, &config, &rows);
-            let doc = Json::obj([("trajectory", Json::Arr(points))]);
-            std::fs::write(path, doc.render()).expect("write JSON output");
-            println!("machine-readable results written to {path}");
-        }
-        return;
-    }
-
-    if args.bench_blas1 {
-        // --nx / --iters / --repeats drive the sweep (--smoke shrinks them
-        // via parse_args); vectors have nx² elements.
-        let config = Blas1BenchConfig {
-            n: args.nx,
-            iters: args.iterations.max(2),
-            repeats: args.repeats,
-            cg_iterations: args.iterations,
-            parallel: args.parallel,
-        };
-        println!(
-            "Protected BLAS-1 microbenchmark ({0}x{0} Poisson grid = {1} elements, {2} iters, {3} repeats, masked path {4})",
-            config.n,
-            config.n * config.n,
-            config.iters,
-            config.repeats,
-            if config.parallel { "parallel" } else { "serial" }
-        );
-        let rows = blas1_microbench(&config);
-        print!("{}", abft_bench::blas1_bench::render_table(&rows));
-        if let Some(path) = &args.json {
-            let points = trajectory_points_json(&args.bench_label, &config, &rows);
-            let doc = Json::obj([("trajectory", Json::Arr(points))]);
-            std::fs::write(path, doc.render()).expect("write JSON output");
-            println!("machine-readable results written to {path}");
-        }
-        return;
-    }
-
-    if args.bench_spmv {
-        // --nx / --iters / --repeats drive the sweep (and --smoke shrinks
-        // them via parse_args); ny is meaningless for the square Poisson
-        // grid this benchmark uses.
-        let config = SpmvBenchConfig {
-            n: args.nx,
-            iters: args.iterations,
-            repeats: args.repeats,
-        };
-        println!(
-            "SpMV kernel microbenchmark ({}x{} Poisson grid, {} iters, {} repeats)",
-            config.n, config.n, config.iters, config.repeats
-        );
-        let rows = spmv_microbench(&config);
-        print!("{}", render_table(&rows));
-        if let Some(path) = &args.json {
-            let point = trajectory_point_json(&args.bench_label, &config, &rows);
-            let doc = Json::obj([("trajectory", Json::Arr(vec![point]))]);
-            std::fs::write(path, doc.render()).expect("write JSON output");
             println!("machine-readable results written to {path}");
         }
         return;

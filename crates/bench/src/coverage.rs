@@ -1,7 +1,7 @@
 //! CI fault-coverage gate (`experiments --check-coverage`).
 //!
-//! The perf gate ([`crate::regression`]) protects the *speed* of the
-//! protected kernels; this gate protects their *effectiveness*.  It re-runs
+//! The end-to-end benchmark (`benchmark/`) measures what the protected
+//! kernels *cost*; this gate protects their *effectiveness*.  It re-runs
 //! a fixed-seed smoke fault-injection campaign on the current build — single
 //! bit flips into every region under every scheme, plus the erasure
 //! scenarios of the parity tier — and compares the outcome rates against the
@@ -27,9 +27,12 @@ use abft_core::{EccScheme, ParityConfig, ProtectionConfig, StorageTier};
 use abft_ecc::Crc32cBackend;
 use abft_faultsim::json::Json;
 use abft_faultsim::{
-    Campaign, CampaignConfig, FaultOutcome, FaultTarget, InjectionKind, StopRule, StreamConfig,
+    Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultSpec, FaultTarget, InjectionKind,
+    StopRule, StreamConfig,
 };
 use abft_solvers::Reliability;
+
+use crate::tealeaf_system;
 
 /// Gate configuration.
 #[derive(Debug, Clone)]
@@ -51,7 +54,8 @@ pub struct CoverageConfig {
     /// `trials` becomes a *maximum* and each row stops as soon as the
     /// spending-corrected bound proves the target (or futility).  `None`
     /// (the gate's setting) runs every trial, keeping the measured rates
-    /// bitwise identical to the committed baseline on the same host.
+    /// bitwise identical to the committed baseline on the same host.  The
+    /// COO-parallel rows sweep a fixed window either way.
     pub stop_lb: Option<f64>,
 }
 
@@ -116,6 +120,15 @@ fn run_campaign(
             campaign.run_streaming(&stream).stats
         }
     };
+    coverage_row(injection_label, scheme, target, &stats)
+}
+
+fn coverage_row(
+    injection_label: &str,
+    scheme: EccScheme,
+    target: FaultTarget,
+    stats: &CampaignStats,
+) -> CoverageRow {
     CoverageRow {
         injection: injection_label.to_string(),
         scheme: scheme.label().to_string(),
@@ -127,10 +140,57 @@ fn run_campaign(
     }
 }
 
+/// Grid of the COO-parallel rows: 73 × 71 = 5183 rows is past the parallel
+/// drivers' 4096-row minimum chunk, so on any host with at least two lanes
+/// `spmv_parallel` splits the matrix into two row ranges, the second
+/// starting at row 2592 — an interior cell (x = 37), whose five entries are
+/// all non-zero (a boundary row leads with an explicit zero, which would
+/// mask a stepped-over first element).  One lane runs the same trials as one
+/// range.
+const COO_PARALLEL_GRID: (usize, usize) = (73, 71);
+
+/// Row-index flips under COO with the parallel kernels, aimed where uniform
+/// draws all but never land: the elements of the *first row of the second
+/// parallel range*, which that range has to find by bisecting row indices
+/// one of which now reads lower than it is.  The window is every single-bit
+/// flip that lowers such an index — the row's elements × the set bits of
+/// its number, 5 × 3 cases here — swept in order and capped at
+/// `config.trials`; a kernel that bisects the unchecked indices steps over
+/// the element in 6 of the 15, far outside the gate's tolerance.
+fn coo_parallel_row(config: &CoverageConfig, scheme: EccScheme) -> CoverageRow {
+    let target = FaultTarget::RowPointer;
+    let (nx, ny) = COO_PARALLEL_GRID;
+    let campaign = Campaign::new(CampaignConfig {
+        nx,
+        ny,
+        protection: ProtectionConfig::full(scheme)
+            .with_crc_backend(Crc32cBackend::Hardware)
+            .with_parallel(true),
+        target,
+        storage: StorageTier::Coo,
+        ..CampaignConfig::default()
+    });
+    let matrix = tealeaf_system(nx, ny).matrix;
+    let row0 = matrix.rows().div_ceil(2);
+    let lowering = (0..24u32).filter(|bit| row0 >> bit & 1 == 1);
+    let window = matrix
+        .row_range(row0)
+        .flat_map(|element| lowering.clone().map(move |bit| (element, bit)));
+    let mut stats = CampaignStats::default();
+    for flip in window.take(config.trials) {
+        stats.record(campaign.run_trial(&FaultSpec {
+            target,
+            flips: vec![flip],
+        }));
+    }
+    coverage_row("bit flip (coo, parallel)", scheme, target, &stats)
+}
+
 /// Runs the smoke campaign matrix and returns one row per configuration:
-/// single bit flips for every scheme × region, then the erasure scenarios
-/// (chunk erasure with and without the parity tier, row-pointer codeword
-/// group erasure).
+/// single bit flips for every scheme × region, the erasure scenarios (chunk
+/// erasure with and without the parity tier, row-pointer codeword group
+/// erasure), the selective-reliability scenarios, then the COO-parallel
+/// range-start flips.
 pub fn measure_coverage(config: &CoverageConfig) -> Vec<CoverageRow> {
     let base = CampaignConfig {
         nx: config.nx,
@@ -312,6 +372,9 @@ pub fn measure_coverage(config: &CoverageConfig) -> Vec<CoverageRow> {
             EccScheme::Secded64,
             config.stop_lb,
         ));
+    }
+    for scheme in [EccScheme::Secded64, EccScheme::Crc32c] {
+        rows.push(coo_parallel_row(config, scheme));
     }
     rows
 }
@@ -535,9 +598,9 @@ mod tests {
         let rows = measure_coverage(&small);
         // 4 schemes x 4 targets of CSR bit flips, 4 schemes x 3 matrix-side
         // targets through the COO tier, 4 schemes x 2 live solver-vector
-        // strikes, the 3 erasure scenarios, plus the 6 selective-reliability
-        // preconditioner scenarios.
-        assert_eq!(rows.len(), 45);
+        // strikes, the 3 erasure scenarios, the 6 selective-reliability
+        // preconditioner scenarios, plus the 2 COO-parallel range-start rows.
+        assert_eq!(rows.len(), 47);
         assert!(render_table(&rows).contains("chunk erasure (parity)"));
         assert!(render_table(&rows).contains("bit flip (coo)"));
         assert!(render_table(&rows).contains("solver-vector flip"));

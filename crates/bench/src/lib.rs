@@ -1,9 +1,7 @@
 //! # abft-bench — the experiment harness behind Figures 4–9
 //!
-//! This crate contains the shared machinery used by both the Criterion
-//! benches (`benches/fig*.rs`, one per figure of the paper) and the
-//! `experiments` binary, which prints the same overhead tables the paper
-//! plots.
+//! This crate contains the machinery behind the `experiments` binary, which
+//! prints the same overhead tables the paper plots.
 //!
 //! The measurement protocol mirrors the paper's: the workload is a TeaLeaf
 //! heat-conduction solve (CG), the baseline is the unprotected build, and
@@ -22,30 +20,8 @@ use abft_tealeaf::states::apply_states;
 use abft_tealeaf::{Deck, Grid};
 use std::time::Instant;
 
-pub mod blas1_bench;
 pub mod coverage;
-pub mod ecc_bench;
 pub mod matrix_file;
-pub mod precond_bench;
-pub mod queue_bench;
-pub mod regression;
-pub mod scaling_bench;
-pub mod spmv_bench;
-
-/// Minimum-over-repeats mean time per application of `f`, in nanoseconds —
-/// the shared timing protocol of the kernel microbenchmarks (`f` receives
-/// the iteration index so mutating kernels can alternate their arguments).
-pub(crate) fn best_of(repeats: usize, iters: usize, mut f: impl FnMut(usize)) -> f64 {
-    (0..repeats.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            for i in 0..iters.max(1) {
-                f(i);
-            }
-            start.elapsed().as_nanos() as f64 / iters.max(1) as f64
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 /// A TeaLeaf linear system (conduction matrix and right-hand side) for one
 /// time-step of the standard benchmark deck.
@@ -78,14 +54,6 @@ pub fn tealeaf_system(nx: usize, ny: usize) -> TeaLeafSystem {
 /// code the paper's unmodified TeaLeaf would run.
 pub fn time_cg(system: &TeaLeafSystem, protection: &ProtectionConfig, iterations: usize) -> f64 {
     let start = Instant::now();
-    bench_cg_solve(system, protection, iterations);
-    start.elapsed().as_secs_f64()
-}
-
-/// The solve body shared by [`time_cg`] and the per-figure Criterion
-/// benches: exactly `iterations` CG iterations under `protection`, with the
-/// solution black-boxed so the optimiser cannot elide the work.
-pub fn bench_cg_solve(system: &TeaLeafSystem, protection: &ProtectionConfig, iterations: usize) {
     let outcome = Solver::cg()
         .max_iterations(iterations)
         .tolerance(0.0)
@@ -93,7 +61,9 @@ pub fn bench_cg_solve(system: &TeaLeafSystem, protection: &ProtectionConfig, ite
         .solve(&system.matrix, &system.rhs)
         .expect("solve must succeed on clean data");
     assert_eq!(outcome.status.iterations, iterations);
+    // Black-boxed so the optimiser cannot elide the work.
     std::hint::black_box(outcome.solution);
+    start.elapsed().as_secs_f64()
 }
 
 /// Runtime overhead of `protected` relative to `baseline`, in percent.

@@ -53,8 +53,6 @@ use abft_ecc::sed::parity_u64;
 /// cover while keeping every chunk boundary on a block boundary — and below
 /// roughly this size the scoped-dispatch fixed cost (announcing the task,
 /// waking workers, the completion wait) exceeds the loop it would offload.
-/// `--bench-scaling` reports one workload on each side of this threshold so
-/// the serial fallback stays visible in `BENCH_scaling.json`.
 pub const PARALLEL_MIN_ELEMENTS: usize = 2 * ACC_BLOCK;
 
 /// Flushes a locally tallied check count in one bulk atomic update.
@@ -1040,87 +1038,6 @@ impl ProtectedVector {
     }
 }
 
-/// `rs[j] ← rs[j] + alphas[j]·xs[j]`, returning the updated `‖rs[j]‖²` in
-/// `out[j]`, for every active column of a width-k panel — CG's fused
-/// residual update applied panel-wide.
-///
-/// Each column's codeword groups are verified exactly once per call by the
-/// fused one-sweep kernel ([`ProtectedVector::dot_axpy_masked`]).  Columns
-/// own disjoint codewords, so the vector side has no cross-column verify to
-/// amortize — the `1/k` saving of panel execution lives in the shared
-/// matrix traversal ([`crate::spmv::protected_spmm`]); what the panel form
-/// adds here is per-column fault isolation: checks and faults for column
-/// `j` land in `logs[j]`, and a faulting column parks its error in
-/// `errors[j]` without disturbing the others.  Inactive columns (converged,
-/// cancelled, or already faulted) are skipped and their `out` slot is left
-/// untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_axpy_panel(
-    rs: &mut [&mut ProtectedVector],
-    alphas: &[f64],
-    xs: &[&ProtectedVector],
-    active: &[bool],
-    logs: &[&FaultLog],
-    out: &mut [f64],
-    errors: &mut [Option<AbftError>],
-) {
-    let width = rs.len();
-    assert!(
-        width <= crate::spmv::MAX_PANEL_WIDTH,
-        "dot_axpy_panel: width {width} exceeds {}",
-        crate::spmv::MAX_PANEL_WIDTH
-    );
-    assert!(
-        alphas.len() == width
-            && xs.len() == width
-            && active.len() == width
-            && logs.len() == width
-            && out.len() == width
-            && errors.len() == width,
-        "dot_axpy_panel: panel slice lengths disagree"
-    );
-    for (j, r) in rs.iter_mut().enumerate() {
-        if !active[j] || errors[j].is_some() {
-            continue;
-        }
-        match r.dot_axpy_masked(alphas[j], xs[j], logs[j]) {
-            Ok(v) => out[j] = v,
-            Err(e) => errors[j] = Some(e),
-        }
-    }
-}
-
-/// `out[j] = ‖vs[j]‖` for every active column of a panel, one verify sweep
-/// per codeword group per column, with the same per-column isolation
-/// discipline as [`dot_axpy_panel`].
-pub fn norm2_panel(
-    vs: &[&ProtectedVector],
-    active: &[bool],
-    logs: &[&FaultLog],
-    out: &mut [f64],
-    errors: &mut [Option<AbftError>],
-) {
-    let width = vs.len();
-    assert!(
-        width <= crate::spmv::MAX_PANEL_WIDTH,
-        "norm2_panel: width {width} exceeds {}",
-        crate::spmv::MAX_PANEL_WIDTH
-    );
-    assert!(
-        active.len() == width && logs.len() == width && out.len() == width && errors.len() == width,
-        "norm2_panel: panel slice lengths disagree"
-    );
-    for (j, v) in vs.iter().enumerate() {
-        if !active[j] || errors[j].is_some() {
-            continue;
-        }
-        match v.norm2_masked(logs[j]) {
-            Ok(n) => out[j] = n,
-            Err(e) => errors[j] = Some(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1137,101 +1054,6 @@ mod tests {
                 assert_eq!(n.div_ceil(k) % ACC_BLOCK, 0, "n={n} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn panel_blas1_matches_per_column_calls_bitwise() {
-        for scheme in [EccScheme::Sed, EccScheme::Secded64, EccScheme::Crc32c] {
-            let n = 103; // len % group ≠ 0 for the grouped schemes
-            let width = 3;
-            let mk = |seed: usize| {
-                let data: Vec<f64> = (0..n).map(|i| ((i + seed) as f64 * 0.31).sin()).collect();
-                ProtectedVector::from_slice(&data, scheme, Crc32cBackend::SlicingBy16)
-            };
-            let mut rs: Vec<ProtectedVector> = (0..width).map(mk).collect();
-            let xs: Vec<ProtectedVector> = (0..width).map(|j| mk(j + 100)).collect();
-            let alphas = [0.5, -1.25, 2.0];
-            // Reference: independent per-column fused calls.
-            let mut refs = rs.clone();
-            let mut expect = vec![0.0; width];
-            for j in 0..width {
-                let log = FaultLog::new();
-                expect[j] = refs[j].dot_axpy_masked(alphas[j], &xs[j], &log).unwrap();
-            }
-            // Panel call.
-            let logs: Vec<FaultLog> = (0..width).map(|_| FaultLog::new()).collect();
-            let mut out = vec![0.0; width];
-            let mut errors = vec![None; width];
-            {
-                let mut rr: Vec<&mut ProtectedVector> = rs.iter_mut().collect();
-                let xr: Vec<&ProtectedVector> = xs.iter().collect();
-                let lr: Vec<&FaultLog> = logs.iter().collect();
-                dot_axpy_panel(
-                    &mut rr,
-                    &alphas,
-                    &xr,
-                    &[true; 3],
-                    &lr,
-                    &mut out,
-                    &mut errors,
-                );
-            }
-            assert!(errors.iter().all(Option::is_none));
-            for j in 0..width {
-                assert_eq!(out[j].to_bits(), expect[j].to_bits(), "{scheme:?} col {j}");
-                for i in 0..n {
-                    assert_eq!(rs[j].get(i).to_bits(), refs[j].get(i).to_bits());
-                }
-            }
-            // norm2 panel agrees with per-column norms.
-            let vr: Vec<&ProtectedVector> = rs.iter().collect();
-            let lr: Vec<&FaultLog> = logs.iter().collect();
-            let mut norms = vec![0.0; width];
-            let mut nerrors = vec![None; width];
-            norm2_panel(&vr, &[true; 3], &lr, &mut norms, &mut nerrors);
-            for j in 0..width {
-                let log = FaultLog::new();
-                assert_eq!(
-                    norms[j].to_bits(),
-                    rs[j].norm2_masked(&log).unwrap().to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn panel_blas1_isolates_a_faulting_column() {
-        let n = 64;
-        let width = 3;
-        let mk = || {
-            ProtectedVector::from_slice(&vec![1.0; n], EccScheme::Sed, Crc32cBackend::SlicingBy16)
-        };
-        let mut rs: Vec<ProtectedVector> = (0..width).map(|_| mk()).collect();
-        let xs: Vec<ProtectedVector> = (0..width).map(|_| mk()).collect();
-        rs[1].inject_bit_flip(7, 30); // SED: uncorrectable
-        let logs: Vec<FaultLog> = (0..width).map(|_| FaultLog::new()).collect();
-        let mut out = vec![f64::NAN; width];
-        let mut errors = vec![None; width];
-        {
-            let mut rr: Vec<&mut ProtectedVector> = rs.iter_mut().collect();
-            let xr: Vec<&ProtectedVector> = xs.iter().collect();
-            let lr: Vec<&FaultLog> = logs.iter().collect();
-            dot_axpy_panel(
-                &mut rr,
-                &[1.0; 3],
-                &xr,
-                &[true; 3],
-                &lr,
-                &mut out,
-                &mut errors,
-            );
-        }
-        assert!(errors[1].is_some());
-        assert!(errors[0].is_none() && errors[2].is_none());
-        assert!(logs[1].total_uncorrectable() > 0);
-        assert_eq!(logs[0].total_uncorrectable(), 0);
-        assert_eq!(logs[2].total_uncorrectable(), 0);
-        assert!(out[0].is_finite() && out[2].is_finite());
     }
 
     #[test]

@@ -36,6 +36,10 @@ pub struct ProtectedBlockedCsr {
     cols: usize,
     nnz: usize,
     /// First global row of each block, plus a trailing `rows` sentinel.
+    /// Like `rows` and `nnz`, this and `elem_starts` are O(blocks)
+    /// descriptor words outside the fault model (no injection hook reaches
+    /// them), so the range lookup bisects them unchecked; every per-row and
+    /// per-element read goes through the owning block's checked decode.
     row_starts: Vec<usize>,
     /// First global element of each block, plus a trailing `nnz` sentinel.
     elem_starts: Vec<usize>,

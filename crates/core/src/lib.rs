@@ -43,7 +43,7 @@ pub mod schemes;
 pub mod spmv;
 
 pub use abft_ecc::Crc32cBackend;
-pub use blas1::{dot_axpy_panel, norm2_panel, ReductionWorkspace, PARALLEL_MIN_ELEMENTS};
+pub use blas1::{ReductionWorkspace, PARALLEL_MIN_ELEMENTS};
 pub use blocked_csr::ProtectedBlockedCsr;
 pub use error::AbftError;
 pub use policy::CheckPolicy;

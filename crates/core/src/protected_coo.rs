@@ -182,38 +182,73 @@ impl ProtectedCoo {
         rp_checks: &mut u64,
     ) -> Result<u32, AbftError> {
         *rp_checks += 1;
+        let (row, corrected) = self.probe_row(k, log)?;
+        if corrected {
+            log.record_corrected(Region::RowPointer);
+        }
+        Ok(row)
+    }
+
+    /// Checked decode of element `k`'s row index that counts no check and
+    /// logs no correction: `(row, corrected)`.  An uncorrectable codeword is
+    /// logged and aborts like any DUE.
+    #[inline]
+    fn probe_row(&self, k: usize, log: &FaultLog) -> Result<(u32, bool), AbftError> {
         let word = self.row_indices[k];
-        match self.config.row_pointer {
-            EccScheme::None => Ok(word),
-            EccScheme::Sed => {
-                if parity_u32(word) != 0 {
-                    log.record_uncorrectable(Region::RowPointer);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::RowPointer,
-                        index: k,
-                    });
-                }
-                Ok(word & COL_MASK_31)
-            }
+        let decoded = match self.config.row_pointer {
+            EccScheme::None => Some((word, false)),
+            EccScheme::Sed => (parity_u32(word) == 0).then_some((word & COL_MASK_31, false)),
             _ => {
-                let stored = (word >> 24) as u16;
                 let mut payload = [(word & COL_MASK_24) as u64];
-                match SECDED_24.check_and_correct(&mut payload, stored) {
-                    DecodeOutcome::NoError => {}
+                match SECDED_24.check_and_correct(&mut payload, (word >> 24) as u16) {
+                    DecodeOutcome::NoError => Some((payload[0] as u32, false)),
                     DecodeOutcome::CorrectedData(_) | DecodeOutcome::CorrectedRedundancy => {
-                        log.record_corrected(Region::RowPointer);
+                        Some((payload[0] as u32, true))
                     }
-                    DecodeOutcome::Uncorrectable => {
-                        log.record_uncorrectable(Region::RowPointer);
-                        return Err(AbftError::Uncorrectable {
-                            region: Region::RowPointer,
-                            index: k,
-                        });
-                    }
+                    DecodeOutcome::Uncorrectable => None,
                 }
-                Ok(payload[0] as u32)
+            }
+        };
+        decoded.ok_or_else(|| {
+            log.record_uncorrectable(Region::RowPointer);
+            AbftError::Uncorrectable {
+                region: Region::RowPointer,
+                index: k,
+            }
+        })
+    }
+
+    /// Index of the first element whose row is at least `row0`, by bisection
+    /// over the row-major element order.  With `check` on the probes go
+    /// through the checked decode, so a correctable flip cannot misdirect
+    /// the search into stepping over an element of row `row0`; a probe only
+    /// steers — the consuming [`Self::row_run`] decode is what counts the
+    /// check and logs a correction, once, whatever the range split.
+    fn first_element_of(
+        &self,
+        row0: usize,
+        check: bool,
+        log: &FaultLog,
+    ) -> Result<usize, AbftError> {
+        if row0 == 0 {
+            return Ok(0);
+        }
+        if !check {
+            let row_mask = self.row_mask();
+            return Ok(self
+                .row_indices
+                .partition_point(|&w| ((w & row_mask) as usize) < row0));
+        }
+        let (mut lo, mut hi) = (0, self.row_indices.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if (self.probe_row(mid, log)?.0 as usize) < row0 {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
+        Ok(lo)
     }
 
     /// Visits every stored entry as `(row, column, value)` with redundancy
@@ -448,13 +483,7 @@ impl ProtectedCoo {
         );
         let values = self.values.as_slice();
         let cols = self.col_indices.as_slice();
-        let row_mask = self.row_mask();
-        // Elements are row-major sorted, so the first element of the chunk
-        // is found by bisection on the masked indices (cheap, unchecked —
-        // consuming reads below decode for real).
-        let mut k = self
-            .row_indices
-            .partition_point(|&w| ((w & row_mask) as usize) < row0);
+        let mut k = self.first_element_of(row0, check, log)?;
         let mut next: Option<u32> = None;
         let elements_checked = check && self.config.elements != EccScheme::None;
 
@@ -788,6 +817,45 @@ mod tests {
         assert!(p.spmv(&x, &mut y, 0, &log).is_err());
         assert!(log.total_uncorrectable() > 0);
         assert!(p.verify_all(&log).is_err());
+    }
+
+    #[test]
+    fn range_start_probes_count_nothing_and_abort_on_a_due() {
+        let m = test_matrix();
+        let x = vec![1.0; m.cols()];
+        let cfg = config(EccScheme::None, EccScheme::Secded64);
+        let mut p = ProtectedCoo::from_csr(&m, &cfg).unwrap();
+        // A one-row range from row 1 consumes row 1 and peeks at row 2; the
+        // bisection's first probe is the middle element.
+        let run = m.row_range(1).len() as u64;
+        let mid = p.nnz() / 2;
+        let one_row = |p: &ProtectedCoo, log: &FaultLog| {
+            p.spmv_range_view(
+                1,
+                DenseView::Slice(&x),
+                &mut [0.0],
+                true,
+                &mut Vec::new(),
+                log,
+            )
+        };
+        p.inject_row_index_bit_flip(mid, 3);
+        let log = FaultLog::new();
+        one_row(&p, &log).unwrap();
+        // (checks, corrected, uncorrectable, bounds): a probe only steers.
+        let counted = log.snapshot().region(Region::RowPointer);
+        assert_eq!(counted, (run + 1, 0, 0, 0));
+        p.inject_row_index_bit_flip(mid, 7);
+        let log = FaultLog::new();
+        let err = one_row(&p, &log).unwrap_err();
+        assert_eq!(
+            err,
+            AbftError::Uncorrectable {
+                region: Region::RowPointer,
+                index: mid
+            }
+        );
+        assert_eq!(log.total_uncorrectable(), 1);
     }
 
     #[test]

@@ -257,20 +257,19 @@ impl Crc32c {
 
 /// Inputs shorter than this take slicing-by-4 on the software `Auto` path.
 ///
-/// Measured with `experiments --bench-ecc` (see `BENCH_ecc.json`; x86-64
-/// AVX2 recording host): at 4–12 bytes slicing-by-4 wins or ties (3.1 ns at
-/// 4 B vs 3.9/4.1 ns for by-8/by-16) because the wider variants fall back
-/// to byte-at-a-time for most of such inputs.
+/// Measured on an x86-64 AVX2 host: at 4–12 bytes slicing-by-4 wins or
+/// ties (3.1 ns at 4 B vs 3.9/4.1 ns for by-8/by-16) because the wider
+/// variants fall back to byte-at-a-time for most of such inputs.
 pub const AUTO_SLICING8_MIN_BYTES: usize = 16;
 
 /// Inputs shorter than this (and at least [`AUTO_SLICING8_MIN_BYTES`]) take
 /// slicing-by-8; longer inputs take slicing-by-16.
 ///
-/// Measured with `experiments --bench-ecc`: the ~60-byte TeaLeaf row
-/// codeword lands in the slicing-by-8 band (21.8 ns vs 28.7 ns for by-16,
-/// whose 12-byte remainder is processed byte-at-a-time), while from 64
-/// bytes up slicing-by-16 wins and keeps widening its lead (25.2 ns vs
-/// 35.0 ns at 96 B, 2.4× at 4 KiB).
+/// Measured on the same host: the ~60-byte TeaLeaf row codeword lands in
+/// the slicing-by-8 band (21.8 ns vs 28.7 ns for by-16, whose 12-byte
+/// remainder is processed byte-at-a-time), while from 64 bytes up
+/// slicing-by-16 wins and keeps widening its lead (25.2 ns vs 35.0 ns at
+/// 96 B, 2.4× at 4 KiB).
 pub const AUTO_SLICING16_MIN_BYTES: usize = 64;
 
 /// The software slicing width [`Crc32cBackend::Auto`] selects for an input

@@ -37,8 +37,7 @@
 //! The portable scalar implementations live in [`scalar`] and remain the
 //! reference: they run on every architecture, the dispatched kernels must be
 //! bit-for-bit equivalent to them (pinned by differential tests across
-//! random lengths and injected faults), and benchmarks compare against them
-//! for the pre/post points of `BENCH_ecc.json`.
+//! random lengths and injected faults).
 //!
 //! # Forcing the scalar path
 //!
@@ -77,8 +76,9 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Label for benchmark output (`BENCH_ecc.json` records the detected
-    /// ISA so numbers from different hosts are never compared blindly).
+    /// Label for benchmark output (every recorded point carries the
+    /// detected ISA so numbers from different hosts are never compared
+    /// blindly).
     pub fn label(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -652,8 +652,7 @@ fn elem88_syndrome(value: f64, col: u32) -> u32 {
 /// Portable scalar reference implementations.
 ///
 /// These are the semantics the dispatched kernels must reproduce exactly;
-/// the differential tests compare every other implementation against them,
-/// and `BENCH_ecc.json`'s *pre* points time them.
+/// the differential tests compare every other implementation against them.
 pub mod scalar {
     use super::*;
 

@@ -1,5 +1,5 @@
 //! Minimal JSON emission and parsing, shared by the benchmark harness
-//! (`experiments --json`, the `--check-regression`/`--check-coverage` gates)
+//! (`experiments --json`, the `--check-coverage` gate)
 //! and the fault-campaign failure corpus ([`crate::record`]).
 //!
 //! The build environment cannot fetch `serde`/`serde_json`, so a tiny value

@@ -20,6 +20,7 @@ use abft_suite::core::{
 };
 use abft_suite::prelude::Crc32cBackend;
 use abft_suite::sparse::builders::poisson_2d_padded;
+use abft_suite::sparse::spmv::spmv_serial;
 
 const TIERS: [StorageTier; 3] = [
     StorageTier::Csr,
@@ -43,8 +44,9 @@ enum Flip {
     /// checksum byte under CRC32C, where `k` must be one of its row's first
     /// four elements).
     Checksum(usize),
-    /// Flipped bits of row-pointer entry `row` (CSR tiers): one payload bit
-    /// is corrected, one redundancy bit leaves the payload intact, two
+    /// Flipped bits of the row structure at `row` (its row-pointer entry in
+    /// the CSR tiers, its first element's row index under COO): one payload
+    /// bit is corrected, one redundancy bit leaves the payload intact, two
     /// payload bits are uncorrectable.
     RowPointer(usize, &'static [u32]),
 }
@@ -64,7 +66,7 @@ fn plant(a: &mut AnyProtectedMatrix, what: Flip) {
         Flip::Checksum(k) => a.inject_col_bit_flip(k, 28),
         Flip::RowPointer(row, bits) => {
             let entry = match a {
-                AnyProtectedMatrix::Coo(_) => unreachable!("CSR tiers only"),
+                AnyProtectedMatrix::Coo(c) => c.to_csr().row_pointer()[row] as usize,
                 AnyProtectedMatrix::BlockedCsr(b) => {
                     // Per-block pointers are laid out consecutively.
                     let block = (0..b.num_blocks())
@@ -205,13 +207,6 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                 let fault_free = run_kernel(&clean, xs);
                 fault_free.result.as_ref().unwrap();
                 for &what in &plants {
-                    // COO has no row-pointer cursor to re-walk, and its range
-                    // kernel bisects the *unchecked* row indices for its
-                    // first element, so a call per row is no reference for
-                    // a flipped row index.
-                    if tier == StorageTier::Coo && matches!(what, Flip::RowPointer(..)) {
-                        continue;
-                    }
                     let label =
                         format!("{scheme:?} {tier:?} parallel={parallel} width={width} {what:?}");
                     let mut corrupt = clean.clone();
@@ -295,6 +290,60 @@ fn crc32c_verify_all_reads_the_row_structure_checked() {
                 );
                 assert_eq!(faults.total_uncorrectable(), 0);
                 assert_eq!(faults.checks, baseline.snapshot().checks);
+            }
+        }
+    }
+}
+
+fn first_wrong_row(got: &[f64], want: &[f64]) -> Option<usize> {
+    assert_eq!(got.len(), want.len());
+    (0..got.len()).find(|&i| got[i].to_bits() != want[i].to_bits())
+}
+
+/// A COO range kernel that starts mid-matrix bisects for its first element.
+/// A correctable flip that *lowers* the stored row index of an element in
+/// the range's first row must not misdirect that search past the element:
+/// the product stays the clean one and the flip is corrected, once.
+#[test]
+fn coo_range_start_survives_lowered_row_indices() {
+    let cfg = ProtectionConfig::full(EccScheme::Secded64).with_parallel(true);
+    // Row 2592 is where the parallel driver splits 5184 rows in two (one
+    // lane: no split).  The coverage gate's COO-parallel rows lean on the
+    // same geometry.
+    assert!(rayon::chunk_count(72 * 72) <= 2);
+    for (n, row0) in [(16usize, 96usize), (16, 100), (16, 160), (72, 2592)] {
+        let plain = poisson_2d_padded(n, n);
+        let x: Vec<f64> = (0..plain.cols())
+            .map(|i| 1.0 + (i as f64 * 0.37).sin())
+            .collect();
+        let mut expected = vec![0.0; plain.rows()];
+        spmv_serial(&plain, &x, &mut expected);
+        let clean = AnyProtectedMatrix::encode(&plain, &cfg, StorageTier::Coo).unwrap();
+        for k in plain.row_range(row0) {
+            for bit in (0..24).filter(|bit| row0 >> bit & 1 == 1) {
+                let label = format!("{n}x{n} row {row0} element {k} bit {bit}");
+                let mut corrupt = clean.clone();
+                corrupt.inject_structure_bit_flip(k, bit);
+
+                let log = FaultLog::new();
+                let mut tail = vec![0.0; plain.rows() - row0];
+                let view = DenseView::Slice(&x);
+                corrupt
+                    .spmv_range_view(row0, view, &mut tail, true, &mut Vec::new(), &log)
+                    .unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                assert_eq!(first_wrong_row(&tail, &expected[row0..]), None, "{label}");
+                assert_eq!(log.snapshot().total_corrected(), 1, "{label}");
+
+                let whole = run_kernel(&corrupt, std::slice::from_ref(&x));
+                assert_eq!(whole.result, Ok(()), "{label} parallel");
+                assert_eq!(
+                    first_wrong_row(&whole.ys[0], &expected),
+                    None,
+                    "{label} parallel"
+                );
+                // The range before also decodes the first element of
+                // `row0`, to find its own end.
+                assert!(whole.faults.total_corrected() >= 1, "{label} parallel");
             }
         }
     }

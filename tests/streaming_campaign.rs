@@ -241,10 +241,10 @@ fn drift_histogram_accounts_for_every_trial() {
     assert_eq!(report.drift.total(), 2_000);
 }
 
-/// The million-trial acceptance campaign (ISSUE criterion): completes in
-/// O(workers) outcome memory — pinned against a 20k-trial run of the same
-/// campaign — with counts bitwise identical to a sequential pass over the
-/// seeded trial stream at worker limits {1, 2, 8}.
+/// The million-trial acceptance campaign: completes in O(workers) outcome
+/// memory — pinned against a 20k-trial run of the same campaign — with
+/// counts bitwise identical to a sequential pass over the seeded trial
+/// stream at worker limits {1, 2, 8}.
 #[test]
 #[ignore = "million-trial acceptance campaign (minutes): run with cargo test -- --ignored"]
 fn million_trial_campaign_is_memory_flat_and_sharding_independent() {
