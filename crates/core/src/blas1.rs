@@ -57,7 +57,7 @@ pub const PARALLEL_MIN_ELEMENTS: usize = 2 * ACC_BLOCK;
 
 /// Flushes a locally tallied check count in one bulk atomic update.
 #[inline]
-fn flush_checks(log: &FaultLog, scheme: EccScheme, tally: u64) {
+pub(crate) fn flush_checks(log: &FaultLog, scheme: EccScheme, tally: u64) {
     if scheme != EccScheme::None && tally > 0 {
         log.record_checks(Region::DenseVector, tally);
     }
@@ -471,6 +471,151 @@ fn scale_range(
                 off += group;
             }
         }
+    }
+    Ok(())
+}
+
+/// Checked read `out[i] ← s[i]` over a whole-group storage range, one check
+/// per group: each [`ACC_BLOCK`] run is certified by one batched predicate
+/// and then read with masked loads; only a failing run is re-walked group by
+/// group through the correcting decode.  `out` receives the range's logical
+/// elements; `s` is not written (a corrected value is handed out, not
+/// healed).
+pub(crate) fn read_range(
+    codec: GroupCodec,
+    s: &[u64],
+    out: &mut [f64],
+    base: usize,
+    len: usize,
+    log: &FaultLog,
+    tally: &mut u64,
+) -> Result<(), AbftError> {
+    let mask = codec.mask;
+    let group = codec.group();
+    let mut start = 0;
+    while start < s.len() {
+        let end = (start + ACC_BLOCK).min(s.len());
+        let run = &s[start..end];
+        if codec.run_clean(run) {
+            *tally += (run.len() / group) as u64;
+            let logical = end.min(len - base);
+            for (o, &w) in out[start..logical].iter_mut().zip(run) {
+                *o = f64::from_bits(w & mask);
+            }
+        } else {
+            let mut off = start;
+            while off < end {
+                *tally += 1;
+                let logical = group.min(len - (base + off));
+                let g = &s[off..off + group];
+                if codec.is_clean(g) {
+                    for j in 0..logical {
+                        out[off + j] = f64::from_bits(g[j] & mask);
+                    }
+                } else {
+                    let v = codec.decode(g, logical, base + off, log)?;
+                    out[off..off + logical].copy_from_slice(&v[..logical]);
+                }
+                off += group;
+            }
+        }
+        start = end;
+    }
+    Ok(())
+}
+
+/// Indexed read-modify-write `s[i] ← f(i, s[i])` over a whole-group storage
+/// range, one check and one re-encode per group, certified per
+/// [`ACC_BLOCK`] run like [`read_range`].  `f` sees every logical element
+/// once, in ascending order, and none at or after an uncorrectable group; a
+/// corrected group is healed by its re-encode.
+pub(crate) fn update_range(
+    codec: GroupCodec,
+    s: &mut [u64],
+    base: usize,
+    len: usize,
+    log: &FaultLog,
+    tally: &mut u64,
+    f: &mut impl FnMut(usize, f64) -> f64,
+) -> Result<(), AbftError> {
+    let mask = codec.mask;
+    let group = codec.group();
+    let mut start = 0;
+    while start < s.len() {
+        let end = (start + ACC_BLOCK).min(s.len());
+        let at = base + start;
+        let run = &mut s[start..end];
+        if codec.run_clean(run) {
+            *tally += (run.len() / group) as u64;
+            codec.rewrite_staged(run, run.len().min(len - at), |j, sw| {
+                f(at + j, f64::from_bits(sw & mask))
+            });
+        } else {
+            let mut off = 0;
+            while off < run.len() {
+                *tally += 1;
+                let logical = group.min(len - (at + off));
+                let mut buf = [0.0f64; MAX_GROUP];
+                {
+                    let gs = &run[off..off + group];
+                    if codec.is_clean(gs) {
+                        for j in 0..logical {
+                            buf[j] = f(at + off + j, f64::from_bits(gs[j] & mask));
+                        }
+                    } else {
+                        let sv = codec.decode(gs, logical, at + off, log)?;
+                        for j in 0..logical {
+                            buf[j] = f(at + off + j, sv[j]);
+                        }
+                    }
+                }
+                codec.encode(&buf, &mut run[off..off + group]);
+                off += group;
+            }
+        }
+        start = end;
+    }
+    Ok(())
+}
+
+/// Checked copy `dst[i] ← src[i]` between whole-group storage ranges of one
+/// scheme, one check per source group, certified per [`ACC_BLOCK`] run like
+/// [`read_range`]: a clean codeword is its own canonical re-encoding, so a
+/// certified run is a plain word copy and only a failing group is decoded
+/// (corrected) and re-encoded.
+pub(crate) fn copy_range(
+    codec: GroupCodec,
+    dst: &mut [u64],
+    src: &[u64],
+    base: usize,
+    len: usize,
+    log: &FaultLog,
+    tally: &mut u64,
+) -> Result<(), AbftError> {
+    let group = codec.group();
+    let mut start = 0;
+    while start < src.len() {
+        let end = (start + ACC_BLOCK).min(src.len());
+        let run = &src[start..end];
+        if codec.run_clean(run) {
+            *tally += (run.len() / group) as u64;
+            dst[start..end].copy_from_slice(run);
+        } else {
+            let mut off = start;
+            while off < end {
+                *tally += 1;
+                let g = &src[off..off + group];
+                if codec.is_clean(g) {
+                    dst[off..off + group].copy_from_slice(g);
+                } else {
+                    let logical = group.min(len - (base + off));
+                    let v = codec.decode(g, logical, base + off, log)?;
+                    codec.encode(&v, &mut dst[off..off + group]);
+                }
+                off += group;
+            }
+        }
+        start = end;
     }
     Ok(())
 }

@@ -19,11 +19,14 @@
 //! All bulk kernels (dot, AXPY, fills) work one codeword ("group") at a time:
 //! a group is decoded and integrity-checked once, operated on, and re-encoded
 //! once — the read-buffering / write-buffering scheme of §VI-C that removes
-//! the per-element read-modify-write penalty.  The methods here are the
-//! group-decode reference path; the masked raw-slice fast paths (check each
-//! group once, then compute straight over the raw words with the AND-mask in
-//! a register) live in [`crate::blas1`] and share this module's
-//! `GroupCodec`, so the two paths cannot drift.
+//! the per-element read-modify-write penalty.  `dot` / `axpy` / `xpay` here
+//! are the group-decode reference path; the masked raw-slice fast paths
+//! (certify a block of groups with one batched predicate, then compute
+//! straight over the raw words with the AND-mask in a register) live in
+//! [`crate::blas1`] and share this module's `GroupCodec`, so the two paths
+//! cannot drift.  The reliability-boundary calls — `read_checked`,
+//! `update_from_fn`, `copy_from` — have no reference twin: they are thin
+//! wrappers over that module's range kernels.
 //!
 //! Check accounting is uniform across every method: integrity checks are
 //! tallied locally while a kernel runs and folded into the [`FaultLog`] in
@@ -31,6 +34,7 @@
 //! fault reports exactly the checks that were performed, never the checks a
 //! completed pass would have performed.
 
+use crate::blas1::{copy_range, flush_checks, read_range, update_range};
 use crate::error::AbftError;
 use crate::report::{FaultLog, Region};
 use crate::schemes::{EccScheme, ParityConfig};
@@ -370,140 +374,102 @@ impl ProtectedVector {
     }
 
     /// Read-modify-write of every element through `f(index, value)`, one
-    /// decode + one encode per codeword group (§VI-C buffering).  This is the
-    /// primitive behind the pointwise solver updates (Jacobi's
-    /// `x += D⁻¹ (b − A x)`) on protected storage.
+    /// check and one re-encode per codeword group (§VI-C buffering), on the
+    /// block-certified `update_range` kernel.  This is the primitive behind
+    /// the pointwise solver updates (Jacobi's `x += D⁻¹ (b − A x)`, FT-PCG's
+    /// re-encode of the inner result) on protected storage.
     pub fn update_from_fn(
         &mut self,
         log: &FaultLog,
-        f: impl FnMut(usize, f64) -> f64,
+        mut f: impl FnMut(usize, f64) -> f64,
     ) -> Result<(), AbftError> {
         self.parity_precheck(None, log)?;
+        let codec = self.codec();
+        let len = self.len;
         let mut tally = 0u64;
-        let result = self.update_from_fn_inner(log, &mut tally, f);
-        if self.scheme != EccScheme::None {
-            log.record_checks(Region::DenseVector, tally);
-        }
+        let result = update_range(codec, &mut self.data, 0, len, log, &mut tally, &mut f);
+        flush_checks(log, codec.scheme, tally);
         if result.is_ok() {
             self.parity_commit();
         }
         result
     }
 
-    fn update_from_fn_inner(
-        &mut self,
-        log: &FaultLog,
-        tally: &mut u64,
-        mut f: impl FnMut(usize, f64) -> f64,
-    ) -> Result<(), AbftError> {
-        let group = self.group_size();
-        let len = self.len;
-        let mut base = 0;
-        while base < self.data.len() {
-            *tally += 1;
-            let (mut buf, _) = self.decode_group(base, log)?;
-            let count = group.min(len.saturating_sub(base));
-            for (j, value) in buf[..count].iter_mut().enumerate() {
-                *value = f(base + j, *value);
-            }
-            self.encode_group(base, &buf);
-            base += group;
-        }
-        Ok(())
-    }
-
-    /// Multiplies every element by `alpha` (checked read-modify-write).
-    /// This is the group-decode reference path; the solver backends use
-    /// [`ProtectedVector::scale_masked`](crate::blas1).
-    pub fn scale(&mut self, alpha: f64, log: &FaultLog) -> Result<(), AbftError> {
-        self.update_from_fn(log, |_, value| value * alpha)
-    }
-
     /// Decodes the whole vector into `out`, verifying each codeword group as
     /// it is read (the checked counterpart of [`ProtectedVector::to_vec`],
-    /// without allocating).
+    /// without allocating), on the block-certified `read_range` kernel.
+    /// A corrected value is handed out but not written back.
     ///
     /// # Panics
     /// Panics if `out.len() != self.len()`.
     pub fn read_checked(&self, out: &mut [f64], log: &FaultLog) -> Result<(), AbftError> {
         assert_eq!(out.len(), self.len, "read_checked: length mismatch");
+        let codec = self.codec();
         let mut tally = 0u64;
-        let result = self.read_checked_inner(out, log, &mut tally);
-        if self.scheme != EccScheme::None {
-            log.record_checks(Region::DenseVector, tally);
-        }
+        let result = read_range(codec, &self.data, out, 0, self.len, log, &mut tally);
+        flush_checks(log, codec.scheme, tally);
         result
     }
 
-    fn read_checked_inner(
-        &self,
-        out: &mut [f64],
-        log: &FaultLog,
-        tally: &mut u64,
-    ) -> Result<(), AbftError> {
-        let group = self.group_size();
-        let mut base = 0;
-        while base < self.data.len() {
-            *tally += 1;
-            let (buf, logical) = self.decode_group(base, log)?;
-            out[base..base + logical].copy_from_slice(&buf[..logical]);
-            base += group;
-        }
-        Ok(())
-    }
-
     /// Copies (and re-encodes) the contents of `other`, checking `other` as
-    /// it is read.
+    /// it is read: `copy_range` between vectors of one scheme, a checked
+    /// staged read and re-encode between different ones.
     pub fn copy_from(&mut self, other: &ProtectedVector, log: &FaultLog) -> Result<(), AbftError> {
         assert_eq!(self.len(), other.len(), "copy_from: length mismatch");
+        let src = other.codec();
+        let mut tally = 0u64;
         let result = if self.scheme == other.scheme {
-            let mut tally = 0u64;
-            let result = self.copy_from_inner(other, log, &mut tally);
-            if self.scheme != EccScheme::None {
-                log.record_checks(Region::DenseVector, tally);
-            }
-            result
+            let len = self.len;
+            copy_range(src, &mut self.data, &other.data, 0, len, log, &mut tally)
         } else {
-            // `check_all` performs (and accounts for) the read-side checks.
-            other.check_all(log)?;
-            self.fill_from_fn(|i| other.get(i));
-            Ok(())
+            let dst = self.codec();
+            let mut stage = [0.0f64; ENCODE_STAGE];
+            let mut stages = self.data.chunks_mut(ENCODE_STAGE).enumerate();
+            stages.try_for_each(|(b, out)| {
+                let n = other.read_stage(b * ENCODE_STAGE, &mut stage, log, &mut tally)?;
+                stage[n..].fill(0.0);
+                dst.encode_run(&stage[..out.len()], out);
+                Ok(())
+            })
         };
+        flush_checks(log, src.scheme, tally);
         if result.is_ok() {
             self.parity_commit();
         }
         result
     }
 
-    fn copy_from_inner(
-        &mut self,
-        other: &ProtectedVector,
+    /// Checked read of the (at most) [`ENCODE_STAGE`] logical elements from
+    /// `at` on into `stage`, returning how many there were — the read side of
+    /// the mixed-scheme paths, whose operands share no group geometry beyond
+    /// the stage boundaries.
+    fn read_stage(
+        &self,
+        at: usize,
+        stage: &mut [f64; ENCODE_STAGE],
         log: &FaultLog,
         tally: &mut u64,
-    ) -> Result<(), AbftError> {
-        let group = self.group_size();
-        let mut base = 0;
-        while base < self.data.len() {
-            *tally += 1;
-            let (buf, _) = other.decode_group(base, log)?;
-            self.encode_group(base, &buf);
-            base += group;
-        }
-        Ok(())
+    ) -> Result<usize, AbftError> {
+        let n = ENCODE_STAGE.min(self.len - at);
+        let run = &self.data[at..(at + ENCODE_STAGE).min(self.data.len())];
+        read_range(self.codec(), run, &mut stage[..n], at, self.len, log, tally)?;
+        Ok(n)
     }
 
     /// Dot product with read-side integrity checks, one per group (§VI-C
-    /// buffering).  Both vectors must use the same scheme (mismatched
-    /// schemes fall back to a checked element-wise path).
+    /// buffering).  Mismatched schemes take a checked staged read of both
+    /// operands instead of the group-paired walk.
     ///
     /// Accumulation is blocked per [`ACC_BLOCK`] elements, matching the
     /// masked and parallel kernels in [`crate::blas1`] bit for bit.
     pub fn dot(&self, other: &ProtectedVector, log: &FaultLog) -> Result<f64, AbftError> {
         assert_eq!(self.len(), other.len(), "dot: length mismatch");
         if self.scheme != other.scheme {
-            self.check_all(log)?;
-            other.check_all(log)?;
-            return Ok((0..self.len()).map(|i| self.get(i) * other.get(i)).sum());
+            let mut tallies = [0u64; 2];
+            let result = self.dot_mixed(other, log, &mut tallies);
+            flush_checks(log, self.scheme, tallies[0]);
+            flush_checks(log, other.scheme, tallies[1]);
+            return result;
         }
         let mut tally = 0u64;
         let result = self.dot_inner(other, log, &mut tally);
@@ -511,6 +477,30 @@ impl ProtectedVector {
             log.record_checks(Region::DenseVector, tally);
         }
         result
+    }
+
+    /// [`ProtectedVector::dot`] between different schemes: both operands
+    /// are read checked (corrected values) a stage at a time.
+    fn dot_mixed(
+        &self,
+        other: &ProtectedVector,
+        log: &FaultLog,
+        tallies: &mut [u64; 2],
+    ) -> Result<f64, AbftError> {
+        let (mut a, mut b) = ([0.0f64; ENCODE_STAGE], [0.0f64; ENCODE_STAGE]);
+        let mut total = 0.0;
+        for block in (0..self.len).step_by(ACC_BLOCK) {
+            let mut acc = 0.0;
+            for at in (block..(block + ACC_BLOCK).min(self.len)).step_by(ENCODE_STAGE) {
+                let n = self.read_stage(at, &mut a, log, &mut tallies[0])?;
+                other.read_stage(at, &mut b, log, &mut tallies[1])?;
+                for (av, bv) in a[..n].iter().zip(&b[..n]) {
+                    acc += av * bv;
+                }
+            }
+            total += acc;
+        }
+        Ok(total)
     }
 
     fn dot_inner(
@@ -1754,6 +1744,100 @@ mod tests {
         assert!((d - expect).abs() < 1e-9 * expect.abs());
     }
 
+    /// Between different schemes `copy_from` and `dot` used to certify the
+    /// source with `check_all` — which logs a correctable flip without
+    /// writing it back — and then read it through the unchecked `get`: a
+    /// "corrected" exponent flip turned 6.0 into 3.3e-308 in the copy and
+    /// 820 into 814 in the dot, both returned as `Ok`.
+    #[test]
+    fn mixed_scheme_copy_and_dot_use_corrected_values() {
+        let values: Vec<f64> = (1..=40).map(f64::from).collect();
+        let encode = |scheme| ProtectedVector::from_slice(&values, scheme, Crc32cBackend::Auto);
+        for from in all_schemes() {
+            for to in all_schemes().into_iter().filter(|&to| to != from) {
+                let clean = encode(from);
+                let ones = ProtectedVector::from_slice(&[1.0; 40], to, Crc32cBackend::Auto);
+                let dense = |log: &FaultLog| log.snapshot().checks[2];
+                let checks = |v: &ProtectedVector| match v.scheme() {
+                    EccScheme::None => 0,
+                    _ => v.logical_groups(),
+                };
+                // A payload bit (6.0 → 3.3e-308 unchecked), a redundancy
+                // bit, two payload bits.
+                for flips in [&[][..], &[62], &[3], &[20, 45]] {
+                    let label = format!("{from:?} -> {to:?} flips {flips:?}");
+                    let mut src = clean.clone();
+                    for &bit in flips {
+                        src.inject_bit_flip(5, bit);
+                    }
+                    // Parity detects one flip, cannot correct it and misses
+                    // two; an unprotected source notices nothing.
+                    let blind = match from {
+                        EccScheme::None => !flips.is_empty(),
+                        EccScheme::Sed => flips.len() == 2,
+                        _ => false,
+                    };
+                    if blind {
+                        continue;
+                    }
+                    let due = flips.len() == 2 || from == EccScheme::Sed && flips.len() == 1;
+                    let corrected = u64::from(!due && !flips.is_empty());
+
+                    let log = FaultLog::new();
+                    let mut dst = encode(to);
+                    dst.fill(-1.0);
+                    let copied = dst.copy_from(&src, &log);
+                    assert_eq!(copied.is_err(), due, "copy {label}");
+                    assert_eq!(log.total_corrected(), corrected, "copy {label}");
+                    assert_eq!(log.total_uncorrectable(), u64::from(due), "copy {label}");
+                    if !due {
+                        assert_eq!(dst.to_vec(), values, "copy {label}");
+                        assert_eq!(dense(&log), checks(&src), "copy {label}");
+                        dst.check_all(&FaultLog::new()).expect(&label);
+                    }
+
+                    for (a, b) in [(&src, &ones), (&ones, &src)] {
+                        let log = FaultLog::new();
+                        let dot = a.dot(b, &log);
+                        assert_eq!(log.total_corrected(), corrected, "dot {label}");
+                        assert_eq!(log.total_uncorrectable(), u64::from(due), "dot {label}");
+                        match dot {
+                            Ok(sum) => {
+                                assert!(!due, "dot {label}");
+                                assert_eq!(sum, 820.0, "dot {label}");
+                                assert_eq!(dense(&log), checks(a) + checks(b), "dot {label}");
+                            }
+                            Err(AbftError::Uncorrectable { index, .. }) => {
+                                assert!(due, "dot {label}");
+                                assert_eq!(index / src.group_size(), 5 / src.group_size());
+                            }
+                            Err(other) => panic!("dot {label}: {other}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The mixed-scheme dot folds one partial per [`ACC_BLOCK`], like every
+    /// other reduction: on values every mask preserves it is the same-scheme
+    /// dot bit for bit.
+    #[test]
+    fn mixed_scheme_dot_accumulates_per_block() {
+        let coarse = |x: &f64| f64::from_bits(x.to_bits() & !0xFFFF_FFFF);
+        let a_vals: Vec<f64> = sample(8202).iter().map(coarse).collect();
+        let b_vals: Vec<f64> = a_vals.iter().map(|x| coarse(&(x * 0.37 - 2.0))).collect();
+        let log = FaultLog::new();
+        let encode =
+            |v: &[f64], scheme| ProtectedVector::from_slice(v, scheme, Crc32cBackend::Auto);
+        let b = encode(&b_vals, EccScheme::Secded64);
+        let want = encode(&a_vals, EccScheme::Secded64).dot(&b, &log).unwrap();
+        for scheme in all_schemes() {
+            let got = encode(&a_vals, scheme).dot(&b, &log).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{scheme:?}");
+        }
+    }
+
     #[test]
     fn masking_noise_bound_is_small() {
         assert_eq!(
@@ -1875,9 +1959,13 @@ mod tests {
     }
 
     fn small_parity() -> ParityConfig {
+        small_parity_of(8)
+    }
+
+    fn small_parity_of(chunk_words: usize) -> ParityConfig {
         ParityConfig {
             stripe_chunks: 3,
-            chunk_words: 8,
+            chunk_words,
         }
     }
 
@@ -1976,7 +2064,7 @@ mod tests {
             Crc32cBackend::SlicingBy16,
         );
         v.axpy(1.5, &x, &log).unwrap();
-        v.scale(0.25, &log).unwrap();
+        v.update_from_fn(&log, |_, x| x * 0.25).unwrap();
         v.set(11, 42.0, &log).unwrap();
         // The incremental refreshes must equal a from-scratch recompute.
         let incremental = v.parity_words().unwrap().to_vec();
@@ -2012,6 +2100,258 @@ mod tests {
         assert!(v.axpy(2.0, &x, &log).is_err());
         assert_eq!(v.raw(), &before[..], "failed kernel must not mutate");
         assert_eq!(v.parity_words().unwrap(), &parity_before[..]);
+    }
+
+    /// The per-group walkers `read_checked`, `update_from_fn` and `copy_from`
+    /// ran on before the block-certified range kernels of [`crate::blas1`]
+    /// replaced them, kept verbatim as the reference the kernels are
+    /// differentially tested against: one scalar `decode_group` per codeword,
+    /// whatever its state.
+    impl ProtectedVector {
+        fn update_from_fn_reference(
+            &mut self,
+            log: &FaultLog,
+            f: impl FnMut(usize, f64) -> f64,
+        ) -> Result<(), AbftError> {
+            self.parity_precheck(None, log)?;
+            let mut tally = 0u64;
+            let result = self.update_from_fn_inner(log, &mut tally, f);
+            if self.scheme != EccScheme::None {
+                log.record_checks(Region::DenseVector, tally);
+            }
+            if result.is_ok() {
+                self.parity_commit();
+            }
+            result
+        }
+
+        fn update_from_fn_inner(
+            &mut self,
+            log: &FaultLog,
+            tally: &mut u64,
+            mut f: impl FnMut(usize, f64) -> f64,
+        ) -> Result<(), AbftError> {
+            let group = self.group_size();
+            let len = self.len;
+            let mut base = 0;
+            while base < self.data.len() {
+                *tally += 1;
+                let (mut buf, _) = self.decode_group(base, log)?;
+                let count = group.min(len.saturating_sub(base));
+                for (j, value) in buf[..count].iter_mut().enumerate() {
+                    *value = f(base + j, *value);
+                }
+                self.encode_group(base, &buf);
+                base += group;
+            }
+            Ok(())
+        }
+
+        fn read_checked_reference(&self, out: &mut [f64], log: &FaultLog) -> Result<(), AbftError> {
+            assert_eq!(out.len(), self.len, "read_checked: length mismatch");
+            let mut tally = 0u64;
+            let result = self.read_checked_inner(out, log, &mut tally);
+            if self.scheme != EccScheme::None {
+                log.record_checks(Region::DenseVector, tally);
+            }
+            result
+        }
+
+        fn read_checked_inner(
+            &self,
+            out: &mut [f64],
+            log: &FaultLog,
+            tally: &mut u64,
+        ) -> Result<(), AbftError> {
+            let group = self.group_size();
+            let mut base = 0;
+            while base < self.data.len() {
+                *tally += 1;
+                let (buf, logical) = self.decode_group(base, log)?;
+                out[base..base + logical].copy_from_slice(&buf[..logical]);
+                base += group;
+            }
+            Ok(())
+        }
+
+        /// Same-scheme operands only: the mixed-scheme branch was the bug
+        /// `mixed_scheme_copy_and_dot_use_corrected_values` pins.
+        fn copy_from_reference(
+            &mut self,
+            other: &ProtectedVector,
+            log: &FaultLog,
+        ) -> Result<(), AbftError> {
+            assert_eq!(self.len(), other.len(), "copy_from: length mismatch");
+            assert_eq!(self.scheme, other.scheme);
+            let mut tally = 0u64;
+            let result = self.copy_from_inner(other, log, &mut tally);
+            if self.scheme != EccScheme::None {
+                log.record_checks(Region::DenseVector, tally);
+            }
+            if result.is_ok() {
+                self.parity_commit();
+            }
+            result
+        }
+
+        fn copy_from_inner(
+            &mut self,
+            other: &ProtectedVector,
+            log: &FaultLog,
+            tally: &mut u64,
+        ) -> Result<(), AbftError> {
+            let group = self.group_size();
+            let mut base = 0;
+            while base < self.data.len() {
+                *tally += 1;
+                let (buf, _) = other.decode_group(base, log)?;
+                self.encode_group(base, &buf);
+                base += group;
+            }
+            Ok(())
+        }
+    }
+
+    /// `(index, bit)` flips of one differential case.
+    type Flips = Vec<(usize, u32)>;
+
+    /// No flip, then at each edge index a payload bit, a redundancy bit, the
+    /// reserved field's top bit, two bits in one word and two bits in two
+    /// words of one codeword; every padding slot gets the same.
+    fn differential_cases(v: &ProtectedVector) -> Vec<Flips> {
+        let (n, padded, group) = (v.len(), v.raw().len(), v.group_size());
+        let mut indices: Vec<usize> = [0, 127, 128, 4095, 4096, n.saturating_sub(1)]
+            .into_iter()
+            .filter(|&i| i < n)
+            .chain(n..padded)
+            .collect();
+        indices.dedup();
+        let mut cases = vec![Vec::new()];
+        for i in indices {
+            cases.push(vec![(i, 33)]);
+            cases.push(vec![(i, 3)]);
+            cases.push(vec![(i, 7)]);
+            cases.push(vec![(i, 20), (i, 45)]);
+            let neighbour = i ^ 1;
+            if group > 1 && neighbour < padded {
+                cases.push(vec![(i, 20), (neighbour, 45)]);
+            }
+        }
+        cases
+    }
+
+    /// Runs `kernel` and `reference` on clones of one faulted state and
+    /// asserts they agree on result (error index included), fault log and
+    /// whatever `observe` extracts (storage, parity, output bits, the calls
+    /// `f` received).
+    fn assert_same<S: Clone, O: PartialEq + std::fmt::Debug>(
+        label: &str,
+        state: &S,
+        kernel: impl FnOnce(&mut S, &FaultLog) -> Result<(), AbftError>,
+        reference: impl FnOnce(&mut S, &FaultLog) -> Result<(), AbftError>,
+        observe: impl Fn(&S) -> O,
+    ) {
+        let (mut got, mut want) = (state.clone(), state.clone());
+        let (log_got, log_want) = (FaultLog::new(), FaultLog::new());
+        let result = kernel(&mut got, &log_got);
+        assert_eq!(result, reference(&mut want, &log_want), "{label}");
+        assert_eq!(log_got.snapshot(), log_want.snapshot(), "{label}");
+        assert_eq!(observe(&got), observe(&want), "{label}");
+    }
+
+    fn differential_sweep(lengths: &[usize], parity: Option<ParityConfig>) {
+        let stored =
+            |v: &ProtectedVector| (v.raw().to_vec(), v.parity_words().map(<[u64]>::to_vec));
+        for scheme in all_schemes() {
+            if parity.is_some() && scheme == EccScheme::None {
+                continue;
+            }
+            for &n in lengths {
+                let mut clean =
+                    ProtectedVector::from_slice(&sample(n), scheme, Crc32cBackend::Auto);
+                let mut target =
+                    ProtectedVector::from_slice(&vec![-7.0; n], scheme, Crc32cBackend::Auto);
+                if let Some(config) = parity {
+                    clean.enable_parity(config);
+                    target.enable_parity(config);
+                }
+                for flips in differential_cases(&clean) {
+                    let label = format!("{scheme:?} n={n} parity={parity:?} flips={flips:?}");
+                    let mut v = clean.clone();
+                    for &(index, bit) in &flips {
+                        v.data[index] ^= 1u64 << bit;
+                    }
+
+                    assert_same(
+                        &format!("read_checked {label}"),
+                        &vec![-7.0f64; n],
+                        |out, log| v.read_checked(out, log),
+                        |out, log| v.read_checked_reference(out, log),
+                        |out| out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    );
+
+                    // Every logical element once, ascending, none at or
+                    // after an uncorrectable group — and identically so.
+                    let f = |calls: &mut Vec<usize>, i: usize, x: f64| {
+                        calls.push(i);
+                        x * 1.5 + i as f64
+                    };
+                    assert_same(
+                        &format!("update_from_fn {label}"),
+                        &(v.clone(), Vec::new()),
+                        |(s, calls), log| s.update_from_fn(log, |i, x| f(calls, i, x)),
+                        |(s, calls), log| s.update_from_fn_reference(log, |i, x| f(calls, i, x)),
+                        |(s, calls)| (stored(s), calls.clone()),
+                    );
+
+                    assert_same(
+                        &format!("copy_from {label}"),
+                        &target,
+                        |dst, log| dst.copy_from(&v, log),
+                        |dst, log| dst.copy_from_reference(&v, log),
+                        stored,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_kernels_match_the_per_group_walkers_they_replaced() {
+        differential_sweep(&[0, 1, 3, 127, 128, 4095, 4096, 4097, 8202], None);
+    }
+
+    #[test]
+    fn range_kernels_keep_the_parity_barriers_of_the_walkers() {
+        // The last chunk is partial and holds the 4095/4096 block edge.
+        differential_sweep(&[4097], Some(small_parity_of(680)));
+    }
+
+    #[test]
+    fn update_from_fn_visits_each_element_once_and_stops_at_a_due() {
+        let log = FaultLog::new();
+        for scheme in all_schemes() {
+            let mut v = ProtectedVector::from_slice(&sample(8202), scheme, Crc32cBackend::Auto);
+            let mut calls = Vec::new();
+            v.update_from_fn(&log, |i, x| {
+                calls.push(i);
+                x
+            })
+            .unwrap();
+            assert!(calls.iter().copied().eq(0..8202), "{scheme:?}");
+            if matches!(scheme, EccScheme::None | EccScheme::Sed) {
+                continue;
+            }
+            // A double flip in element 4100: nothing from its group on.
+            v.data[4100] ^= 1 << 20 | 1 << 45;
+            calls.clear();
+            let err = v.update_from_fn(&log, |i, x| {
+                calls.push(i);
+                x
+            });
+            assert!(err.is_err(), "{scheme:?}");
+            assert!(calls.iter().copied().eq(0..4100), "{scheme:?}");
+        }
     }
 
     #[test]

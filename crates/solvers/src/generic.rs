@@ -723,6 +723,21 @@ pub fn ppcg<Op: LinearOperator>(
 /// magnitudes bit-level corruption produces.
 const FCG_DEFAULT_BOUND: f64 = 1e8;
 
+/// `Σ v²` in four interleaved partial sums.  The inner-result screen only
+/// compares magnitudes, so it does not need the element-order sum, whose
+/// one dependent add per element would be the slowest loop in the driver.
+fn sum_squares(v: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut quads = v.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, x) in lanes.iter_mut().zip(quad) {
+            *lane += x * x;
+        }
+    }
+    let tail: f64 = quads.remainder().iter().map(|x| x * x).sum();
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+}
+
 /// One guarded inner preconditioner application of [`ft_pcg`]:
 ///
 /// 1. read the outer residual through the checked masked kernels into
@@ -731,12 +746,14 @@ const FCG_DEFAULT_BOUND: f64 = 1e8;
 /// 2. run the inner apply in whatever reliability tier `precond` was
 ///    built in;
 /// 3. screen the result against the opaque-preconditioner bound
-///    `‖z‖ ≤ C·‖r‖` (plus a finiteness check).  A rejected result is
-///    replaced by the residual itself — one identity-preconditioned
-///    (plain CG) step — and recorded as a dense-vector bounds violation,
-///    so an inner SDC costs extra iterations, never a wrong answer.
+///    `‖z‖ ≤ C·‖r‖` (plus a finiteness check), where `rr` is the protected
+///    `‖r‖²` the outer loop already holds.  A rejected result is replaced
+///    by the residual itself — one identity-preconditioned (plain CG) step
+///    — and recorded as a dense-vector bounds violation, so an inner SDC
+///    costs extra iterations, never a wrong answer.
 fn guarded_inner_apply<V: SolverVector>(
     r: &mut V,
+    rr: f64,
     r_plain: &mut [f64],
     z_plain: &mut [f64],
     precond: &dyn Preconditioner,
@@ -745,8 +762,7 @@ fn guarded_inner_apply<V: SolverVector>(
 ) -> Result<(), SolverError> {
     retry_kernel!(ctx, [r], r.read_checked(r_plain, ctx))?;
     precond.apply(r_plain, z_plain, ctx)?;
-    let zz: f64 = z_plain.iter().map(|v| v * v).sum();
-    let rr: f64 = r_plain.iter().map(|v| v * v).sum();
+    let zz = sum_squares(z_plain);
     if !(zz.is_finite() && zz <= bound * bound * rr) {
         z_plain.copy_from_slice(r_plain);
         ctx.log().record_bounds_violation(Region::DenseVector);
@@ -807,7 +823,7 @@ pub fn ft_pcg<Op: LinearOperator>(
         return Ok((x, status));
     }
 
-    guarded_inner_apply(&mut r, &mut r_now, &mut z_plain, precond, bound, ctx)?;
+    guarded_inner_apply(&mut r, rr0, &mut r_now, &mut z_plain, precond, bound, ctx)?;
     retry_kernel!(ctx, [z], z.update_indexed(ctx, |i, _| z_plain[i]))?;
     retry_kernel!(ctx, [p, z], p.copy_from(&z, ctx))?;
     let mut rz = retry_kernel!(ctx, [r, z], r.dot(&z, ctx))?;
@@ -831,7 +847,7 @@ pub fn ft_pcg<Op: LinearOperator>(
         // update; `r_now` is refilled with the post-update snapshot inside
         // the guarded apply.
         std::mem::swap(&mut r_prev, &mut r_now);
-        guarded_inner_apply(&mut r, &mut r_now, &mut z_plain, precond, bound, ctx)?;
+        guarded_inner_apply(&mut r, rr, &mut r_now, &mut z_plain, precond, bound, ctx)?;
         retry_kernel!(ctx, [z], z.update_indexed(ctx, |i, _| z_plain[i]))?;
         let rz_new = retry_kernel!(ctx, [r, z], r.dot(&z, ctx))?;
         let mut flexible_num = 0.0;

@@ -16,12 +16,14 @@
 //! is what happens *inside* the apply:
 //!
 //! * [`Reliability::Protected`] — the factors live in a
-//!   [`ProtectedVector`] and every apply certifies them with a checked
-//!   masked read ([`ProtectedVector::read_checked`], the same masked
-//!   BLAS-1 read primitive the protected solvers consume vectors
-//!   through), recording check/correction activity in the caller's
-//!   [`FaultContext`].  A factor SDC is detected (and corrected when the
-//!   scheme can) before it can steer the solve.
+//!   [`ProtectedVector`] and every apply certifies them with one
+//!   [`ProtectedVector::scrub`] (one batched predicate while they are
+//!   clean, one check per codeword group either way, recorded in the
+//!   caller's [`FaultContext`]), then reads them in place through the
+//!   AND-mask of [`ProtectedVector::masked_words`] — the protected SpMV's
+//!   idiom for `x`; nothing is staged into a plain copy.  A factor SDC is
+//!   detected before it can steer the solve, and a correctable one is
+//!   healed in the storage, so it is corrected once, not on every apply.
 //! * [`Reliability::Unreliable`] — the factors are plain `Vec<f64>`, the
 //!   apply runs zero integrity checks and allocates nothing.  A factor or
 //!   mid-apply SDC flows straight into `z`; the outer solver's
@@ -150,15 +152,13 @@ impl PrecondKind {
 }
 
 /// Factor storage shared by the concrete preconditioners: plain values for
-/// the unreliable tier, an encoded [`ProtectedVector`] plus a decode
-/// scratch buffer for the protected tier.
+/// the unreliable tier, an encoded [`ProtectedVector`] for the protected
+/// tier (behind a `RefCell`: an apply takes `&self` but heals corrected
+/// factor words in place).
 #[derive(Debug)]
 enum FactorStore {
     Unreliable(Vec<f64>),
-    Protected {
-        factors: ProtectedVector,
-        scratch: RefCell<Vec<f64>>,
-    },
+    Protected(RefCell<ProtectedVector>),
 }
 
 impl FactorStore {
@@ -180,11 +180,8 @@ impl FactorStore {
                 } else {
                     scheme
                 };
-                let n = values.len();
-                FactorStore::Protected {
-                    factors: ProtectedVector::from_slice(&values, scheme, backend),
-                    scratch: RefCell::new(vec![0.0; n]),
-                }
+                let factors = ProtectedVector::from_slice(&values, scheme, backend);
+                FactorStore::Protected(RefCell::new(factors))
             }
         }
     }
@@ -192,26 +189,7 @@ impl FactorStore {
     fn reliability(&self) -> Reliability {
         match self {
             FactorStore::Unreliable(_) => Reliability::Unreliable,
-            FactorStore::Protected { .. } => Reliability::Protected,
-        }
-    }
-
-    /// Runs `f` over the factor values.  The protected tier first
-    /// certifies the whole factor vector with a checked masked read into
-    /// its preallocated scratch (recording the checks in `ctx`); the
-    /// unreliable tier hands the raw slice over untouched.
-    fn with_values<T>(
-        &self,
-        ctx: &FaultContext,
-        f: impl FnOnce(&[f64]) -> T,
-    ) -> Result<T, SolverError> {
-        match self {
-            FactorStore::Unreliable(values) => Ok(f(values)),
-            FactorStore::Protected { factors, scratch } => {
-                let mut buf = scratch.borrow_mut();
-                factors.read_checked(&mut buf, ctx.log())?;
-                Ok(f(&buf))
-            }
+            FactorStore::Protected(_) => Reliability::Protected,
         }
     }
 
@@ -223,9 +201,37 @@ impl FactorStore {
             FactorStore::Unreliable(values) => {
                 values[k] = f64::from_bits(values[k].to_bits() ^ (1u64 << (bit % 64)));
             }
-            FactorStore::Protected { factors, .. } => factors.inject_bit_flip(k, bit),
+            FactorStore::Protected(factors) => factors.get_mut().inject_bit_flip(k, bit),
         }
     }
+}
+
+/// Evaluates `$kernel` with `$factor` bound to the tier's factor read
+/// (`impl Fn(usize) -> f64`), as a `Result<_, SolverError>`.  The protected
+/// tier first certifies the whole factor vector with one scrub (recording
+/// the checks in `$ctx`, healing a corrected word in place) and then reads
+/// the masked words where they lie; the unreliable tier reads its plain
+/// values untouched.
+macro_rules! with_factors {
+    ($store:expr, $ctx:expr, |$factor:ident| $kernel:expr) => {
+        match $store {
+            FactorStore::Unreliable(values) => {
+                let $factor = |k: usize| values[k];
+                Ok($kernel)
+            }
+            FactorStore::Protected(factors) => {
+                let mut factors = factors.borrow_mut();
+                match factors.scrub($ctx.log()) {
+                    Ok(_) => {
+                        let (words, mask) = factors.masked_words();
+                        let $factor = |k: usize| f64::from_bits(words[k] & mask);
+                        Ok($kernel)
+                    }
+                    Err(fault) => Err(SolverError::from(fault)),
+                }
+            }
+        }
+    };
 }
 
 /// Deterministic amplification estimate for the opaque-preconditioner
@@ -288,7 +294,7 @@ impl Ilu0 {
         let (rowptr, cols, diag, values) = ilu0_factor(a)?;
         let n = a.rows();
         let bound = estimate_bound(n, |r, z| {
-            ilu0_solve(&rowptr, &cols, &diag, &values, r, z);
+            ilu0_solve(&rowptr, &cols, &diag, |k| values[k], r, z);
         });
         Ok(Ilu0 {
             n,
@@ -320,8 +326,8 @@ impl Preconditioner for Ilu0 {
     fn apply(&self, r: &[f64], z: &mut [f64], ctx: &FaultContext) -> Result<(), SolverError> {
         assert_eq!(r.len(), self.n, "ilu0: residual has wrong length");
         assert_eq!(z.len(), self.n, "ilu0: output has wrong length");
-        self.store.with_values(ctx, |values| {
-            ilu0_solve(&self.rowptr, &self.cols, &self.diag, values, r, z);
+        with_factors!(&self.store, ctx, |factor| {
+            ilu0_solve(&self.rowptr, &self.cols, &self.diag, factor, r, z)
         })
     }
 
@@ -400,12 +406,14 @@ fn ilu0_factor(
 
 /// Applies `z = U⁻¹ L⁻¹ r` over the combined factor storage: forward
 /// substitution with the unit lower triangle, then backward substitution
-/// with the upper triangle.  In place over `z`, no allocation.
+/// with the upper triangle.  `factor(k)` reads stored factor `k` — a plain
+/// load or a masked one, so both tiers run this one kernel.  In place over
+/// `z`, no allocation.
 fn ilu0_solve(
     rowptr: &[usize],
     cols: &[usize],
     diag: &[usize],
-    values: &[f64],
+    factor: impl Fn(usize) -> f64,
     r: &[f64],
     z: &mut [f64],
 ) {
@@ -413,16 +421,16 @@ fn ilu0_solve(
     for i in 0..n {
         let mut s = r[i];
         for idx in rowptr[i]..diag[i] {
-            s -= values[idx] * z[cols[idx]];
+            s -= factor(idx) * z[cols[idx]];
         }
         z[i] = s;
     }
     for i in (0..n).rev() {
         let mut s = z[i];
         for idx in diag[i] + 1..rowptr[i + 1] {
-            s -= values[idx] * z[cols[idx]];
+            s -= factor(idx) * z[cols[idx]];
         }
-        z[i] = s / values[diag[i]];
+        z[i] = s / factor(diag[i]);
     }
 }
 
@@ -433,7 +441,7 @@ fn ilu0_solve(
 /// unsymmetric / pattern-irregular systems where ILU(0) declines.  The
 /// stored data is `A`'s values followed by the `n` inverse-diagonal
 /// entries, so the protected tier certifies factors and diagonal with one
-/// checked read per apply.
+/// scrub per apply.
 #[derive(Debug)]
 pub struct Polynomial {
     n: usize,
@@ -476,7 +484,7 @@ impl Polynomial {
         }
         let bound = estimate_bound(n, |r, z| {
             let mut t = vec![0.0; n];
-            polynomial_solve(&rowptr, &cols, &data, steps, r, z, &mut t);
+            polynomial_solve(&rowptr, &cols, |k| data[k], steps, r, z, &mut t);
         });
         Ok(Polynomial {
             n,
@@ -511,8 +519,8 @@ impl Preconditioner for Polynomial {
         assert_eq!(r.len(), self.n, "polynomial: residual has wrong length");
         assert_eq!(z.len(), self.n, "polynomial: output has wrong length");
         let mut t = self.scratch.borrow_mut();
-        self.store.with_values(ctx, |data| {
-            polynomial_solve(&self.rowptr, &self.cols, data, self.steps, r, z, &mut t);
+        with_factors!(&self.store, ctx, |factor| {
+            polynomial_solve(&self.rowptr, &self.cols, factor, self.steps, r, z, &mut t)
         })
     }
 
@@ -529,32 +537,33 @@ impl Preconditioner for Polynomial {
     }
 }
 
-/// The polynomial apply kernel.  `data` is the matrix values followed by
-/// the inverse diagonal; `t` is the `A z` scratch.
+/// The polynomial apply kernel.  `factor(k)` reads stored factor `k` (see
+/// [`ilu0_solve`]): the matrix values, then the inverse diagonal from
+/// `cols.len()` on; `t` is the `A z` scratch.
 fn polynomial_solve(
     rowptr: &[usize],
     cols: &[usize],
-    data: &[f64],
+    factor: impl Fn(usize) -> f64,
     steps: usize,
     r: &[f64],
     z: &mut [f64],
     t: &mut [f64],
 ) {
     let n = r.len();
-    let (values, inv_diag) = data.split_at(cols.len());
+    let inv_diag = |i: usize| factor(cols.len() + i);
     for i in 0..n {
-        z[i] = inv_diag[i] * r[i];
+        z[i] = inv_diag(i) * r[i];
     }
     for _ in 0..steps {
         for i in 0..n {
             let mut s = 0.0;
             for idx in rowptr[i]..rowptr[i + 1] {
-                s += values[idx] * z[cols[idx]];
+                s += factor(idx) * z[cols[idx]];
             }
             t[i] = s;
         }
         for i in 0..n {
-            z[i] += inv_diag[i] * (r[i] - t[i]);
+            z[i] += inv_diag(i) * (r[i] - t[i]);
         }
     }
 }
@@ -637,27 +646,57 @@ mod tests {
         let a = poisson_2d_padded(6, 6);
         let n = a.rows();
         let r = vec![1.0; n];
-        let mut z = vec![0.0; n];
-        let mut m = Ilu0::new(
-            &a,
+        let (tier, scheme, backend) = (
             Reliability::Protected,
             EccScheme::Secded64,
             Crc32cBackend::SlicingBy16,
-        )
-        .unwrap();
-        let ctx = FaultContext::new();
-        m.apply(&r, &mut z, &ctx).unwrap();
-        assert!(
-            ctx.snapshot().total_checks() > 0,
-            "protected apply must check"
         );
-        assert_eq!(m.reliability(), Reliability::Protected);
+        let ilu0 = Ilu0::new(&a, tier, scheme, backend).unwrap();
+        let polynomial = Polynomial::new(&a, 2, tier, scheme, backend).unwrap();
+        type Flip<M> = fn(&mut M, usize, u32);
+        fn exercise<M: Preconditioner>(mut m: M, flip: Flip<M>, groups: u64, r: &[f64]) {
+            let apply = |m: &M| {
+                let ctx = FaultContext::new();
+                let mut z = vec![0.0; r.len()];
+                let result = m.apply(r, &mut z, &ctx);
+                (result, z, ctx.snapshot())
+            };
+            let (result, clean_z, faults) = apply(&m);
+            result.unwrap();
+            assert_eq!(m.reliability(), Reliability::Protected);
+            // One check per factor codeword, nothing found.
+            assert_eq!(faults.total_checks(), groups, "{}", m.label());
+            assert_eq!(faults.total_corrected(), 0, "{}", m.label());
 
-        // A single factor bit flip is corrected in the checked read.
-        m.inject_factor_bit_flip(3, 14);
-        let ctx2 = FaultContext::new();
-        m.apply(&r, &mut z, &ctx2).unwrap();
-        assert_eq!(ctx2.snapshot().total_corrected(), 1);
+            // A single factor bit flip is corrected by the certifying scrub…
+            flip(&mut m, 3, 14);
+            let (result, z, faults) = apply(&m);
+            result.unwrap();
+            assert_eq!(faults.total_corrected(), 1, "{}", m.label());
+            assert_eq!(z, clean_z, "{}", m.label());
+            // …and healed in the storage: the next apply finds nothing to
+            // correct and computes on the clean factors, bit for bit.
+            let (result, z, faults) = apply(&m);
+            result.unwrap();
+            assert_eq!(faults.total_corrected(), 0, "{}", m.label());
+            assert_eq!(faults.total_checks(), groups, "{}", m.label());
+            assert_eq!(z, clean_z, "{}", m.label());
+
+            // Two flips in one factor word are beyond SECDED: fail-stop.
+            flip(&mut m, 3, 14);
+            flip(&mut m, 3, 40);
+            let (result, _, faults) = apply(&m);
+            assert!(
+                matches!(result, Err(SolverError::Fault(_))),
+                "{}",
+                m.label()
+            );
+            assert_eq!(faults.total_uncorrectable(), 1, "{}", m.label());
+        }
+        let groups = ilu0.factor_count() as u64;
+        exercise(ilu0, Ilu0::inject_factor_bit_flip, groups, &r);
+        let groups = polynomial.factor_count() as u64;
+        exercise(polynomial, Polynomial::inject_factor_bit_flip, groups, &r);
     }
 
     #[test]

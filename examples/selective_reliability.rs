@@ -7,8 +7,8 @@
 //!
 //! [`Solver::preconditioner`] attaches a preconditioner to a protected
 //! solve and chooses its reliability tier: `Protected` (uniform) stores
-//! the factors in SECDED-protected words (every read checked and
-//! corrected), `Unreliable` (selective) stores plain `f64`s with **zero**
+//! the factors in SECDED-protected words (certified before every apply,
+//! corrected in place), `Unreliable` (selective) stores plain `f64`s with **zero**
 //! integrity checks and relies on the fully protected outer FT-PCG
 //! iteration — a bounded-norm screen on each inner result plus the
 //! recurrence running entirely in protected vectors — to own correctness.
@@ -123,8 +123,8 @@ fn main() {
         "\nselective: the corruption distorts the preconditioner, so the run \
          spends extra iterations\n(and the outer screen discards any inner \
          result whose norm blows past the bound) — but the\nprotected outer \
-         recurrence certifies the answer.  uniform: every factor read is \
-         checked, the\nflips are corrected in place, and the trajectory is \
-         the clean one."
+         recurrence certifies the answer.  uniform: every apply certifies the \
+         factors\nfirst; the first one corrects the flips in place (corrected \
+         = the flips, not flips × applies)\nand the trajectory is the clean one."
     );
 }

@@ -18,7 +18,7 @@
 //!    checks it performed, pinned at `len % group != 0`.
 
 use abft_suite::core::protected_vector::masking_relative_error_bound;
-use abft_suite::core::{EccScheme, FaultLog, ProtectedVector, ReductionWorkspace};
+use abft_suite::core::{AbftError, EccScheme, FaultLog, ProtectedVector, ReductionWorkspace};
 use abft_suite::prelude::Crc32cBackend;
 
 fn sample(n: usize, seed: f64) -> Vec<f64> {
@@ -88,14 +88,16 @@ fn masked_kernels_match_group_decode_bitwise() {
 
             // scale
             let mut reference = a.clone();
-            reference.scale(1.0 / 3.0, &log).unwrap();
+            reference
+                .update_from_fn(&log, |_, v| v * (1.0 / 3.0))
+                .unwrap();
             let mut masked = a.clone();
             masked.scale_masked(1.0 / 3.0, &log).unwrap();
             assert_eq!(masked.raw(), reference.raw(), "{scheme:?} n={n} scale");
 
             // fused scale_axpy vs the sequential scale-then-axpy composition
             let mut reference = a.clone();
-            reference.scale(0.8, &log).unwrap();
+            reference.update_from_fn(&log, |_, v| v * 0.8).unwrap();
             reference.axpy(0.3, &b, &log).unwrap();
             let mut masked = a.clone();
             masked.scale_axpy_masked(0.8, 0.3, &b, &log).unwrap();
@@ -287,7 +289,17 @@ fn check_accounting_is_pinned_for_partial_trailing_groups() {
         y.dot_axpy_masked(1.0, &b, &log).unwrap();
         assert_eq!(dense(&log), 2 * groups, "{scheme:?} dot_axpy_masked");
 
-        // copy_from and set perform checks and must account for them.
+        // The checked read, the indexed update, copy_from and set perform
+        // checks and must account for them: one per group.
+        let log = FaultLog::new();
+        a.read_checked(&mut [0.0; 7], &log).unwrap();
+        assert_eq!(dense(&log), groups, "{scheme:?} read_checked");
+
+        let log = FaultLog::new();
+        let mut y = a.clone();
+        y.update_from_fn(&log, |i, v| v + i as f64).unwrap();
+        assert_eq!(dense(&log), groups, "{scheme:?} update_from_fn");
+
         let log = FaultLog::new();
         let mut y = a.clone();
         y.copy_from(&b, &log).unwrap();
@@ -311,6 +323,25 @@ fn grouped_error_path_reports_partial_check_tally() {
     assert!(v.check_all(&log).is_err());
     assert_eq!(log.total_uncorrectable(), 1);
     assert_eq!(log.snapshot().checks[2], 2);
+
+    // The range kernels flush the same partial tally on their error path.
+    type Kernel = fn(&mut ProtectedVector, &ProtectedVector, &FaultLog) -> Result<(), AbftError>;
+    let kernels: [(&str, Kernel); 3] = [
+        ("read_checked", |_, v, log| {
+            v.read_checked(&mut [0.0; 7], log)
+        }),
+        ("update_from_fn", |_, v, log| {
+            v.clone().update_from_fn(log, |_, x| x)
+        }),
+        ("copy_from", |dst, v, log| dst.copy_from(v, log)),
+    ];
+    for (name, kernel) in kernels {
+        let log = FaultLog::new();
+        let mut dst = encode(&sample(7, 2.0), EccScheme::Secded128);
+        assert!(kernel(&mut dst, &v, &log).is_err(), "{name}");
+        assert_eq!(log.total_uncorrectable(), 1, "{name}");
+        assert_eq!(log.snapshot().checks[2], 2, "{name}");
+    }
 }
 
 #[test]

@@ -355,10 +355,10 @@ fn sample(n: usize, seed: f64) -> Vec<f64> {
         .collect()
 }
 
-/// `dot/axpy/xpay/scale/dot_axpy_masked` against the group-decode reference
-/// with a flip in `s` or in `x` at the edges of the 128-element write
-/// stages and of the 4096-element accumulation blocks, in the trailing
-/// partial group and in its padding.
+/// `dot/axpy/xpay/scale/dot_axpy_masked`, `copy_from` and `read_checked`
+/// against the group-decode reference with a flip in `s` or in `x` at the
+/// edges of the 128-element write stages and of the 4096-element
+/// accumulation blocks, in the trailing partial group and in its padding.
 #[test]
 fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
     // Not a multiple of four: CRC32C's last group holds two elements and
@@ -389,7 +389,7 @@ fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
                         &ProtectedVector,
                         &FaultLog,
                     ) -> Result<f64, AbftError>;
-                    let pairs: [(&str, Kernel, Kernel); 5] = [
+                    let pairs: [(&str, Kernel, Kernel); 7] = [
                         (
                             "dot",
                             |s, _, x, log| s.dot_masked(x, log),
@@ -408,7 +408,7 @@ fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
                         (
                             "scale",
                             |s, a, _, log| s.scale_masked(a, log).map(|()| 0.0),
-                            |s, a, _, log| s.scale(a, log).map(|()| 0.0),
+                            |s, a, _, log| s.update_from_fn(log, |_, v| v * a).map(|()| 0.0),
                         ),
                         (
                             "dot_axpy",
@@ -418,9 +418,32 @@ fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
                                 s.dot(s, &FaultLog::new())
                             },
                         ),
+                        // `x + 0·s` is the group-decode copy.
+                        (
+                            "copy_from",
+                            |s, _, x, log| s.copy_from(x, log).map(|()| 0.0),
+                            |s, _, x, log| s.xpay(0.0, x, log).map(|()| 0.0),
+                        ),
+                        // Storing what a checked read of `x` handed out (and
+                        // nothing where it handed out nothing) is a copy.
+                        (
+                            "read_checked",
+                            |s, _, x, log| {
+                                let mut out = vec![f64::NAN; x.len()];
+                                let read = x.read_checked(&mut out, log);
+                                let keep =
+                                    |i: usize, v: f64| if out[i].is_nan() { v } else { out[i] };
+                                s.update_from_fn(&FaultLog::new(), keep)?;
+                                read.map(|()| 0.0)
+                            },
+                            |s, _, x, log| s.copy_from(x, log).map(|()| 0.0),
+                        ),
                     ];
                     for (name, masked, reference) in pairs {
                         if name == "scale" && in_x {
+                            continue;
+                        }
+                        if matches!(name, "copy_from" | "read_checked") && !in_x {
                             continue;
                         }
                         let (mut sm, mut sr) = (s.clone(), s.clone());
@@ -433,7 +456,12 @@ fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
                             want.as_ref().map(|v| v.to_bits()),
                             "{name} {label}"
                         );
-                        assert_eq!(log_m.snapshot(), log_r.snapshot(), "{name} {label}");
+                        let mut faults_r = log_r.snapshot();
+                        if name == "copy_from" {
+                            // Its reference checks `s` too, group for group.
+                            faults_r.checks[2] /= 2;
+                        }
+                        assert_eq!(log_m.snapshot(), faults_r, "{name} {label}");
                         assert_eq!(sm.raw(), sr.raw(), "{name} {label}");
                     }
                 }

@@ -7,7 +7,7 @@
 //! (vector clones, the decoded solution), none to the iterations.
 
 use abft_suite::core::{EccScheme, ProtectionConfig};
-use abft_suite::prelude::{Crc32cBackend, Solver};
+use abft_suite::prelude::{Crc32cBackend, PrecondKind, Reliability, Solver};
 use abft_suite::solvers::backends::{FullyProtected, MatrixProtected};
 use abft_suite::sparse::builders::poisson_2d_padded;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -158,6 +158,36 @@ fn fully_protected_cg_iterations_do_not_allocate() {
         assert_eq!(
             allocs_short, allocs_long,
             "{scheme:?}: fully protected CG iterations allocated"
+        );
+    }
+}
+
+#[test]
+fn ft_pcg_iterations_do_not_allocate() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    let (a, b) = system();
+    // The guarded inner apply sits inside every FT-PCG iteration: a checked
+    // read of the residual, the ILU(0) sweeps (over factors certified in
+    // place in the protected tier, over plain ones in the unreliable tier)
+    // and the re-encode of `z`.  Everything a solve allocates — matrix,
+    // factors, vectors, the plain staging buffers — belongs to its set-up.
+    for tier in [Reliability::Protected, Reliability::Unreliable] {
+        let solver = Solver::cg()
+            .protection(ProtectionConfig::full(EccScheme::Secded64))
+            .preconditioner(PrecondKind::Ilu0, tier)
+            .tolerance(0.0);
+        let (short, long) = (solver.max_iterations(10), solver.max_iterations(60));
+        short.solve(&a, &b).unwrap();
+
+        let allocs_short = allocations_during(|| {
+            short.solve(&a, &b).unwrap();
+        });
+        let allocs_long = allocations_during(|| {
+            long.solve(&a, &b).unwrap();
+        });
+        assert_eq!(
+            allocs_short, allocs_long,
+            "{tier:?}: FT-PCG iterations allocated"
         );
     }
 }
