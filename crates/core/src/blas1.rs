@@ -9,14 +9,17 @@
 //! predicate, no correction machinery) and, when clean — the overwhelmingly
 //! common case — the arithmetic can run straight over the raw `u64` words
 //! with the read mask held in a register, exactly like the SpMV fast path.
-//! Only a group that fails its check takes the correcting
-//! `GroupCodec::decode` slow path.
+//! Every kernel here has the same two arms, whatever the scheme: a run that
+//! `GroupCodec::run_clean` certifies with one batched predicate is computed
+//! with masked loads (and written back a staged run at a time), and only a
+//! run that fails it is re-walked group by group, a group that fails its
+//! own check taking the correcting `GroupCodec::decode`.
 //!
 //! Three further properties, shared by every kernel here:
 //!
 //! * **Bulk fault accounting** — integrity checks are tallied in a local
 //!   counter and flushed to the [`FaultLog`] in one atomic update per call
-//!   (per chunk, in the parallel variants), mirroring `spmv_range`.  The
+//!   (per chunk, in the parallel variants), mirroring the range kernels.  The
 //!   flush happens on the error path too, so an aborting fault reports
 //!   exactly the checks performed.
 //! * **Blocked reductions** — the dot-product family accumulates per
@@ -35,15 +38,12 @@
 //! [`ReductionWorkspace`] is warm — the solver backends own one behind a
 //! `RefCell`, exactly like the [`SpmvWorkspace`](crate::SpmvWorkspace), so
 //! whole parallel protected CG iterations never touch the heap
-//! (`tests/zero_alloc.rs` pins both paths).  The `*_parallel` entry points
-//! without a workspace argument remain for callers that do not care and
-//! allocate a transient workspace per call.
+//! (`tests/zero_alloc.rs` pins both paths).
 
 use crate::error::AbftError;
 use crate::protected_vector::{GroupCodec, ProtectedVector, ACC_BLOCK, MAX_GROUP};
 use crate::report::{FaultLog, Region};
 use crate::schemes::EccScheme;
-use abft_ecc::sed::parity_u64;
 
 /// Minimum storage-word count for the chunked-parallel BLAS-1 variants to
 /// engage; shorter vectors take the serial kernels.
@@ -165,6 +165,19 @@ impl ReductionWorkspace {
     }
 }
 
+/// Sums `block(start, end)` over the [`ACC_BLOCK`] runs of `n` storage words
+/// in order — the fold every reduction shares — stopping at the first error.
+fn sum_blocks(
+    n: usize,
+    mut block: impl FnMut(usize, usize) -> Result<f64, AbftError>,
+) -> Result<f64, AbftError> {
+    let mut total = 0.0;
+    for start in (0..n).step_by(ACC_BLOCK) {
+        total += block(start, (start + ACC_BLOCK).min(n))?;
+    }
+    Ok(total)
+}
+
 /// `Σ a[i]·b[i]` over one block's logical elements, checking each codeword
 /// group once.  `a`/`b` are whole-group storage slices; `base` is the global
 /// element index of `a[0]`, `len` the global logical length.
@@ -178,67 +191,34 @@ fn dot_block(
     tally: &mut u64,
 ) -> Result<f64, AbftError> {
     let mask = codec.mask;
+    let group = codec.group();
     let mut acc = 0.0;
-    match codec.scheme {
-        EccScheme::None => {
-            for (&aw, &bw) in a.iter().zip(b) {
-                acc += f64::from_bits(aw & mask) * f64::from_bits(bw & mask);
-            }
+    if codec.run_clean(a) && codec.run_clean(b) {
+        // Batched screening pass certified every group of the block;
+        // accumulate the logical elements straight off the raw words.
+        // Group-order accumulation equals element-order accumulation, so
+        // this is bitwise identical to the walk below.
+        *tally += 2 * (a.len() / group) as u64;
+        let logical = a.len().min(len - base);
+        for (&aw, &bw) in a[..logical].iter().zip(&b[..logical]) {
+            acc += f64::from_bits(aw & mask) * f64::from_bits(bw & mask);
         }
-        EccScheme::Sed
-            if abft_ecc::verify::sed_words_clean(a) && abft_ecc::verify::sed_words_clean(b) =>
-        {
-            // Batched screening pass certified the block: the multiply
-            // accumulates over raw words with no per-element parity left.
-            *tally += 2 * a.len() as u64;
-            for (&aw, &bw) in a.iter().zip(b) {
-                acc += f64::from_bits(aw & mask) * f64::from_bits(bw & mask);
+        return Ok(acc);
+    }
+    for off in (0..a.len()).step_by(group) {
+        *tally += 2;
+        let logical = group.min(len - (base + off));
+        let ga = &a[off..off + group];
+        let gb = &b[off..off + group];
+        if codec.is_clean(ga) && codec.is_clean(gb) {
+            for j in 0..logical {
+                acc += f64::from_bits(ga[j] & mask) * f64::from_bits(gb[j] & mask);
             }
-        }
-        EccScheme::Sed => {
-            for (j, (&aw, &bw)) in a.iter().zip(b).enumerate() {
-                *tally += 2;
-                if parity_u64(aw) != 0 || parity_u64(bw) != 0 {
-                    log.record_uncorrectable(Region::DenseVector);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::DenseVector,
-                        index: base + j,
-                    });
-                }
-                acc += f64::from_bits(aw & mask) * f64::from_bits(bw & mask);
-            }
-        }
-        _ if codec.run_clean(a) && codec.run_clean(b) => {
-            // Batched screening pass certified every group of the block;
-            // accumulate the logical elements straight off the raw words.
-            // Group-order accumulation equals element-order accumulation,
-            // so this is bitwise identical to the walk below.
-            *tally += 2 * (a.len() / codec.group()) as u64;
-            let logical = a.len().min(len - base);
-            for (&aw, &bw) in a[..logical].iter().zip(&b[..logical]) {
-                acc += f64::from_bits(aw & mask) * f64::from_bits(bw & mask);
-            }
-        }
-        _ => {
-            let group = codec.group();
-            let mut off = 0;
-            while off < a.len() {
-                *tally += 2;
-                let logical = group.min(len - (base + off));
-                let ga = &a[off..off + group];
-                let gb = &b[off..off + group];
-                if codec.is_clean(ga) && codec.is_clean(gb) {
-                    for j in 0..logical {
-                        acc += f64::from_bits(ga[j] & mask) * f64::from_bits(gb[j] & mask);
-                    }
-                } else {
-                    let av = codec.decode(ga, logical, base + off, log)?;
-                    let bv = codec.decode(gb, logical, base + off, log)?;
-                    for j in 0..logical {
-                        acc += av[j] * bv[j];
-                    }
-                }
-                off += group;
+        } else {
+            let av = codec.decode(ga, logical, base + off, log)?;
+            let bv = codec.decode(gb, logical, base + off, log)?;
+            for j in 0..logical {
+                acc += av[j] * bv[j];
             }
         }
     }
@@ -256,62 +236,30 @@ fn norm_block(
     tally: &mut u64,
 ) -> Result<f64, AbftError> {
     let mask = codec.mask;
+    let group = codec.group();
     let mut acc = 0.0;
-    match codec.scheme {
-        EccScheme::None => {
-            for &aw in a {
-                let v = f64::from_bits(aw & mask);
+    if codec.run_clean(a) {
+        *tally += (a.len() / group) as u64;
+        let logical = a.len().min(len - base);
+        for &aw in &a[..logical] {
+            let v = f64::from_bits(aw & mask);
+            acc += v * v;
+        }
+        return Ok(acc);
+    }
+    for off in (0..a.len()).step_by(group) {
+        *tally += 1;
+        let logical = group.min(len - (base + off));
+        let ga = &a[off..off + group];
+        if codec.is_clean(ga) {
+            for &gw in &ga[..logical] {
+                let v = f64::from_bits(gw & mask);
                 acc += v * v;
             }
-        }
-        EccScheme::Sed if abft_ecc::verify::sed_words_clean(a) => {
-            *tally += a.len() as u64;
-            for &aw in a {
-                let v = f64::from_bits(aw & mask);
+        } else {
+            let av = codec.decode(ga, logical, base + off, log)?;
+            for &v in &av[..logical] {
                 acc += v * v;
-            }
-        }
-        EccScheme::Sed => {
-            for (j, &aw) in a.iter().enumerate() {
-                *tally += 1;
-                if parity_u64(aw) != 0 {
-                    log.record_uncorrectable(Region::DenseVector);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::DenseVector,
-                        index: base + j,
-                    });
-                }
-                let v = f64::from_bits(aw & mask);
-                acc += v * v;
-            }
-        }
-        _ if codec.run_clean(a) => {
-            *tally += (a.len() / codec.group()) as u64;
-            let logical = a.len().min(len - base);
-            for &aw in &a[..logical] {
-                let v = f64::from_bits(aw & mask);
-                acc += v * v;
-            }
-        }
-        _ => {
-            let group = codec.group();
-            let mut off = 0;
-            while off < a.len() {
-                *tally += 1;
-                let logical = group.min(len - (base + off));
-                let ga = &a[off..off + group];
-                if codec.is_clean(ga) {
-                    for &gw in &ga[..logical] {
-                        let v = f64::from_bits(gw & mask);
-                        acc += v * v;
-                    }
-                } else {
-                    let av = codec.decode(ga, logical, base + off, log)?;
-                    for &v in &av[..logical] {
-                        acc += v * v;
-                    }
-                }
-                off += group;
             }
         }
     }
@@ -319,7 +267,10 @@ fn norm_block(
 }
 
 /// Two-operand update `s[i] ← op(s[i], x[i])` over a whole-group storage
-/// range, one check per group per operand, one re-encode per group.
+/// range, one check per group per operand, one re-encode per group.  `op`
+/// sees every logical element pair once, in ascending order, and none at or
+/// after an uncorrectable group — a fused kernel may reduce over what it
+/// returns.
 #[allow(clippy::too_many_arguments)]
 fn zip_range(
     codec: GroupCodec,
@@ -329,150 +280,52 @@ fn zip_range(
     len: usize,
     log: &FaultLog,
     tally: &mut u64,
-    op: &impl Fn(f64, f64) -> f64,
+    op: &mut impl FnMut(f64, f64) -> f64,
 ) -> Result<(), AbftError> {
     let mask = codec.mask;
-    match codec.scheme {
-        EccScheme::None => {
-            for (sw, &xw) in s.iter_mut().zip(x) {
-                *sw = op(f64::from_bits(*sw & mask), f64::from_bits(xw & mask)).to_bits();
+    let group = codec.group();
+    if codec.run_clean(s) && codec.run_clean(x) {
+        // Batched screening pass: one predicate over each operand's whole
+        // range replaces the per-group checks, and the results are written
+        // a staged run at a time.
+        *tally += 2 * (s.len() / group) as u64;
+        codec.rewrite_staged(s, s.len().min(len - base), |j, sw| {
+            op(f64::from_bits(sw & mask), f64::from_bits(x[j] & mask))
+        });
+        return Ok(());
+    }
+    for off in (0..s.len()).step_by(group) {
+        *tally += 2;
+        let logical = group.min(len - (base + off));
+        let mut buf = [0.0f64; MAX_GROUP];
+        let gs = &mut s[off..off + group];
+        let gx = &x[off..off + group];
+        if codec.is_clean(gs) && codec.is_clean(gx) {
+            for j in 0..logical {
+                buf[j] = op(f64::from_bits(gs[j] & mask), f64::from_bits(gx[j] & mask));
+            }
+        } else {
+            let sv = codec.decode(gs, logical, base + off, log)?;
+            let xv = codec.decode(gx, logical, base + off, log)?;
+            for j in 0..logical {
+                buf[j] = op(sv[j], xv[j]);
             }
         }
-        EccScheme::Sed
-            if abft_ecc::verify::sed_words_clean(s) && abft_ecc::verify::sed_words_clean(x) =>
-        {
-            *tally += 2 * s.len() as u64;
-            for (sw, &xw) in s.iter_mut().zip(x) {
-                let payload =
-                    op(f64::from_bits(*sw & mask), f64::from_bits(xw & mask)).to_bits() & mask;
-                *sw = payload | parity_u64(payload) as u64;
-            }
-        }
-        EccScheme::Sed => {
-            for (j, (sw, &xw)) in s.iter_mut().zip(x).enumerate() {
-                *tally += 2;
-                if parity_u64(*sw) != 0 || parity_u64(xw) != 0 {
-                    log.record_uncorrectable(Region::DenseVector);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::DenseVector,
-                        index: base + j,
-                    });
-                }
-                let payload =
-                    op(f64::from_bits(*sw & mask), f64::from_bits(xw & mask)).to_bits() & mask;
-                *sw = payload | parity_u64(payload) as u64;
-            }
-        }
-        _ if codec.run_clean(s) && codec.run_clean(x) => {
-            // Batched screening pass: one predicate over each operand's
-            // whole range replaces the per-group checks, and the results
-            // are written a staged run at a time.
-            *tally += 2 * (s.len() / codec.group()) as u64;
-            codec.rewrite_staged(s, s.len().min(len - base), |j, sw| {
-                op(f64::from_bits(sw & mask), f64::from_bits(x[j] & mask))
-            });
-        }
-        _ => {
-            let group = codec.group();
-            let mut off = 0;
-            while off < s.len() {
-                *tally += 2;
-                let logical = group.min(len - (base + off));
-                let mut buf = [0.0f64; MAX_GROUP];
-                {
-                    let gs = &s[off..off + group];
-                    let gx = &x[off..off + group];
-                    if codec.is_clean(gs) && codec.is_clean(gx) {
-                        for j in 0..logical {
-                            buf[j] = op(f64::from_bits(gs[j] & mask), f64::from_bits(gx[j] & mask));
-                        }
-                    } else {
-                        let sv = codec.decode(gs, logical, base + off, log)?;
-                        let xv = codec.decode(gx, logical, base + off, log)?;
-                        for j in 0..logical {
-                            buf[j] = op(sv[j], xv[j]);
-                        }
-                    }
-                }
-                codec.encode(&buf, &mut s[off..off + group]);
-                off += group;
-            }
-        }
+        codec.encode(&buf, gs);
     }
     Ok(())
 }
 
-/// In-place scale `s[i] ← α·s[i]`, one check per group.
-fn scale_range(
-    codec: GroupCodec,
-    s: &mut [u64],
-    base: usize,
-    len: usize,
-    log: &FaultLog,
-    tally: &mut u64,
-    alpha: f64,
-) -> Result<(), AbftError> {
-    let mask = codec.mask;
-    match codec.scheme {
-        EccScheme::None => {
-            for sw in s.iter_mut() {
-                *sw = (f64::from_bits(*sw & mask) * alpha).to_bits();
-            }
-        }
-        EccScheme::Sed if abft_ecc::verify::sed_words_clean(s) => {
-            *tally += s.len() as u64;
-            for sw in s.iter_mut() {
-                let payload = (f64::from_bits(*sw & mask) * alpha).to_bits() & mask;
-                *sw = payload | parity_u64(payload) as u64;
-            }
-        }
-        EccScheme::Sed => {
-            for (j, sw) in s.iter_mut().enumerate() {
-                *tally += 1;
-                if parity_u64(*sw) != 0 {
-                    log.record_uncorrectable(Region::DenseVector);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::DenseVector,
-                        index: base + j,
-                    });
-                }
-                let payload = (f64::from_bits(*sw & mask) * alpha).to_bits() & mask;
-                *sw = payload | parity_u64(payload) as u64;
-            }
-        }
-        _ if codec.run_clean(s) => {
-            // One batched predicate, staged writes (see `zip_range`).
-            *tally += (s.len() / codec.group()) as u64;
-            codec.rewrite_staged(s, s.len().min(len - base), |_, sw| {
-                f64::from_bits(sw & mask) * alpha
-            });
-        }
-        _ => {
-            let group = codec.group();
-            let mut off = 0;
-            while off < s.len() {
-                *tally += 1;
-                let logical = group.min(len - (base + off));
-                let mut buf = [0.0f64; MAX_GROUP];
-                {
-                    let gs = &s[off..off + group];
-                    if codec.is_clean(gs) {
-                        for j in 0..logical {
-                            buf[j] = f64::from_bits(gs[j] & mask) * alpha;
-                        }
-                    } else {
-                        let sv = codec.decode(gs, logical, base + off, log)?;
-                        for j in 0..logical {
-                            buf[j] = sv[j] * alpha;
-                        }
-                    }
-                }
-                codec.encode(&buf, &mut s[off..off + group]);
-                off += group;
-            }
-        }
-    }
-    Ok(())
+/// One element of the fused `s ← s + α·x`, `Σ s'[i]²`: returns the update
+/// and adds to `acc` the square of the value as it will be *stored* (masked,
+/// re-encoded), so the sum equals running the AXPY and then a dot on the
+/// updated vector.
+#[inline(always)]
+fn axpy_and_square(alpha: f64, mask: u64, acc: &mut f64, s: f64, xv: f64) -> f64 {
+    let updated = s + alpha * xv;
+    let stored = f64::from_bits(updated.to_bits() & mask);
+    *acc += stored * stored;
+    updated
 }
 
 /// Checked read `out[i] ← s[i]` over a whole-group storage range, one check
@@ -620,106 +473,6 @@ pub(crate) fn copy_range(
     Ok(())
 }
 
-/// Fused `s ← s + α·x` and `Σ s'[i]²` (post-update) over one block — the
-/// squared values are the *stored* (masked, re-encoded) ones, so the result
-/// equals running the AXPY and then a dot on the updated vector.
-#[allow(clippy::too_many_arguments)]
-fn dot_axpy_block(
-    codec: GroupCodec,
-    alpha: f64,
-    s: &mut [u64],
-    x: &[u64],
-    base: usize,
-    len: usize,
-    log: &FaultLog,
-    tally: &mut u64,
-) -> Result<f64, AbftError> {
-    let mask = codec.mask;
-    let mut acc = 0.0;
-    match codec.scheme {
-        EccScheme::None => {
-            for (sw, &xw) in s.iter_mut().zip(x) {
-                let updated = f64::from_bits(*sw & mask) + alpha * f64::from_bits(xw & mask);
-                *sw = updated.to_bits();
-                acc += updated * updated;
-            }
-        }
-        EccScheme::Sed
-            if abft_ecc::verify::sed_words_clean(s) && abft_ecc::verify::sed_words_clean(x) =>
-        {
-            *tally += 2 * s.len() as u64;
-            for (sw, &xw) in s.iter_mut().zip(x) {
-                let updated = f64::from_bits(*sw & mask) + alpha * f64::from_bits(xw & mask);
-                let payload = updated.to_bits() & mask;
-                *sw = payload | parity_u64(payload) as u64;
-                let stored = f64::from_bits(payload);
-                acc += stored * stored;
-            }
-        }
-        EccScheme::Sed => {
-            for (j, (sw, &xw)) in s.iter_mut().zip(x).enumerate() {
-                *tally += 2;
-                if parity_u64(*sw) != 0 || parity_u64(xw) != 0 {
-                    log.record_uncorrectable(Region::DenseVector);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::DenseVector,
-                        index: base + j,
-                    });
-                }
-                let updated = f64::from_bits(*sw & mask) + alpha * f64::from_bits(xw & mask);
-                let payload = updated.to_bits() & mask;
-                *sw = payload | parity_u64(payload) as u64;
-                let stored = f64::from_bits(payload);
-                acc += stored * stored;
-            }
-        }
-        _ if codec.run_clean(s) && codec.run_clean(x) => {
-            // One batched predicate per operand, staged writes (see
-            // `zip_range`); the squares accumulate in element order, as in
-            // the walk below.
-            *tally += 2 * (s.len() / codec.group()) as u64;
-            codec.rewrite_staged(s, s.len().min(len - base), |j, sw| {
-                let updated = f64::from_bits(sw & mask) + alpha * f64::from_bits(x[j] & mask);
-                let stored = f64::from_bits(updated.to_bits() & mask);
-                acc += stored * stored;
-                updated
-            });
-        }
-        _ => {
-            let group = codec.group();
-            let mut off = 0;
-            while off < s.len() {
-                *tally += 2;
-                let logical = group.min(len - (base + off));
-                let mut buf = [0.0f64; MAX_GROUP];
-                {
-                    let gs = &s[off..off + group];
-                    let gx = &x[off..off + group];
-                    if codec.is_clean(gs) && codec.is_clean(gx) {
-                        for j in 0..logical {
-                            buf[j] =
-                                f64::from_bits(gs[j] & mask) + alpha * f64::from_bits(gx[j] & mask);
-                        }
-                    } else {
-                        let sv = codec.decode(gs, logical, base + off, log)?;
-                        let xv = codec.decode(gx, logical, base + off, log)?;
-                        for j in 0..logical {
-                            buf[j] = sv[j] + alpha * xv[j];
-                        }
-                    }
-                }
-                codec.encode(&buf, &mut s[off..off + group]);
-                for &v in &buf[..logical] {
-                    let stored = f64::from_bits(v.to_bits() & mask);
-                    acc += stored * stored;
-                }
-                off += group;
-            }
-        }
-    }
-    Ok(acc)
-}
-
 /// Per-chunk state of the parallel fused kernel: local check tally plus the
 /// chunk's block partial sums (folded in chunk order afterwards).
 #[derive(Debug, Default, Clone)]
@@ -759,30 +512,12 @@ impl ProtectedVector {
         }
         let codec = self.codec();
         let mut tally = 0u64;
-        let mut total = 0.0;
-        let mut result = Ok(());
-        let mut start = 0;
-        while start < self.data.len() {
-            let end = (start + ACC_BLOCK).min(self.data.len());
-            match dot_block(
-                codec,
-                &self.data[start..end],
-                &other.data[start..end],
-                start,
-                self.len,
-                log,
-                &mut tally,
-            ) {
-                Ok(part) => total += part,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-            start = end;
-        }
+        let result = sum_blocks(self.data.len(), |start, end| {
+            let (a, b) = (&self.data[start..end], &other.data[start..end]);
+            dot_block(codec, a, b, start, self.len, log, &mut tally)
+        });
         flush_checks(log, codec.scheme, tally);
-        result.map(|()| total)
+        result
     }
 
     /// Chunked-parallel [`ProtectedVector::dot_masked`]: block partials are
@@ -840,29 +575,18 @@ impl ProtectedVector {
     pub fn norm2_masked(&self, log: &FaultLog) -> Result<f64, AbftError> {
         let codec = self.codec();
         let mut tally = 0u64;
-        let mut total = 0.0;
-        let mut result = Ok(());
-        let mut start = 0;
-        while start < self.data.len() {
-            let end = (start + ACC_BLOCK).min(self.data.len());
-            match norm_block(
+        let result = sum_blocks(self.data.len(), |start, end| {
+            norm_block(
                 codec,
                 &self.data[start..end],
                 start,
                 self.len,
                 log,
                 &mut tally,
-            ) {
-                Ok(part) => total += part,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-            start = end;
-        }
+            )
+        });
         flush_checks(log, codec.scheme, tally);
-        result.map(|()| total.sqrt())
+        result.map(f64::sqrt)
     }
 
     /// Chunked-parallel [`ProtectedVector::norm2_masked`], bitwise identical
@@ -953,7 +677,8 @@ impl ProtectedVector {
         let codec = self.codec();
         let len = self.len;
         let mut tally = 0u64;
-        let result = scale_range(codec, &mut self.data, 0, len, log, &mut tally, alpha);
+        let mut scale = |_, v: f64| v * alpha;
+        let result = update_range(codec, &mut self.data, 0, len, log, &mut tally, &mut scale);
         flush_checks(log, codec.scheme, tally);
         if result.is_ok() {
             self.parity_commit();
@@ -979,7 +704,7 @@ impl ProtectedVector {
         let len = self.len;
         let tallies = ReductionWorkspace::zeroed_tallies(&mut ws.tallies, n_chunks);
         let result = rayon::with_chunks_mut(&mut self.data, tallies, |offset, chunk, tally| {
-            scale_range(codec, chunk, offset, len, log, tally, alpha)
+            update_range(codec, chunk, offset, len, log, tally, &mut |_, v| v * alpha)
         });
         flush_checks(log, codec.scheme, tallies.iter().sum());
         if result.is_ok() {
@@ -1026,34 +751,18 @@ impl ProtectedVector {
         let codec = self.codec();
         let len = self.len;
         let mut tally = 0u64;
-        let mut total = 0.0;
-        let mut result = Ok(());
-        let mut start = 0;
-        while start < self.data.len() {
-            let end = (start + ACC_BLOCK).min(self.data.len());
-            match dot_axpy_block(
-                codec,
-                alpha,
-                &mut self.data[start..end],
-                &x.data[start..end],
-                start,
-                len,
-                log,
-                &mut tally,
-            ) {
-                Ok(part) => total += part,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-            start = end;
-        }
+        let result = sum_blocks(self.data.len(), |start, end| {
+            let (s, x) = (&mut self.data[start..end], &x.data[start..end]);
+            let mut part = 0.0;
+            let op = &mut |s, xv| axpy_and_square(alpha, codec.mask, &mut part, s, xv);
+            zip_range(codec, s, x, start, len, log, &mut tally, op)?;
+            Ok(part)
+        });
         flush_checks(log, codec.scheme, tally);
         if result.is_ok() {
             self.parity_commit();
         }
-        result.map(|()| total)
+        result
     }
 
     /// Chunked-parallel [`ProtectedVector::dot_axpy_masked`]: chunks are
@@ -1088,21 +797,13 @@ impl ProtectedVector {
         let states = ws.reset_chunks(n_chunks);
         let x_data = &x.data;
         let result = rayon::with_chunks_mut(&mut self.data, states, |offset, chunk, acc| {
-            let mut start = 0;
-            while start < chunk.len() {
-                let end = (start + ACC_BLOCK).min(chunk.len());
-                let part = dot_axpy_block(
-                    codec,
-                    alpha,
-                    &mut chunk[start..end],
-                    &x_data[offset + start..offset + end],
-                    offset + start,
-                    len,
-                    log,
-                    &mut acc.tally,
-                )?;
+            for (b, s) in chunk.chunks_mut(ACC_BLOCK).enumerate() {
+                let at = offset + b * ACC_BLOCK;
+                let x = &x_data[at..at + s.len()];
+                let mut part = 0.0;
+                let op = &mut |s, xv| axpy_and_square(alpha, codec.mask, &mut part, s, xv);
+                zip_range(codec, s, x, at, len, log, &mut acc.tally, op)?;
                 acc.partials.push(part);
-                start = end;
             }
             Ok(())
         });
@@ -1118,7 +819,7 @@ impl ProtectedVector {
         x: &ProtectedVector,
         log: &FaultLog,
         what: &str,
-        op: impl Fn(f64, f64) -> f64,
+        mut op: impl FnMut(f64, f64) -> f64,
     ) -> Result<(), AbftError> {
         assert_eq!(self.len(), x.len(), "{what}: length mismatch");
         assert_eq!(
@@ -1130,7 +831,8 @@ impl ProtectedVector {
         let codec = self.codec();
         let len = self.len;
         let mut tally = 0u64;
-        let result = zip_range(codec, &mut self.data, &x.data, 0, len, log, &mut tally, &op);
+        let data = &mut self.data;
+        let result = zip_range(codec, data, &x.data, 0, len, log, &mut tally, &mut op);
         flush_checks(log, codec.scheme, tally);
         if result.is_ok() {
             self.parity_commit();
@@ -1162,18 +864,11 @@ impl ProtectedVector {
         let len = self.len;
         let tallies = ReductionWorkspace::zeroed_tallies(&mut ws.tallies, n_chunks);
         let x_data = &x.data;
-        let op = &op;
         let result = rayon::with_chunks_mut(&mut self.data, tallies, |offset, chunk, tally| {
-            zip_range(
-                codec,
-                chunk,
-                &x_data[offset..offset + chunk.len()],
-                offset,
-                len,
-                log,
-                tally,
-                op,
-            )
+            let x = &x_data[offset..offset + chunk.len()];
+            zip_range(codec, chunk, x, offset, len, log, tally, &mut |s, xv| {
+                op(s, xv)
+            })
         });
         flush_checks(log, codec.scheme, tallies.iter().sum());
         if result.is_ok() {

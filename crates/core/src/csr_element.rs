@@ -22,7 +22,7 @@
 
 use crate::error::AbftError;
 use crate::report::{FaultLog, Region};
-use crate::schemes::EccScheme;
+use crate::schemes::{EccScheme, ElementGrouping};
 use abft_ecc::correction::correct_crc32c_single;
 use abft_ecc::secded::DecodeOutcome;
 use abft_ecc::sed::{parity_u32, parity_u64};
@@ -41,6 +41,7 @@ const CRC_BYTES_PER_ELEMENT: usize = 12;
 pub struct ElementCodec {
     scheme: EccScheme,
     crc: Crc32c,
+    col_mask: u32,
 }
 
 impl ElementCodec {
@@ -49,6 +50,11 @@ impl ElementCodec {
         ElementCodec {
             scheme,
             crc: Crc32c::new(backend),
+            col_mask: match scheme {
+                EccScheme::None => u32::MAX,
+                EccScheme::Sed => COL_MASK_31,
+                _ => COL_MASK_24,
+            },
         }
     }
 
@@ -60,19 +66,20 @@ impl ElementCodec {
     /// Strips the redundancy bits from a stored column index.
     #[inline]
     pub fn mask_col(&self, col: u32) -> u32 {
-        col & self.col_mask()
+        col & self.col_mask
     }
 
-    /// The AND-mask selecting the real index bits of this scheme — hoistable
-    /// out of kernel inner loops, unlike the per-call match of
-    /// [`ElementCodec::mask_col`].
+    /// The AND-mask selecting the real index bits of this scheme.
     #[inline]
     pub fn col_mask(&self) -> u32 {
-        match self.scheme {
-            EccScheme::None => u32::MAX,
-            EccScheme::Sed => COL_MASK_31,
-            _ => COL_MASK_24,
-        }
+        self.col_mask
+    }
+
+    /// True when one codeword covers a whole matrix row (CRC32C), so that
+    /// verifying the elements needs the row boundaries; the element- and
+    /// pair-granular codewords are checked as one run over the arrays.
+    pub(crate) fn row_granular(&self) -> bool {
+        self.scheme.element_group() == ElementGrouping::PerRow
     }
 
     /// Embeds redundancy for every element into the column-index array.
@@ -85,25 +92,52 @@ impl ElementCodec {
         cols: &mut [u32],
         row_ptr: &[u32],
     ) -> Result<(), AbftError> {
+        let mut scratch = Vec::new();
+        if !self.row_granular() {
+            self.encode_run(values, cols, 0, values.len(), &mut scratch);
+            return Ok(());
+        }
+        for (row, bounds) in row_ptr.windows(2).enumerate() {
+            let (start, end) = (bounds[0] as usize, bounds[1] as usize);
+            if end - start < self.scheme.min_row_entries() {
+                return Err(AbftError::RowTooShort {
+                    row,
+                    entries: end - start,
+                    min: self.scheme.min_row_entries(),
+                });
+            }
+            self.encode_run(values, cols, start, end, &mut scratch);
+        }
+        Ok(())
+    }
+
+    /// Writes the canonical redundancy of every codeword of the
+    /// codeword-aligned run `start..end` (one row under CRC32C, an even
+    /// start otherwise) from its values and masked column indices.
+    fn encode_run(
+        &self,
+        values: &[f64],
+        cols: &mut [u32],
+        start: usize,
+        end: usize,
+        scratch: &mut Vec<u8>,
+    ) {
         match self.scheme {
-            EccScheme::None => Ok(()),
+            EccScheme::None => {}
             EccScheme::Sed => {
-                for (v, c) in values.iter().zip(cols.iter_mut()) {
+                for (v, c) in values[start..end].iter().zip(&mut cols[start..end]) {
                     let payload = *c & COL_MASK_31;
                     let parity = parity_u64(v.to_bits()) ^ parity_u32(payload);
                     *c = payload | (parity << 31);
                 }
-                Ok(())
             }
             EccScheme::Secded64 => {
-                for (v, c) in values.iter().zip(cols.iter_mut()) {
+                for (v, c) in values[start..end].iter().zip(&mut cols[start..end]) {
                     *c = encode_secded64_element(v.to_bits(), *c & COL_MASK_24);
                 }
-                Ok(())
             }
             EccScheme::Secded128 => {
-                let mut k = 0;
-                while k < values.len() {
+                for k in (start..end).step_by(2) {
                     if k + 1 < values.len() {
                         let (c0, c1) = encode_secded128_pair(values, cols, k);
                         cols[k] = c0;
@@ -114,291 +148,279 @@ impl ElementCodec {
                         cols[k] =
                             encode_secded64_element(values[k].to_bits(), cols[k] & COL_MASK_24);
                     }
-                    k += 2;
                 }
-                Ok(())
             }
             EccScheme::Crc32c => {
-                let mut scratch = Vec::new();
-                for row in 0..row_ptr.len().saturating_sub(1) {
-                    let start = row_ptr[row] as usize;
-                    let end = row_ptr[row + 1] as usize;
-                    if end - start < 4 {
-                        return Err(AbftError::RowTooShort {
-                            row,
-                            entries: end - start,
-                            min: 4,
-                        });
-                    }
-                    for c in cols[start..end].iter_mut() {
-                        *c &= COL_MASK_24;
-                    }
-                    let checksum =
-                        self.row_checksum(&values[start..end], &cols[start..end], &mut scratch);
-                    for (i, byte) in checksum.to_le_bytes().iter().enumerate() {
-                        cols[start + i] |= (*byte as u32) << 24;
-                    }
+                for c in &mut cols[start..end] {
+                    *c &= COL_MASK_24;
                 }
-                Ok(())
+                fill_row_codeword(&values[start..end], &cols[start..end], scratch);
+                let checksum = self.crc.checksum(scratch);
+                for (c, byte) in cols[start..].iter_mut().zip(checksum.to_le_bytes()) {
+                    *c |= (byte as u32) << 24;
+                }
             }
         }
     }
 
-    /// Integrity-checks (and where possible corrects) the elements of one
-    /// row, given its decoded half-open range `[start, end)`.
-    ///
-    /// `scratch` is reused between calls to avoid per-row allocation in the
-    /// SpMV hot loop.
-    pub fn check_row(
-        &self,
-        start: usize,
-        end: usize,
-        values: &mut [f64],
-        cols: &mut [u32],
-        scratch: &mut Vec<u8>,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
+    /// False for the one scheme without a batched check-only predicate
+    /// (SECDED128 pairs), whose rows always take the decode: certifying a
+    /// block of them can only fail, so callers need not set one up.
+    pub(crate) fn certifies_runs(&self) -> bool {
+        self.scheme != EccScheme::Secded128
+    }
+
+    /// Batched check-only predicate over the consecutive rows
+    /// `bounds[r]..bounds[r + 1]` (ordered and inside the arrays): `true`
+    /// when every element codeword of the run verifies strictly clean, so
+    /// that masked reads hand out exactly what the decode would.
+    pub(crate) fn rows_clean(&self, values: &[f64], cols: &[u32], bounds: &[usize]) -> bool {
+        let run = bounds[0]..bounds[bounds.len() - 1];
         match self.scheme {
-            EccScheme::None => Ok(()),
+            EccScheme::None => true,
             EccScheme::Sed => {
-                for k in start..end {
-                    log.record_check(Region::CsrElements);
-                    if parity_u64(values[k].to_bits()) ^ parity_u32(cols[k]) != 0 {
-                        log.record_uncorrectable(Region::CsrElements);
-                        return Err(AbftError::Uncorrectable {
-                            region: Region::CsrElements,
-                            index: k,
-                        });
-                    }
-                }
-                Ok(())
+                abft_ecc::verify::sed_elements_clean(&values[run.clone()], &cols[run])
             }
             EccScheme::Secded64 => {
-                for k in start..end {
-                    log.record_check(Region::CsrElements);
-                    self.check_secded64_element(k, values, cols, log)?;
-                }
-                Ok(())
+                abft_ecc::verify::secded88_elements_clean(&values[run.clone()], &cols[run])
             }
-            EccScheme::Secded128 => {
-                // Expand to pair boundaries so straddling pairs are checked whole.
-                let pstart = start & !1;
-                let mut k = pstart;
-                while k < end {
-                    log.record_check(Region::CsrElements);
-                    self.check_secded128_pair(k, values, cols, log)?;
-                    k += 2;
-                }
-                Ok(())
-            }
+            EccScheme::Secded128 => false,
             EccScheme::Crc32c => {
-                log.record_check(Region::CsrElements);
-                self.check_crc_row(start, end, values, cols, scratch, log)
+                abft_ecc::verify::crc32c_rows_clean(&self.crc, values, cols, bounds)
             }
         }
     }
 
-    /// Integrity-checks every element of the matrix (used by whole-matrix
-    /// scrubs and by the end-of-time-step check of §VI-A-2).
-    pub fn check_all(
+    /// Decodes the element codewords of the row `start..end` and hands
+    /// `(value, column, k)` to `sink` in element order — the one place a
+    /// matrix row is decoded, under SpMV, SpMM, `verify_all` and `scrub`
+    /// alike.
+    ///
+    /// With `certified` (checks elided this iteration, or the caller's
+    /// batched predicate has certified a run containing the row) the reads
+    /// are masked and nothing is verified.  Otherwise the row is screened by
+    /// the scheme's batched predicate and, failing that, walked through the
+    /// scheme's correcting decode: a correctable flip is logged and the
+    /// corrected element handed out (storage is not written), an
+    /// uncorrectable codeword is logged and returned as the error, after
+    /// the elements before it have been handed out.  Check counts are the
+    /// caller's.  `scratch` stages a failing CRC32C row for its trial
+    /// correction; `sink`'s own errors pass through.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub fn read_row(
         &self,
-        values: &mut [f64],
-        cols: &mut [u32],
-        row_ranges: impl Iterator<Item = (usize, usize)>,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        let mut scratch = Vec::new();
-        match self.scheme {
-            EccScheme::None => Ok(()),
-            EccScheme::Crc32c => {
-                for (start, end) in row_ranges {
-                    self.check_row(start, end, values, cols, &mut scratch, log)?;
-                }
-                Ok(())
-            }
-            // Element- and pair-granular schemes do not need row boundaries.
-            _ => self.check_row(0, values.len(), values, cols, &mut scratch, log),
-        }
-    }
-
-    fn check_secded64_element(
-        &self,
-        k: usize,
-        values: &mut [f64],
-        cols: &mut [u32],
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        let stored = (cols[k] >> 24) as u16;
-        let mut payload = [values[k].to_bits(), (cols[k] & COL_MASK_24) as u64];
-        match SECDED_88.check_and_correct(&mut payload, stored) {
-            DecodeOutcome::NoError => Ok(()),
-            DecodeOutcome::CorrectedData(bit) => {
-                log.record_corrected(Region::CsrElements);
-                if bit < 64 {
-                    values[k] = f64::from_bits(payload[0]);
-                } else {
-                    cols[k] = (cols[k] & !COL_MASK_24) | (payload[1] as u32 & COL_MASK_24);
-                }
-                Ok(())
-            }
-            DecodeOutcome::CorrectedRedundancy => {
-                log.record_corrected(Region::CsrElements);
-                cols[k] = encode_secded64_element(values[k].to_bits(), cols[k] & COL_MASK_24);
-                Ok(())
-            }
-            DecodeOutcome::Uncorrectable => {
-                log.record_uncorrectable(Region::CsrElements);
-                Err(AbftError::Uncorrectable {
-                    region: Region::CsrElements,
-                    index: k,
-                })
-            }
-        }
-    }
-
-    fn check_secded128_pair(
-        &self,
-        k: usize,
-        values: &mut [f64],
-        cols: &mut [u32],
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        if k + 1 >= values.len() {
-            // Trailing unpaired element: encoded per-element (see `encode`).
-            return self.check_secded64_element(k, values, cols, log);
-        }
-        // Only bit 24 of the second index's spare byte carries redundancy;
-        // bits 25–31 are defined to be zero, so a flip there is trivially
-        // detectable and correctable.
-        if cols[k + 1] & 0xFE00_0000 != 0 {
-            log.record_corrected(Region::CsrElements);
-            cols[k + 1] &= !0xFE00_0000;
-        }
-        let (v1, c1) = (values[k + 1].to_bits(), cols[k + 1]);
-        let stored = ((cols[k] >> 24) as u16) | ((((c1 >> 24) & 1) as u16) << 8);
-        let mut payload = [
-            values[k].to_bits(),
-            v1,
-            ((cols[k] & COL_MASK_24) as u64) | (((c1 & COL_MASK_24) as u64) << 24),
-        ];
-        match SECDED_176.check_and_correct(&mut payload, stored) {
-            DecodeOutcome::NoError => Ok(()),
-            DecodeOutcome::CorrectedData(bit) => {
-                log.record_corrected(Region::CsrElements);
-                if bit < 64 {
-                    values[k] = f64::from_bits(payload[0]);
-                } else if bit < 128 {
-                    if k + 1 < values.len() {
-                        values[k + 1] = f64::from_bits(payload[1]);
-                    }
-                } else if bit < 152 {
-                    cols[k] = (cols[k] & !COL_MASK_24) | (payload[2] as u32 & COL_MASK_24);
-                } else if k + 1 < cols.len() {
-                    cols[k + 1] =
-                        (cols[k + 1] & !COL_MASK_24) | ((payload[2] >> 24) as u32 & COL_MASK_24);
-                }
-                Ok(())
-            }
-            DecodeOutcome::CorrectedRedundancy => {
-                log.record_corrected(Region::CsrElements);
-                let (e0, e1) = encode_secded128_pair(values, cols, k);
-                cols[k] = e0;
-                if k + 1 < cols.len() {
-                    cols[k + 1] = e1;
-                }
-                Ok(())
-            }
-            DecodeOutcome::Uncorrectable => {
-                log.record_uncorrectable(Region::CsrElements);
-                Err(AbftError::Uncorrectable {
-                    region: Region::CsrElements,
-                    index: k,
-                })
-            }
-        }
-    }
-
-    /// Rebuilds the CRC codeword bytes for a row: each element contributes
-    /// its value bytes followed by its masked 24-bit index (as a 32-bit
-    /// little-endian word with a zero top byte).
-    fn fill_row_codeword(&self, values: &[f64], cols: &[u32], scratch: &mut Vec<u8>) {
-        scratch.clear();
-        scratch.reserve(values.len() * CRC_BYTES_PER_ELEMENT);
-        for (v, c) in values.iter().zip(cols) {
-            scratch.extend_from_slice(&v.to_bits().to_le_bytes());
-            scratch.extend_from_slice(&(c & COL_MASK_24).to_le_bytes());
-        }
-    }
-
-    fn row_checksum(&self, values: &[f64], cols: &[u32], scratch: &mut Vec<u8>) -> u32 {
-        self.fill_row_codeword(values, cols, scratch);
-        self.crc.checksum(scratch)
-    }
-
-    fn stored_row_checksum(&self, cols: &[u32], start: usize) -> u32 {
-        u32::from_le_bytes([
-            (cols[start] >> 24) as u8,
-            (cols[start + 1] >> 24) as u8,
-            (cols[start + 2] >> 24) as u8,
-            (cols[start + 3] >> 24) as u8,
-        ])
-    }
-
-    fn check_crc_row(
-        &self,
+        values: &[f64],
+        cols: &[u32],
         start: usize,
         end: usize,
-        values: &mut [f64],
-        cols: &mut [u32],
+        certified: bool,
         scratch: &mut Vec<u8>,
         log: &FaultLog,
+        mut sink: impl FnMut(f64, u32, usize) -> Result<(), AbftError>,
     ) -> Result<(), AbftError> {
-        debug_assert!(
-            end - start >= 4,
-            "CRC-protected rows have at least 4 entries"
-        );
-        let computed = self.row_checksum(&values[start..end], &cols[start..end], scratch);
-        let stored = self.stored_row_checksum(cols, start);
-        if computed == stored {
-            return Ok(());
-        }
-        // A single flipped bit in the *stored* checksum itself produces a
-        // weight-1 syndrome; the data is intact and we simply re-store the
-        // checksum.
-        if (computed ^ stored).count_ones() == 1 {
-            log.record_corrected(Region::CsrElements);
-            for (i, byte) in computed.to_le_bytes().iter().enumerate() {
-                cols[start + i] = (cols[start + i] & COL_MASK_24) | ((*byte as u32) << 24);
+        let mask = self.col_mask;
+        if certified || self.rows_clean(values, cols, &[start, end]) {
+            for (k, (&v, &c)) in values[start..end].iter().zip(&cols[start..end]).enumerate() {
+                sink(v, c & mask, start + k)?;
             }
             return Ok(());
+        }
+        match self.scheme {
+            EccScheme::None => unreachable!("an unprotected row is always clean"),
+            EccScheme::Sed => {
+                for (k, (&v, &c)) in values[start..end].iter().zip(&cols[start..end]).enumerate() {
+                    if parity_u64(v.to_bits()) ^ parity_u32(c) != 0 {
+                        return Err(uncorrectable(log, start + k));
+                    }
+                    sink(v, c & mask, start + k)?;
+                }
+            }
+            EccScheme::Secded64 => {
+                for (k, (&v, &c)) in values[start..end].iter().zip(&cols[start..end]).enumerate() {
+                    let (value, col) = decode_secded64(v, c, start + k, log)?;
+                    sink(value, col, start + k)?;
+                }
+            }
+            EccScheme::Secded128 => {
+                // Pairs are laid over the whole array, so a row may begin or
+                // end mid-pair: a straddling pair is decoded whole and only
+                // this row's member is handed out.
+                for pair in ((start & !1)..end).step_by(2) {
+                    let (pair_values, pair_cols) = decode_secded128_pair(values, cols, pair, log)?;
+                    for (k, (v, c)) in (pair..).zip(pair_values.into_iter().zip(pair_cols)) {
+                        if (start..end).contains(&k) {
+                            sink(v, c, k)?;
+                        }
+                    }
+                }
+            }
+            EccScheme::Crc32c => {
+                let flip = self.locate_crc_flip(values, cols, start, end, scratch, log)?;
+                for k in start..end {
+                    let (v, c) = match flip {
+                        Some((at, value, col)) if at == k => (value, col),
+                        _ => (values[k], cols[k] & mask),
+                    };
+                    sink(v, c, k)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The correcting half of the CRC32C row check, for a row `start..end`
+    /// the batched predicate rejected: `Ok(None)` when only a stored
+    /// checksum bit flipped (the data is intact), `Ok(Some((k, value,
+    /// col)))` when a single flipped data bit was located in element `k`
+    /// (its corrected value and masked column), an error when the row is
+    /// too short to carry a checksum or no single flip explains it.
+    fn locate_crc_flip(
+        &self,
+        values: &[f64],
+        cols: &[u32],
+        start: usize,
+        end: usize,
+        scratch: &mut Vec<u8>,
+        log: &FaultLog,
+    ) -> Result<Option<(usize, f64, u32)>, AbftError> {
+        if end - start < self.scheme.min_row_entries() {
+            // Only a corrupt row structure produces such a row; its checksum
+            // bytes would be read out of its neighbour, or out of bounds.
+            return Err(uncorrectable(log, start));
+        }
+        fill_row_codeword(&values[start..end], &cols[start..end], scratch);
+        let computed = self.crc.checksum(scratch);
+        let mut stored = [0u8; 4];
+        for (byte, c) in stored.iter_mut().zip(&cols[start..]) {
+            *byte = (c >> 24) as u8;
+        }
+        let stored = u32::from_le_bytes(stored);
+        if (computed ^ stored).count_ones() == 1 {
+            log.record_corrected(Region::CsrElements);
+            return Ok(None);
         }
         // Otherwise attempt single-bit correction of the codeword by trial
         // re-encoding (§IV: CRC32C has HD 6 in this size range, so a single
         // flip is unambiguously locatable).
-        self.fill_row_codeword(&values[start..end], &cols[start..end], scratch);
         if let Some(bit) = correct_crc32c_single(&self.crc, scratch, stored) {
-            let element = bit / (CRC_BYTES_PER_ELEMENT * 8);
+            let k = start + bit / (CRC_BYTES_PER_ELEMENT * 8);
             let offset = bit % (CRC_BYTES_PER_ELEMENT * 8);
+            let (mut vbits, mut col) = (values[k].to_bits(), cols[k] & COL_MASK_24);
             if offset < 64 {
-                log.record_corrected(Region::CsrElements);
-                let mut bits = values[start + element].to_bits();
-                bits ^= 1u64 << offset;
-                values[start + element] = f64::from_bits(bits);
-                return Ok(());
-            } else if offset < 64 + 24 {
-                log.record_corrected(Region::CsrElements);
-                cols[start + element] ^= 1u32 << (offset - 64);
-                return Ok(());
+                vbits ^= 1u64 << offset;
+            } else {
+                col ^= 1u32 << (offset - 64);
             }
             // A "correction" inside the masked byte positions cannot
             // correspond to a real single flip (those bits are zero by
-            // construction); fall through to uncorrectable.
+            // construction): uncorrectable.
+            if offset < 64 + 24 {
+                log.record_corrected(Region::CsrElements);
+                return Ok(Some((k, f64::from_bits(vbits), col)));
+            }
         }
-        log.record_uncorrectable(Region::CsrElements);
-        Err(AbftError::Uncorrectable {
-            region: Region::CsrElements,
-            index: start,
-        })
+        Err(uncorrectable(log, start))
+    }
+
+    /// Verifies every codeword of the codeword-aligned run `start..end` —
+    /// one row under the row-granular CRC32C, the whole element arrays
+    /// otherwise — for the whole-matrix passes: [`ElementCodec::read_row`]
+    /// with the checks on, and `tally` gains one check per codeword walked
+    /// (all of them, or those up to and including the uncorrectable one).
+    /// An unprotected run is not walked at all.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn verify_run(
+        &self,
+        values: &[f64],
+        cols: &[u32],
+        start: usize,
+        end: usize,
+        scratch: &mut Vec<u8>,
+        tally: &mut u64,
+        log: &FaultLog,
+        sink: impl FnMut(f64, u32, usize) -> Result<(), AbftError>,
+    ) -> Result<(), AbftError> {
+        if self.scheme == EccScheme::None {
+            return Ok(());
+        }
+        let result = self.read_row(values, cols, start, end, false, scratch, log, sink);
+        let walked = match result {
+            Err(AbftError::Uncorrectable { index, .. }) => index + 1 - start,
+            _ => end - start,
+        };
+        *tally += match self.scheme.element_group() {
+            ElementGrouping::PerElement => walked,
+            ElementGrouping::Pair => walked.div_ceil(2),
+            ElementGrouping::PerRow => 1,
+        } as u64;
+        result
+    }
+
+    /// [`ElementCodec::verify_run`] with a write-back: when the decode
+    /// corrected anything, the corrected elements are stored and the run's
+    /// redundancy re-encoded, leaving it bit-equal to a fresh encode.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn scrub_run(
+        &self,
+        values: &mut [f64],
+        cols: &mut [u32],
+        start: usize,
+        end: usize,
+        scratch: &mut Vec<u8>,
+        tally: &mut u64,
+        log: &FaultLog,
+    ) -> Result<(), AbftError> {
+        let before = log.total_corrected();
+        let mut repairs = Vec::new();
+        let (stored_values, stored_cols, mask) = (&*values, &*cols, self.col_mask);
+        let note = |v: f64, c: u32, k: usize| {
+            if v.to_bits() != stored_values[k].to_bits() || c != stored_cols[k] & mask {
+                repairs.push((k, v, c));
+            }
+            Ok(())
+        };
+        self.verify_run(
+            stored_values,
+            stored_cols,
+            start,
+            end,
+            scratch,
+            tally,
+            log,
+            note,
+        )?;
+        if log.total_corrected() != before {
+            for (k, v, c) in repairs {
+                values[k] = v;
+                cols[k] = c;
+            }
+            self.encode_run(values, cols, start, end, scratch);
+        }
+        Ok(())
+    }
+}
+
+/// Logs an uncorrectable element codeword and builds its error, out of line
+/// of the decode loops.
+#[cold]
+fn uncorrectable(log: &FaultLog, index: usize) -> AbftError {
+    log.record_uncorrectable(Region::CsrElements);
+    AbftError::Uncorrectable {
+        region: Region::CsrElements,
+        index,
+    }
+}
+
+/// Stages the CRC codeword bytes of a row: each element contributes its
+/// value bytes followed by its masked 24-bit index (as a 32-bit
+/// little-endian word with a zero top byte).
+fn fill_row_codeword(values: &[f64], cols: &[u32], scratch: &mut Vec<u8>) {
+    scratch.clear();
+    scratch.reserve(values.len() * CRC_BYTES_PER_ELEMENT);
+    for (v, c) in values.iter().zip(cols) {
+        scratch.extend_from_slice(&v.to_bits().to_le_bytes());
+        scratch.extend_from_slice(&(c & COL_MASK_24).to_le_bytes());
     }
 }
 
@@ -410,18 +432,82 @@ fn encode_secded64_element(value_bits: u64, col24: u32) -> u32 {
     col24 | (red << 24)
 }
 
-/// Encodes a pair of elements under SECDED128: returns the two index words
-/// with the 9 redundancy bits split across their top bytes (8 + 1).
+/// Encodes the pair of elements `k`, `k + 1` under SECDED128: returns the
+/// two index words with the 9 redundancy bits split across their top bytes
+/// (8 + 1).
 fn encode_secded128_pair(values: &[f64], cols: &[u32], k: usize) -> (u32, u32) {
-    let (v1, c1) = if k + 1 < values.len() {
-        (values[k + 1].to_bits(), cols[k + 1] & COL_MASK_24)
-    } else {
-        (0, 0)
-    };
-    let c0 = cols[k] & COL_MASK_24;
-    let payload = [values[k].to_bits(), v1, c0 as u64 | ((c1 as u64) << 24)];
+    let (c0, c1) = (cols[k] & COL_MASK_24, cols[k + 1] & COL_MASK_24);
+    let payload = [
+        values[k].to_bits(),
+        values[k + 1].to_bits(),
+        c0 as u64 | ((c1 as u64) << 24),
+    ];
     let red = SECDED_176.encode(&payload) as u32;
     (c0 | ((red & 0xFF) << 24), c1 | (((red >> 8) & 1) << 24))
+}
+
+/// SECDED64 decode of one element's (value, encoded index) pair: the
+/// (transiently corrected) value and masked column index.  `index` is the
+/// element's position, for error reporting.
+#[inline(always)]
+fn decode_secded64(
+    value: f64,
+    col: u32,
+    index: usize,
+    log: &FaultLog,
+) -> Result<(f64, u32), AbftError> {
+    let stored = (col >> 24) as u16;
+    let mut payload = [value.to_bits(), (col & COL_MASK_24) as u64];
+    match SECDED_88.check_and_correct(&mut payload, stored) {
+        DecodeOutcome::NoError => {}
+        DecodeOutcome::CorrectedData(_) | DecodeOutcome::CorrectedRedundancy => {
+            log.record_corrected(Region::CsrElements);
+        }
+        DecodeOutcome::Uncorrectable => return Err(uncorrectable(log, index)),
+    }
+    Ok((f64::from_bits(payload[0]), payload[1] as u32 & COL_MASK_24))
+}
+
+/// SECDED128 decode of the pair `pair`, `pair + 1`: corrected values and
+/// masked column indices.  An unpaired last element falls back to its
+/// per-element SECDED(88) codeword (its second slot is filler).
+fn decode_secded128_pair(
+    values: &[f64],
+    cols: &[u32],
+    pair: usize,
+    log: &FaultLog,
+) -> Result<([f64; 2], [u32; 2]), AbftError> {
+    if pair + 1 >= values.len() {
+        let (v, c) = decode_secded64(values[pair], cols[pair], pair, log)?;
+        return Ok(([v, 0.0], [c, 0]));
+    }
+    let (c0, c1) = (cols[pair], cols[pair + 1]);
+    // Only bit 24 of the second index's spare byte carries redundancy; bits
+    // 25–31 are defined to be zero, so a flip there is trivially detectable
+    // and correctable.
+    if c1 & 0xFE00_0000 != 0 {
+        log.record_corrected(Region::CsrElements);
+    }
+    let stored = ((c0 >> 24) as u16) | ((((c1 >> 24) & 1) as u16) << 8);
+    let mut payload = [
+        values[pair].to_bits(),
+        values[pair + 1].to_bits(),
+        ((c0 & COL_MASK_24) as u64) | (((c1 & COL_MASK_24) as u64) << 24),
+    ];
+    match SECDED_176.check_and_correct(&mut payload, stored) {
+        DecodeOutcome::NoError => {}
+        DecodeOutcome::CorrectedData(_) | DecodeOutcome::CorrectedRedundancy => {
+            log.record_corrected(Region::CsrElements);
+        }
+        DecodeOutcome::Uncorrectable => return Err(uncorrectable(log, pair)),
+    }
+    Ok((
+        [f64::from_bits(payload[0]), f64::from_bits(payload[1])],
+        [
+            payload[2] as u32 & COL_MASK_24,
+            (payload[2] >> 24) as u32 & COL_MASK_24,
+        ],
+    ))
 }
 
 #[cfg(test)]
@@ -447,6 +533,21 @@ mod tests {
         EccScheme::ALL
     }
 
+    /// Scrubs the run `start..end` as the matrix tiers do, flushing its
+    /// check tally into `log`.
+    fn scrub(
+        codec: &ElementCodec,
+        (start, end): (usize, usize),
+        values: &mut [f64],
+        cols: &mut [u32],
+        log: &FaultLog,
+    ) -> Result<(), AbftError> {
+        let mut tally = 0;
+        let result = codec.scrub_run(values, cols, start, end, &mut Vec::new(), &mut tally, log);
+        log.record_checks(Region::CsrElements, tally);
+        result
+    }
+
     #[test]
     fn encode_preserves_masked_columns_and_values() {
         for scheme in all_schemes() {
@@ -469,14 +570,14 @@ mod tests {
             let (mut values, mut cols, row_ptr) = sample();
             codec.encode(&values, &mut cols, &row_ptr).unwrap();
             let log = FaultLog::new();
-            codec
-                .check_all(
-                    &mut values,
-                    &mut cols,
-                    row_ranges(&row_ptr).into_iter(),
-                    &log,
-                )
-                .unwrap();
+            let runs = if codec.row_granular() {
+                row_ranges(&row_ptr)
+            } else {
+                vec![(0, values.len())]
+            };
+            for run in runs {
+                scrub(&codec, run, &mut values, &mut cols, &log).unwrap();
+            }
             assert_eq!(log.total_corrected(), 0);
             assert_eq!(log.total_uncorrectable(), 0);
             assert!(log.snapshot().region(Region::CsrElements).0 > 0);
@@ -489,23 +590,18 @@ mod tests {
         let (values, mut cols, row_ptr) = sample();
         codec.encode(&values, &mut cols, &row_ptr).unwrap();
         let log = FaultLog::new();
-        let mut scratch = Vec::new();
 
         // Flip a value bit.
         let mut v = values.clone();
         v[2] = f64::from_bits(v[2].to_bits() ^ (1 << 33));
         let mut c = cols.clone();
-        assert!(codec
-            .check_row(0, 5, &mut v, &mut c, &mut scratch, &log)
-            .is_err());
+        assert!(scrub(&codec, (0, 5), &mut v, &mut c, &log).is_err());
 
         // Flip an index bit.
         let mut v = values.clone();
         let mut c = cols.clone();
         c[3] ^= 1 << 5;
-        assert!(codec
-            .check_row(0, 5, &mut v, &mut c, &mut scratch, &log)
-            .is_err());
+        assert!(scrub(&codec, (0, 5), &mut v, &mut c, &log).is_err());
         assert!(log.total_uncorrectable() >= 2);
     }
 
@@ -525,9 +621,7 @@ mod tests {
                 c[7] ^= 1u32 << (bit - 64);
             }
             let log = FaultLog::new();
-            let mut scratch = Vec::new();
-            codec
-                .check_row(5, 9, &mut v, &mut c, &mut scratch, &log)
+            scrub(&codec, (5, 9), &mut v, &mut c, &log)
                 .unwrap_or_else(|e| panic!("bit {bit}: {e}"));
             assert_eq!(log.total_corrected(), 1, "bit {bit}");
             assert_eq!(v, values, "bit {bit}: value not restored");
@@ -547,10 +641,7 @@ mod tests {
         let mut v = values.clone();
         v[0] = f64::from_bits(v[0].to_bits() ^ 0b11);
         let log = FaultLog::new();
-        let mut scratch = Vec::new();
-        assert!(codec
-            .check_row(0, 5, &mut v, &mut cols.clone(), &mut scratch, &log)
-            .is_err());
+        assert!(scrub(&codec, (0, 5), &mut v, &mut cols.clone(), &log).is_err());
         assert_eq!(log.total_uncorrectable(), 1);
     }
 
@@ -565,15 +656,8 @@ mod tests {
             let mut c = cols.clone();
             v[k] = f64::from_bits(v[k].to_bits() ^ (1u64 << bit));
             let log = FaultLog::new();
-            let mut scratch = Vec::new();
-            // Check the row containing element k.
-            let (start, end) = row_ranges(&row_ptr)
-                .into_iter()
-                .find(|&(s, e)| (s..e).contains(&k))
-                .unwrap();
-            codec
-                .check_row(start, end, &mut v, &mut c, &mut scratch, &log)
-                .unwrap();
+            // Pairs ignore the row structure: the whole array is one run.
+            scrub(&codec, (0, v.len()), &mut v, &mut c, &log).unwrap();
             assert_eq!(v, values);
             assert_eq!(log.total_corrected(), 1);
         }
@@ -583,10 +667,7 @@ mod tests {
         let mut c = cols.clone();
         c[3] ^= 1 << 10;
         let log = FaultLog::new();
-        let mut scratch = Vec::new();
-        codec
-            .check_row(0, 5, &mut v, &mut c, &mut scratch, &log)
-            .unwrap();
+        scrub(&codec, (0, v.len()), &mut v, &mut c, &log).unwrap();
         assert_eq!(codec.mask_col(c[3]), codec.mask_col(cols[3]));
         assert_eq!(log.total_corrected(), 1);
     }
@@ -618,10 +699,7 @@ mod tests {
         let mut c = cols.clone();
         v[10] = f64::from_bits(v[10].to_bits() ^ (1 << 51));
         let log = FaultLog::new();
-        let mut scratch = Vec::new();
-        codec
-            .check_row(9, 15, &mut v, &mut c, &mut scratch, &log)
-            .unwrap();
+        scrub(&codec, (9, 15), &mut v, &mut c, &log).unwrap();
         assert_eq!(v, values);
         assert_eq!(log.total_corrected(), 1);
 
@@ -629,18 +707,14 @@ mod tests {
         let mut v = values.clone();
         let mut c = cols.clone();
         c[11] ^= 1 << 3;
-        codec
-            .check_row(9, 15, &mut v, &mut c, &mut scratch, &log)
-            .unwrap();
+        scrub(&codec, (9, 15), &mut v, &mut c, &log).unwrap();
         assert_eq!(codec.mask_col(c[11]), codec.mask_col(cols[11]));
 
         // Single flip in a stored checksum byte: data intact, checksum restored.
         let mut v = values.clone();
         let mut c = cols.clone();
         c[9] ^= 1 << 28;
-        codec
-            .check_row(9, 15, &mut v, &mut c, &mut scratch, &log)
-            .unwrap();
+        scrub(&codec, (9, 15), &mut v, &mut c, &log).unwrap();
         assert_eq!(c, cols);
 
         // Three flips: detected as uncorrectable.
@@ -648,9 +722,7 @@ mod tests {
         let mut c = cols.clone();
         v[9] = f64::from_bits(v[9].to_bits() ^ 0b111);
         let log = FaultLog::new();
-        assert!(codec
-            .check_row(9, 15, &mut v, &mut c, &mut scratch, &log)
-            .is_err());
+        assert!(scrub(&codec, (9, 15), &mut v, &mut c, &log).is_err());
         assert_eq!(log.total_uncorrectable(), 1);
     }
 
@@ -662,13 +734,10 @@ mod tests {
         codec.encode(&values, &mut cols, &row_ptr).unwrap();
         assert_eq!(cols, orig);
         let log = FaultLog::new();
-        let mut scratch = Vec::new();
         // Corrupt freely: nothing is checked.
         values[0] = f64::NAN;
         cols[0] ^= 0xFFFF;
-        codec
-            .check_row(0, 5, &mut values, &mut cols, &mut scratch, &log)
-            .unwrap();
+        scrub(&codec, (0, 5), &mut values, &mut cols, &log).unwrap();
         assert_eq!(log.snapshot().region(Region::CsrElements).0, 0);
         assert_eq!(codec.mask_col(0xDEAD_BEEF), 0xDEAD_BEEF);
     }
@@ -686,10 +755,7 @@ mod tests {
         let mut c = cols.clone();
         v[4] = f64::from_bits(v[4].to_bits() ^ (1 << 20));
         let log = FaultLog::new();
-        let mut scratch = Vec::new();
-        codec
-            .check_row(0, 5, &mut v, &mut c, &mut scratch, &log)
-            .unwrap();
+        scrub(&codec, (0, 5), &mut v, &mut c, &log).unwrap();
         assert_eq!(v, values);
         assert_eq!(log.total_corrected(), 1);
     }

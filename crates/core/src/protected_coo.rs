@@ -29,16 +29,13 @@
 use crate::csr_element::{ElementCodec, COL_MASK_24, COL_MASK_31};
 use crate::error::AbftError;
 use crate::policy::CheckPolicy;
-use crate::protected_csr::{
-    check_element_secded64, check_pair_secded128, check_row_crc, fma_panel, verify_elements,
-};
+use crate::protected_csr::{KernelTally, OneVector, Panel, RowSink};
 use crate::protected_matrix::ProtectedMatrix;
 use crate::report::{FaultLog, Region};
 use crate::schemes::{EccScheme, ProtectionConfig};
-use crate::spmv::{dispatch_panel_readers, DenseView, MaskedX, SliceX, XRead, MAX_PANEL_WIDTH};
+use crate::spmv::{dispatch_panel_readers, DenseView, MaskedX, SliceX};
 use abft_ecc::secded::{DecodeOutcome, Secded};
-use abft_ecc::sed::{parity_u32, parity_u64};
-use abft_ecc::Crc32c;
+use abft_ecc::sed::parity_u32;
 use abft_sparse::CsrMatrix;
 
 /// SECDED code over a 24-bit row index: five Hamming bits plus overall
@@ -55,7 +52,6 @@ pub struct ProtectedCoo {
     col_indices: Vec<u32>,
     row_indices: Vec<u32>,
     codec: ElementCodec,
-    crc: Crc32c,
     policy: CheckPolicy,
     config: ProtectionConfig,
 }
@@ -105,7 +101,6 @@ impl ProtectedCoo {
             col_indices,
             row_indices,
             codec,
-            crc: Crc32c::new(config.crc_backend),
             policy: CheckPolicy::every(config.check_interval),
             config: *config,
         })
@@ -294,6 +289,17 @@ impl ProtectedCoo {
         row_ptr
     }
 
+    /// The codeword-aligned runs a whole-matrix pass verifies the elements
+    /// in: the non-empty rows of `row_ptr` under the row-granular CRC32C,
+    /// the whole arrays otherwise (`row_ptr` is then left empty).
+    fn element_runs<'a>(&self, row_ptr: &'a [u32]) -> impl Iterator<Item = (usize, usize)> + 'a {
+        let whole = (!self.codec.row_granular()).then_some((0, self.values.len()));
+        let rows = row_ptr.windows(2).map(|w| (w[0] as usize, w[1] as usize));
+        whole
+            .into_iter()
+            .chain(rows.filter(|(start, end)| start < end))
+    }
+
     /// Verifies every codeword of the matrix (elements and row indices)
     /// without modifying storage.
     pub fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
@@ -301,7 +307,7 @@ impl ProtectedCoo {
         // runs, counted here from the *checked* decode: a correctable
         // row-index flip must not shift the slice a checksum is computed
         // over.
-        let crc_rows = self.config.elements == EccScheme::Crc32c;
+        let crc_rows = self.codec.row_granular();
         let mut row_ptr = vec![0u32; if crc_rows { self.rows + 1 } else { 0 }];
         let mut rp_checks = 0u64;
         let result = (0..self.row_indices.len()).try_for_each(|k| {
@@ -315,21 +321,24 @@ impl ProtectedCoo {
             log.record_checks(Region::RowPointer, rp_checks);
         }
         result?;
-        if !crc_rows {
-            return verify_elements(self.config.elements, &self.values, &self.col_indices, log);
+        for row in 1..row_ptr.len() {
+            row_ptr[row] += row_ptr[row - 1];
         }
         let mut scratch = Vec::new();
         let mut tally = 0u64;
-        let mut start = 0usize;
-        let result = row_ptr[1..].iter().try_for_each(|&count| {
-            let end = start + count as usize;
-            if start < end {
-                tally += 1;
-                let (values, cols) = (&self.values, &self.col_indices);
-                check_row_crc(&self.crc, values, cols, start, end, &mut scratch, log)?;
-            }
-            start = end;
-            Ok(())
+        let (values, cols) = (&self.values, &self.col_indices);
+        let result = self.element_runs(&row_ptr).try_for_each(|(start, end)| {
+            let unseen = |_, _, _| Ok(());
+            self.codec.verify_run(
+                values,
+                cols,
+                start,
+                end,
+                &mut scratch,
+                &mut tally,
+                log,
+                unseen,
+            )
         });
         log.record_checks(Region::CsrElements, tally);
         result
@@ -360,53 +369,70 @@ impl ProtectedCoo {
             log.record_checks(Region::RowPointer, rp_checks);
         }
         let before = log.total_corrected();
-        let row_ptr = self.masked_row_pointer();
-        self.codec.check_all(
-            &mut self.values,
-            &mut self.col_indices,
-            (0..self.rows).map(|row| (row_ptr[row] as usize, row_ptr[row + 1] as usize)),
-            log,
-        )?;
+        let row_ptr = if self.codec.row_granular() {
+            self.masked_row_pointer()
+        } else {
+            Vec::new()
+        };
+        let mut runs = self.element_runs(&row_ptr);
+        let (values, cols) = (&mut self.values[..], &mut self.col_indices[..]);
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let result = runs.try_for_each(|(start, end)| {
+            self.codec
+                .scrub_run(values, cols, start, end, &mut scratch, &mut tally, log)
+        });
+        log.record_checks(Region::CsrElements, tally);
+        result?;
         let corrected_elements = (log.total_corrected() - before) as usize;
         Ok(repaired_rows + corrected_elements)
     }
 
-    /// Computes `products[i*k + j] = (A x_j)[row0 + i]` for a contiguous row
-    /// range and a width-`k` reader panel — the COO analogue of the CSR
-    /// range kernels, with the row runs discovered by scanning the
-    /// per-element row indices instead of reading a row pointer.
+    /// Computes `out[i * w + j] = (A x_j)[row0 + i]` for a contiguous row
+    /// range and the `w` input vectors behind `sink` — the COO analogue of
+    /// the CSR range kernel, with the row runs discovered by scanning the
+    /// per-element row indices instead of reading a row pointer, and the
+    /// rows decoded by the same [`ElementCodec::read_row`].
     ///
     /// Check tallies follow the CSR fault-tally flush discipline: local
     /// counters, one bulk [`FaultLog`] update per invocation, error paths
     /// included.
-    pub(crate) fn spmm_range<R: XRead>(
+    pub(crate) fn range_kernel<S: RowSink>(
         &self,
         row0: usize,
-        xs: &[R],
-        products: &mut [f64],
+        sink: &S,
+        out: &mut [f64],
         check: bool,
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        let mut rp_checks = 0u64;
-        let mut elem_checks = 0u64;
-        let result = self.spmm_range_inner(
-            row0,
-            xs,
-            products,
-            check,
-            scratch,
-            log,
-            &mut rp_checks,
-            &mut elem_checks,
-        );
-        if rp_checks > 0 {
-            log.record_checks(Region::RowPointer, rp_checks);
-        }
-        if elem_checks > 0 {
-            log.record_checks(Region::CsrElements, elem_checks);
-        }
-        result
+        let width = sink.checked_width(out.len());
+        let elements_checked = check && self.config.elements != EccScheme::None;
+        KernelTally::flushed_to(log, |tally| {
+            let mut k = self.first_element_of(row0, check, log)?;
+            let mut next: Option<u32> = None;
+            for (i, row) in out.chunks_exact_mut(width).enumerate() {
+                let row_structure = &mut tally.row_structure;
+                let (start, end) =
+                    self.row_run(row0 + i, &mut k, &mut next, check, log, row_structure)?;
+                if elements_checked {
+                    tally.elements += (end - start) as u64;
+                }
+                let mut acc = S::ZERO;
+                self.codec.read_row(
+                    &self.values,
+                    &self.col_indices,
+                    start,
+                    end,
+                    !elements_checked,
+                    scratch,
+                    log,
+                    |v, col, e| sink.fma(&mut acc, v, col as usize, e, log),
+                )?;
+                sink.store(&acc, row);
+            }
+            Ok(())
+        })
     }
 
     /// Locates the run of elements belonging to `row`, starting the scan at
@@ -458,140 +484,6 @@ impl ProtectedCoo {
         }
         Ok((start, *k))
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spmm_range_inner<R: XRead>(
-        &self,
-        row0: usize,
-        xs: &[R],
-        products: &mut [f64],
-        check: bool,
-        scratch: &mut Vec<u8>,
-        log: &FaultLog,
-        rp_checks: &mut u64,
-        elem_checks: &mut u64,
-    ) -> Result<(), AbftError> {
-        let width = xs.len();
-        assert!(
-            (1..=MAX_PANEL_WIDTH).contains(&width),
-            "spmm_range: panel width {width} outside 1..={MAX_PANEL_WIDTH}"
-        );
-        assert_eq!(
-            products.len() % width,
-            0,
-            "spmm_range: products not a whole number of rows"
-        );
-        let values = self.values.as_slice();
-        let cols = self.col_indices.as_slice();
-        let mut k = self.first_element_of(row0, check, log)?;
-        let mut next: Option<u32> = None;
-        let elements_checked = check && self.config.elements != EccScheme::None;
-
-        for (i, out) in products.chunks_exact_mut(width).enumerate() {
-            let (start, end) = self.row_run(row0 + i, &mut k, &mut next, check, log, rp_checks)?;
-            let mut acc = [0.0f64; MAX_PANEL_WIDTH];
-            if !elements_checked {
-                // Interval-skipped (or element-unprotected) fast path: only
-                // range checks on the decoded column indices.
-                let mask = self.codec.col_mask();
-                for (j, (&v, &c)) in values[start..end].iter().zip(&cols[start..end]).enumerate() {
-                    fma_panel(xs, v, (c & mask) as usize, start + j, &mut acc, log)?;
-                }
-                out.copy_from_slice(&acc[..width]);
-                continue;
-            }
-            *elem_checks += (end - start) as u64;
-            match self.config.elements {
-                EccScheme::None => unreachable!("handled by the fast path above"),
-                EccScheme::Sed => {
-                    if abft_ecc::verify::sed_elements_clean(&values[start..end], &cols[start..end])
-                    {
-                        for (j, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let col = (c & COL_MASK_31) as usize;
-                            fma_panel(xs, v, col, start + j, &mut acc, log)?;
-                        }
-                    } else {
-                        for (j, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            if parity_u64(v.to_bits()) ^ parity_u32(c) != 0 {
-                                log.record_uncorrectable(Region::CsrElements);
-                                return Err(AbftError::Uncorrectable {
-                                    region: Region::CsrElements,
-                                    index: start + j,
-                                });
-                            }
-                            let col = (c & COL_MASK_31) as usize;
-                            fma_panel(xs, v, col, start + j, &mut acc, log)?;
-                        }
-                    }
-                }
-                EccScheme::Secded64 => {
-                    if abft_ecc::verify::secded88_elements_clean(
-                        &values[start..end],
-                        &cols[start..end],
-                    ) {
-                        for (j, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            fma_panel(xs, v, (c & COL_MASK_24) as usize, start + j, &mut acc, log)?;
-                        }
-                    } else {
-                        for (j, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let (value, col) = check_element_secded64(v, c, start + j, log)?;
-                            fma_panel(xs, value, col as usize, start + j, &mut acc, log)?;
-                        }
-                    }
-                }
-                EccScheme::Secded128 => {
-                    // Pairs are global (identical to the CSR encoding), so a
-                    // run may begin or end mid-pair; the in-range guard keeps
-                    // the accumulation order exactly the CSR kernel's.
-                    let mut e = start;
-                    while e < end {
-                        let pair = e & !1;
-                        let (pair_values, pair_cols) =
-                            check_pair_secded128(values, cols, pair, log)?;
-                        for (m, (&v, &c)) in pair_values.iter().zip(pair_cols.iter()).enumerate() {
-                            let idx = pair + m;
-                            if idx >= start && idx < end {
-                                fma_panel(xs, v, c as usize, idx, &mut acc, log)?;
-                            }
-                        }
-                        e = pair + 2;
-                    }
-                }
-                EccScheme::Crc32c => {
-                    let correction =
-                        check_row_crc(&self.crc, values, cols, start, end, scratch, log)?;
-                    if let Some((elem, vbits, cbits)) = correction {
-                        for e in start..end {
-                            let (mut value, mut col) =
-                                (values[e], (cols[e] & COL_MASK_24) as usize);
-                            if start + elem == e {
-                                value = f64::from_bits(vbits);
-                                col = cbits as usize;
-                            }
-                            fma_panel(xs, value, col, e, &mut acc, log)?;
-                        }
-                    } else {
-                        for (j, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let col = (c & COL_MASK_24) as usize;
-                            fma_panel(xs, v, col, start + j, &mut acc, log)?;
-                        }
-                    }
-                }
-            }
-            out.copy_from_slice(&acc[..width]);
-        }
-        Ok(())
-    }
 }
 
 impl ProtectedMatrix for ProtectedCoo {
@@ -624,13 +516,13 @@ impl ProtectedMatrix for ProtectedCoo {
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        // Width-1 panels run the exact f64 operation sequence of a scalar
-        // accumulator, so the single-vector product stays bitwise identical
-        // to the CSR tier.
         match x {
-            DenseView::Slice(s) => self.spmm_range(row0, &[SliceX(s)], y, check, scratch, log),
+            DenseView::Slice(s) => {
+                self.range_kernel(row0, &OneVector(SliceX(s)), y, check, scratch, log)
+            }
             DenseView::MaskedWords { words, mask } => {
-                self.spmm_range(row0, &[MaskedX { words, mask }], y, check, scratch, log)
+                let x = OneVector(MaskedX { words, mask });
+                self.range_kernel(row0, &x, y, check, scratch, log)
             }
         }
     }
@@ -644,8 +536,14 @@ impl ProtectedMatrix for ProtectedCoo {
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        dispatch_panel_readers!(xs, |readers| self
-            .spmm_range(row0, readers, products, check, scratch, log))
+        dispatch_panel_readers!(xs, |readers| self.range_kernel(
+            row0,
+            &Panel(readers),
+            products,
+            check,
+            scratch,
+            log
+        ))
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
@@ -751,7 +649,8 @@ mod tests {
                 p.spmv(&x, &mut y, 0, &log).unwrap();
                 assert_eq!(y, expected, "{elements:?}/{row_pointer:?}");
                 let mut y2 = vec![0.0; m.rows()];
-                p.spmv_parallel(&x, &mut y2, 0, &log).unwrap();
+                p.spmv_parallel_with(&x, &mut y2, 0, &log, &mut crate::SpmvWorkspace::new())
+                    .unwrap();
                 assert_eq!(y2, expected, "{elements:?}/{row_pointer:?} parallel");
                 // Interval-skipped iteration agrees too.
                 let p2 = ProtectedCoo::from_csr(

@@ -17,7 +17,7 @@
 //! repaired by [`ProtectedCsr::scrub`], which the solver calls when the log
 //! reports corrected errors.
 
-use crate::csr_element::{ElementCodec, COL_MASK_24};
+use crate::csr_element::ElementCodec;
 use crate::error::AbftError;
 use crate::policy::CheckPolicy;
 use crate::protected_matrix::ProtectedMatrix;
@@ -25,16 +25,13 @@ use crate::report::{FaultLog, Region};
 use crate::row_pointer::{mask_entry, ProtectedRowPointer};
 use crate::schemes::{EccScheme, ProtectionConfig};
 use crate::spmv::{dispatch_panel_readers, DenseView, MaskedX, SliceX, XRead, MAX_PANEL_WIDTH};
-use abft_ecc::correction::correct_crc32c_single;
-use abft_ecc::secded::DecodeOutcome;
-use abft_ecc::sed::{parity_u32, parity_u64};
-use abft_ecc::{Crc32c, SECDED_176, SECDED_88};
+use abft_ecc::sed::parity_u32;
 use abft_sparse::CsrMatrix;
 
-/// Rows per block of the SECDED64 and CRC32C SpMV/SpMM kernels: each
-/// block's contiguous element run is certified by one batched predicate
-/// (which needs runs of at least 16 SECDED codewords, or 4 CRC32C rows, to
-/// use its fast kernel) before the multiply loops run over it.
+/// Rows per block of the range kernel: each block's contiguous element run
+/// is certified by one batched predicate (which needs runs of at least 16
+/// SECDED codewords, or 4 CRC32C rows, to use its fast kernel) before the
+/// multiply loop runs over it.
 const ROW_BLOCK: usize = 64;
 
 /// A CSR matrix whose elements and row pointer carry embedded software ECC.
@@ -47,7 +44,6 @@ pub struct ProtectedCsr {
     col_indices: Vec<u32>,
     row_pointer: ProtectedRowPointer,
     codec: ElementCodec,
-    crc: Crc32c,
     policy: CheckPolicy,
     config: ProtectionConfig,
 }
@@ -80,7 +76,6 @@ impl ProtectedCsr {
             col_indices,
             row_pointer,
             codec,
-            crc: Crc32c::new(config.crc_backend),
             policy: CheckPolicy::every(config.check_interval),
             config: *config,
         })
@@ -207,35 +202,39 @@ impl ProtectedCsr {
     /// performs at the end of each time-step.
     pub fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
         self.row_pointer.check_all(log)?;
-        if self.config.elements != EccScheme::Crc32c {
-            // Element- and pair-granular codewords are independent of the row
-            // structure; one pass over the element range checks each codeword
-            // exactly once.
-            return verify_elements(self.config.elements, &self.values, &self.col_indices, log);
-        }
-        // Row-granular codewords need the row boundaries, read through the
-        // checked path: a correctable row-pointer flip must not shift the
-        // slice a row's checksum is computed over.  `check_all` above has
-        // already counted the row-pointer codewords, so the cursor's tally
-        // is dropped.
-        let rp_checked = self.row_pointer.scheme() != EccScheme::None;
-        let mut cursor = RpCursor::new(&self.row_pointer);
+        let (values, cols) = (&self.values[..], &self.col_indices[..]);
         let mut scratch = Vec::new();
-        let mut bounds = [0usize; ROW_BLOCK + 1];
         let mut tally = 0u64;
-        let result = (0..self.rows).step_by(ROW_BLOCK).try_for_each(|first| {
-            let rows = ROW_BLOCK.min(self.rows - first);
-            if self.certify_block(&mut cursor, first, rows, rp_checked, &mut bounds) {
-                tally += rows as u64;
-                return Ok(());
-            }
-            (first..first + rows).try_for_each(|row| {
-                let (start, end) = cursor.row_range(row, rp_checked, log, &mut 0)?;
-                tally += 1;
-                self.checked_row_crc(start, end, &mut scratch, log)
-                    .map(|_| ())
+        let mut verify = |start, end, tally: &mut u64| {
+            let unseen = |_, _, _| Ok(());
+            self.codec
+                .verify_run(values, cols, start, end, &mut scratch, tally, log, unseen)
+        };
+        let result = if !self.codec.row_granular() {
+            // Element- and pair-granular codewords are independent of the row
+            // structure; one run over the arrays checks each exactly once.
+            verify(0, self.nnz, &mut tally)
+        } else {
+            // Row-granular codewords need the row boundaries, read through
+            // the checked path: a correctable row-pointer flip must not shift
+            // the slice a row's checksum is computed over.  `check_all` above
+            // has already counted the row-pointer codewords, so the cursor's
+            // tally is dropped.
+            let rp_checked = self.row_pointer.scheme() != EccScheme::None;
+            let mut cursor = RpCursor::new(&self.row_pointer);
+            let mut bounds = [0usize; ROW_BLOCK + 1];
+            (0..self.rows).step_by(ROW_BLOCK).try_for_each(|first| {
+                let rows = ROW_BLOCK.min(self.rows - first);
+                if self.certify_block(&mut cursor, first, rows, rp_checked, true, &mut bounds) {
+                    tally += rows as u64;
+                    return Ok(());
+                }
+                (first..first + rows).try_for_each(|row| {
+                    let (start, end) = cursor.row_range(row, rp_checked, log, &mut 0)?;
+                    verify(start, end, &mut tally)
+                })
             })
-        });
+        };
         log.record_checks(Region::CsrElements, tally);
         result
     }
@@ -245,494 +244,110 @@ impl ProtectedCsr {
     pub fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
         let repaired_rp = self.row_pointer.scrub(log)?;
         let before = log.total_corrected();
-        // The row pointer was scrubbed just above, so its masked entries are
-        // trustworthy; stream the row ranges instead of materialising them.
-        let row_pointer = &self.row_pointer;
-        let rows = self.rows;
-        self.codec.check_all(
-            &mut self.values,
-            &mut self.col_indices,
-            (0..rows).map(|row| {
-                (
-                    row_pointer.get_masked(row) as usize,
-                    row_pointer.get_masked(row + 1) as usize,
-                )
-            }),
-            log,
-        )?;
+        let (values, cols) = (&mut self.values[..], &mut self.col_indices[..]);
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let result = if !self.codec.row_granular() {
+            self.codec
+                .scrub_run(values, cols, 0, self.nnz, &mut scratch, &mut tally, log)
+        } else {
+            // The row pointer was scrubbed just above, so a protected one is
+            // trustworthy; an unprotected one still gets the bounds check,
+            // which turns a flipped offset into an error instead of a slice
+            // that leaves the arrays.
+            (0..self.rows).try_for_each(|row| {
+                let (start, end) = self.row_pointer.row_range(row, false, log)?;
+                self.codec
+                    .scrub_run(values, cols, start, end, &mut scratch, &mut tally, log)
+            })
+        };
+        log.record_checks(Region::CsrElements, tally);
+        result?;
         let corrected_elements = (log.total_corrected() - before) as usize;
         Ok(repaired_rp + corrected_elements)
     }
 
-    /// Computes `y[i] = (A x)[row0 + i]` for a contiguous row range — the
-    /// monomorphized kernel behind every SpMV entry point (`R` fixes the
-    /// input-vector storage kind, the element scheme is matched **once**
-    /// outside the row loop).
+    /// Computes `out[i * w + j] = (A x_j)[row0 + i]` for a contiguous row
+    /// range and the `w` input vectors behind `sink` — the one kernel under
+    /// every SpMV and SpMM entry point, monomorphized over its accumulator
+    /// (a scalar for one vector, a stack panel for several) and over the
+    /// input-vector storage kind.
+    ///
+    /// Every matrix codeword (row-pointer group, element codeword, CRC row)
+    /// is verified **once** per traversal whatever the width, and each
+    /// column accumulates in element order, so column `j` of a panel is
+    /// bitwise identical to the single-vector product of `x_j`.  All errors
+    /// are matrix-side (element / row-pointer corruption, or a decoded
+    /// column index escaping the vector bounds); vector-side integrity is
+    /// the caller's job.
     ///
     /// Integrity-check counters are tallied locally and folded into the
     /// shared log in one bulk update per invocation, so the parallel path
     /// performs two atomic additions per *chunk* instead of several per row.
-    pub(crate) fn spmv_range<R: XRead>(
+    pub(crate) fn range_kernel<S: RowSink>(
         &self,
         row0: usize,
-        x: R,
-        y: &mut [f64],
+        sink: &S,
+        out: &mut [f64],
         check: bool,
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        let mut rp_checks = 0u64;
-        let mut elem_checks = 0u64;
-        let result = self.spmv_range_inner(
-            row0,
-            x,
-            y,
-            check,
-            scratch,
-            log,
-            &mut rp_checks,
-            &mut elem_checks,
-        );
-        // Flushed on the error path too, so checks performed before an
-        // aborting fault stay accounted for.
-        if rp_checks > 0 {
-            log.record_checks(Region::RowPointer, rp_checks);
-        }
-        if elem_checks > 0 {
-            log.record_checks(Region::CsrElements, elem_checks);
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spmv_range_inner<R: XRead>(
-        &self,
-        row0: usize,
-        x: R,
-        y: &mut [f64],
-        check: bool,
-        scratch: &mut Vec<u8>,
-        log: &FaultLog,
-        rp_checks: &mut u64,
-        elem_checks: &mut u64,
-    ) -> Result<(), AbftError> {
+        let width = sink.checked_width(out.len());
         let rp_checked = check && self.row_pointer.scheme() != EccScheme::None;
+        let elements_checked = check && self.config.elements != EccScheme::None;
         let mut cursor = RpCursor::new(&self.row_pointer);
-        let values = self.values.as_slice();
-        let cols = self.col_indices.as_slice();
-
-        if !check || self.config.elements == EccScheme::None {
-            // Interval-skipped (or element-unprotected) fast path: only range
-            // checks on the decoded column indices, mask hoisted into a
-            // register.
-            let mask = self.codec.col_mask();
-            for (i, yi) in y.iter_mut().enumerate() {
-                let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                let mut acc = 0.0;
-                for (k, (&v, &c)) in values[start..end].iter().zip(&cols[start..end]).enumerate() {
-                    let col = (c & mask) as usize;
-                    acc += v * read_x(x, col, start + k, log)?;
-                }
-                *yi = acc;
-            }
-            return Ok(());
-        }
-
-        match self.config.elements {
-            EccScheme::None => unreachable!("handled by the fast path above"),
-            EccScheme::Sed => {
-                for (i, yi) in y.iter_mut().enumerate() {
-                    let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                    *elem_checks += (end - start) as u64;
-                    let mut acc = 0.0;
-                    if abft_ecc::verify::sed_elements_clean(&values[start..end], &cols[start..end])
-                    {
-                        // Batched lane predicate certified the row: only the
-                        // bounds-checked reads remain in the multiply loop.
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let col = (c & crate::csr_element::COL_MASK_31) as usize;
-                            acc += v * read_x(x, col, start + k, log)?;
-                        }
+        let mut bounds = [0usize; ROW_BLOCK + 1];
+        KernelTally::flushed_to(log, |tally| {
+            for (b, block) in out.chunks_mut(ROW_BLOCK * width).enumerate() {
+                let first = row0 + b * ROW_BLOCK;
+                let rows = block.len() / width;
+                let certified = self.certify_block(
+                    &mut cursor,
+                    first,
+                    rows,
+                    rp_checked,
+                    elements_checked,
+                    &mut bounds,
+                );
+                for (i, row) in block.chunks_exact_mut(width).enumerate() {
+                    let (start, end) = if certified {
+                        tally.row_structure += 2 * rp_checked as u64;
+                        (bounds[i], bounds[i + 1])
                     } else {
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            if parity_u64(v.to_bits()) ^ parity_u32(c) != 0 {
-                                log.record_uncorrectable(Region::CsrElements);
-                                return Err(AbftError::Uncorrectable {
-                                    region: Region::CsrElements,
-                                    index: start + k,
-                                });
-                            }
-                            let col = (c & crate::csr_element::COL_MASK_31) as usize;
-                            acc += v * read_x(x, col, start + k, log)?;
-                        }
+                        cursor.row_range(first + i, rp_checked, log, &mut tally.row_structure)?
+                    };
+                    if elements_checked {
+                        tally.elements += (end - start) as u64;
                     }
-                    *yi = acc;
+                    let mut acc = S::ZERO;
+                    self.codec.read_row(
+                        &self.values,
+                        &self.col_indices,
+                        start,
+                        end,
+                        certified || !elements_checked,
+                        scratch,
+                        log,
+                        |v, col, k| sink.fma(&mut acc, v, col as usize, k, log),
+                    )?;
+                    sink.store(&acc, row);
                 }
             }
-            EccScheme::Secded64 => {
-                let mut bounds = [0usize; ROW_BLOCK + 1];
-                for (b, block) in y.chunks_mut(ROW_BLOCK).enumerate() {
-                    let first = row0 + b * ROW_BLOCK;
-                    let certified = self.certify_block(
-                        &mut cursor,
-                        first,
-                        block.len(),
-                        rp_checked,
-                        &mut bounds,
-                    );
-                    for (i, yi) in block.iter_mut().enumerate() {
-                        let (start, end) = if certified {
-                            *rp_checks += 2 * rp_checked as u64;
-                            (bounds[i], bounds[i + 1])
-                        } else {
-                            cursor.row_range(first + i, rp_checked, log, rp_checks)?
-                        };
-                        *elem_checks += (end - start) as u64;
-                        let mut acc = 0.0;
-                        if certified
-                            || abft_ecc::verify::secded88_elements_clean(
-                                &values[start..end],
-                                &cols[start..end],
-                            )
-                        {
-                            // The batched syndrome predicate certified the
-                            // row clean — the correcting per-element decode
-                            // is skipped and the masked column feeds the
-                            // bounds-checked read directly (identical to the
-                            // corrected outputs of a clean
-                            // `check_element_secded64`).
-                            for (k, (&v, &c)) in
-                                values[start..end].iter().zip(&cols[start..end]).enumerate()
-                            {
-                                acc += v * read_x(x, (c & COL_MASK_24) as usize, start + k, log)?;
-                            }
-                        } else {
-                            for (k, (&v, &c)) in
-                                values[start..end].iter().zip(&cols[start..end]).enumerate()
-                            {
-                                let (value, col) = check_element_secded64(v, c, start + k, log)?;
-                                acc += value * read_x(x, col as usize, start + k, log)?;
-                            }
-                        }
-                        *yi = acc;
-                    }
-                }
-            }
-            EccScheme::Secded128 => {
-                for (i, yi) in y.iter_mut().enumerate() {
-                    let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                    *elem_checks += (end - start) as u64;
-                    let mut acc = 0.0;
-                    let mut k = start;
-                    while k < end {
-                        let pair = k & !1;
-                        let (pair_values, pair_cols) = self.checked_pair_secded128(pair, log)?;
-                        for (m, (&v, &c)) in pair_values.iter().zip(pair_cols.iter()).enumerate() {
-                            let idx = pair + m;
-                            if idx >= start && idx < end {
-                                acc += v * read_x(x, c as usize, idx, log)?;
-                            }
-                        }
-                        k = pair + 2;
-                    }
-                    *yi = acc;
-                }
-            }
-            EccScheme::Crc32c => {
-                let mut bounds = [0usize; ROW_BLOCK + 1];
-                for (b, block) in y.chunks_mut(ROW_BLOCK).enumerate() {
-                    let first = row0 + b * ROW_BLOCK;
-                    let certified = self.certify_block(
-                        &mut cursor,
-                        first,
-                        block.len(),
-                        rp_checked,
-                        &mut bounds,
-                    );
-                    for (i, yi) in block.iter_mut().enumerate() {
-                        let (start, end) = if certified {
-                            *rp_checks += 2 * rp_checked as u64;
-                            (bounds[i], bounds[i + 1])
-                        } else {
-                            cursor.row_range(first + i, rp_checked, log, rp_checks)?
-                        };
-                        *elem_checks += (end - start) as u64;
-                        let correction = if certified {
-                            None
-                        } else {
-                            self.checked_row_crc(start, end, scratch, log)?
-                        };
-                        let mut acc = 0.0;
-                        if let Some((elem, vbits, cbits)) = correction {
-                            // Rare: apply the located single-flip correction
-                            // while reading.
-                            for k in start..end {
-                                let (mut value, mut col) =
-                                    (values[k], (cols[k] & COL_MASK_24) as usize);
-                                if start + elem == k {
-                                    value = f64::from_bits(vbits);
-                                    col = cbits as usize;
-                                }
-                                acc += value * read_x(x, col, k, log)?;
-                            }
-                        } else {
-                            for (k, (&v, &c)) in
-                                values[start..end].iter().zip(&cols[start..end]).enumerate()
-                            {
-                                let col = (c & COL_MASK_24) as usize;
-                                acc += v * read_x(x, col, start + k, log)?;
-                            }
-                        }
-                        *yi = acc;
-                    }
-                }
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
-    /// Computes `products[i*k + j] = (A x_j)[row0 + i]` for a contiguous row
-    /// range and a width-`k` panel of input vectors — the multi-RHS sibling
-    /// of [`ProtectedCsr::spmv_range`].
-    ///
-    /// Every matrix codeword group (row-pointer entries, element codewords,
-    /// CRC row codewords) is verified **once** per traversal and the decoded
-    /// row is applied to all `k` right-hand sides, so the per-RHS matrix
-    /// verify cost scales as `1/k`.  Each column `j` accumulates into its own
-    /// slot in exactly the element order of the single-vector kernel, so
-    /// column `j`'s output is bitwise identical to `spmv_range(row0, xs[j],
-    /// …)` regardless of the panel's width or composition.
-    ///
-    /// All errors this kernel returns are matrix-side (element/row-pointer
-    /// corruption, or a decoded column index escaping the vector bounds) and
-    /// abort the whole panel; vector-side integrity is the caller's job
-    /// (scrub each column before building its reader).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spmm_range<R: XRead>(
-        &self,
-        row0: usize,
-        xs: &[R],
-        products: &mut [f64],
-        check: bool,
-        scratch: &mut Vec<u8>,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        let mut rp_checks = 0u64;
-        let mut elem_checks = 0u64;
-        let result = self.spmm_range_inner(
-            row0,
-            xs,
-            products,
-            check,
-            scratch,
-            log,
-            &mut rp_checks,
-            &mut elem_checks,
-        );
-        // Flushed on the error path too, exactly like the SpMV kernel.
-        if rp_checks > 0 {
-            log.record_checks(Region::RowPointer, rp_checks);
-        }
-        if elem_checks > 0 {
-            log.record_checks(Region::CsrElements, elem_checks);
-        }
-        result
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn spmm_range_inner<R: XRead>(
-        &self,
-        row0: usize,
-        xs: &[R],
-        products: &mut [f64],
-        check: bool,
-        scratch: &mut Vec<u8>,
-        log: &FaultLog,
-        rp_checks: &mut u64,
-        elem_checks: &mut u64,
-    ) -> Result<(), AbftError> {
-        let width = xs.len();
-        assert!(
-            (1..=MAX_PANEL_WIDTH).contains(&width),
-            "spmm_range: panel width {width} outside 1..={MAX_PANEL_WIDTH}"
-        );
-        assert_eq!(
-            products.len() % width,
-            0,
-            "spmm_range: products not a whole number of rows"
-        );
-        let rp_checked = check && self.row_pointer.scheme() != EccScheme::None;
-        let mut cursor = RpCursor::new(&self.row_pointer);
-        let values = self.values.as_slice();
-        let cols = self.col_indices.as_slice();
-
-        if !check || self.config.elements == EccScheme::None {
-            let mask = self.codec.col_mask();
-            for (i, row) in products.chunks_exact_mut(width).enumerate() {
-                let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                let mut acc = [0.0f64; MAX_PANEL_WIDTH];
-                for (k, (&v, &c)) in values[start..end].iter().zip(&cols[start..end]).enumerate() {
-                    let col = (c & mask) as usize;
-                    fma_panel(xs, v, col, start + k, &mut acc, log)?;
-                }
-                row.copy_from_slice(&acc[..width]);
-            }
-            return Ok(());
-        }
-
-        match self.config.elements {
-            EccScheme::None => unreachable!("handled by the fast path above"),
-            EccScheme::Sed => {
-                for (i, row) in products.chunks_exact_mut(width).enumerate() {
-                    let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                    *elem_checks += (end - start) as u64;
-                    let mut acc = [0.0f64; MAX_PANEL_WIDTH];
-                    if abft_ecc::verify::sed_elements_clean(&values[start..end], &cols[start..end])
-                    {
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            let col = (c & crate::csr_element::COL_MASK_31) as usize;
-                            fma_panel(xs, v, col, start + k, &mut acc, log)?;
-                        }
-                    } else {
-                        for (k, (&v, &c)) in
-                            values[start..end].iter().zip(&cols[start..end]).enumerate()
-                        {
-                            if parity_u64(v.to_bits()) ^ parity_u32(c) != 0 {
-                                log.record_uncorrectable(Region::CsrElements);
-                                return Err(AbftError::Uncorrectable {
-                                    region: Region::CsrElements,
-                                    index: start + k,
-                                });
-                            }
-                            let col = (c & crate::csr_element::COL_MASK_31) as usize;
-                            fma_panel(xs, v, col, start + k, &mut acc, log)?;
-                        }
-                    }
-                    row.copy_from_slice(&acc[..width]);
-                }
-            }
-            EccScheme::Secded64 => {
-                let mut bounds = [0usize; ROW_BLOCK + 1];
-                for (b, block) in products.chunks_mut(ROW_BLOCK * width).enumerate() {
-                    let first = row0 + b * ROW_BLOCK;
-                    let rows = block.len() / width;
-                    let certified =
-                        self.certify_block(&mut cursor, first, rows, rp_checked, &mut bounds);
-                    for (i, row) in block.chunks_exact_mut(width).enumerate() {
-                        let (start, end) = if certified {
-                            *rp_checks += 2 * rp_checked as u64;
-                            (bounds[i], bounds[i + 1])
-                        } else {
-                            cursor.row_range(first + i, rp_checked, log, rp_checks)?
-                        };
-                        *elem_checks += (end - start) as u64;
-                        let mut acc = [0.0f64; MAX_PANEL_WIDTH];
-                        if certified
-                            || abft_ecc::verify::secded88_elements_clean(
-                                &values[start..end],
-                                &cols[start..end],
-                            )
-                        {
-                            for (k, (&v, &c)) in
-                                values[start..end].iter().zip(&cols[start..end]).enumerate()
-                            {
-                                let col = (c & COL_MASK_24) as usize;
-                                fma_panel(xs, v, col, start + k, &mut acc, log)?;
-                            }
-                        } else {
-                            for (k, (&v, &c)) in
-                                values[start..end].iter().zip(&cols[start..end]).enumerate()
-                            {
-                                let (value, col) = check_element_secded64(v, c, start + k, log)?;
-                                fma_panel(xs, value, col as usize, start + k, &mut acc, log)?;
-                            }
-                        }
-                        row.copy_from_slice(&acc[..width]);
-                    }
-                }
-            }
-            EccScheme::Secded128 => {
-                for (i, row) in products.chunks_exact_mut(width).enumerate() {
-                    let (start, end) = cursor.row_range(row0 + i, rp_checked, log, rp_checks)?;
-                    *elem_checks += (end - start) as u64;
-                    let mut acc = [0.0f64; MAX_PANEL_WIDTH];
-                    let mut k = start;
-                    while k < end {
-                        let pair = k & !1;
-                        let (pair_values, pair_cols) = self.checked_pair_secded128(pair, log)?;
-                        for (m, (&v, &c)) in pair_values.iter().zip(pair_cols.iter()).enumerate() {
-                            let idx = pair + m;
-                            if idx >= start && idx < end {
-                                fma_panel(xs, v, c as usize, idx, &mut acc, log)?;
-                            }
-                        }
-                        k = pair + 2;
-                    }
-                    row.copy_from_slice(&acc[..width]);
-                }
-            }
-            EccScheme::Crc32c => {
-                let mut bounds = [0usize; ROW_BLOCK + 1];
-                for (b, block) in products.chunks_mut(ROW_BLOCK * width).enumerate() {
-                    let first = row0 + b * ROW_BLOCK;
-                    let rows = block.len() / width;
-                    let certified =
-                        self.certify_block(&mut cursor, first, rows, rp_checked, &mut bounds);
-                    for (i, row) in block.chunks_exact_mut(width).enumerate() {
-                        let (start, end) = if certified {
-                            *rp_checks += 2 * rp_checked as u64;
-                            (bounds[i], bounds[i + 1])
-                        } else {
-                            cursor.row_range(first + i, rp_checked, log, rp_checks)?
-                        };
-                        *elem_checks += (end - start) as u64;
-                        let correction = if certified {
-                            None
-                        } else {
-                            self.checked_row_crc(start, end, scratch, log)?
-                        };
-                        let mut acc = [0.0f64; MAX_PANEL_WIDTH];
-                        if let Some((elem, vbits, cbits)) = correction {
-                            for k in start..end {
-                                let (mut value, mut col) =
-                                    (values[k], (cols[k] & COL_MASK_24) as usize);
-                                if start + elem == k {
-                                    value = f64::from_bits(vbits);
-                                    col = cbits as usize;
-                                }
-                                fma_panel(xs, value, col, k, &mut acc, log)?;
-                            }
-                        } else {
-                            for (k, (&v, &c)) in
-                                values[start..end].iter().zip(&cols[start..end]).enumerate()
-                            {
-                                let col = (c & COL_MASK_24) as usize;
-                                fma_panel(xs, v, col, start + k, &mut acc, log)?;
-                            }
-                        }
-                        row.copy_from_slice(&acc[..width]);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The block walker shared by the SECDED64 and CRC32C arms of the SpMV
-    /// and SpMM kernels and the CRC32C `verify_all`: reads the row bounds of
-    /// rows `first..first + rows` into `bounds[..=rows]` and certifies the
-    /// block's contiguous element run with one batched predicate (per
-    /// element under SECDED64, per row under CRC32C).  `true` means every
-    /// row-pointer codeword read verified clean (or had already been
-    /// decoded by `cursor`), the bounds are ordered and in range, and every
-    /// element codeword is clean, so the multiply loops may run straight
-    /// off `bounds`.
+    /// The block step of the range kernel and of the CRC32C `verify_all`:
+    /// reads the row bounds of rows `first..first + rows` into
+    /// `bounds[..=rows]` and, with `elements_checked`, certifies the block's
+    /// contiguous element run with the codec's batched predicate
+    /// (interval-skipped or unprotected elements are read masked whatever
+    /// they hold).  `true` means every row-pointer codeword read verified
+    /// clean (or had already been decoded by `cursor`), the bounds are
+    /// ordered and in range, and every element codeword that was to be
+    /// checked is clean, so the rows may be read masked straight off
+    /// `bounds`.
     /// Nothing is recorded either way: on `false` the caller re-walks the
     /// block row by row through the logging path, which then reports
     /// exactly the events, indices and check counts it always has.
@@ -742,8 +357,12 @@ impl ProtectedCsr {
         first: usize,
         rows: usize,
         rp_checked: bool,
+        elements_checked: bool,
         bounds: &mut [usize; ROW_BLOCK + 1],
     ) -> bool {
+        if elements_checked && !self.codec.certifies_runs() {
+            return false;
+        }
         for (i, bound) in bounds[..=rows].iter_mut().enumerate() {
             match cursor.entry_if_clean(first + i, rp_checked) {
                 Some(entry) => *bound = entry as usize,
@@ -751,46 +370,10 @@ impl ProtectedCsr {
             }
         }
         let bounds = &bounds[..=rows];
-        let (start, end) = (bounds[0], bounds[rows]);
-        if !bounds.is_sorted() || end > self.nnz {
-            return false;
-        }
         let (values, cols) = (&self.values, &self.col_indices);
-        match self.config.elements {
-            EccScheme::Crc32c => {
-                abft_ecc::verify::crc32c_rows_clean(&self.crc, values, cols, bounds)
-            }
-            _ => abft_ecc::verify::secded88_elements_clean(&values[start..end], &cols[start..end]),
-        }
-    }
-
-    /// Non-mutating SECDED128 pair check; returns corrected values and masked
-    /// column indices for elements `pair` and `pair + 1`.
-    fn checked_pair_secded128(
-        &self,
-        pair: usize,
-        log: &FaultLog,
-    ) -> Result<([f64; 2], [u32; 2]), AbftError> {
-        check_pair_secded128(&self.values, &self.col_indices, pair, log)
-    }
-
-    /// Non-mutating CRC32C row check (see [`check_row_crc`]).
-    fn checked_row_crc(
-        &self,
-        start: usize,
-        end: usize,
-        scratch: &mut Vec<u8>,
-        log: &FaultLog,
-    ) -> Result<Option<(usize, u64, u32)>, AbftError> {
-        check_row_crc(
-            &self.crc,
-            &self.values,
-            &self.col_indices,
-            start,
-            end,
-            scratch,
-            log,
-        )
+        bounds.is_sorted()
+            && bounds[rows] <= self.nnz
+            && (!elements_checked || self.codec.rows_clean(values, cols, bounds))
     }
 }
 
@@ -825,9 +408,12 @@ impl ProtectedMatrix for ProtectedCsr {
         log: &FaultLog,
     ) -> Result<(), AbftError> {
         match x {
-            DenseView::Slice(s) => self.spmv_range(row0, SliceX(s), y, check, scratch, log),
+            DenseView::Slice(s) => {
+                self.range_kernel(row0, &OneVector(SliceX(s)), y, check, scratch, log)
+            }
             DenseView::MaskedWords { words, mask } => {
-                self.spmv_range(row0, MaskedX { words, mask }, y, check, scratch, log)
+                let x = OneVector(MaskedX { words, mask });
+                self.range_kernel(row0, &x, y, check, scratch, log)
             }
         }
     }
@@ -841,8 +427,14 @@ impl ProtectedMatrix for ProtectedCsr {
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        dispatch_panel_readers!(xs, |readers| self
-            .spmm_range(row0, readers, products, check, scratch, log))
+        dispatch_panel_readers!(xs, |readers| self.range_kernel(
+            row0,
+            &Panel(readers),
+            products,
+            check,
+            scratch,
+            log
+        ))
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
@@ -878,238 +470,148 @@ impl ProtectedMatrix for ProtectedCsr {
     }
 }
 
-/// Non-mutating verification of every element codeword of the element- and
-/// pair-granular schemes (SED, SECDED64, SECDED128) — the `verify_all` body
-/// the CSR and COO tiers share.  Schemes with a batched predicate certify
-/// the whole range with it and walk (attributing the fault) only when it
-/// fails; checks are tallied locally and flushed once, on the error path
-/// too.  `None` and the row-granular CRC32C have nothing to do here.
-pub(crate) fn verify_elements(
-    scheme: EccScheme,
-    values: &[f64],
-    cols: &[u32],
-    log: &FaultLog,
-) -> Result<(), AbftError> {
-    let mut tally = 0u64;
-    let result = verify_elements_inner(scheme, values, cols, log, &mut tally);
-    if tally > 0 {
-        log.record_checks(Region::CsrElements, tally);
-    }
-    result
+/// Check counts a range kernel tallies locally and folds into the shared log
+/// in one bulk update per invocation.
+#[derive(Debug, Default)]
+pub(crate) struct KernelTally {
+    /// Row-pointer entries (CSR) or row indices (COO) read checked.
+    pub(crate) row_structure: u64,
+    /// Elements of the rows whose element codewords were verified.
+    pub(crate) elements: u64,
 }
 
-fn verify_elements_inner(
-    scheme: EccScheme,
-    values: &[f64],
-    cols: &[u32],
-    log: &FaultLog,
-    tally: &mut u64,
-) -> Result<(), AbftError> {
-    match scheme {
-        EccScheme::None | EccScheme::Crc32c => {}
-        EccScheme::Sed if abft_ecc::verify::sed_elements_clean(values, cols) => {
-            *tally += values.len() as u64;
+impl KernelTally {
+    /// Runs `kernel` over a fresh tally and flushes it to `log` — on the
+    /// error path too, so checks performed before an aborting fault stay
+    /// accounted for.
+    pub(crate) fn flushed_to<T>(log: &FaultLog, kernel: impl FnOnce(&mut KernelTally) -> T) -> T {
+        let mut tally = KernelTally::default();
+        let result = kernel(&mut tally);
+        if tally.row_structure > 0 {
+            log.record_checks(Region::RowPointer, tally.row_structure);
         }
-        EccScheme::Sed => {
-            for (k, (&v, &c)) in values.iter().zip(cols).enumerate() {
-                *tally += 1;
-                if parity_u64(v.to_bits()) ^ parity_u32(c) != 0 {
-                    log.record_uncorrectable(Region::CsrElements);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::CsrElements,
-                        index: k,
-                    });
-                }
-            }
+        if tally.elements > 0 {
+            log.record_checks(Region::CsrElements, tally.elements);
         }
-        EccScheme::Secded64 if abft_ecc::verify::secded88_elements_clean(values, cols) => {
-            *tally += values.len() as u64;
-        }
-        EccScheme::Secded64 => {
-            for (k, (&v, &c)) in values.iter().zip(cols).enumerate() {
-                *tally += 1;
-                check_element_secded64(v, c, k, log)?;
-            }
-        }
-        EccScheme::Secded128 => {
-            for pair in (0..values.len()).step_by(2) {
-                *tally += 1;
-                check_pair_secded128(values, cols, pair, log)?;
-            }
-        }
+        result
     }
-    Ok(())
 }
 
-/// Non-mutating SECDED64 check of one element's (value, encoded index) pair:
-/// the single source for the SpMV kernel, [`verify_elements`] and the
-/// unpaired SECDED128 tail.  Returns the (transiently corrected) value
-/// and masked column index; `index` is the absolute element position for
-/// error reporting.
-#[inline(always)]
-pub(crate) fn check_element_secded64(
-    value: f64,
-    col: u32,
-    index: usize,
-    log: &FaultLog,
-) -> Result<(f64, u32), AbftError> {
-    let stored = (col >> 24) as u16;
-    let mut payload = [value.to_bits(), (col & COL_MASK_24) as u64];
-    match SECDED_88.check_and_correct(&mut payload, stored) {
-        DecodeOutcome::NoError => {}
-        DecodeOutcome::CorrectedData(_) | DecodeOutcome::CorrectedRedundancy => {
-            log.record_corrected(Region::CsrElements);
-        }
-        DecodeOutcome::Uncorrectable => {
-            log.record_uncorrectable(Region::CsrElements);
-            return Err(AbftError::Uncorrectable {
-                region: Region::CsrElements,
-                index,
-            });
-        }
+/// What a range kernel folds one row's decoded elements into: the input
+/// vector(s) it multiplies by and the per-row accumulator, fixed at compile
+/// time so the single-vector kernel keeps its sum in a register instead of
+/// running as a width-1 panel.
+pub(crate) trait RowSink {
+    /// One row's running sums.
+    type Acc;
+    /// The sums before the row's first element.
+    const ZERO: Self::Acc;
+
+    /// Output slots per row.
+    fn width(&self) -> usize;
+
+    /// `acc[j] += v * x_j[col]` for every input vector, in order.  Column
+    /// `j`'s sum sees exactly the adds of the single-vector kernel, in the
+    /// same order — what makes multi-RHS outputs bitwise identical to
+    /// independent SpMVs.  `k` is the element's position, for the error.
+    fn fma(
+        &self,
+        acc: &mut Self::Acc,
+        v: f64,
+        col: usize,
+        k: usize,
+        log: &FaultLog,
+    ) -> Result<(), AbftError>;
+
+    /// Writes a finished row's sums to its `width()` output slots.
+    fn store(&self, acc: &Self::Acc, out: &mut [f64]);
+
+    /// `width()`, checked against the panel bound and an output buffer of
+    /// `out_len` slots.
+    fn checked_width(&self, out_len: usize) -> usize {
+        let width = self.width();
+        assert!(
+            (1..=MAX_PANEL_WIDTH).contains(&width),
+            "range kernel: panel width {width} outside 1..={MAX_PANEL_WIDTH}"
+        );
+        assert_eq!(
+            out_len % width,
+            0,
+            "range kernel: output not a whole number of rows"
+        );
+        width
     }
-    Ok((f64::from_bits(payload[0]), payload[1] as u32 & COL_MASK_24))
 }
 
-/// Non-mutating SECDED128 pair check over raw storage slices — shared by the
-/// CSR kernels and the COO tier (identical element encoding).  Returns
-/// corrected values and masked column indices for elements `pair` and
-/// `pair + 1`; an unpaired tail element falls back to its per-element
-/// SECDED(88) codeword.
-pub(crate) fn check_pair_secded128(
-    values: &[f64],
-    cols: &[u32],
-    pair: usize,
-    log: &FaultLog,
-) -> Result<([f64; 2], [u32; 2]), AbftError> {
-    if pair + 1 >= values.len() {
-        let (v, c) = check_element_secded64(values[pair], cols[pair], pair, log)?;
-        return Ok(([v, 0.0], [c, 0]));
+/// One input vector, one scalar sum per row.
+pub(crate) struct OneVector<R>(pub(crate) R);
+
+impl<R: XRead> RowSink for OneVector<R> {
+    type Acc = f64;
+    const ZERO: f64 = 0.0;
+
+    #[inline(always)]
+    fn width(&self) -> usize {
+        1
     }
-    let c0 = cols[pair];
-    let c1 = cols[pair + 1];
-    if c1 & 0xFE00_0000 != 0 {
-        log.record_corrected(Region::CsrElements);
+
+    #[inline(always)]
+    fn fma(
+        &self,
+        acc: &mut f64,
+        v: f64,
+        col: usize,
+        k: usize,
+        log: &FaultLog,
+    ) -> Result<(), AbftError> {
+        *acc += v * read_x(self.0, col, k, log)?;
+        Ok(())
     }
-    let stored = ((c0 >> 24) as u16) | ((((c1 >> 24) & 1) as u16) << 8);
-    let mut payload = [
-        values[pair].to_bits(),
-        values[pair + 1].to_bits(),
-        ((c0 & COL_MASK_24) as u64) | (((c1 & COL_MASK_24) as u64) << 24),
-    ];
-    match SECDED_176.check_and_correct(&mut payload, stored) {
-        DecodeOutcome::NoError => {}
-        DecodeOutcome::CorrectedData(_) | DecodeOutcome::CorrectedRedundancy => {
-            log.record_corrected(Region::CsrElements);
-        }
-        DecodeOutcome::Uncorrectable => {
-            log.record_uncorrectable(Region::CsrElements);
-            return Err(AbftError::Uncorrectable {
-                region: Region::CsrElements,
-                index: pair,
-            });
-        }
+
+    #[inline(always)]
+    fn store(&self, acc: &f64, out: &mut [f64]) {
+        out[0] = *acc;
     }
-    Ok((
-        [f64::from_bits(payload[0]), f64::from_bits(payload[1])],
-        [
-            payload[2] as u32 & COL_MASK_24,
-            (payload[2] >> 24) as u32 & COL_MASK_24,
-        ],
-    ))
 }
 
-/// Non-mutating CRC32C row check over raw storage slices — shared by the CSR
-/// kernels and the COO tier.  Returns `Ok(None)` when the row `start..end`
-/// is clean, `Ok(Some((element, value_bits, col)))` when a single flip was
-/// located (transient correction to apply while reading; `element` is
-/// row-relative), and an error when the row is uncorrectable.  A clean row
-/// is certified from registers; only a failing one is staged into `scratch`
-/// for the trial correction.
-pub(crate) fn check_row_crc(
-    crc: &Crc32c,
-    values: &[f64],
-    cols: &[u32],
-    start: usize,
-    end: usize,
-    scratch: &mut Vec<u8>,
-    log: &FaultLog,
-) -> Result<Option<(usize, u64, u32)>, AbftError> {
-    if abft_ecc::verify::crc32c_rows_clean(crc, values, cols, &[start, end]) {
-        return Ok(None);
-    }
-    scratch.clear();
-    for k in start..end {
-        scratch.extend_from_slice(&values[k].to_bits().to_le_bytes());
-        scratch.extend_from_slice(&(cols[k] & COL_MASK_24).to_le_bytes());
-    }
-    let computed = crc.checksum(scratch);
-    let stored = u32::from_le_bytes([
-        (cols[start] >> 24) as u8,
-        (cols[start + 1] >> 24) as u8,
-        (cols[start + 2] >> 24) as u8,
-        (cols[start + 3] >> 24) as u8,
-    ]);
-    if computed == stored {
-        return Ok(None);
-    }
-    if (computed ^ stored).count_ones() == 1 {
-        // The stored checksum itself took the hit; the data is intact.
-        log.record_corrected(Region::CsrElements);
-        return Ok(None);
-    }
-    if let Some(bit) = correct_crc32c_single(crc, scratch, stored) {
-        let element = bit / 96;
-        let offset = bit % 96;
-        if offset < 88 {
-            log.record_corrected(Region::CsrElements);
-            let k = start + element;
-            let mut vbits = values[k].to_bits();
-            let mut col = cols[k] & COL_MASK_24;
-            if offset < 64 {
-                vbits ^= 1u64 << offset;
-            } else {
-                col ^= 1u32 << (offset - 64);
-            }
-            return Ok(Some((element, vbits, col)));
-        }
-    }
-    log.record_uncorrectable(Region::CsrElements);
-    Err(AbftError::Uncorrectable {
-        region: Region::CsrElements,
-        index: start,
-    })
-}
+/// A panel of up to [`MAX_PANEL_WIDTH`] input vectors, one stack slot each.
+pub(crate) struct Panel<'a, R>(pub(crate) &'a [R]);
 
-/// Applies one decoded matrix element to every column of a panel:
-/// `acc[j] += v * xs[j][col]`.  Column `j`'s accumulator sees exactly the
-/// adds of the single-vector kernel, in the same order — the operation that
-/// makes multi-RHS outputs bitwise identical to k independent SpMVs.
-#[inline(always)]
-pub(crate) fn fma_panel<R: XRead>(
-    xs: &[R],
-    v: f64,
-    col: usize,
-    k: usize,
-    acc: &mut [f64; crate::spmv::MAX_PANEL_WIDTH],
-    log: &FaultLog,
-) -> Result<(), AbftError> {
-    for (j, x) in xs.iter().enumerate() {
-        acc[j] += v * read_x(*x, col, k, log)?;
+impl<R: XRead> RowSink for Panel<'_, R> {
+    type Acc = [f64; MAX_PANEL_WIDTH];
+    const ZERO: Self::Acc = [0.0; MAX_PANEL_WIDTH];
+
+    #[inline(always)]
+    fn width(&self) -> usize {
+        self.0.len()
     }
-    Ok(())
+
+    #[inline(always)]
+    fn fma(
+        &self,
+        acc: &mut Self::Acc,
+        v: f64,
+        col: usize,
+        k: usize,
+        log: &FaultLog,
+    ) -> Result<(), AbftError> {
+        for (j, x) in self.0.iter().enumerate() {
+            acc[j] += v * read_x(*x, col, k, log)?;
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn store(&self, acc: &Self::Acc, out: &mut [f64]) {
+        out.copy_from_slice(&acc[..out.len()]);
+    }
 }
 
 /// Bounds-checked read of the input vector inside the kernels — the single
 /// `Option` test per access is the range check that prevents the
 /// segmentation faults the paper's checks exist to stop.
 #[inline(always)]
-pub(crate) fn read_x<R: XRead>(
-    x: R,
-    col: usize,
-    k: usize,
-    log: &FaultLog,
-) -> Result<f64, AbftError> {
+fn read_x<R: XRead>(x: R, col: usize, k: usize, log: &FaultLog) -> Result<f64, AbftError> {
     match x.get(col) {
         Some(v) => Ok(v),
         None => Err(x_out_of_range(log, k, col, x.len())),
@@ -1119,7 +621,7 @@ pub(crate) fn read_x<R: XRead>(
 /// Out-of-line construction of the bounds-violation error keeps the kernel
 /// loops free of error-formatting code.
 #[cold]
-pub(crate) fn x_out_of_range(log: &FaultLog, index: usize, col: usize, limit: usize) -> AbftError {
+fn x_out_of_range(log: &FaultLog, index: usize, col: usize, limit: usize) -> AbftError {
     log.record_bounds_violation(Region::CsrElements);
     AbftError::OutOfRange {
         region: Region::CsrElements,
@@ -1241,6 +743,7 @@ impl<'a> RpCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnyProtectedMatrix, SpmvWorkspace, StorageTier};
     use abft_ecc::Crc32cBackend;
     use abft_sparse::Vector;
 
@@ -1293,7 +796,8 @@ mod tests {
                 assert_eq!(y, expected, "{elements:?}/{row_pointer:?}");
                 // Parallel kernel agrees.
                 let mut y2 = vec![0.0; m.rows()];
-                p.spmv_parallel(&x, &mut y2, 0, &log).unwrap();
+                p.spmv_parallel_with(&x, &mut y2, 0, &log, &mut SpmvWorkspace::new())
+                    .unwrap();
                 assert_eq!(y2, expected, "{elements:?}/{row_pointer:?} parallel");
                 // Interval-skipped iteration agrees too.
                 let p2 = ProtectedCsr::from_csr(
@@ -1434,6 +938,39 @@ mod tests {
         assert_eq!(repaired, 1);
     }
 
+    /// The paper's elements-only configuration leaves the row pointer
+    /// unguarded, so under row-wide CRC32C a flipped offset reaches the
+    /// element kernels as a row of the wrong shape.  Every whole-matrix
+    /// read must turn it into an error: an offset that leaves the arrays is
+    /// out of range, a row too short to hold its checksum is refused, any
+    /// other shift fails the checksum.
+    #[test]
+    fn unprotected_row_pointer_flips_never_panic_under_crc_elements() {
+        let m = abft_sparse::builders::poisson_2d_padded(8, 8);
+        // A shifted bound can make a row of most of the matrix, whose trial
+        // correction is quadratic in its length: take the fastest checksum.
+        let cfg = config(EccScheme::Crc32c, EccScheme::None).with_crc_backend(Crc32cBackend::Auto);
+        let x = vec![1.0; m.cols()];
+        let mut y = vec![0.0; m.rows()];
+        let mut ws = SpmvWorkspace::new();
+        for tier in [StorageTier::Csr, StorageTier::BlockedCsr(3)] {
+            let clean = AnyProtectedMatrix::encode(&m, &cfg, tier).unwrap();
+            for entry in 0..=m.rows() {
+                for bit in 0..12 {
+                    let label = format!("{tier:?} entry {entry} bit {bit}");
+                    let mut corrupt = clean.clone();
+                    corrupt.inject_structure_bit_flip(entry, bit);
+                    let log = FaultLog::new();
+                    assert!(corrupt.verify_all(&log).is_err(), "verify_all {label}");
+                    let product = corrupt.spmv_with(&x[..], &mut y, 0, &log, &mut ws);
+                    assert!(product.is_err(), "spmv_with {label}");
+                    assert!(corrupt.scrub(&log).is_err(), "scrub {label}");
+                    assert_eq!(log.total_corrected(), 0, "{label}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn double_flip_is_reported_uncorrectable() {
         let m = test_matrix();
@@ -1465,7 +1002,8 @@ mod tests {
         let p = ProtectedCsr::from_csr(&m, &cfg).unwrap();
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        p.spmv_auto(&x, &mut y, 0, &log).unwrap();
+        p.spmv_auto_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+            .unwrap();
         assert_eq!(y, expected);
         assert_eq!(p.config().elements, EccScheme::Secded64);
         assert_eq!(p.policy().interval(), 1);

@@ -200,24 +200,8 @@ pub trait ProtectedMatrix: Send + Sync {
         spmv_serial_driver(self, x, y, iteration, log, &mut ws.scratch)
     }
 
-    /// Parallel sparse matrix–vector product on the persistent worker pool.
-    /// Prefer [`ProtectedMatrix::spmv_parallel_with`] inside solver loops.
-    fn spmv_parallel<X: DenseSource + Sync + ?Sized>(
-        &self,
-        x: &X,
-        y: &mut [f64],
-        iteration: u64,
-        log: &FaultLog,
-    ) -> Result<(), AbftError>
-    where
-        Self: Sized,
-    {
-        let mut ws = SpmvWorkspace::new();
-        self.spmv_parallel_with(x, y, iteration, log, &mut ws)
-    }
-
-    /// [`ProtectedMatrix::spmv_parallel`] with caller-owned per-chunk
-    /// scratch.
+    /// Parallel sparse matrix–vector product on the persistent worker pool,
+    /// with caller-owned per-chunk scratch.
     fn spmv_parallel_with<X: DenseSource + Sync + ?Sized>(
         &self,
         x: &X,
@@ -248,24 +232,6 @@ pub trait ProtectedMatrix: Send + Sync {
 
     /// Dispatches to the serial or parallel SpMV according to the
     /// configuration.
-    fn spmv_auto<X: DenseSource + Sync + ?Sized>(
-        &self,
-        x: &X,
-        y: &mut [f64],
-        iteration: u64,
-        log: &FaultLog,
-    ) -> Result<(), AbftError>
-    where
-        Self: Sized,
-    {
-        if self.config().parallel {
-            self.spmv_parallel(x, y, iteration, log)
-        } else {
-            self.spmv(x, y, iteration, log)
-        }
-    }
-
-    /// [`ProtectedMatrix::spmv_auto`] with a caller-owned workspace.
     fn spmv_auto_with<X: DenseSource + Sync + ?Sized>(
         &self,
         x: &X,

@@ -1418,34 +1418,45 @@ impl GroupCodec {
     /// Canonical encode of a whole-group-aligned run: `out[i]` receives the
     /// codeword word of `values[i]` (equal lengths, a multiple of the group
     /// size; padding elements must be zero).  SECDED64 and CRC32C go
-    /// through the dispatched batched encoders of [`abft_ecc::verify`];
-    /// every other scheme loops [`GroupCodec::encode`] group by group.
-    /// Bit-identical to the per-group encode for every scheme.
+    /// through the dispatched batched encoders of [`abft_ecc::verify`], the
+    /// per-element schemes store (and, under SED, fold the parity of) each
+    /// word in line, and SECDED128 loops [`GroupCodec::encode`] pair by
+    /// pair.  Bit-identical to the per-group encode for every scheme.
     #[inline]
     pub(crate) fn encode_run(&self, values: &[f64], out: &mut [u64]) {
         debug_assert_eq!(values.len(), out.len());
         match self.scheme {
-            EccScheme::Secded64 => return abft_ecc::verify::secded64_encode_words(values, out),
-            EccScheme::Crc32c => {
-                return abft_ecc::verify::crc32c_encode_groups(&self.crc, values, out)
+            EccScheme::None => {
+                for (o, v) in out.iter_mut().zip(values) {
+                    *o = v.to_bits();
+                }
             }
-            _ => {}
-        }
-        let group = self.group();
-        debug_assert_eq!(values.len() % group, 0);
-        let mut buf = [0.0f64; MAX_GROUP];
-        for (v, o) in values.chunks_exact(group).zip(out.chunks_exact_mut(group)) {
-            buf[..group].copy_from_slice(v);
-            self.encode(&buf, o);
+            EccScheme::Sed => {
+                for (o, v) in out.iter_mut().zip(values) {
+                    *o = sed_word(*v, self.mask);
+                }
+            }
+            EccScheme::Secded64 => abft_ecc::verify::secded64_encode_words(values, out),
+            EccScheme::Secded128 => {
+                debug_assert_eq!(values.len() % 2, 0);
+                let mut buf = [0.0f64; MAX_GROUP];
+                for (v, o) in values.chunks_exact(2).zip(out.chunks_exact_mut(2)) {
+                    buf[..2].copy_from_slice(v);
+                    self.encode(&buf, o);
+                }
+            }
+            EccScheme::Crc32c => abft_ecc::verify::crc32c_encode_groups(&self.crc, values, out),
         }
     }
 
     /// `words[j] ← encode(f(j, words[j]))` over a whole-group-aligned run
     /// whose first `logical` words are user-visible (the rest is padding,
     /// rewritten as zero): [`ENCODE_STAGE`] results at a time are computed
-    /// into a stack buffer and written with one [`GroupCodec::encode_run`].
+    /// into a stack buffer and written with one [`GroupCodec::encode_run`]
+    /// — except under the per-element codes that have no batched encoder to
+    /// feed (none, SED), whose results are written where they were read.
     /// `f` sees the stored word unchecked — callers certify the run first.
-    /// Stops at the first error, leaving the stages before it written.
+    /// Stops at the first error, leaving what came before it written.
     #[inline]
     pub(crate) fn try_rewrite_staged<E>(
         &self,
@@ -1453,6 +1464,22 @@ impl GroupCodec {
         logical: usize,
         mut f: impl FnMut(usize, u64) -> Result<f64, E>,
     ) -> Result<(), E> {
+        // Matched outside the loops, which then vectorise around `f`.
+        match self.scheme {
+            EccScheme::None => {
+                for (j, w) in words.iter_mut().enumerate() {
+                    *w = f(j, *w)?.to_bits();
+                }
+                return Ok(());
+            }
+            EccScheme::Sed => {
+                for (j, w) in words.iter_mut().enumerate() {
+                    *w = sed_word(f(j, *w)?, self.mask);
+                }
+                return Ok(());
+            }
+            _ => {}
+        }
         let mut stage = [0.0f64; ENCODE_STAGE];
         for (b, out) in words.chunks_mut(ENCODE_STAGE).enumerate() {
             let at = b * ENCODE_STAGE;
@@ -1491,17 +1518,8 @@ impl GroupCodec {
         let mask = self.mask;
         let count = out.len();
         match self.scheme {
-            EccScheme::None => {
-                for (o, v) in out.iter_mut().zip(values) {
-                    *o = v.to_bits();
-                }
-            }
-            EccScheme::Sed => {
-                for (o, v) in out.iter_mut().zip(values) {
-                    let payload = v.to_bits() & mask;
-                    *o = payload | parity_u64(payload) as u64;
-                }
-            }
+            // Per-element codewords: a group is a run of one.
+            EccScheme::None | EccScheme::Sed => self.encode_run(&values[..count], out),
             EccScheme::Secded64 => abft_ecc::verify::scalar::secded64_encode_words(values, out),
             EccScheme::Secded128 => {
                 let b0 = values[0].to_bits() >> 5;
@@ -1529,6 +1547,14 @@ impl GroupCodec {
             }
         }
     }
+}
+
+/// The SED codeword of `value`: its masked bits with their parity in the
+/// reserved LSB.
+#[inline(always)]
+fn sed_word(value: f64, mask: u64) -> u64 {
+    let payload = value.to_bits() & mask;
+    payload | parity_u64(payload) as u64
 }
 
 /// The AND-mask clearing a scheme's reserved mantissa bits.

@@ -264,22 +264,27 @@ pub(crate) use dispatch_panel_readers;
 /// verify cost has already dropped below the memory-bandwidth noise floor.
 pub const MAX_PANEL_WIDTH: usize = 8;
 
-/// Reusable scratch storage for the SpMV kernels, owned by the solver state
-/// so iterations perform no heap allocations after setup.
+/// Reusable scratch storage for the SpMV and SpMM kernels, owned by the
+/// solver state so iterations perform no heap allocations after setup.
 ///
-/// One workspace serves every kernel shape: the row-product staging buffer
-/// of the fully protected SpMV, the CRC row-codeword scratch of the serial
-/// kernels, and one scratch buffer per parallel chunk.  Buffers grow on
-/// first use and are reused verbatim afterwards.
+/// One workspace serves every kernel shape: the staging buffer of the fully
+/// protected products (`rows` slots for one vector, a row-major `rows × k`
+/// panel, `products[row * k + col]`, for several), the CRC row-codeword
+/// scratch of the serial kernels, and one scratch buffer per parallel chunk.
+/// Buffers grow on first use and are reused verbatim afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct SpmvWorkspace {
-    /// Row products of the fully protected SpMV before group encoding.
+    /// Row products before group encoding.
     pub(crate) products: Vec<f64>,
     /// CRC row-codeword bytes (serial kernels).
     pub(crate) scratch: Vec<u8>,
     /// CRC row-codeword bytes, one buffer per parallel chunk.
     pub(crate) chunk_scratch: Vec<Vec<u8>>,
 }
+
+/// The workspace of the multi-RHS kernels: the same buffers, the product
+/// staging holding a panel.
+pub type SpmmWorkspace = SpmvWorkspace;
 
 impl SpmvWorkspace {
     /// Creates an empty workspace; buffers are sized lazily by the first
@@ -290,11 +295,53 @@ impl SpmvWorkspace {
 
     /// Per-chunk scratch buffers, grown to at least `n` chunks.
     pub(crate) fn chunk_scratch_for(&mut self, n: usize) -> &mut [Vec<u8>] {
-        if self.chunk_scratch.len() < n {
-            self.chunk_scratch.resize_with(n, Vec::new);
-        }
-        &mut self.chunk_scratch[..n]
+        self.chunk_buffers(0, n).1
     }
+
+    /// `len` product slots and the serial kernels' scratch.
+    fn serial_buffers(&mut self, len: usize) -> (&mut [f64], &mut Vec<u8>) {
+        if self.products.len() < len {
+            self.products.resize(len, 0.0);
+        }
+        (&mut self.products[..len], &mut self.scratch)
+    }
+
+    /// `len` product slots and one scratch buffer for each of `n_chunks`
+    /// parallel chunks.
+    fn chunk_buffers(&mut self, len: usize, n_chunks: usize) -> (&mut [f64], &mut [Vec<u8>]) {
+        if self.products.len() < len {
+            self.products.resize(len, 0.0);
+        }
+        if self.chunk_scratch.len() < n_chunks {
+            self.chunk_scratch.resize_with(n_chunks, Vec::new);
+        }
+        (
+            &mut self.products[..len],
+            &mut self.chunk_scratch[..n_chunks],
+        )
+    }
+}
+
+/// Certifies `x` for one kernel invocation and returns the masked view the
+/// kernels then read it through: the scrub (checked, and repaired if a
+/// correctable flip is found — a clean vector is certified by one batched
+/// SIMD predicate without decoding any group), after the parity cross-check.
+///
+/// Parity first: an erased chunk whose garbage mimics correctable noise
+/// would be silently miscorrected by the scrub — and the schemes are linear,
+/// so afterwards the stripe evidence can no longer single out the culprit.
+/// The cross-check rebuilds any convicted chunk before the scrub runs (a
+/// no-op without the tier).
+fn scrubbed_view<'a>(
+    x: &'a mut ProtectedVector,
+    log: &FaultLog,
+) -> Result<DenseView<'a>, AbftError> {
+    if x.scheme() != EccScheme::None {
+        x.repair_parity(log)?;
+        x.scrub(log)?;
+    }
+    let (words, mask) = x.masked_words();
+    Ok(DenseView::MaskedWords { words, mask })
 }
 
 /// `y = A x` with both the matrix and the vectors protected (serial).
@@ -337,25 +384,9 @@ pub fn protected_spmv<A: ProtectedMatrix + ?Sized>(
 ) -> Result<(), AbftError> {
     assert_eq!(x.len(), a.cols(), "protected_spmv: x has wrong length");
     assert_eq!(y.len(), a.rows(), "protected_spmv: y has wrong length");
-    if x.scheme() != EccScheme::None {
-        // Parity first: an erased chunk whose garbage mimics correctable
-        // noise would be silently miscorrected by the scrub — and the
-        // schemes are linear, so afterwards the stripe evidence can no
-        // longer single out the culprit.  The cross-check rebuilds any
-        // convicted chunk before the scrub runs (no-op without the tier).
-        x.repair_parity(log)?;
-        x.scrub(log)?;
-    }
+    let xv = scrubbed_view(x, log)?;
     let check = a.policy().should_check(iteration);
-    let (words, mask) = x.masked_words();
-    let xv = DenseView::MaskedWords { words, mask };
-    let SpmvWorkspace {
-        products, scratch, ..
-    } = ws;
-    if products.len() < a.rows() {
-        products.resize(a.rows(), 0.0);
-    }
-    let products = &mut products[..a.rows()];
+    let (products, scratch) = ws.serial_buffers(a.rows());
     a.spmv_range_view(0, xv, products, check, scratch, log)?;
     y.fill_from_fn(|row| products[row]);
     Ok(())
@@ -386,57 +417,15 @@ pub fn protected_spmv_parallel<A: ProtectedMatrix + ?Sized>(
         a.rows(),
         "protected_spmv_parallel: y has wrong length"
     );
-    if x.scheme() != EccScheme::None {
-        // Same parity-before-scrub erasure certification as the serial
-        // kernel.
-        x.repair_parity(log)?;
-        x.scrub(log)?;
-    }
+    let xv = scrubbed_view(x, log)?;
     let check = a.policy().should_check(iteration);
-    let (words, mask) = x.masked_words();
-    let xv = DenseView::MaskedWords { words, mask };
     let n_chunks = rayon::chunk_count(a.rows());
-    let SpmvWorkspace {
-        products,
-        chunk_scratch,
-        ..
-    } = ws;
-    if products.len() < a.rows() {
-        products.resize(a.rows(), 0.0);
-    }
-    if chunk_scratch.len() < n_chunks {
-        chunk_scratch.resize_with(n_chunks, Vec::new);
-    }
-    let products = &mut products[..a.rows()];
-    rayon::with_chunks_mut(
-        products,
-        &mut chunk_scratch[..n_chunks],
-        |offset, chunk, scratch| a.spmv_range_view(offset, xv, chunk, check, scratch, log),
-    )?;
+    let (products, scratches) = ws.chunk_buffers(a.rows(), n_chunks);
+    rayon::with_chunks_mut(products, scratches, |offset, chunk, scratch| {
+        a.spmv_range_view(offset, xv, chunk, check, scratch, log)
+    })?;
     y.fill_from_fn(|row| products[row]);
     Ok(())
-}
-
-/// Reusable scratch storage for the multi-RHS SpMM kernels — the panel
-/// sibling of [`SpmvWorkspace`].  The staging buffer holds a row-major
-/// `rows × k` product panel (`products[row * k + col]`); CRC scratch
-/// mirrors the SpMV workspace.
-#[derive(Debug, Default, Clone)]
-pub struct SpmmWorkspace {
-    /// Row-major product panel of the protected SpMM before group encoding.
-    pub(crate) products: Vec<f64>,
-    /// CRC row-codeword bytes (serial kernels).
-    pub(crate) scratch: Vec<u8>,
-    /// CRC row-codeword bytes, one buffer per parallel chunk.
-    pub(crate) chunk_scratch: Vec<Vec<u8>>,
-}
-
-impl SpmmWorkspace {
-    /// Creates an empty workspace; buffers are sized lazily by the first
-    /// kernel invocation.
-    pub fn new() -> Self {
-        SpmmWorkspace::default()
-    }
 }
 
 /// Runs a prepared view panel through the SpMM range kernel, serial or
@@ -450,38 +439,16 @@ fn spmm_dispatch<A: ProtectedMatrix + ?Sized>(
     ws: &mut SpmmWorkspace,
 ) -> Result<(), AbftError> {
     let width = xs.len();
-    let rows = a.rows();
+    let need = a.rows() * width;
     if a.config().parallel {
-        let n_chunks = rayon::chunk_count(rows * width);
-        let SpmmWorkspace {
-            products,
-            chunk_scratch,
-            ..
-        } = ws;
-        let need = rows * width;
-        if products.len() < need {
-            products.resize(need, 0.0);
-        }
-        if chunk_scratch.len() < n_chunks {
-            chunk_scratch.resize_with(n_chunks, Vec::new);
-        }
-        rayon::with_chunks_mut_strided(
-            &mut products[..need],
-            &mut chunk_scratch[..n_chunks],
-            width,
-            |offset, chunk, scratch| {
-                a.spmm_range_view(offset / width, xs, chunk, check, scratch, log)
-            },
-        )
+        let n_chunks = rayon::chunk_count(need);
+        let (products, scratches) = ws.chunk_buffers(need, n_chunks);
+        rayon::with_chunks_mut_strided(products, scratches, width, |offset, chunk, scratch| {
+            a.spmm_range_view(offset / width, xs, chunk, check, scratch, log)
+        })
     } else {
-        let SpmmWorkspace {
-            products, scratch, ..
-        } = ws;
-        let need = rows * width;
-        if products.len() < need {
-            products.resize(need, 0.0);
-        }
-        a.spmm_range_view(0, xs, &mut products[..need], check, scratch, log)
+        let (products, scratch) = ws.serial_buffers(need);
+        a.spmm_range_view(0, xs, products, check, scratch, log)
     }
 }
 
@@ -583,38 +550,28 @@ pub fn protected_spmm<A: ProtectedMatrix + ?Sized>(
     for y in ys.iter() {
         assert_eq!(y.len(), a.rows(), "protected_spmm: y has wrong length");
     }
-    // Per-column scrub, each into its own tenant log; a failing column is
-    // isolated, not panel-fatal.
-    for (j, x) in xs.iter_mut().enumerate() {
-        if col_errors[j].is_some() {
-            continue;
-        }
-        if x.scheme() != EccScheme::None {
-            // Parity-before-scrub plus the correcting scrub, exactly the
-            // per-invocation certification of `protected_spmv`.
-            if let Err(e) = x
-                .repair_parity(col_logs[j])
-                .and_then(|_| x.scrub(col_logs[j]).map(|_| ()))
-            {
-                col_errors[j] = Some(e);
-            }
-        }
-    }
-    // Compact the surviving columns into a fixed-size view panel.
+    // Per-column scrub, each into its own tenant log (exactly the
+    // per-invocation certification of `protected_spmv`); a failing column is
+    // isolated, not panel-fatal, and the survivors are compacted into a
+    // fixed-size view panel.
     let mut views = [DenseView::MaskedWords {
         words: &[][..],
         mask: 0,
     }; MAX_PANEL_WIDTH];
     let mut positions = [0usize; MAX_PANEL_WIDTH];
     let mut live = 0usize;
-    for (j, x) in xs.iter().enumerate() {
+    for (j, x) in xs.iter_mut().enumerate() {
         if col_errors[j].is_some() {
             continue;
         }
-        let (words, mask) = x.masked_words();
-        views[live] = DenseView::MaskedWords { words, mask };
-        positions[live] = j;
-        live += 1;
+        match scrubbed_view(x, col_logs[j]) {
+            Ok(view) => {
+                views[live] = view;
+                positions[live] = j;
+                live += 1;
+            }
+            Err(e) => col_errors[j] = Some(e),
+        }
     }
     if live == 0 {
         return Ok(());

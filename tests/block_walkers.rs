@@ -1,15 +1,19 @@
 //! Fault paths through the block-granular kernels.
 //!
-//! The SECDED64 and CRC32C SpMV/SpMM kernels certify 64 rows of elements
-//! with one batched predicate and the masked BLAS-1 kernels certify whole
-//! runs and write back 128 staged results at a time.  Blocking must not be
-//! observable: with a fault planted at a block edge, the outputs, the
-//! [`FaultLogSnapshot`] and the reported error must equal those of per-row /
-//! per-group execution.  The per-row reference here is the same public
+//! The CSR range kernel certifies 64 rows of elements with one batched
+//! predicate and the masked BLAS-1 kernels certify whole runs and write back
+//! 128 staged results at a time.  Blocking must not be observable: with a
+//! fault planted at a row, pair or block edge, under every element scheme
+//! and storage tier, the outputs, the [`FaultLogSnapshot`] and the reported
+//! error must equal those of per-row / per-group execution *and* what the
+//! scheme's code alone predicts.  The per-row reference is the same public
 //! range kernel driven **one row per call** (a one-row block is a row); the
-//! per-group reference is the group-decode [`ProtectedVector`] methods.
+//! predicted one runs no protected kernel at all ([`expect`], the plain
+//! `spmv_serial`); the per-group reference is the group-decode
+//! [`ProtectedVector`] methods.
 //!
-//! Also pinned: `verify_all` under CRC32C reads the row structure through
+//! Also pinned: `scrub` reports what `verify_all` reports and restores the
+//! encoding, and `verify_all` under CRC32C reads the row structure through
 //! the checked path, so a correctable structure flip is absorbed instead of
 //! shifting the slice a row checksum is computed over.
 
@@ -21,6 +25,7 @@ use abft_suite::core::{
 use abft_suite::prelude::Crc32cBackend;
 use abft_suite::sparse::builders::poisson_2d_padded;
 use abft_suite::sparse::spmv::spmv_serial;
+use abft_suite::sparse::CsrMatrix;
 
 const TIERS: [StorageTier; 3] = [
     StorageTier::Csr,
@@ -144,6 +149,110 @@ fn bits(ys: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Where the storage blocks of a tier start: pairs restart, and reported
+/// element indices are relative to, the first element of the owning block.
+fn storage_block_rows(a: &AnyProtectedMatrix) -> Vec<usize> {
+    match a {
+        AnyProtectedMatrix::BlockedCsr(b) => {
+            (0..b.num_blocks()).map(|i| b.block_row_start(i)).collect()
+        }
+        _ => vec![0],
+    }
+}
+
+/// What a planted element flip must do, worked out from the scheme's code
+/// and the matrix layout alone — the reference that does not run a kernel.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expect {
+    /// Read as the clean value, with this many corrections logged (a pair
+    /// straddling two rows is decoded by both).
+    Corrected(u64),
+    /// Reported uncorrectable at `index` (relative to the storage block) by
+    /// `row`, the first row that touches the codeword.
+    Due { index: usize, row: usize },
+    /// Invisible to the code: the product is that of the flipped matrix.
+    Undetected,
+}
+
+fn expect(scheme: EccScheme, what: Flip, rp: &[u32], block_rows: &[usize]) -> Expect {
+    let (k, double) = match what {
+        Flip::Value(k) | Flip::Column(k) | Flip::Checksum(k) => (k, false),
+        Flip::Double(k) => (k, true),
+        Flip::RowPointer(..) => unreachable!("element flips only"),
+    };
+    let row_of = |k: usize| rp.partition_point(|&e| e as usize <= k) - 1;
+    let row = row_of(k);
+    let block = block_rows.partition_point(|&r| r <= row) - 1;
+    let base = rp[block_rows[block]] as usize;
+    let block_end = block_rows
+        .get(block + 1)
+        .map_or(rp[rp.len() - 1], |&r| rp[r]) as usize;
+    match scheme {
+        EccScheme::None => Expect::Undetected,
+        // One parity bit: odd flip counts are seen, even ones are not, and
+        // column bit 28 is index payload.
+        EccScheme::Sed if double => Expect::Undetected,
+        EccScheme::Sed => Expect::Due {
+            index: k - base,
+            row,
+        },
+        EccScheme::Secded64 if double => Expect::Due {
+            index: k - base,
+            row,
+        },
+        EccScheme::Secded64 => Expect::Corrected(1),
+        EccScheme::Secded128 => {
+            let first = base + ((k - base) & !1);
+            // An unpaired last element carries its own codeword.
+            let last = (first + 1).min(block_end - 1);
+            if double {
+                Expect::Due {
+                    index: first - base,
+                    row: row_of(first),
+                }
+            } else {
+                Expect::Corrected(1 + (row_of(first) != row_of(last)) as u64)
+            }
+        }
+        EccScheme::Crc32c if double => Expect::Due {
+            index: rp[row] as usize - base,
+            row,
+        },
+        EccScheme::Crc32c => Expect::Corrected(1),
+    }
+}
+
+/// Value / column / double flips on elements at the first, middle and last
+/// position of the walker block of rows 64..128, on both sides of the 128
+/// boundary, on both sides of a pair that straddles a row boundary and on
+/// both sides of a block boundary inside the second parallel chunk (rows
+/// 2592..), plus a flipped redundancy bit at four row starts.
+fn element_plants(plain: &CsrMatrix) -> Vec<Flip> {
+    let at = |row: usize| plain.row_pointer()[row] as usize;
+    // A row inside the walker block that starts on an odd element: the
+    // SECDED128 pair around its first element straddles two rows.
+    let straddled = (65..128).find(|&row| at(row) % 2 == 1).unwrap();
+    let elements = [
+        at(64),
+        at(straddled) - 1,
+        at(straddled),
+        at(96) + 2,
+        at(128) - 1,
+        at(128),
+        at(2592 + 64) - 1,
+        at(2592 + 64),
+        plain.nnz() - 1,
+    ];
+    let mut plants: Vec<Flip> = Vec::new();
+    for k in elements {
+        plants.extend([Flip::Value(k), Flip::Column(k), Flip::Double(k)]);
+    }
+    for row in [64, straddled, 128, 2592 + 64] {
+        plants.push(Flip::Checksum(at(row)));
+    }
+    plants
+}
+
 #[test]
 fn planted_faults_at_block_edges_match_per_row_execution() {
     // 5184 rows: enough for the parallel drivers to split into chunks, and
@@ -158,55 +267,46 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                 .collect()
         })
         .collect();
-    // Elements at the first / middle / last position of the walker block of
-    // rows 64..128, on both sides of the 128 boundary, and on both sides of
-    // a block boundary inside the second parallel chunk (rows 2592..).
-    let elements = [
-        at(64),
-        at(96) + 2,
-        at(128) - 1,
-        at(128),
-        at(2592 + 64) - 1,
-        at(2592 + 64),
-        plain.nnz() - 1,
-    ];
-    let mut plants: Vec<Flip> = Vec::new();
-    for k in elements {
-        plants.extend([Flip::Value(k), Flip::Column(k), Flip::Double(k)]);
-    }
-    for row in [64, 128, 2592 + 64] {
-        plants.push(Flip::Checksum(at(row)));
-    }
+    // The unflipped products, from the plain kernel.
+    let clean_ys: Vec<Vec<f64>> = xs
+        .iter()
+        .map(|x| {
+            let mut y = vec![0.0; plain.rows()];
+            spmv_serial(&plain, x, &mut y);
+            y
+        })
+        .collect();
+    let element_plants = element_plants(&plain);
+    let mut rp_plants: Vec<Flip> = Vec::new();
     for row in [64, 100, 127, 128] {
-        plants
+        rp_plants
             .extend([RP_PAYLOAD, RP_REDUNDANCY, RP_DOUBLE].map(|bits| Flip::RowPointer(row, bits)));
     }
 
-    // COO keeps its own per-row CRC32C kernel; the row-block walker under
-    // CRC32C is the CSR tiers'.
-    let cases = [
-        (
-            ProtectionConfig::matrix_only(EccScheme::Secded64),
-            &TIERS[..],
-        ),
-        (
-            ProtectionConfig::full(EccScheme::Crc32c),
-            &[StorageTier::Csr, StorageTier::BlockedCsr(3)],
-        ),
-    ];
-    for (cfg, &tier) in cases
-        .iter()
-        .flat_map(|(cfg, tiers)| tiers.iter().map(move |tier| (cfg, tier)))
-    {
-        for parallel in [false, true] {
-            let scheme = cfg.elements;
+    for scheme in EccScheme::ALL {
+        // Only the grouped row-structure codes correct a flip, which is what
+        // the row-structure assertions below are written for.
+        let (cfg, rp_flips) = match scheme {
+            EccScheme::Secded64 => (ProtectionConfig::matrix_only(scheme), true),
+            EccScheme::Crc32c => (ProtectionConfig::full(scheme), true),
+            _ => (ProtectionConfig::matrix_only(scheme), false),
+        };
+        for (tier, parallel) in TIERS
+            .into_iter()
+            .flat_map(|tier| [(tier, false), (tier, true)])
+        {
             let cfg = cfg.with_parallel(parallel);
             let clean = AnyProtectedMatrix::encode(&plain, &cfg, tier).unwrap();
+            let block_rows = storage_block_rows(&clean);
+            let plants = element_plants
+                .iter()
+                .chain(rp_plants.iter().filter(|_| rp_flips));
             for width in [1usize, 8] {
                 let xs = &xs[..width];
                 let fault_free = run_kernel(&clean, xs);
                 fault_free.result.as_ref().unwrap();
-                for &what in &plants {
+                assert_eq!(bits(&fault_free.ys), bits(&clean_ys[..width]));
+                for &what in plants.clone() {
                     let label =
                         format!("{scheme:?} {tier:?} parallel={parallel} width={width} {what:?}");
                     let mut corrupt = clean.clone();
@@ -214,6 +314,58 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                     let got = run_kernel(&corrupt, xs);
                     let want = run_per_row(&corrupt, xs);
                     assert_eq!(got.result, want.result, "{label}");
+
+                    // The reference that runs no protected kernel.
+                    if !matches!(what, Flip::RowPointer(..)) {
+                        let faults = got.faults;
+                        match expect(scheme, what, rp, &block_rows) {
+                            Expect::Corrected(events) => {
+                                assert_eq!(got.result, Ok(()), "{label}");
+                                assert_eq!(faults.corrected, [events, 0, 0], "{label}");
+                                assert_eq!(faults.total_uncorrectable(), 0, "{label}");
+                                assert_eq!(faults.bounds_violations, [0; 3], "{label}");
+                                assert_eq!(faults.checks, fault_free.faults.checks, "{label}");
+                                assert_eq!(bits(&got.ys), bits(&clean_ys[..width]), "{label}");
+                            }
+                            Expect::Due { index, row } => {
+                                let region = abft_suite::core::Region::CsrElements;
+                                let due = AbftError::Uncorrectable { region, index };
+                                assert_eq!(got.result, Err(due), "{label}");
+                                // Every row up to the failing one was counted
+                                // before it was decoded; COO also decoded the
+                                // row index that ends the failing row.
+                                let structure = match tier {
+                                    StorageTier::Coo => {
+                                        at(row + 1) + (row + 1 < plain.rows()) as usize
+                                    }
+                                    _ => 2 * (row + 1),
+                                };
+                                let mut expected = FaultLogSnapshot {
+                                    checks: [at(row + 1) as u64, structure as u64, 0],
+                                    uncorrectable: [1, 0, 0],
+                                    ..FaultLogSnapshot::default()
+                                };
+                                if parallel {
+                                    // Which chunks ran before the abort is up
+                                    // to the scheduler.
+                                    expected.checks = faults.checks;
+                                }
+                                assert_eq!(faults, expected, "{label}");
+                            }
+                            Expect::Undetected => {
+                                assert_eq!(got.result, Ok(()), "{label}");
+                                assert_eq!(faults.checks, fault_free.faults.checks, "{label}");
+                                assert_eq!(faults.total_corrected(), 0, "{label}");
+                                assert_eq!(faults.total_uncorrectable(), 0, "{label}");
+                                let flipped = corrupt.to_csr();
+                                for (x, y) in xs.iter().zip(&got.ys) {
+                                    let mut silent = vec![0.0; flipped.rows()];
+                                    spmv_serial(&flipped, x, &mut silent);
+                                    assert_eq!(bits(&[silent]), bits(std::slice::from_ref(y)));
+                                }
+                            }
+                        }
+                    }
 
                     let (mut g, mut w) = (got.faults, want.faults);
                     // A row-pointer group is decoded once per cursor: once
@@ -234,7 +386,8 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                     }
                     if got.result.is_err() {
                         assert!(
-                            matches!(what, Flip::Double(_) | Flip::RowPointer(_, RP_DOUBLE)),
+                            matches!(what, Flip::Double(_) | Flip::RowPointer(_, RP_DOUBLE))
+                                || !scheme.corrects_single_flips(),
                             "{label}"
                         );
                         assert!(
@@ -252,12 +405,146 @@ fn planted_faults_at_block_edges_match_per_row_execution() {
                     }
                     assert_eq!(g, w, "{label}");
                     assert_eq!(g.checks, fault_free.faults.checks, "{label}");
-                    if !matches!(what, Flip::RowPointer(..)) {
-                        assert_eq!(g.total_corrected(), 1, "{label}");
-                    }
                     assert_eq!(bits(&got.ys), bits(&want.ys), "{label}");
-                    // A corrected read is the clean value.
-                    assert_eq!(bits(&got.ys), bits(&fault_free.ys), "{label}");
+                    if scheme.corrects_single_flips() {
+                        // A corrected read is the clean value.
+                        assert_eq!(bits(&got.ys), bits(&fault_free.ys), "{label}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Interval-skipped iterations read a block's row bounds in one go too, with
+/// nothing but the bounds checks left: a flipped row-structure entry or a
+/// column index sent out of range must be caught (or read through) exactly
+/// as by a call per row.
+#[test]
+fn interval_skipped_blocks_match_per_row_execution() {
+    let plain = poisson_2d_padded(24, 24);
+    let at = |row: usize| plain.row_pointer()[row] as usize;
+    let x: Vec<f64> = (0..plain.cols()).map(|i| 1.0 + i as f64 * 0.01).collect();
+    let view = DenseView::Slice(&x);
+    let mut plants = vec![Flip::Value(at(64)), Flip::Double(at(127) + 1)];
+    for row in [1, 64, 100, 127, 128, 575] {
+        // A low payload bit, the top payload bit (past the element arrays),
+        // and a redundancy bit the unchecked read masks off.
+        plants.extend([&[2u32][..], &[27], &[29]].map(|bits| Flip::RowPointer(row, bits)));
+    }
+    for cfg in [
+        ProtectionConfig::matrix_only(EccScheme::Secded64),
+        ProtectionConfig::elements_only(EccScheme::Crc32c),
+    ] {
+        // The CSR tiers: COO has no row bounds to read ahead.
+        for tier in [StorageTier::Csr, StorageTier::BlockedCsr(3)] {
+            let clean = AnyProtectedMatrix::encode(&plain, &cfg, tier).unwrap();
+            for &what in &plants {
+                let label = format!("{:?} {tier:?} {what:?}", cfg.elements);
+                let mut corrupt = clean.clone();
+                plant(&mut corrupt, what);
+                // A wild column index: bit 23 is the top index bit.
+                if let Flip::Value(k) = what {
+                    corrupt.inject_col_bit_flip(k, 23);
+                }
+                let (log, row_log) = (FaultLog::new(), FaultLog::new());
+                let mut y = vec![0.0; plain.rows()];
+                let got = corrupt.spmv_range_view(0, view, &mut y, false, &mut Vec::new(), &log);
+                let mut want = Ok(());
+                let mut y_rows = vec![0.0; plain.rows()];
+                for (row, slot) in y_rows.iter_mut().enumerate() {
+                    let out = std::slice::from_mut(slot);
+                    want =
+                        corrupt.spmv_range_view(row, view, out, false, &mut Vec::new(), &row_log);
+                    if want.is_err() {
+                        break;
+                    }
+                }
+                assert_eq!(got, want, "{label}");
+                assert_eq!(log.snapshot(), row_log.snapshot(), "{label}");
+                if got.is_ok() {
+                    assert_eq!(bits(&[y]), bits(&[y_rows]), "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// The raw storage of every array a tier keeps: values, encoded column
+/// indices, encoded row structure.
+fn storage(a: &AnyProtectedMatrix) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
+    let csr = |m: &abft_suite::core::ProtectedCsr| {
+        let values = m.raw_values().iter().map(|v| v.to_bits()).collect();
+        let structure = m.row_pointer().raw().to_vec();
+        (values, m.raw_col_indices().to_vec(), structure)
+    };
+    match a {
+        AnyProtectedMatrix::Csr(m) => csr(m),
+        AnyProtectedMatrix::Coo(m) => (
+            m.raw_values().iter().map(|v| v.to_bits()).collect(),
+            m.raw_col_indices().to_vec(),
+            m.raw_row_indices().to_vec(),
+        ),
+        AnyProtectedMatrix::BlockedCsr(b) => {
+            let mut all = (Vec::new(), Vec::new(), Vec::new());
+            for (values, cols, structure) in b.blocks().iter().map(csr) {
+                all.0.extend(values);
+                all.1.extend(cols);
+                all.2.extend(structure);
+            }
+            all
+        }
+    }
+}
+
+/// `scrub` is `verify_all` plus a write-back: on the element flips of the
+/// test above both report the same result and the same element events, and
+/// after a correctable flip the scrubbed storage is a fresh encode again.
+#[test]
+fn scrub_reports_what_verify_reports_and_restores_the_encoding() {
+    let plain = poisson_2d_padded(72, 72);
+    for scheme in EccScheme::ALL {
+        let cfg = ProtectionConfig::matrix_only(scheme);
+        for tier in TIERS {
+            let clean = AnyProtectedMatrix::encode(&plain, &cfg, tier).unwrap();
+            let block_rows = storage_block_rows(&clean);
+            let baseline = FaultLog::new();
+            clean.verify_all(&baseline).unwrap();
+            for what in element_plants(&plain) {
+                let label = format!("{scheme:?} {tier:?} {what:?}");
+                let mut corrupt = clean.clone();
+                plant(&mut corrupt, what);
+                let (verify_log, scrub_log) = (FaultLog::new(), FaultLog::new());
+                let verified = corrupt.verify_all(&verify_log);
+                let scrubbed = corrupt.scrub(&scrub_log);
+                let (v, s) = (verify_log.snapshot(), scrub_log.snapshot());
+                assert_eq!(verified, scrubbed.clone().map(|_| ()), "{label}");
+                // Element events and checks; the row structure's scrub keeps
+                // its own check accounting.
+                assert_eq!(v.checks[0], s.checks[0], "{label}");
+                assert_eq!(v.corrected, s.corrected, "{label}");
+                assert_eq!(v.uncorrectable, s.uncorrectable, "{label}");
+                assert_eq!(v.bounds_violations, s.bounds_violations, "{label}");
+                match expect(scheme, what, plain.row_pointer(), &block_rows) {
+                    // Whole-matrix passes visit each codeword once, so a
+                    // straddling pair is one event here.
+                    Expect::Corrected(_) => {
+                        assert_eq!(scrubbed, Ok(1), "{label}");
+                        assert_eq!(v.corrected, [1, 0, 0], "{label}");
+                        assert_eq!(v.checks, baseline.snapshot().checks, "{label}");
+                        assert_eq!(storage(&corrupt), storage(&clean), "{label}");
+                    }
+                    Expect::Due { index, .. } => {
+                        let region = abft_suite::core::Region::CsrElements;
+                        let due = AbftError::Uncorrectable { region, index };
+                        assert_eq!(verified, Err(due), "{label}");
+                        assert_eq!(v.uncorrectable, [1, 0, 0], "{label}");
+                    }
+                    Expect::Undetected => {
+                        assert_eq!(scrubbed, Ok(0), "{label}");
+                        assert_eq!(v.checks, baseline.snapshot().checks, "{label}");
+                        assert_eq!(v.total_corrected() + v.total_uncorrectable(), 0);
+                    }
                 }
             }
         }
@@ -361,10 +648,16 @@ fn sample(n: usize, seed: f64) -> Vec<f64> {
 /// accumulation blocks, in the trailing partial group and in its padding.
 #[test]
 fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
-    // Not a multiple of four: CRC32C's last group holds two elements and
-    // two padding words.
-    let n = 8202;
-    for scheme in [EccScheme::Secded64, EccScheme::Crc32c] {
+    for scheme in [
+        EccScheme::None,
+        EccScheme::Sed,
+        EccScheme::Secded64,
+        EccScheme::Secded128,
+        EccScheme::Crc32c,
+    ] {
+        // Not a multiple of the group: CRC32C's last group holds two
+        // elements and two padding words, SECDED128's one and one.
+        let n = 8202 + (scheme == EccScheme::Secded128) as usize;
         let encode =
             |seed: f64| ProtectedVector::from_slice(&sample(n, seed), scheme, Crc32cBackend::Auto);
         let (s0, x0) = (encode(1.0), encode(7.5));
@@ -380,9 +673,14 @@ fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
                     for &bit in flips {
                         if in_x { &mut x } else { &mut s }.inject_bit_flip(index, bit);
                     }
-                    // Padding words are architecturally zero, so any damage
-                    // confined to them is repaired.
-                    let recoverable = flips.len() == 1 || index >= n;
+                    let recoverable = match scheme {
+                        EccScheme::None => true,
+                        // Parity sees odd flip counts only.
+                        EccScheme::Sed => flips.len() % 2 == 0,
+                        // Padding words are architecturally zero, so any
+                        // damage confined to them is repaired.
+                        _ => flips.len() == 1 || index >= n,
+                    };
                     type Kernel = fn(
                         &mut ProtectedVector,
                         f64,
@@ -405,10 +703,19 @@ fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
                             |s, a, x, log| s.xpay_masked(a, x, log).map(|()| 0.0),
                             |s, a, x, log| s.xpay(a, x, log).map(|()| 0.0),
                         ),
+                        // `0 + α·s` is the group-decode scale (no product
+                        // here is a negative zero).
                         (
                             "scale",
                             |s, a, _, log| s.scale_masked(a, log).map(|()| 0.0),
-                            |s, a, _, log| s.update_from_fn(log, |_, v| v * a).map(|()| 0.0),
+                            |s, a, _, log| {
+                                let zeros = ProtectedVector::zeros(
+                                    s.len(),
+                                    s.scheme(),
+                                    Crc32cBackend::Auto,
+                                );
+                                s.xpay(a, &zeros, log).map(|()| 0.0)
+                            },
                         ),
                         (
                             "dot_axpy",
@@ -457,8 +764,9 @@ fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
                             "{name} {label}"
                         );
                         let mut faults_r = log_r.snapshot();
-                        if name == "copy_from" {
-                            // Its reference checks `s` too, group for group.
+                        if matches!(name, "copy_from" | "scale") {
+                            // Its reference checks a second operand too,
+                            // group for group.
                             faults_r.checks[2] /= 2;
                         }
                         assert_eq!(log_m.snapshot(), faults_r, "{name} {label}");

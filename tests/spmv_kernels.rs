@@ -110,7 +110,8 @@ fn masked_fast_path_matches_explicitly_masked_input_bitwise() {
 
         // Same through the parallel kernel.
         let mut y_masked_par = vec![0.0; m.rows()];
-        a.spmv_parallel(&xp, &mut y_masked_par, 0, &log).unwrap();
+        a.spmv_parallel_with(&xp, &mut y_masked_par, 0, &log, &mut SpmvWorkspace::new())
+            .unwrap();
         assert_bitwise_eq(
             &y_masked,
             &y_masked_par,
@@ -172,7 +173,8 @@ fn kernels_still_catch_and_correct_faults_after_the_rewrite() {
     assert!(log.total_corrected() > 0);
 
     let mut y_parallel = vec![0.0; m.rows()];
-    a.spmv_parallel(&x[..], &mut y_parallel, 0, &log).unwrap();
+    a.spmv_parallel_with(&x[..], &mut y_parallel, 0, &log, &mut SpmvWorkspace::new())
+        .unwrap();
     assert_bitwise_eq(&y_parallel, &reference, "corrected parallel");
 }
 
