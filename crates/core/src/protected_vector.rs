@@ -59,6 +59,11 @@ pub const ACC_BLOCK: usize = 4096;
 /// of every group size and a divisor of [`ACC_BLOCK`].
 pub(crate) const ENCODE_STAGE: usize = 128;
 
+/// Positions the barrier sweep takes from every chunk of a parity stripe per
+/// step: the stack accumulator the chunks' words are XORed into, small
+/// enough to stay in L1 beside them.  A multiple of every group size.
+const SWEEP_BLOCK: usize = 1024;
+
 /// A dense `f64` vector whose elements carry embedded ECC in their
 /// least-significant mantissa bits.
 ///
@@ -749,32 +754,71 @@ impl ProtectedVector {
         }
     }
 
-    /// Recomputes every parity chunk from the current encoded storage.  The
-    /// write paths call this after a successful mutation; a kernel that
-    /// aborts *before* mutating anything (the parity-mode pre-check) leaves
-    /// both storage and parity untouched, so the rebuild evidence stays
-    /// consistent.  A no-op when the tier is disabled.
+    /// Recomputes every parity chunk from the current encoded storage: each
+    /// stripe's parity is written from its first chunk and the siblings are
+    /// XORed in.  The write paths call this after a successful mutation; a
+    /// kernel that aborts *before* mutating anything (the parity-mode
+    /// pre-check) leaves both storage and parity untouched, so the rebuild
+    /// evidence stays consistent.  A no-op when the tier is disabled.
     pub fn refresh_parity(&mut self) {
         let Some(state) = self.parity.as_mut() else {
             return;
         };
         let cw = state.chunk_words;
-        let stripes = self.data.len().div_ceil(cw).div_ceil(state.stripe_chunks);
-        state.words.clear();
-        state.words.resize(stripes * cw, 0);
-        for (c, chunk) in self.data.chunks(cw).enumerate() {
-            let seg = (c / state.stripe_chunks) * cw;
-            for (p, &w) in state.words[seg..seg + cw].iter_mut().zip(chunk) {
-                *p ^= w;
+        let stripe_words = cw * state.stripe_chunks;
+        state
+            .words
+            .resize(self.data.len().div_ceil(stripe_words) * cw, 0);
+        for (parity, stripe) in state
+            .words
+            .chunks_exact_mut(cw)
+            .zip(self.data.chunks(stripe_words))
+        {
+            let mut chunks = stripe.chunks(cw);
+            let first = chunks.next().expect("a stripe holds at least one word");
+            parity[..first.len()].copy_from_slice(first);
+            parity[first.len()..].fill(0);
+            for chunk in chunks {
+                xor_into(parity, chunk);
             }
         }
+    }
+
+    /// The barrier's single pass over this vector: `true` when every
+    /// codeword is strictly clean under the scheme's batched predicate and,
+    /// with the erasure tier enabled, every stripe's XOR matches its parity
+    /// — the chunks are certified and cross-checked block by block in one
+    /// walk, see [`sweep_stripe`].  The checks are recorded (one per
+    /// codeword, as a clean [`ProtectedVector::check_all`] or
+    /// [`ProtectedVector::scrub`] records them) only on `true`; on `false`
+    /// nothing is recorded and the caller takes the classifying path.
+    pub(crate) fn barrier_sweep(&self, log: &FaultLog) -> bool {
+        let codec = self.codec();
+        let clean = match self.parity.as_ref() {
+            None => codec.run_clean(&self.data),
+            Some(state) => {
+                let cw = state.chunk_words;
+                let mut acc = [0u64; SWEEP_BLOCK];
+                state
+                    .words
+                    .chunks_exact(cw)
+                    .zip(self.data.chunks(cw * state.stripe_chunks))
+                    .all(|(parity, stripe)| sweep_stripe(&mut acc, parity, stripe, Some(codec)))
+            }
+        };
+        if clean {
+            flush_checks(log, self.scheme, (self.data.len() / codec.group()) as u64);
+        }
+        clean
     }
 
     /// Cross-checks every stripe's XOR against the stored parity and
     /// attributes any mismatch.  See [`ParityVerdict`] and
     /// [`ProtectedVector::verify_parity`] for the reasoning; this is the
     /// shared classifier behind the read-side certification and
-    /// [`ProtectedVector::try_recover`].
+    /// [`ProtectedVector::try_recover`].  A consistent stripe is settled by
+    /// [`sweep_stripe`] on the stack; the classifier's two chunk-sized
+    /// buffers are allocated only once a stripe mismatches.
     fn parity_verdict(&self) -> ParityVerdict {
         let Some(state) = self.parity.as_ref() else {
             return ParityVerdict::Consistent;
@@ -792,23 +836,22 @@ impl ProtectedVector {
         };
         let mut stale = false;
         let mut deferred = false;
-        let mut acc = vec![0u64; cw];
-        let mut tentative = vec![0u64; cw];
+        let mut block = [0u64; SWEEP_BLOCK];
+        let mut buffers: Option<(Vec<u64>, Vec<u64>)> = None;
         for stripe in 0..stripes {
-            // acc = parity ⊕ (XOR of the stripe's data chunks): zero word-wise
-            // iff the stripe is consistent.
-            acc.copy_from_slice(&state.words[stripe * cw..(stripe + 1) * cw]);
+            let parity = &state.words[stripe * cw..(stripe + 1) * cw];
             let first = stripe * state.stripe_chunks;
             let last = (first + state.stripe_chunks).min(n_chunks);
-            for chunk in first..last {
-                let lo = chunk * cw;
-                let hi = (lo + cw).min(self.data.len());
-                for (a, &w) in acc.iter_mut().zip(&self.data[lo..hi]) {
-                    *a ^= w;
-                }
-            }
-            if acc.iter().all(|&w| w == 0) {
+            let data = &self.data[first * cw..(last * cw).min(self.data.len())];
+            if sweep_stripe(&mut block, parity, data, None) {
                 continue;
+            }
+            let (acc, tentative) = buffers.get_or_insert_with(|| (vec![0; cw], vec![0; cw]));
+            // acc = parity ⊕ (XOR of the stripe's data chunks): zero word-wise
+            // iff the stripe is consistent.
+            acc.copy_from_slice(parity);
+            for chunk in data.chunks(cw) {
+                xor_into(acc, chunk);
             }
             // Attribute the mismatch.  The tentative rebuild of chunk `c` is
             // `parity ⊕ siblings = acc ⊕ c`: for the chunk that took the
@@ -830,7 +873,7 @@ impl ProtectedVector {
                 if acc[..hi - lo].iter().all(|&w| w == 0) {
                     continue;
                 }
-                for (t, (&w, &r)) in tentative.iter_mut().zip(span.iter().zip(&acc)) {
+                for (t, (&w, &r)) in tentative.iter_mut().zip(span.iter().zip(acc.iter())) {
                     *t = w ^ r;
                 }
                 if tentative[..hi - lo]
@@ -1004,9 +1047,7 @@ impl ProtectedVector {
         for sibling in (first..last).filter(|&s| s != chunk) {
             let lo = sibling * cw;
             let hi = (lo + cw).min(self.data.len());
-            for (p, &w) in rebuilt.iter_mut().zip(&self.data[lo..hi]) {
-                *p ^= w;
-            }
+            xor_into(&mut rebuilt, &self.data[lo..hi]);
         }
         let lo = chunk * cw;
         let hi = (lo + cw).min(self.data.len());
@@ -1126,6 +1167,10 @@ impl ProtectedVector {
     /// detected fault aborts with **zero mutation** — the caller can then
     /// rebuild the lost chunk and re-run the kernel without double-applying
     /// a partial update.  A no-op when the erasure tier is disabled.
+    ///
+    /// Each operand is one [`ProtectedVector::barrier_sweep`]; only an
+    /// operand the sweep does not pass takes the classifying sequence, with
+    /// its events, indices and counts.
     pub(crate) fn parity_precheck(
         &self,
         operand: Option<&ProtectedVector>,
@@ -1134,13 +1179,14 @@ impl ProtectedVector {
         if self.parity.is_none() {
             return Ok(());
         }
-        // Parity first (see `verify_parity`): an erasure must be convicted
-        // before any decode treats its garbage as correctable noise.
-        self.verify_parity(log)?;
-        self.check_all(log)?;
-        if let Some(other) = operand {
-            other.verify_parity(log)?;
-            other.check_all(log)?;
+        for v in std::iter::once(self).chain(operand) {
+            if !v.barrier_sweep(log) {
+                // Parity first (see `verify_parity`): an erasure must be
+                // convicted before any decode treats its garbage as
+                // correctable noise.
+                v.verify_parity(log)?;
+                v.check_all(log)?;
+            }
         }
         Ok(())
     }
@@ -1152,6 +1198,52 @@ impl ProtectedVector {
         if self.parity.is_some() {
             self.refresh_parity();
         }
+    }
+}
+
+/// One parity stripe — `parity` its chunk of parity words, `stripe` its
+/// data words — in blocks of [`SWEEP_BLOCK`] positions: the block of every
+/// chunk is XORed into `acc`, seeded with the block's parity words, and
+/// with a `certify` codec also run through its batched predicate in the
+/// same pass ([`GroupCodec::run_clean_xor`]).  `true` when every block is
+/// clean and the stripe's XOR matches its parity at every position.
+fn sweep_stripe(
+    acc: &mut [u64; SWEEP_BLOCK],
+    parity: &[u64],
+    stripe: &[u64],
+    certify: Option<GroupCodec>,
+) -> bool {
+    let cw = parity.len();
+    for at in (0..cw).step_by(SWEEP_BLOCK) {
+        let acc = &mut acc[..SWEEP_BLOCK.min(cw - at)];
+        acc.copy_from_slice(&parity[at..at + acc.len()]);
+        for chunk in stripe.chunks(cw) {
+            // Only the last chunk can be short; its blocks may run empty.
+            let words = &chunk[at.min(chunk.len())..(at + acc.len()).min(chunk.len())];
+            let acc = &mut acc[..words.len()];
+            let clean = match certify {
+                Some(codec) => codec.run_clean_xor(words, acc),
+                None => {
+                    xor_into(acc, words);
+                    true
+                }
+            };
+            if !clean {
+                return false;
+            }
+        }
+        if acc.iter().fold(0, |any, &a| any | a) != 0 {
+            return false;
+        }
+    }
+    true
+}
+
+/// `acc[i] ^= words[i]` over the shorter of the two.
+#[inline]
+fn xor_into(acc: &mut [u64], words: &[u64]) {
+    for (a, &w) in acc.iter_mut().zip(words) {
+        *a ^= w;
     }
 }
 
@@ -1194,6 +1286,18 @@ impl GroupCodec {
             EccScheme::Secded128 => abft_ecc::verify::secded128_words_clean(words),
             EccScheme::Crc32c => abft_ecc::verify::crc32c_groups_clean(&self.crc, words),
         }
+    }
+
+    /// [`GroupCodec::run_clean`] that also XORs the run into `acc` (equal
+    /// lengths) while it is in L1 — in the predicate's own registers under
+    /// SECDED64, the scheme with a fused kernel.
+    #[inline]
+    pub(crate) fn run_clean_xor(&self, words: &[u64], acc: &mut [u64]) -> bool {
+        if self.scheme == EccScheme::Secded64 {
+            return abft_ecc::verify::secded64_words_clean_xor(words, acc);
+        }
+        xor_into(acc, words);
+        self.run_clean(words)
     }
 
     /// Check-only verification of one group (`words.len()` must equal the

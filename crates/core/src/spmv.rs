@@ -323,20 +323,22 @@ impl SpmvWorkspace {
 }
 
 /// Certifies `x` for one kernel invocation and returns the masked view the
-/// kernels then read it through: the scrub (checked, and repaired if a
-/// correctable flip is found — a clean vector is certified by one batched
-/// SIMD predicate without decoding any group), after the parity cross-check.
+/// kernels then read it through.  A clean vector is certified — and, with
+/// the erasure tier, cross-checked against its stripe parity — by one
+/// barrier sweep without decoding any group; anything else takes the scrub
+/// (checked, and repaired if a correctable flip is found) after the parity
+/// repair.
 ///
 /// Parity first: an erased chunk whose garbage mimics correctable noise
 /// would be silently miscorrected by the scrub — and the schemes are linear,
 /// so afterwards the stripe evidence can no longer single out the culprit.
-/// The cross-check rebuilds any convicted chunk before the scrub runs (a
-/// no-op without the tier).
+/// The repair rebuilds any convicted chunk before the scrub runs (a no-op
+/// without the tier).
 fn scrubbed_view<'a>(
     x: &'a mut ProtectedVector,
     log: &FaultLog,
 ) -> Result<DenseView<'a>, AbftError> {
-    if x.scheme() != EccScheme::None {
+    if x.scheme() != EccScheme::None && !x.barrier_sweep(log) {
         x.repair_parity(log)?;
         x.scrub(log)?;
     }

@@ -94,6 +94,7 @@ struct Kernels {
     sed_words: fn(&[u64]) -> bool,
     sed_elements: fn(&[f64], &[u32]) -> bool,
     secded64_words: fn(&[u64]) -> bool,
+    secded64_words_xor: fn(&[u64], &mut [u64]) -> bool,
     secded128_words: fn(&[u64]) -> bool,
     secded88_elements: fn(&[f64], &[u32]) -> bool,
     secded64_encode: fn(&[f64], &mut [u64]),
@@ -131,6 +132,7 @@ fn resolve() -> Kernels {
                 sed_words: avx2::sed_words_clean,
                 sed_elements: avx2::sed_elements_clean,
                 secded64_words: avx2::secded64_words_clean,
+                secded64_words_xor: avx2::secded64_words_clean_xor,
                 secded128_words: avx2::secded128_words_clean,
                 secded88_elements: avx2::secded88_elements_clean,
                 secded64_encode: avx2::secded64_encode_words,
@@ -145,6 +147,7 @@ fn resolve() -> Kernels {
                 // Without AVX2 the table kernels batch 4 codewords per step
                 // in scalar registers and the encode stays per word.
                 secded64_words: batched::secded64_words_clean,
+                secded64_words_xor: batched::secded64_words_clean_xor,
                 secded128_words: batched::secded128_words_clean,
                 secded88_elements: batched::secded88_elements_clean,
                 ..scalar_kernels()
@@ -163,6 +166,7 @@ fn scalar_kernels() -> Kernels {
         sed_words: scalar::sed_words_clean,
         sed_elements: scalar::sed_elements_clean,
         secded64_words: scalar::secded64_words_clean,
+        secded64_words_xor: scalar::secded64_words_clean_xor,
         secded128_words: scalar::secded128_words_clean,
         secded88_elements: scalar::secded88_elements_clean,
         secded64_encode: scalar::secded64_encode_words,
@@ -228,6 +232,37 @@ pub fn sed_elements_clean(values: &[f64], cols: &[u32]) -> bool {
 #[inline]
 pub fn secded64_words_clean(words: &[u64]) -> bool {
     (kernels().secded64_words)(words)
+}
+
+/// [`secded64_words_clean`] that also XORs the run into `acc` —
+/// `acc[i] ^= words[i]` for every word, whatever the verdict — from the
+/// registers the check loads anyway: the dense-vector erasure tier
+/// certifies a chunk and folds it into its stripe's parity cross-check in
+/// one pass.
+///
+/// # Panics
+/// Panics unless `acc` and `words` have equal lengths.
+///
+/// ```
+/// use abft_ecc::verify::{secded64_encode_words, secded64_words_clean_xor};
+/// let mut words = [0u64; 20];
+/// secded64_encode_words(&[1.5; 20], &mut words);
+/// let mut acc = words;
+/// assert!(secded64_words_clean_xor(&words, &mut acc));
+/// assert_eq!(acc, [0; 20]);
+/// ```
+#[inline]
+pub fn secded64_words_clean_xor(words: &[u64], acc: &mut [u64]) -> bool {
+    assert_eq!(words.len(), acc.len(), "secded64_words_clean_xor: lengths");
+    (kernels().secded64_words_xor)(words, acc)
+}
+
+/// `acc[i] ^= words[i]`: the XOR half of the unfused `_xor` kernels.
+#[inline]
+fn xor_into(acc: &mut [u64], words: &[u64]) {
+    for (a, &w) in acc.iter_mut().zip(words) {
+        *a ^= w;
+    }
 }
 
 /// Batched verify of SECDED128 dense-vector codewords: `true` iff every
@@ -701,6 +736,12 @@ pub mod scalar {
         acc == 0
     }
 
+    /// Scalar [`super::secded64_words_clean_xor`].
+    pub fn secded64_words_clean_xor(words: &[u64], acc: &mut [u64]) -> bool {
+        xor_into(acc, words);
+        secded64_words_clean(words)
+    }
+
     /// Scalar [`super::secded128_words_clean`].
     pub fn secded128_words_clean(words: &[u64]) -> bool {
         let mut acc = 0u32;
@@ -963,6 +1004,11 @@ mod batched {
             a |= vec64_syndrome(w);
         }
         (a | b | c | d) == 0
+    }
+
+    pub(super) fn secded64_words_clean_xor(words: &[u64], acc: &mut [u64]) -> bool {
+        xor_into(acc, words);
+        secded64_words_clean(words)
     }
 
     pub(super) fn secded128_words_clean(words: &[u64]) -> bool {
@@ -1307,6 +1353,34 @@ mod avx2 {
         _mm256_testz_si256(acc, acc) != 0
     }
 
+    pub(super) fn secded64_words_clean_xor(words: &[u64], acc: &mut [u64]) -> bool {
+        if words.len() < BATCH {
+            return super::batched::secded64_words_clean_xor(words, acc);
+        }
+        // SAFETY: installed only when AVX2 is detected.
+        unsafe { secded64_words_clean_xor_impl(words, acc) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn secded64_words_clean_xor_impl(words: &[u64], acc: &mut [u64]) -> bool {
+        let whole = words.len() - words.len() % BATCH;
+        let mut syndromes = _mm256_setzero_si256();
+        for at in batches(words.len()) {
+            let r = load_words(words, at);
+            let t = transpose_words(r);
+            syndromes = _mm256_or_si256(syndromes, lookup_fold(t, &tables::VEC64_NIBBLES, 0));
+            // The overlapping last batch re-reads words already folded in.
+            if at + BATCH <= whole {
+                for (q, w) in r.into_iter().enumerate() {
+                    let a = at + 4 * q;
+                    store32(acc, a, _mm256_xor_si256(load32(acc, a), w));
+                }
+            }
+        }
+        super::xor_into(&mut acc[whole..], &words[whole..]);
+        _mm256_testz_si256(syndromes, syndromes) != 0
+    }
+
     pub(super) fn secded88_elements_clean(values: &[f64], cols: &[u32]) -> bool {
         let n = values.len().min(cols.len());
         if n < BATCH {
@@ -1627,6 +1701,44 @@ mod tests {
                     for (name, f) in &impls {
                         assert_eq!(f(&bad), reference, "{which}/{name} len={len} trial={trial}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn secded64_clean_xor_matches_the_scalar_reference() {
+        type XorImpl = (&'static str, fn(&[u64], &mut [u64]) -> bool);
+        let mut impls: Vec<XorImpl> = vec![
+            ("dispatch", secded64_words_clean_xor),
+            ("batched", batched::secded64_words_clean_xor),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            impls.push(("avx2", avx2::secded64_words_clean_xor));
+        }
+        let mut x = 11u64;
+        // Around every batch edge: short runs, whole batches, and runs whose
+        // last batch overlaps its predecessor (words it must not XOR twice).
+        for len in [0usize, 1, 5, 15, 16, 17, 31, 32, 33, 47, 100, 1024] {
+            let clean: Vec<u64> = (0..len).map(|_| encode_vec64(xorshift(&mut x))).collect();
+            let seed: Vec<u64> = (0..len).map(|_| xorshift(&mut x)).collect();
+            let mut runs = vec![clean.clone()];
+            for trial in 0..len.min(12) {
+                let mut bad = clean.clone();
+                for _ in 0..1 + trial % 2 {
+                    bad[(xorshift(&mut x) as usize) % len] ^= 1u64 << (xorshift(&mut x) % 64);
+                }
+                runs.push(bad);
+            }
+            for run in &runs {
+                let mut want = seed.clone();
+                let verdict = scalar::secded64_words_clean_xor(run, &mut want);
+                assert_eq!(verdict, scalar::secded64_words_clean(run));
+                for (name, f) in &impls {
+                    let mut got = seed.clone();
+                    assert_eq!(f(run, &mut got), verdict, "{name} len={len}");
+                    assert_eq!(got, want, "{name} len={len}");
                 }
             }
         }

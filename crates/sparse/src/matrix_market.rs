@@ -150,6 +150,12 @@ fn parse_header(line: &str) -> Result<Header, MatrixMarketError> {
     })
 }
 
+/// Entries reserved up front from a size line's declared count: the entry
+/// buffers grow past it only with entries actually read, so no declared
+/// count can make the reader allocate for entries the file does not hold.
+/// (The row histogram is `rows + 1` counters by construction of CSR.)
+const FIRST_RESERVE: usize = 1 << 16;
+
 /// Streaming accumulator: structure-of-arrays entry buffers plus the
 /// per-row histogram that later becomes the row pointer.
 struct Accumulator {
@@ -337,7 +343,13 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
             }
             let nnz = match header.format {
                 Format::Coordinate => {
-                    parse_usize(tokens.next().unwrap_or(""), line_no, "entry count")?
+                    let nnz = parse_usize(tokens.next().unwrap_or(""), line_no, "entry count")?;
+                    if rows.checked_mul(cols).is_some_and(|cells| nnz > cells) {
+                        return Err(MatrixMarketError::Invalid(SparseError::TooLarge(format!(
+                            "{nnz} entries declared for a {rows} x {cols} matrix"
+                        ))));
+                    }
+                    nnz
                 }
                 Format::Array => {
                     if header.symmetry == Symmetry::Symmetric {
@@ -364,14 +376,14 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
             declared = nnz;
             array_expected = nnz;
             size = Some((rows, cols, nnz));
+            // The declared count is an upper bound nobody has checked yet
+            // (array zeros are dropped, a short file is reported at the
+            // end): reserve a first chunk and grow with what is read.
             acc = Some(Accumulator::new(
                 rows,
                 cols,
                 header.symmetry == Symmetry::Symmetric,
-                match header.format {
-                    Format::Coordinate => nnz,
-                    Format::Array => nnz, // upper bound; zeros are dropped
-                },
+                nnz.min(FIRST_RESERVE),
             ));
             continue;
         }
@@ -653,6 +665,31 @@ mod tests {
             parse_matrix_market_str("%%MatrixMarket matrix array pattern general\n2 2\n"),
             Err(MatrixMarketError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn a_size_line_cannot_reserve_what_the_file_does_not_hold() {
+        // More entries declared than the matrix has cells is invalid; the
+        // first two used to abort the process (a 32 GB reservation) or panic
+        // ("capacity overflow") before reading a single entry, and the array
+        // file below reserved 40 GB for its declared 10¹⁰ values.
+        let coordinate = "%%MatrixMarket matrix coordinate real general\n";
+        for nnz in ["4000000000", "18446744073709551615", "10"] {
+            let e = parse_matrix_market_str(&format!("{coordinate}3 3 {nnz}\n1 1 1.0\n"));
+            assert!(
+                matches!(e, Err(MatrixMarketError::Invalid(_))),
+                "nnz {nnz}: {e:?}"
+            );
+        }
+        // As many entries as cells is still a valid declaration.
+        assert!(parse_matrix_market_str(&format!("{coordinate}1 1 1\n1 1 1.0\n")).is_ok());
+        let e = parse_matrix_market_str(
+            "%%MatrixMarket matrix array real general\n100000 100000\n1.0\n",
+        );
+        assert!(
+            matches!(e, Err(MatrixMarketError::Parse { .. })),
+            "short array file: {e:?}"
+        );
     }
 
     #[test]

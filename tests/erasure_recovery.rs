@@ -8,9 +8,10 @@
 
 use std::cell::{Cell, RefCell};
 
+use abft_suite::core::spmv::{protected_spmm, protected_spmv};
 use abft_suite::core::{
-    EccScheme, FaultLog, ParityConfig, ProtectedCsr, ProtectedVector, ProtectionConfig,
-    ReductionWorkspace,
+    AbftError, EccScheme, FaultLog, FaultLogSnapshot, ParityConfig, ProtectedCsr, ProtectedVector,
+    ProtectionConfig, ReductionWorkspace, SpmvWorkspace,
 };
 use abft_suite::faultsim::{
     Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultTarget, InjectionKind,
@@ -18,7 +19,7 @@ use abft_suite::faultsim::{
 use abft_suite::prelude::{Crc32cBackend, Solver, SolverError};
 use abft_suite::solvers::backends::FullyProtected;
 use abft_suite::solvers::{ChebyshevBounds, FaultContext, LinearOperator};
-use abft_suite::sparse::builders::poisson_2d_padded;
+use abft_suite::sparse::builders::{poisson_2d_padded, tridiagonal};
 
 const PARITY: ParityConfig = ParityConfig {
     stripe_chunks: 4,
@@ -257,4 +258,278 @@ fn scaled_erasure_campaign_recovers_with_wilson_lower_bound_above_99_pct() {
     assert_eq!(disabled.count(FaultOutcome::DetectedAborted), 48);
     assert_eq!(disabled.count(FaultOutcome::DetectedRebuilt), 0);
     assert_eq!(disabled.count(FaultOutcome::SilentCorruption), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Barrier fault paths.  Every call that certifies its operands at the
+// parity barrier (the prechecked read-modify-write kernels and their
+// parallel twins, and the SpMV / SpMM inputs) plus `copy_from`, which reads
+// its source checked and refreshes its destination's parity, on every
+// scheme the tier accepts, over four stripe layouts and every fault the
+// barrier tells apart.  Each outcome — the result, every fault-log snapshot and the
+// storage and parity words of every vector afterwards — is pinned in
+// `fixtures/barrier_paths.txt`, recorded before the barrier became one
+// sweep per operand: the fast path may only ever be faster.
+// ---------------------------------------------------------------------------
+
+const BARRIER_SCHEMES: [EccScheme; 4] = [
+    EccScheme::Sed,
+    EccScheme::Secded64,
+    EccScheme::Secded128,
+    EccScheme::Crc32c,
+];
+
+/// `(label, elements, layout)`.
+fn barrier_layouts() -> [(&'static str, usize, ParityConfig); 4] {
+    let layout = |stripe_chunks, chunk_words| ParityConfig {
+        stripe_chunks,
+        chunk_words,
+    };
+    [
+        // One stripe: two full chunks and a quarter one.
+        ("default-9216", 9216, ParityConfig::default()),
+        // Six stripes of three chunks, the last one partial chunk.
+        ("stripes-999", 999, layout(3, 64)),
+        ("chunk12-201", 201, layout(8, 12)),
+        // Long enough for the parallel twins to split it across the pool.
+        ("chunk1000-16383", 16383, layout(8, 1000)),
+    ]
+}
+
+#[derive(Debug, Clone, Copy)]
+enum BarrierFault {
+    Clean,
+    CorrectableFlip,
+    DoubleFlip,
+    ParityWordFlip,
+    ChunkErased,
+    TwoChunksErased,
+    PaddingFlip,
+}
+
+const BARRIER_FAULTS: [BarrierFault; 7] = [
+    BarrierFault::Clean,
+    BarrierFault::CorrectableFlip,
+    BarrierFault::DoubleFlip,
+    BarrierFault::ParityWordFlip,
+    BarrierFault::ChunkErased,
+    BarrierFault::TwoChunksErased,
+    BarrierFault::PaddingFlip,
+];
+
+/// Injects `fault` into `v` (chunk 1 for the data faults; chunks 0 and 1
+/// share a stripe in every layout).  `false` when the vector has no
+/// padding word to flip.
+fn inject_barrier_fault(v: &mut ProtectedVector, fault: BarrierFault) -> bool {
+    let cw = v.parity_chunk_words().expect("parity tier");
+    match fault {
+        BarrierFault::Clean => {}
+        BarrierFault::CorrectableFlip => v.inject_bit_flip(cw + 5, 33),
+        BarrierFault::DoubleFlip => {
+            v.inject_bit_flip(cw + 5, 20);
+            v.inject_bit_flip(cw + 5, 45);
+        }
+        BarrierFault::ParityWordFlip => v.inject_parity_bit_flip(5, 17),
+        BarrierFault::ChunkErased => v.inject_chunk_erasure(cw, 1, 0xE1),
+        BarrierFault::TwoChunksErased => {
+            v.inject_chunk_erasure(cw, 0, 0xE0);
+            v.inject_chunk_erasure(cw, 1, 0xE1);
+        }
+        BarrierFault::PaddingFlip => {
+            if v.raw().len() == v.len() {
+                return false;
+            }
+            v.inject_bit_flip(v.len(), 40);
+        }
+    }
+    true
+}
+
+/// `(call, whether the fault goes into the operand rather than the vector
+/// the call mutates)`; `copy` mutates its destination and reads `x`,
+/// `spmv` / `spmm` read `x` (column 1 of a three-column panel).
+const BARRIER_CALLS: [(&str, bool); 19] = [
+    ("axpy", false),
+    ("axpy", true),
+    ("xpay", false),
+    ("xpay", true),
+    ("dot_axpy", false),
+    ("dot_axpy", true),
+    ("axpy_par", false),
+    ("axpy_par", true),
+    ("xpay_par", false),
+    ("xpay_par", true),
+    ("dot_axpy_par", false),
+    ("dot_axpy_par", true),
+    ("scale", false),
+    ("scale_par", false),
+    ("update", false),
+    ("copy", false),
+    ("copy", true),
+    ("spmv", true),
+    ("spmm", true),
+];
+
+fn barrier_vector(scheme: EccScheme, n: usize, parity: ParityConfig, seed: f64) -> ProtectedVector {
+    let values: Vec<f64> = (0..n).map(|i| seed + (i as f64 * 0.37).sin()).collect();
+    let mut v = ProtectedVector::from_slice(&values, scheme, Crc32cBackend::Auto);
+    v.enable_parity(parity);
+    v
+}
+
+/// FNV-1a over 64-bit words.
+fn fnv_words(hash: &mut u64, words: &[u64]) {
+    for w in words {
+        for b in w.to_le_bytes() {
+            *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+}
+
+fn fnv_snapshot(hash: &mut u64, s: &FaultLogSnapshot) {
+    for counts in [
+        s.checks,
+        s.corrected,
+        s.uncorrectable,
+        s.bounds_violations,
+        s.rebuilt,
+    ] {
+        fnv_words(hash, &counts);
+    }
+}
+
+fn fnv_vector(hash: &mut u64, v: &ProtectedVector) {
+    fnv_words(hash, v.raw());
+    fnv_words(hash, v.parity_words().unwrap_or(&[u64::MAX]));
+}
+
+fn result_code(result: &Result<(), AbftError>) -> String {
+    match result {
+        Ok(()) => "ok".into(),
+        Err(AbftError::Uncorrectable { region, index }) => format!("due:{region:?}@{index}"),
+        Err(e) => format!("{e:?}"),
+    }
+}
+
+/// One pinned line per scheme × layout × fault × call:
+/// `scheme layout fault call/target result hash`, the hash covering every
+/// fault-log snapshot, the value a reduction returned and the storage and
+/// parity words of every vector the call touched.
+fn barrier_lines() -> Vec<String> {
+    let mut lines = Vec::new();
+    for scheme in BARRIER_SCHEMES {
+        for (layout, n, parity) in barrier_layouts() {
+            let matrix = ProtectedCsr::from_csr(
+                &tridiagonal(n, 4.0, -1.0),
+                &ProtectionConfig::full(EccScheme::Secded64),
+            )
+            .unwrap();
+            let clean_y = barrier_vector(scheme, n, parity, 2.0);
+            let clean_x = barrier_vector(scheme, n, parity, -1.25);
+            for fault in BARRIER_FAULTS {
+                for (call, into_x) in BARRIER_CALLS {
+                    let (mut y, mut x) = (clean_y.clone(), clean_x.clone());
+                    if !inject_barrier_fault(if into_x { &mut x } else { &mut y }, fault) {
+                        continue;
+                    }
+                    let log = FaultLog::new();
+                    let mut ws = ReductionWorkspace::new();
+                    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+                    let mut reduced =
+                        |r: Result<f64, AbftError>| r.map(|d| fnv_words(&mut hash, &[d.to_bits()]));
+                    let mut extra: Vec<ProtectedVector> = Vec::new();
+                    let mut col_codes = String::new();
+                    let result = match call {
+                        "axpy" => y.axpy_masked(1.5, &x, &log),
+                        "xpay" => y.xpay_masked(0.5, &x, &log),
+                        "dot_axpy" => reduced(y.dot_axpy_masked(-0.25, &x, &log)),
+                        "axpy_par" => y.axpy_masked_parallel_with(1.5, &x, &log, &mut ws),
+                        "xpay_par" => y.xpay_masked_parallel_with(0.5, &x, &log, &mut ws),
+                        "dot_axpy_par" => {
+                            reduced(y.dot_axpy_masked_parallel_with(-0.25, &x, &log, &mut ws))
+                        }
+                        "scale" => y.scale_masked(0.75, &log),
+                        "scale_par" => y.scale_masked_parallel_with(0.75, &log, &mut ws),
+                        "update" => y.update_from_fn(&log, |i, v| v * 0.5 + i as f64),
+                        "copy" => y.copy_from(&x, &log),
+                        "spmv" => {
+                            let mut ws = SpmvWorkspace::new();
+                            protected_spmv(&matrix, &mut x, &mut y, 0, &log, &mut ws)
+                        }
+                        "spmm" => {
+                            let (mut x0, mut x2) = (clean_y.clone(), clean_x.clone());
+                            let (mut y0, mut y2) = (clean_x.clone(), clean_y.clone());
+                            let col_logs = [FaultLog::new(), FaultLog::new(), FaultLog::new()];
+                            let logs: Vec<&FaultLog> = col_logs.iter().collect();
+                            let mut errors = [None, None, None];
+                            let mut ws = SpmvWorkspace::new();
+                            let result = protected_spmm(
+                                &matrix,
+                                &mut [&mut x0, &mut x, &mut x2],
+                                &mut [&mut y0, &mut y, &mut y2],
+                                0,
+                                &logs,
+                                &log,
+                                &mut errors,
+                                &mut ws,
+                            );
+                            for (col_log, error) in col_logs.iter().zip(errors) {
+                                fnv_snapshot(&mut hash, &col_log.snapshot());
+                                let code = result_code(&error.map_or(Ok(()), Err));
+                                col_codes.push_str(&format!("[{code}]"));
+                            }
+                            extra.extend([x0, x2, y0, y2]);
+                            result
+                        }
+                        other => unreachable!("unknown call {other}"),
+                    };
+                    fnv_snapshot(&mut hash, &log.snapshot());
+                    for v in [&y, &x].into_iter().chain(&extra) {
+                        fnv_vector(&mut hash, v);
+                    }
+                    let target = if into_x { "x" } else { "y" };
+                    lines.push(format!(
+                        "{scheme:?} {layout} {fault:?} {call}/{target} {}{col_codes} {hash:016x}",
+                        result_code(&result)
+                    ));
+                }
+            }
+        }
+    }
+    lines
+}
+
+fn barrier_fixture_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/barrier_paths.txt")
+}
+
+#[test]
+fn barrier_fault_paths_match_the_pinned_outcomes() {
+    let pinned = std::fs::read_to_string(barrier_fixture_path()).expect("barrier fixture");
+    let pinned: Vec<&str> = pinned.lines().collect();
+    let actual = barrier_lines();
+    assert_eq!(actual.len(), pinned.len(), "barrier case count changed");
+    let diverged: Vec<String> = actual
+        .iter()
+        .zip(&pinned)
+        .filter(|(a, p)| a != p)
+        .map(|(a, p)| format!("  pinned {p}\n  actual {a}"))
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "{} barrier outcomes diverged from the pinned ones:\n{}",
+        diverged.len(),
+        diverged[..diverged.len().min(12)].join("\n")
+    );
+}
+
+/// Prints the table `barrier_fault_paths_match_the_pinned_outcomes` pins;
+/// to re-record it after a deliberate change, run with `--ignored
+/// --nocapture` and keep the lines that start with a scheme name.
+#[test]
+#[ignore = "prints the barrier fixture"]
+fn print_barrier_paths() {
+    for line in barrier_lines() {
+        println!("{line}");
+    }
 }

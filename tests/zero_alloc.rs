@@ -12,7 +12,7 @@
 //! pool workers must be seen), so it first repeats its warm-up until the
 //! count has settled.
 
-use abft_suite::core::{EccScheme, ProtectionConfig};
+use abft_suite::core::{EccScheme, ParityConfig, ProtectionConfig};
 use abft_suite::prelude::{Crc32cBackend, PrecondKind, Reliability, Solver};
 use abft_suite::solvers::backends::{FullyProtected, MatrixProtected};
 use abft_suite::sparse::builders::poisson_2d_padded;
@@ -196,6 +196,42 @@ fn fully_protected_cg_iterations_do_not_allocate() {
         assert_eq!(
             allocs_short, allocs_long,
             "{scheme:?}: fully protected CG iterations allocated"
+        );
+    }
+}
+
+#[test]
+fn parity_fully_protected_cg_iterations_do_not_allocate() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    let (a, b) = system();
+    // The erasure tier adds a barrier ahead of every read-modify-write
+    // kernel and every SpMV input: a clean barrier certifies and
+    // cross-checks its operands on the stack, and the parity refresh after
+    // a kernel rewrites the words it already owns.
+    for scheme in [
+        EccScheme::Sed,
+        EccScheme::Secded64,
+        EccScheme::Secded128,
+        EccScheme::Crc32c,
+    ] {
+        let cfg = ProtectionConfig::full(scheme)
+            .with_parity(ParityConfig::default())
+            .with_crc_backend(Crc32cBackend::SlicingBy16);
+        let protected = abft_suite::core::ProtectedCsr::from_csr(&a, &cfg).unwrap();
+        let op = FullyProtected::new(&protected);
+        let short = Solver::cg().max_iterations(10).tolerance(0.0);
+        let long = Solver::cg().max_iterations(60).tolerance(0.0);
+        short.solve_operator(&op, &b).unwrap();
+
+        let allocs_short = allocations_during(|| {
+            short.solve_operator(&op, &b).unwrap();
+        });
+        let allocs_long = allocations_during(|| {
+            long.solve_operator(&op, &b).unwrap();
+        });
+        assert_eq!(
+            allocs_short, allocs_long,
+            "{scheme:?}: parity-tier CG iterations allocated"
         );
     }
 }
