@@ -758,84 +758,227 @@ mod tests {
         assert_eq!(shrunk, vec![(3, 0), (5, 0)]);
     }
 
+    /// Every value of every tagged enum appears in some record, the corpus
+    /// round-trips, and the tags written for each value are pinned
+    /// literally: a writer-side rename fails here.
     #[test]
     fn corpus_round_trips_through_json() {
-        let config = CampaignConfig {
-            seed: 0xDEAD_BEEF_CAFE_F00D, // > 2^53: exercises the string path
-            protection: ProtectionConfig::full(EccScheme::Secded64)
-                .with_parity(ParityConfig {
-                    stripe_chunks: 4,
-                    chunk_words: 16,
-                })
-                .with_crc_backend(Crc32cBackend::SlicingBy16),
-            storage: StorageTier::BlockedCsr(4),
-            precond: PrecondKind::Polynomial(2),
-            ..CampaignConfig::default()
-        };
-        let corpus = FailureCorpus {
-            records: vec![
-                TrialRecord {
-                    config: config.clone(),
-                    trial: 17,
-                    outcome: FaultOutcome::DetectedAborted,
-                    draw: TrialDraw::Flips(FaultSpec {
-                        target: FaultTarget::RowPointer,
-                        flips: vec![(256, 3), (256, 17)],
+        const KINDS: [InjectionKind; 9] = [
+            InjectionKind::BitFlips,
+            InjectionKind::Burst,
+            InjectionKind::ChunkErasure,
+            InjectionKind::RowPointerGroupErasure,
+            InjectionKind::PrecondFactorFlips,
+            InjectionKind::PrecondFactorBurst,
+            InjectionKind::InnerApplyBurst,
+            InjectionKind::SolverVectorFlips,
+            InjectionKind::SolverVectorBurst,
+        ];
+        const SCHEMES: [EccScheme; 5] = [
+            EccScheme::None,
+            EccScheme::Sed,
+            EccScheme::Secded64,
+            EccScheme::Secded128,
+            EccScheme::Crc32c,
+        ];
+        const BACKENDS: [Crc32cBackend; 6] = [
+            Crc32cBackend::Naive,
+            Crc32cBackend::SlicingBy4,
+            Crc32cBackend::SlicingBy8,
+            Crc32cBackend::SlicingBy16,
+            Crc32cBackend::Hardware,
+            Crc32cBackend::Auto,
+        ];
+        const METHODS: [Method; 4] = [Method::Cg, Method::Jacobi, Method::Chebyshev, Method::Ppcg];
+        const STORAGE: [StorageTier; 3] = [
+            StorageTier::Csr,
+            StorageTier::Coo,
+            StorageTier::BlockedCsr(4),
+        ];
+        const PRECONDS: [PrecondKind; 2] = [PrecondKind::Ilu0, PrecondKind::Polynomial(2)];
+        const RELIABILITY: [Reliability; 2] = [Reliability::Protected, Reliability::Unreliable];
+        let draws = [
+            TrialDraw::Flips(FaultSpec {
+                target: FaultTarget::RowPointer,
+                flips: vec![(256, 3), (256, 17)],
+            }),
+            TrialDraw::SolverVector {
+                vector: SolverVectorTarget::X,
+                strike_iteration: 2,
+                flips: vec![(9, 62)],
+            },
+            TrialDraw::SolverVector {
+                vector: SolverVectorTarget::R,
+                strike_iteration: 3,
+                flips: vec![(1, 0), (4, 5)],
+            },
+            TrialDraw::SolverVector {
+                vector: SolverVectorTarget::P,
+                strike_iteration: 1,
+                flips: vec![],
+            },
+            TrialDraw::ChunkErasure {
+                chunk: 2,
+                chunk_words: 16,
+                strike_iteration: 1,
+                garbage_seed: u64::MAX - 1, // not f64-representable
+            },
+            TrialDraw::PrecondFactors(vec![(77, 63), (77, 64)]),
+            TrialDraw::InnerApplyBurst {
+                strike_apply: 1,
+                element: 5,
+                start_bit: 48,
+                length: 8,
+            },
+        ];
+        let records = (0..KINDS.len())
+            .map(|i| {
+                let protection = ProtectionConfig {
+                    elements: SCHEMES[i % 5],
+                    row_pointer: SCHEMES[(i + 1) % 5],
+                    vectors: SCHEMES[(i + 2) % 5],
+                    check_interval: 1 + i as u32,
+                    crc_backend: BACKENDS[i % 6],
+                    parallel: i % 2 == 0,
+                    parity: (i % 2 == 1).then_some(ParityConfig {
+                        stripe_chunks: 4,
+                        chunk_words: 16 + i,
                     }),
-                    original_weight: 4,
-                    minimized_weight: 2,
-                },
+                };
                 TrialRecord {
-                    config: config.clone(),
-                    trial: 3,
-                    outcome: FaultOutcome::SilentCorruption,
-                    draw: TrialDraw::SolverVector {
-                        vector: SolverVectorTarget::P,
-                        strike_iteration: 2,
-                        flips: vec![(9, 62)],
+                    config: CampaignConfig {
+                        trials: 10 + i,
+                        flips_per_trial: 1 + i,
+                        // > 2^53: exercises the string path.
+                        seed: 0xDEAD_BEEF_CAFE_F00D + i as u64,
+                        sdc_threshold: 1e-9 * (1 + i) as f64,
+                        protection,
+                        target: FaultTarget::ALL[i % 4],
+                        solver: METHODS[i % 4],
+                        injection: KINDS[i],
+                        storage: STORAGE[i % 3],
+                        precond: PRECONDS[i % 2],
+                        precond_reliability: RELIABILITY[i % 2],
+                        ..CampaignConfig::default()
                     },
-                    original_weight: 3,
-                    minimized_weight: 1,
-                },
-                TrialRecord {
-                    config: config.clone(),
-                    trial: 8,
-                    outcome: FaultOutcome::BoundsCaught,
-                    draw: TrialDraw::ChunkErasure {
-                        chunk: 2,
-                        chunk_words: 16,
-                        strike_iteration: 1,
-                        garbage_seed: u64::MAX - 1, // not f64-representable
-                    },
-                    original_weight: 16,
-                    minimized_weight: 16,
-                },
-                TrialRecord {
-                    config,
-                    trial: 21,
-                    outcome: FaultOutcome::Masked,
-                    draw: TrialDraw::InnerApplyBurst {
-                        strike_apply: 1,
-                        element: 5,
-                        start_bit: 48,
-                        length: 8,
-                    },
-                    original_weight: 8,
-                    minimized_weight: 8,
-                },
-            ],
-        };
-        let parsed =
-            FailureCorpus::from_json(&Json::parse(&corpus.to_json().render()).unwrap()).unwrap();
+                    trial: 3 * i,
+                    outcome: FaultOutcome::ALL[i % 6],
+                    draw: draws[i % draws.len()].clone(),
+                    original_weight: 4 + i,
+                    minimized_weight: 1 + i,
+                }
+            })
+            .collect();
+        let corpus = FailureCorpus { records };
+        let written = corpus.to_json();
+        let parsed = FailureCorpus::from_json(&Json::parse(&written.render()).unwrap()).unwrap();
         assert_eq!(parsed, corpus);
         // The u64s survived exactly.
         assert_eq!(parsed.records[0].seed(), 0xDEAD_BEEF_CAFE_F00D);
-        match &parsed.records[2].draw {
+        match &parsed.records[4].draw {
             TrialDraw::ChunkErasure { garbage_seed, .. } => {
                 assert_eq!(*garbage_seed, u64::MAX - 1)
             }
             other => panic!("wrong draw: {other:?}"),
         }
+
+        // The first `expected.len()` records carry each enum's values in
+        // declaration order, so their tags read back as the pinned list.
+        let written = written.get("records").and_then(Json::as_arr).unwrap();
+        let tags = |path: &[&str], expected: &[&str]| {
+            let got: Vec<&str> = written[..expected.len()]
+                .iter()
+                .map(|record| {
+                    path.iter()
+                        .try_fold(record, |value, key| value.get(key))
+                        .and_then(Json::as_str)
+                        .unwrap_or_else(|| panic!("no string at {path:?}"))
+                })
+                .collect();
+            assert_eq!(got, expected, "{path:?}");
+        };
+        tags(
+            &["config", "injection"],
+            &[
+                "bit_flips",
+                "burst",
+                "chunk_erasure",
+                "row_pointer_group_erasure",
+                "precond_factor_flips",
+                "precond_factor_burst",
+                "inner_apply_burst",
+                "solver_vector_flips",
+                "solver_vector_burst",
+            ],
+        );
+        tags(
+            &["config", "elements"],
+            &["none", "sed", "secded64", "secded128", "crc32c"],
+        );
+        tags(
+            &["config", "crc_backend"],
+            &[
+                "naive",
+                "slicing4",
+                "slicing8",
+                "slicing16",
+                "hardware",
+                "auto",
+            ],
+        );
+        tags(
+            &["config", "solver"],
+            &["cg", "jacobi", "chebyshev", "ppcg"],
+        );
+        tags(&["config", "storage"], &["csr", "coo", "blocked_csr:4"]);
+        tags(&["config", "precond"], &["ilu0", "polynomial:2"]);
+        tags(
+            &["config", "precond_reliability"],
+            &["uniform", "selective"],
+        );
+        tags(
+            &["config", "target"],
+            &[
+                "matrix_values",
+                "matrix_col_indices",
+                "row_pointer",
+                "dense_vector",
+            ],
+        );
+        tags(
+            &["outcome"],
+            &[
+                "corrected",
+                "detected_rebuilt",
+                "detected_aborted",
+                "bounds_caught",
+                "masked",
+                "silent_corruption",
+            ],
+        );
+        tags(
+            &["draw", "type"],
+            &[
+                "flips",
+                "solver_vector",
+                "solver_vector",
+                "solver_vector",
+                "chunk_erasure",
+                "precond_factors",
+                "inner_apply_burst",
+            ],
+        );
+        let vectors: Vec<&str> = written[1..4]
+            .iter()
+            .map(|record| {
+                record
+                    .get("draw")
+                    .and_then(|draw| draw.get("vector"))
+                    .and_then(Json::as_str)
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(vectors, ["x", "r", "p"]);
     }
 
     #[test]

@@ -100,6 +100,16 @@ fn committed_failure_corpus_replays_bit_for_bit() {
     }
 }
 
+/// The on-disk format is pinned byte for byte: loading the committed corpus
+/// and writing it back (the exact bytes [`FailureCorpus::save`] writes) must
+/// reproduce the file, so a renamed tag or a reordered field fails here.
+#[test]
+fn committed_failure_corpus_rewrites_byte_for_byte() {
+    let committed = std::fs::read_to_string(fixture_path()).expect("committed fixture");
+    let corpus = FailureCorpus::load(fixture_path()).expect("committed fixture must parse");
+    assert_eq!(corpus.to_json().render() + "\n", committed);
+}
+
 /// Regenerates `tests/fixtures/failures_seed.json`: finds the first trial
 /// of each scenario's seeded stream with the wanted outcome, minimizes it,
 /// and writes the corpus.  Deterministic — rerunning on an unchanged build
