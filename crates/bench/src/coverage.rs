@@ -28,7 +28,7 @@ use abft_ecc::Crc32cBackend;
 use abft_faultsim::json::Json;
 use abft_faultsim::{
     Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultSpec, FaultTarget, InjectionKind,
-    StopRule, StreamConfig,
+    StopRule, StreamConfig, TrialDraw,
 };
 use abft_solvers::Reliability;
 
@@ -108,18 +108,11 @@ fn run_campaign(
     stop_lb: Option<f64>,
 ) -> CoverageRow {
     let target = config.target;
-    let campaign = Campaign::new(config);
-    let stats = match stop_lb {
-        None => campaign.run(),
-        Some(target_safety_lb) => {
-            let stream = StreamConfig {
-                stop: Some(StopRule::target(target_safety_lb)),
-                capture_limit: 0,
-                ..StreamConfig::default()
-            };
-            campaign.run_streaming(&stream).stats
-        }
+    let stream = StreamConfig {
+        stop: stop_lb.map(StopRule::target),
+        ..StreamConfig::default()
     };
+    let stats = Campaign::new(config).run_streaming(&stream).stats;
     coverage_row(injection_label, scheme, target, &stats)
 }
 
@@ -178,10 +171,11 @@ fn coo_parallel_row(config: &CoverageConfig, scheme: EccScheme) -> CoverageRow {
         .flat_map(|element| lowering.clone().map(move |bit| (element, bit)));
     let mut stats = CampaignStats::default();
     for flip in window.take(config.trials) {
-        stats.record(campaign.run_trial(&FaultSpec {
+        let draw = TrialDraw::Flips(FaultSpec {
             target,
             flips: vec![flip],
-        }));
+        });
+        stats.record(campaign.execute_draw(&draw).outcome);
     }
     coverage_row("bit flip (coo, parallel)", scheme, target, &stats)
 }

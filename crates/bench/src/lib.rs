@@ -12,7 +12,7 @@
 
 use abft_core::{EccScheme, ProtectionConfig};
 use abft_ecc::Crc32cBackend;
-use abft_faultsim::{Campaign, CampaignConfig, FaultOutcome, FaultTarget};
+use abft_faultsim::{Campaign, CampaignConfig, FaultOutcome, FaultTarget, StreamConfig};
 use abft_solvers::Solver;
 use abft_sparse::CsrMatrix;
 use abft_tealeaf::assembly::{assemble_matrix, assemble_rhs, face_coefficients, Conductivity};
@@ -426,7 +426,9 @@ pub fn fault_campaign_summary(trials: usize, seed: u64) -> Vec<CampaignRow> {
                 seed,
                 ..CampaignConfig::default()
             };
-            let stats = Campaign::new(config).run();
+            let stats = Campaign::new(config)
+                .run_streaming(&StreamConfig::default())
+                .stats;
             rows.push(CampaignRow {
                 scheme: scheme.label().to_string(),
                 target: target.label().to_string(),

@@ -3,8 +3,9 @@
 //! CRC is usually treated as a detection-only code, but as §IV of the paper
 //! points out, for codewords between 178 and 5243 bits CRC32C has a minimum
 //! Hamming distance of 6, so the redundancy can be traded between correction
-//! and detection: 2EC3ED, 1EC4ED or pure 5ED.  Because corrections happen
-//! only when an error has already been detected (i.e. very rarely), a simple
+//! and detection: 2EC3ED, 1EC4ED or pure 5ED.  This module implements
+//! single-bit correction, the 1EC4ED point.  Because corrections happen only
+//! when an error has already been detected (i.e. very rarely), a simple
 //! trial-re-encoding search is fast enough — the cost is paid once per
 //! detected fault, not per memory access.
 
@@ -30,40 +31,6 @@ pub fn correct_crc32c_single(crc: &Crc32c, data: &mut [u8], expected: u32) -> Op
             return Some(bit);
         }
         data[bit / 8] ^= 1 << (bit % 8);
-    }
-    None
-}
-
-/// Attempts correction of up to two bit flips (the 2EC operating point of the
-/// paper's 2EC3ED discussion).
-///
-/// Returns the indices of the repaired bits (one or two of them), or `None`
-/// if no pattern of ≤ 2 flips restores consistency.  The double-flip search
-/// is quadratic in the codeword length and is intended for the shorter
-/// codewords (matrix rows, dense-vector groups); it is still only run after
-/// a detection, never on the fast path.
-pub fn correct_crc32c_up_to_two(
-    crc: &Crc32c,
-    data: &mut [u8],
-    expected: u32,
-) -> Option<Vec<usize>> {
-    if crc.checksum(data) == expected {
-        return None;
-    }
-    if let Some(bit) = correct_crc32c_single(crc, data, expected) {
-        return Some(vec![bit]);
-    }
-    let bits = data.len() * 8;
-    for a in 0..bits {
-        data[a / 8] ^= 1 << (a % 8);
-        for b in (a + 1)..bits {
-            data[b / 8] ^= 1 << (b % 8);
-            if crc.checksum(data) == expected {
-                return Some(vec![a, b]);
-            }
-            data[b / 8] ^= 1 << (b % 8);
-        }
-        data[a / 8] ^= 1 << (a % 8);
     }
     None
 }
@@ -98,25 +65,6 @@ mod tests {
             corrupted[bit / 8] ^= 1 << (bit % 8);
             let fixed = correct_crc32c_single(&crc, &mut corrupted, expected);
             assert_eq!(fixed, Some(bit));
-            assert_eq!(corrupted, clean);
-        }
-    }
-
-    #[test]
-    fn double_flip_is_repaired_by_the_two_bit_search() {
-        let crc = Crc32c::best();
-        let clean = sample(40);
-        let expected = crc.checksum(&clean);
-        let flips = [(3usize, 77usize), (0, 1), (100, 250)];
-        for (a, b) in flips {
-            let mut corrupted = clean.clone();
-            corrupted[a / 8] ^= 1 << (a % 8);
-            corrupted[b / 8] ^= 1 << (b % 8);
-            let fixed = correct_crc32c_up_to_two(&crc, &mut corrupted, expected)
-                .expect("double flip should be correctable");
-            let mut fixed_sorted = fixed.clone();
-            fixed_sorted.sort_unstable();
-            assert_eq!(fixed_sorted, vec![a.min(b), a.max(b)]);
             assert_eq!(corrupted, clean);
         }
     }

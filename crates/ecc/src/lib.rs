@@ -45,7 +45,7 @@ pub mod secded;
 pub mod sed;
 pub mod verify;
 
-pub use correction::{correct_crc32c_single, correct_crc32c_up_to_two};
+pub use correction::correct_crc32c_single;
 pub use crc32c::{Crc32c, Crc32cBackend};
 pub use secded::{
     DecodeOutcome, Secded, SECDED_112, SECDED_118, SECDED_128, SECDED_176, SECDED_56, SECDED_64,

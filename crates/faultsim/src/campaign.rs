@@ -1,26 +1,26 @@
-//! Fault-injection campaigns over the protected CG solver.
+//! Fault-injection campaigns over the protected solvers.
 //!
-//! One trial = build the TeaLeaf conduction system, protect it, inject a
-//! fault (bit flips, a burst, or a whole-chunk erasure), run the solve, and
-//! classify the outcome against a clean reference solution.  A campaign
-//! repeats this with fresh random faults and accumulates an outcome
-//! histogram per scheme.
+//! One trial = protect the TeaLeaf conduction system, inject a fault (bit
+//! flips, a burst, or a whole-chunk erasure), run the solve, and classify
+//! the outcome against a clean reference.  A campaign repeats this with
+//! fresh random faults and accumulates an outcome histogram.
 //!
-//! Every trial draws from its **own** ChaCha stream keyed by the campaign
-//! seed and the trial index, so the histogram is identical for any worker
-//! count or dispatch order; trials are dispatched to the shared worker pool
-//! in batches whose local counts merge order-independently.
-//!
-//! A trial is split into two deterministic halves: [`Campaign::draw_trial`]
-//! turns (seed, trial index) into a concrete [`TrialDraw`] — every random
-//! decision the trial will make — and [`Campaign::execute_draw`] runs that
-//! draw against the protected system.  The split is what makes failures
-//! *replayable*: a captured draw re-executes bit for bit without the RNG
-//! (see [`crate::record`]), and the minimizer shrinks draws by re-executing
-//! candidates.  Campaigns at scale run through the streaming engine in
-//! [`crate::engine`], which folds outcomes into per-worker accumulators
-//! (memory `O(workers)`, not `O(trials)`) and supports adaptive early
-//! stopping.
+//! A trial is two deterministic halves.  [`Campaign::draw_trial`] turns
+//! (seed, trial index) into a concrete [`TrialDraw`] — every random
+//! decision the trial will make — from the trial's **own** ChaCha stream,
+//! so a trial never depends on which worker runs it or when.
+//! [`Campaign::execute_draw`] is the one executor: it encodes the matrix,
+//! applies the draw through the hook its kind needs (at-rest flips, a
+//! poll-hook strike on a live CG vector, an erasing operator, factor flips
+//! or an erasing preconditioner), maps a failed run to an outcome in one
+//! place, and labels every answer through one classifier whose per-kind
+//! differences are the explicit rows of `Rules`.  The split is what makes
+//! failures *replayable*: a captured draw re-executes bit for bit without
+//! the RNG (see [`crate::record`]), and the minimizer shrinks draws by
+//! re-executing candidates.  Campaigns run through the streaming engine in
+//! [`crate::engine`] ([`Campaign::run_streaming`]), which folds outcomes
+//! into per-worker accumulators (memory `O(workers)`, not `O(trials)`) and
+//! supports adaptive early stopping.
 
 use crate::flip::{FaultSpec, FaultTarget, SolverVectorTarget};
 use crate::outcome::FaultOutcome;
@@ -31,7 +31,8 @@ use abft_core::{
 use abft_solvers::backends::{FullyProtected, MatrixProtected};
 use abft_solvers::{
     cg_with_poll, ChebyshevBounds, FaultContext, Ilu0, LinearOperator, Method, Polynomial,
-    PrecondKind, Preconditioner, Reliability, SolveOutcome, Solver, SolverConfig, SolverError,
+    PrecondKind, Preconditioner, Reliability, SolveOutcome, SolveStatus, Solver, SolverConfig,
+    SolverError,
 };
 use abft_sparse::CsrMatrix;
 use abft_tealeaf::assembly::{assemble_matrix, assemble_rhs, face_coefficients, Conductivity};
@@ -40,7 +41,6 @@ use abft_tealeaf::{Deck, Grid};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// What one trial injects into the running solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,45 +177,39 @@ impl Default for CampaignConfig {
 /// Outcome histogram of a campaign.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CampaignStats {
-    counts: HashMap<FaultOutcome, usize>,
-    trials: usize,
+    /// Trials per outcome, indexed by `outcome as usize` — the order of
+    /// [`FaultOutcome::ALL`], shared with the streaming accumulators.
+    counts: [usize; FaultOutcome::ALL.len()],
 }
 
 impl CampaignStats {
     /// Records one outcome.
     pub fn record(&mut self, outcome: FaultOutcome) {
-        *self.counts.entry(outcome).or_default() += 1;
-        self.trials += 1;
+        self.add(outcome, 1);
     }
 
     /// Records `count` occurrences of `outcome` at once — the bulk entry
     /// point the streaming engine uses to fold a drained per-worker
-    /// accumulator into a histogram.  A zero count is a no-op (no empty
-    /// entry is created, so histogram equality is unaffected).
+    /// accumulator into a histogram.
     pub fn add(&mut self, outcome: FaultOutcome, count: usize) {
-        if count == 0 {
-            return;
-        }
-        *self.counts.entry(outcome).or_default() += count;
-        self.trials += count;
+        self.counts[outcome as usize] += count;
     }
 
     /// Number of trials recorded.
     pub fn trials(&self) -> usize {
-        self.trials
+        self.counts.iter().sum()
     }
 
     /// Count for one outcome.
     pub fn count(&self, outcome: FaultOutcome) -> usize {
-        self.counts.get(&outcome).copied().unwrap_or(0)
+        self.counts[outcome as usize]
     }
 
     /// Fraction of trials with this outcome.
     pub fn rate(&self, outcome: FaultOutcome) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.count(outcome) as f64 / self.trials as f64
+        match self.trials() {
+            0 => 0.0,
+            trials => self.count(outcome) as f64 / trials as f64,
         }
     }
 
@@ -238,17 +232,16 @@ impl CampaignStats {
     /// Folds another histogram into this one (order-independent, so batch
     /// results can merge in any completion order).
     pub fn merge(&mut self, other: &CampaignStats) {
-        for (outcome, count) in &other.counts {
-            *self.counts.entry(*outcome).or_default() += count;
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
         }
-        self.trials += other.trials;
     }
 
     /// Wilson 95 % score interval for the rate of `outcome` — the
     /// uncertainty attached to every streamed campaign count.  Returns the
     /// full `[0, 1]` interval when no trials were recorded.
     pub fn wilson_ci(&self, outcome: FaultOutcome) -> (f64, f64) {
-        Self::wilson(self.count(outcome), self.trials)
+        Self::wilson(self.count(outcome), self.trials())
     }
 
     /// Wilson 95 % score interval for `successes` out of `trials`.
@@ -297,7 +290,7 @@ impl CampaignStats {
         use std::fmt::Write as _;
         let mut out = String::new();
         for outcome in FaultOutcome::ALL {
-            if self.trials == 0 {
+            if self.trials() == 0 {
                 let _ = writeln!(
                     out,
                     "{:>30}: {:5} (  n/a  , 95 % CI n/a)",
@@ -435,7 +428,80 @@ impl TrialDraw {
             TrialDraw::InnerApplyBurst { length, .. } => *length as usize,
         }
     }
+
+    /// How `Campaign::classify` labels a trial of this draw's kind — the
+    /// only ways the kinds differ in labelling, one row each, written as
+    /// the difference from a chunk-erasure trial.
+    fn rules(&self) -> Rules {
+        const BASE: Rules = Rules {
+            metric: Metric::Reference,
+            needs_convergence: false,
+            answer_blind: false,
+            counts_screen: false,
+        };
+        match self {
+            TrialDraw::Flips(spec) if spec.target == FaultTarget::DenseVector => Rules {
+                metric: Metric::Encoded,
+                ..BASE
+            },
+            TrialDraw::Flips(_) => Rules {
+                answer_blind: true,
+                ..BASE
+            },
+            TrialDraw::ChunkErasure { .. } => BASE,
+            TrialDraw::SolverVector { .. } => Rules {
+                needs_convergence: true,
+                ..BASE
+            },
+            TrialDraw::PrecondFactors(_) | TrialDraw::InnerApplyBurst { .. } => Rules {
+                metric: Metric::Residual,
+                needs_convergence: true,
+                counts_screen: true,
+                ..BASE
+            },
+        }
+    }
 }
+
+/// How `Campaign::classify` judges one kind of trial.
+#[derive(Debug, Clone, Copy)]
+struct Rules {
+    /// What the answer is measured against, and so what is "right".
+    metric: Metric,
+    /// A solve that ran out of iterations is a detected failure instead of
+    /// an answer to judge.
+    needs_convergence: bool,
+    /// Any logged correction labels the trial `Corrected` without looking
+    /// at the answer (at-rest matrix flips).
+    answer_blind: bool,
+    /// A trip of the outer bounded-norm screen labels a right answer
+    /// `BoundsCaught` (the FT-PCG trials).
+    counts_screen: bool,
+}
+
+/// What a trial's answer is measured against.
+#[derive(Debug, Clone, Copy)]
+enum Metric {
+    /// `‖x − x_ref‖₂ / ‖x_ref‖₂` against the clean reference solve; right
+    /// within `sdc_threshold`.
+    Reference,
+    /// Element-wise maximum relative error against the vector as encoded,
+    /// before any flip; right within `sdc_threshold`.
+    Encoded,
+    /// The relative true residual `‖b − A x‖₂ / ‖b‖₂` against the pristine
+    /// matrix.  FT-PCG declares convergence when the squared recurrence
+    /// residual drops below the absolute tolerance, so a right answer is
+    /// one whose squared true residual is within 1e6 × that tolerance
+    /// (three orders of magnitude in the norm, for recurrence drift over a
+    /// long solve).  Distance to the reference is the wrong metric here: a
+    /// distorted but benign preconditioner legitimately changes the
+    /// iteration path, so two right answers agree only up to
+    /// conditioning-amplified rounding.
+    Residual,
+}
+
+/// Tolerance on the absolute squared residual of every trial's solve.
+const TOLERANCE: f64 = 1e-15;
 
 /// A fault-injection campaign.
 #[derive(Debug, Clone)]
@@ -449,7 +515,34 @@ pub struct Campaign {
 impl Campaign {
     /// Prepares the campaign: assembles the TeaLeaf system once and computes
     /// the clean reference solution.
+    ///
+    /// # Panics
+    /// When the injection kind cannot run under the configuration: the
+    /// live-vector strikes and the preconditioner faults run CG (the poll
+    /// hook, FT-PCG), and the live-vector strikes and chunk erasures need
+    /// protected vectors (unprotected live state cannot tell detection from
+    /// luck).
     pub fn new(config: CampaignConfig) -> Self {
+        use InjectionKind::*;
+        let kind = config.injection;
+        assert!(
+            config.solver == Method::Cg
+                || !matches!(
+                    kind,
+                    SolverVectorFlips
+                        | SolverVectorBurst
+                        | PrecondFactorFlips
+                        | PrecondFactorBurst
+                        | InnerApplyBurst
+                ),
+            "{kind:?} trials run CG, not {:?}",
+            config.solver
+        );
+        assert!(
+            config.protection.vectors != EccScheme::None
+                || !matches!(kind, ChunkErasure | SolverVectorFlips | SolverVectorBurst),
+            "{kind:?} trials need protected vectors"
+        );
         let deck = Deck::standard(config.nx, config.ny, 1);
         let grid = Grid::new(deck.x_cells, deck.y_cells, deck.x_max, deck.y_max);
         let mut density = vec![1.0; grid.cells()];
@@ -477,40 +570,6 @@ impl Campaign {
         &self.config
     }
 
-    /// Runs all trials and returns the outcome histogram.
-    ///
-    /// Every trial derives its own ChaCha stream from the campaign seed and
-    /// the trial index ([`Campaign::run_trial_indexed`]), so trial `t`'s
-    /// faults never depend on how many random draws earlier trials made.
-    /// Trials run through the streaming engine ([`crate::engine`]): waves of
-    /// pool jobs stream their outcomes into per-worker accumulators whose
-    /// counts merge order-independently — the totals are identical for any
-    /// worker count, batch size, or completion order, and the outcome
-    /// memory is `O(workers)` regardless of trial count.  No stop rule and
-    /// no failure capture here; use [`Campaign::run_streaming`] for those.
-    pub fn run(&self) -> CampaignStats {
-        let stream = crate::engine::StreamConfig {
-            stop: None,
-            capture_limit: 0,
-            ..crate::engine::StreamConfig::default()
-        };
-        self.run_streaming(&stream).stats
-    }
-
-    /// Runs trial number `trial` of this campaign: draws the fault from the
-    /// trial's own ChaCha stream (keyed by campaign seed and trial index)
-    /// and classifies the outcome.
-    pub fn run_trial_indexed(&self, trial: usize) -> FaultOutcome {
-        self.run_trial_observed(trial).outcome
-    }
-
-    /// Runs trial number `trial` and returns the full observation (outcome
-    /// plus residual drift) — [`Campaign::draw_trial`] followed by
-    /// [`Campaign::execute_draw`].
-    pub fn run_trial_observed(&self, trial: usize) -> TrialObservation {
-        self.execute_draw(&self.draw_trial(trial))
-    }
-
     /// Makes every random decision of trial number `trial` — from the
     /// trial's own ChaCha stream, keyed by the campaign seed and the trial
     /// index — and returns the resulting concrete injection plan.  Pure:
@@ -518,23 +577,31 @@ impl Campaign {
     /// never depends on other trials.
     pub fn draw_trial(&self, trial: usize) -> TrialDraw {
         let mut rng = ChaCha8Rng::seed_from_u64(mix_seed(self.config.seed, trial as u64));
-        match self.config.injection {
+        let kind = self.config.injection;
+        // `flips_per_trial` (at least one) independent flips, or one burst
+        // of that many bits, over `elements` elements of `target`.
+        let count = self.config.flips_per_trial.max(1);
+        let flips = |rng: &mut ChaCha8Rng, target: FaultTarget, elements, burst| {
+            let length = (count as u32).min(target.element_bits());
+            if burst {
+                FaultSpec::random_burst(rng, target, elements, length)
+            } else {
+                FaultSpec::random(rng, target, elements, count)
+            }
+        };
+        match kind {
             InjectionKind::BitFlips => TrialDraw::Flips(FaultSpec::random(
                 &mut rng,
                 self.config.target,
                 self.target_elements(),
                 self.config.flips_per_trial,
             )),
-            InjectionKind::Burst => {
-                let length = (self.config.flips_per_trial.max(1) as u32)
-                    .min(self.config.target.element_bits());
-                TrialDraw::Flips(FaultSpec::random_burst(
-                    &mut rng,
-                    self.config.target,
-                    self.target_elements(),
-                    length,
-                ))
-            }
+            InjectionKind::Burst => TrialDraw::Flips(flips(
+                &mut rng,
+                self.config.target,
+                self.target_elements(),
+                true,
+            )),
             InjectionKind::RowPointerGroupErasure => TrialDraw::Flips(FaultSpec::erase_span(
                 &mut rng,
                 FaultTarget::RowPointer,
@@ -556,47 +623,29 @@ impl Campaign {
                     garbage_seed: rng.gen_range(0..u64::MAX),
                 }
             }
-            InjectionKind::SolverVectorFlips => {
+            InjectionKind::SolverVectorFlips | InjectionKind::SolverVectorBurst => {
                 let vector = SolverVectorTarget::ALL[rng.gen_range(0..3usize)];
                 let strike_iteration = u64::from(rng.gen_range(1u32..4));
+                let burst = kind == InjectionKind::SolverVectorBurst;
                 let n = self.rhs.len();
-                let flips = (0..self.config.flips_per_trial.max(1))
-                    .map(|_| (rng.gen_range(0..n), rng.gen_range(0..64)))
-                    .collect();
                 TrialDraw::SolverVector {
                     vector,
                     strike_iteration,
-                    flips,
+                    flips: flips(&mut rng, FaultTarget::DenseVector, n, burst).flips,
                 }
             }
-            InjectionKind::SolverVectorBurst => {
-                let vector = SolverVectorTarget::ALL[rng.gen_range(0..3usize)];
-                let strike_iteration = u64::from(rng.gen_range(1u32..4));
-                let length = (self.config.flips_per_trial.max(1) as u32).min(64);
-                let element = rng.gen_range(0..self.rhs.len());
-                let start = rng.gen_range(0..=(64 - length));
-                TrialDraw::SolverVector {
-                    vector,
-                    strike_iteration,
-                    flips: (start..start + length).map(|bit| (element, bit)).collect(),
-                }
-            }
-            InjectionKind::PrecondFactorFlips => {
-                let factor_count = self.precond_factor_count();
-                let flips = (0..self.config.flips_per_trial.max(1))
-                    .map(|_| (rng.gen_range(0..factor_count), rng.gen_range(0..64u32)))
-                    .collect();
-                TrialDraw::PrecondFactors(flips)
-            }
-            InjectionKind::PrecondFactorBurst => {
-                let factor_count = self.precond_factor_count();
-                let length = (self.config.flips_per_trial.max(1) as u32).min(64);
-                let k = rng.gen_range(0..factor_count);
-                let start = rng.gen_range(0..=(64 - length));
-                TrialDraw::PrecondFactors((start..start + length).map(|bit| (k, bit)).collect())
+            InjectionKind::PrecondFactorFlips | InjectionKind::PrecondFactorBurst => {
+                // Factors are 64-bit values, like the dense-vector region.
+                let (_, factors) = self
+                    .preconditioner(&[])
+                    .expect("both preconditioners always build on the SPD campaign system");
+                let burst = kind == InjectionKind::PrecondFactorBurst;
+                TrialDraw::PrecondFactors(
+                    flips(&mut rng, FaultTarget::DenseVector, factors, burst).flips,
+                )
             }
             InjectionKind::InnerApplyBurst => {
-                let length = (self.config.flips_per_trial.max(1) as u32).min(64);
+                let length = (count as u32).min(64);
                 TrialDraw::InnerApplyBurst {
                     strike_apply: u64::from(rng.gen_range(1u32..4)),
                     element: rng.gen_range(0..self.rhs.len()),
@@ -607,64 +656,253 @@ impl Campaign {
         }
     }
 
-    /// Executes a concrete injection plan and classifies what survived.
-    /// Deterministic: the same draw always produces the same observation,
-    /// which is what [`Campaign::replay`](crate::record) and the failure
-    /// minimizer rely on.
+    /// Executes a concrete injection plan and classifies what survived —
+    /// the only code that runs a trial.  Deterministic: the same draw
+    /// always produces the same observation, which is what
+    /// [`Campaign::replay`](crate::record) and the failure minimizer rely
+    /// on.
+    ///
+    /// A run that fails is labelled here: a bounds check that stopped an
+    /// out-of-range index is [`FaultOutcome::BoundsCaught`], any other
+    /// error [`FaultOutcome::DetectedAborted`].  A run that returns an
+    /// answer is labelled by the one classifier, under its kind's rules.
     pub fn execute_draw(&self, draw: &TrialDraw) -> TrialObservation {
+        let run =
+            AnyProtectedMatrix::encode(&self.matrix, &self.config.protection, self.config.storage)
+                .map_err(SolverError::from)
+                .and_then(|protected| self.strike(draw, protected));
+        match run {
+            Err(SolverError::Fault(AbftError::OutOfRange { .. })) => {
+                aborted(FaultOutcome::BoundsCaught)
+            }
+            Err(_) => aborted(FaultOutcome::DetectedAborted),
+            Ok(answer) => self.classify(draw.rules(), &answer),
+        }
+    }
+
+    /// Applies `draw` through the hook its kind needs and runs the struck
+    /// solve — for at-rest vector flips, the scrub — to its answer.
+    fn strike(
+        &self,
+        draw: &TrialDraw,
+        mut protected: AnyProtectedMatrix,
+    ) -> Result<SolveOutcome, SolverError> {
+        // Spectral bounds come from the *clean* matrix (TeaLeaf derives them
+        // at assembly time, before any upset can strike): a corrupted copy
+        // could yield arbitrarily bad bounds and stall the Chebyshev-type
+        // methods.
+        let solver = Solver::new(self.config.solver)
+            .config(self.solver_config())
+            .bounds(ChebyshevBounds::estimate_gershgorin(&self.matrix));
+        let precond_solve = |precond: &dyn Preconditioner| {
+            solver.solve_encoded(&protected, &self.rhs, Some(precond), &FaultLog::new())
+        };
         match draw {
-            TrialDraw::Flips(spec) => self.run_trial_drawn(spec),
-            TrialDraw::SolverVector {
-                vector,
-                strike_iteration,
-                flips,
-            } => self.run_solver_vector_trial(*vector, *strike_iteration, flips),
+            TrialDraw::Flips(spec) if spec.target == FaultTarget::DenseVector => {
+                let log = FaultLog::new();
+                let mut vector = self.encoded_rhs();
+                for &(element, bit) in &spec.flips {
+                    vector.inject_bit_flip(element, bit);
+                }
+                vector.scrub(&log)?;
+                Ok(SolveOutcome {
+                    solution: vector.to_vec(),
+                    // A scrub is not an iteration: it always completes.
+                    status: SolveStatus {
+                        converged: true,
+                        iterations: 0,
+                        initial_residual: 0.0,
+                        final_residual: 0.0,
+                    },
+                    faults: log.snapshot(),
+                })
+            }
+            TrialDraw::Flips(spec) => {
+                for &(element, bit) in &spec.flips {
+                    match spec.target {
+                        FaultTarget::MatrixValues => protected.inject_value_bit_flip(element, bit),
+                        FaultTarget::MatrixColumnIndices => {
+                            protected.inject_col_bit_flip(element, bit)
+                        }
+                        FaultTarget::RowPointer => {
+                            protected.inject_structure_bit_flip(element, bit)
+                        }
+                        FaultTarget::DenseVector => unreachable!("scrubbed above"),
+                    }
+                }
+                solver.solve_operator(&MatrixProtected::new(&protected), &self.rhs)
+            }
             TrialDraw::ChunkErasure {
                 chunk,
                 chunk_words,
                 strike_iteration,
                 garbage_seed,
             } => {
-                self.run_chunk_erasure_trial(*chunk, *chunk_words, *strike_iteration, *garbage_seed)
+                let striking = InjectingOperator {
+                    inner: &FullyProtected::new(&protected),
+                    strike_iteration: *strike_iteration,
+                    chunk: *chunk,
+                    chunk_words: *chunk_words,
+                    garbage_seed: *garbage_seed,
+                    fired: Cell::new(false),
+                };
+                solver.solve_operator(&striking, &self.rhs)
             }
-            TrialDraw::PrecondFactors(flips) => self.run_precond_trial(flips, None),
+            TrialDraw::SolverVector {
+                vector,
+                strike_iteration,
+                flips,
+            } => {
+                let op = FullyProtected::new(&protected);
+                let log = FaultLog::new();
+                let base = FaultContext::with_log(&log);
+                let ctx = base.scoped_to(op.reduction_workspace());
+                let mut fired = false;
+                let b = op.vector_from(&self.rhs);
+                let (mut x, status) =
+                    cg_with_poll(&op, &b, &self.solver_config(), &ctx, |iteration, state| {
+                        if !fired && iteration >= *strike_iteration {
+                            fired = true;
+                            let struck = match vector {
+                                SolverVectorTarget::X => state.x,
+                                SolverVectorTarget::R => state.r,
+                                SolverVectorTarget::P => state.p,
+                            };
+                            for &(element, bit) in flips {
+                                struck.inject_bit_flip(element, bit);
+                            }
+                        }
+                    })?;
+                let solution = op.finish(&mut x, &ctx)?;
+                Ok(SolveOutcome {
+                    solution,
+                    status,
+                    faults: log.snapshot(),
+                })
+            }
+            TrialDraw::PrecondFactors(flips) => precond_solve(&*self.preconditioner(flips)?.0),
             TrialDraw::InnerApplyBurst {
                 strike_apply,
                 element,
                 start_bit,
                 length,
-            } => self.run_precond_trial(
-                &[],
-                Some(InjectingPreconditionerSpec {
-                    strike_apply: *strike_apply,
-                    element: *element,
-                    start_bit: *start_bit,
-                    length: *length,
-                }),
-            ),
+            } => precond_solve(&InjectingPreconditioner {
+                inner: &*self.preconditioner(&[])?.0,
+                strike_apply: *strike_apply,
+                element: *element,
+                start_bit: *start_bit,
+                length: *length,
+                applies: Cell::new(0),
+                fired: Cell::new(false),
+            }),
         }
     }
 
-    /// Number of stored factors of the configured preconditioner — the
-    /// element space the factor-flip draws index into.  Builds a throwaway
-    /// instance (the count is a property of the sparsity pattern, not of
-    /// the trial).  Panics if the preconditioner cannot be built at all:
-    /// campaign systems are SPD TeaLeaf assemblies, for which both kinds
-    /// always build.
-    fn precond_factor_count(&self) -> usize {
-        let tier = self.config.precond_reliability;
-        let scheme = self.config.protection.elements;
-        let backend = self.config.protection.crc_backend;
-        match self.config.precond {
-            PrecondKind::Ilu0 => Ilu0::new(&self.matrix, tier, scheme, backend)
-                .expect("ILU(0) always builds on the SPD campaign system")
-                .factor_count(),
-            PrecondKind::Polynomial(steps) => {
-                Polynomial::new(&self.matrix, steps, tier, scheme, backend)
-                    .expect("the polynomial preconditioner always builds")
-                    .factor_count()
-            }
+    /// Labels a trial that returned an answer.  Every kind comes through
+    /// here; `rules` carries the only ways the kinds differ.
+    fn classify(&self, rules: Rules, answer: &SolveOutcome) -> TrialObservation {
+        if rules.needs_convergence && !answer.status.converged {
+            // The budget ran out loudly — a detected failure, never a
+            // silent one.
+            return aborted(FaultOutcome::DetectedAborted);
         }
+        let (drift, right) = self.judge(rules.metric, &answer.solution);
+        let faults = &answer.faults;
+        let screened = rules.counts_screen && faults.bounds_violations.iter().sum::<u64>() > 0;
+        let outcome = if rules.answer_blind && faults.total_corrected() > 0 {
+            FaultOutcome::Corrected
+        } else if !right {
+            FaultOutcome::SilentCorruption
+        } else if screened {
+            FaultOutcome::BoundsCaught
+        } else if faults.total_rebuilt() > 0 {
+            FaultOutcome::DetectedRebuilt
+        } else if faults.total_corrected() > 0 {
+            FaultOutcome::Corrected
+        } else {
+            FaultOutcome::Masked
+        };
+        TrialObservation { outcome, drift }
+    }
+
+    /// How far `solution` drifted under `metric`, and whether it is still
+    /// the right answer.
+    fn judge(&self, metric: Metric, solution: &[f64]) -> (f64, bool) {
+        let drift = match metric {
+            Metric::Reference => relative_distance(&self.reference, solution),
+            Metric::Encoded => max_relative_error(&self.encoded_rhs().to_vec(), solution),
+            Metric::Residual => {
+                let mut ax = vec![0.0; self.rhs.len()];
+                abft_sparse::spmv::spmv_serial(&self.matrix, solution, &mut ax);
+                let residual_sq: f64 = ax
+                    .iter()
+                    .zip(&self.rhs)
+                    .map(|(a, b)| (b - a) * (b - a))
+                    .sum();
+                // Only a residual measurably over the line convicts.
+                let right = residual_sq <= TOLERANCE * 1e6 || residual_sq.is_nan();
+                return (relative_distance(&self.rhs, &ax), right);
+            }
+        };
+        (drift, drift <= self.config.sdc_threshold)
+    }
+
+    /// The iteration budget of every trial's solve.  Jacobi needs a much
+    /// larger one than the Krylov / Chebyshev methods; the cap stays tight
+    /// for the others so stalled trials (e.g. an undetected corruption
+    /// under no protection) don't burn 10x the iterations for nothing.
+    fn solver_config(&self) -> SolverConfig {
+        let max_iterations = match self.config.solver {
+            Method::Jacobi => 20_000,
+            _ => 2_000,
+        };
+        SolverConfig::new(max_iterations, TOLERANCE)
+    }
+
+    /// The right-hand side encoded as a protected vector under the
+    /// campaign's vector scheme (deterministic, so the at-rest vector trial
+    /// and its judge see the same clean words).
+    fn encoded_rhs(&self) -> ProtectedVector {
+        let ProtectionConfig {
+            vectors,
+            crc_backend,
+            ..
+        } = self.config.protection;
+        ProtectedVector::from_slice(&self.rhs, vectors, crc_backend)
+    }
+
+    /// The configured preconditioner, built in its reliability tier with
+    /// `flips` applied to its stored factors, and its factor count (the
+    /// index domain of those flips).  Built concretely rather than through
+    /// `PrecondKind::build`, so the factor-injection hook stays reachable.
+    fn preconditioner(
+        &self,
+        flips: &[(usize, u32)],
+    ) -> Result<(Box<dyn Preconditioner>, usize), SolverError> {
+        let tier = self.config.precond_reliability;
+        let ProtectionConfig {
+            elements,
+            crc_backend,
+            ..
+        } = self.config.protection;
+        Ok(match self.config.precond {
+            PrecondKind::Ilu0 => {
+                let mut ilu = Ilu0::new(&self.matrix, tier, elements, crc_backend)?;
+                for &(k, bit) in flips {
+                    ilu.inject_factor_bit_flip(k, bit);
+                }
+                let count = ilu.factor_count();
+                (Box::new(ilu), count)
+            }
+            PrecondKind::Polynomial(steps) => {
+                let mut poly = Polynomial::new(&self.matrix, steps, tier, elements, crc_backend)?;
+                for &(k, bit) in flips {
+                    poly.inject_factor_bit_flip(k, bit);
+                }
+                let count = poly.factor_count();
+                (Box::new(poly), count)
+            }
+        })
     }
 
     /// Number of elements in the configured target region — storage-aware,
@@ -682,438 +920,6 @@ impl Campaign {
             },
             FaultTarget::DenseVector => self.rhs.len(),
         }
-    }
-
-    /// Runs a single trial with the given fault specification.
-    pub fn run_trial(&self, spec: &FaultSpec) -> FaultOutcome {
-        self.run_trial_drawn(spec).outcome
-    }
-
-    fn run_trial_drawn(&self, spec: &FaultSpec) -> TrialObservation {
-        match spec.target {
-            FaultTarget::DenseVector => self.run_vector_trial(spec),
-            _ => self.run_matrix_trial(spec),
-        }
-    }
-
-    /// Injects a whole-chunk erasure into the solver's direction vector
-    /// mid-iteration and lets the rebuild/retry ladder fight it out: the
-    /// striking operator poisons one chunk during an SpMV, the solver's
-    /// per-kernel retry asks the vector to rebuild from parity, and the
-    /// outcome is classified by what survived ([`FaultOutcome::DetectedRebuilt`]
-    /// when the rebuild let the solve converge to the right answer).
-    fn run_chunk_erasure_trial(
-        &self,
-        chunk: usize,
-        chunk_words: usize,
-        strike_iteration: u64,
-        garbage_seed: u64,
-    ) -> TrialObservation {
-        assert_ne!(
-            self.config.protection.vectors,
-            EccScheme::None,
-            "chunk-erasure campaigns need protected vectors (the erasure must be detectable)"
-        );
-        let protected = match AnyProtectedMatrix::encode(
-            &self.matrix,
-            &self.config.protection,
-            self.config.storage,
-        ) {
-            Ok(p) => p,
-            Err(_) => return aborted(FaultOutcome::DetectedAborted),
-        };
-        let op = FullyProtected::new(&protected);
-        let striking = InjectingOperator {
-            inner: &op,
-            strike_iteration,
-            chunk,
-            chunk_words,
-            garbage_seed,
-            fired: Cell::new(false),
-        };
-        let max_iterations = match self.config.solver {
-            Method::Jacobi => 20_000,
-            _ => 2_000,
-        };
-        let solver = Solver::new(self.config.solver)
-            .max_iterations(max_iterations)
-            .tolerance(1e-15)
-            .bounds(ChebyshevBounds::estimate_gershgorin(&self.matrix));
-        match solver.solve_operator(&striking, &self.rhs) {
-            Err(SolverError::Fault(AbftError::OutOfRange { .. })) => {
-                aborted(FaultOutcome::BoundsCaught)
-            }
-            Err(_) => aborted(FaultOutcome::DetectedAborted),
-            Ok(outcome) => {
-                let drift = self.relative_error(&outcome.solution);
-                let correct = drift <= self.config.sdc_threshold;
-                let classified = if outcome.faults.total_rebuilt() > 0 {
-                    if correct {
-                        FaultOutcome::DetectedRebuilt
-                    } else {
-                        FaultOutcome::SilentCorruption
-                    }
-                } else if outcome.faults.total_corrected() > 0 && correct {
-                    FaultOutcome::Corrected
-                } else if correct {
-                    FaultOutcome::Masked
-                } else {
-                    FaultOutcome::SilentCorruption
-                };
-                TrialObservation {
-                    outcome: classified,
-                    drift,
-                }
-            }
-        }
-    }
-
-    /// Plants flips in a live solver vector between two CG iterations (via
-    /// the solver's poll hook) and classifies what the protection tier made
-    /// of damage to state the solver *owns*: the very next kernel that
-    /// reads the struck vector runs the detect/correct/rebuild ladder on
-    /// the live recurrence.
-    fn run_solver_vector_trial(
-        &self,
-        vector: SolverVectorTarget,
-        strike_iteration: u64,
-        flips: &[(usize, u32)],
-    ) -> TrialObservation {
-        assert_eq!(
-            self.config.solver,
-            Method::Cg,
-            "solver-vector injection rides the CG poll hook, which needs Method::Cg"
-        );
-        assert_ne!(
-            self.config.protection.vectors,
-            EccScheme::None,
-            "solver-vector campaigns need protected vectors (unprotected live state cannot \
-             distinguish detection from luck)"
-        );
-        let protected = match AnyProtectedMatrix::encode(
-            &self.matrix,
-            &self.config.protection,
-            self.config.storage,
-        ) {
-            Ok(p) => p,
-            Err(_) => return aborted(FaultOutcome::DetectedAborted),
-        };
-        let op = FullyProtected::new(&protected);
-        let log = FaultLog::new();
-        let base = FaultContext::with_log(&log);
-        let ctx = base.scoped_to(op.reduction_workspace());
-        let b = op.vector_from(&self.rhs);
-        let config = SolverConfig::new(2_000, 1e-15);
-        let fired = Cell::new(false);
-        let result = cg_with_poll(&op, &b, &config, &ctx, |iteration, state| {
-            if !fired.get() && iteration >= strike_iteration {
-                fired.set(true);
-                let struck = match vector {
-                    SolverVectorTarget::X => state.x,
-                    SolverVectorTarget::R => state.r,
-                    SolverVectorTarget::P => state.p,
-                };
-                for &(element, bit) in flips {
-                    struck.inject_bit_flip(element, bit);
-                }
-            }
-        });
-        match result {
-            Err(SolverError::Fault(AbftError::OutOfRange { .. })) => {
-                aborted(FaultOutcome::BoundsCaught)
-            }
-            Err(_) => aborted(FaultOutcome::DetectedAborted),
-            Ok((mut x, status)) => {
-                let solution = match op.finish(&mut x, &ctx) {
-                    Ok(s) => s,
-                    Err(_) => return aborted(FaultOutcome::DetectedAborted),
-                };
-                if !status.converged {
-                    // The budget ran out loudly — a detected failure, never
-                    // a silent one.
-                    return aborted(FaultOutcome::DetectedAborted);
-                }
-                let drift = self.relative_error(&solution);
-                let correct = drift <= self.config.sdc_threshold;
-                let faults = log.snapshot();
-                let classified = if faults.total_rebuilt() > 0 {
-                    if correct {
-                        FaultOutcome::DetectedRebuilt
-                    } else {
-                        FaultOutcome::SilentCorruption
-                    }
-                } else if faults.total_corrected() > 0 && correct {
-                    FaultOutcome::Corrected
-                } else if correct {
-                    FaultOutcome::Masked
-                } else {
-                    FaultOutcome::SilentCorruption
-                };
-                TrialObservation {
-                    outcome: classified,
-                    drift,
-                }
-            }
-        }
-    }
-
-    /// True squared residual `‖b − A·x‖₂²` of a returned solution,
-    /// recomputed with the pristine (never-injected) assembly-time matrix —
-    /// the same quantity the solvers compare against their tolerance, so
-    /// the preconditioned trials' certification check is in the solver's
-    /// own units.
-    fn true_residual_sq(&self, solution: &[f64]) -> f64 {
-        let mut ax = vec![0.0; self.rhs.len()];
-        abft_sparse::spmv::spmv_serial(&self.matrix, solution, &mut ax);
-        ax.iter()
-            .zip(&self.rhs)
-            .map(|(a, b)| (b - a) * (b - a))
-            .sum::<f64>()
-    }
-
-    /// Runs one inner-apply fault trial: builds the preconditioner in the
-    /// configured reliability tier, injects the drawn fault into the inner
-    /// stage (`flips` into the stored factors pre-solve, and/or a transient
-    /// `strike` burst into the inner apply's output mid-solve), runs the
-    /// flexible inner-outer FT-PCG solver, and classifies what survived.
-    /// The selective claim under test: inner SDC may cost iterations or
-    /// trip the outer screen ([`FaultOutcome::BoundsCaught`]), but never
-    /// yields a wrong answer.
-    fn run_precond_trial(
-        &self,
-        flips: &[(usize, u32)],
-        strike: Option<InjectingPreconditionerSpec>,
-    ) -> TrialObservation {
-        assert_eq!(
-            self.config.solver,
-            Method::Cg,
-            "preconditioned campaigns run FT-PCG, which needs Method::Cg"
-        );
-        let protected = match AnyProtectedMatrix::encode(
-            &self.matrix,
-            &self.config.protection,
-            self.config.storage,
-        ) {
-            Ok(p) => p,
-            Err(_) => return aborted(FaultOutcome::DetectedAborted),
-        };
-        let tier = self.config.precond_reliability;
-        let scheme = self.config.protection.elements;
-        let backend = self.config.protection.crc_backend;
-
-        // Build concretely (not through `PrecondKind::build`) so the
-        // factor-injection hooks stay reachable.
-        enum Built {
-            Ilu(Ilu0),
-            Poly(Polynomial),
-        }
-        let mut built = match self.config.precond {
-            PrecondKind::Ilu0 => match Ilu0::new(&self.matrix, tier, scheme, backend) {
-                Ok(p) => Built::Ilu(p),
-                Err(_) => return aborted(FaultOutcome::DetectedAborted),
-            },
-            PrecondKind::Polynomial(steps) => {
-                match Polynomial::new(&self.matrix, steps, tier, scheme, backend) {
-                    Ok(p) => Built::Poly(p),
-                    Err(_) => return aborted(FaultOutcome::DetectedAborted),
-                }
-            }
-        };
-        for &(k, bit) in flips {
-            match &mut built {
-                Built::Ilu(p) => p.inject_factor_bit_flip(k, bit),
-                Built::Poly(p) => p.inject_factor_bit_flip(k, bit),
-            }
-        }
-
-        let inner: &dyn Preconditioner = match &built {
-            Built::Ilu(p) => p,
-            Built::Poly(p) => p,
-        };
-        let striking;
-        let precond: &dyn Preconditioner = match strike {
-            Some(spec) => {
-                striking = InjectingPreconditioner {
-                    inner,
-                    spec,
-                    applies: Cell::new(0),
-                    fired: Cell::new(false),
-                };
-                &striking
-            }
-            None => inner,
-        };
-
-        let config = SolverConfig::new(2_000, 1e-15);
-        let result = Solver::cg().config(config).solve_encoded(
-            &protected,
-            &self.rhs,
-            Some(precond),
-            &FaultLog::new(),
-        );
-        match result {
-            Err(SolverError::Fault(AbftError::OutOfRange { .. })) => {
-                aborted(FaultOutcome::BoundsCaught)
-            }
-            Err(_) => aborted(FaultOutcome::DetectedAborted),
-            Ok(SolveOutcome {
-                solution,
-                status,
-                faults,
-            }) => {
-                // FT-PCG declares convergence when the *squared* recurrence
-                // residual drops below the absolute tolerance, so that is
-                // exactly what a converged return certifies — recompute the
-                // same quantity against the pristine operator and allow a
-                // margin (1e6 squared = three orders of magnitude in the
-                // norm) for recurrence drift over a long solve.  Genuine
-                // corruption lands many orders above this line; honest
-                // converged solves land well below it.
-                //
-                // The selective-reliability contract is residual-certified:
-                // an inner fault may cost iterations (or stall the solve,
-                // which the caller sees as `converged = false` — a detected
-                // failure, never a silent one), but a *converged* return
-                // whose true residual, recomputed against the pristine
-                // operator, misses the certification is a silent
-                // corruption.  Distance to a reference solution is the
-                // wrong metric here: a distorted but benign preconditioner
-                // legitimately changes the iteration path, so two correct
-                // answers agree only up to conditioning-amplified rounding.
-                if !status.converged {
-                    return aborted(FaultOutcome::DetectedAborted);
-                }
-                let residual_sq = self.true_residual_sq(&solution);
-                // Drift for preconditioned trials is the *relative true
-                // residual* (distance to the reference solution is the
-                // wrong metric here — see above).
-                let b_norm: f64 = self.rhs.iter().map(|v| v * v).sum::<f64>().sqrt();
-                let drift = if b_norm == 0.0 {
-                    residual_sq.sqrt()
-                } else {
-                    residual_sq.sqrt() / b_norm
-                };
-                if residual_sq > config.tolerance * 1e6 {
-                    return TrialObservation {
-                        outcome: FaultOutcome::SilentCorruption,
-                        drift,
-                    };
-                }
-                let screened: u64 = faults.bounds_violations.iter().sum();
-                let classified = if screened > 0 {
-                    FaultOutcome::BoundsCaught
-                } else if faults.total_rebuilt() > 0 {
-                    FaultOutcome::DetectedRebuilt
-                } else if faults.total_corrected() > 0 {
-                    FaultOutcome::Corrected
-                } else {
-                    FaultOutcome::Masked
-                };
-                TrialObservation {
-                    outcome: classified,
-                    drift,
-                }
-            }
-        }
-    }
-
-    fn run_matrix_trial(&self, spec: &FaultSpec) -> TrialObservation {
-        let mut protected = match AnyProtectedMatrix::encode(
-            &self.matrix,
-            &self.config.protection,
-            self.config.storage,
-        ) {
-            Ok(p) => p,
-            Err(_) => return aborted(FaultOutcome::DetectedAborted),
-        };
-        for &(element, bit) in &spec.flips {
-            match spec.target {
-                FaultTarget::MatrixValues => protected.inject_value_bit_flip(element, bit),
-                FaultTarget::MatrixColumnIndices => protected.inject_col_bit_flip(element, bit),
-                FaultTarget::RowPointer => protected.inject_structure_bit_flip(element, bit),
-                FaultTarget::DenseVector => unreachable!(),
-            }
-        }
-        // Jacobi needs a much larger iteration budget than the Krylov /
-        // Chebyshev methods; keep the cap tight for the others so stalled
-        // trials (e.g. an undetected corruption under no protection) don't
-        // burn 10x the iterations for nothing.
-        let max_iterations = match self.config.solver {
-            Method::Jacobi => 20_000,
-            _ => 2_000,
-        };
-        // Spectral bounds are estimated from the *clean* matrix (TeaLeaf
-        // derives them at assembly time, before any upset can strike) — the
-        // corrupted copy could yield arbitrarily bad bounds and stall the
-        // Chebyshev-type methods.
-        let solver = Solver::new(self.config.solver)
-            .max_iterations(max_iterations)
-            .tolerance(1e-15)
-            .bounds(ChebyshevBounds::estimate_gershgorin(&self.matrix));
-        match solver.solve_operator(&MatrixProtected::new(&protected), &self.rhs) {
-            Err(SolverError::Fault(AbftError::OutOfRange { .. })) => {
-                aborted(FaultOutcome::BoundsCaught)
-            }
-            Err(_) => aborted(FaultOutcome::DetectedAborted),
-            Ok(outcome) => {
-                let drift = self.relative_error(&outcome.solution);
-                let classified = if outcome.faults.total_corrected() > 0 {
-                    FaultOutcome::Corrected
-                } else if drift <= self.config.sdc_threshold {
-                    FaultOutcome::Masked
-                } else {
-                    FaultOutcome::SilentCorruption
-                };
-                TrialObservation {
-                    outcome: classified,
-                    drift,
-                }
-            }
-        }
-    }
-
-    fn run_vector_trial(&self, spec: &FaultSpec) -> TrialObservation {
-        let log = FaultLog::new();
-        let scheme = self.config.protection.vectors;
-        let backend = self.config.protection.crc_backend;
-        let mut vector = ProtectedVector::from_slice(&self.rhs, scheme, backend);
-        let clean: Vec<f64> = (0..vector.len()).map(|i| vector.get(i)).collect();
-        for &(element, bit) in &spec.flips {
-            vector.inject_bit_flip(element, bit);
-        }
-        match vector.scrub(&log) {
-            Err(_) => aborted(FaultOutcome::DetectedAborted),
-            Ok(_) => {
-                let recovered: Vec<f64> = (0..vector.len()).map(|i| vector.get(i)).collect();
-                let max_rel = clean
-                    .iter()
-                    .zip(&recovered)
-                    .map(|(a, b)| {
-                        if *a == 0.0 {
-                            (a - b).abs()
-                        } else {
-                            ((a - b) / a).abs()
-                        }
-                    })
-                    .fold(0.0f64, f64::max);
-                let classified =
-                    if log.total_corrected() > 0 && max_rel <= self.config.sdc_threshold {
-                        FaultOutcome::Corrected
-                    } else if max_rel <= self.config.sdc_threshold {
-                        FaultOutcome::Masked
-                    } else {
-                        FaultOutcome::SilentCorruption
-                    };
-                TrialObservation {
-                    outcome: classified,
-                    drift: max_rel,
-                }
-            }
-        }
-    }
-
-    fn relative_error(&self, solution: &[f64]) -> f64 {
-        relative_distance(&self.reference, solution)
     }
 }
 
@@ -1142,6 +948,22 @@ fn relative_distance(reference: &[f64], solution: &[f64]) -> f64 {
     } else {
         diff / norm
     }
+}
+
+/// The largest element-wise relative error of `recovered` against `clean`
+/// (absolute where `clean` is zero; `NaN` elements are skipped).
+fn max_relative_error(clean: &[f64], recovered: &[f64]) -> f64 {
+    clean
+        .iter()
+        .zip(recovered)
+        .map(|(a, b)| {
+            if *a == 0.0 {
+                (a - b).abs()
+            } else {
+                ((a - b) / a).abs()
+            }
+        })
+        .fold(0.0f64, f64::max)
 }
 
 /// SplitMix64-style mixing of (campaign seed, trial index) into an
@@ -1223,27 +1045,18 @@ impl<Op: LinearOperator<Vector = ProtectedVector>> LinearOperator for InjectingO
     }
 }
 
-/// Where and how [`InjectingPreconditioner`] strikes.
-#[derive(Debug, Clone, Copy)]
-struct InjectingPreconditionerSpec {
-    /// Zero-based inner-apply call at (or past) which the burst fires once.
-    strike_apply: u64,
-    /// Element of the inner apply's output vector to corrupt.
-    element: usize,
-    /// First bit of the contiguous burst.
-    start_bit: u32,
-    /// Burst length in bits.
-    length: u32,
-}
-
 /// Wraps a preconditioner and writes one bit burst into the output vector
 /// `z` the first time the apply counter reaches the strike point — after
 /// the inner stage produced its answer, before the protected outer
 /// iteration screens it.  Everything else delegates unchanged, so the
-/// solve exercises the exact production reliability boundary.
+/// solve exercises the exact production reliability boundary.  The strike
+/// fields mean what they mean in [`TrialDraw::InnerApplyBurst`].
 struct InjectingPreconditioner<'a> {
     inner: &'a dyn Preconditioner,
-    spec: InjectingPreconditionerSpec,
+    strike_apply: u64,
+    element: usize,
+    start_bit: u32,
+    length: u32,
     applies: Cell<u64>,
     fired: Cell<bool>,
 }
@@ -1257,13 +1070,13 @@ impl Preconditioner for InjectingPreconditioner<'_> {
         self.inner.apply(r, z, ctx)?;
         let call = self.applies.get();
         self.applies.set(call + 1);
-        if !self.fired.get() && call >= self.spec.strike_apply {
+        if !self.fired.get() && call >= self.strike_apply {
             self.fired.set(true);
-            let mut bits = z[self.spec.element].to_bits();
-            for offset in 0..self.spec.length {
-                bits ^= 1u64 << (self.spec.start_bit + offset);
+            let mut bits = z[self.element].to_bits();
+            for offset in 0..self.length {
+                bits ^= 1u64 << (self.start_bit + offset);
             }
-            z[self.spec.element] = f64::from_bits(bits);
+            z[self.element] = f64::from_bits(bits);
         }
         Ok(())
     }
@@ -1284,6 +1097,7 @@ impl Preconditioner for InjectingPreconditioner<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StreamConfig;
     use abft_ecc::Crc32cBackend;
 
     fn config(scheme: EccScheme, target: FaultTarget, trials: usize) -> CampaignConfig {
@@ -1299,11 +1113,17 @@ mod tests {
         }
     }
 
+    /// Every trial of `config`, streamed.
+    fn run(config: CampaignConfig) -> CampaignStats {
+        Campaign::new(config)
+            .run_streaming(&StreamConfig::default())
+            .stats
+    }
+
     #[test]
     fn secded_corrects_or_masks_every_single_flip() {
         for target in FaultTarget::ALL {
-            let campaign = Campaign::new(config(EccScheme::Secded64, target, 40));
-            let stats = campaign.run();
+            let stats = run(config(EccScheme::Secded64, target, 40));
             assert_eq!(stats.trials(), 40);
             assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{target:?}");
             assert_eq!(
@@ -1321,8 +1141,7 @@ mod tests {
 
     #[test]
     fn sed_detects_single_flips_without_correcting() {
-        let campaign = Campaign::new(config(EccScheme::Sed, FaultTarget::MatrixValues, 40));
-        let stats = campaign.run();
+        let stats = run(config(EccScheme::Sed, FaultTarget::MatrixValues, 40));
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0);
         assert_eq!(stats.count(FaultOutcome::Corrected), 0);
         assert!(stats.count(FaultOutcome::DetectedAborted) > 0);
@@ -1334,8 +1153,7 @@ mod tests {
         cfg.protection = ProtectionConfig::unprotected();
         // Flip high-order exponent bits often enough to corrupt the answer.
         cfg.flips_per_trial = 3;
-        let campaign = Campaign::new(cfg);
-        let stats = campaign.run();
+        let stats = run(cfg);
         assert!(
             stats.count(FaultOutcome::SilentCorruption) > 0,
             "without protection some flips must corrupt the solution: {stats}"
@@ -1347,8 +1165,7 @@ mod tests {
     fn double_flips_are_detected_by_secded_not_corrected() {
         let mut cfg = config(EccScheme::Secded64, FaultTarget::MatrixValues, 40);
         cfg.flips_per_trial = 2;
-        let campaign = Campaign::new(cfg);
-        let stats = campaign.run();
+        let stats = run(cfg);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0);
         // Two flips in the same codeword are uncorrectable; two flips in
         // different codewords are each corrected — both happen.
@@ -1360,13 +1177,13 @@ mod tests {
 
     #[test]
     fn trial_streams_are_independent_of_dispatch_order() {
-        // Per-trial seeding: running trials 0..n in any order, or one at a
-        // time, reproduces exactly the histogram `run()` computes.
+        // Per-trial seeding: executing trials 0..n in any order, one at a
+        // time, reproduces exactly the histogram the streamed run computes.
         let campaign = Campaign::new(config(EccScheme::Secded64, FaultTarget::MatrixValues, 20));
-        let batched = campaign.run();
+        let batched = campaign.run_streaming(&StreamConfig::default()).stats;
         let mut reversed = CampaignStats::default();
         for trial in (0..20).rev() {
-            reversed.record(campaign.run_trial_indexed(trial));
+            reversed.record(campaign.execute_draw(&campaign.draw_trial(trial)).outcome);
         }
         assert_eq!(batched, reversed);
     }
@@ -1379,7 +1196,7 @@ mod tests {
             chunk_words: 16,
         });
         cfg.injection = InjectionKind::ChunkErasure;
-        let stats = Campaign::new(cfg).run();
+        let stats = run(cfg);
         assert_eq!(stats.trials(), 8);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0);
         assert!(
@@ -1393,7 +1210,7 @@ mod tests {
     fn chunk_erasure_without_parity_aborts_instead_of_corrupting() {
         let mut cfg = config(EccScheme::Secded64, FaultTarget::DenseVector, 8);
         cfg.injection = InjectionKind::ChunkErasure;
-        let stats = Campaign::new(cfg).run();
+        let stats = run(cfg);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{stats}");
         assert_eq!(stats.count(FaultOutcome::DetectedRebuilt), 0, "{stats}");
         assert!(
@@ -1406,7 +1223,7 @@ mod tests {
     fn row_pointer_group_erasure_is_always_detected() {
         let mut cfg = config(EccScheme::Secded64, FaultTarget::RowPointer, 12);
         cfg.injection = InjectionKind::RowPointerGroupErasure;
-        let stats = Campaign::new(cfg).run();
+        let stats = run(cfg);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{stats}");
         assert_eq!(stats.count(FaultOutcome::Corrected), 0, "{stats}");
         assert!(stats.safety_rate() == 1.0);
@@ -1440,7 +1257,7 @@ mod tests {
                 campaign.matrix.nnz(),
                 5,
             );
-            let outcome = campaign.run_trial(&spec);
+            let outcome = campaign.execute_draw(&TrialDraw::Flips(spec)).outcome;
             assert!(
                 outcome.is_safe(),
                 "burst of 5 must at least be detected, got {outcome:?}"
@@ -1455,7 +1272,7 @@ mod tests {
         for method in [Method::Jacobi, Method::Chebyshev, Method::Ppcg] {
             let mut cfg = config(EccScheme::Secded64, FaultTarget::MatrixValues, 12);
             cfg.solver = method;
-            let stats = Campaign::new(cfg).run();
+            let stats = run(cfg);
             assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{method:?}");
             assert!(stats.count(FaultOutcome::Corrected) > 0, "{method:?}");
         }
@@ -1475,7 +1292,7 @@ mod tests {
             ] {
                 let mut cfg = config(EccScheme::Secded64, target, 16);
                 cfg.storage = storage;
-                let stats = Campaign::new(cfg).run();
+                let stats = run(cfg);
                 assert_eq!(stats.trials(), 16, "{storage:?} {target:?}");
                 assert_eq!(
                     stats.count(FaultOutcome::SilentCorruption),
@@ -1504,7 +1321,7 @@ mod tests {
         cfg.injection = InjectionKind::InnerApplyBurst;
         cfg.flips_per_trial = 8;
         cfg.precond_reliability = Reliability::Unreliable;
-        let stats = Campaign::new(cfg).run();
+        let stats = run(cfg);
         assert_eq!(stats.trials(), 24);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{stats}");
         assert_eq!(
@@ -1519,7 +1336,7 @@ mod tests {
         let mut cfg = config(EccScheme::Secded64, FaultTarget::DenseVector, 16);
         cfg.injection = InjectionKind::PrecondFactorFlips;
         cfg.precond_reliability = Reliability::Protected;
-        let stats = Campaign::new(cfg).run();
+        let stats = run(cfg);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{stats}");
         assert_eq!(
             stats.count(FaultOutcome::DetectedAborted),
@@ -1539,7 +1356,7 @@ mod tests {
         cfg.flips_per_trial = 6;
         cfg.precond = PrecondKind::Polynomial(2);
         cfg.precond_reliability = Reliability::Unreliable;
-        let stats = Campaign::new(cfg).run();
+        let stats = run(cfg);
         assert_eq!(stats.trials(), 16);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{stats}");
     }
@@ -1564,5 +1381,10 @@ mod tests {
         assert_eq!(other.trials(), 4);
         assert_eq!(other.count(FaultOutcome::Corrected), 2);
         assert_eq!(other.count(FaultOutcome::DetectedRebuilt), 1);
+        // A zero-count add leaves the histogram equal to one without it.
+        other.add(FaultOutcome::Masked, 0);
+        let mut again = stats.clone();
+        again.record(FaultOutcome::DetectedRebuilt);
+        assert_eq!(other, again);
     }
 }

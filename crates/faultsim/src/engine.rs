@@ -1,9 +1,10 @@
 //! The streaming campaign engine: million-trial fault-injection campaigns
 //! in `O(workers)` outcome memory, with adaptive early stopping.
 //!
-//! [`run_stream`] shards trials across the `abft-serve` job pool in waves.
-//! Each job folds its trials' observations into one of a fixed set of
-//! per-worker [`CampaignAccumulator`]s — running outcome counts and a
+//! [`Campaign::run_streaming`] shards trials across the `abft-serve` job
+//! pool in waves.  Each job executes its trials ([`Campaign::draw_trial`]
+//! then [`Campaign::execute_draw`]) and folds their observations into one
+//! of a fixed set of per-worker accumulators — running outcome counts and a
 //! residual-drift histogram in relaxed atomics, no per-trial `Vec` anywhere —
 //! so a `trials: 1_000_000` campaign differs from a 1 000-trial one only in
 //! wall clock.  Because every trial draws from its own ChaCha stream keyed
@@ -111,7 +112,7 @@ impl DriftHistogram {
 /// touch it).  Memory is a fixed few hundred bytes per worker, independent
 /// of trial count.
 #[derive(Debug)]
-pub struct CampaignAccumulator {
+pub(crate) struct CampaignAccumulator {
     counts: [AtomicU64; FaultOutcome::ALL.len()],
     drift: [AtomicU64; DRIFT_BUCKETS],
     captured: std::sync::Mutex<Vec<usize>>,
@@ -138,7 +139,7 @@ impl CampaignAccumulator {
     /// Folds one trial's observation in.  Lock-free except when the outcome
     /// is non-safe and the capture budget is not yet exhausted.
     pub fn record(&self, trial: usize, observation: TrialObservation) {
-        self.counts[outcome_index(observation.outcome)].fetch_add(1, Ordering::Relaxed);
+        self.counts[observation.outcome as usize].fetch_add(1, Ordering::Relaxed);
         self.drift[DriftHistogram::bucket_of(observation.drift)].fetch_add(1, Ordering::Relaxed);
         if !observation.outcome.is_safe()
             && self.capture_count.fetch_add(1, Ordering::Relaxed) < self.capture_limit
@@ -180,13 +181,6 @@ fn merged_stats(accumulators: &[CampaignAccumulator]) -> CampaignStats {
         stats.merge(&s);
     }
     stats
-}
-
-fn outcome_index(outcome: FaultOutcome) -> usize {
-    FaultOutcome::ALL
-        .into_iter()
-        .position(|o| o == outcome)
-        .expect("FaultOutcome::ALL is exhaustive")
 }
 
 /// Adaptive early-stopping rule for a streamed campaign, evaluated at wave
@@ -241,7 +235,8 @@ pub struct StreamConfig {
     /// enough that jobs overlap on a few workers.
     pub trials_per_job: usize,
     /// At most this many non-safe trials are captured (and minimized into
-    /// replayable [`TrialRecord`]s) across the whole campaign.
+    /// replayable [`TrialRecord`]s) across the whole campaign.  The default
+    /// captures nothing.
     pub capture_limit: usize,
     /// Early-stopping rule, if any.
     pub stop: Option<StopRule>,
@@ -252,7 +247,7 @@ impl Default for StreamConfig {
         StreamConfig {
             batch: 4096,
             trials_per_job: 16,
-            capture_limit: 8,
+            capture_limit: 0,
             stop: None,
         }
     }
@@ -281,8 +276,8 @@ pub struct StreamReport {
     /// Trial indices of captured non-safe outcomes (sorted, at most
     /// `capture_limit`).
     pub captured: Vec<usize>,
-    /// Minimized, replayable records of the captured failures (filled by
-    /// [`Campaign::run_streaming`]; empty from raw [`run_stream`]).
+    /// Minimized, replayable records of the captured failures, one per
+    /// entry of `captured`.
     pub records: Vec<TrialRecord>,
 }
 
@@ -345,7 +340,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 /// docs).  `trial_fn(t)` must be a pure function of the trial index `t` —
 /// that is what makes the totals independent of sharding.  Returns with
 /// `records` empty; [`Campaign::run_streaming`] fills it.
-pub fn run_stream<F>(trials: usize, config: &StreamConfig, trial_fn: F) -> StreamReport
+pub(crate) fn run_stream<F>(trials: usize, config: &StreamConfig, trial_fn: F) -> StreamReport
 where
     F: Fn(usize) -> TrialObservation + Send + Sync + 'static,
 {
@@ -442,7 +437,7 @@ impl Campaign {
         let shared = Arc::new(self.clone());
         let worker = Arc::clone(&shared);
         let mut report = run_stream(self.config().trials, stream, move |trial| {
-            worker.run_trial_observed(trial)
+            worker.execute_draw(&worker.draw_trial(trial))
         });
         report.records = report
             .captured

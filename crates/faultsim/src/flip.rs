@@ -38,15 +38,6 @@ impl SolverVectorTarget {
         SolverVectorTarget::R,
         SolverVectorTarget::P,
     ];
-
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            SolverVectorTarget::X => "iterate x",
-            SolverVectorTarget::R => "residual r",
-            SolverVectorTarget::P => "direction p",
-        }
-    }
 }
 
 impl FaultTarget {
@@ -151,11 +142,6 @@ impl FaultSpec {
         }
         FaultSpec { target, flips }
     }
-
-    /// Number of flips in this spec.
-    pub fn weight(&self) -> usize {
-        self.flips.len()
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +154,7 @@ mod tests {
     fn random_flips_are_in_range_and_deterministic() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let spec = FaultSpec::random(&mut rng, FaultTarget::MatrixValues, 100, 5);
-        assert_eq!(spec.weight(), 5);
+        assert_eq!(spec.flips.len(), 5);
         for &(element, bit) in &spec.flips {
             assert!(element < 100);
             assert!(bit < 64);
@@ -182,7 +168,7 @@ mod tests {
     fn burst_is_contiguous() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let spec = FaultSpec::random_burst(&mut rng, FaultTarget::RowPointer, 20, 6);
-        assert_eq!(spec.weight(), 6);
+        assert_eq!(spec.flips.len(), 6);
         let element = spec.flips[0].0;
         for (i, &(e, bit)) in spec.flips.iter().enumerate() {
             assert_eq!(e, element);
@@ -204,7 +190,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         let spec = FaultSpec::erase_span(&mut rng, FaultTarget::RowPointer, 40, 4);
         // Half of 32 bits for each of the 4 elements in the span.
-        assert_eq!(spec.weight(), 4 * 16);
+        assert_eq!(spec.flips.len(), 4 * 16);
         let start = spec.flips.iter().map(|&(e, _)| e).min().unwrap();
         assert_eq!(start % 4, 0, "span must be aligned to its width");
         for &(element, bit) in &spec.flips {

@@ -4,33 +4,19 @@
 //! of the solver from memory bit flips.  This crate validates that claim by
 //! injecting faults (the software stand-in for the cosmic-ray upsets of §I)
 //! into every protected region — independent bit flips, contiguous bursts,
-//! and whole-chunk *erasures* of live solver state — and classifying what
-//! happens:
+//! and whole-chunk *erasures* of live solver state — and labelling what
+//! happened with a [`FaultOutcome`]: corrected in place (a Detectable
+//! Correctable Error), rebuilt from the XOR parity tier, detected and
+//! aborted (a Detectable Uncorrectable Error), stopped by a bounds check,
+//! masked, or a silent corruption — the failure mode ECC exists to prevent.
 //!
-//! * [`FaultOutcome::Corrected`] — the fault was detected and repaired in
-//!   place by the embedded ECC (a Detectable Correctable Error);
-//! * [`FaultOutcome::DetectedRebuilt`] — the fault exceeded the embedded
-//!   ECC but the lost chunk was rebuilt from the XOR parity tier and the
-//!   solve completed with the right answer;
-//! * [`FaultOutcome::DetectedAborted`] — the fault was detected but not
-//!   repairable by either tier; the application is told instead of silently
-//!   computing with bad data (a Detectable Uncorrectable Error);
-//! * [`FaultOutcome::BoundsCaught`] — a range check (the cheap check used
-//!   between full-check intervals, §VI-A-2) stopped an out-of-bounds access;
-//! * [`FaultOutcome::Masked`] — the fault landed somewhere harmless (e.g. a
-//!   reserved redundancy bit or an explicitly stored zero) and the solution
-//!   is unaffected;
-//! * [`FaultOutcome::SilentCorruption`] — the fault escaped detection and
-//!   changed the answer: the failure mode ECC exists to prevent.
-//!
-//! Campaigns are deterministic for a given seed: every trial draws from its
-//! own ChaCha stream keyed by (campaign seed, trial index), so the histogram
-//! is identical for any worker count or dispatch order, and every rate comes
-//! with a Wilson 95 % confidence interval
-//! ([`CampaignStats::wilson_ci`]).  Every statistic can be regenerated
-//! exactly.
-//!
-//! Three layers sit on top of the per-trial machinery:
+//! A trial is [`Campaign::draw_trial`], which makes its random decisions
+//! from its own ChaCha stream keyed by (campaign seed, trial index), then
+//! [`Campaign::execute_draw`], the one executor, which runs and labels it.
+//! Campaigns are therefore deterministic for any worker count or dispatch
+//! order, every rate comes with a Wilson 95 % confidence interval
+//! ([`CampaignStats::wilson_ci`]), and every statistic can be regenerated
+//! exactly.  Around that seam:
 //!
 //! * [`engine`] — the streaming campaign engine: trials shard across the
 //!   `abft-serve` job pool into lock-free per-worker accumulators
@@ -55,8 +41,7 @@ pub use campaign::{
     Campaign, CampaignConfig, CampaignStats, InjectionKind, TrialDraw, TrialObservation, WILSON_Z95,
 };
 pub use engine::{
-    normal_quantile, CampaignAccumulator, DriftHistogram, StopDecision, StopRule, StreamConfig,
-    StreamReport,
+    normal_quantile, DriftHistogram, StopDecision, StopRule, StreamConfig, StreamReport,
 };
 pub use flip::{FaultSpec, FaultTarget, SolverVectorTarget};
 pub use outcome::FaultOutcome;

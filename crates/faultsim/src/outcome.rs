@@ -26,7 +26,9 @@ pub enum FaultOutcome {
 }
 
 impl FaultOutcome {
-    /// All outcomes in reporting order.
+    /// All outcomes in reporting order — declaration order, so
+    /// `outcome as usize` is an outcome's position here (the index of the
+    /// campaign histograms).
     pub const ALL: [FaultOutcome; 6] = [
         FaultOutcome::Corrected,
         FaultOutcome::DetectedRebuilt,
@@ -78,6 +80,9 @@ mod tests {
         assert!(FaultOutcome::Masked.is_safe());
         assert!(!FaultOutcome::SilentCorruption.is_safe());
         assert_eq!(FaultOutcome::ALL.len(), 6);
+        for (index, outcome) in FaultOutcome::ALL.into_iter().enumerate() {
+            assert_eq!(outcome as usize, index, "{outcome:?}");
+        }
         assert!(FaultOutcome::SilentCorruption.label().contains("silent"));
         assert!(FaultOutcome::DetectedRebuilt.label().contains("parity"));
     }

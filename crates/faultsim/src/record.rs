@@ -18,8 +18,11 @@
 //! re-verified before it replaces the original, so a minimized record
 //! *always* reproduces its outcome.  Records group into a
 //! [`FailureCorpus`] (the `FAILURES.json` shape) that [`Campaign::replay`]
-//! re-executes exactly; 64-bit integers are serialized as decimal strings
-//! because the JSON number type is an `f64` (see [`crate::json`]).
+//! re-executes exactly through the one executor.  Every enum in a record is
+//! written as a stable string tag from one `(value, tag)` table per enum,
+//! read back through the same table; 64-bit integers are serialized as
+//! decimal strings because the JSON number type is an `f64` (see
+//! [`crate::json`]).
 
 use crate::campaign::{Campaign, CampaignConfig, InjectionKind, TrialDraw};
 use crate::flip::{FaultSpec, FaultTarget, SolverVectorTarget};
@@ -48,25 +51,9 @@ pub struct TrialRecord {
 }
 
 impl TrialRecord {
-    /// The campaign seed (the `seed` of the issue's
-    /// `TrialRecord {seed, trial, kind, scheme, storage}` shape).
-    pub fn seed(&self) -> u64 {
-        self.config.seed
-    }
-
-    /// The injection kind.
-    pub fn kind(&self) -> InjectionKind {
-        self.config.injection
-    }
-
     /// The ECC scheme guarding the struck region.
     pub fn scheme(&self) -> EccScheme {
         self.config.active_scheme()
-    }
-
-    /// The protected matrix storage tier.
-    pub fn storage(&self) -> StorageTier {
-        self.config.storage
     }
 }
 
@@ -256,21 +243,157 @@ impl FailureCorpus {
     }
 }
 
-// --- tag helpers -----------------------------------------------------------
+// --- serialization ---------------------------------------------------------
 //
-// Stable string tags for every enum in a record.  u64 values (seeds) are
+// Every enum in a record is written as a stable string tag, looked up in its
+// one `(value, tag)` table by `tag` and `from_tag`.  u64 values (seeds) are
 // serialized as decimal strings: Json::Num is an f64 and cannot round-trip
 // integers above 2^53.
 
-fn u64_to_json(value: u64) -> Json {
-    Json::Str(value.to_string())
+/// An enum written to the corpus as a stable string tag.  `TAGS` lists
+/// every value once; the one variant of an enum that carries a count
+/// (`StorageTier::BlockedCsr`, `PrecondKind::Polynomial`) is listed with
+/// count 0 and written `tag:count`.
+trait Tagged: Copy + PartialEq + 'static {
+    /// What the tag names, for error messages.
+    const WHAT: &'static str;
+    /// `(value, tag)` for every value.
+    const TAGS: &'static [(Self, &'static str)];
+
+    /// The count this value carries, if its variant has one.
+    fn count(self) -> Option<usize> {
+        None
+    }
+
+    /// This value's variant carrying `count` instead.
+    fn with_count(self, _count: usize) -> Self {
+        self
+    }
 }
 
-fn u64_from_json(value: &Json, what: &str) -> Result<u64, String> {
-    value
-        .as_str()
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| format!("{what}: expected a decimal-string u64, got {value:?}"))
+/// The tag written for `value`.
+fn tag<T: Tagged>(value: T) -> Json {
+    let bare = value.with_count(0);
+    let (_, name) = T::TAGS
+        .iter()
+        .find(|(v, _)| *v == bare)
+        .expect("every value has a tag");
+    Json::Str(match value.count() {
+        Some(count) => format!("{name}:{count}"),
+        None => name.to_string(),
+    })
+}
+
+/// The value a tag written by `tag` names.
+fn from_tag<T: Tagged>(text: &str) -> Result<T, String> {
+    let unknown = || format!("unknown {} tag {text:?}", T::WHAT);
+    let (name, count) = match text.split_once(':') {
+        Some((name, count)) => (name, Some(count.parse().map_err(|_| unknown())?)),
+        None => (text, None),
+    };
+    T::TAGS
+        .iter()
+        .find(|(value, tag)| *tag == name && value.count().is_some() == count.is_some())
+        .map(|&(value, _)| count.map_or(value, |count| value.with_count(count)))
+        .ok_or_else(unknown)
+}
+
+/// Implements [`Tagged`] from a `value => tag` table, plus (after a `;`)
+/// the enum's counted variant, if it has one.
+macro_rules! tagged {
+    ($ty:ty, $what:literal: $($value:expr => $tag:literal),+
+        $(; $counted:path => $counted_tag:literal)? $(,)?) => {
+        impl Tagged for $ty {
+            const WHAT: &'static str = $what;
+            const TAGS: &'static [(Self, &'static str)] =
+                &[$(($value, $tag)),+ $(, ($counted(0), $counted_tag))?];
+            $(
+                fn count(self) -> Option<usize> {
+                    match self {
+                        $counted(count) => Some(count),
+                        _ => None,
+                    }
+                }
+
+                fn with_count(self, count: usize) -> Self {
+                    match self {
+                        $counted(_) => $counted(count),
+                        fixed => fixed,
+                    }
+                }
+            )?
+        }
+    };
+}
+
+tagged!(EccScheme, "scheme":
+    EccScheme::None => "none",
+    EccScheme::Sed => "sed",
+    EccScheme::Secded64 => "secded64",
+    EccScheme::Secded128 => "secded128",
+    EccScheme::Crc32c => "crc32c",
+);
+tagged!(Crc32cBackend, "CRC backend":
+    Crc32cBackend::Naive => "naive",
+    Crc32cBackend::SlicingBy4 => "slicing4",
+    Crc32cBackend::SlicingBy8 => "slicing8",
+    Crc32cBackend::SlicingBy16 => "slicing16",
+    Crc32cBackend::Hardware => "hardware",
+    Crc32cBackend::Auto => "auto",
+);
+tagged!(FaultTarget, "target":
+    FaultTarget::MatrixValues => "matrix_values",
+    FaultTarget::MatrixColumnIndices => "matrix_col_indices",
+    FaultTarget::RowPointer => "row_pointer",
+    FaultTarget::DenseVector => "dense_vector",
+);
+tagged!(SolverVectorTarget, "solver-vector":
+    SolverVectorTarget::X => "x",
+    SolverVectorTarget::R => "r",
+    SolverVectorTarget::P => "p",
+);
+tagged!(Method, "method":
+    Method::Cg => "cg",
+    Method::Jacobi => "jacobi",
+    Method::Chebyshev => "chebyshev",
+    Method::Ppcg => "ppcg",
+);
+tagged!(InjectionKind, "injection":
+    InjectionKind::BitFlips => "bit_flips",
+    InjectionKind::Burst => "burst",
+    InjectionKind::ChunkErasure => "chunk_erasure",
+    InjectionKind::RowPointerGroupErasure => "row_pointer_group_erasure",
+    InjectionKind::PrecondFactorFlips => "precond_factor_flips",
+    InjectionKind::PrecondFactorBurst => "precond_factor_burst",
+    InjectionKind::InnerApplyBurst => "inner_apply_burst",
+    InjectionKind::SolverVectorFlips => "solver_vector_flips",
+    InjectionKind::SolverVectorBurst => "solver_vector_burst",
+);
+tagged!(Reliability, "reliability":
+    Reliability::Protected => "uniform",
+    Reliability::Unreliable => "selective",
+);
+tagged!(FaultOutcome, "outcome":
+    FaultOutcome::Corrected => "corrected",
+    FaultOutcome::DetectedRebuilt => "detected_rebuilt",
+    FaultOutcome::DetectedAborted => "detected_aborted",
+    FaultOutcome::BoundsCaught => "bounds_caught",
+    FaultOutcome::Masked => "masked",
+    FaultOutcome::SilentCorruption => "silent_corruption",
+);
+
+tagged!(StorageTier, "storage":
+    StorageTier::Csr => "csr",
+    StorageTier::Coo => "coo";
+    StorageTier::BlockedCsr => "blocked_csr",
+);
+tagged!(PrecondKind, "preconditioner":
+    PrecondKind::Ilu0 => "ilu0";
+    PrecondKind::Polynomial => "polynomial",
+);
+
+fn u64_to_json(value: u64) -> Json {
+    Json::Str(value.to_string())
 }
 
 fn usize_from_json(value: &Json, what: &str) -> Result<usize, String> {
@@ -281,187 +404,32 @@ fn usize_from_json(value: &Json, what: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("{what}: expected a non-negative integer, got {value:?}"))
 }
 
-fn scheme_tag(scheme: EccScheme) -> &'static str {
-    match scheme {
-        EccScheme::None => "none",
-        EccScheme::Sed => "sed",
-        EccScheme::Secded64 => "secded64",
-        EccScheme::Secded128 => "secded128",
-        EccScheme::Crc32c => "crc32c",
-    }
+/// Field `name` of the object `value`.
+fn field<'a>(value: &'a Json, name: &str) -> Result<&'a Json, String> {
+    value
+        .get(name)
+        .ok_or_else(|| format!("missing field {name}"))
 }
 
-fn scheme_from_tag(tag: &str) -> Result<EccScheme, String> {
-    Ok(match tag {
-        "none" => EccScheme::None,
-        "sed" => EccScheme::Sed,
-        "secded64" => EccScheme::Secded64,
-        "secded128" => EccScheme::Secded128,
-        "crc32c" => EccScheme::Crc32c,
-        other => return Err(format!("unknown scheme tag {other:?}")),
-    })
+fn usize_field(value: &Json, name: &str) -> Result<usize, String> {
+    usize_from_json(field(value, name)?, name)
 }
 
-fn backend_tag(backend: Crc32cBackend) -> &'static str {
-    match backend {
-        Crc32cBackend::Naive => "naive",
-        Crc32cBackend::SlicingBy4 => "slicing4",
-        Crc32cBackend::SlicingBy8 => "slicing8",
-        Crc32cBackend::SlicingBy16 => "slicing16",
-        Crc32cBackend::Hardware => "hardware",
-        Crc32cBackend::Auto => "auto",
-    }
+fn u64_field(value: &Json, name: &str) -> Result<u64, String> {
+    let text = field(value, name)?;
+    text.as_str()
+        .and_then(|s| s.parse::<u64>().ok())
+        .ok_or_else(|| format!("{name}: expected a decimal-string u64, got {text:?}"))
 }
 
-fn backend_from_tag(tag: &str) -> Result<Crc32cBackend, String> {
-    Ok(match tag {
-        "naive" => Crc32cBackend::Naive,
-        "slicing4" => Crc32cBackend::SlicingBy4,
-        "slicing8" => Crc32cBackend::SlicingBy8,
-        "slicing16" => Crc32cBackend::SlicingBy16,
-        "hardware" => Crc32cBackend::Hardware,
-        "auto" => Crc32cBackend::Auto,
-        other => return Err(format!("unknown CRC backend tag {other:?}")),
-    })
+fn str_field<'a>(value: &'a Json, name: &str) -> Result<&'a str, String> {
+    field(value, name)?
+        .as_str()
+        .ok_or_else(|| format!("{name}: expected a string"))
 }
 
-fn target_tag(target: FaultTarget) -> &'static str {
-    match target {
-        FaultTarget::MatrixValues => "matrix_values",
-        FaultTarget::MatrixColumnIndices => "matrix_col_indices",
-        FaultTarget::RowPointer => "row_pointer",
-        FaultTarget::DenseVector => "dense_vector",
-    }
-}
-
-fn target_from_tag(tag: &str) -> Result<FaultTarget, String> {
-    Ok(match tag {
-        "matrix_values" => FaultTarget::MatrixValues,
-        "matrix_col_indices" => FaultTarget::MatrixColumnIndices,
-        "row_pointer" => FaultTarget::RowPointer,
-        "dense_vector" => FaultTarget::DenseVector,
-        other => return Err(format!("unknown target tag {other:?}")),
-    })
-}
-
-fn method_tag(method: Method) -> &'static str {
-    match method {
-        Method::Cg => "cg",
-        Method::Jacobi => "jacobi",
-        Method::Chebyshev => "chebyshev",
-        Method::Ppcg => "ppcg",
-    }
-}
-
-fn method_from_tag(tag: &str) -> Result<Method, String> {
-    Ok(match tag {
-        "cg" => Method::Cg,
-        "jacobi" => Method::Jacobi,
-        "chebyshev" => Method::Chebyshev,
-        "ppcg" => Method::Ppcg,
-        other => return Err(format!("unknown method tag {other:?}")),
-    })
-}
-
-fn injection_tag(kind: InjectionKind) -> &'static str {
-    match kind {
-        InjectionKind::BitFlips => "bit_flips",
-        InjectionKind::Burst => "burst",
-        InjectionKind::ChunkErasure => "chunk_erasure",
-        InjectionKind::RowPointerGroupErasure => "row_pointer_group_erasure",
-        InjectionKind::PrecondFactorFlips => "precond_factor_flips",
-        InjectionKind::PrecondFactorBurst => "precond_factor_burst",
-        InjectionKind::InnerApplyBurst => "inner_apply_burst",
-        InjectionKind::SolverVectorFlips => "solver_vector_flips",
-        InjectionKind::SolverVectorBurst => "solver_vector_burst",
-    }
-}
-
-fn injection_from_tag(tag: &str) -> Result<InjectionKind, String> {
-    Ok(match tag {
-        "bit_flips" => InjectionKind::BitFlips,
-        "burst" => InjectionKind::Burst,
-        "chunk_erasure" => InjectionKind::ChunkErasure,
-        "row_pointer_group_erasure" => InjectionKind::RowPointerGroupErasure,
-        "precond_factor_flips" => InjectionKind::PrecondFactorFlips,
-        "precond_factor_burst" => InjectionKind::PrecondFactorBurst,
-        "inner_apply_burst" => InjectionKind::InnerApplyBurst,
-        "solver_vector_flips" => InjectionKind::SolverVectorFlips,
-        "solver_vector_burst" => InjectionKind::SolverVectorBurst,
-        other => return Err(format!("unknown injection tag {other:?}")),
-    })
-}
-
-fn storage_tag(storage: StorageTier) -> String {
-    match storage {
-        StorageTier::Csr => "csr".to_string(),
-        StorageTier::Coo => "coo".to_string(),
-        StorageTier::BlockedCsr(blocks) => format!("blocked_csr:{blocks}"),
-    }
-}
-
-fn storage_from_tag(tag: &str) -> Result<StorageTier, String> {
-    if let Some(blocks) = tag.strip_prefix("blocked_csr:") {
-        return blocks
-            .parse::<usize>()
-            .map(StorageTier::BlockedCsr)
-            .map_err(|e| format!("bad blocked_csr tag {tag:?}: {e}"));
-    }
-    Ok(match tag {
-        "csr" => StorageTier::Csr,
-        "coo" => StorageTier::Coo,
-        other => return Err(format!("unknown storage tag {other:?}")),
-    })
-}
-
-fn precond_tag(kind: PrecondKind) -> String {
-    match kind {
-        PrecondKind::Ilu0 => "ilu0".to_string(),
-        PrecondKind::Polynomial(steps) => format!("polynomial:{steps}"),
-    }
-}
-
-fn precond_from_tag(tag: &str) -> Result<PrecondKind, String> {
-    if let Some(steps) = tag.strip_prefix("polynomial:") {
-        return steps
-            .parse::<usize>()
-            .map(PrecondKind::Polynomial)
-            .map_err(|e| format!("bad polynomial tag {tag:?}: {e}"));
-    }
-    match tag {
-        "ilu0" => Ok(PrecondKind::Ilu0),
-        other => Err(format!("unknown preconditioner tag {other:?}")),
-    }
-}
-
-fn reliability_from_tag(tag: &str) -> Result<Reliability, String> {
-    [Reliability::Protected, Reliability::Unreliable]
-        .into_iter()
-        .find(|reliability| reliability.label() == tag)
-        .ok_or_else(|| format!("unknown reliability tag {tag:?}"))
-}
-
-fn outcome_tag(outcome: FaultOutcome) -> &'static str {
-    match outcome {
-        FaultOutcome::Corrected => "corrected",
-        FaultOutcome::DetectedRebuilt => "detected_rebuilt",
-        FaultOutcome::DetectedAborted => "detected_aborted",
-        FaultOutcome::BoundsCaught => "bounds_caught",
-        FaultOutcome::Masked => "masked",
-        FaultOutcome::SilentCorruption => "silent_corruption",
-    }
-}
-
-fn outcome_from_tag(tag: &str) -> Result<FaultOutcome, String> {
-    Ok(match tag {
-        "corrected" => FaultOutcome::Corrected,
-        "detected_rebuilt" => FaultOutcome::DetectedRebuilt,
-        "detected_aborted" => FaultOutcome::DetectedAborted,
-        "bounds_caught" => FaultOutcome::BoundsCaught,
-        "masked" => FaultOutcome::Masked,
-        "silent_corruption" => FaultOutcome::SilentCorruption,
-        other => return Err(format!("unknown outcome tag {other:?}")),
-    })
+fn tag_field<T: Tagged>(value: &Json, name: &str) -> Result<T, String> {
+    from_tag(str_field(value, name)?)
 }
 
 fn flips_to_json(flips: &[(usize, u32)]) -> Json {
@@ -490,28 +458,11 @@ fn flips_from_json(value: &Json) -> Result<Vec<(usize, u32)>, String> {
         .collect()
 }
 
-fn vector_tag(vector: SolverVectorTarget) -> &'static str {
-    match vector {
-        SolverVectorTarget::X => "x",
-        SolverVectorTarget::R => "r",
-        SolverVectorTarget::P => "p",
-    }
-}
-
-fn vector_from_tag(tag: &str) -> Result<SolverVectorTarget, String> {
-    Ok(match tag {
-        "x" => SolverVectorTarget::X,
-        "r" => SolverVectorTarget::R,
-        "p" => SolverVectorTarget::P,
-        other => return Err(format!("unknown solver-vector tag {other:?}")),
-    })
-}
-
 fn draw_to_json(draw: &TrialDraw) -> Json {
     match draw {
         TrialDraw::Flips(spec) => Json::obj([
             ("type", "flips".into()),
-            ("target", target_tag(spec.target).into()),
+            ("target", tag(spec.target)),
             ("flips", flips_to_json(&spec.flips)),
         ]),
         TrialDraw::SolverVector {
@@ -520,7 +471,7 @@ fn draw_to_json(draw: &TrialDraw) -> Json {
             flips,
         } => Json::obj([
             ("type", "solver_vector".into()),
-            ("vector", vector_tag(*vector).into()),
+            ("vector", tag(*vector)),
             ("strike_iteration", u64_to_json(*strike_iteration)),
             ("flips", flips_to_json(flips)),
         ]),
@@ -556,37 +507,29 @@ fn draw_to_json(draw: &TrialDraw) -> Json {
 }
 
 fn draw_from_json(value: &Json) -> Result<TrialDraw, String> {
-    let kind = value
-        .get("type")
-        .and_then(Json::as_str)
-        .ok_or("draw has no type")?;
-    let field = |name: &str| {
-        value
-            .get(name)
-            .ok_or_else(|| format!("draw missing {name}"))
-    };
-    Ok(match kind {
+    let flips = || flips_from_json(field(value, "flips")?);
+    Ok(match str_field(value, "type")? {
         "flips" => TrialDraw::Flips(FaultSpec {
-            target: target_from_tag(field("target")?.as_str().ok_or("target not a string")?)?,
-            flips: flips_from_json(field("flips")?)?,
+            target: tag_field(value, "target")?,
+            flips: flips()?,
         }),
         "solver_vector" => TrialDraw::SolverVector {
-            vector: vector_from_tag(field("vector")?.as_str().ok_or("vector not a string")?)?,
-            strike_iteration: u64_from_json(field("strike_iteration")?, "strike_iteration")?,
-            flips: flips_from_json(field("flips")?)?,
+            vector: tag_field(value, "vector")?,
+            strike_iteration: u64_field(value, "strike_iteration")?,
+            flips: flips()?,
         },
         "chunk_erasure" => TrialDraw::ChunkErasure {
-            chunk: usize_from_json(field("chunk")?, "chunk")?,
-            chunk_words: usize_from_json(field("chunk_words")?, "chunk_words")?,
-            strike_iteration: u64_from_json(field("strike_iteration")?, "strike_iteration")?,
-            garbage_seed: u64_from_json(field("garbage_seed")?, "garbage_seed")?,
+            chunk: usize_field(value, "chunk")?,
+            chunk_words: usize_field(value, "chunk_words")?,
+            strike_iteration: u64_field(value, "strike_iteration")?,
+            garbage_seed: u64_field(value, "garbage_seed")?,
         },
-        "precond_factors" => TrialDraw::PrecondFactors(flips_from_json(field("flips")?)?),
+        "precond_factors" => TrialDraw::PrecondFactors(flips()?),
         "inner_apply_burst" => TrialDraw::InnerApplyBurst {
-            strike_apply: u64_from_json(field("strike_apply")?, "strike_apply")?,
-            element: usize_from_json(field("element")?, "element")?,
-            start_bit: usize_from_json(field("start_bit")?, "start_bit")? as u32,
-            length: usize_from_json(field("length")?, "length")? as u32,
+            strike_apply: u64_field(value, "strike_apply")?,
+            element: usize_field(value, "element")?,
+            start_bit: usize_field(value, "start_bit")? as u32,
+            length: usize_field(value, "length")? as u32,
         },
         other => return Err(format!("unknown draw type {other:?}")),
     })
@@ -599,14 +542,14 @@ fn config_to_json(config: &CampaignConfig) -> Json {
         ("ny", config.ny.into()),
         ("trials", config.trials.into()),
         ("flips_per_trial", config.flips_per_trial.into()),
-        ("elements", scheme_tag(protection.elements).into()),
-        ("row_pointer", scheme_tag(protection.row_pointer).into()),
-        ("vectors", scheme_tag(protection.vectors).into()),
+        ("elements", tag(protection.elements)),
+        ("row_pointer", tag(protection.row_pointer)),
+        ("vectors", tag(protection.vectors)),
         (
             "check_interval",
             (protection.check_interval as usize).into(),
         ),
-        ("crc_backend", backend_tag(protection.crc_backend).into()),
+        ("crc_backend", tag(protection.crc_backend)),
         ("parallel", protection.parallel.into()),
         (
             "parity",
@@ -618,76 +561,50 @@ fn config_to_json(config: &CampaignConfig) -> Json {
                 None => Json::Null,
             },
         ),
-        ("target", target_tag(config.target).into()),
+        ("target", tag(config.target)),
         ("seed", u64_to_json(config.seed)),
         ("sdc_threshold", config.sdc_threshold.into()),
-        ("solver", method_tag(config.solver).into()),
-        ("injection", injection_tag(config.injection).into()),
-        ("storage", storage_tag(config.storage).into()),
-        ("precond", precond_tag(config.precond).into()),
-        (
-            "precond_reliability",
-            config.precond_reliability.label().into(),
-        ),
+        ("solver", tag(config.solver)),
+        ("injection", tag(config.injection)),
+        ("storage", tag(config.storage)),
+        ("precond", tag(config.precond)),
+        ("precond_reliability", tag(config.precond_reliability)),
     ])
 }
 
 fn config_from_json(value: &Json) -> Result<CampaignConfig, String> {
-    let str_field = |name: &str| {
-        value
-            .get(name)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("config missing string field {name}"))
-    };
-    let num_field = |name: &str| {
-        value
-            .get(name)
-            .ok_or_else(|| format!("config missing field {name}"))
-            .and_then(|v| usize_from_json(v, name))
-    };
     let parity = match value.get("parity") {
         None | Some(Json::Null) => None,
         Some(parity) => Some(ParityConfig {
-            stripe_chunks: usize_from_json(
-                parity
-                    .get("stripe_chunks")
-                    .ok_or("parity missing stripe_chunks")?,
-                "stripe_chunks",
-            )?,
-            chunk_words: usize_from_json(
-                parity
-                    .get("chunk_words")
-                    .ok_or("parity missing chunk_words")?,
-                "chunk_words",
-            )?,
+            stripe_chunks: usize_field(parity, "stripe_chunks")?,
+            chunk_words: usize_field(parity, "chunk_words")?,
         }),
     };
     let protection = ProtectionConfig {
-        elements: scheme_from_tag(str_field("elements")?)?,
-        row_pointer: scheme_from_tag(str_field("row_pointer")?)?,
-        vectors: scheme_from_tag(str_field("vectors")?)?,
-        check_interval: num_field("check_interval")? as u32,
-        crc_backend: backend_from_tag(str_field("crc_backend")?)?,
+        elements: tag_field(value, "elements")?,
+        row_pointer: tag_field(value, "row_pointer")?,
+        vectors: tag_field(value, "vectors")?,
+        check_interval: usize_field(value, "check_interval")? as u32,
+        crc_backend: tag_field(value, "crc_backend")?,
         parallel: matches!(value.get("parallel"), Some(Json::Bool(true))),
         parity,
     };
     Ok(CampaignConfig {
-        nx: num_field("nx")?,
-        ny: num_field("ny")?,
-        trials: num_field("trials")?,
-        flips_per_trial: num_field("flips_per_trial")?,
+        nx: usize_field(value, "nx")?,
+        ny: usize_field(value, "ny")?,
+        trials: usize_field(value, "trials")?,
+        flips_per_trial: usize_field(value, "flips_per_trial")?,
         protection,
-        target: target_from_tag(str_field("target")?)?,
-        seed: u64_from_json(value.get("seed").ok_or("config missing seed")?, "seed")?,
-        sdc_threshold: value
-            .get("sdc_threshold")
-            .and_then(Json::as_f64)
-            .ok_or("config missing sdc_threshold")?,
-        solver: method_from_tag(str_field("solver")?)?,
-        injection: injection_from_tag(str_field("injection")?)?,
-        storage: storage_from_tag(str_field("storage")?)?,
-        precond: precond_from_tag(str_field("precond")?)?,
-        precond_reliability: reliability_from_tag(str_field("precond_reliability")?)?,
+        target: tag_field(value, "target")?,
+        seed: u64_field(value, "seed")?,
+        sdc_threshold: field(value, "sdc_threshold")?
+            .as_f64()
+            .ok_or("sdc_threshold: expected a number")?,
+        solver: tag_field(value, "solver")?,
+        injection: tag_field(value, "injection")?,
+        storage: tag_field(value, "storage")?,
+        precond: tag_field(value, "precond")?,
+        precond_reliability: tag_field(value, "precond_reliability")?,
     })
 }
 
@@ -695,7 +612,7 @@ fn record_to_json(record: &TrialRecord) -> Json {
     Json::obj([
         ("config", config_to_json(&record.config)),
         ("trial", record.trial.into()),
-        ("outcome", outcome_tag(record.outcome).into()),
+        ("outcome", tag(record.outcome)),
         ("draw", draw_to_json(&record.draw)),
         ("original_weight", record.original_weight.into()),
         ("minimized_weight", record.minimized_weight.into()),
@@ -704,32 +621,13 @@ fn record_to_json(record: &TrialRecord) -> Json {
 
 fn record_from_json(value: &Json) -> Result<TrialRecord, String> {
     Ok(TrialRecord {
-        config: config_from_json(value.get("config").ok_or("record missing config")?)?,
-        trial: usize_from_json(value.get("trial").ok_or("record missing trial")?, "trial")?,
-        outcome: outcome_tag_lookup(value)?,
-        draw: draw_from_json(value.get("draw").ok_or("record missing draw")?)?,
-        original_weight: usize_from_json(
-            value
-                .get("original_weight")
-                .ok_or("record missing original_weight")?,
-            "original_weight",
-        )?,
-        minimized_weight: usize_from_json(
-            value
-                .get("minimized_weight")
-                .ok_or("record missing minimized_weight")?,
-            "minimized_weight",
-        )?,
+        config: config_from_json(field(value, "config")?)?,
+        trial: usize_field(value, "trial")?,
+        outcome: tag_field(value, "outcome")?,
+        draw: draw_from_json(field(value, "draw")?)?,
+        original_weight: usize_field(value, "original_weight")?,
+        minimized_weight: usize_field(value, "minimized_weight")?,
     })
-}
-
-fn outcome_tag_lookup(value: &Json) -> Result<FaultOutcome, String> {
-    outcome_from_tag(
-        value
-            .get("outcome")
-            .and_then(Json::as_str)
-            .ok_or("record missing outcome")?,
-    )
 }
 
 #[cfg(test)]
@@ -874,7 +772,7 @@ mod tests {
         let parsed = FailureCorpus::from_json(&Json::parse(&written.render()).unwrap()).unwrap();
         assert_eq!(parsed, corpus);
         // The u64s survived exactly.
-        assert_eq!(parsed.records[0].seed(), 0xDEAD_BEEF_CAFE_F00D);
+        assert_eq!(parsed.records[0].config.seed, 0xDEAD_BEEF_CAFE_F00D);
         match &parsed.records[4].draw {
             TrialDraw::ChunkErasure { garbage_seed, .. } => {
                 assert_eq!(*garbage_seed, u64::MAX - 1)

@@ -9,7 +9,7 @@
 //! the outcome histograms — the soundness half of the paper's claim, next to
 //! the performance half shown by the benches.
 
-use abft_suite::faultsim::{Campaign, CampaignConfig, FaultTarget};
+use abft_suite::faultsim::{Campaign, CampaignConfig, FaultTarget, StreamConfig};
 use abft_suite::prelude::*;
 
 fn main() {
@@ -44,7 +44,9 @@ fn main() {
                 seed: 2017,
                 ..CampaignConfig::default()
             };
-            let stats = Campaign::new(config).run();
+            let stats = Campaign::new(config)
+                .run_streaming(&StreamConfig::default())
+                .stats;
             println!(
                 "  target {:<24} safety {:>6.1} %",
                 target.label(),

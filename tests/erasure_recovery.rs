@@ -14,7 +14,7 @@ use abft_suite::core::{
     ProtectionConfig, ReductionWorkspace, SpmvWorkspace,
 };
 use abft_suite::faultsim::{
-    Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultTarget, InjectionKind,
+    Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultTarget, InjectionKind, StreamConfig,
 };
 use abft_suite::prelude::{Crc32cBackend, Solver, SolverError};
 use abft_suite::solvers::backends::FullyProtected;
@@ -228,7 +228,9 @@ fn scaled_erasure_campaign_recovers_with_wilson_lower_bound_above_99_pct() {
         seed: 20170905,
         ..CampaignConfig::default()
     };
-    let stats = Campaign::new(config.clone()).run();
+    let stats = Campaign::new(config.clone())
+        .run_streaming(&StreamConfig::default())
+        .stats;
     assert_eq!(stats.trials(), 384);
     assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0);
     assert_eq!(stats.count(FaultOutcome::DetectedAborted), 0);
@@ -254,7 +256,8 @@ fn scaled_erasure_campaign_recovers_with_wilson_lower_bound_above_99_pct() {
         protection: ProtectionConfig::full(EccScheme::Secded64),
         ..config
     })
-    .run();
+    .run_streaming(&StreamConfig::default())
+    .stats;
     assert_eq!(disabled.count(FaultOutcome::DetectedAborted), 48);
     assert_eq!(disabled.count(FaultOutcome::DetectedRebuilt), 0);
     assert_eq!(disabled.count(FaultOutcome::SilentCorruption), 0);

@@ -1,7 +1,9 @@
 //! Integration-level fault-injection campaigns: the "fully protecting"
 //! claim of the paper's title, checked across schemes and regions.
 
-use abft_suite::faultsim::{Campaign, CampaignConfig, FaultOutcome, FaultTarget};
+use abft_suite::faultsim::{
+    Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultTarget, StreamConfig,
+};
 use abft_suite::prelude::*;
 
 fn campaign(scheme: EccScheme, target: FaultTarget, flips: usize, trials: usize) -> Campaign {
@@ -21,11 +23,16 @@ fn campaign(scheme: EccScheme, target: FaultTarget, flips: usize, trials: usize)
     })
 }
 
+/// Every trial of `campaign`, streamed.
+fn run(campaign: Campaign) -> CampaignStats {
+    campaign.run_streaming(&StreamConfig::default()).stats
+}
+
 #[test]
 fn no_scheme_ever_suffers_sdc_from_single_flips() {
     for scheme in EccScheme::ALL {
         for target in FaultTarget::ALL {
-            let stats = campaign(scheme, target, 1, 30).run();
+            let stats = run(campaign(scheme, target, 1, 30));
             assert_eq!(
                 stats.count(FaultOutcome::SilentCorruption),
                 0,
@@ -44,13 +51,13 @@ fn correcting_schemes_correct_and_sed_only_detects() {
         FaultTarget::RowPointer,
         FaultTarget::DenseVector,
     ] {
-        let secded = campaign(EccScheme::Secded64, target, 1, 30).run();
+        let secded = run(campaign(EccScheme::Secded64, target, 1, 30));
         assert_eq!(
             secded.count(FaultOutcome::DetectedAborted),
             0,
             "{target:?}: SECDED must correct every single flip"
         );
-        let sed = campaign(EccScheme::Sed, target, 1, 30).run();
+        let sed = run(campaign(EccScheme::Sed, target, 1, 30));
         assert_eq!(
             sed.count(FaultOutcome::Corrected),
             0,
@@ -74,14 +81,14 @@ fn unprotected_baseline_shows_why_protection_matters() {
         seed: 99,
         ..CampaignConfig::default()
     };
-    let unprotected = Campaign::new(config.clone()).run();
+    let unprotected = run(Campaign::new(config.clone()));
     assert!(
         unprotected.count(FaultOutcome::SilentCorruption) > 0,
         "unprotected flips must corrupt at least some runs"
     );
 
     config.protection = ProtectionConfig::full(EccScheme::Crc32c);
-    let protected = Campaign::new(config).run();
+    let protected = run(Campaign::new(config));
     assert_eq!(protected.count(FaultOutcome::SilentCorruption), 0);
     assert!(protected.safety_rate() > unprotected.safety_rate());
 }
@@ -90,7 +97,12 @@ fn unprotected_baseline_shows_why_protection_matters() {
 fn crc_protects_against_multi_bit_upsets() {
     // CRC32C detects every error of weight <= 5 inside its HD-6 window; with
     // 3 flips spread over the matrix it must never silently corrupt.
-    let stats = campaign(EccScheme::Crc32c, FaultTarget::MatrixValues, 3, 40).run();
+    let stats = run(campaign(
+        EccScheme::Crc32c,
+        FaultTarget::MatrixValues,
+        3,
+        40,
+    ));
     assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0);
     assert!(stats.safety_rate() == 1.0);
 }

@@ -92,7 +92,7 @@ fn committed_failure_corpus_replays_bit_for_bit() {
             outcome.matches(),
             "record for trial {} (kind {:?}, scheme {:?}) replayed as {:?}, recorded {:?}",
             record.trial,
-            record.kind(),
+            record.config.injection,
             record.scheme(),
             outcome.replayed,
             outcome.recorded,
@@ -121,7 +121,7 @@ fn regenerate_failure_corpus_fixture() {
     for (config, wanted) in scenarios() {
         let campaign = Campaign::new(config.clone());
         let trial = (0..config.trials)
-            .find(|&trial| campaign.run_trial_indexed(trial) == wanted)
+            .find(|&trial| campaign.execute_draw(&campaign.draw_trial(trial)).outcome == wanted)
             .unwrap_or_else(|| panic!("no trial in {:?} produced {wanted:?}", config.injection));
         let record = campaign.minimize_trial(trial);
         assert_eq!(record.outcome, wanted);

@@ -34,7 +34,8 @@ fn unreliable_inner_tier_never_corrupts_silently_over_256_trials() {
         seed: 20170905,
         ..CampaignConfig::default()
     })
-    .run();
+    .run_streaming(&StreamConfig::default())
+    .stats;
 
     assert_eq!(stats.trials(), trials);
     assert_eq!(
@@ -78,7 +79,8 @@ fn corrupted_unreliable_factors_never_corrupt_silently() {
             seed: 20170905,
             ..CampaignConfig::default()
         })
-        .run();
+        .run_streaming(&StreamConfig::default())
+        .stats;
         assert_eq!(
             stats.count(FaultOutcome::SilentCorruption),
             0,

@@ -357,7 +357,8 @@ fn campaign_covers_protected_chebyshev_and_ppcg() {
             solver: method,
             ..CampaignConfig::default()
         })
-        .run();
+        .run_streaming(&StreamConfig::default())
+        .stats;
         assert_eq!(stats.trials(), 20);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{method:?}");
         assert!(stats.count(FaultOutcome::Corrected) > 0, "{method:?}");

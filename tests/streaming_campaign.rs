@@ -97,10 +97,7 @@ fn unprotected_campaign(trials: usize) -> Campaign {
 #[test]
 fn streamed_peak_memory_is_independent_of_trial_count() {
     let _guard = lock();
-    let stream = StreamConfig {
-        capture_limit: 0,
-        ..StreamConfig::default()
-    };
+    let stream = StreamConfig::default();
     let small = bitflip_campaign(4_000, 0xABF7);
     let (report_small, peak_small) = peak_growth(|| small.run_streaming(&stream));
     assert_eq!(report_small.trials_run, 4_000);
@@ -130,7 +127,6 @@ fn stop_rule_target_met_stops_before_max_trials() {
     let _guard = lock();
     let campaign = bitflip_campaign(50_000, 0xABF7);
     let stream = StreamConfig {
-        capture_limit: 0,
         stop: Some(StopRule {
             target_safety_lb: 0.9,
             min_trials: 1_000,
@@ -163,7 +159,6 @@ fn stop_rule_futility_aborts_a_hopeless_campaign() {
     let campaign = unprotected_campaign(20_000);
     let stream = StreamConfig {
         batch: 512,
-        capture_limit: 0,
         stop: Some(StopRule {
             target_safety_lb: 0.999,
             min_trials: 200,
@@ -234,10 +229,7 @@ fn captured_failures_minimize_and_replay_exactly() {
 fn drift_histogram_accounts_for_every_trial() {
     let _guard = lock();
     let campaign = bitflip_campaign(2_000, 0x0D1F7);
-    let report = campaign.run_streaming(&StreamConfig {
-        capture_limit: 0,
-        ..StreamConfig::default()
-    });
+    let report = campaign.run_streaming(&StreamConfig::default());
     assert_eq!(report.drift.total(), 2_000);
 }
 
@@ -249,10 +241,7 @@ fn drift_histogram_accounts_for_every_trial() {
 #[ignore = "million-trial acceptance campaign (minutes): run with cargo test -- --ignored"]
 fn million_trial_campaign_is_memory_flat_and_sharding_independent() {
     let _guard = lock();
-    let stream = StreamConfig {
-        capture_limit: 0,
-        ..StreamConfig::default()
-    };
+    let stream = StreamConfig::default();
 
     let pilot = bitflip_campaign(20_000, 0xABF7);
     let (_, peak_pilot) = peak_growth(|| pilot.run_streaming(&stream));
@@ -279,7 +268,7 @@ fn million_trial_campaign_is_memory_flat_and_sharding_independent() {
     // sharded accumulators must reproduce exactly.
     let mut sequential = CampaignStats::default();
     for trial in 0..1_000_000 {
-        sequential.record(campaign.run_trial_indexed(trial));
+        sequential.record(campaign.execute_draw(&campaign.draw_trial(trial)).outcome);
     }
     assert_eq!(reports[0].stats, sequential);
     assert_eq!(sequential.trials(), 1_000_000);

@@ -107,7 +107,7 @@ fn streamed_accumulators_match_sequential_pass_at_1_2_8_workers() {
 
     let mut sequential = CampaignStats::default();
     for trial in 0..campaign.config().trials {
-        sequential.record(campaign.run_trial_indexed(trial));
+        sequential.record(campaign.execute_draw(&campaign.draw_trial(trial)).outcome);
     }
     assert_eq!(sequential.trials(), 300);
 
