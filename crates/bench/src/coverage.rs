@@ -133,9 +133,9 @@ fn coverage_row(
     }
 }
 
-/// Grid of the COO-parallel rows: 73 × 71 = 5183 rows is past the parallel
-/// drivers' 4096-row minimum chunk, so on any host with at least two lanes
-/// `spmv_parallel_with` splits the matrix into two row ranges, the second
+/// Grid of the COO-parallel rows: 73 × 71 = 5183 rows is past the pool's
+/// 4096-row minimum chunk, so on any host with at least two lanes the SpMV
+/// of a parallel-configured matrix splits it into two row ranges, the second
 /// starting at row 2592 — an interior cell (x = 37), whose five entries are
 /// all non-zero (a boundary row leads with an explicit zero, which would
 /// mask a stepped-over first element).  One lane runs the same trials as one

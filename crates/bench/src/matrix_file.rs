@@ -133,13 +133,8 @@ pub fn matrix_file_report(config: &MatrixFileConfig) -> Result<MatrixFileReport,
                 .map(|_| {
                     let start = Instant::now();
                     for iteration in 0..config.iters.max(1) {
-                        if config.parallel {
-                            a.spmv_parallel_with(&x[..], &mut y, iteration as u64, &log, &mut ws)
-                                .expect("clean spmv");
-                        } else {
-                            a.spmv_with(&x[..], &mut y, iteration as u64, &log, &mut ws)
-                                .expect("clean spmv");
-                        }
+                        a.spmv_with(&x[..], &mut y, iteration as u64, &log, &mut ws)
+                            .expect("clean spmv");
                     }
                     std::hint::black_box(&y);
                     start.elapsed().as_nanos() as f64 / config.iters.max(1) as f64

@@ -18,10 +18,10 @@
 //! Three further properties, shared by every kernel here:
 //!
 //! * **Bulk fault accounting** — integrity checks are tallied in a local
-//!   counter and flushed to the [`FaultLog`] in one atomic update per call
-//!   (per chunk, in the parallel variants), mirroring the range kernels.  The
-//!   flush happens on the error path too, so an aborting fault reports
-//!   exactly the checks performed.
+//!   counter and flushed to the [`FaultLog`] in one update per call,
+//!   mirroring the range kernels; on the worker pool each chunk adds its
+//!   local tally to one shared atomic once.  The flush happens on the error
+//!   path too, so an aborting fault reports exactly the checks performed.
 //! * **Blocked reductions** — the dot-product family accumulates per
 //!   [`ACC_BLOCK`] elements and folds the block partials in order, so the
 //!   serial kernels, the chunked parallel kernels and the group-decode
@@ -33,17 +33,24 @@
 //!   [`ProtectedVector::scale_axpy_masked`] fuses Chebyshev's
 //!   `d ← β·d + α·r` pair.
 //!
-//! The serial kernels are allocation-free (stack group buffers only); the
-//! parallel variants are allocation-free too once a caller-owned
-//! [`ReductionWorkspace`] is warm — the solver backends own one behind a
-//! `RefCell`, exactly like the [`SpmvWorkspace`](crate::SpmvWorkspace), so
-//! whole parallel protected CG iterations never touch the heap
-//! (`tests/zero_alloc.rs` pins both paths).
+//! Serial or parallel is the vector's own
+//! [`is_parallel`](ProtectedVector::is_parallel) hint, read by the kernel:
+//! a parallel vector long enough to split runs as block-aligned chunks on
+//! the worker pool, anything else as one chunk on the caller, with the same
+//! bits and the same check counts either way.  The elementwise kernels
+//! (AXPY, XPAY, scale, the fused scale + AXPY) need no workspace; the three
+//! reductions keep a serial body beside one `*_masked_with` form that
+//! stages its partial sums in a caller-owned [`ReductionWorkspace`] — the
+//! solver backends own one behind a `RefCell`, exactly like the
+//! [`SpmvWorkspace`](crate::SpmvWorkspace), so whole protected CG
+//! iterations never touch the heap (`tests/zero_alloc.rs` pins both
+//! paths).
 
 use crate::error::AbftError;
 use crate::protected_vector::{GroupCodec, ProtectedVector, ACC_BLOCK, MAX_GROUP};
 use crate::report::{FaultLog, Region};
 use crate::schemes::EccScheme;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Minimum storage-word count for the chunked-parallel BLAS-1 variants to
 /// engage; shorter vectors take the serial kernels.
@@ -86,27 +93,23 @@ fn partial_chunks(n_blocks: usize) -> usize {
         .max(1)
 }
 
-/// Reusable scratch storage for the chunked-parallel BLAS-1 kernels, owned
-/// by the solver backends (behind a `RefCell`, the sibling of
+/// Reusable scratch storage for the chunked-parallel BLAS-1 reductions,
+/// owned by the solver backends (behind a `RefCell`, the sibling of
 /// [`crate::SpmvWorkspace`]) so parallel reductions reuse preallocated
-/// per-chunk partial slots instead of allocating per call.
+/// partial slots instead of allocating per call.
 ///
 /// Buffers grow on first use and are reused verbatim afterwards; all
-/// contents are transient per kernel invocation (tallies are re-zeroed,
-/// partial slots rewritten), so one workspace may serve any sequence of
-/// kernels on vectors of any length or scheme.
+/// contents are transient per kernel invocation (partial slots are
+/// rewritten), so one workspace may serve any sequence of kernels on
+/// vectors of any length or scheme.
 #[derive(Debug, Default, Clone)]
 pub struct ReductionWorkspace {
     /// Flat per-[`ACC_BLOCK`]-block partial sums (dot / norm²), folded in
     /// block order after the dispatch.
     partials: Vec<f64>,
-    /// Per-chunk check tallies, folded into the [`FaultLog`] in one bulk
-    /// update per kernel.
-    tallies: Vec<u64>,
-    /// Per-chunk fused-kernel states (dot + AXPY): block partials are kept
-    /// per chunk because that kernel chunks the mutated storage, not the
-    /// partials buffer.
-    chunks: Vec<ChunkAcc>,
+    /// Per-chunk block partials of the fused dot + AXPY, which chunks the
+    /// mutated storage, not the partials buffer.
+    chunk_partials: Vec<Vec<f64>>,
     /// Per-chunk partial sums of the *plain* parallel dot
     /// ([`abft_sparse`] storage), so the unprotected backends share the
     /// allocation-free property.
@@ -120,49 +123,59 @@ impl ReductionWorkspace {
         ReductionWorkspace::default()
     }
 
-    /// Borrows `n_blocks` partial slots and `n_chunks` zeroed tallies.
-    fn partials_and_tallies(
-        &mut self,
-        n_blocks: usize,
-        n_chunks: usize,
-    ) -> (&mut [f64], &mut [u64]) {
+    /// Borrows `n_blocks` partial slots.
+    fn partials(&mut self, n_blocks: usize) -> &mut [f64] {
         if self.partials.len() < n_blocks {
             self.partials.resize(n_blocks, 0.0);
         }
-        let tallies = Self::zeroed_tallies(&mut self.tallies, n_chunks);
-        (&mut self.partials[..n_blocks], tallies)
+        &mut self.partials[..n_blocks]
     }
 
-    /// Borrows `n_chunks` zeroed tallies.
-    fn zeroed_tallies(tallies: &mut Vec<u64>, n_chunks: usize) -> &mut [u64] {
-        if tallies.len() < n_chunks {
-            tallies.resize(n_chunks, 0);
+    /// Borrows `n_chunks` empty partial lists, their capacity retained.
+    fn chunk_partials(&mut self, n_chunks: usize) -> &mut [Vec<f64>] {
+        if self.chunk_partials.len() < n_chunks {
+            self.chunk_partials.resize_with(n_chunks, Vec::new);
         }
-        let tallies = &mut tallies[..n_chunks];
-        tallies.fill(0);
-        tallies
-    }
-
-    /// Borrows `n_chunks` reset fused-kernel states (tally zero, partial
-    /// list empty with its capacity retained).
-    fn reset_chunks(&mut self, n_chunks: usize) -> &mut [ChunkAcc] {
-        if self.chunks.len() < n_chunks {
-            self.chunks.resize_with(n_chunks, ChunkAcc::default);
+        let lists = &mut self.chunk_partials[..n_chunks];
+        for list in lists.iter_mut() {
+            list.clear();
         }
-        let chunks = &mut self.chunks[..n_chunks];
-        for chunk in chunks.iter_mut() {
-            chunk.tally = 0;
-            chunk.partials.clear();
-        }
-        chunks
+        lists
     }
 
     /// The plain-path per-chunk partial buffer, handed to
-    /// [`abft_sparse::spmv::dot_parallel_with`]-style kernels that size it
-    /// themselves.
+    /// [`abft_sparse::spmv::dot_parallel_with`], which sizes it itself.
     pub fn plain_chunk_buffer(&mut self) -> &mut Vec<f64> {
         &mut self.plain
     }
+}
+
+/// Runs `body(offset, chunk, state, tally)` over `data` split into
+/// `states.len()` chunks and flushes the checks it tallies in one update.
+/// One chunk runs inline with a plain `u64` tally; several run on the
+/// worker pool, each adding its local tally to one shared atomic once.
+fn run_chunks<T: Send, S: Send>(
+    data: &mut [T],
+    states: &mut [S],
+    log: &FaultLog,
+    scheme: EccScheme,
+    body: impl Fn(usize, &mut [T], &mut S, &mut u64) -> Result<(), AbftError> + Sync,
+) -> Result<(), AbftError> {
+    if let [state] = states {
+        let mut tally = 0;
+        let result = body(0, data, state, &mut tally);
+        flush_checks(log, scheme, tally);
+        return result;
+    }
+    let checks = AtomicU64::new(0);
+    let result = rayon::with_chunks_mut(data, states, |offset, chunk, state| {
+        let mut tally = 0;
+        let result = body(offset, chunk, state, &mut tally);
+        checks.fetch_add(tally, Ordering::Relaxed);
+        result
+    });
+    flush_checks(log, scheme, checks.into_inner());
+    result
 }
 
 /// Sums `block(start, end)` over the [`ACC_BLOCK`] runs of `n` storage words
@@ -473,22 +486,45 @@ pub(crate) fn copy_range(
     Ok(())
 }
 
-/// Per-chunk state of the parallel fused kernel: local check tally plus the
-/// chunk's block partial sums (folded in chunk order afterwards).
-#[derive(Debug, Default, Clone)]
-struct ChunkAcc {
-    tally: u64,
-    partials: Vec<f64>,
-}
-
 impl ProtectedVector {
+    /// Chunks an elementwise kernel over this vector runs in: one, unless
+    /// the vector is parallel and its storage splits on block boundaries.
+    fn update_chunks(&self) -> usize {
+        if self.is_parallel() {
+            block_aligned_chunks(self.data.len())
+        } else {
+            1
+        }
+    }
+
+    /// Chunks a reduction over this vector's `n_blocks` block partials runs
+    /// in: one, unless the vector is parallel and long enough to split.
+    fn reduction_chunks(&self, n_blocks: usize) -> usize {
+        if self.is_parallel() && self.data.len() >= PARALLEL_MIN_ELEMENTS {
+            partial_chunks(n_blocks)
+        } else {
+            1
+        }
+    }
+
+    /// Panics unless `x` is a same-length, same-scheme operand of `what`.
+    fn assert_operand(&self, x: &ProtectedVector, what: &str) {
+        assert_eq!(self.len(), x.len(), "{what}: length mismatch");
+        assert_eq!(
+            self.scheme, x.scheme,
+            "{what}: schemes must match (got {:?} vs {:?})",
+            self.scheme, x.scheme
+        );
+    }
+
     /// Masked bulk dot product: each [`ACC_BLOCK`]-element block is first
     /// certified clean by one batched SIMD predicate
     /// ([`abft_ecc::verify`]), then the multiply-accumulate runs over the
     /// raw words with the mask in a register; only a failing block is
     /// re-walked group by group through the correcting decode.  Check
     /// tallies are flushed to the log in one bulk atomic update per call.
-    /// Bitwise identical to [`ProtectedVector::dot`].
+    /// Bitwise identical to [`ProtectedVector::dot`].  Always serial; see
+    /// [`ProtectedVector::dot_masked_with`].
     ///
     /// ```
     /// use abft_core::{EccScheme, FaultLog, ProtectedVector};
@@ -520,58 +556,57 @@ impl ProtectedVector {
         result
     }
 
-    /// Chunked-parallel [`ProtectedVector::dot_masked`]: block partials are
-    /// computed on the worker pool and folded in block order, so the result
-    /// is bitwise identical to the serial kernel.  Falls back to serial for
-    /// small vectors.  The per-block partial slots and per-chunk tallies
-    /// live in the caller-owned `ws`, so a warm workspace makes the call
-    /// allocation-free.
-    pub fn dot_masked_parallel_with(
+    /// [`ProtectedVector::dot_masked`] following the vector's parallel
+    /// hint: block partials are computed on the worker pool into `ws` and
+    /// folded in block order, so the result is bitwise identical to the
+    /// serial kernel, which runs whenever the vector is serial or short.  A
+    /// warm workspace makes the call allocation-free.
+    pub fn dot_masked_with(
         &self,
         other: &ProtectedVector,
         log: &FaultLog,
         ws: &mut ReductionWorkspace,
     ) -> Result<f64, AbftError> {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "dot_masked_parallel: length mismatch"
-        );
-        if self.scheme != other.scheme {
-            return self.dot(other, log);
-        }
         let padded = self.data.len();
         let n_blocks = padded.div_ceil(ACC_BLOCK);
-        let n_chunks = partial_chunks(n_blocks);
-        if padded < PARALLEL_MIN_ELEMENTS || n_chunks <= 1 {
+        let n_chunks = self.reduction_chunks(n_blocks);
+        if n_chunks <= 1 || self.scheme != other.scheme {
             return self.dot_masked(other, log);
         }
+        assert_eq!(self.len(), other.len(), "dot_masked: length mismatch");
         let codec = self.codec();
         let len = self.len;
-        let (partials, tallies) = ws.partials_and_tallies(n_blocks, n_chunks);
-        let result = rayon::with_chunks_mut(partials, tallies, |block0, part, tally| {
-            for (i, slot) in part.iter_mut().enumerate() {
-                let start = (block0 + i) * ACC_BLOCK;
-                let end = (start + ACC_BLOCK).min(padded);
-                *slot = dot_block(
-                    codec,
-                    &self.data[start..end],
-                    &other.data[start..end],
-                    start,
-                    len,
-                    log,
-                    tally,
-                )?;
-            }
-            Ok(())
-        });
-        flush_checks(log, codec.scheme, tallies.iter().sum());
-        result?;
+        let (a, b) = (&self.data, &other.data);
+        let partials = ws.partials(n_blocks);
+        let states = &mut vec![(); n_chunks];
+        run_chunks(
+            partials,
+            states,
+            log,
+            codec.scheme,
+            |block0, part, _, tally| {
+                for (i, slot) in part.iter_mut().enumerate() {
+                    let start = (block0 + i) * ACC_BLOCK;
+                    let end = (start + ACC_BLOCK).min(padded);
+                    *slot = dot_block(
+                        codec,
+                        &a[start..end],
+                        &b[start..end],
+                        start,
+                        len,
+                        log,
+                        tally,
+                    )?;
+                }
+                Ok(())
+            },
+        )?;
         Ok(partials.iter().sum())
     }
 
     /// Masked Euclidean norm: one pass, one check per codeword group (the
     /// two-operand `dot(self, self)` checks and decodes every group twice).
+    /// Always serial; see [`ProtectedVector::norm2_masked_with`].
     pub fn norm2_masked(&self, log: &FaultLog) -> Result<f64, AbftError> {
         let codec = self.codec();
         let mut tally = 0u64;
@@ -589,32 +624,39 @@ impl ProtectedVector {
         result.map(f64::sqrt)
     }
 
-    /// Chunked-parallel [`ProtectedVector::norm2_masked`], bitwise identical
-    /// to the serial kernel (allocation-free once `ws` is warm).
-    pub fn norm2_masked_parallel_with(
+    /// [`ProtectedVector::norm2_masked`] following the vector's parallel
+    /// hint, bitwise identical to the serial kernel (allocation-free once
+    /// `ws` is warm).
+    pub fn norm2_masked_with(
         &self,
         log: &FaultLog,
         ws: &mut ReductionWorkspace,
     ) -> Result<f64, AbftError> {
         let padded = self.data.len();
         let n_blocks = padded.div_ceil(ACC_BLOCK);
-        let n_chunks = partial_chunks(n_blocks);
-        if padded < PARALLEL_MIN_ELEMENTS || n_chunks <= 1 {
+        let n_chunks = self.reduction_chunks(n_blocks);
+        if n_chunks <= 1 {
             return self.norm2_masked(log);
         }
         let codec = self.codec();
         let len = self.len;
-        let (partials, tallies) = ws.partials_and_tallies(n_blocks, n_chunks);
-        let result = rayon::with_chunks_mut(partials, tallies, |block0, part, tally| {
-            for (i, slot) in part.iter_mut().enumerate() {
-                let start = (block0 + i) * ACC_BLOCK;
-                let end = (start + ACC_BLOCK).min(padded);
-                *slot = norm_block(codec, &self.data[start..end], start, len, log, tally)?;
-            }
-            Ok(())
-        });
-        flush_checks(log, codec.scheme, tallies.iter().sum());
-        result?;
+        let data = &self.data;
+        let partials = ws.partials(n_blocks);
+        let states = &mut vec![(); n_chunks];
+        run_chunks(
+            partials,
+            states,
+            log,
+            codec.scheme,
+            |block0, part, _, tally| {
+                for (i, slot) in part.iter_mut().enumerate() {
+                    let start = (block0 + i) * ACC_BLOCK;
+                    let end = (start + ACC_BLOCK).min(padded);
+                    *slot = norm_block(codec, &data[start..end], start, len, log, tally)?;
+                }
+                Ok(())
+            },
+        )?;
         Ok(partials.iter().sum::<f64>().sqrt())
     }
 
@@ -631,21 +673,6 @@ impl ProtectedVector {
         self.zip_masked(x, log, "axpy_masked", move |s, xv| s + alpha * xv)
     }
 
-    /// Chunked-parallel [`ProtectedVector::axpy_masked`] (elementwise, so
-    /// trivially bitwise identical to the serial kernel; allocation-free
-    /// once `ws` is warm).
-    pub fn axpy_masked_parallel_with(
-        &mut self,
-        alpha: f64,
-        x: &ProtectedVector,
-        log: &FaultLog,
-        ws: &mut ReductionWorkspace,
-    ) -> Result<(), AbftError> {
-        self.zip_masked_parallel_with(x, log, ws, "axpy_masked_parallel", move |s, xv| {
-            s + alpha * xv
-        })
-    }
-
     /// Masked `self ← x + α·self` (the CG search-direction update).
     pub fn xpay_masked(
         &mut self,
@@ -656,57 +683,21 @@ impl ProtectedVector {
         self.zip_masked(x, log, "xpay_masked", move |s, xv| xv + alpha * s)
     }
 
-    /// Chunked-parallel [`ProtectedVector::xpay_masked`] (elementwise, so
-    /// trivially bitwise identical to the serial kernel; allocation-free
-    /// once `ws` is warm).
-    pub fn xpay_masked_parallel_with(
-        &mut self,
-        alpha: f64,
-        x: &ProtectedVector,
-        log: &FaultLog,
-        ws: &mut ReductionWorkspace,
-    ) -> Result<(), AbftError> {
-        self.zip_masked_parallel_with(x, log, ws, "xpay_masked_parallel", move |s, xv| {
-            xv + alpha * s
-        })
-    }
-
     /// Masked `self ← α·self`: one check and one re-encode per group.
     pub fn scale_masked(&mut self, alpha: f64, log: &FaultLog) -> Result<(), AbftError> {
         self.parity_precheck(None, log)?;
         let codec = self.codec();
         let len = self.len;
-        let mut tally = 0u64;
-        let mut scale = |_, v: f64| v * alpha;
-        let result = update_range(codec, &mut self.data, 0, len, log, &mut tally, &mut scale);
-        flush_checks(log, codec.scheme, tally);
-        if result.is_ok() {
-            self.parity_commit();
-        }
-        result
-    }
-
-    /// Chunked-parallel [`ProtectedVector::scale_masked`] (elementwise, so
-    /// trivially bitwise identical to the serial kernel; allocation-free
-    /// once `ws` is warm).
-    pub fn scale_masked_parallel_with(
-        &mut self,
-        alpha: f64,
-        log: &FaultLog,
-        ws: &mut ReductionWorkspace,
-    ) -> Result<(), AbftError> {
-        let n_chunks = block_aligned_chunks(self.data.len());
-        if n_chunks <= 1 {
-            return self.scale_masked(alpha, log);
-        }
-        self.parity_precheck(None, log)?;
-        let codec = self.codec();
-        let len = self.len;
-        let tallies = ReductionWorkspace::zeroed_tallies(&mut ws.tallies, n_chunks);
-        let result = rayon::with_chunks_mut(&mut self.data, tallies, |offset, chunk, tally| {
-            update_range(codec, chunk, offset, len, log, tally, &mut |_, v| v * alpha)
-        });
-        flush_checks(log, codec.scheme, tallies.iter().sum());
+        let states = &mut vec![(); self.update_chunks()];
+        let result = run_chunks(
+            &mut self.data,
+            states,
+            log,
+            codec.scheme,
+            |offset, chunk, _, tally| {
+                update_range(codec, chunk, offset, len, log, tally, &mut |_, v| v * alpha)
+            },
+        );
         if result.is_ok() {
             self.parity_commit();
         }
@@ -734,19 +725,15 @@ impl ProtectedVector {
     /// CG's residual update and convergence reduction in one pass over each
     /// group (one check per operand, one re-encode, instead of the three
     /// passes of AXPY + two dot reads).  Bitwise identical to the AXPY
-    /// followed by `dot(self, self)`.
+    /// followed by `dot(self, self)`.  Always serial; see
+    /// [`ProtectedVector::dot_axpy_masked_with`].
     pub fn dot_axpy_masked(
         &mut self,
         alpha: f64,
         x: &ProtectedVector,
         log: &FaultLog,
     ) -> Result<f64, AbftError> {
-        assert_eq!(self.len(), x.len(), "dot_axpy_masked: length mismatch");
-        assert_eq!(
-            self.scheme, x.scheme,
-            "dot_axpy_masked: schemes must match (got {:?} vs {:?})",
-            self.scheme, x.scheme
-        );
+        self.assert_operand(x, "dot_axpy_masked");
         self.parity_precheck(Some(x), log)?;
         let codec = self.codec();
         let len = self.len;
@@ -765,112 +752,76 @@ impl ProtectedVector {
         result
     }
 
-    /// Chunked-parallel [`ProtectedVector::dot_axpy_masked`]: chunks are
-    /// aligned to [`ACC_BLOCK`] boundaries and the block partials are folded
-    /// in block order, so the result (and the updated storage) is bitwise
-    /// identical to the serial kernel.  The per-chunk tallies and
+    /// [`ProtectedVector::dot_axpy_masked`] following the vector's parallel
+    /// hint: chunks are aligned to [`ACC_BLOCK`] boundaries and the block
+    /// partials are folded in block order, so the result (and the updated
+    /// storage) is bitwise identical to the serial kernel.  The per-chunk
     /// block-partial lists live in the caller-owned `ws` (capacity retained
     /// across calls), so a warm workspace makes the call allocation-free.
-    pub fn dot_axpy_masked_parallel_with(
+    pub fn dot_axpy_masked_with(
         &mut self,
         alpha: f64,
         x: &ProtectedVector,
         log: &FaultLog,
         ws: &mut ReductionWorkspace,
     ) -> Result<f64, AbftError> {
-        assert_eq!(
-            self.len(),
-            x.len(),
-            "dot_axpy_masked_parallel: length mismatch"
-        );
-        assert_eq!(
-            self.scheme, x.scheme,
-            "dot_axpy_masked_parallel: schemes must match"
-        );
-        let n_chunks = block_aligned_chunks(self.data.len());
+        let n_chunks = self.update_chunks();
         if n_chunks <= 1 {
             return self.dot_axpy_masked(alpha, x, log);
         }
+        self.assert_operand(x, "dot_axpy_masked");
         self.parity_precheck(Some(x), log)?;
         let codec = self.codec();
         let len = self.len;
-        let states = ws.reset_chunks(n_chunks);
         let x_data = &x.data;
-        let result = rayon::with_chunks_mut(&mut self.data, states, |offset, chunk, acc| {
-            for (b, s) in chunk.chunks_mut(ACC_BLOCK).enumerate() {
-                let at = offset + b * ACC_BLOCK;
-                let x = &x_data[at..at + s.len()];
-                let mut part = 0.0;
-                let op = &mut |s, xv| axpy_and_square(alpha, codec.mask, &mut part, s, xv);
-                zip_range(codec, s, x, at, len, log, &mut acc.tally, op)?;
-                acc.partials.push(part);
-            }
-            Ok(())
-        });
-        flush_checks(log, codec.scheme, states.iter().map(|s| s.tally).sum());
-        result?;
+        let states = ws.chunk_partials(n_chunks);
+        run_chunks(
+            &mut self.data,
+            states,
+            log,
+            codec.scheme,
+            |offset, chunk, partials, tally| {
+                for (b, s) in chunk.chunks_mut(ACC_BLOCK).enumerate() {
+                    let at = offset + b * ACC_BLOCK;
+                    let x = &x_data[at..at + s.len()];
+                    let mut part = 0.0;
+                    let op = &mut |s, xv| axpy_and_square(alpha, codec.mask, &mut part, s, xv);
+                    zip_range(codec, s, x, at, len, log, tally, op)?;
+                    partials.push(part);
+                }
+                Ok(())
+            },
+        )?;
         self.parity_commit();
-        Ok(states.iter().flat_map(|s| s.partials.iter()).sum())
+        Ok(states.iter().flatten().sum())
     }
 
-    /// Shared driver of the serial two-operand masked updates.
+    /// Shared driver of the two-operand masked updates `self[i] ←
+    /// op(self[i], x[i])`, serial or block-aligned chunks per the parallel
+    /// hint (elementwise, so bitwise identical either way).
     fn zip_masked(
         &mut self,
         x: &ProtectedVector,
         log: &FaultLog,
         what: &str,
-        mut op: impl FnMut(f64, f64) -> f64,
-    ) -> Result<(), AbftError> {
-        assert_eq!(self.len(), x.len(), "{what}: length mismatch");
-        assert_eq!(
-            self.scheme, x.scheme,
-            "{what}: schemes must match (got {:?} vs {:?})",
-            self.scheme, x.scheme
-        );
-        self.parity_precheck(Some(x), log)?;
-        let codec = self.codec();
-        let len = self.len;
-        let mut tally = 0u64;
-        let data = &mut self.data;
-        let result = zip_range(codec, data, &x.data, 0, len, log, &mut tally, &mut op);
-        flush_checks(log, codec.scheme, tally);
-        if result.is_ok() {
-            self.parity_commit();
-        }
-        result
-    }
-
-    /// Shared driver of the chunked-parallel two-operand masked updates.
-    fn zip_masked_parallel_with(
-        &mut self,
-        x: &ProtectedVector,
-        log: &FaultLog,
-        ws: &mut ReductionWorkspace,
-        what: &str,
         op: impl Fn(f64, f64) -> f64 + Sync,
     ) -> Result<(), AbftError> {
-        assert_eq!(self.len(), x.len(), "{what}: length mismatch");
-        assert_eq!(
-            self.scheme, x.scheme,
-            "{what}: schemes must match (got {:?} vs {:?})",
-            self.scheme, x.scheme
-        );
-        let n_chunks = block_aligned_chunks(self.data.len());
-        if n_chunks <= 1 {
-            return self.zip_masked(x, log, what, op);
-        }
+        self.assert_operand(x, what);
         self.parity_precheck(Some(x), log)?;
         let codec = self.codec();
         let len = self.len;
-        let tallies = ReductionWorkspace::zeroed_tallies(&mut ws.tallies, n_chunks);
         let x_data = &x.data;
-        let result = rayon::with_chunks_mut(&mut self.data, tallies, |offset, chunk, tally| {
-            let x = &x_data[offset..offset + chunk.len()];
-            zip_range(codec, chunk, x, offset, len, log, tally, &mut |s, xv| {
-                op(s, xv)
-            })
-        });
-        flush_checks(log, codec.scheme, tallies.iter().sum());
+        let states = &mut vec![(); self.update_chunks()];
+        let result = run_chunks(
+            &mut self.data,
+            states,
+            log,
+            codec.scheme,
+            |offset, chunk, _, tally| {
+                let x = &x_data[offset..offset + chunk.len()];
+                zip_range(codec, chunk, x, offset, len, log, tally, &mut &op)
+            },
+        );
         if result.is_ok() {
             self.parity_commit();
         }

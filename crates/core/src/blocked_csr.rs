@@ -367,6 +367,7 @@ impl ProtectedMatrix for ProtectedBlockedCsr {
 mod tests {
     use super::*;
     use crate::schemes::EccScheme;
+    use crate::SpmvWorkspace;
     use abft_ecc::Crc32cBackend;
     use abft_sparse::builders::poisson_2d_padded;
 
@@ -422,11 +423,15 @@ mod tests {
             let unblocked = ProtectedCsr::from_csr(&m, &cfg).unwrap();
             let log = FaultLog::new();
             let mut expected = vec![0.0; m.rows()];
-            unblocked.spmv(&x, &mut expected, 0, &log).unwrap();
+            unblocked
+                .spmv_with(&x, &mut expected, 0, &log, &mut SpmvWorkspace::new())
+                .unwrap();
             for num_blocks in [1usize, 2, 3, 7] {
                 let blocked = ProtectedBlockedCsr::from_csr(&m, &cfg, num_blocks).unwrap();
                 let mut y = vec![0.0; m.rows()];
-                blocked.spmv(&x, &mut y, 0, &log).unwrap();
+                blocked
+                    .spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+                    .unwrap();
                 let same = y
                     .iter()
                     .zip(&expected)

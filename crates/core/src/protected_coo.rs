@@ -600,6 +600,7 @@ fn row_index_mask(scheme: EccScheme) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpmvWorkspace;
     use abft_ecc::Crc32cBackend;
     use abft_sparse::builders::poisson_2d_padded;
 
@@ -646,10 +647,14 @@ mod tests {
                 let p = ProtectedCoo::from_csr(&m, &config(elements, row_pointer)).unwrap();
                 let log = FaultLog::new();
                 let mut y = vec![0.0; m.rows()];
-                p.spmv(&x, &mut y, 0, &log).unwrap();
+                p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+                    .unwrap();
                 assert_eq!(y, expected, "{elements:?}/{row_pointer:?}");
+                let par = config(elements, row_pointer).with_parallel(true);
+                let p_par = ProtectedCoo::from_csr(&m, &par).unwrap();
                 let mut y2 = vec![0.0; m.rows()];
-                p.spmv_parallel_with(&x, &mut y2, 0, &log, &mut crate::SpmvWorkspace::new())
+                p_par
+                    .spmv_with(&x, &mut y2, 0, &log, &mut SpmvWorkspace::new())
                     .unwrap();
                 assert_eq!(y2, expected, "{elements:?}/{row_pointer:?} parallel");
                 // Interval-skipped iteration agrees too.
@@ -659,7 +664,8 @@ mod tests {
                 )
                 .unwrap();
                 let mut y3 = vec![0.0; m.rows()];
-                p2.spmv(&x, &mut y3, 3, &log).unwrap();
+                p2.spmv_with(&x, &mut y3, 3, &log, &mut SpmvWorkspace::new())
+                    .unwrap();
                 assert_eq!(y3, expected, "{elements:?}/{row_pointer:?} skipped");
                 assert_eq!(log.total_corrected() + log.total_uncorrectable(), 0);
             }
@@ -693,7 +699,8 @@ mod tests {
             p.inject_row_index_bit_flip(31, 3);
             let log = FaultLog::new();
             let mut y = vec![0.0; m.rows()];
-            p.spmv(&x, &mut y, 0, &log).unwrap();
+            p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+                .unwrap();
             assert_eq!(y, expected, "{row_pointer:?}");
             assert!(log.total_corrected() > 0, "{row_pointer:?}");
             let repaired = p.scrub(&log).unwrap();
@@ -713,7 +720,9 @@ mod tests {
         p.inject_row_index_bit_flip(10, 5);
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        assert!(p.spmv(&x, &mut y, 0, &log).is_err());
+        assert!(p
+            .spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+            .is_err());
         assert!(log.total_uncorrectable() > 0);
         assert!(p.verify_all(&log).is_err());
     }
@@ -767,7 +776,8 @@ mod tests {
             p.inject_value_bit_flip(17, 44);
             let log = FaultLog::new();
             let mut y = vec![0.0; m.rows()];
-            p.spmv(&x, &mut y, 0, &log).unwrap();
+            p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+                .unwrap();
             assert_eq!(y, expected, "{elements:?}");
             assert!(log.total_corrected() > 0, "{elements:?}");
             let repaired = p.scrub(&log).unwrap();
@@ -789,7 +799,9 @@ mod tests {
         p.row_indices[last] = 0;
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        let err = p.spmv(&x, &mut y, 0, &log).unwrap_err();
+        let err = p
+            .spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+            .unwrap_err();
         assert!(matches!(
             err,
             AbftError::OutOfRange {

@@ -792,11 +792,15 @@ mod tests {
                 let p = ProtectedCsr::from_csr(&m, &config(elements, row_pointer)).unwrap();
                 let log = FaultLog::new();
                 let mut y = vec![0.0; m.rows()];
-                p.spmv(&x, &mut y, 0, &log).unwrap();
+                p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+                    .unwrap();
                 assert_eq!(y, expected, "{elements:?}/{row_pointer:?}");
-                // Parallel kernel agrees.
+                // A parallel-configured matrix agrees.
+                let par = config(elements, row_pointer).with_parallel(true);
+                let p_par = ProtectedCsr::from_csr(&m, &par).unwrap();
                 let mut y2 = vec![0.0; m.rows()];
-                p.spmv_parallel_with(&x, &mut y2, 0, &log, &mut SpmvWorkspace::new())
+                p_par
+                    .spmv_with(&x, &mut y2, 0, &log, &mut SpmvWorkspace::new())
                     .unwrap();
                 assert_eq!(y2, expected, "{elements:?}/{row_pointer:?} parallel");
                 // Interval-skipped iteration agrees too.
@@ -806,7 +810,8 @@ mod tests {
                 )
                 .unwrap();
                 let mut y3 = vec![0.0; m.rows()];
-                p2.spmv(&x, &mut y3, 3, &log).unwrap();
+                p2.spmv_with(&x, &mut y3, 3, &log, &mut SpmvWorkspace::new())
+                    .unwrap();
                 assert_eq!(y3, expected, "{elements:?}/{row_pointer:?} skipped");
                 assert_eq!(log.total_corrected() + log.total_uncorrectable(), 0);
             }
@@ -859,7 +864,8 @@ mod tests {
             let log = FaultLog::new();
             let mut y = vec![0.0; m.rows()];
             // The product is still exact because the correction is applied on read.
-            p.spmv(&x, &mut y, 0, &log).unwrap();
+            p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+                .unwrap();
             assert_eq!(y, expected, "{elements:?}");
             assert!(log.total_corrected() > 0, "{elements:?}");
             // Scrub repairs storage.
@@ -880,7 +886,9 @@ mod tests {
         p.inject_value_bit_flip(5, 10);
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        assert!(p.spmv(&x, &mut y, 0, &log).is_err());
+        assert!(p
+            .spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+            .is_err());
         assert!(log.total_uncorrectable() > 0);
         assert!(p.verify_all(&log).is_err());
     }
@@ -895,7 +903,8 @@ mod tests {
             p.inject_col_bit_flip(23, 2);
             let log = FaultLog::new();
             let mut y = vec![0.0; m.rows()];
-            p.spmv(&x, &mut y, 0, &log).unwrap();
+            p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+                .unwrap();
             assert_eq!(y, expected, "{elements:?}");
             assert!(log.total_corrected() > 0);
         }
@@ -912,12 +921,13 @@ mod tests {
         p.inject_col_bit_flip(40, 23);
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        let result = p.spmv(&x, &mut y, 1, &log);
+        let result = p.spmv_with(&x, &mut y, 1, &log, &mut SpmvWorkspace::new());
         assert!(result.is_err());
         assert!(log.total_bounds_violations() > 0);
         // The same corruption on a checked iteration is corrected instead.
         let log2 = FaultLog::new();
-        p.spmv(&x, &mut y, 0, &log2).unwrap();
+        p.spmv_with(&x, &mut y, 0, &log2, &mut SpmvWorkspace::new())
+            .unwrap();
         assert!(log2.total_corrected() > 0);
     }
 
@@ -931,7 +941,8 @@ mod tests {
         p.inject_row_pointer_bit_flip(7, 9);
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        p.spmv(&x, &mut y, 0, &log).unwrap();
+        p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+            .unwrap();
         assert_eq!(y, expected);
         assert!(log.total_corrected() > 0);
         let repaired = p.scrub(&log).unwrap();
@@ -981,7 +992,9 @@ mod tests {
         p.inject_value_bit_flip(8, 40);
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        let err = p.spmv(&x, &mut y, 0, &log).unwrap_err();
+        let err = p
+            .spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+            .unwrap_err();
         assert!(matches!(
             err,
             AbftError::Uncorrectable {
@@ -1002,7 +1015,7 @@ mod tests {
         let p = ProtectedCsr::from_csr(&m, &cfg).unwrap();
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        p.spmv_auto_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+        p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
             .unwrap();
         assert_eq!(y, expected);
         assert_eq!(p.config().elements, EccScheme::Secded64);
@@ -1017,7 +1030,14 @@ mod tests {
         let p = ProtectedCsr::from_csr(&m, &config(EccScheme::Crc32c, EccScheme::Crc32c)).unwrap();
         let log = FaultLog::new();
         let mut y = Vector::zeros(m.rows());
-        p.spmv(x.as_slice(), y.as_mut_slice(), 0, &log).unwrap();
+        p.spmv_with(
+            x.as_slice(),
+            y.as_mut_slice(),
+            0,
+            &log,
+            &mut SpmvWorkspace::new(),
+        )
+        .unwrap();
         let expected = reference_spmv(&m, x.as_slice());
         assert_eq!(y.as_slice(), expected.as_slice());
     }

@@ -18,9 +18,11 @@
 //! * the **fault-injection surface** (`inject_*`) the campaign engine
 //!   drives, with the row *structure* abstracted (a row pointer for the CSR
 //!   tiers, per-element row indices for COO);
-//! * provided whole-matrix SpMV drivers (`spmv*`) that plumb the
-//!   caller-owned [`SpmvWorkspace`] and the parallel chunk dispatch, so
-//!   every tier gets the serial/parallel/auto entry points for free.
+//! * one provided whole-matrix SpMV, [`ProtectedMatrix::spmv_with`], that
+//!   runs the range kernel through the row-range driver of [`crate::spmv`]
+//!   with the caller-owned [`SpmvWorkspace`] — inline, or on the worker pool
+//!   when the matrix's configuration is parallel — so every tier gets it
+//!   for free.
 //!
 //! [`AnyProtectedMatrix`] is the tier-erased enum the serving queue and the
 //! fault campaign store; [`StorageTier`] names a tier for configuration.
@@ -31,7 +33,7 @@ use crate::protected_coo::ProtectedCoo;
 use crate::protected_csr::ProtectedCsr;
 use crate::report::FaultLog;
 use crate::schemes::ProtectionConfig;
-use crate::spmv::{DenseSource, DenseView, SpmvWorkspace};
+use crate::spmv::{spmv_rows, DenseSource, DenseView, SpmvWorkspace};
 use crate::ProtectedBlockedCsr;
 use abft_sparse::CsrMatrix;
 
@@ -168,24 +170,10 @@ pub trait ProtectedMatrix: Send + Sync {
         diag
     }
 
-    /// Sparse matrix–vector product `y = A x` (serial, allocating scratch).
-    /// Prefer [`ProtectedMatrix::spmv_with`] inside solver loops.
-    fn spmv<X: DenseSource + ?Sized>(
-        &self,
-        x: &X,
-        y: &mut [f64],
-        iteration: u64,
-        log: &FaultLog,
-    ) -> Result<(), AbftError>
-    where
-        Self: Sized,
-    {
-        let mut scratch = Vec::new();
-        spmv_serial_driver(self, x, y, iteration, log, &mut scratch)
-    }
-
-    /// [`ProtectedMatrix::spmv`] with caller-owned scratch: zero heap
-    /// allocations per call once the workspace is warm.
+    /// Sparse matrix–vector product `y = A x` with caller-owned scratch:
+    /// zero heap allocations per call once the workspace is warm.  Runs on
+    /// the worker pool when the matrix is configured parallel, inline on
+    /// the caller otherwise, with the same bits either way.
     fn spmv_with<X: DenseSource + ?Sized>(
         &self,
         x: &X,
@@ -197,94 +185,11 @@ pub trait ProtectedMatrix: Send + Sync {
     where
         Self: Sized,
     {
-        spmv_serial_driver(self, x, y, iteration, log, &mut ws.scratch)
-    }
-
-    /// Parallel sparse matrix–vector product on the persistent worker pool,
-    /// with caller-owned per-chunk scratch.
-    fn spmv_parallel_with<X: DenseSource + Sync + ?Sized>(
-        &self,
-        x: &X,
-        y: &mut [f64],
-        iteration: u64,
-        log: &FaultLog,
-        ws: &mut SpmvWorkspace,
-    ) -> Result<(), AbftError>
-    where
-        Self: Sized,
-    {
-        assert_eq!(x.length(), self.cols(), "spmv_parallel: x has wrong length");
-        assert_eq!(y.len(), self.rows(), "spmv_parallel: y has wrong length");
+        assert_eq!(x.length(), self.cols(), "spmv: x has wrong length");
+        assert_eq!(y.len(), self.rows(), "spmv: y has wrong length");
         let check = self.policy().should_check(iteration);
-        let n_chunks = rayon::chunk_count(y.len());
-        let scratches = ws.chunk_scratch_for(n_chunks);
-        match x.view() {
-            Some(view) => spmv_parallel_driver(self, view, y, check, scratches, log),
-            None => {
-                // Fallback for sources without a storage view: stage the
-                // logical values once (same values the per-element reads
-                // would produce) and run the slice fast path.
-                let staged: Vec<f64> = (0..x.length()).map(|i| x.value(i)).collect();
-                spmv_parallel_driver(self, DenseView::Slice(&staged), y, check, scratches, log)
-            }
-        }
+        spmv_rows(self, x.view(), y, check, log, &mut ws.chunk_scratch)
     }
-
-    /// Dispatches to the serial or parallel SpMV according to the
-    /// configuration.
-    fn spmv_auto_with<X: DenseSource + Sync + ?Sized>(
-        &self,
-        x: &X,
-        y: &mut [f64],
-        iteration: u64,
-        log: &FaultLog,
-        ws: &mut SpmvWorkspace,
-    ) -> Result<(), AbftError>
-    where
-        Self: Sized,
-    {
-        if self.config().parallel {
-            self.spmv_parallel_with(x, y, iteration, log, ws)
-        } else {
-            self.spmv_with(x, y, iteration, log, ws)
-        }
-    }
-}
-
-/// Serial whole-matrix SpMV shared by the provided trait drivers.
-fn spmv_serial_driver<A: ProtectedMatrix + ?Sized, X: DenseSource + ?Sized>(
-    a: &A,
-    x: &X,
-    y: &mut [f64],
-    iteration: u64,
-    log: &FaultLog,
-    scratch: &mut Vec<u8>,
-) -> Result<(), AbftError> {
-    assert_eq!(x.length(), a.cols(), "spmv: x has wrong length");
-    assert_eq!(y.len(), a.rows(), "spmv: y has wrong length");
-    let check = a.policy().should_check(iteration);
-    match x.view() {
-        Some(view) => a.spmv_range_view(0, view, y, check, scratch, log),
-        None => {
-            // Stage sources without a storage view (see the parallel driver).
-            let staged: Vec<f64> = (0..x.length()).map(|i| x.value(i)).collect();
-            a.spmv_range_view(0, DenseView::Slice(&staged), y, check, scratch, log)
-        }
-    }
-}
-
-/// Parallel chunk dispatch shared by the provided trait drivers.
-fn spmv_parallel_driver<A: ProtectedMatrix + ?Sized>(
-    a: &A,
-    x: DenseView<'_>,
-    y: &mut [f64],
-    check: bool,
-    scratches: &mut [Vec<u8>],
-    log: &FaultLog,
-) -> Result<(), AbftError> {
-    rayon::with_chunks_mut(y, scratches, |offset, chunk, scratch| {
-        a.spmv_range_view(offset, x, chunk, check, scratch, log)
-    })
 }
 
 /// A protected matrix of any storage tier — the type-erased form the

@@ -83,9 +83,9 @@ pub struct ProtectedVector {
     /// AND-mask applied on every read (clears the reserved bits).
     pub(crate) read_mask: u64,
     pub(crate) crc: Crc32c,
-    /// Execution hint for the trait-level BLAS-1 dispatch: backends set it
-    /// so dot/AXPY/norm² route through the chunked parallel kernels.  Not
-    /// part of the encoded state — the raw storage is unaffected.
+    /// Execution hint the masked BLAS-1 kernels read: a parallel vector runs
+    /// them as block-aligned chunks on the worker pool.  Not part of the
+    /// encoded state — the raw storage is unaffected.
     parallel: bool,
     /// Optional XOR erasure tier: per-stripe parity chunks over the encoded
     /// storage, so an uncorrectable codeword (or a deliberately erased
@@ -199,13 +199,15 @@ impl ProtectedVector {
         self.len.div_ceil(self.group_size()) as u64
     }
 
-    /// Sets the execution hint the backend trait layer reads to route the
-    /// BLAS-1 kernels through their chunked parallel variants.
+    /// Sets the execution hint the masked BLAS-1 kernels read: `true` runs
+    /// them as block-aligned chunks on the worker pool (same bits, same
+    /// check counts).
     pub fn set_parallel(&mut self, parallel: bool) {
         self.parallel = parallel;
     }
 
-    /// Whether the parallel BLAS-1 kernels were requested for this vector.
+    /// Whether the masked BLAS-1 kernels run on the worker pool for this
+    /// vector.
     pub fn is_parallel(&self) -> bool {
         self.parallel
     }

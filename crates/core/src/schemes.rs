@@ -203,7 +203,9 @@ pub struct ProtectionConfig {
     pub check_interval: u32,
     /// CRC32C backend (hardware when available vs slicing-by-16 software).
     pub crc_backend: Crc32cBackend,
-    /// Use the Rayon-parallel kernels.
+    /// Run the kernels on the worker pool.  A protected matrix's products
+    /// read this directly; the solver backends hand it to their work
+    /// vectors.  The protected kernels produce the same bits either way.
     pub parallel: bool,
     /// Optional XOR erasure tier for the dense solver vectors: `Some` layers
     /// per-stripe parity chunks over the embedded ECC so an uncorrectable

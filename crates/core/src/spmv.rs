@@ -1,6 +1,6 @@
 //! Fully protected sparse matrix–vector products.
 //!
-//! [`ProtectedMatrix::spmv`] accepts any
+//! [`ProtectedMatrix::spmv_with`] accepts any
 //! [`DenseSource`] as its input vector, so the same kernel serves the
 //! matrix-only configurations (plain `&[f64]` input) and the fully protected
 //! configurations (a [`ProtectedVector`] input read through its masking
@@ -20,6 +20,13 @@
 //! * the output vector is written one codeword group at a time (write
 //!   buffering), so each group is encoded exactly once.
 //!
+//! Every entry point — [`ProtectedMatrix::spmv_with`], [`protected_spmv`],
+//! [`protected_spmm_plain`] and [`protected_spmm`] — runs its range kernel
+//! through one row-range driver that follows the matrix's own
+//! `config().parallel`: one chunk on the caller, or `rayon::chunk_count`
+//! row-aligned chunks on the worker pool.  Rows never straddle a chunk, so
+//! both produce the same bits.
+//!
 //! All row products are staged in a caller-owned [`SpmvWorkspace`], so a
 //! solver iterating these kernels performs **zero heap allocations** after
 //! the first call warms the workspace.
@@ -32,8 +39,7 @@ use crate::schemes::EccScheme;
 use abft_sparse::Vector;
 
 /// Borrowed storage view of a dense source, letting the SpMV kernels
-/// monomorphize one tight inner loop per storage kind instead of calling
-/// [`DenseSource::value`] per element.
+/// monomorphize one tight inner loop per storage kind.
 #[derive(Debug, Clone, Copy)]
 pub enum DenseView<'a> {
     /// Plain `f64` storage.
@@ -53,14 +59,8 @@ pub enum DenseView<'a> {
 pub trait DenseSource {
     /// Number of elements.
     fn length(&self) -> usize;
-    /// Element `i` as used in computation (already masked for protected
-    /// storage).
-    fn value(&self, i: usize) -> f64;
-    /// Storage view for the kernels' slice fast paths; `None` falls back to
-    /// per-element [`DenseSource::value`] calls.
-    fn view(&self) -> Option<DenseView<'_>> {
-        None
-    }
+    /// The storage view the kernels read through.
+    fn view(&self) -> DenseView<'_>;
 }
 
 impl DenseSource for [f64] {
@@ -69,12 +69,8 @@ impl DenseSource for [f64] {
         self.len()
     }
     #[inline]
-    fn value(&self, i: usize) -> f64 {
-        self[i]
-    }
-    #[inline]
-    fn view(&self) -> Option<DenseView<'_>> {
-        Some(DenseView::Slice(self))
+    fn view(&self) -> DenseView<'_> {
+        DenseView::Slice(self)
     }
 }
 
@@ -84,12 +80,8 @@ impl DenseSource for Vec<f64> {
         self.len()
     }
     #[inline]
-    fn value(&self, i: usize) -> f64 {
-        self[i]
-    }
-    #[inline]
-    fn view(&self) -> Option<DenseView<'_>> {
-        Some(DenseView::Slice(self))
+    fn view(&self) -> DenseView<'_> {
+        DenseView::Slice(self)
     }
 }
 
@@ -99,12 +91,8 @@ impl DenseSource for Vector {
         self.len()
     }
     #[inline]
-    fn value(&self, i: usize) -> f64 {
-        self[i]
-    }
-    #[inline]
-    fn view(&self) -> Option<DenseView<'_>> {
-        Some(DenseView::Slice(self.as_slice()))
+    fn view(&self) -> DenseView<'_> {
+        DenseView::Slice(self.as_slice())
     }
 }
 
@@ -114,13 +102,9 @@ impl DenseSource for ProtectedVector {
         self.len()
     }
     #[inline]
-    fn value(&self, i: usize) -> f64 {
-        self.get(i)
-    }
-    #[inline]
-    fn view(&self) -> Option<DenseView<'_>> {
+    fn view(&self) -> DenseView<'_> {
         let (words, mask) = self.masked_words();
-        Some(DenseView::MaskedWords { words, mask })
+        DenseView::MaskedWords { words, mask }
     }
 }
 
@@ -269,16 +253,14 @@ pub const MAX_PANEL_WIDTH: usize = 8;
 ///
 /// One workspace serves every kernel shape: the staging buffer of the fully
 /// protected products (`rows` slots for one vector, a row-major `rows × k`
-/// panel, `products[row * k + col]`, for several), the CRC row-codeword
-/// scratch of the serial kernels, and one scratch buffer per parallel chunk.
-/// Buffers grow on first use and are reused verbatim afterwards.
+/// panel, `products[row * k + col]`, for several) and one CRC row-codeword
+/// scratch buffer per chunk (a serial call is chunk 0).  Buffers grow on
+/// first use and are reused verbatim afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct SpmvWorkspace {
     /// Row products before group encoding.
     pub(crate) products: Vec<f64>,
-    /// CRC row-codeword bytes (serial kernels).
-    pub(crate) scratch: Vec<u8>,
-    /// CRC row-codeword bytes, one buffer per parallel chunk.
+    /// CRC row-codeword bytes, one buffer per chunk.
     pub(crate) chunk_scratch: Vec<Vec<u8>>,
 }
 
@@ -293,33 +275,54 @@ impl SpmvWorkspace {
         SpmvWorkspace::default()
     }
 
-    /// Per-chunk scratch buffers, grown to at least `n` chunks.
-    pub(crate) fn chunk_scratch_for(&mut self, n: usize) -> &mut [Vec<u8>] {
-        self.chunk_buffers(0, n).1
-    }
-
-    /// `len` product slots and the serial kernels' scratch.
-    fn serial_buffers(&mut self, len: usize) -> (&mut [f64], &mut Vec<u8>) {
+    /// `len` product slots and the per-chunk scratch buffers.
+    fn buffers(&mut self, len: usize) -> (&mut [f64], &mut Vec<Vec<u8>>) {
         if self.products.len() < len {
             self.products.resize(len, 0.0);
         }
-        (&mut self.products[..len], &mut self.scratch)
+        (&mut self.products[..len], &mut self.chunk_scratch)
     }
+}
 
-    /// `len` product slots and one scratch buffer for each of `n_chunks`
-    /// parallel chunks.
-    fn chunk_buffers(&mut self, len: usize, n_chunks: usize) -> (&mut [f64], &mut [Vec<u8>]) {
-        if self.products.len() < len {
-            self.products.resize(len, 0.0);
-        }
-        if self.chunk_scratch.len() < n_chunks {
-            self.chunk_scratch.resize_with(n_chunks, Vec::new);
-        }
-        (
-            &mut self.products[..len],
-            &mut self.chunk_scratch[..n_chunks],
-        )
+/// The row-range driver every protected SpMV and SpMM runs through:
+/// `kernel(row0, rows, scratch)` fills `out` (`stride` slots per matrix row,
+/// so no chunk splits a panel row) as one chunk on the caller, or — when
+/// the matrix is configured parallel — as `rayon::chunk_count` row-aligned
+/// chunks on the worker pool, chunk `c` staging its CRC row codewords in
+/// `chunk_scratch[c]`.
+fn drive_rows<A: ProtectedMatrix + ?Sized>(
+    a: &A,
+    out: &mut [f64],
+    stride: usize,
+    chunk_scratch: &mut Vec<Vec<u8>>,
+    kernel: impl Fn(usize, &mut [f64], &mut Vec<u8>) -> Result<(), AbftError> + Sync,
+) -> Result<(), AbftError> {
+    let n_chunks = if a.config().parallel {
+        rayon::chunk_count(out.len())
+    } else {
+        1
+    };
+    if chunk_scratch.len() < n_chunks {
+        chunk_scratch.resize_with(n_chunks, Vec::new);
     }
+    let states = &mut chunk_scratch[..n_chunks];
+    rayon::with_chunks_mut_strided(out, states, stride, |offset, rows, scratch| {
+        kernel(offset / stride, rows, scratch)
+    })
+}
+
+/// `y = A x` over a prepared view, through [`drive_rows`].
+pub(crate) fn spmv_rows<A: ProtectedMatrix + ?Sized>(
+    a: &A,
+    x: DenseView<'_>,
+    y: &mut [f64],
+    check: bool,
+    log: &FaultLog,
+    chunk_scratch: &mut Vec<Vec<u8>>,
+) -> Result<(), AbftError> {
+    drive_rows(a, y, 1, chunk_scratch, |row0, rows, scratch| {
+        a.spmv_range_view(row0, x, rows, check, scratch, log)
+    })
 }
 
 /// Certifies `x` for one kernel invocation and returns the masked view the
@@ -346,13 +349,14 @@ fn scrubbed_view<'a>(
     Ok(DenseView::MaskedWords { words, mask })
 }
 
-/// `y = A x` with both the matrix and the vectors protected (serial).
+/// `y = A x` with both the matrix and the vectors protected.
 ///
 /// The input vector is scrubbed (checked, and repaired if a correctable flip
 /// is found) once up front — a clean vector is certified by one batched
 /// SIMD predicate without decoding any group; row products are then
-/// computed through the masked raw-slice fast path into the workspace and
-/// the output vector is rebuilt group by group.
+/// computed through the masked raw-slice fast path into the workspace (on
+/// the worker pool when the matrix is configured parallel) and the output
+/// vector is rebuilt group by group.
 ///
 /// ```
 /// use abft_core::spmv::protected_spmv;
@@ -388,52 +392,16 @@ pub fn protected_spmv<A: ProtectedMatrix + ?Sized>(
     assert_eq!(y.len(), a.rows(), "protected_spmv: y has wrong length");
     let xv = scrubbed_view(x, log)?;
     let check = a.policy().should_check(iteration);
-    let (products, scratch) = ws.serial_buffers(a.rows());
-    a.spmv_range_view(0, xv, products, check, scratch, log)?;
+    let (products, chunk_scratch) = ws.buffers(a.rows());
+    spmv_rows(a, xv, products, check, log, chunk_scratch)?;
     y.fill_from_fn(|row| products[row]);
     Ok(())
 }
 
-/// `y = A x` with both the matrix and the vectors protected, using the
-/// persistent-pool parallel SpMV kernel.
-///
-/// The row products are computed in parallel into the workspace buffer and
-/// the protected output is then encoded group by group (the buffer is
-/// scratch space, not persistent storage, so the zero-storage-overhead
-/// property of the protected structures is preserved).
-pub fn protected_spmv_parallel<A: ProtectedMatrix + ?Sized>(
-    a: &A,
-    x: &mut ProtectedVector,
-    y: &mut ProtectedVector,
-    iteration: u64,
-    log: &FaultLog,
-    ws: &mut SpmvWorkspace,
-) -> Result<(), AbftError> {
-    assert_eq!(
-        x.len(),
-        a.cols(),
-        "protected_spmv_parallel: x has wrong length"
-    );
-    assert_eq!(
-        y.len(),
-        a.rows(),
-        "protected_spmv_parallel: y has wrong length"
-    );
-    let xv = scrubbed_view(x, log)?;
-    let check = a.policy().should_check(iteration);
-    let n_chunks = rayon::chunk_count(a.rows());
-    let (products, scratches) = ws.chunk_buffers(a.rows(), n_chunks);
-    rayon::with_chunks_mut(products, scratches, |offset, chunk, scratch| {
-        a.spmv_range_view(offset, xv, chunk, check, scratch, log)
-    })?;
-    y.fill_from_fn(|row| products[row]);
-    Ok(())
-}
-
-/// Runs a prepared view panel through the SpMM range kernel, serial or
-/// parallel per the matrix configuration, leaving the row-major product
-/// panel in the workspace.  Matrix-side checks and faults go to `log`.
-fn spmm_dispatch<A: ProtectedMatrix + ?Sized>(
+/// Runs a prepared view panel through the SpMM range kernel and
+/// [`drive_rows`], leaving the row-major product panel in the workspace.
+/// Matrix-side checks and faults go to `log`.
+fn spmm_rows<A: ProtectedMatrix + ?Sized>(
     a: &A,
     xs: &[DenseView<'_>],
     check: bool,
@@ -441,17 +409,10 @@ fn spmm_dispatch<A: ProtectedMatrix + ?Sized>(
     ws: &mut SpmmWorkspace,
 ) -> Result<(), AbftError> {
     let width = xs.len();
-    let need = a.rows() * width;
-    if a.config().parallel {
-        let n_chunks = rayon::chunk_count(need);
-        let (products, scratches) = ws.chunk_buffers(need, n_chunks);
-        rayon::with_chunks_mut_strided(products, scratches, width, |offset, chunk, scratch| {
-            a.spmm_range_view(offset / width, xs, chunk, check, scratch, log)
-        })
-    } else {
-        let (products, scratch) = ws.serial_buffers(need);
-        a.spmm_range_view(0, xs, products, check, scratch, log)
-    }
+    let (products, chunk_scratch) = ws.buffers(a.rows() * width);
+    drive_rows(a, products, width, chunk_scratch, |row0, rows, scratch| {
+        a.spmm_range_view(row0, xs, rows, check, scratch, log)
+    })
 }
 
 /// `ys[j] = A xs[j]` for a panel of plain vectors over a protected matrix —
@@ -459,8 +420,7 @@ fn spmm_dispatch<A: ProtectedMatrix + ?Sized>(
 ///
 /// Each matrix codeword group is verified once for the whole panel, so the
 /// per-RHS matrix verify cost scales as `1/k`; column `j`'s output is
-/// bitwise identical to a single-vector SpMV of `xs[j]`.  Serial or
-/// parallel execution follows the matrix configuration.
+/// bitwise identical to a single-vector SpMV of `xs[j]`.
 pub fn protected_spmm_plain<A: ProtectedMatrix + ?Sized>(
     a: &A,
     xs: &[&[f64]],
@@ -498,7 +458,7 @@ pub fn protected_spmm_plain<A: ProtectedMatrix + ?Sized>(
     for (slot, x) in views.iter_mut().zip(xs) {
         *slot = DenseView::Slice(x);
     }
-    spmm_dispatch(a, &views[..width], check, log, ws)?;
+    spmm_rows(a, &views[..width], check, log, ws)?;
     let panel = &ws.products[..a.rows() * width];
     for (j, y) in ys.iter_mut().enumerate() {
         for (row, yi) in y.iter_mut().enumerate() {
@@ -579,29 +539,12 @@ pub fn protected_spmm<A: ProtectedMatrix + ?Sized>(
         return Ok(());
     }
     let check = a.policy().should_check(iteration);
-    spmm_dispatch(a, &views[..live], check, matrix_log, ws)?;
+    spmm_rows(a, &views[..live], check, matrix_log, ws)?;
     let panel = &ws.products[..a.rows() * live];
     for (pos, &j) in positions[..live].iter().enumerate() {
         ys[j].fill_from_fn(|row| panel[row * live + pos]);
     }
     Ok(())
-}
-
-/// Dispatches to the serial or parallel fully protected SpMV according to the
-/// matrix configuration.
-pub fn protected_spmv_auto<A: ProtectedMatrix + ?Sized>(
-    a: &A,
-    x: &mut ProtectedVector,
-    y: &mut ProtectedVector,
-    iteration: u64,
-    log: &FaultLog,
-    ws: &mut SpmvWorkspace,
-) -> Result<(), AbftError> {
-    if a.config().parallel {
-        protected_spmv_parallel(a, x, y, iteration, log, ws)
-    } else {
-        protected_spmv(a, x, y, iteration, log, ws)
-    }
 }
 
 #[cfg(test)]
@@ -655,12 +598,12 @@ mod tests {
             }
             assert_eq!(log.total_corrected() + log.total_uncorrectable(), 0);
 
-            // Parallel variant agrees with the serial one.
+            // A parallel-configured matrix agrees with the serial one.
+            let m = poisson_2d_padded(9, 7);
+            let par = ProtectedCsr::from_csr(&m, &full_config(scheme).with_parallel(true)).unwrap();
             let mut y2 = ProtectedVector::zeros(a.rows(), scheme, Crc32cBackend::SlicingBy16);
-            protected_spmv_parallel(&a, &mut x, &mut y2, 0, &log, &mut ws).unwrap();
-            for row in 0..a.rows() {
-                assert_eq!(y.get(row), y2.get(row), "{scheme:?} row {row}");
-            }
+            protected_spmv(&par, &mut x, &mut y2, 0, &log, &mut ws).unwrap();
+            assert_eq!(y.raw(), y2.raw(), "{scheme:?}");
         }
     }
 
@@ -700,7 +643,7 @@ mod tests {
         let mut y = ProtectedVector::zeros(m.rows(), EccScheme::Crc32c, Crc32cBackend::SlicingBy16);
         let log = FaultLog::new();
         let mut ws = SpmvWorkspace::new();
-        protected_spmv_auto(&a, &mut x, &mut y, 0, &log, &mut ws).unwrap();
+        protected_spmv(&a, &mut x, &mut y, 0, &log, &mut ws).unwrap();
         // Row sums of the padded Poisson operator are reproduced.
         let ones = vec![1.0; m.cols()];
         let mut reference = vec![0.0; m.rows()];
@@ -718,14 +661,15 @@ mod tests {
         protected_spmv(&a, &mut x, &mut y, 0, &log, &mut ws).unwrap();
         let products_ptr = ws.products.as_ptr();
         let products_cap = ws.products.capacity();
-        let scratch_cap = ws.scratch.capacity();
+        let scratch_cap = ws.chunk_scratch[0].capacity();
         for iteration in 1..10 {
             protected_spmv(&a, &mut x, &mut y, iteration, &log, &mut ws).unwrap();
         }
         // The staging buffers were neither reallocated nor grown.
         assert_eq!(ws.products.as_ptr(), products_ptr);
         assert_eq!(ws.products.capacity(), products_cap);
-        assert_eq!(ws.scratch.capacity(), scratch_cap);
+        assert_eq!(ws.chunk_scratch.len(), 1);
+        assert_eq!(ws.chunk_scratch[0].capacity(), scratch_cap);
     }
 
     #[test]
@@ -903,13 +847,8 @@ mod tests {
         assert_eq!(data.length(), 3);
         assert_eq!(vector.length(), 3);
         assert_eq!(protected.length(), 3);
-        for (i, &expect) in data.iter().enumerate() {
-            assert_eq!(slice.value(i), expect);
-            assert_eq!(vector.value(i), expect);
-            assert_eq!(protected.value(i), expect);
-        }
-        // Every storage view reads back the same values as `value()`.
-        for source in [slice.view().unwrap(), protected.view().unwrap()] {
+        // Every storage view reads back the stored (masked) values.
+        for source in [slice.view(), data.view(), vector.view(), protected.view()] {
             match source {
                 DenseView::Slice(s) => assert_eq!(s, &data[..]),
                 DenseView::MaskedWords { words, mask } => {

@@ -1,7 +1,7 @@
 //! Concrete [`LinearOperator`] backends, one per protection tier:
 //!
 //! * [`Plain`] — unprotected [`CsrMatrix`] with plain work vectors (serial or
-//!   Rayon-parallel kernels); the 0 % baseline of every overhead figure.
+//!   pool-parallel kernels); the 0 % baseline of every overhead figure.
 //! * [`MatrixProtected`] — [`ProtectedCsr`] matrix with plain work vectors,
 //!   the configuration of Figures 4–8.
 //! * [`FullyProtected`] — protected matrix *and* protected work vectors, the
@@ -15,7 +15,7 @@
 
 use crate::backend::{FaultContext, LinearOperator, SolverError, SolverVector};
 use crate::chebyshev::ChebyshevBounds;
-use abft_core::spmv::{protected_spmm, protected_spmm_plain, protected_spmv_auto};
+use abft_core::spmv::{protected_spmm, protected_spmm_plain, protected_spmv};
 use abft_core::{
     AbftError, EccScheme, FaultLog, ProtectedCsr, ProtectedMatrix, ProtectedVector,
     ReductionWorkspace, SpmmWorkspace, SpmvWorkspace,
@@ -27,7 +27,7 @@ use abft_sparse::CsrMatrix;
 use std::cell::RefCell;
 
 /// Plain work vector: `Vec<f64>` storage plus the kernel-dispatch flag, so a
-/// parallel solve uses the Rayon dot/AXPY kernels exactly as the plain CG
+/// parallel solve uses the pool dot/AXPY kernels exactly as the plain CG
 /// baseline always has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlainVector {
@@ -47,9 +47,9 @@ impl PlainVector {
     }
 }
 
-/// Runs a parallel reduction kernel with the workspace the context carries
-/// (the backend's, preallocated — see [`FaultContext::scoped_to`]), or with
-/// a transient one for contexts built outside the solve front door.
+/// Runs a reduction kernel with the workspace the context carries (the
+/// backend's, preallocated — see [`FaultContext::scoped_to`]), or with a
+/// transient one for contexts built outside the solve front door.
 fn with_reduction<T>(ctx: &FaultContext, kernel: impl FnOnce(&mut ReductionWorkspace) -> T) -> T {
     match ctx.reduction() {
         Some(cell) => kernel(&mut cell.borrow_mut()),
@@ -131,73 +131,42 @@ impl SolverVector for PlainVector {
 /// [`abft_core::blas1`]: every codeword group is checked once with the
 /// verify-only predicate, the arithmetic runs over the raw words with the
 /// mask in a register, and check tallies reach the fault log in one bulk
-/// atomic per kernel.  The vector's parallel hint (set by
-/// [`FullyProtected`] from the matrix configuration) routes the reductions
-/// and AXPYs through their chunked-parallel variants, which are bitwise
-/// identical to the serial kernels.
+/// update per kernel.  Each kernel follows the vector's own parallel hint
+/// (set by [`FullyProtected`] from the matrix configuration).
 impl SolverVector for ProtectedVector {
     fn len(&self) -> usize {
         ProtectedVector::len(self)
     }
 
     fn dot(&self, other: &Self, ctx: &FaultContext) -> Result<f64, SolverError> {
-        let log = ctx.log();
-        Ok(if self.is_parallel() {
-            with_reduction(ctx, |ws| self.dot_masked_parallel_with(other, log, ws))?
-        } else {
-            self.dot_masked(other, log)?
-        })
+        Ok(with_reduction(ctx, |ws| {
+            self.dot_masked_with(other, ctx.log(), ws)
+        })?)
     }
 
     fn norm2(&self, ctx: &FaultContext) -> Result<f64, SolverError> {
         // Single pass: one check per group, not the two of dot(self, self).
-        let log = ctx.log();
-        Ok(if self.is_parallel() {
-            with_reduction(ctx, |ws| self.norm2_masked_parallel_with(log, ws))?
-        } else {
-            self.norm2_masked(log)?
-        })
+        Ok(with_reduction(ctx, |ws| {
+            self.norm2_masked_with(ctx.log(), ws)
+        })?)
     }
 
     fn axpy(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<(), SolverError> {
-        let log = ctx.log();
-        if self.is_parallel() {
-            with_reduction(ctx, |ws| self.axpy_masked_parallel_with(alpha, x, log, ws))?;
-        } else {
-            self.axpy_masked(alpha, x, log)?;
-        }
-        Ok(())
+        Ok(self.axpy_masked(alpha, x, ctx.log())?)
     }
 
     fn xpay(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<(), SolverError> {
-        let log = ctx.log();
-        if self.is_parallel() {
-            with_reduction(ctx, |ws| self.xpay_masked_parallel_with(alpha, x, log, ws))?;
-        } else {
-            self.xpay_masked(alpha, x, log)?;
-        }
-        Ok(())
+        Ok(self.xpay_masked(alpha, x, ctx.log())?)
     }
 
     fn scale(&mut self, alpha: f64, ctx: &FaultContext) -> Result<(), SolverError> {
-        let log = ctx.log();
-        if self.is_parallel() {
-            with_reduction(ctx, |ws| self.scale_masked_parallel_with(alpha, log, ws))?;
-        } else {
-            self.scale_masked(alpha, log)?;
-        }
-        Ok(())
+        Ok(self.scale_masked(alpha, ctx.log())?)
     }
 
     fn dot_axpy(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<f64, SolverError> {
-        let log = ctx.log();
-        Ok(if self.is_parallel() {
-            with_reduction(ctx, |ws| {
-                self.dot_axpy_masked_parallel_with(alpha, x, log, ws)
-            })?
-        } else {
-            self.dot_axpy_masked(alpha, x, log)?
-        })
+        Ok(with_reduction(ctx, |ws| {
+            self.dot_axpy_masked_with(alpha, x, ctx.log(), ws)
+        })?)
     }
 
     fn scale_axpy(
@@ -292,17 +261,24 @@ pub fn protects_vectors<M: ProtectedMatrix>(matrix: &M) -> bool {
     matrix.config().vectors != EccScheme::None
 }
 
-/// The unprotected baseline backend.
-#[derive(Debug, Clone, Copy)]
+/// The unprotected baseline backend.  Like the protected backends it owns
+/// a [`ReductionWorkspace`], so a parallel solve reuses its dot partials
+/// across iterations instead of allocating them per call.
+#[derive(Debug, Clone)]
 pub struct Plain<'a> {
     matrix: &'a CsrMatrix,
     parallel: bool,
+    reduction: RefCell<ReductionWorkspace>,
 }
 
 impl<'a> Plain<'a> {
-    /// Wraps a plain CSR matrix; `parallel` selects the Rayon kernels.
+    /// Wraps a plain CSR matrix; `parallel` selects the pool kernels.
     pub fn new(matrix: &'a CsrMatrix, parallel: bool) -> Self {
-        Plain { matrix, parallel }
+        Plain {
+            matrix,
+            parallel,
+            reduction: RefCell::new(ReductionWorkspace::new()),
+        }
     }
 }
 
@@ -346,6 +322,10 @@ impl LinearOperator for Plain<'_> {
 
     fn bounds_hint(&self) -> Option<ChebyshevBounds> {
         Some(ChebyshevBounds::estimate_gershgorin(self.matrix))
+    }
+
+    fn reduction_workspace(&self) -> Option<&RefCell<ReductionWorkspace>> {
+        Some(&self.reduction)
     }
 
     fn finish(
@@ -408,7 +388,7 @@ impl<M: ProtectedMatrix + Clone> LinearOperator for MatrixProtected<'_, M> {
         let mut ws = self.workspace.borrow_mut();
         Ok(self
             .matrix
-            .spmv_auto_with(&x.data[..], &mut y.data, iteration, ctx.log(), &mut ws)?)
+            .spmv_with(&x.data[..], &mut y.data, iteration, ctx.log(), &mut ws)?)
     }
 
     fn apply_panel(
@@ -523,7 +503,7 @@ impl<M: ProtectedMatrix + Clone> LinearOperator for FullyProtected<'_, M> {
         ctx: &FaultContext,
     ) -> Result<(), SolverError> {
         let mut ws = self.workspace.borrow_mut();
-        Ok(protected_spmv_auto(
+        Ok(protected_spmv(
             self.matrix,
             x,
             y,

@@ -4,7 +4,7 @@
 //! building blocks that the ABFT schemes of the paper wrap: the Compressed
 //! Sparse Row (CSR) format with 32-bit indices, a coordinate (COO) builder
 //! format, dense `f64` vectors with the BLAS-1 kernels an iterative solver
-//! needs, sparse matrix–vector products (serial and Rayon-parallel), and
+//! needs, sparse matrix–vector products (serial and pool-parallel), and
 //! matrix generators for the five-point-stencil systems TeaLeaf assembles.
 //!
 //! Everything here is *also* the baseline against which the protected

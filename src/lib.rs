@@ -36,7 +36,8 @@ pub use abft_tealeaf as tealeaf;
 pub mod prelude {
     pub use abft_core::{
         AnyProtectedMatrix, CheckPolicy, EccScheme, FaultLog, ProtectedBlockedCsr, ProtectedCoo,
-        ProtectedCsr, ProtectedMatrix, ProtectedVector, ProtectionConfig, StorageTier,
+        ProtectedCsr, ProtectedMatrix, ProtectedVector, ProtectionConfig, SpmvWorkspace,
+        StorageTier,
     };
     pub use abft_ecc::{CheckOutcome, Crc32c, Crc32cBackend};
     pub use abft_faultsim::{

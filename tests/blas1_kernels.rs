@@ -121,6 +121,13 @@ fn masked_kernels_match_group_decode_bitwise() {
     }
 }
 
+/// `v` with its parallel hint set.
+fn parallel_hinted(v: &ProtectedVector) -> ProtectedVector {
+    let mut p = v.clone();
+    p.set_parallel(true);
+    p
+}
+
 #[test]
 fn parallel_kernels_match_serial_bitwise() {
     for scheme in all_schemes() {
@@ -129,15 +136,16 @@ fn parallel_kernels_match_serial_bitwise() {
             let b_vals = sample(n, 11.0);
             let a = encode(&a_vals, scheme);
             let b = encode(&b_vals, scheme);
+            let pa = parallel_hinted(&a);
             let log = FaultLog::new();
             let mut ws = ReductionWorkspace::new();
 
             let serial = a.dot_masked(&b, &log).unwrap();
-            let parallel = a.dot_masked_parallel_with(&b, &log, &mut ws).unwrap();
+            let parallel = pa.dot_masked_with(&b, &log, &mut ws).unwrap();
             assert_eq!(parallel.to_bits(), serial.to_bits(), "{scheme:?} n={n} dot");
 
             let serial = a.norm2_masked(&log).unwrap();
-            let parallel = a.norm2_masked_parallel_with(&log, &mut ws).unwrap();
+            let parallel = pa.norm2_masked_with(&log, &mut ws).unwrap();
             assert_eq!(
                 parallel.to_bits(),
                 serial.to_bits(),
@@ -146,16 +154,14 @@ fn parallel_kernels_match_serial_bitwise() {
 
             let mut s = a.clone();
             s.axpy_masked(1.5, &b, &log).unwrap();
-            let mut p = a.clone();
-            p.axpy_masked_parallel_with(1.5, &b, &log, &mut ws).unwrap();
+            let mut p = pa.clone();
+            p.axpy_masked(1.5, &b, &log).unwrap();
             assert_eq!(p.raw(), s.raw(), "{scheme:?} n={n} axpy");
 
             let mut s = a.clone();
             let serial = s.dot_axpy_masked(-0.5, &b, &log).unwrap();
-            let mut p = a.clone();
-            let parallel = p
-                .dot_axpy_masked_parallel_with(-0.5, &b, &log, &mut ws)
-                .unwrap();
+            let mut p = pa.clone();
+            let parallel = p.dot_axpy_masked_with(-0.5, &b, &log, &mut ws).unwrap();
             assert_eq!(p.raw(), s.raw(), "{scheme:?} n={n} dot_axpy storage");
             assert_eq!(
                 parallel.to_bits(),
@@ -408,16 +414,16 @@ fn sharded_scheduler_parity_under_worker_sweeps() {
     // Worker limits past the host core count oversubscribe the chunk split
     // (several chunks per lane), so announcements are genuinely stolen
     // across the per-worker queues; the blocked reductions must keep every
-    // kernel bitwise identical to serial regardless, including the
-    // workspace-backed variants the solver backends run and the new
-    // parallel XPAY/scale.  Check tallies are per codeword group, so the
-    // bulk fault accounting must not depend on the chunk split either.
+    // kernel on a parallel-hinted vector bitwise identical to serial
+    // regardless.  Check tallies are per codeword group, so the bulk fault
+    // accounting must not depend on the chunk split either.
     let n = 40_000;
     for workers in [2usize, 8] {
         rayon::set_worker_limit(Some(workers));
         for scheme in all_schemes() {
             let a = encode(&sample(n, 3.0), scheme);
             let b = encode(&sample(n, 11.0), scheme);
+            let pa = parallel_hinted(&a);
             let mut ws = ReductionWorkspace::new();
             let context = |what: &str| format!("{scheme:?} workers={workers} {what}");
 
@@ -425,43 +431,42 @@ fn sharded_scheduler_parity_under_worker_sweeps() {
             let parallel_log = FaultLog::new();
 
             let serial = a.dot_masked(&b, &serial_log).unwrap();
-            let parallel = a
-                .dot_masked_parallel_with(&b, &parallel_log, &mut ws)
-                .unwrap();
+            let parallel = pa.dot_masked_with(&b, &parallel_log, &mut ws).unwrap();
             assert_eq!(parallel.to_bits(), serial.to_bits(), "{}", context("dot"));
 
             let serial = a.norm2_masked(&serial_log).unwrap();
-            let parallel = a
-                .norm2_masked_parallel_with(&parallel_log, &mut ws)
-                .unwrap();
+            let parallel = pa.norm2_masked_with(&parallel_log, &mut ws).unwrap();
             assert_eq!(parallel.to_bits(), serial.to_bits(), "{}", context("norm2"));
 
             let mut s = a.clone();
             s.axpy_masked(1.5, &b, &serial_log).unwrap();
-            let mut p = a.clone();
-            p.axpy_masked_parallel_with(1.5, &b, &parallel_log, &mut ws)
-                .unwrap();
+            let mut p = pa.clone();
+            p.axpy_masked(1.5, &b, &parallel_log).unwrap();
             assert_eq!(p.raw(), s.raw(), "{}", context("axpy"));
 
             let mut s = a.clone();
             s.xpay_masked(-0.75, &b, &serial_log).unwrap();
-            let mut p = a.clone();
-            p.xpay_masked_parallel_with(-0.75, &b, &parallel_log, &mut ws)
-                .unwrap();
+            let mut p = pa.clone();
+            p.xpay_masked(-0.75, &b, &parallel_log).unwrap();
             assert_eq!(p.raw(), s.raw(), "{}", context("xpay"));
 
             let mut s = a.clone();
             s.scale_masked(1.0 / 3.0, &serial_log).unwrap();
-            let mut p = a.clone();
-            p.scale_masked_parallel_with(1.0 / 3.0, &parallel_log, &mut ws)
-                .unwrap();
+            let mut p = pa.clone();
+            p.scale_masked(1.0 / 3.0, &parallel_log).unwrap();
             assert_eq!(p.raw(), s.raw(), "{}", context("scale"));
 
             let mut s = a.clone();
+            s.scale_axpy_masked(0.8, 0.3, &b, &serial_log).unwrap();
+            let mut p = pa.clone();
+            p.scale_axpy_masked(0.8, 0.3, &b, &parallel_log).unwrap();
+            assert_eq!(p.raw(), s.raw(), "{}", context("scale_axpy"));
+
+            let mut s = a.clone();
             let serial = s.dot_axpy_masked(-0.5, &b, &serial_log).unwrap();
-            let mut p = a.clone();
+            let mut p = pa.clone();
             let parallel = p
-                .dot_axpy_masked_parallel_with(-0.5, &b, &parallel_log, &mut ws)
+                .dot_axpy_masked_with(-0.5, &b, &parallel_log, &mut ws)
                 .unwrap();
             assert_eq!(p.raw(), s.raw(), "{}", context("dot_axpy storage"));
             assert_eq!(
@@ -480,13 +485,9 @@ fn sharded_scheduler_parity_under_worker_sweeps() {
             );
 
             // Reusing the warm workspace across a second round must not
-            // perturb results (stale tallies/partials would surface here).
-            let fresh = a
-                .dot_masked_parallel_with(&b, &parallel_log, &mut ws)
-                .unwrap();
-            let again = a
-                .dot_masked_parallel_with(&b, &parallel_log, &mut ws)
-                .unwrap();
+            // perturb results (stale partials would surface here).
+            let fresh = pa.dot_masked_with(&b, &parallel_log, &mut ws).unwrap();
+            let again = pa.dot_masked_with(&b, &parallel_log, &mut ws).unwrap();
             assert_eq!(
                 fresh.to_bits(),
                 again.to_bits(),

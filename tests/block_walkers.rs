@@ -101,7 +101,7 @@ fn run_kernel(a: &AnyProtectedMatrix, xs: &[Vec<f64>]) -> Run {
     let log = FaultLog::new();
     let mut ys = vec![vec![0.0; a.rows()]; xs.len()];
     let result = if xs.len() == 1 {
-        a.spmv_auto_with(&xs[0][..], &mut ys[0], 0, &log, &mut SpmvWorkspace::new())
+        a.spmv_with(&xs[0][..], &mut ys[0], 0, &log, &mut SpmvWorkspace::new())
     } else {
         let xr: Vec<&[f64]> = xs.iter().map(|x| &x[..]).collect();
         let mut yr: Vec<&mut [f64]> = ys.iter_mut().map(|y| &mut y[..]).collect();

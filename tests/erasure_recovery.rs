@@ -442,17 +442,14 @@ fn barrier_lines() -> Vec<String> {
                         |r: Result<f64, AbftError>| r.map(|d| fnv_words(&mut hash, &[d.to_bits()]));
                     let mut extra: Vec<ProtectedVector> = Vec::new();
                     let mut col_codes = String::new();
-                    let result = match call {
+                    // A `*_par` call is the same kernel on a vector whose
+                    // parallel hint is set.
+                    y.set_parallel(call.ends_with("_par"));
+                    let result = match call.trim_end_matches("_par") {
                         "axpy" => y.axpy_masked(1.5, &x, &log),
                         "xpay" => y.xpay_masked(0.5, &x, &log),
-                        "dot_axpy" => reduced(y.dot_axpy_masked(-0.25, &x, &log)),
-                        "axpy_par" => y.axpy_masked_parallel_with(1.5, &x, &log, &mut ws),
-                        "xpay_par" => y.xpay_masked_parallel_with(0.5, &x, &log, &mut ws),
-                        "dot_axpy_par" => {
-                            reduced(y.dot_axpy_masked_parallel_with(-0.25, &x, &log, &mut ws))
-                        }
+                        "dot_axpy" => reduced(y.dot_axpy_masked_with(-0.25, &x, &log, &mut ws)),
                         "scale" => y.scale_masked(0.75, &log),
-                        "scale_par" => y.scale_masked_parallel_with(0.75, &log, &mut ws),
                         "update" => y.update_from_fn(&log, |i, v| v * 0.5 + i as f64),
                         "copy" => y.copy_from(&x, &log),
                         "spmv" => {

@@ -183,7 +183,9 @@ fn protected_csr_roundtrips_and_spmv_matches() {
         abft_suite::sparse::spmv::spmv_serial(&matrix, &x, &mut y_ref);
         let log = FaultLog::new();
         let mut y = vec![0.0; matrix.rows()];
-        protected.spmv(&x[..], &mut y, 0, &log).unwrap();
+        protected
+            .spmv_with(&x[..], &mut y, 0, &log, &mut SpmvWorkspace::new())
+            .unwrap();
         assert_eq!(y, y_ref);
         assert_eq!(log.total_corrected() + log.total_uncorrectable(), 0);
     }
@@ -350,12 +352,15 @@ fn storage_tiers_agree_bitwise_on_random_matrices() {
         let log = FaultLog::new();
         let reference = AnyProtectedMatrix::encode(&matrix, &cfg, StorageTier::Csr).unwrap();
         let mut y_ref = vec![0.0; matrix.rows()];
-        reference.spmv(&x[..], &mut y_ref, 0, &log).unwrap();
+        reference
+            .spmv_with(&x[..], &mut y_ref, 0, &log, &mut SpmvWorkspace::new())
+            .unwrap();
         let blocks = rng.gen_range(1usize..6);
         for tier in [StorageTier::Coo, StorageTier::BlockedCsr(blocks)] {
             let a = AnyProtectedMatrix::encode(&matrix, &cfg, tier).unwrap();
             let mut y = vec![0.0; matrix.rows()];
-            a.spmv(&x[..], &mut y, 0, &log).unwrap();
+            a.spmv_with(&x[..], &mut y, 0, &log, &mut SpmvWorkspace::new())
+                .unwrap();
             for (row, (got, want)) in y.iter().zip(&y_ref).enumerate() {
                 assert_eq!(
                     got.to_bits(),

@@ -13,7 +13,9 @@
 //! table against the portable scalar reference) live inside `abft-ecc`;
 //! this suite pins the *consumers* through the public API.
 
-use abft_suite::core::{EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig};
+use abft_suite::core::{
+    EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig, SpmvWorkspace,
+};
 use abft_suite::prelude::{Crc32cBackend, ProtectedMatrix, Solver};
 use abft_suite::solvers::backends::FullyProtected;
 use abft_suite::sparse::builders::poisson_2d_padded;
@@ -302,7 +304,9 @@ fn spmv_element_fast_paths_match_reference_semantics() {
         let clean = ProtectedCsr::from_csr(&m, &cfg).unwrap();
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
-        clean.spmv(&x, &mut y, 0, &log).unwrap();
+        clean
+            .spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
+            .unwrap();
         assert_eq!(y, reference, "{scheme:?} clean");
         assert_eq!(log.snapshot().checks[0], m.nnz() as u64, "{scheme:?}");
 
@@ -310,7 +314,7 @@ fn spmv_element_fast_paths_match_reference_semantics() {
         faulty.inject_value_bit_flip(11, 37);
         let log2 = FaultLog::new();
         let mut y2 = vec![0.0; m.rows()];
-        let result = faulty.spmv(&x, &mut y2, 0, &log2);
+        let result = faulty.spmv_with(&x, &mut y2, 0, &log2, &mut SpmvWorkspace::new());
         if scheme == EccScheme::Secded64 {
             result.unwrap();
             assert_eq!(y2, reference, "{scheme:?}: transient correction");

@@ -7,7 +7,7 @@
 //! otherwise a future kernel optimisation could silently change solver
 //! trajectories.
 
-use abft_suite::core::spmv::{protected_spmv, protected_spmv_parallel};
+use abft_suite::core::spmv::protected_spmv;
 use abft_suite::core::{
     EccScheme, FaultLog, ProtectedCsr, ProtectedMatrix, ProtectedVector, ProtectionConfig,
     SpmvWorkspace,
@@ -20,6 +20,14 @@ use abft_suite::sparse::CsrMatrix;
 /// chunks (the shim goes parallel at 4096 rows).
 fn test_matrix() -> CsrMatrix {
     poisson_2d_padded(96, 96)
+}
+
+/// `m` encoded under `cfg`, once serial and once parallel.
+fn serial_and_parallel(m: &CsrMatrix, cfg: ProtectionConfig) -> (ProtectedCsr, ProtectedCsr) {
+    (
+        ProtectedCsr::from_csr(m, &cfg).unwrap(),
+        ProtectedCsr::from_csr(m, &cfg.with_parallel(true)).unwrap(),
+    )
 }
 
 fn all_schemes() -> [EccScheme; 5] {
@@ -54,7 +62,7 @@ fn serial_and_parallel_agree_bitwise_for_every_scheme_and_interval() {
             let cfg = ProtectionConfig::matrix_only(scheme)
                 .with_check_interval(interval)
                 .with_crc_backend(Crc32cBackend::SlicingBy16);
-            let a = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+            let (a, a_par) = serial_and_parallel(&m, cfg);
             let log = FaultLog::new();
             let mut ws = SpmvWorkspace::new();
             // Iteration 0 always runs full checks; with interval 8,
@@ -64,20 +72,28 @@ fn serial_and_parallel_agree_bitwise_for_every_scheme_and_interval() {
                 a.spmv_with(&x[..], &mut y_serial, iteration, &log, &mut ws)
                     .unwrap();
                 let mut y_parallel = vec![0.0; m.rows()];
-                a.spmv_parallel_with(&x[..], &mut y_parallel, iteration, &log, &mut ws)
+                a_par
+                    .spmv_with(&x[..], &mut y_parallel, iteration, &log, &mut ws)
                     .unwrap();
                 assert_bitwise_eq(
                     &y_serial,
                     &y_parallel,
                     &format!("{scheme:?} interval={interval} iteration={iteration}"),
                 );
-                // The plain (no-workspace) entry points match too.
-                let mut y_plain = vec![0.0; m.rows()];
-                a.spmv(&x[..], &mut y_plain, iteration, &log).unwrap();
+                // A fresh workspace matches a warm one.
+                let mut y_fresh = vec![0.0; m.rows()];
+                a.spmv_with(
+                    &x[..],
+                    &mut y_fresh,
+                    iteration,
+                    &log,
+                    &mut SpmvWorkspace::new(),
+                )
+                .unwrap();
                 assert_bitwise_eq(
                     &y_serial,
-                    &y_plain,
-                    &format!("{scheme:?} interval={interval} workspace vs plain"),
+                    &y_fresh,
+                    &format!("{scheme:?} interval={interval} warm vs fresh workspace"),
                 );
             }
             assert_eq!(log.total_corrected() + log.total_uncorrectable(), 0);
@@ -93,8 +109,9 @@ fn masked_fast_path_matches_explicitly_masked_input_bitwise() {
         .collect();
     for scheme in all_schemes() {
         let cfg = ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::SlicingBy16);
-        let a = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+        let (a, a_par) = serial_and_parallel(&m, cfg);
         let xp = ProtectedVector::from_slice(&x_plain, scheme, cfg.crc_backend);
+        let mut ws = SpmvWorkspace::new();
         // What the masked view is defined to read.
         let x_masked: Vec<f64> = (0..xp.len()).map(|i| xp.get(i)).collect();
         let log = FaultLog::new();
@@ -103,14 +120,16 @@ fn masked_fast_path_matches_explicitly_masked_input_bitwise() {
         // DenseSource dispatch; the plain slice rides the Slice path.  Both
         // must produce identical bits.
         let mut y_masked = vec![0.0; m.rows()];
-        a.spmv(&xp, &mut y_masked, 0, &log).unwrap();
+        a.spmv_with(&xp, &mut y_masked, 0, &log, &mut ws).unwrap();
         let mut y_slice = vec![0.0; m.rows()];
-        a.spmv(&x_masked[..], &mut y_slice, 0, &log).unwrap();
+        a.spmv_with(&x_masked[..], &mut y_slice, 0, &log, &mut ws)
+            .unwrap();
         assert_bitwise_eq(&y_masked, &y_slice, &format!("{scheme:?} masked vs slice"));
 
         // Same through the parallel kernel.
         let mut y_masked_par = vec![0.0; m.rows()];
-        a.spmv_parallel_with(&xp, &mut y_masked_par, 0, &log, &mut SpmvWorkspace::new())
+        a_par
+            .spmv_with(&xp, &mut y_masked_par, 0, &log, &mut ws)
             .unwrap();
         assert_bitwise_eq(
             &y_masked,
@@ -131,7 +150,7 @@ fn fully_protected_serial_and_parallel_agree_bitwise() {
             let cfg = ProtectionConfig::full(scheme)
                 .with_check_interval(interval)
                 .with_crc_backend(Crc32cBackend::SlicingBy16);
-            let a = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+            let (a, a_par) = serial_and_parallel(&m, cfg);
             let mut x = ProtectedVector::from_slice(&x_plain, scheme, cfg.crc_backend);
             let log = FaultLog::new();
             let mut ws = SpmvWorkspace::new();
@@ -139,7 +158,7 @@ fn fully_protected_serial_and_parallel_agree_bitwise() {
                 let mut y1 = ProtectedVector::zeros(m.rows(), scheme, cfg.crc_backend);
                 protected_spmv(&a, &mut x, &mut y1, iteration, &log, &mut ws).unwrap();
                 let mut y2 = ProtectedVector::zeros(m.rows(), scheme, cfg.crc_backend);
-                protected_spmv_parallel(&a, &mut x, &mut y2, iteration, &log, &mut ws).unwrap();
+                protected_spmv(&a_par, &mut x, &mut y2, iteration, &log, &mut ws).unwrap();
                 // The encoded storage (values + embedded redundancy) must be
                 // bit-identical, not just the masked reads.
                 assert_eq!(
@@ -161,19 +180,23 @@ fn kernels_still_catch_and_correct_faults_after_the_rewrite() {
     let x: Vec<f64> = (0..m.cols()).map(|i| (i as f64).sqrt()).collect();
     let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64)
         .with_crc_backend(Crc32cBackend::SlicingBy16);
-    let mut a = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+    let (mut a, mut a_par) = serial_and_parallel(&m, cfg);
     a.inject_value_bit_flip(1234, 40);
+    a_par.inject_value_bit_flip(1234, 40);
     let log = FaultLog::new();
+    let mut ws = SpmvWorkspace::new();
     let mut reference = vec![0.0; m.rows()];
     abft_suite::sparse::spmv::spmv_serial(&m, &x, &mut reference);
 
     let mut y_serial = vec![0.0; m.rows()];
-    a.spmv(&x[..], &mut y_serial, 0, &log).unwrap();
+    a.spmv_with(&x[..], &mut y_serial, 0, &log, &mut ws)
+        .unwrap();
     assert_bitwise_eq(&y_serial, &reference, "corrected serial");
     assert!(log.total_corrected() > 0);
 
     let mut y_parallel = vec![0.0; m.rows()];
-    a.spmv_parallel_with(&x[..], &mut y_parallel, 0, &log, &mut SpmvWorkspace::new())
+    a_par
+        .spmv_with(&x[..], &mut y_parallel, 0, &log, &mut ws)
         .unwrap();
     assert_bitwise_eq(&y_parallel, &reference, "corrected parallel");
 }
@@ -192,7 +215,7 @@ fn sharded_scheduler_spmv_parity_under_worker_sweeps() {
         rayon::set_worker_limit(Some(workers));
         for scheme in all_schemes() {
             let cfg = ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::SlicingBy16);
-            let a = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+            let (a, a_par) = serial_and_parallel(&m, cfg);
             let mut ws = SpmvWorkspace::new();
 
             let serial_log = FaultLog::new();
@@ -202,7 +225,8 @@ fn sharded_scheduler_spmv_parity_under_worker_sweeps() {
 
             let parallel_log = FaultLog::new();
             let mut y_parallel = vec![0.0; m.rows()];
-            a.spmv_parallel_with(&x_plain[..], &mut y_parallel, 0, &parallel_log, &mut ws)
+            a_par
+                .spmv_with(&x_plain[..], &mut y_parallel, 0, &parallel_log, &mut ws)
                 .unwrap();
 
             assert_bitwise_eq(
@@ -222,7 +246,7 @@ fn sharded_scheduler_spmv_parity_under_worker_sweeps() {
             let mut y1 = ProtectedVector::zeros(m.rows(), scheme, cfg.crc_backend);
             protected_spmv(&a, &mut x, &mut y1, 0, &log, &mut ws).unwrap();
             let mut y2 = ProtectedVector::zeros(m.rows(), scheme, cfg.crc_backend);
-            protected_spmv_parallel(&a, &mut x, &mut y2, 0, &log, &mut ws).unwrap();
+            protected_spmv(&a_par, &mut x, &mut y2, 0, &log, &mut ws).unwrap();
             assert_eq!(
                 y1.raw(),
                 y2.raw(),

@@ -129,10 +129,10 @@ fn tier_parity_holds_under_worker_sweeps() {
                 .spmv_with(&x[..], &mut y_ref, 0, &log, &mut ws)
                 .unwrap();
             for tier in alternative_tiers() {
-                let a = AnyProtectedMatrix::encode(&m, &cfg, tier).expect("tier encode");
+                let a = AnyProtectedMatrix::encode(&m, &cfg.with_parallel(true), tier)
+                    .expect("tier encode");
                 let mut y = vec![0.0; m.rows()];
-                a.spmv_parallel_with(&x[..], &mut y, 0, &log, &mut ws)
-                    .unwrap();
+                a.spmv_with(&x[..], &mut y, 0, &log, &mut ws).unwrap();
                 assert_bitwise_eq(
                     &y,
                     &y_ref,

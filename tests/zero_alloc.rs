@@ -14,7 +14,7 @@
 
 use abft_suite::core::{EccScheme, ParityConfig, ProtectionConfig};
 use abft_suite::prelude::{Crc32cBackend, PrecondKind, Reliability, Solver};
-use abft_suite::solvers::backends::{FullyProtected, MatrixProtected};
+use abft_suite::solvers::backends::{FullyProtected, MatrixProtected, Plain};
 use abft_suite::sparse::builders::poisson_2d_padded;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -163,6 +163,40 @@ fn parallel_fully_protected_cg_iterations_do_not_allocate() {
             "{scheme:?}: parallel protected CG iterations allocated"
         );
     }
+    rayon::set_worker_limit(None);
+}
+
+#[test]
+fn parallel_plain_cg_iterations_do_not_allocate() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    // The unprotected baseline on the pool: the same 128×128 grid at four
+    // lanes, so the plain SpMV, dot and AXPY all split into several chunks.
+    rayon::set_worker_limit(Some(4));
+    let a = poisson_2d_padded(128, 128);
+    let b: Vec<f64> = (0..a.rows()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+    let op = Plain::new(&a, true);
+    let short = Solver::cg().max_iterations(10).tolerance(0.0);
+    let long = Solver::cg().max_iterations(60).tolerance(0.0);
+    // Warm-up as above: repeat until two consecutive short solves agree.
+    let measure_short = || {
+        process_allocations_during(|| {
+            short.solve_operator(&op, &b).unwrap();
+        })
+    };
+    let mut allocs_short = measure_short();
+    for _ in 0..16 {
+        let again = measure_short();
+        if std::mem::replace(&mut allocs_short, again) == again {
+            break;
+        }
+    }
+    let allocs_long = process_allocations_during(|| {
+        long.solve_operator(&op, &b).unwrap();
+    });
+    assert_eq!(
+        allocs_short, allocs_long,
+        "parallel plain CG iterations allocated"
+    );
     rayon::set_worker_limit(None);
 }
 
