@@ -883,11 +883,11 @@ impl ProtectedVector {
                     .all(|g| codec.is_clean(g))
                 {
                     candidates += 1;
-                    candidate = Some((chunk, lo, hi));
+                    candidate = Some((chunk, hi - lo));
                 }
             }
             match (candidates, candidate) {
-                (1, Some((chunk, lo, hi))) => {
+                (1, Some((chunk, words))) => {
                     // Ordinary correctable noise also leaves exactly one
                     // candidate (the flipped chunk, whose tentative rebuild
                     // is its original).  Distinguish it from an erasure by
@@ -895,13 +895,12 @@ impl ProtectedVector {
                     // current content is within `cap` flipped bits of the
                     // tentative, the decoder will restore exactly that
                     // original — leave it to the scrub.  Anything farther is
-                    // a loss only the parity tier can rebuild.
-                    let explainable = (0..hi - lo).step_by(group).all(|base| {
-                        (base..base + group)
-                            .map(|k| (self.data[lo + k] ^ tentative[k]).count_ones())
-                            .sum::<u32>()
-                            <= cap
-                    });
+                    // a loss only the parity tier can rebuild.  The
+                    // candidate's content XOR its tentative is `acc` itself
+                    // (`tentative` by now holds a later chunk's rebuild).
+                    let explainable = acc[..words]
+                        .chunks_exact(group)
+                        .all(|g| g.iter().map(|w| w.count_ones()).sum::<u32>() <= cap);
                     if explainable {
                         deferred = true;
                     } else {

@@ -97,6 +97,67 @@ fn double_chunk_loss_in_one_stripe_aborts_instead_of_serving_garbage() {
     assert!(log.total_uncorrectable() > 0);
 }
 
+/// A single correctable flip in a chunk that is not its stripe's last is
+/// ordinary bit noise: the scrub behind the barrier corrects it in place.
+/// The stripe classifier must not convict that chunk as erased, which
+/// would read as a DUE on every read-modify-write kernel and as a rebuild
+/// on every SpMV read.
+#[test]
+fn correctable_flip_outside_a_stripes_last_chunk_is_corrected_not_rebuilt() {
+    // Two full stripes; every chunk but each stripe's last takes a turn.
+    let n = 2 * PARITY.stripe_chunks * PARITY.chunk_words;
+    let matrix = ProtectedCsr::from_csr(
+        &tridiagonal(n, 4.0, -1.0),
+        &ProtectionConfig::full(EccScheme::Secded64),
+    )
+    .unwrap();
+    let non_last = (0..2 * PARITY.stripe_chunks).filter(|c| (c + 1) % PARITY.stripe_chunks != 0);
+    // `(call, whether the fault goes into the operand x)`.
+    let calls = [
+        ("spmv", true),
+        ("axpy", false),
+        ("axpy", true),
+        ("xpay", false),
+        ("xpay", true),
+        ("dot_axpy", false),
+        ("dot_axpy", true),
+        ("scale_axpy", false),
+        ("scale_axpy", true),
+        ("scale", false),
+        ("update", false),
+    ];
+    for scheme in [EccScheme::Secded64, EccScheme::Secded128, EccScheme::Crc32c] {
+        let clean_y = barrier_vector(scheme, n, PARITY, 2.0);
+        let clean_x = barrier_vector(scheme, n, PARITY, -1.25);
+        for chunk in non_last.clone() {
+            for (call, into_x) in calls {
+                let (mut y, mut x) = (clean_y.clone(), clean_x.clone());
+                let faulted = if into_x { &mut x } else { &mut y };
+                faulted.inject_bit_flip(chunk * PARITY.chunk_words + 5, 33);
+                let log = FaultLog::new();
+                let result = match call {
+                    "spmv" => {
+                        let mut ws = SpmvWorkspace::new();
+                        protected_spmv(&matrix, &mut x, &mut y, 0, &log, &mut ws)
+                    }
+                    "axpy" => y.axpy_masked(1.5, &x, &log),
+                    "xpay" => y.xpay_masked(0.5, &x, &log),
+                    "dot_axpy" => y.dot_axpy_masked(-0.25, &x, &log).map(drop),
+                    "scale_axpy" => y.scale_axpy_masked(0.5, 1.5, &x, &log),
+                    "scale" => y.scale_masked(0.75, &log),
+                    "update" => y.update_from_fn(&log, |i, v| v * 0.5 + i as f64),
+                    other => unreachable!("unknown call {other}"),
+                };
+                let what = format!("{scheme:?} chunk {chunk} {call} into_x={into_x}");
+                assert!(result.is_ok(), "{what}: {result:?}");
+                assert_eq!(log.total_rebuilt(), 0, "{what}");
+                assert_eq!(log.total_uncorrectable(), 0, "{what}");
+                assert!(log.total_corrected() > 0, "{what}");
+            }
+        }
+    }
+}
+
 /// Wraps an operator and poisons one chunk of the input vector at a fixed
 /// iteration — the integration-level twin of the campaign's injector, used
 /// here to pin the *trajectory* (not just the outcome histogram).
