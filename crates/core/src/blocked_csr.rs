@@ -5,9 +5,9 @@
 //! protected row pointer.  Block boundaries are **aligned to the row-pointer
 //! codeword groups** of the configured scheme (multiples of
 //! [`crate::EccScheme::row_pointer_group`] rows), so no codeword group straddles a
-//! block boundary and one [`ProtectedCsr::verify_all`] certifies exactly one
-//! block — the serving layer can re-verify or scrub the block a fault hit
-//! without touching the rest of the matrix.
+//! block boundary and one block's [`ProtectedMatrix::verify_all`] certifies
+//! exactly that block — the serving layer can re-verify or scrub the block a
+//! fault hit without touching the rest of the matrix.
 //!
 //! Per-row products decode the same values and columns in the same order as
 //! the unblocked kernels, so SpMV/SpMM outputs are **bitwise identical** to
@@ -20,7 +20,6 @@
 //! global indices and map them onto the owning block.
 
 use crate::error::AbftError;
-use crate::policy::CheckPolicy;
 use crate::protected_csr::ProtectedCsr;
 use crate::protected_matrix::ProtectedMatrix;
 use crate::report::FaultLog;
@@ -44,7 +43,6 @@ pub struct ProtectedBlockedCsr {
     /// First global element of each block, plus a trailing `nnz` sentinel.
     elem_starts: Vec<usize>,
     blocks: Vec<ProtectedCsr>,
-    policy: CheckPolicy,
     config: ProtectionConfig,
 }
 
@@ -106,34 +104,8 @@ impl ProtectedBlockedCsr {
             row_starts: boundaries,
             elem_starts,
             blocks,
-            policy: CheckPolicy::every(config.check_interval),
             config: *config,
         })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// The protection configuration this matrix was encoded with.
-    pub fn config(&self) -> &ProtectionConfig {
-        &self.config
-    }
-
-    /// The check policy derived from the configuration.
-    pub fn policy(&self) -> CheckPolicy {
-        self.policy
     }
 
     /// The realized number of blocks (after group alignment and
@@ -156,78 +128,6 @@ impl ProtectedBlockedCsr {
     fn locate_element(&self, k: usize) -> (usize, usize) {
         let b = self.elem_starts.partition_point(|&e| e <= k) - 1;
         (b, k - self.elem_starts[b])
-    }
-
-    /// Flips one bit of stored value `k` (global element index).
-    pub fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {
-        let (b, local) = self.locate_element(k);
-        self.blocks[b].inject_value_bit_flip(local, bit);
-    }
-
-    /// Flips one bit of stored (encoded) column index `k` (global element
-    /// index).
-    pub fn inject_col_bit_flip(&mut self, k: usize, bit: u32) {
-        let (b, local) = self.locate_element(k);
-        self.blocks[b].inject_col_bit_flip(local, bit);
-    }
-
-    /// Flips one bit of a row-pointer entry, with the per-block pointers
-    /// laid out consecutively (block `b` contributes `rows_b + 1` entries).
-    pub fn inject_row_pointer_bit_flip(&mut self, entry: usize, bit: u32) {
-        let mut offset = entry;
-        for block in &mut self.blocks {
-            let entries = block.rows() + 1;
-            if offset < entries {
-                block.inject_row_pointer_bit_flip(offset, bit);
-                return;
-            }
-            offset -= entries;
-        }
-        panic!("inject_row_pointer_bit_flip: entry {entry} out of range");
-    }
-
-    /// Visits every stored entry as `(row, column, value)` with redundancy
-    /// bits masked off (unchecked).
-    pub fn for_each_entry(&self, mut f: impl FnMut(usize, u32, f64)) {
-        for (b, block) in self.blocks.iter().enumerate() {
-            let row0 = self.row_starts[b];
-            block.for_each_entry(|row, col, value| f(row0 + row, col, value));
-        }
-    }
-
-    /// Decodes the matrix back into a plain [`CsrMatrix`] (masked,
-    /// unchecked).
-    pub fn to_csr(&self) -> CsrMatrix {
-        let mut values = Vec::with_capacity(self.nnz);
-        let mut cols = Vec::with_capacity(self.nnz);
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0u32);
-        for (b, block) in self.blocks.iter().enumerate() {
-            let plain = block.to_csr();
-            let elem0 = self.elem_starts[b] as u32;
-            values.extend_from_slice(plain.values());
-            cols.extend_from_slice(plain.col_indices());
-            row_ptr.extend(plain.row_pointer()[1..].iter().map(|&e| e + elem0));
-        }
-        CsrMatrix::from_raw(self.rows, self.cols, values, cols, row_ptr)
-    }
-
-    /// Verifies every codeword of the matrix, block by block.
-    pub fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        for block in &self.blocks {
-            block.verify_all(log)?;
-        }
-        Ok(())
-    }
-
-    /// Re-verifies and repairs every block; returns total corrected
-    /// codewords.
-    pub fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        let mut corrected = 0;
-        for block in &mut self.blocks {
-            corrected += block.scrub(log)?;
-        }
-        Ok(corrected)
     }
 
     /// Maps the global row range `row0 .. row0 + n` onto the overlapping
@@ -276,10 +176,6 @@ impl ProtectedMatrix for ProtectedBlockedCsr {
 
     fn config(&self) -> &ProtectionConfig {
         &self.config
-    }
-
-    fn policy(&self) -> CheckPolicy {
-        self.policy
     }
 
     fn spmv_range_view(
@@ -331,31 +227,57 @@ impl ProtectedMatrix for ProtectedBlockedCsr {
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        ProtectedBlockedCsr::verify_all(self, log)
+        self.blocks
+            .iter()
+            .try_for_each(|block| block.verify_all(log))
     }
 
     fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        ProtectedBlockedCsr::scrub(self, log)
-    }
-
-    fn visit_entries(&self, f: &mut dyn FnMut(usize, u32, f64)) {
-        self.for_each_entry(f);
+        let mut corrected = 0;
+        for block in &mut self.blocks {
+            corrected += block.scrub(log)?;
+        }
+        Ok(corrected)
     }
 
     fn to_csr(&self) -> CsrMatrix {
-        ProtectedBlockedCsr::to_csr(self)
+        let mut values = Vec::with_capacity(self.nnz);
+        let mut cols = Vec::with_capacity(self.nnz);
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0u32);
+        for (b, block) in self.blocks.iter().enumerate() {
+            let plain = block.to_csr();
+            let elem0 = self.elem_starts[b] as u32;
+            values.extend_from_slice(plain.values());
+            cols.extend_from_slice(plain.col_indices());
+            row_ptr.extend(plain.row_pointer()[1..].iter().map(|&e| e + elem0));
+        }
+        CsrMatrix::from_raw(self.rows, self.cols, values, cols, row_ptr)
     }
 
     fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {
-        ProtectedBlockedCsr::inject_value_bit_flip(self, k, bit)
+        let (b, local) = self.locate_element(k);
+        self.blocks[b].inject_value_bit_flip(local, bit);
     }
 
     fn inject_col_bit_flip(&mut self, k: usize, bit: u32) {
-        ProtectedBlockedCsr::inject_col_bit_flip(self, k, bit)
+        let (b, local) = self.locate_element(k);
+        self.blocks[b].inject_col_bit_flip(local, bit);
     }
 
+    /// The per-block row pointers are laid out consecutively: block `b`
+    /// contributes `rows_b + 1` entries.
     fn inject_structure_bit_flip(&mut self, entry: usize, bit: u32) {
-        self.inject_row_pointer_bit_flip(entry, bit)
+        let mut offset = entry;
+        for block in &mut self.blocks {
+            let entries = block.structure_entries();
+            if offset < entries {
+                block.inject_structure_bit_flip(offset, bit);
+                return;
+            }
+            offset -= entries;
+        }
+        panic!("inject_structure_bit_flip: entry {entry} out of range");
     }
 
     fn structure_entries(&self) -> usize {
@@ -448,12 +370,20 @@ mod tests {
         let p = ProtectedBlockedCsr::from_csr(&m, &cfg, 4).unwrap();
         assert_eq!(p.to_csr(), m);
         assert_eq!(p.nnz(), m.nnz());
+        // Every stored entry sits in the block that owns its row, at its
+        // block-local row.
         let mut count = 0usize;
-        p.for_each_entry(|row, col, value| {
-            assert!(row < m.rows());
-            assert_eq!(m.get(row, col as usize), value);
-            count += 1;
-        });
+        for (b, block) in p.blocks().iter().enumerate() {
+            let plain = block.to_csr();
+            for row in 0..plain.rows() {
+                for k in plain.row_range(row) {
+                    let col = plain.col_indices()[k] as usize;
+                    let global = p.block_row_start(b) + row;
+                    assert_eq!(m.get(global, col), plain.values()[k]);
+                    count += 1;
+                }
+            }
+        }
         assert_eq!(count, m.nnz());
     }
 

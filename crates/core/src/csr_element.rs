@@ -69,12 +69,6 @@ impl ElementCodec {
         col & self.col_mask
     }
 
-    /// The AND-mask selecting the real index bits of this scheme.
-    #[inline]
-    pub fn col_mask(&self) -> u32 {
-        self.col_mask
-    }
-
     /// True when one codeword covers a whole matrix row (CRC32C), so that
     /// verifying the elements needs the row boundaries; the element- and
     /// pair-granular codewords are checked as one run over the arrays.

@@ -23,12 +23,11 @@
 //! Row-index checks and faults are recorded under [`Region::RowPointer`],
 //! preserving the CSR outcome taxonomy: a decoded index that jumps backwards
 //! is a bounds violation, an uncorrectable codeword aborts, and corrections
-//! observed during reads are transient until [`ProtectedCoo::scrub`] repairs
-//! storage.
+//! observed during reads are transient until [`ProtectedMatrix::scrub`]
+//! repairs storage.
 
 use crate::csr_element::{ElementCodec, COL_MASK_24, COL_MASK_31};
 use crate::error::AbftError;
-use crate::policy::CheckPolicy;
 use crate::protected_csr::{KernelTally, OneVector, Panel, RowSink};
 use crate::protected_matrix::ProtectedMatrix;
 use crate::report::{FaultLog, Region};
@@ -52,7 +51,6 @@ pub struct ProtectedCoo {
     col_indices: Vec<u32>,
     row_indices: Vec<u32>,
     codec: ElementCodec,
-    policy: CheckPolicy,
     config: ProtectionConfig,
 }
 
@@ -101,34 +99,8 @@ impl ProtectedCoo {
             col_indices,
             row_indices,
             codec,
-            policy: CheckPolicy::every(config.check_interval),
             config: *config,
         })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// The protection configuration this matrix was encoded with.
-    pub fn config(&self) -> &ProtectionConfig {
-        &self.config
-    }
-
-    /// The check policy derived from the configuration.
-    pub fn policy(&self) -> CheckPolicy {
-        self.policy
     }
 
     /// Raw stored values (exposed for fault injection and tests).
@@ -144,21 +116,6 @@ impl ProtectedCoo {
     /// Raw encoded row indices (row-index redundancy in the top bits).
     pub fn raw_row_indices(&self) -> &[u32] {
         &self.row_indices
-    }
-
-    /// Flips one bit of a stored value (fault injection hook).
-    pub fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {
-        self.values[k] = f64::from_bits(self.values[k].to_bits() ^ (1u64 << bit));
-    }
-
-    /// Flips one bit of a stored (encoded) column index.
-    pub fn inject_col_bit_flip(&mut self, k: usize, bit: u32) {
-        self.col_indices[k] ^= 1u32 << bit;
-    }
-
-    /// Flips one bit of a stored (encoded) row index.
-    pub fn inject_row_index_bit_flip(&mut self, k: usize, bit: u32) {
-        self.row_indices[k] ^= 1u32 << bit;
     }
 
     /// The AND-mask extracting the payload of an encoded row index.
@@ -246,32 +203,6 @@ impl ProtectedCoo {
         Ok(lo)
     }
 
-    /// Visits every stored entry as `(row, column, value)` with redundancy
-    /// bits masked off (unchecked).
-    pub fn for_each_entry(&self, mut f: impl FnMut(usize, u32, f64)) {
-        let col_mask = self.codec.col_mask();
-        let row_mask = self.row_mask();
-        for k in 0..self.values.len() {
-            f(
-                (self.row_indices[k] & row_mask) as usize,
-                self.col_indices[k] & col_mask,
-                self.values[k],
-            );
-        }
-    }
-
-    /// Decodes the matrix back into a plain [`CsrMatrix`] (masked,
-    /// unchecked).
-    pub fn to_csr(&self) -> CsrMatrix {
-        let row_ptr = self.masked_row_pointer();
-        let cols: Vec<u32> = self
-            .col_indices
-            .iter()
-            .map(|&c| self.codec.mask_col(c))
-            .collect();
-        CsrMatrix::from_raw(self.rows, self.cols, self.values.clone(), cols, row_ptr)
-    }
-
     /// Rebuilds the CSR row pointer from the masked row indices (unchecked;
     /// elements are stored in row-major order).
     fn masked_row_pointer(&self) -> Vec<u32> {
@@ -298,94 +229,6 @@ impl ProtectedCoo {
         whole
             .into_iter()
             .chain(rows.filter(|(start, end)| start < end))
-    }
-
-    /// Verifies every codeword of the matrix (elements and row indices)
-    /// without modifying storage.
-    pub fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        // Row indices first.  The row-granular CRC codewords need the row
-        // runs, counted here from the *checked* decode: a correctable
-        // row-index flip must not shift the slice a checksum is computed
-        // over.
-        let crc_rows = self.codec.row_granular();
-        let mut row_ptr = vec![0u32; if crc_rows { self.rows + 1 } else { 0 }];
-        let mut rp_checks = 0u64;
-        let result = (0..self.row_indices.len()).try_for_each(|k| {
-            let row = self.decode_row_checked(k, log, &mut rp_checks)? as usize;
-            if crc_rows && row < self.rows {
-                row_ptr[row + 1] += 1;
-            }
-            Ok(())
-        });
-        if rp_checks > 0 {
-            log.record_checks(Region::RowPointer, rp_checks);
-        }
-        result?;
-        for row in 1..row_ptr.len() {
-            row_ptr[row] += row_ptr[row - 1];
-        }
-        let mut scratch = Vec::new();
-        let mut tally = 0u64;
-        let (values, cols) = (&self.values, &self.col_indices);
-        let result = self.element_runs(&row_ptr).try_for_each(|(start, end)| {
-            let unseen = |_, _, _| Ok(());
-            self.codec.verify_run(
-                values,
-                cols,
-                start,
-                end,
-                &mut scratch,
-                &mut tally,
-                log,
-                unseen,
-            )
-        });
-        log.record_checks(Region::CsrElements, tally);
-        result
-    }
-
-    /// Re-verifies every codeword and repairs correctable errors in place.
-    /// Returns the number of corrected codewords.
-    pub fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        // Row indices first, rewriting repaired codewords, so the element
-        // pass below sees trustworthy row runs.
-        let mut repaired_rows = 0usize;
-        let mut rp_checks = 0u64;
-        for k in 0..self.row_indices.len() {
-            let decoded = match self.decode_row_checked(k, log, &mut rp_checks) {
-                Ok(row) => row,
-                Err(e) => {
-                    log.record_checks(Region::RowPointer, rp_checks);
-                    return Err(e);
-                }
-            };
-            let reencoded = encode_row_index(decoded, self.config.row_pointer);
-            if reencoded != self.row_indices[k] {
-                self.row_indices[k] = reencoded;
-                repaired_rows += 1;
-            }
-        }
-        if rp_checks > 0 {
-            log.record_checks(Region::RowPointer, rp_checks);
-        }
-        let before = log.total_corrected();
-        let row_ptr = if self.codec.row_granular() {
-            self.masked_row_pointer()
-        } else {
-            Vec::new()
-        };
-        let mut runs = self.element_runs(&row_ptr);
-        let (values, cols) = (&mut self.values[..], &mut self.col_indices[..]);
-        let mut scratch = Vec::new();
-        let mut tally = 0u64;
-        let result = runs.try_for_each(|(start, end)| {
-            self.codec
-                .scrub_run(values, cols, start, end, &mut scratch, &mut tally, log)
-        });
-        log.record_checks(Region::CsrElements, tally);
-        result?;
-        let corrected_elements = (log.total_corrected() - before) as usize;
-        Ok(repaired_rows + corrected_elements)
     }
 
     /// Computes `out[i * w + j] = (A x_j)[row0 + i]` for a contiguous row
@@ -503,10 +346,6 @@ impl ProtectedMatrix for ProtectedCoo {
         &self.config
     }
 
-    fn policy(&self) -> CheckPolicy {
-        self.policy
-    }
-
     fn spmv_range_view(
         &self,
         row0: usize,
@@ -547,31 +386,109 @@ impl ProtectedMatrix for ProtectedCoo {
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        ProtectedCoo::verify_all(self, log)
+        // Row indices first.  The row-granular CRC codewords need the row
+        // runs, counted here from the *checked* decode: a correctable
+        // row-index flip must not shift the slice a checksum is computed
+        // over.
+        let crc_rows = self.codec.row_granular();
+        let mut row_ptr = vec![0u32; if crc_rows { self.rows + 1 } else { 0 }];
+        let mut rp_checks = 0u64;
+        let result = (0..self.row_indices.len()).try_for_each(|k| {
+            let row = self.decode_row_checked(k, log, &mut rp_checks)? as usize;
+            if crc_rows && row < self.rows {
+                row_ptr[row + 1] += 1;
+            }
+            Ok(())
+        });
+        if rp_checks > 0 {
+            log.record_checks(Region::RowPointer, rp_checks);
+        }
+        result?;
+        for row in 1..row_ptr.len() {
+            row_ptr[row] += row_ptr[row - 1];
+        }
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let (values, cols) = (&self.values, &self.col_indices);
+        let result = self.element_runs(&row_ptr).try_for_each(|(start, end)| {
+            let unseen = |_, _, _| Ok(());
+            self.codec.verify_run(
+                values,
+                cols,
+                start,
+                end,
+                &mut scratch,
+                &mut tally,
+                log,
+                unseen,
+            )
+        });
+        log.record_checks(Region::CsrElements, tally);
+        result
     }
 
     fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        ProtectedCoo::scrub(self, log)
-    }
-
-    fn visit_entries(&self, f: &mut dyn FnMut(usize, u32, f64)) {
-        self.for_each_entry(f);
+        // Row indices first, rewriting repaired codewords, so the element
+        // pass below sees trustworthy row runs.
+        let mut repaired_rows = 0usize;
+        let mut rp_checks = 0u64;
+        for k in 0..self.row_indices.len() {
+            let decoded = match self.decode_row_checked(k, log, &mut rp_checks) {
+                Ok(row) => row,
+                Err(e) => {
+                    log.record_checks(Region::RowPointer, rp_checks);
+                    return Err(e);
+                }
+            };
+            let reencoded = encode_row_index(decoded, self.config.row_pointer);
+            if reencoded != self.row_indices[k] {
+                self.row_indices[k] = reencoded;
+                repaired_rows += 1;
+            }
+        }
+        if rp_checks > 0 {
+            log.record_checks(Region::RowPointer, rp_checks);
+        }
+        let before = log.total_corrected();
+        let row_ptr = if self.codec.row_granular() {
+            self.masked_row_pointer()
+        } else {
+            Vec::new()
+        };
+        let mut runs = self.element_runs(&row_ptr);
+        let (values, cols) = (&mut self.values[..], &mut self.col_indices[..]);
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let result = runs.try_for_each(|(start, end)| {
+            self.codec
+                .scrub_run(values, cols, start, end, &mut scratch, &mut tally, log)
+        });
+        log.record_checks(Region::CsrElements, tally);
+        result?;
+        let corrected_elements = (log.total_corrected() - before) as usize;
+        Ok(repaired_rows + corrected_elements)
     }
 
     fn to_csr(&self) -> CsrMatrix {
-        ProtectedCoo::to_csr(self)
+        let row_ptr = self.masked_row_pointer();
+        let cols: Vec<u32> = self
+            .col_indices
+            .iter()
+            .map(|&c| self.codec.mask_col(c))
+            .collect();
+        CsrMatrix::from_raw(self.rows, self.cols, self.values.clone(), cols, row_ptr)
     }
 
     fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {
-        ProtectedCoo::inject_value_bit_flip(self, k, bit)
+        self.values[k] = f64::from_bits(self.values[k].to_bits() ^ (1u64 << bit));
     }
 
     fn inject_col_bit_flip(&mut self, k: usize, bit: u32) {
-        ProtectedCoo::inject_col_bit_flip(self, k, bit)
+        self.col_indices[k] ^= 1u32 << bit;
     }
 
     fn inject_structure_bit_flip(&mut self, entry: usize, bit: u32) {
-        self.inject_row_index_bit_flip(entry, bit)
+        self.row_indices[entry] ^= 1u32 << bit;
     }
 
     fn structure_entries(&self) -> usize {
@@ -696,7 +613,7 @@ mod tests {
         let expected = reference_spmv(&m, &x);
         for row_pointer in [EccScheme::Secded64, EccScheme::Secded128, EccScheme::Crc32c] {
             let mut p = ProtectedCoo::from_csr(&m, &config(EccScheme::None, row_pointer)).unwrap();
-            p.inject_row_index_bit_flip(31, 3);
+            p.inject_structure_bit_flip(31, 3);
             let log = FaultLog::new();
             let mut y = vec![0.0; m.rows()];
             p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())
@@ -717,7 +634,7 @@ mod tests {
         let m = test_matrix();
         let x = vec![1.0; m.cols()];
         let mut p = ProtectedCoo::from_csr(&m, &config(EccScheme::None, EccScheme::Sed)).unwrap();
-        p.inject_row_index_bit_flip(10, 5);
+        p.inject_structure_bit_flip(10, 5);
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
         assert!(p
@@ -747,13 +664,13 @@ mod tests {
                 log,
             )
         };
-        p.inject_row_index_bit_flip(mid, 3);
+        p.inject_structure_bit_flip(mid, 3);
         let log = FaultLog::new();
         one_row(&p, &log).unwrap();
         // (checks, corrected, uncorrectable, bounds): a probe only steers.
         let counted = log.snapshot().region(Region::RowPointer);
         assert_eq!(counted, (run + 1, 0, 0, 0));
-        p.inject_row_index_bit_flip(mid, 7);
+        p.inject_structure_bit_flip(mid, 7);
         let log = FaultLog::new();
         let err = one_row(&p, &log).unwrap_err();
         assert_eq!(

@@ -9,17 +9,16 @@
 //! measures their cost.
 //!
 //! Two check strengths exist per access, driven by the configured
-//! [`CheckPolicy`]: a **full check** verifies (and transiently corrects) the
-//! codewords touched, while a **bounds check** only validates that decoded
-//! indices stay inside the matrix — enough to avoid out-of-bounds reads when
-//! checks are elided between intervals (§VI-A-2).  Corrections observed
-//! during reads are recorded in the [`FaultLog`]; the storage itself is
-//! repaired by [`ProtectedCsr::scrub`], which the solver calls when the log
-//! reports corrected errors.
+//! [`CheckPolicy`](crate::CheckPolicy): a **full check** verifies (and
+//! transiently corrects) the codewords touched, while a **bounds check** only
+//! validates that decoded indices stay inside the matrix — enough to avoid
+//! out-of-bounds reads when checks are elided between intervals (§VI-A-2).
+//! Corrections observed during reads are recorded in the [`FaultLog`]; the
+//! storage itself is repaired by [`ProtectedMatrix::scrub`], which the solver
+//! calls when the log reports corrected errors.
 
 use crate::csr_element::ElementCodec;
 use crate::error::AbftError;
-use crate::policy::CheckPolicy;
 use crate::protected_matrix::ProtectedMatrix;
 use crate::report::{FaultLog, Region};
 use crate::row_pointer::{mask_entry, ProtectedRowPointer};
@@ -44,7 +43,6 @@ pub struct ProtectedCsr {
     col_indices: Vec<u32>,
     row_pointer: ProtectedRowPointer,
     codec: ElementCodec,
-    policy: CheckPolicy,
     config: ProtectionConfig,
 }
 
@@ -76,34 +74,8 @@ impl ProtectedCsr {
             col_indices,
             row_pointer,
             codec,
-            policy: CheckPolicy::every(config.check_interval),
             config: *config,
         })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// The protection configuration this matrix was encoded with.
-    pub fn config(&self) -> &ProtectionConfig {
-        &self.config
-    }
-
-    /// The check policy derived from the configuration.
-    pub fn policy(&self) -> CheckPolicy {
-        self.policy
     }
 
     /// The protected row pointer.
@@ -120,151 +92,6 @@ impl ProtectedCsr {
     /// Raw encoded column indices (redundancy in the top bits).
     pub fn raw_col_indices(&self) -> &[u32] {
         &self.col_indices
-    }
-
-    /// Flips one bit of a stored value (fault injection hook).
-    pub fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {
-        self.values[k] = f64::from_bits(self.values[k].to_bits() ^ (1u64 << bit));
-    }
-
-    /// Flips one bit of a stored (encoded) column index.
-    pub fn inject_col_bit_flip(&mut self, k: usize, bit: u32) {
-        self.col_indices[k] ^= 1u32 << bit;
-    }
-
-    /// Flips one bit of a stored (encoded) row-pointer entry.
-    pub fn inject_row_pointer_bit_flip(&mut self, entry: usize, bit: u32) {
-        self.row_pointer.inject_bit_flip(entry, bit);
-    }
-
-    /// Visits every stored entry as `(row, column, value)` with the
-    /// redundancy bits masked off (unchecked, like
-    /// [`ProtectedCsr::to_csr`]) — lets callers derive row-wise summaries
-    /// (diagonal, Gershgorin bounds) without materialising a plain matrix.
-    pub fn for_each_entry(&self, mut f: impl FnMut(usize, u32, f64)) {
-        let mask = self.codec.col_mask();
-        for row in 0..self.rows {
-            let start = self.row_pointer.get_masked(row) as usize;
-            let end = self.row_pointer.get_masked(row + 1) as usize;
-            for k in start..end {
-                f(row, self.col_indices[k] & mask, self.values[k]);
-            }
-        }
-    }
-
-    /// Extracts the diagonal as plain values (masked, unchecked; zero where
-    /// no diagonal entry is stored), mirroring
-    /// [`CsrMatrix::diagonal`](abft_sparse::CsrMatrix::diagonal) without
-    /// decoding the whole matrix.
-    pub fn diagonal(&self) -> Vec<f64> {
-        let mut diag = vec![0.0; self.rows.min(self.cols)];
-        // `CsrMatrix::get` returns the *first* stored entry for a position,
-        // so take the first diagonal hit per row, not a sum.
-        let mut seen = vec![false; diag.len()];
-        self.for_each_entry(|row, col, value| {
-            if col as usize == row && row < diag.len() && !seen[row] {
-                diag[row] = value;
-                seen[row] = true;
-            }
-        });
-        diag
-    }
-
-    /// Decodes the matrix back into a plain [`CsrMatrix`] (masked, unchecked).
-    pub fn to_csr(&self) -> CsrMatrix {
-        let cols: Vec<u32> = self
-            .col_indices
-            .iter()
-            .map(|&c| self.codec.mask_col(c))
-            .collect();
-        CsrMatrix::from_raw(
-            self.rows,
-            self.cols,
-            self.values.clone(),
-            cols,
-            self.row_pointer.to_plain(),
-        )
-    }
-
-    /// The decoded element range of `row` (checked or bounds-checked per
-    /// `check`).
-    pub fn row_range(
-        &self,
-        row: usize,
-        check: bool,
-        log: &FaultLog,
-    ) -> Result<(usize, usize), AbftError> {
-        self.row_pointer.row_range(row, check, log)
-    }
-
-    /// Verifies every codeword of the matrix (elements and row pointer)
-    /// without modifying storage.  This is the whole-matrix check the paper
-    /// performs at the end of each time-step.
-    pub fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        self.row_pointer.check_all(log)?;
-        let (values, cols) = (&self.values[..], &self.col_indices[..]);
-        let mut scratch = Vec::new();
-        let mut tally = 0u64;
-        let mut verify = |start, end, tally: &mut u64| {
-            let unseen = |_, _, _| Ok(());
-            self.codec
-                .verify_run(values, cols, start, end, &mut scratch, tally, log, unseen)
-        };
-        let result = if !self.codec.row_granular() {
-            // Element- and pair-granular codewords are independent of the row
-            // structure; one run over the arrays checks each exactly once.
-            verify(0, self.nnz, &mut tally)
-        } else {
-            // Row-granular codewords need the row boundaries, read through
-            // the checked path: a correctable row-pointer flip must not shift
-            // the slice a row's checksum is computed over.  `check_all` above
-            // has already counted the row-pointer codewords, so the cursor's
-            // tally is dropped.
-            let rp_checked = self.row_pointer.scheme() != EccScheme::None;
-            let mut cursor = RpCursor::new(&self.row_pointer);
-            let mut bounds = [0usize; ROW_BLOCK + 1];
-            (0..self.rows).step_by(ROW_BLOCK).try_for_each(|first| {
-                let rows = ROW_BLOCK.min(self.rows - first);
-                if self.certify_block(&mut cursor, first, rows, rp_checked, true, &mut bounds) {
-                    tally += rows as u64;
-                    return Ok(());
-                }
-                (first..first + rows).try_for_each(|row| {
-                    let (start, end) = cursor.row_range(row, rp_checked, log, &mut 0)?;
-                    verify(start, end, &mut tally)
-                })
-            })
-        };
-        log.record_checks(Region::CsrElements, tally);
-        result
-    }
-
-    /// Re-verifies every codeword and repairs correctable errors in place.
-    /// Returns the number of corrected codewords.
-    pub fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        let repaired_rp = self.row_pointer.scrub(log)?;
-        let before = log.total_corrected();
-        let (values, cols) = (&mut self.values[..], &mut self.col_indices[..]);
-        let mut scratch = Vec::new();
-        let mut tally = 0u64;
-        let result = if !self.codec.row_granular() {
-            self.codec
-                .scrub_run(values, cols, 0, self.nnz, &mut scratch, &mut tally, log)
-        } else {
-            // The row pointer was scrubbed just above, so a protected one is
-            // trustworthy; an unprotected one still gets the bounds check,
-            // which turns a flipped offset into an error instead of a slice
-            // that leaves the arrays.
-            (0..self.rows).try_for_each(|row| {
-                let (start, end) = self.row_pointer.row_range(row, false, log)?;
-                self.codec
-                    .scrub_run(values, cols, start, end, &mut scratch, &mut tally, log)
-            })
-        };
-        log.record_checks(Region::CsrElements, tally);
-        result?;
-        let corrected_elements = (log.total_corrected() - before) as usize;
-        Ok(repaired_rp + corrected_elements)
     }
 
     /// Computes `out[i * w + j] = (A x_j)[row0 + i]` for a contiguous row
@@ -394,10 +221,6 @@ impl ProtectedMatrix for ProtectedCsr {
         &self.config
     }
 
-    fn policy(&self) -> CheckPolicy {
-        self.policy
-    }
-
     fn spmv_range_view(
         &self,
         row0: usize,
@@ -438,31 +261,95 @@ impl ProtectedMatrix for ProtectedCsr {
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        ProtectedCsr::verify_all(self, log)
+        self.row_pointer.check_all(log)?;
+        let (values, cols) = (&self.values[..], &self.col_indices[..]);
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let mut verify = |start, end, tally: &mut u64| {
+            let unseen = |_, _, _| Ok(());
+            self.codec
+                .verify_run(values, cols, start, end, &mut scratch, tally, log, unseen)
+        };
+        let result = if !self.codec.row_granular() {
+            // Element- and pair-granular codewords are independent of the row
+            // structure; one run over the arrays checks each exactly once.
+            verify(0, self.nnz, &mut tally)
+        } else {
+            // Row-granular codewords need the row boundaries, read through
+            // the checked path: a correctable row-pointer flip must not shift
+            // the slice a row's checksum is computed over.  `check_all` above
+            // has already counted the row-pointer codewords, so the cursor's
+            // tally is dropped.
+            let rp_checked = self.row_pointer.scheme() != EccScheme::None;
+            let mut cursor = RpCursor::new(&self.row_pointer);
+            let mut bounds = [0usize; ROW_BLOCK + 1];
+            (0..self.rows).step_by(ROW_BLOCK).try_for_each(|first| {
+                let rows = ROW_BLOCK.min(self.rows - first);
+                if self.certify_block(&mut cursor, first, rows, rp_checked, true, &mut bounds) {
+                    tally += rows as u64;
+                    return Ok(());
+                }
+                (first..first + rows).try_for_each(|row| {
+                    let (start, end) = cursor.row_range(row, rp_checked, log, &mut 0)?;
+                    verify(start, end, &mut tally)
+                })
+            })
+        };
+        log.record_checks(Region::CsrElements, tally);
+        result
     }
 
     fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        ProtectedCsr::scrub(self, log)
-    }
-
-    fn visit_entries(&self, f: &mut dyn FnMut(usize, u32, f64)) {
-        self.for_each_entry(f);
+        let repaired_rp = self.row_pointer.scrub(log)?;
+        let before = log.total_corrected();
+        let (values, cols) = (&mut self.values[..], &mut self.col_indices[..]);
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let result = if !self.codec.row_granular() {
+            self.codec
+                .scrub_run(values, cols, 0, self.nnz, &mut scratch, &mut tally, log)
+        } else {
+            // The row pointer was scrubbed just above, so a protected one is
+            // trustworthy; an unprotected one still gets the bounds check,
+            // which turns a flipped offset into an error instead of a slice
+            // that leaves the arrays.
+            (0..self.rows).try_for_each(|row| {
+                let (start, end) = self.row_pointer.row_range(row, false, log)?;
+                self.codec
+                    .scrub_run(values, cols, start, end, &mut scratch, &mut tally, log)
+            })
+        };
+        log.record_checks(Region::CsrElements, tally);
+        result?;
+        let corrected_elements = (log.total_corrected() - before) as usize;
+        Ok(repaired_rp + corrected_elements)
     }
 
     fn to_csr(&self) -> CsrMatrix {
-        ProtectedCsr::to_csr(self)
+        let cols: Vec<u32> = self
+            .col_indices
+            .iter()
+            .map(|&c| self.codec.mask_col(c))
+            .collect();
+        CsrMatrix::from_raw(
+            self.rows,
+            self.cols,
+            self.values.clone(),
+            cols,
+            self.row_pointer.to_plain(),
+        )
     }
 
     fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {
-        ProtectedCsr::inject_value_bit_flip(self, k, bit)
+        self.values[k] = f64::from_bits(self.values[k].to_bits() ^ (1u64 << bit));
     }
 
     fn inject_col_bit_flip(&mut self, k: usize, bit: u32) {
-        ProtectedCsr::inject_col_bit_flip(self, k, bit)
+        self.col_indices[k] ^= 1u32 << bit;
     }
 
     fn inject_structure_bit_flip(&mut self, entry: usize, bit: u32) {
-        self.inject_row_pointer_bit_flip(entry, bit)
+        self.row_pointer.inject_bit_flip(entry, bit);
     }
 
     fn structure_entries(&self) -> usize {
@@ -938,7 +825,7 @@ mod tests {
         let expected = reference_spmv(&m, &x);
         let mut p =
             ProtectedCsr::from_csr(&m, &config(EccScheme::None, EccScheme::Secded64)).unwrap();
-        p.inject_row_pointer_bit_flip(7, 9);
+        p.inject_structure_bit_flip(7, 9);
         let log = FaultLog::new();
         let mut y = vec![0.0; m.rows()];
         p.spmv_with(&x, &mut y, 0, &log, &mut SpmvWorkspace::new())

@@ -1,9 +1,10 @@
 //! Storage-generic protected-matrix abstraction.
 //!
-//! [`ProtectedMatrix`] is the trait every protected sparse-matrix storage
+//! [`ProtectedMatrix`] is the contract every protected sparse-matrix storage
 //! tier implements: the CSR tier ([`ProtectedCsr`]), the per-element COO
 //! tier ([`ProtectedCoo`]) and the codeword-aligned
-//! blocked-CSR tier ([`ProtectedBlockedCsr`]).
+//! blocked-CSR tier ([`ProtectedBlockedCsr`]).  A tier implements each
+//! operation once, in its trait impl — there are no inherent twins.
 //! The trait exposes exactly what the solver, serving and fault-injection
 //! layers need:
 //!
@@ -18,14 +19,16 @@
 //! * the **fault-injection surface** (`inject_*`) the campaign engine
 //!   drives, with the row *structure* abstracted (a row pointer for the CSR
 //!   tiers, per-element row indices for COO);
-//! * one provided whole-matrix SpMV, [`ProtectedMatrix::spmv_with`], that
-//!   runs the range kernel through the row-range driver of [`crate::spmv`]
-//!   with the caller-owned [`SpmvWorkspace`] — inline, or on the worker pool
-//!   when the matrix's configuration is parallel — so every tier gets it
-//!   for free.
+//! * two provided methods every tier gets for free: the check policy,
+//!   derived from the configured check interval, and the whole-matrix SpMV
+//!   [`ProtectedMatrix::spmv_with`], which runs the range kernel through the
+//!   row-range driver of [`crate::spmv`] with the caller-owned
+//!   [`SpmvWorkspace`] — inline, or on the worker pool when the matrix's
+//!   configuration is parallel.
 //!
-//! [`AnyProtectedMatrix`] is the tier-erased enum the serving queue and the
-//! fault campaign store; [`StorageTier`] names a tier for configuration.
+//! [`AnyProtectedMatrix`] is the one matrix type everything above the tiers
+//! holds — the solver backends, the serving queue and the fault campaign;
+//! [`StorageTier`] names a tier for configuration.
 
 use crate::error::AbftError;
 use crate::policy::CheckPolicy;
@@ -92,8 +95,10 @@ pub trait ProtectedMatrix: Send + Sync {
     /// The protection configuration this matrix was encoded with.
     fn config(&self) -> &ProtectionConfig;
 
-    /// The check policy derived from the configuration.
-    fn policy(&self) -> CheckPolicy;
+    /// The check policy, derived from the configured check interval.
+    fn policy(&self) -> CheckPolicy {
+        CheckPolicy::every(self.config().check_interval)
+    }
 
     /// Computes `y[i] = (A x)[row0 + i]` for a contiguous row range.
     ///
@@ -116,6 +121,9 @@ pub trait ProtectedMatrix: Send + Sync {
     /// row range and a width-`k` panel — the multi-RHS sibling of
     /// [`ProtectedMatrix::spmv_range_view`].  Column `j`'s output is bitwise
     /// identical to a single-vector product of `xs[j]`.
+    ///
+    /// The panel is uniform: every view is a [`DenseView::Slice`] or every
+    /// view is [`DenseView::MaskedWords`] (debug builds assert it).
     fn spmm_range_view(
         &self,
         row0: usize,
@@ -126,16 +134,13 @@ pub trait ProtectedMatrix: Send + Sync {
         log: &FaultLog,
     ) -> Result<(), AbftError>;
 
-    /// Verifies every codeword of the matrix without modifying storage.
+    /// Verifies every codeword of the matrix without modifying storage: the
+    /// whole-matrix check the paper performs at the end of each time-step.
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError>;
 
     /// Re-verifies every codeword and repairs correctable errors in place;
     /// returns the number of corrected codewords.
     fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError>;
-
-    /// Visits every stored entry as `(row, column, value)` with redundancy
-    /// bits masked off (unchecked).
-    fn visit_entries(&self, f: &mut dyn FnMut(usize, u32, f64));
 
     /// Decodes the matrix back into a plain [`CsrMatrix`] (masked,
     /// unchecked).
@@ -154,21 +159,6 @@ pub trait ProtectedMatrix: Send + Sync {
     /// Number of injectable row-structure entries
     /// ([`ProtectedMatrix::inject_structure_bit_flip`]'s index domain).
     fn structure_entries(&self) -> usize;
-
-    /// Extracts the diagonal as plain values (masked, unchecked; zero where
-    /// no diagonal entry is stored; first stored hit per row wins, matching
-    /// [`CsrMatrix::diagonal`]).
-    fn diagonal(&self) -> Vec<f64> {
-        let mut diag = vec![0.0; self.rows().min(self.cols())];
-        let mut seen = vec![false; diag.len()];
-        self.visit_entries(&mut |row, col, value| {
-            if col as usize == row && row < diag.len() && !seen[row] {
-                diag[row] = value;
-                seen[row] = true;
-            }
-        });
-        diag
-    }
 
     /// Sparse matrix–vector product `y = A x` with caller-owned scratch:
     /// zero heap allocations per call once the workspace is warm.  Runs on
@@ -192,8 +182,8 @@ pub trait ProtectedMatrix: Send + Sync {
     }
 }
 
-/// A protected matrix of any storage tier — the type-erased form the
-/// serving queue registers and the fault campaign encodes.
+/// A protected matrix of any storage tier — the one matrix type the solver
+/// backends, the serving queue and the fault campaign hold.
 #[derive(Debug, Clone)]
 pub enum AnyProtectedMatrix {
     /// The CSR tier.
@@ -300,10 +290,6 @@ impl ProtectedMatrix for AnyProtectedMatrix {
         delegate!(self, m => m.config())
     }
 
-    fn policy(&self) -> CheckPolicy {
-        delegate!(self, m => m.policy())
-    }
-
     fn spmv_range_view(
         &self,
         row0: usize,
@@ -333,11 +319,7 @@ impl ProtectedMatrix for AnyProtectedMatrix {
     }
 
     fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        delegate!(self, m => ProtectedMatrix::scrub(m, log))
-    }
-
-    fn visit_entries(&self, f: &mut dyn FnMut(usize, u32, f64)) {
-        delegate!(self, m => m.visit_entries(f))
+        delegate!(self, m => m.scrub(log))
     }
 
     fn to_csr(&self) -> CsrMatrix {

@@ -152,88 +152,43 @@ impl XRead for MaskedX<'_> {
     }
 }
 
-/// Reader over either storage kind, for mixed-composition panels (plain and
-/// masked columns riding one traversal).  Homogeneous panels — the only
-/// compositions the shipped entry points build — use the specialized readers
-/// via [`dispatch_panel_readers`] instead, so this enum's per-read branch
-/// stays off the hot paths.
-#[derive(Clone, Copy)]
-pub(crate) enum ViewX<'a> {
-    /// Plain-slice column.
-    Slice(SliceX<'a>),
-    /// Masked-words column.
-    Masked(MaskedX<'a>),
-}
-
-impl<'a> From<DenseView<'a>> for ViewX<'a> {
-    fn from(view: DenseView<'a>) -> Self {
-        match view {
-            DenseView::Slice(s) => ViewX::Slice(SliceX(s)),
-            DenseView::MaskedWords { words, mask } => ViewX::Masked(MaskedX { words, mask }),
-        }
-    }
-}
-
-impl XRead for ViewX<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        match self {
-            ViewX::Slice(s) => s.len(),
-            ViewX::Masked(m) => m.len(),
-        }
-    }
-    #[inline(always)]
-    fn get(&self, i: usize) -> Option<f64> {
-        match self {
-            ViewX::Slice(s) => s.get(i),
-            ViewX::Masked(m) => m.get(i),
-        }
-    }
-}
-
 /// Builds the fixed-size [`XRead`] panel for a `&[DenseView]` and invokes
 /// the body with the reader slice bound — the storage-tier side of
-/// [`ProtectedMatrix::spmm_range_view`]'s monomorphization.  All-slice and
-/// all-masked panels get the specialized readers (codegen identical to the
-/// pre-trait concrete kernels); mixed panels fall back to [`ViewX`].
+/// [`ProtectedMatrix::spmm_range_view`]'s monomorphization.  A panel is
+/// uniform: [`protected_spmm_plain`] builds only plain-slice panels and
+/// [`protected_spmm`] only masked-word ones, so the first column picks the
+/// reader for all of them.
 macro_rules! dispatch_panel_readers {
     ($xs:expr, |$r:ident| $call:expr) => {{
-        let views: &[$crate::spmv::DenseView<'_>] = $xs;
-        let width = views.len();
-        if views
-            .iter()
-            .all(|v| matches!(v, $crate::spmv::DenseView::Slice(_)))
-        {
-            let mut readers = [$crate::spmv::SliceX(&[][..]); $crate::spmv::MAX_PANEL_WIDTH];
+        use $crate::spmv::{DenseView, MaskedX, SliceX, MAX_PANEL_WIDTH};
+        let views: &[DenseView<'_>] = $xs;
+        let plain = matches!(views.first(), Some(DenseView::Slice(_)));
+        debug_assert!(
+            views
+                .iter()
+                .all(|v| matches!(v, DenseView::Slice(_)) == plain),
+            "spmm_range_view: a panel mixes plain and masked columns"
+        );
+        if plain {
+            let mut readers = [SliceX(&[][..]); MAX_PANEL_WIDTH];
             for (slot, v) in readers.iter_mut().zip(views) {
-                if let $crate::spmv::DenseView::Slice(s) = v {
-                    *slot = $crate::spmv::SliceX(s);
+                if let DenseView::Slice(s) = v {
+                    *slot = SliceX(s);
                 }
             }
-            let $r = &readers[..width];
-            $call
-        } else if views
-            .iter()
-            .all(|v| matches!(v, $crate::spmv::DenseView::MaskedWords { .. }))
-        {
-            let mut readers = [$crate::spmv::MaskedX {
-                words: &[][..],
-                mask: 0,
-            }; $crate::spmv::MAX_PANEL_WIDTH];
-            for (slot, v) in readers.iter_mut().zip(views) {
-                if let $crate::spmv::DenseView::MaskedWords { words, mask } = v {
-                    *slot = $crate::spmv::MaskedX { words, mask: *mask };
-                }
-            }
-            let $r = &readers[..width];
+            let $r = &readers[..views.len()];
             $call
         } else {
-            let mut readers = [$crate::spmv::ViewX::Slice($crate::spmv::SliceX(&[][..]));
-                $crate::spmv::MAX_PANEL_WIDTH];
+            let mut readers = [MaskedX {
+                words: &[][..],
+                mask: 0,
+            }; MAX_PANEL_WIDTH];
             for (slot, v) in readers.iter_mut().zip(views) {
-                *slot = $crate::spmv::ViewX::from(*v);
+                if let DenseView::MaskedWords { words, mask } = v {
+                    *slot = MaskedX { words, mask: *mask };
+                }
             }
-            let $r = &readers[..width];
+            let $r = &readers[..views.len()];
             $call
         }
     }};

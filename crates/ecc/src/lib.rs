@@ -25,8 +25,8 @@
 //!   the `experiments --crc-capability` harness: syndrome uniqueness checks,
 //!   detection exhaustiveness over bounded error weights.
 //! * [`verify`] — batched, SIMD-accelerated verify-only kernels and the
-//!   SECDED64 encode, with runtime ISA dispatch (SSE2/AVX2 resolved once
-//!   into a function-pointer table, portable scalar reference kept): the
+//!   SECDED64 encode, with runtime ISA dispatch (AVX2 or the portable
+//!   scalar reference, resolved once into a function-pointer table): the
 //!   check- and write-throughput layer the hot SpMV and BLAS-1 consumers
 //!   run on.
 //!

@@ -21,8 +21,7 @@
 //!   looked up with `vpshufb` against its two 16-entry nibble tables — and
 //!   the SECDED64 *encode* is the same map with the redundancy byte as its
 //!   output.  SECDED128 (9 syndrome bits) keeps an 8-lane `vpgatherdd`;
-//!   SED parity folds 4 words per step with plain vertical XORs (SSE2
-//!   folds 2);
+//!   SED parity folds 4 words per step with plain vertical XORs;
 //! * CRC32C is not lane-parallel but it is *chain*-parallel: the `crc32`
 //!   instruction (x86-64 SSE4.2, AArch64 CRC) has a 3-cycle latency and
 //!   issues once per cycle, so the CRC32C kernels hash four codewords at a
@@ -35,9 +34,10 @@
 //!   kernel loop.
 //!
 //! The portable scalar implementations live in [`scalar`] and remain the
-//! reference: they run on every architecture, the dispatched kernels must be
-//! bit-for-bit equivalent to them (pinned by differential tests across
-//! random lengths and injected faults).
+//! reference: they run on every architecture (and are the lane kernels of
+//! every host without AVX2), the dispatched kernels must be bit-for-bit
+//! equivalent to them (pinned by differential tests across random lengths
+//! and injected faults).
 //!
 //! # Forcing the scalar path
 //!
@@ -65,11 +65,8 @@ use std::sync::OnceLock;
 /// Instruction set selected by the runtime dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Isa {
-    /// Portable scalar reference implementations.
+    /// Portable scalar reference implementations (every host without AVX2).
     Scalar,
-    /// SSE2: 2-lane parity folds; table kernels batch 4 codewords per step
-    /// for instruction-level parallelism (x86-64 baseline).
-    Sse2,
     /// AVX2: 4-lane parity folds, in-register `vpshufb` nibble-table
     /// syndromes and encode (16 codewords per step).
     Avx2,
@@ -82,7 +79,6 @@ impl Isa {
     pub fn label(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
         }
     }
@@ -136,20 +132,6 @@ fn resolve() -> Kernels {
                 secded128_words: avx2::secded128_words_clean,
                 secded88_elements: avx2::secded88_elements_clean,
                 secded64_encode: avx2::secded64_encode_words,
-                ..scalar_kernels()
-            };
-        }
-        if std::arch::is_x86_feature_detected!("sse2") {
-            return Kernels {
-                isa: Isa::Sse2,
-                sed_words: sse2::sed_words_clean,
-                sed_elements: sse2::sed_elements_clean,
-                // Without AVX2 the table kernels batch 4 codewords per step
-                // in scalar registers and the encode stays per word.
-                secded64_words: batched::secded64_words_clean,
-                secded64_words_xor: batched::secded64_words_clean_xor,
-                secded128_words: batched::secded128_words_clean,
-                secded88_elements: batched::secded88_elements_clean,
                 ..scalar_kernels()
             };
         }
@@ -985,154 +967,6 @@ mod crc_hw {
     }
 }
 
-/// Four-codewords-per-step table kernels for x86 tiers without gather
-/// (SSE2): the lookups stay scalar but four independent syndrome chains run
-/// concurrently, so the loads pipeline instead of serialising.
-mod batched {
-    use super::*;
-
-    pub(super) fn secded64_words_clean(words: &[u64]) -> bool {
-        let mut chunks = words.chunks_exact(4);
-        let (mut a, mut b, mut c, mut d) = (0u32, 0u32, 0u32, 0u32);
-        for q in &mut chunks {
-            a |= vec64_syndrome(q[0]);
-            b |= vec64_syndrome(q[1]);
-            c |= vec64_syndrome(q[2]);
-            d |= vec64_syndrome(q[3]);
-        }
-        for &w in chunks.remainder() {
-            a |= vec64_syndrome(w);
-        }
-        (a | b | c | d) == 0
-    }
-
-    pub(super) fn secded64_words_clean_xor(words: &[u64], acc: &mut [u64]) -> bool {
-        xor_into(acc, words);
-        secded64_words_clean(words)
-    }
-
-    pub(super) fn secded128_words_clean(words: &[u64]) -> bool {
-        let mut chunks = words.chunks_exact(4);
-        let (mut a, mut b) = (0u32, 0u32);
-        for q in &mut chunks {
-            a |= vec128_syndrome(q[0], q[1]);
-            b |= vec128_syndrome(q[2], q[3]);
-        }
-        let rem = chunks.remainder();
-        if rem.len() == 2 {
-            a |= vec128_syndrome(rem[0], rem[1]);
-        }
-        (a | b) == 0
-    }
-
-    pub(super) fn secded88_elements_clean(values: &[f64], cols: &[u32]) -> bool {
-        let n = values.len().min(cols.len());
-        let (mut a, mut b, mut c, mut d) = (0u32, 0u32, 0u32, 0u32);
-        let mut k = 0;
-        while k + 4 <= n {
-            a |= elem88_syndrome(values[k], cols[k]);
-            b |= elem88_syndrome(values[k + 1], cols[k + 1]);
-            c |= elem88_syndrome(values[k + 2], cols[k + 2]);
-            d |= elem88_syndrome(values[k + 3], cols[k + 3]);
-            k += 4;
-        }
-        while k < n {
-            a |= elem88_syndrome(values[k], cols[k]);
-            k += 1;
-        }
-        (a | b | c | d) == 0
-    }
-}
-
-/// SSE2 kernels: two 64-bit lanes per step for the parity folds.
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    use std::arch::x86_64::*;
-
-    /// Element types the SIMD kernels load from: plain integers and floats,
-    /// every bit pattern of which is initialised and valid.
-    pub(super) trait Pod: Copy {}
-    impl Pod for u8 {}
-    impl Pod for u32 {}
-    impl Pod for u64 {}
-    impl Pod for f64 {}
-
-    /// Unaligned load of the 16 bytes starting at element `at` of `src`.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    pub(super) fn load16<T: Pod>(src: &[T], at: usize) -> __m128i {
-        assert!((at + 16 / size_of::<T>()) <= src.len());
-        // SAFETY: the assert keeps all 16 bytes read inside `src`, `T: Pod`
-        // makes them initialised, and `loadu` has no alignment requirement.
-        unsafe { _mm_loadu_si128(src.as_ptr().add(at).cast()) }
-    }
-
-    /// Folds the parity of each 64-bit lane into the lane's bit 0.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    fn fold_parity(mut v: __m128i) -> __m128i {
-        v = _mm_xor_si128(v, _mm_srli_epi64::<32>(v));
-        v = _mm_xor_si128(v, _mm_srli_epi64::<16>(v));
-        v = _mm_xor_si128(v, _mm_srli_epi64::<8>(v));
-        v = _mm_xor_si128(v, _mm_srli_epi64::<4>(v));
-        v = _mm_xor_si128(v, _mm_srli_epi64::<2>(v));
-        _mm_xor_si128(v, _mm_srli_epi64::<1>(v))
-    }
-
-    /// `true` when bit 0 of either lane of `acc` is set.
-    #[target_feature(enable = "sse2")]
-    #[inline]
-    fn any_odd(acc: __m128i) -> bool {
-        _mm_cvtsi128_si64(_mm_or_si128(acc, _mm_srli_si128::<8>(acc))) & 1 != 0
-    }
-
-    /// 2-lane SED parity scan.
-    pub(super) fn sed_words_clean(words: &[u64]) -> bool {
-        // SAFETY: only installed in the dispatch table when SSE2 is
-        // detected (SSE2 is baseline x86-64, but keep the contract uniform).
-        unsafe { sed_words_clean_impl(words) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    fn sed_words_clean_impl(words: &[u64]) -> bool {
-        let mut chunks = words.chunks_exact(2);
-        let mut acc = _mm_setzero_si128();
-        for pair in &mut chunks {
-            acc = _mm_or_si128(acc, fold_parity(load16(pair, 0)));
-        }
-        let mut bad = any_odd(acc);
-        for &w in chunks.remainder() {
-            bad |= (w.count_ones() & 1) != 0;
-        }
-        !bad
-    }
-
-    /// 2-lane SED element-parity scan (value bits XOR zero-extended column).
-    pub(super) fn sed_elements_clean(values: &[f64], cols: &[u32]) -> bool {
-        // SAFETY: installed only when SSE2 is detected.
-        unsafe { sed_elements_clean_impl(values, cols) }
-    }
-
-    #[target_feature(enable = "sse2")]
-    fn sed_elements_clean_impl(values: &[f64], cols: &[u32]) -> bool {
-        let n = values.len().min(cols.len());
-        let mut acc = _mm_setzero_si128();
-        let mut k = 0;
-        while k + 2 <= n {
-            // Zero-extend the two columns into 64-bit lanes.
-            let c = _mm_set_epi64x(cols[k + 1] as i64, cols[k] as i64);
-            acc = _mm_or_si128(acc, fold_parity(_mm_xor_si128(load16(values, k), c)));
-            k += 2;
-        }
-        let mut bad = any_odd(acc);
-        while k < n {
-            bad |= ((values[k].to_bits().count_ones() + cols[k].count_ones()) & 1) != 0;
-            k += 1;
-        }
-        !bad
-    }
-}
-
 /// AVX2 kernels: 4-lane parity folds, in-register nibble-table (`vpshufb`)
 /// syndromes and encode for the byte-wide SECDED layouts, and 8-lane
 /// gathered lookups for SECDED128 (whose 9 syndrome bits do not fit the
@@ -1149,9 +983,16 @@ mod sse2 {
 /// replace issued 8 loads per word.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::sse2::{load16, Pod};
     use super::tables::{self, NibbleLut};
     use std::arch::x86_64::*;
+
+    /// Element types the SIMD kernels load from: plain integers and floats,
+    /// every bit pattern of which is initialised and valid.
+    trait Pod: Copy {}
+    impl Pod for u8 {}
+    impl Pod for u32 {}
+    impl Pod for u64 {}
+    impl Pod for f64 {}
 
     /// Codewords per step of the `vpshufb` kernels.
     const BATCH: usize = 16;
@@ -1230,7 +1071,12 @@ mod avx2 {
         let mut k = 0;
         while k + 4 <= n {
             let v = load32(values, k);
-            let c = _mm256_cvtepu32_epi64(load16(cols, k));
+            let c = _mm256_setr_epi64x(
+                cols[k] as i64,
+                cols[k + 1] as i64,
+                cols[k + 2] as i64,
+                cols[k + 3] as i64,
+            );
             acc = _mm256_or_si256(acc, fold_parity(_mm256_xor_si256(v, c)));
             k += 4;
         }
@@ -1335,7 +1181,7 @@ mod avx2 {
 
     pub(super) fn secded64_words_clean(words: &[u64]) -> bool {
         if words.len() < BATCH {
-            return super::batched::secded64_words_clean(words);
+            return super::scalar::secded64_words_clean(words);
         }
         // SAFETY: installed only when AVX2 is detected.
         unsafe { secded64_words_clean_impl(words) }
@@ -1355,7 +1201,7 @@ mod avx2 {
 
     pub(super) fn secded64_words_clean_xor(words: &[u64], acc: &mut [u64]) -> bool {
         if words.len() < BATCH {
-            return super::batched::secded64_words_clean_xor(words, acc);
+            return super::scalar::secded64_words_clean_xor(words, acc);
         }
         // SAFETY: installed only when AVX2 is detected.
         unsafe { secded64_words_clean_xor_impl(words, acc) }
@@ -1384,7 +1230,7 @@ mod avx2 {
     pub(super) fn secded88_elements_clean(values: &[f64], cols: &[u32]) -> bool {
         let n = values.len().min(cols.len());
         if n < BATCH {
-            return super::batched::secded88_elements_clean(values, cols);
+            return super::scalar::secded88_elements_clean(values, cols);
         }
         // SAFETY: installed only when AVX2 is detected.
         unsafe { secded88_elements_clean_impl(&values[..n], &cols[..n]) }
@@ -1554,17 +1400,13 @@ mod tests {
                 impls.push(("dispatch", sed_words_clean as fn(&[u64]) -> bool));
                 impls.push(("scalar", scalar::sed_words_clean));
                 #[cfg(target_arch = "x86_64")]
-                {
-                    impls.push(("sse2", sse2::sed_words_clean));
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        impls.push(("avx2", avx2::sed_words_clean));
-                    }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    impls.push(("avx2", avx2::sed_words_clean));
                 }
             }
             "secded64" => {
                 impls.push(("dispatch", secded64_words_clean as fn(&[u64]) -> bool));
                 impls.push(("scalar", scalar::secded64_words_clean));
-                impls.push(("batched", batched::secded64_words_clean));
                 #[cfg(target_arch = "x86_64")]
                 if std::arch::is_x86_feature_detected!("avx2") {
                     impls.push(("avx2", avx2::secded64_words_clean));
@@ -1573,7 +1415,6 @@ mod tests {
             "secded128" => {
                 impls.push(("dispatch", secded128_words_clean as fn(&[u64]) -> bool));
                 impls.push(("scalar", scalar::secded128_words_clean));
-                impls.push(("batched", batched::secded128_words_clean));
                 #[cfg(target_arch = "x86_64")]
                 if std::arch::is_x86_feature_detected!("avx2") {
                     impls.push(("avx2", avx2::secded128_words_clean));
@@ -1588,7 +1429,6 @@ mod tests {
         let mut impls: Vec<ElementImpl> = vec![
             ("dispatch", secded88_elements_clean),
             ("scalar", scalar::secded88_elements_clean),
-            ("batched", batched::secded88_elements_clean),
         ];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -1709,10 +1549,7 @@ mod tests {
     #[test]
     fn secded64_clean_xor_matches_the_scalar_reference() {
         type XorImpl = (&'static str, fn(&[u64], &mut [u64]) -> bool);
-        let mut impls: Vec<XorImpl> = vec![
-            ("dispatch", secded64_words_clean_xor),
-            ("batched", batched::secded64_words_clean_xor),
-        ];
+        let mut impls: Vec<XorImpl> = vec![("dispatch", secded64_words_clean_xor)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             impls.push(("avx2", avx2::secded64_words_clean_xor));
@@ -2234,11 +2071,8 @@ mod tests {
             ("scalar", scalar::sed_elements_clean),
         ];
         #[cfg(target_arch = "x86_64")]
-        {
-            impls.push(("sse2", sse2::sed_elements_clean));
-            if std::arch::is_x86_feature_detected!("avx2") {
-                impls.push(("avx2", avx2::sed_elements_clean));
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            impls.push(("avx2", avx2::sed_elements_clean));
         }
         let mut x = 3u64;
         for len in [0usize, 1, 2, 3, 4, 5, 9, 33, 100] {

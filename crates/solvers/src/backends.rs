@@ -2,22 +2,23 @@
 //!
 //! * [`Plain`] — unprotected [`CsrMatrix`] with plain work vectors (serial or
 //!   pool-parallel kernels); the 0 % baseline of every overhead figure.
-//! * [`MatrixProtected`] — [`ProtectedCsr`] matrix with plain work vectors,
-//!   the configuration of Figures 4–8.
+//! * [`MatrixProtected`] — protected matrix with plain work vectors, the
+//!   configuration of Figures 4–8.
 //! * [`FullyProtected`] — protected matrix *and* protected work vectors, the
 //!   configuration of Figure 9 and the combined-overhead experiment.
 //!
 //! All three expose the same trait surface, so the generic solvers in
-//! [`crate::generic`] run unchanged on any of them.  The backends borrow
-//! their matrix: encoding a [`ProtectedCsr`] is done once by the caller (or
-//! by the [`Solver`](crate::Solver) front door) and the operator is reused
-//! across solves within a time-step, matching TeaLeaf's structure.
+//! [`crate::generic`] run unchanged on any of them.  The protected backends
+//! borrow an [`AnyProtectedMatrix`] of any storage tier: encoding it is done
+//! once by the caller (or by the [`Solver`](crate::Solver) front door) and
+//! the operator is reused across solves within a time-step, matching
+//! TeaLeaf's structure.
 
 use crate::backend::{FaultContext, LinearOperator, SolverError, SolverVector};
 use crate::chebyshev::ChebyshevBounds;
 use abft_core::spmv::{protected_spmm, protected_spmm_plain, protected_spmv};
 use abft_core::{
-    AbftError, EccScheme, FaultLog, ProtectedCsr, ProtectedMatrix, ProtectedVector,
+    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, ProtectedMatrix, ProtectedVector,
     ReductionWorkspace, SpmmWorkspace, SpmvWorkspace,
 };
 use abft_ecc::Crc32cBackend;
@@ -213,14 +214,13 @@ impl SolverVector for ProtectedVector {
 
 /// The checked decode of the solve path.  Whole-matrix reads outside the
 /// SpMV kernels (Jacobi's diagonal, Gershgorin bounds, the matrix a
-/// preconditioner is factored from) would otherwise go through the
-/// unchecked `visit_entries`/`to_csr` walkers, so they read this plain
-/// decode of a scrubbed private copy instead: the scrub verifies every
+/// preconditioner is factored from) read this plain decode of a scrubbed
+/// private copy rather than the unchecked `to_csr`: the scrub verifies every
 /// codeword, repairing the row structure before anything is indexed through
 /// it, and the borrowed matrix is never written.  An uncorrectable codeword
 /// is a [`SolverError::Fault`], never a wild index.
-pub fn decode_checked<M: ProtectedMatrix + Clone>(
-    matrix: &M,
+pub fn decode_checked(
+    matrix: &AnyProtectedMatrix,
     log: &FaultLog,
 ) -> Result<CsrMatrix, SolverError> {
     let mut scrubbed = matrix.clone();
@@ -231,7 +231,7 @@ pub fn decode_checked<M: ProtectedMatrix + Clone>(
 /// [`LinearOperator::bounds_hint`] of the protected backends.  The trait
 /// method carries no context, so the checked decode records into a scratch
 /// log; a matrix that fails it yields no hint.
-fn bounds_hint_checked<M: ProtectedMatrix + Clone>(matrix: &M) -> Option<ChebyshevBounds> {
+fn bounds_hint_checked(matrix: &AnyProtectedMatrix) -> Option<ChebyshevBounds> {
     let plain = decode_checked(matrix, &FaultLog::new()).ok()?;
     Some(ChebyshevBounds::estimate_gershgorin(&plain))
 }
@@ -257,7 +257,7 @@ macro_rules! with_backend {
 
 /// The predicate behind [`with_backend!`](crate::with_backend).
 #[doc(hidden)]
-pub fn protects_vectors<M: ProtectedMatrix>(matrix: &M) -> bool {
+pub fn protects_vectors(matrix: &AnyProtectedMatrix) -> bool {
     matrix.config().vectors != EccScheme::None
 }
 
@@ -337,27 +337,24 @@ impl LinearOperator for Plain<'_> {
     }
 }
 
-/// The matrix-only protection tier (Figures 4–8): protected matrix, plain
-/// work vectors.
-///
-/// Generic over the protected storage tier `M` (CSR by default; COO and
-/// blocked CSR plug in through the same [`ProtectedMatrix`] trait).
+/// The matrix-only protection tier (Figures 4–8): protected matrix of any
+/// storage tier, plain work vectors.
 ///
 /// The operator owns a [`SpmvWorkspace`] and a [`ReductionWorkspace`]
 /// behind `RefCell`s, so repeated `apply` calls and parallel BLAS-1
 /// reductions from a solver loop reuse the same scratch buffers — zero
 /// heap allocations per iteration once the first one has warmed them.
 #[derive(Debug, Clone)]
-pub struct MatrixProtected<'a, M: ProtectedMatrix = ProtectedCsr> {
-    matrix: &'a M,
+pub struct MatrixProtected<'a> {
+    matrix: &'a AnyProtectedMatrix,
     workspace: RefCell<SpmvWorkspace>,
     spmm: RefCell<SpmmWorkspace>,
     reduction: RefCell<ReductionWorkspace>,
 }
 
-impl<'a, M: ProtectedMatrix> MatrixProtected<'a, M> {
+impl<'a> MatrixProtected<'a> {
     /// Wraps an already-encoded protected matrix.
-    pub fn new(matrix: &'a M) -> Self {
+    pub fn new(matrix: &'a AnyProtectedMatrix) -> Self {
         MatrixProtected {
             matrix,
             workspace: RefCell::new(SpmvWorkspace::new()),
@@ -367,7 +364,7 @@ impl<'a, M: ProtectedMatrix> MatrixProtected<'a, M> {
     }
 }
 
-impl<M: ProtectedMatrix + Clone> LinearOperator for MatrixProtected<'_, M> {
+impl LinearOperator for MatrixProtected<'_> {
     type Vector = PlainVector;
 
     fn rows(&self) -> usize {
@@ -460,8 +457,8 @@ impl<M: ProtectedMatrix + Clone> LinearOperator for MatrixProtected<'_, M> {
 /// parallel BLAS-1 reductions accumulate in, so solver iterations allocate
 /// nothing.
 #[derive(Debug, Clone)]
-pub struct FullyProtected<'a, M: ProtectedMatrix = ProtectedCsr> {
-    matrix: &'a M,
+pub struct FullyProtected<'a> {
+    matrix: &'a AnyProtectedMatrix,
     scheme: EccScheme,
     crc_backend: Crc32cBackend,
     workspace: RefCell<SpmvWorkspace>,
@@ -469,10 +466,10 @@ pub struct FullyProtected<'a, M: ProtectedMatrix = ProtectedCsr> {
     reduction: RefCell<ReductionWorkspace>,
 }
 
-impl<'a, M: ProtectedMatrix> FullyProtected<'a, M> {
+impl<'a> FullyProtected<'a> {
     /// Wraps an already-encoded protected matrix; the vector scheme and CRC
     /// backend are taken from the matrix's protection configuration.
-    pub fn new(matrix: &'a M) -> Self {
+    pub fn new(matrix: &'a AnyProtectedMatrix) -> Self {
         FullyProtected {
             matrix,
             scheme: matrix.config().vectors,
@@ -484,7 +481,7 @@ impl<'a, M: ProtectedMatrix> FullyProtected<'a, M> {
     }
 }
 
-impl<M: ProtectedMatrix + Clone> LinearOperator for FullyProtected<'_, M> {
+impl LinearOperator for FullyProtected<'_> {
     type Vector = ProtectedVector;
 
     fn rows(&self) -> usize {
@@ -603,11 +600,15 @@ impl<M: ProtectedMatrix + Clone> LinearOperator for FullyProtected<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_core::ProtectionConfig;
+    use abft_core::{ProtectionConfig, StorageTier};
     use abft_sparse::builders::poisson_2d_padded;
 
     fn matrix() -> CsrMatrix {
         poisson_2d_padded(6, 5)
+    }
+
+    fn encode(m: &CsrMatrix, cfg: &ProtectionConfig) -> AnyProtectedMatrix {
+        AnyProtectedMatrix::encode(m, cfg, StorageTier::Csr).unwrap()
     }
 
     #[test]
@@ -668,7 +669,7 @@ mod tests {
 
         let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+        let protected = encode(&m, &cfg);
         let op = MatrixProtected::new(&protected);
         let mut x2 = op.vector_from(&values);
         let mut y2 = op.zero_vector(m.rows());
@@ -678,7 +679,7 @@ mod tests {
 
         let full_cfg = ProtectionConfig::full(EccScheme::Secded64)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let full_matrix = ProtectedCsr::from_csr(&m, &full_cfg).unwrap();
+        let full_matrix = encode(&m, &full_cfg);
         let full = FullyProtected::new(&full_matrix);
         let mut x3 = full.vector_from(&values);
         let mut y3 = full.zero_vector(m.rows());
@@ -702,20 +703,63 @@ mod tests {
             ProtectionConfig::full(EccScheme::Secded128)
                 .with_crc_backend(Crc32cBackend::SlicingBy16),
         ] {
-            let protected = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+            let protected = encode(&m, &cfg);
             let hint = if cfg.vectors == EccScheme::None {
                 MatrixProtected::new(&protected).bounds_hint().unwrap()
             } else {
                 FullyProtected::new(&protected).bounds_hint().unwrap()
             };
             assert_eq!(hint, plain_bounds);
-            // Diagonal walk agrees with the plain extraction too.
-            assert_eq!(protected.diagonal(), m.diagonal().into_vec());
+        }
+        // The diagonal the solvers read goes through the checked decode:
+        // both backends match the plain extraction on every tier and scheme,
+        // clean or with one correctable flip in a diagonal value, which is
+        // logged as exactly one correction.
+        let expected = m.diagonal().into_vec();
+        let mut row_7 = m.row_range(7);
+        let k = row_7
+            .find(|&k| m.col_indices()[k] == 7)
+            .expect("a stored diagonal");
+        for scheme in EccScheme::ALL {
+            for cfg in [
+                ProtectionConfig::matrix_only(scheme),
+                ProtectionConfig::full(scheme),
+            ] {
+                let cfg = cfg
+                    .with_crc_backend(Crc32cBackend::SlicingBy16)
+                    .with_check_interval(5);
+                for tier in [
+                    StorageTier::Csr,
+                    StorageTier::Coo,
+                    StorageTier::BlockedCsr(3),
+                ] {
+                    let label = format!("{tier} {}", cfg.describe());
+                    let mut protected = AnyProtectedMatrix::encode(&m, &cfg, tier).unwrap();
+                    assert_eq!(protected.policy().interval(), 5, "{label}");
+                    // Zero flips, then one where the scheme can correct it.
+                    for flips in 0..=u64::from(scheme.corrects_single_flips()) {
+                        if flips == 1 {
+                            protected.inject_value_bit_flip(k, 41);
+                        }
+                        let diagonal = |ctx: &FaultContext| {
+                            if protects_vectors(&protected) {
+                                FullyProtected::new(&protected).diagonal(ctx)
+                            } else {
+                                MatrixProtected::new(&protected).diagonal(ctx)
+                            }
+                        };
+                        let ctx = FaultContext::new();
+                        assert_eq!(diagonal(&ctx).unwrap(), expected, "{label} flips {flips}");
+                        let corrected = ctx.snapshot().total_corrected();
+                        assert_eq!(corrected, flips, "{label} flips {flips}");
+                    }
+                }
+            }
         }
         // The hint actually drives a bounds-less Chebyshev solve_operator.
         let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+        let protected = encode(&m, &cfg);
         let outcome = crate::Solver::chebyshev()
             .max_iterations(4000)
             .tolerance(1e-12)
@@ -730,7 +774,7 @@ mod tests {
         let cfg = ProtectionConfig::full(EccScheme::Secded64)
             .with_check_interval(16)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = ProtectedCsr::from_csr(&m, &cfg).unwrap();
+        let protected = encode(&m, &cfg);
         let op = FullyProtected::new(&protected);
         let ctx = FaultContext::new();
         let mut x = op.vector_from(&vec![1.5; m.rows()]);

@@ -504,7 +504,9 @@ mod tests {
         use crate::backends::MatrixProtected;
         use abft_core::ProtectedCsr;
         let (a, b) = system();
-        let protected = ProtectedCsr::from_csr(&a, &protections()[1]).unwrap();
+        let protected = ProtectedCsr::from_csr(&a, &protections()[1])
+            .unwrap()
+            .into();
         let solver = Solver::cg().max_iterations(500).tolerance(1e-18);
         let op = MatrixProtected::new(&protected);
         let outcome = solver.solve_operator(&op, &b).unwrap();

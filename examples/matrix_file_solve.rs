@@ -75,7 +75,8 @@ fn main() {
 
     // 4. Flip a bit in the COO tier's element storage; the per-element
     //    SECDED codewords correct it on the fly.
-    let mut protected = ProtectedCoo::from_csr(&matrix, &config).expect("encode");
+    let mut protected =
+        AnyProtectedMatrix::encode(&matrix, &config, StorageTier::Coo).expect("encode");
     protected.inject_value_bit_flip(7, 44);
     let faulty = Solver::cg()
         .max_iterations(1000)

@@ -62,7 +62,8 @@ fn main() {
 
     // 3. Every converged tenant's answer is bitwise identical to a solo
     //    solve, and its fault accounting matches too.
-    let encoded = ProtectedCsr::from_csr(&matrix, &protection).expect("encode matrix");
+    let encoded =
+        AnyProtectedMatrix::encode(&matrix, &protection, StorageTier::Csr).expect("encode matrix");
     let solver = Solver::cg().config(config);
     for (t, outcome) in outcomes.iter().take(3).enumerate() {
         let solo = solver

@@ -59,7 +59,8 @@ fn main() {
 
     // 3. Now corrupt the protected matrix with a single bit flip (as a cosmic
     //    ray would) and solve again on the pre-built backend.
-    let mut protected = ProtectedCsr::from_csr(&matrix, &config).expect("encode matrix");
+    let mut protected =
+        AnyProtectedMatrix::encode(&matrix, &config, StorageTier::Csr).expect("encode matrix");
     protected.inject_value_bit_flip(1234, 51); // flip an exponent bit of value #1234
     let faulty = solver
         .solve_operator(&FullyProtected::new(&protected), &rhs)

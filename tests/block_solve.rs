@@ -8,8 +8,9 @@
 //! codeword group (2) nor the CRC32C group (4), so the tail-group paths
 //! are exercised for every scheme.
 
-use abft_suite::core::ProtectedCsr;
-use abft_suite::core::{EccScheme, FaultLog, ProtectionConfig, Region};
+use abft_suite::core::{
+    AnyProtectedMatrix, EccScheme, FaultLog, ProtectionConfig, Region, StorageTier,
+};
 use abft_suite::prelude::{SolverConfig, Termination};
 use abft_suite::solvers::backends::FullyProtected;
 use abft_suite::solvers::generic::{block_cg, cg};
@@ -43,7 +44,7 @@ fn block_cg_matches_independent_solves_and_amortises_matrix_checks() {
         EccScheme::Crc32c,
     ] {
         let protection = ProtectionConfig::full(scheme);
-        let encoded = ProtectedCsr::from_csr(&a, &protection).unwrap();
+        let encoded = AnyProtectedMatrix::encode(&a, &protection, StorageTier::Csr).unwrap();
 
         // k standalone solves, each with its own operator and log.
         let mut solo_solutions = Vec::new();

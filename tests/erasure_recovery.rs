@@ -10,8 +10,9 @@ use std::cell::{Cell, RefCell};
 
 use abft_suite::core::spmv::{protected_spmm, protected_spmv};
 use abft_suite::core::{
-    AbftError, EccScheme, FaultLog, FaultLogSnapshot, ParityConfig, ProtectedCsr, ProtectedVector,
-    ProtectionConfig, ReductionWorkspace, SpmvWorkspace,
+    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ParityConfig,
+    ProtectedCsr, ProtectedVector, ProtectionConfig, ReductionWorkspace, SpmvWorkspace,
+    StorageTier,
 };
 use abft_suite::faultsim::{
     Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultTarget, InjectionKind, StreamConfig,
@@ -231,7 +232,7 @@ fn post_rebuild_trajectory_is_bitwise_identical_across_worker_counts() {
     let protection = ProtectionConfig::full(EccScheme::Secded64)
         .with_parity(PARITY)
         .with_parallel(true);
-    let protected = ProtectedCsr::from_csr(&matrix, &protection).unwrap();
+    let protected = AnyProtectedMatrix::encode(&matrix, &protection, StorageTier::Csr).unwrap();
     let solver = Solver::cg().max_iterations(2000).tolerance(1e-15);
 
     // The reference trajectory: the same solve with no fault at all.

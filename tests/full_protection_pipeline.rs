@@ -95,11 +95,11 @@ fn injected_fault_mid_pipeline_is_absorbed() {
     let clean = solver.protection(protection).solve(&matrix, &rhs).unwrap();
 
     let log = FaultLog::new();
-    let mut protected = ProtectedCsr::from_csr(&matrix, &protection).unwrap();
+    let mut protected = AnyProtectedMatrix::encode(&matrix, &protection, StorageTier::Csr).unwrap();
     // Three independent faults in three different regions/rows.
     protected.inject_value_bit_flip(7, 52);
     protected.inject_col_bit_flip(333, 12);
-    protected.inject_row_pointer_bit_flip(40, 9);
+    protected.inject_structure_bit_flip(40, 9);
     let faulty = solver
         .solve_operator(&MatrixProtected::new(&protected), &rhs)
         .unwrap();

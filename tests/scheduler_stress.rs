@@ -12,7 +12,9 @@
 //! baseline bit for bit: solution storage, iteration count, residual
 //! trajectory endpoints, and the complete fault-log snapshot.
 
-use abft_suite::core::{EccScheme, FaultLogSnapshot, ProtectedCsr, ProtectionConfig};
+use abft_suite::core::{
+    AnyProtectedMatrix, EccScheme, FaultLogSnapshot, ProtectionConfig, StorageTier,
+};
 use abft_suite::prelude::{Crc32cBackend, Solver};
 use abft_suite::solvers::backends::FullyProtected;
 use abft_suite::sparse::builders::poisson_2d_padded;
@@ -46,7 +48,7 @@ fn protected_cg_is_bitwise_reproducible_for_worker_counts_1_to_8() {
         let cfg = ProtectionConfig::full(scheme)
             .with_parallel(true)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = ProtectedCsr::from_csr(&a, &cfg).unwrap();
+        let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
         let mut baseline: Option<Fingerprint> = None;
         for workers in 1..=8usize {
             rayon::set_worker_limit(Some(workers));

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use abft_suite::core::{
-    AnyProtectedMatrix, EccScheme, FaultLogSnapshot, ProtectedCsr, ProtectionConfig, StorageTier,
+    AnyProtectedMatrix, EccScheme, FaultLogSnapshot, ProtectedMatrix, ProtectionConfig, StorageTier,
 };
 use abft_suite::prelude::{JobSpec, SolveQueue, SolverConfig, Termination};
 use abft_suite::sparse::builders::poisson_2d_padded;
@@ -129,8 +129,7 @@ fn faulted_job_is_requeued_with_backoff_and_neighbours_stay_bit_for_bit() {
     // SpMV over it detects the corruption but cannot correct it, so every
     // attempt of the "faulty" tenant's job ends in Termination::Fault —
     // the deterministic stand-in for a tenant whose data keeps failing.
-    let mut poisoned =
-        ProtectedCsr::from_csr(&matrix, &ProtectionConfig::matrix_only(EccScheme::Sed)).unwrap();
+    let mut poisoned = encode(&matrix, &ProtectionConfig::matrix_only(EccScheme::Sed));
     poisoned.inject_value_bit_flip(10, 40);
 
     let mut queue = SolveQueue::new(4).with_retry_budget(2);

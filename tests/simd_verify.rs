@@ -14,7 +14,8 @@
 //! this suite pins the *consumers* through the public API.
 
 use abft_suite::core::{
-    EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig, SpmvWorkspace,
+    AnyProtectedMatrix, EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig,
+    SpmvWorkspace, StorageTier,
 };
 use abft_suite::prelude::{Crc32cBackend, ProtectedMatrix, Solver};
 use abft_suite::solvers::backends::FullyProtected;
@@ -242,7 +243,7 @@ fn worker_sweep_trajectories_and_check_counts_are_identical() {
         let cfg = ProtectionConfig::full(scheme)
             .with_parallel(true)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = ProtectedCsr::from_csr(&a, &cfg).unwrap();
+        let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
         let mut baseline = None;
         for workers in [1usize, 2, 8] {
             rayon::set_worker_limit(Some(workers));

@@ -222,7 +222,8 @@ fn protected_chebyshev_and_ppcg_recover_from_matrix_bit_flips() {
         for scheme in [EccScheme::Secded64, EccScheme::Secded128, EccScheme::Crc32c] {
             let protection =
                 ProtectionConfig::matrix_only(scheme).with_crc_backend(Crc32cBackend::SlicingBy16);
-            let mut protected = ProtectedCsr::from_csr(&a, &protection).unwrap();
+            let mut protected =
+                AnyProtectedMatrix::encode(&a, &protection, StorageTier::Csr).unwrap();
             // A flipped exponent bit would devastate an unprotected solve.
             protected.inject_value_bit_flip(41, 62);
             let outcome = solver
@@ -242,7 +243,7 @@ fn protected_chebyshev_and_ppcg_recover_from_matrix_bit_flips() {
         // SED can only detect: the same flip aborts the solve with a fault.
         let protection = ProtectionConfig::matrix_only(EccScheme::Sed)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let mut protected = ProtectedCsr::from_csr(&a, &protection).unwrap();
+        let mut protected = AnyProtectedMatrix::encode(&a, &protection, StorageTier::Csr).unwrap();
         protected.inject_value_bit_flip(41, 62);
         let result = solver.solve_operator(&MatrixProtected::new(&protected), &b);
         assert!(
@@ -257,7 +258,7 @@ fn protected_ppcg_recovers_from_vector_bit_flips() {
     let (a, b) = system();
     let protection =
         ProtectionConfig::full(EccScheme::Secded64).with_crc_backend(Crc32cBackend::SlicingBy16);
-    let protected = ProtectedCsr::from_csr(&a, &protection).unwrap();
+    let protected = AnyProtectedMatrix::encode(&a, &protection, StorageTier::Csr).unwrap();
     let op = FullyProtected::new(&protected);
     let solver = Solver::ppcg().max_iterations(500).tolerance(1e-16);
     let clean = solver.solve_operator(&op, &b).unwrap();
@@ -285,7 +286,7 @@ fn solve_operator_logged_records_into_the_callers_log() {
     // Matrix-protected tier, with an injected (correctable) value flip.
     let protection = ProtectionConfig::matrix_only(EccScheme::Secded64)
         .with_crc_backend(Crc32cBackend::SlicingBy16);
-    let mut protected = ProtectedCsr::from_csr(&a, &protection).unwrap();
+    let mut protected = AnyProtectedMatrix::encode(&a, &protection, StorageTier::Csr).unwrap();
     protected.inject_value_bit_flip(23, 41);
 
     let log = FaultLog::new();
@@ -313,7 +314,7 @@ fn solve_operator_logged_records_into_the_callers_log() {
     // Fully protected tier.
     let full =
         ProtectionConfig::full(EccScheme::Secded64).with_crc_backend(Crc32cBackend::SlicingBy16);
-    let encoded = ProtectedCsr::from_csr(&a, &full).unwrap();
+    let encoded = AnyProtectedMatrix::encode(&a, &full, StorageTier::Csr).unwrap();
     let log = FaultLog::new();
     let logged = Solver::cg()
         .config(config)
@@ -331,7 +332,7 @@ fn solve_operator_logged_records_into_the_callers_log() {
     // before the abort still lands in the caller's log.
     let sed =
         ProtectionConfig::matrix_only(EccScheme::Sed).with_crc_backend(Crc32cBackend::SlicingBy16);
-    let mut corrupt = ProtectedCsr::from_csr(&a, &sed).unwrap();
+    let mut corrupt = AnyProtectedMatrix::encode(&a, &sed, StorageTier::Csr).unwrap();
     corrupt.inject_value_bit_flip(10, 52);
     let log = FaultLog::new();
     let result = Solver::cg().config(config).solve_operator_logged(

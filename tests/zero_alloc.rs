@@ -12,7 +12,9 @@
 //! pool workers must be seen), so it first repeats its warm-up until the
 //! count has settled.
 
-use abft_suite::core::{EccScheme, ParityConfig, ProtectionConfig};
+use abft_suite::core::{
+    AnyProtectedMatrix, EccScheme, ParityConfig, ProtectionConfig, StorageTier,
+};
 use abft_suite::prelude::{Crc32cBackend, PrecondKind, Reliability, Solver};
 use abft_suite::solvers::backends::{FullyProtected, MatrixProtected, Plain};
 use abft_suite::sparse::builders::poisson_2d_padded;
@@ -90,7 +92,7 @@ fn matrix_protected_cg_iterations_do_not_allocate() {
     let (a, b) = system();
     let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64)
         .with_crc_backend(Crc32cBackend::SlicingBy16);
-    let protected = abft_suite::core::ProtectedCsr::from_csr(&a, &cfg).unwrap();
+    let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
     let op = MatrixProtected::new(&protected);
     let short = Solver::cg().max_iterations(10).tolerance(0.0);
     let long = Solver::cg().max_iterations(60).tolerance(0.0);
@@ -131,7 +133,7 @@ fn parallel_fully_protected_cg_iterations_do_not_allocate() {
         let cfg = ProtectionConfig::full(scheme)
             .with_parallel(true)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = abft_suite::core::ProtectedCsr::from_csr(&a, &cfg).unwrap();
+        let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
         let op = FullyProtected::new(&protected);
         let short = Solver::cg().max_iterations(10).tolerance(0.0);
         let long = Solver::cg().max_iterations(60).tolerance(0.0);
@@ -215,7 +217,7 @@ fn fully_protected_cg_iterations_do_not_allocate() {
         EccScheme::Crc32c,
     ] {
         let cfg = ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = abft_suite::core::ProtectedCsr::from_csr(&a, &cfg).unwrap();
+        let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
         let op = FullyProtected::new(&protected);
         let short = Solver::cg().max_iterations(10).tolerance(0.0);
         let long = Solver::cg().max_iterations(60).tolerance(0.0);
@@ -251,7 +253,7 @@ fn parity_fully_protected_cg_iterations_do_not_allocate() {
         let cfg = ProtectionConfig::full(scheme)
             .with_parity(ParityConfig::default())
             .with_crc_backend(Crc32cBackend::SlicingBy16);
-        let protected = abft_suite::core::ProtectedCsr::from_csr(&a, &cfg).unwrap();
+        let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
         let op = FullyProtected::new(&protected);
         let short = Solver::cg().max_iterations(10).tolerance(0.0);
         let long = Solver::cg().max_iterations(60).tolerance(0.0);
