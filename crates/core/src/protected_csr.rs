@@ -123,7 +123,7 @@ impl ProtectedCsr {
         let width = sink.checked_width(out.len());
         let rp_checked = check && self.row_pointer.scheme() != EccScheme::None;
         let elements_checked = check && self.config.elements != EccScheme::None;
-        let mut cursor = RpCursor::new(&self.row_pointer);
+        let mut cursor = RpCursor::new(&self.row_pointer, true);
         let mut bounds = [0usize; ROW_BLOCK + 1];
         KernelTally::flushed_to(log, |tally| {
             for (b, block) in out.chunks_mut(ROW_BLOCK * width).enumerate() {
@@ -278,10 +278,11 @@ impl ProtectedMatrix for ProtectedCsr {
             // Row-granular codewords need the row boundaries, read through
             // the checked path: a correctable row-pointer flip must not shift
             // the slice a row's checksum is computed over.  `check_all` above
-            // has already counted the row-pointer codewords, so the cursor's
-            // tally is dropped.
+            // has already counted the row-pointer codewords and logged their
+            // corrections, so the cursor's tally is dropped and its
+            // corrections go unlogged.
             let rp_checked = self.row_pointer.scheme() != EccScheme::None;
-            let mut cursor = RpCursor::new(&self.row_pointer);
+            let mut cursor = RpCursor::new(&self.row_pointer, false);
             let mut bounds = [0usize; ROW_BLOCK + 1];
             (0..self.rows).step_by(ROW_BLOCK).try_for_each(|first| {
                 let rows = ROW_BLOCK.min(self.rows - first);
@@ -535,10 +536,13 @@ struct RpCursor<'a> {
     group: usize,
     cached: usize,
     entries: [u32; 8],
+    /// Whether a checked read logs the corrections it makes, or leaves them
+    /// to a `check_all` that has already logged them.
+    record_corrected: bool,
 }
 
 impl<'a> RpCursor<'a> {
-    fn new(rp: &'a ProtectedRowPointer) -> Self {
+    fn new(rp: &'a ProtectedRowPointer, record_corrected: bool) -> Self {
         let group = rp.scheme().row_pointer_group();
         debug_assert!(group.is_power_of_two());
         RpCursor {
@@ -546,6 +550,7 @@ impl<'a> RpCursor<'a> {
             group,
             cached: usize::MAX,
             entries: [0; 8],
+            record_corrected,
         }
     }
 
@@ -591,7 +596,7 @@ impl<'a> RpCursor<'a> {
         }
         let g = self.group_of(i);
         if g != self.cached {
-            self.entries = self.rp.decode_group(g, log)?;
+            self.entries = self.rp.decode_group(g, log, self.record_corrected)?;
             self.cached = g;
         }
         Ok(self.cached_entry(i))

@@ -203,7 +203,7 @@ impl ProtectedRowPointer {
             _ => {
                 let group = self.scheme.row_pointer_group();
                 let g = i / group;
-                let decoded = self.decode_group(g, log)?;
+                let decoded = self.decode_group(g, log, true)?;
                 Ok(mask_entry(self.scheme, decoded[i - g * group]))
             }
         }
@@ -212,14 +212,21 @@ impl ProtectedRowPointer {
     /// Decodes (and verifies) the group containing entries
     /// `[g*group, (g+1)*group)`, returning the corrected stored entries
     /// (redundancy bits still attached).  Storage is not modified;
-    /// corrections are transient (see [`ProtectedRowPointer::scrub`]).
-    pub(crate) fn decode_group(&self, g: usize, log: &FaultLog) -> Result<[u32; 8], AbftError> {
+    /// corrections are transient (see [`ProtectedRowPointer::scrub`]) and
+    /// logged when `record_corrected`.
+    pub(crate) fn decode_group(
+        &self,
+        g: usize,
+        log: &FaultLog,
+        record_corrected: bool,
+    ) -> Result<[u32; 8], AbftError> {
         let group = self.scheme.row_pointer_group();
         let base = g * group;
         let mut entries = self.load_group(g);
         match check_group(self.scheme, &self.crc, &mut entries[..group]) {
             GroupOutcome::Clean => {}
-            GroupOutcome::Corrected => log.record_corrected(Region::RowPointer),
+            GroupOutcome::Corrected if record_corrected => log.record_corrected(Region::RowPointer),
+            GroupOutcome::Corrected => {}
             GroupOutcome::Uncorrectable => {
                 log.record_uncorrectable(Region::RowPointer);
                 return Err(AbftError::Uncorrectable {
@@ -286,7 +293,7 @@ impl ProtectedRowPointer {
                 let group = self.scheme.row_pointer_group();
                 for g in 0..self.data.len().div_ceil(group) {
                     *tally += 1;
-                    self.decode_group(g, log)?;
+                    self.decode_group(g, log, true)?;
                 }
                 Ok(())
             }

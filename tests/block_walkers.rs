@@ -571,8 +571,9 @@ fn crc32c_verify_all_reads_the_row_structure_checked() {
                 let result = corrupt.verify_all(&log);
                 assert_eq!(result, Ok(()), "{tier:?} entry {entry} bit {bit}");
                 let faults = log.snapshot();
-                assert!(
-                    faults.total_corrected() >= 1,
+                assert_eq!(
+                    faults.total_corrected(),
+                    1,
                     "{tier:?} entry {entry} bit {bit}"
                 );
                 assert_eq!(faults.total_uncorrectable(), 0);
