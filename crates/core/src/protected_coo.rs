@@ -16,9 +16,10 @@
 //! * `None` — raw index;
 //! * `Sed` — one parity bit in the top bit of the index;
 //! * `Secded64` / `Secded128` / `Crc32c` — a per-index SECDED(24) codeword
-//!   whose six redundancy bits live in bits 24‥30 (single-bit correction per
+//!   whose six redundancy bits live in bits 24–29 (single-bit correction per
 //!   index; these grouped row-pointer schemes have no per-element analogue,
-//!   so they all share the strongest per-index code).
+//!   so they all share the strongest per-index code).  Bits 30–31 are
+//!   spare: defined zero, so a flip there is corrected like any other.
 //!
 //! Row-index checks and faults are recorded under [`Region::RowPointer`],
 //! preserving the CSR outcome taxonomy: a decoded index that jumps backwards
@@ -152,8 +153,9 @@ impl ProtectedCoo {
             EccScheme::Sed => (parity_u32(word) == 0).then_some((word & COL_MASK_31, false)),
             _ => {
                 let mut payload = [(word & COL_MASK_24) as u64];
-                match SECDED_24.check_and_correct(&mut payload, (word >> 24) as u16) {
-                    DecodeOutcome::NoError => Some((payload[0] as u32, false)),
+                let spare_bits_hit = word >> 30 != 0;
+                match SECDED_24.check_and_correct(&mut payload, (word >> 24 & 0x3F) as u16) {
+                    DecodeOutcome::NoError => Some((payload[0] as u32, spare_bits_hit)),
                     DecodeOutcome::CorrectedData(_) | DecodeOutcome::CorrectedRedundancy => {
                         Some((payload[0] as u32, true))
                     }

@@ -272,6 +272,7 @@ fn structure_lines() -> Vec<String> {
                 for &bit in &bits {
                     corrupt.inject_structure_bit_flip(entry, bit);
                 }
+                let single_flip = bits.len() == 1;
                 let bits: Vec<String> = bits.iter().map(u32::to_string).collect();
                 let bits = bits.join(",");
                 for call in CALLS {
@@ -282,10 +283,16 @@ fn structure_lines() -> Vec<String> {
                         continue;
                     }
                     let (code, faults, hash) = run_call(&corrupt, call, &x);
-                    lines.push(format!(
+                    let line = format!(
                         "{tier} {structure:?}/{elements:?} {flip:?}@{entry}:{bits} {call} {code} {} {hash:016x}",
                         snapshot_code(&faults)
-                    ));
+                    );
+                    // A scrub repairs exactly the corrections it logs.
+                    if let Some(repaired) = code.strip_prefix("ok:").filter(|_| single_flip) {
+                        let repaired: u64 = repaired.parse().unwrap();
+                        assert_eq!(repaired, faults.total_corrected(), "{line}");
+                    }
+                    lines.push(line);
                 }
             }
         }
