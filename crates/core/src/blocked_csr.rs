@@ -233,11 +233,9 @@ impl ProtectedMatrix for ProtectedBlockedCsr {
     }
 
     fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        let mut corrected = 0;
-        for block in &mut self.blocks {
-            corrected += block.scrub(log)?;
-        }
-        Ok(corrected)
+        self.blocks
+            .iter_mut()
+            .try_fold(0, |corrected, block| Ok(corrected + block.scrub(log)?))
     }
 
     fn to_csr(&self) -> CsrMatrix {

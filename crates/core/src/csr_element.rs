@@ -21,6 +21,7 @@
 //! the redundancy bits off.
 
 use crate::error::AbftError;
+use crate::protected_matrix::Repair;
 use crate::report::{FaultLog, Region};
 use crate::schemes::{EccScheme, ElementGrouping};
 use abft_ecc::correction::correct_crc32c_single;
@@ -319,10 +320,13 @@ impl ElementCodec {
 
     /// Verifies every codeword of the codeword-aligned run `start..end` —
     /// one row under the row-granular CRC32C, the whole element arrays
-    /// otherwise — for the whole-matrix passes: [`ElementCodec::read_row`]
-    /// with the checks on, and `tally` gains one check per codeword walked
-    /// (all of them, or those up to and including the uncorrectable one).
-    /// An unprotected run is not walked at all.
+    /// otherwise — for the whole-matrix walks: the batched predicate, and on
+    /// a run it rejects [`ElementCodec::read_row`]'s correcting decode, which
+    /// hands each element it corrects to `repair` as a [`Repair::Element`];
+    /// a run that logged a correction is then reported as a [`Repair::Run`].
+    /// `tally` gains one check per codeword walked (all of them, or those up
+    /// to and including the uncorrectable one).  An unprotected run is not
+    /// walked at all.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn verify_run(
         &self,
@@ -333,12 +337,24 @@ impl ElementCodec {
         scratch: &mut Vec<u8>,
         tally: &mut u64,
         log: &FaultLog,
-        sink: impl FnMut(f64, u32, usize) -> Result<(), AbftError>,
+        mut repair: impl FnMut(Repair),
     ) -> Result<(), AbftError> {
         if self.scheme == EccScheme::None {
             return Ok(());
         }
-        let result = self.read_row(values, cols, start, end, false, scratch, log, sink);
+        let before = log.total_corrected();
+        let result = if self.rows_clean(values, cols, &[start, end]) {
+            Ok(())
+        } else {
+            let mask = self.col_mask;
+            let mut note = |v: f64, c: u32, k: usize| {
+                if v.to_bits() != values[k].to_bits() || c != cols[k] & mask {
+                    repair(Repair::Element(k, v, c));
+                }
+                Ok(())
+            };
+            self.read_row(values, cols, start, end, false, scratch, log, &mut note)
+        };
         let walked = match result {
             Err(AbftError::Uncorrectable { index, .. }) => index + 1 - start,
             _ => end - start,
@@ -348,50 +364,33 @@ impl ElementCodec {
             ElementGrouping::Pair => walked.div_ceil(2),
             ElementGrouping::PerRow => 1,
         } as u64;
-        result
-    }
-
-    /// [`ElementCodec::verify_run`] with a write-back: when the decode
-    /// corrected anything, the corrected elements are stored and the run's
-    /// redundancy re-encoded, leaving it bit-equal to a fresh encode.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn scrub_run(
-        &self,
-        values: &mut [f64],
-        cols: &mut [u32],
-        start: usize,
-        end: usize,
-        scratch: &mut Vec<u8>,
-        tally: &mut u64,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        let before = log.total_corrected();
-        let mut repairs = Vec::new();
-        let (stored_values, stored_cols, mask) = (&*values, &*cols, self.col_mask);
-        let note = |v: f64, c: u32, k: usize| {
-            if v.to_bits() != stored_values[k].to_bits() || c != stored_cols[k] & mask {
-                repairs.push((k, v, c));
-            }
-            Ok(())
-        };
-        self.verify_run(
-            stored_values,
-            stored_cols,
-            start,
-            end,
-            scratch,
-            tally,
-            log,
-            note,
-        )?;
+        result?;
         if log.total_corrected() != before {
-            for (k, v, c) in repairs {
-                values[k] = v;
-                cols[k] = c;
-            }
-            self.encode_run(values, cols, start, end, scratch);
+            repair(Repair::Run(start, end));
         }
         Ok(())
+    }
+
+    /// The write-back half of a whole-matrix `scrub`: stores the repaired
+    /// elements of every run the walk reported and re-encodes the run,
+    /// leaving it bit-equal to a fresh encode.  Elements reported after the
+    /// last run belong to the run an uncorrectable codeword stopped, and
+    /// stay as stored.
+    pub(crate) fn write_back(&self, values: &mut [f64], cols: &mut [u32], repairs: &[Repair]) {
+        let mut scratch = Vec::new();
+        let mut pending = 0;
+        for (i, repair) in repairs.iter().enumerate() {
+            if let Repair::Run(start, end) = *repair {
+                for fix in &repairs[pending..i] {
+                    if let Repair::Element(k, v, c) = *fix {
+                        values[k] = v;
+                        cols[k] = c;
+                    }
+                }
+                self.encode_run(values, cols, start, end, &mut scratch);
+                pending = i + 1;
+            }
+        }
     }
 }
 
@@ -527,8 +526,8 @@ mod tests {
         EccScheme::ALL
     }
 
-    /// Scrubs the run `start..end` as the matrix tiers do, flushing its
-    /// check tally into `log`.
+    /// Scrubs the run `start..end` as the matrix tiers do — the verify walk
+    /// plus its write-backs — flushing its check tally into `log`.
     fn scrub(
         codec: &ElementCodec,
         (start, end): (usize, usize),
@@ -536,8 +535,18 @@ mod tests {
         cols: &mut [u32],
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        let mut tally = 0;
-        let result = codec.scrub_run(values, cols, start, end, &mut Vec::new(), &mut tally, log);
+        let (mut tally, mut repairs) = (0, Vec::new());
+        let result = codec.verify_run(
+            values,
+            cols,
+            start,
+            end,
+            &mut Vec::new(),
+            &mut tally,
+            log,
+            |repair| repairs.push(repair),
+        );
+        codec.write_back(values, cols, &repairs);
         log.record_checks(Region::CsrElements, tally);
         result
     }

@@ -30,7 +30,7 @@
 use crate::csr_element::{ElementCodec, COL_MASK_24, COL_MASK_31};
 use crate::error::AbftError;
 use crate::protected_csr::{KernelTally, OneVector, Panel, RowSink};
-use crate::protected_matrix::ProtectedMatrix;
+use crate::protected_matrix::{ProtectedMatrix, Repair};
 use crate::report::{FaultLog, Region};
 use crate::schemes::{EccScheme, ProtectionConfig};
 use crate::spmv::{dispatch_panel_readers, DenseView, MaskedX, SliceX};
@@ -125,21 +125,21 @@ impl ProtectedCoo {
     }
 
     /// Fully checked decode of element `k`'s row index (transient
-    /// correction; storage untouched).  Tallies one row-structure check into
-    /// `rp_checks`.
+    /// correction; storage untouched): `(row, corrected)`, the correction
+    /// logged.  Tallies one row-structure check into `rp_checks`.
     #[inline]
     fn decode_row_checked(
         &self,
         k: usize,
         log: &FaultLog,
         rp_checks: &mut u64,
-    ) -> Result<u32, AbftError> {
+    ) -> Result<(u32, bool), AbftError> {
         *rp_checks += 1;
         let (row, corrected) = self.probe_row(k, log)?;
         if corrected {
             log.record_corrected(Region::RowPointer);
         }
-        Ok(row)
+        Ok((row, corrected))
     }
 
     /// Checked decode of element `k`'s row index that counts no check and
@@ -152,10 +152,11 @@ impl ProtectedCoo {
             EccScheme::None => Some((word, false)),
             EccScheme::Sed => (parity_u32(word) == 0).then_some((word & COL_MASK_31, false)),
             _ => {
+                // The code reads bits 24–29; the spare bits 30–31 are
+                // defined zero, so a flip there is corrected like any other.
                 let mut payload = [(word & COL_MASK_24) as u64];
-                let spare_bits_hit = word >> 30 != 0;
-                match SECDED_24.check_and_correct(&mut payload, (word >> 24 & 0x3F) as u16) {
-                    DecodeOutcome::NoError => Some((payload[0] as u32, spare_bits_hit)),
+                match SECDED_24.check_and_correct(&mut payload, (word >> 24) as u16) {
+                    DecodeOutcome::NoError => Some((payload[0] as u32, word >> 30 != 0)),
                     DecodeOutcome::CorrectedData(_) | DecodeOutcome::CorrectedRedundancy => {
                         Some((payload[0] as u32, true))
                     }
@@ -233,6 +234,43 @@ impl ProtectedCoo {
             .chain(rows.filter(|(start, end)| start < end))
     }
 
+    /// The one whole-matrix walk under `verify_all` and `scrub`: every row
+    /// index, then every element codeword, each verified once and each
+    /// correction handed to `repair`.  The row-granular CRC32C runs are
+    /// counted from the checked row decode: a correctable row-index flip
+    /// must not shift the slice a checksum is computed over.
+    fn walk(&self, log: &FaultLog, mut repair: impl FnMut(Repair)) -> Result<(), AbftError> {
+        let crc_rows = self.codec.row_granular();
+        let mut row_ptr = vec![0u32; if crc_rows { self.rows + 1 } else { 0 }];
+        let mut rp_checks = 0u64;
+        let result = (0..self.row_indices.len()).try_for_each(|k| {
+            let (row, corrected) = self.decode_row_checked(k, log, &mut rp_checks)?;
+            if corrected {
+                let word = encode_row_index(row, self.config.row_pointer);
+                repair(Repair::RowIndex(k, word));
+            }
+            if crc_rows && (row as usize) < self.rows {
+                row_ptr[row as usize + 1] += 1;
+            }
+            Ok(())
+        });
+        log.record_checks(Region::RowPointer, rp_checks);
+        result?;
+        for row in 1..row_ptr.len() {
+            row_ptr[row] += row_ptr[row - 1];
+        }
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let (values, cols) = (&self.values, &self.col_indices);
+        let result = self.element_runs(&row_ptr).try_for_each(|(start, end)| {
+            let (scratch, tally) = (&mut scratch, &mut tally);
+            self.codec
+                .verify_run(values, cols, start, end, scratch, tally, log, &mut repair)
+        });
+        log.record_checks(Region::CsrElements, tally);
+        result
+    }
+
     /// Computes `out[i * w + j] = (A x_j)[row0 + i]` for a contiguous row
     /// range and the `w` input vectors behind `sink` — the COO analogue of
     /// the CSR range kernel, with the row runs discovered by scanning the
@@ -304,7 +342,7 @@ impl ProtectedCoo {
                 Some(r) => r,
                 None => {
                     let r = if check {
-                        self.decode_row_checked(*k, log, rp_checks)?
+                        self.decode_row_checked(*k, log, rp_checks)?.0
                     } else {
                         self.row_indices[*k] & row_mask
                     };
@@ -388,87 +426,22 @@ impl ProtectedMatrix for ProtectedCoo {
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        // Row indices first.  The row-granular CRC codewords need the row
-        // runs, counted here from the *checked* decode: a correctable
-        // row-index flip must not shift the slice a checksum is computed
-        // over.
-        let crc_rows = self.codec.row_granular();
-        let mut row_ptr = vec![0u32; if crc_rows { self.rows + 1 } else { 0 }];
-        let mut rp_checks = 0u64;
-        let result = (0..self.row_indices.len()).try_for_each(|k| {
-            let row = self.decode_row_checked(k, log, &mut rp_checks)? as usize;
-            if crc_rows && row < self.rows {
-                row_ptr[row + 1] += 1;
-            }
-            Ok(())
-        });
-        if rp_checks > 0 {
-            log.record_checks(Region::RowPointer, rp_checks);
-        }
-        result?;
-        for row in 1..row_ptr.len() {
-            row_ptr[row] += row_ptr[row - 1];
-        }
-        let mut scratch = Vec::new();
-        let mut tally = 0u64;
-        let (values, cols) = (&self.values, &self.col_indices);
-        let result = self.element_runs(&row_ptr).try_for_each(|(start, end)| {
-            let unseen = |_, _, _| Ok(());
-            self.codec.verify_run(
-                values,
-                cols,
-                start,
-                end,
-                &mut scratch,
-                &mut tally,
-                log,
-                unseen,
-            )
-        });
-        log.record_checks(Region::CsrElements, tally);
-        result
+        self.walk(log, |_| {})
     }
 
     fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        // Row indices first, rewriting repaired codewords, so the element
-        // pass below sees trustworthy row runs.
-        let mut repaired_rows = 0usize;
-        let mut rp_checks = 0u64;
-        for k in 0..self.row_indices.len() {
-            let decoded = match self.decode_row_checked(k, log, &mut rp_checks) {
-                Ok(row) => row,
-                Err(e) => {
-                    log.record_checks(Region::RowPointer, rp_checks);
-                    return Err(e);
-                }
-            };
-            let reencoded = encode_row_index(decoded, self.config.row_pointer);
-            if reencoded != self.row_indices[k] {
-                self.row_indices[k] = reencoded;
-                repaired_rows += 1;
+        let before = log.total_corrected();
+        let mut repairs = Vec::new();
+        let result = self.walk(log, |repair| repairs.push(repair));
+        for repair in &repairs {
+            if let Repair::RowIndex(k, word) = *repair {
+                self.row_indices[k] = word;
             }
         }
-        if rp_checks > 0 {
-            log.record_checks(Region::RowPointer, rp_checks);
-        }
-        let before = log.total_corrected();
-        let row_ptr = if self.codec.row_granular() {
-            self.masked_row_pointer()
-        } else {
-            Vec::new()
-        };
-        let mut runs = self.element_runs(&row_ptr);
-        let (values, cols) = (&mut self.values[..], &mut self.col_indices[..]);
-        let mut scratch = Vec::new();
-        let mut tally = 0u64;
-        let result = runs.try_for_each(|(start, end)| {
-            self.codec
-                .scrub_run(values, cols, start, end, &mut scratch, &mut tally, log)
-        });
-        log.record_checks(Region::CsrElements, tally);
+        self.codec
+            .write_back(&mut self.values, &mut self.col_indices, &repairs);
         result?;
-        let corrected_elements = (log.total_corrected() - before) as usize;
-        Ok(repaired_rows + corrected_elements)
+        Ok((log.total_corrected() - before) as usize)
     }
 
     fn to_csr(&self) -> CsrMatrix {

@@ -19,12 +19,11 @@
 
 use crate::csr_element::ElementCodec;
 use crate::error::AbftError;
-use crate::protected_matrix::ProtectedMatrix;
+use crate::protected_matrix::{ProtectedMatrix, Repair};
 use crate::report::{FaultLog, Region};
-use crate::row_pointer::{mask_entry, ProtectedRowPointer};
+use crate::row_pointer::{ProtectedRowPointer, RpCursor};
 use crate::schemes::{EccScheme, ProtectionConfig};
 use crate::spmv::{dispatch_panel_readers, DenseView, MaskedX, SliceX, XRead, MAX_PANEL_WIDTH};
-use abft_ecc::sed::parity_u32;
 use abft_sparse::CsrMatrix;
 
 /// Rows per block of the range kernel: each block's contiguous element run
@@ -130,7 +129,7 @@ impl ProtectedCsr {
                 let first = row0 + b * ROW_BLOCK;
                 let rows = block.len() / width;
                 let certified = self.certify_block(
-                    &mut cursor,
+                    &cursor,
                     first,
                     rows,
                     rp_checked,
@@ -142,7 +141,7 @@ impl ProtectedCsr {
                         tally.row_structure += 2 * rp_checked as u64;
                         (bounds[i], bounds[i + 1])
                     } else {
-                        cursor.row_range(first + i, rp_checked, log, &mut tally.row_structure)?
+                        cursor.row_bounds(first + i, rp_checked, log, &mut tally.row_structure)?
                     };
                     if elements_checked {
                         tally.elements += (end - start) as u64;
@@ -165,22 +164,21 @@ impl ProtectedCsr {
         })
     }
 
-    /// The block step of the range kernel and of the CRC32C `verify_all`:
+    /// The block step of the range kernel and of the CRC32C element walk:
     /// reads the row bounds of rows `first..first + rows` into
     /// `bounds[..=rows]` and, with `elements_checked`, certifies the block's
     /// contiguous element run with the codec's batched predicate
     /// (interval-skipped or unprotected elements are read masked whatever
     /// they hold).  `true` means every row-pointer codeword read verified
-    /// clean (or had already been decoded by `cursor`), the bounds are
-    /// ordered and in range, and every element codeword that was to be
-    /// checked is clean, so the rows may be read masked straight off
-    /// `bounds`.
+    /// clean, the bounds are ordered and in range, and every element
+    /// codeword that was to be checked is clean, so the rows may be read
+    /// masked straight off `bounds`.
     /// Nothing is recorded either way: on `false` the caller re-walks the
     /// block row by row through the logging path, which then reports
     /// exactly the events, indices and check counts it always has.
     fn certify_block(
         &self,
-        cursor: &mut RpCursor,
+        cursor: &RpCursor,
         first: usize,
         rows: usize,
         rp_checked: bool,
@@ -190,17 +188,54 @@ impl ProtectedCsr {
         if elements_checked && !self.codec.certifies_runs() {
             return false;
         }
-        for (i, bound) in bounds[..=rows].iter_mut().enumerate() {
-            match cursor.entry_if_clean(first + i, rp_checked) {
-                Some(entry) => *bound = entry as usize,
-                None => return false,
-            }
+        let bounds = &mut bounds[..=rows];
+        if !cursor.bounds_if_clean(first, bounds, rp_checked) {
+            return false;
         }
-        let bounds = &bounds[..=rows];
         let (values, cols) = (&self.values, &self.col_indices);
         bounds.is_sorted()
             && bounds[rows] <= self.nnz
             && (!elements_checked || self.codec.rows_clean(values, cols, bounds))
+    }
+
+    /// The one element walk under `verify_all` and `scrub`, which walk the
+    /// row pointer first: every element codeword verified once, each
+    /// correction handed to `repair`.  Row-granular (CRC32C) codewords need
+    /// the row bounds, read through the checked cursor — a correctable
+    /// row-pointer flip must not shift the slice a row's checksum is
+    /// computed over — whose tally is dropped and whose corrections go
+    /// unlogged: the row pointer's own walk has counted and logged them.
+    fn walk(&self, log: &FaultLog, mut repair: impl FnMut(Repair)) -> Result<(), AbftError> {
+        let (values, cols) = (&self.values[..], &self.col_indices[..]);
+        let mut scratch = Vec::new();
+        let mut tally = 0u64;
+        let mut verify = |start, end, tally: &mut u64| {
+            let scratch = &mut scratch;
+            self.codec
+                .verify_run(values, cols, start, end, scratch, tally, log, &mut repair)
+        };
+        let result = if !self.codec.row_granular() {
+            // Element- and pair-granular codewords are independent of the row
+            // structure; one run over the arrays checks each exactly once.
+            verify(0, self.nnz, &mut tally)
+        } else {
+            let rp_checked = self.row_pointer.scheme() != EccScheme::None;
+            let mut cursor = RpCursor::new(&self.row_pointer, false);
+            let mut bounds = [0usize; ROW_BLOCK + 1];
+            (0..self.rows).step_by(ROW_BLOCK).try_for_each(|first| {
+                let rows = ROW_BLOCK.min(self.rows - first);
+                if self.certify_block(&cursor, first, rows, rp_checked, true, &mut bounds) {
+                    tally += rows as u64;
+                    return Ok(());
+                }
+                (first..first + rows).try_for_each(|row| {
+                    let (start, end) = cursor.row_bounds(row, rp_checked, log, &mut 0)?;
+                    verify(start, end, &mut tally)
+                })
+            })
+        };
+        log.record_checks(Region::CsrElements, tally);
+        result
     }
 }
 
@@ -262,68 +297,18 @@ impl ProtectedMatrix for ProtectedCsr {
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
         self.row_pointer.check_all(log)?;
-        let (values, cols) = (&self.values[..], &self.col_indices[..]);
-        let mut scratch = Vec::new();
-        let mut tally = 0u64;
-        let mut verify = |start, end, tally: &mut u64| {
-            let unseen = |_, _, _| Ok(());
-            self.codec
-                .verify_run(values, cols, start, end, &mut scratch, tally, log, unseen)
-        };
-        let result = if !self.codec.row_granular() {
-            // Element- and pair-granular codewords are independent of the row
-            // structure; one run over the arrays checks each exactly once.
-            verify(0, self.nnz, &mut tally)
-        } else {
-            // Row-granular codewords need the row boundaries, read through
-            // the checked path: a correctable row-pointer flip must not shift
-            // the slice a row's checksum is computed over.  `check_all` above
-            // has already counted the row-pointer codewords and logged their
-            // corrections, so the cursor's tally is dropped and its
-            // corrections go unlogged.
-            let rp_checked = self.row_pointer.scheme() != EccScheme::None;
-            let mut cursor = RpCursor::new(&self.row_pointer, false);
-            let mut bounds = [0usize; ROW_BLOCK + 1];
-            (0..self.rows).step_by(ROW_BLOCK).try_for_each(|first| {
-                let rows = ROW_BLOCK.min(self.rows - first);
-                if self.certify_block(&mut cursor, first, rows, rp_checked, true, &mut bounds) {
-                    tally += rows as u64;
-                    return Ok(());
-                }
-                (first..first + rows).try_for_each(|row| {
-                    let (start, end) = cursor.row_range(row, rp_checked, log, &mut 0)?;
-                    verify(start, end, &mut tally)
-                })
-            })
-        };
-        log.record_checks(Region::CsrElements, tally);
-        result
+        self.walk(log, |_| {})
     }
 
     fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        let repaired_rp = self.row_pointer.scrub(log)?;
         let before = log.total_corrected();
-        let (values, cols) = (&mut self.values[..], &mut self.col_indices[..]);
-        let mut scratch = Vec::new();
-        let mut tally = 0u64;
-        let result = if !self.codec.row_granular() {
-            self.codec
-                .scrub_run(values, cols, 0, self.nnz, &mut scratch, &mut tally, log)
-        } else {
-            // The row pointer was scrubbed just above, so a protected one is
-            // trustworthy; an unprotected one still gets the bounds check,
-            // which turns a flipped offset into an error instead of a slice
-            // that leaves the arrays.
-            (0..self.rows).try_for_each(|row| {
-                let (start, end) = self.row_pointer.row_range(row, false, log)?;
-                self.codec
-                    .scrub_run(values, cols, start, end, &mut scratch, &mut tally, log)
-            })
-        };
-        log.record_checks(Region::CsrElements, tally);
+        self.row_pointer.scrub(log)?;
+        let mut repairs = Vec::new();
+        let result = self.walk(log, |repair| repairs.push(repair));
+        self.codec
+            .write_back(&mut self.values, &mut self.col_indices, &repairs);
         result?;
-        let corrected_elements = (log.total_corrected() - before) as usize;
-        Ok(repaired_rp + corrected_elements)
+        Ok((log.total_corrected() - before) as usize)
     }
 
     fn to_csr(&self) -> CsrMatrix {
@@ -516,119 +501,6 @@ fn x_out_of_range(log: &FaultLog, index: usize, col: usize, limit: usize) -> Abf
         index,
         value: col,
         limit,
-    }
-}
-
-/// Sequential row-range reader caching the last decoded row-pointer codeword
-/// group.
-///
-/// Consecutive rows share row-pointer entries (row `i` ends where row `i+1`
-/// starts) and, for the grouped schemes, whole codeword groups; decoding a
-/// group once per `group − 1` rows instead of twice per row removes most of
-/// the row-pointer ECC work from the SpMV.  Corrections observed during a
-/// group decode are transient (storage untouched) exactly like the uncached
-/// [`ProtectedRowPointer::row_range`] path, but are recorded once per group
-/// per kernel invocation rather than once per touching row.
-struct RpCursor<'a> {
-    rp: &'a ProtectedRowPointer,
-    /// Entries per codeword group — a power of two, so the kernels' per-row
-    /// group lookup is a shift and a mask, not a division.
-    group: usize,
-    cached: usize,
-    entries: [u32; 8],
-    /// Whether a checked read logs the corrections it makes, or leaves them
-    /// to a `check_all` that has already logged them.
-    record_corrected: bool,
-}
-
-impl<'a> RpCursor<'a> {
-    fn new(rp: &'a ProtectedRowPointer, record_corrected: bool) -> Self {
-        let group = rp.scheme().row_pointer_group();
-        debug_assert!(group.is_power_of_two());
-        RpCursor {
-            rp,
-            group,
-            cached: usize::MAX,
-            entries: [0; 8],
-            record_corrected,
-        }
-    }
-
-    /// The codeword group holding entry `i`.
-    #[inline(always)]
-    fn group_of(&self, i: usize) -> usize {
-        i >> self.group.trailing_zeros()
-    }
-
-    /// Entry `i` of the cached group, redundancy masked off.
-    #[inline(always)]
-    fn cached_entry(&self, i: usize) -> u32 {
-        mask_entry(self.rp.scheme(), self.entries[i & (self.group - 1)])
-    }
-
-    /// Entry `i` when reading it needs nothing recorded: unchecked reads
-    /// (`rp_checked` off), a codeword that verifies strictly clean, or a
-    /// group this cursor has already decoded.  `None` leaves the cache
-    /// untouched for the logging [`RpCursor::entry_checked`] to redo.
-    #[inline]
-    fn entry_if_clean(&mut self, i: usize, rp_checked: bool) -> Option<u32> {
-        if !rp_checked {
-            return Some(self.rp.get_masked(i));
-        }
-        if self.group <= 1 {
-            let clean = parity_u32(self.rp.raw()[i]) == 0;
-            return clean.then(|| self.rp.get_masked(i));
-        }
-        let g = self.group_of(i);
-        if g != self.cached {
-            self.entries = self.rp.group_if_clean(g)?;
-            self.cached = g;
-        }
-        Some(self.cached_entry(i))
-    }
-
-    /// Fully checked read of entry `i` through the group cache.
-    #[inline]
-    fn entry_checked(&mut self, i: usize, log: &FaultLog) -> Result<u32, AbftError> {
-        if self.group <= 1 {
-            // Per-entry codewords (None / SED) have nothing to cache.
-            return self.rp.read_entry(i, true, log);
-        }
-        let g = self.group_of(i);
-        if g != self.cached {
-            self.entries = self.rp.decode_group(g, log, self.record_corrected)?;
-            self.cached = g;
-        }
-        Ok(self.cached_entry(i))
-    }
-
-    /// The decoded element range of `row`: full codeword checks when
-    /// `rp_checked` (tallying two entry checks per row into `rp_checks`),
-    /// bounds checks otherwise.
-    #[inline]
-    fn row_range(
-        &mut self,
-        row: usize,
-        rp_checked: bool,
-        log: &FaultLog,
-        rp_checks: &mut u64,
-    ) -> Result<(usize, usize), AbftError> {
-        if !rp_checked {
-            return self.rp.row_range(row, false, log);
-        }
-        *rp_checks += 2;
-        let start = self.entry_checked(row, log)? as usize;
-        let end = self.entry_checked(row + 1, log)? as usize;
-        if start > end || end > self.rp.nnz() {
-            log.record_bounds_violation(Region::RowPointer);
-            return Err(AbftError::OutOfRange {
-                region: Region::RowPointer,
-                index: row,
-                value: end.max(start),
-                limit: self.rp.nnz(),
-            });
-        }
-        Ok((start, end))
     }
 }
 

@@ -182,6 +182,20 @@ pub trait ProtectedMatrix: Send + Sync {
     }
 }
 
+/// A correction a tier's whole-matrix walk reports: `verify_all` drops it,
+/// `scrub` writes it back.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Repair {
+    /// COO row index `k`, re-encoded.
+    RowIndex(usize, u32),
+    /// Element `k` decodes to `(value, column)`, not to what is stored.
+    Element(usize, f64, u32),
+    /// The element run `start..end` logged a correction: the `Element`s
+    /// reported since the previous run are its repaired elements, and its
+    /// redundancy is re-encoded.
+    Run(usize, usize),
+}
+
 /// A protected matrix of any storage tier — the one matrix type the solver
 /// backends, the serving queue and the fault campaign hold.
 #[derive(Debug, Clone)]

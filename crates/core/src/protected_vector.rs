@@ -266,90 +266,59 @@ impl ProtectedVector {
         Ok(())
     }
 
-    /// Verifies every codeword.  Errors are logged; correctable flips are
-    /// *not* written back (use [`ProtectedVector::scrub`]).
-    pub fn check_all(&self, log: &FaultLog) -> Result<(), AbftError> {
-        if self.scheme == EccScheme::None {
+    /// The one whole-vector walk under [`ProtectedVector::check_all`] and
+    /// [`ProtectedVector::scrub`].  The batched predicate certifies a clean
+    /// vector (every SpMV scrubs its input) without decoding a single group;
+    /// a failing one is walked group by group, a correction logged and
+    /// handed to `repair` as `(first element, repaired codeword)`, the first
+    /// uncorrectable codeword logged and returned.  `tally` gains one check
+    /// per codeword walked.
+    fn walk(
+        &self,
+        log: &FaultLog,
+        tally: &mut u64,
+        mut repair: impl FnMut(usize, [u64; MAX_GROUP]),
+    ) -> Result<(), AbftError> {
+        let codec = self.codec();
+        let group = codec.group();
+        if codec.run_clean(&self.data) {
+            *tally += (self.data.len() / group) as u64;
             return Ok(());
         }
-        let mut tally = 0u64;
-        let result = self.check_all_inner(log, &mut tally);
-        log.record_checks(Region::DenseVector, tally);
-        result
-    }
-
-    fn check_all_inner(&self, log: &FaultLog, tally: &mut u64) -> Result<(), AbftError> {
-        // Batched screening pass: one SIMD-dispatched predicate certifies
-        // the whole vector in the (overwhelmingly common) clean case, with
-        // the same per-group check accounting as the walk below.
-        if self.codec().run_clean(&self.data) {
-            *tally += (self.data.len() / self.group_size()) as u64;
-            return Ok(());
-        }
-        if self.scheme == EccScheme::Sed {
-            // Tight per-element parity loop (SED is the scheme the paper
-            // recommends when overhead matters most, so keep it lean).
-            for (i, &w) in self.data.iter().enumerate() {
-                *tally += 1;
-                if parity_u64(w) != 0 {
-                    log.record_uncorrectable(Region::DenseVector);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::DenseVector,
-                        index: i,
-                    });
-                }
-            }
-            return Ok(());
-        }
-        let group = self.group_size();
-        let mut base = 0;
-        while base < self.data.len() {
+        for base in (0..self.data.len()).step_by(group) {
             *tally += 1;
-            self.decode_group(base, log)?;
-            base += group;
+            let before = log.total_corrected();
+            let (values, _) = self.decode_group(base, log)?;
+            if log.total_corrected() > before {
+                let mut words = [0u64; MAX_GROUP];
+                codec.encode(&values, &mut words[..group]);
+                repair(base, words);
+            }
         }
         Ok(())
     }
 
-    /// Re-verifies every codeword and repairs correctable errors in place.
-    /// Returns the number of repaired codewords.
-    pub fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        if self.scheme == EccScheme::None {
-            return Ok(0);
-        }
-        if self.scheme == EccScheme::Sed {
-            // Parity cannot correct anything; scrubbing is detection only.
-            self.check_all(log)?;
-            return Ok(0);
-        }
+    /// Verifies every codeword.  Errors are logged; correctable flips are
+    /// *not* written back (use [`ProtectedVector::scrub`]).
+    pub fn check_all(&self, log: &FaultLog) -> Result<(), AbftError> {
         let mut tally = 0u64;
-        let result = self.scrub_inner(log, &mut tally);
-        log.record_checks(Region::DenseVector, tally);
+        let result = self.walk(log, &mut tally, |_, _| {});
+        flush_checks(log, self.scheme, tally);
         result
     }
 
-    fn scrub_inner(&mut self, log: &FaultLog, tally: &mut u64) -> Result<usize, AbftError> {
-        // A scrub of clean storage (every SpMV performs one on its input
-        // vector) is certified by the batched predicate without decoding a
-        // single group; only a failing vector takes the correcting walk.
-        if self.codec().run_clean(&self.data) {
-            *tally += (self.data.len() / self.group_size()) as u64;
-            return Ok(0);
-        }
+    /// [`ProtectedVector::check_all`]'s walk plus the write-backs it
+    /// reports: repairs correctable codewords in place and returns how many.
+    pub fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
+        let mut tally = 0u64;
+        let mut repairs = Vec::new();
+        let result = self.walk(log, &mut tally, |base, words| repairs.push((base, words)));
+        flush_checks(log, self.scheme, tally);
         let group = self.group_size();
-        let mut repaired = 0;
-        let mut base = 0;
-        while base < self.data.len() {
-            *tally += 1;
-            let before = log.total_corrected();
-            let (buf, _) = self.decode_group(base, log)?;
-            if log.total_corrected() > before {
-                self.encode_group(base, &buf);
-                repaired += 1;
-            }
-            base += group;
+        for (base, words) in &repairs {
+            self.data[*base..base + group].copy_from_slice(&words[..group]);
         }
-        Ok(repaired)
+        result.map(|()| repairs.len())
     }
 
     /// Overwrites every element with `f(i)`, encoding one staged run of

@@ -12,14 +12,20 @@
 //! * **CRC32C** — the top 4 bits of each of 8 consecutive entries hold the
 //!   32-bit checksum of their 8 × 28 payload bits.
 //!
-//! Incomplete trailing groups are padded with virtual zero entries, which is
-//! safe because the padding is identical at encode and check time.
+//! SED and unprotected entries are groups of one.  Incomplete trailing
+//! groups are padded with zero entries, which is safe because the padding is
+//! identical at encode and check time.
 //!
 //! Integrity checks come in two strengths, matching the paper's
 //! less-frequent-checking scheme: a **full check** verifies the codeword and
 //! can correct a single flip, while a **bounds check** merely confirms the
 //! decoded offsets do not exceed NNZ (preventing out-of-bounds reads /
 //! segmentation faults) at a fraction of the cost.
+//!
+//! One group check serves every read: `RpCursor`, the only reader of the
+//! row bounds, and the whole-vector walk under
+//! [`ProtectedRowPointer::check_all`] and [`ProtectedRowPointer::scrub`] —
+//! `scrub` is that walk plus the write-backs it reports.
 
 use crate::error::AbftError;
 use crate::report::{FaultLog, Region};
@@ -68,29 +74,16 @@ impl ProtectedRowPointer {
             });
         }
         let crc = Crc32c::new(backend);
-        let len = row_ptr.len();
+        let group = scheme.row_pointer_group();
         let mut data = row_ptr.to_vec();
-        match scheme {
-            EccScheme::None => {}
-            EccScheme::Sed => {
-                for e in &mut data {
-                    let payload = *e & ROW_PTR_MASK_31;
-                    *e = payload | (parity_u32(payload) << 31);
-                }
-            }
-            _ => {
-                let group = scheme.row_pointer_group();
-                data.resize(len.div_ceil(group) * group, 0);
-                let n_groups = data.len() / group;
-                for g in 0..n_groups {
-                    encode_group(scheme, &crc, &mut data, g * group);
-                }
-            }
+        data.resize(row_ptr.len().div_ceil(group) * group, 0);
+        for entries in data.chunks_exact_mut(group) {
+            encode_group(scheme, &crc, entries);
         }
         Ok(ProtectedRowPointer {
             scheme,
             data,
-            len,
+            len: row_ptr.len(),
             nnz,
             crc,
         })
@@ -132,133 +125,34 @@ impl ProtectedRowPointer {
         mask_entry(self.scheme, self.data[i])
     }
 
-    /// Decodes the half-open element range of `row`.
-    ///
-    /// With `check == true` the codeword(s) covering the two entries are
-    /// verified (single flips corrected transparently for the returned value,
-    /// and recorded in `log`); with `check == false` only the bounds check of
-    /// §VI-A-2 is performed: offsets must not exceed NNZ and must be ordered.
-    pub fn row_range(
+    /// The one whole-vector walk under [`ProtectedRowPointer::check_all`]
+    /// and [`ProtectedRowPointer::scrub`]: every codeword verified once, in
+    /// order, a correction logged and handed to `repair` as `(first entry,
+    /// repaired entries)`, the first uncorrectable codeword logged and
+    /// returned.  `tally` gains one check per codeword walked; an
+    /// unprotected vector has no codewords and is not walked.
+    fn walk(
         &self,
-        row: usize,
-        check: bool,
         log: &FaultLog,
-    ) -> Result<(usize, usize), AbftError> {
-        if check && self.scheme != EccScheme::None {
-            // One bulk counter update per row keeps atomics off the per-entry
-            // hot path.
-            log.record_checks(Region::RowPointer, 2);
+        tally: &mut u64,
+        mut repair: impl FnMut(usize, [u32; 8]),
+    ) -> Result<(), AbftError> {
+        if self.scheme == EccScheme::None {
+            return Ok(());
         }
-        let start = self.read_entry(row, check, log)? as usize;
-        let end = self.read_entry(row + 1, check, log)? as usize;
-        if start > end || end > self.nnz {
-            log.record_bounds_violation(Region::RowPointer);
-            return Err(AbftError::OutOfRange {
-                region: Region::RowPointer,
-                index: row,
-                value: end.max(start),
-                limit: self.nnz,
-            });
-        }
-        Ok((start, end))
-    }
-
-    /// Reads entry `i`, either with a full integrity check (transiently
-    /// correcting single flips) or with a bounds check only.
-    pub(crate) fn read_entry(
-        &self,
-        i: usize,
-        check: bool,
-        log: &FaultLog,
-    ) -> Result<u32, AbftError> {
-        if !check || self.scheme == EccScheme::None {
-            let value = self.get_masked(i);
-            if self.scheme == EccScheme::None {
-                return Ok(value);
-            }
-            // Bounds check: prevents out-of-range reads between full checks.
-            if value as usize > self.nnz {
-                log.record_bounds_violation(Region::RowPointer);
-                return Err(AbftError::OutOfRange {
-                    region: Region::RowPointer,
-                    index: i,
-                    value: value as usize,
-                    limit: self.nnz,
-                });
-            }
-            return Ok(value);
-        }
-        match self.scheme {
-            EccScheme::None => unreachable!(),
-            EccScheme::Sed => {
-                if parity_u32(self.data[i]) != 0 {
-                    log.record_uncorrectable(Region::RowPointer);
-                    return Err(AbftError::Uncorrectable {
-                        region: Region::RowPointer,
-                        index: i,
-                    });
+        let group = self.scheme.row_pointer_group();
+        for (g, stored) in self.data.chunks_exact(group).enumerate() {
+            *tally += 1;
+            match check_group(self.scheme, &self.crc, stored) {
+                GroupOutcome::Clean => {}
+                GroupOutcome::Corrected(entries) => {
+                    log.record_corrected(Region::RowPointer);
+                    repair(g * group, entries);
                 }
-                Ok(self.data[i] & ROW_PTR_MASK_31)
-            }
-            _ => {
-                let group = self.scheme.row_pointer_group();
-                let g = i / group;
-                let decoded = self.decode_group(g, log, true)?;
-                Ok(mask_entry(self.scheme, decoded[i - g * group]))
+                GroupOutcome::Uncorrectable => return Err(uncorrectable(log, g * group)),
             }
         }
-    }
-
-    /// Decodes (and verifies) the group containing entries
-    /// `[g*group, (g+1)*group)`, returning the corrected stored entries
-    /// (redundancy bits still attached).  Storage is not modified;
-    /// corrections are transient (see [`ProtectedRowPointer::scrub`]) and
-    /// logged when `record_corrected`.
-    pub(crate) fn decode_group(
-        &self,
-        g: usize,
-        log: &FaultLog,
-        record_corrected: bool,
-    ) -> Result<[u32; 8], AbftError> {
-        let group = self.scheme.row_pointer_group();
-        let base = g * group;
-        let mut entries = self.load_group(g);
-        match check_group(self.scheme, &self.crc, &mut entries[..group]) {
-            GroupOutcome::Clean => {}
-            GroupOutcome::Corrected if record_corrected => log.record_corrected(Region::RowPointer),
-            GroupOutcome::Corrected => {}
-            GroupOutcome::Uncorrectable => {
-                log.record_uncorrectable(Region::RowPointer);
-                return Err(AbftError::Uncorrectable {
-                    region: Region::RowPointer,
-                    index: base,
-                });
-            }
-        }
-        Ok(entries)
-    }
-
-    /// The stored entries of group `g` (zero beyond the end of the vector).
-    fn load_group(&self, g: usize) -> [u32; 8] {
-        let group = self.scheme.row_pointer_group();
-        let mut entries = [0u32; 8];
-        for (j, e) in entries[..group].iter_mut().enumerate() {
-            *e = self.data.get(g * group + j).copied().unwrap_or(0);
-        }
-        entries
-    }
-
-    /// The stored entries of group `g` when its codeword verifies strictly
-    /// clean — [`ProtectedRowPointer::decode_group`] minus correction and
-    /// logging, for callers that certify first and attribute on a re-walk.
-    pub(crate) fn group_if_clean(&self, g: usize) -> Option<[u32; 8]> {
-        let group = self.scheme.row_pointer_group();
-        let mut entries = self.load_group(g);
-        matches!(
-            check_group(self.scheme, &self.crc, &mut entries[..group]),
-            GroupOutcome::Clean
-        )
-        .then_some(entries)
+        Ok(())
     }
 
     /// Verifies every codeword; errors are logged, single flips are *not*
@@ -266,79 +160,30 @@ impl ProtectedRowPointer {
     pub fn check_all(&self, log: &FaultLog) -> Result<(), AbftError> {
         // Tallied locally, flushed once — on the error path too.
         let mut tally = 0u64;
-        let result = self.check_all_inner(log, &mut tally);
-        if tally > 0 {
-            log.record_checks(Region::RowPointer, tally);
-        }
+        let result = self.walk(log, &mut tally, |_, _| {});
+        log.record_checks(Region::RowPointer, tally);
         result
     }
 
-    fn check_all_inner(&self, log: &FaultLog, tally: &mut u64) -> Result<(), AbftError> {
-        match self.scheme {
-            EccScheme::None => Ok(()),
-            EccScheme::Sed => {
-                for (i, &e) in self.data.iter().enumerate() {
-                    *tally += 1;
-                    if parity_u32(e) != 0 {
-                        log.record_uncorrectable(Region::RowPointer);
-                        return Err(AbftError::Uncorrectable {
-                            region: Region::RowPointer,
-                            index: i,
-                        });
-                    }
-                }
-                Ok(())
-            }
-            _ => {
-                let group = self.scheme.row_pointer_group();
-                for g in 0..self.data.len().div_ceil(group) {
-                    *tally += 1;
-                    self.decode_group(g, log, true)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Re-verifies every codeword and repairs correctable errors in place.
-    /// Returns the number of corrected codewords, or an error if an
-    /// uncorrectable codeword is found.
+    /// [`ProtectedRowPointer::check_all`]'s walk plus the write-backs it
+    /// reports: repairs correctable codewords in place and returns how many,
+    /// or the first uncorrectable codeword (the ones before it repaired).
+    /// Only a scrub that cannot correct (SED), which is then a `check_all`,
+    /// counts its checks.
     pub fn scrub(&mut self, log: &FaultLog) -> Result<usize, AbftError> {
-        let mut repaired = 0;
-        match self.scheme {
-            EccScheme::None => {}
-            EccScheme::Sed => {
-                // Parity cannot correct; scrubbing only re-detects.
-                self.check_all(log)?;
-            }
-            _ => {
-                let group = self.scheme.row_pointer_group();
-                for g in 0..self.data.len().div_ceil(group) {
-                    let base = g * group;
-                    let mut entries = self.load_group(g);
-                    match check_group(self.scheme, &self.crc, &mut entries[..group]) {
-                        GroupOutcome::Clean => {}
-                        GroupOutcome::Corrected => {
-                            log.record_corrected(Region::RowPointer);
-                            for (j, e) in entries[..group].iter().enumerate() {
-                                if base + j < self.data.len() {
-                                    self.data[base + j] = *e;
-                                }
-                            }
-                            repaired += 1;
-                        }
-                        GroupOutcome::Uncorrectable => {
-                            log.record_uncorrectable(Region::RowPointer);
-                            return Err(AbftError::Uncorrectable {
-                                region: Region::RowPointer,
-                                index: base,
-                            });
-                        }
-                    }
-                }
-            }
+        let mut tally = 0u64;
+        let mut repairs = Vec::new();
+        let result = self.walk(log, &mut tally, |base, entries| {
+            repairs.push((base, entries))
+        });
+        if !self.scheme.corrects_single_flips() {
+            log.record_checks(Region::RowPointer, tally);
         }
-        Ok(repaired)
+        let group = self.scheme.row_pointer_group();
+        for (base, entries) in &repairs {
+            self.data[*base..base + group].copy_from_slice(&entries[..group]);
+        }
+        result.map(|()| repairs.len())
     }
 
     /// Decodes the whole vector back to plain offsets (no checking).
@@ -347,9 +192,159 @@ impl ProtectedRowPointer {
     }
 }
 
+/// Sequential reader of row bounds caching the last decoded codeword group:
+/// the one reader of a [`ProtectedRowPointer`] outside its own walk, under
+/// the range kernels and the whole-matrix element walk.
+///
+/// Consecutive rows share row-pointer entries (row `i` ends where row `i+1`
+/// starts) and whole codeword groups; decoding a group once per
+/// `group − 1` rows instead of twice per row removes most of the
+/// row-pointer ECC work from the SpMV.  A checked read corrects transiently
+/// (storage untouched) and logs a correction once per group per cursor —
+/// unless the caller has walked the vector already and logged it there.
+pub(crate) struct RpCursor<'a> {
+    rp: &'a ProtectedRowPointer,
+    /// log₂ of the entries per codeword group (a power of two), so the
+    /// per-row group lookup is a shift and a mask, not a division.
+    shift: u32,
+    /// The group read last, and its corrected entries if a flip was
+    /// corrected in it (a clean group is read from storage).
+    cached: usize,
+    corrected: Option<[u32; 8]>,
+    /// Whether a checked read logs the corrections it makes, or leaves them
+    /// to a `check_all` that has already logged them.
+    record_corrected: bool,
+}
+
+impl<'a> RpCursor<'a> {
+    pub(crate) fn new(rp: &'a ProtectedRowPointer, record_corrected: bool) -> Self {
+        let group = rp.scheme.row_pointer_group();
+        debug_assert!(group.is_power_of_two());
+        RpCursor {
+            rp,
+            shift: group.trailing_zeros(),
+            cached: usize::MAX,
+            corrected: None,
+            record_corrected,
+        }
+    }
+
+    /// Reads entries `first..first + bounds.len()` into `bounds` when that
+    /// needs nothing recorded: unchecked reads (`rp_checked` off), or every
+    /// codeword covering them verifying strictly clean.  Checks each group
+    /// once and leaves the cache alone; on `false` the logging
+    /// [`RpCursor::row_bounds`] redoes the reads (a group this cursor has
+    /// corrected, so fails here, is then read from the cache).
+    #[inline]
+    pub(crate) fn bounds_if_clean(
+        &self,
+        first: usize,
+        bounds: &mut [usize],
+        rp_checked: bool,
+    ) -> bool {
+        let (s, rp) = (self.shift, self.rp);
+        let entries = first..first + bounds.len();
+        let groups = &rp.data[(first >> s) << s..(((entries.end - 1) >> s) + 1) << s];
+        let clean = |group| matches!(check_group(rp.scheme, &rp.crc, group), GroupOutcome::Clean);
+        if rp_checked && !groups.chunks_exact(1 << s).all(clean) {
+            return false;
+        }
+        for (bound, i) in bounds.iter_mut().zip(entries) {
+            *bound = rp.get_masked(i) as usize;
+        }
+        true
+    }
+
+    /// Fully checked read of entry `i` through the group cache.
+    #[inline]
+    fn entry_checked(&mut self, i: usize, log: &FaultLog) -> Result<u32, AbftError> {
+        let g = i >> self.shift;
+        if g != self.cached {
+            let (s, rp) = (self.shift, self.rp);
+            self.corrected = match check_group(rp.scheme, &rp.crc, &rp.data[g << s..(g + 1) << s]) {
+                GroupOutcome::Clean => None,
+                GroupOutcome::Corrected(entries) => {
+                    if self.record_corrected {
+                        log.record_corrected(Region::RowPointer);
+                    }
+                    Some(entries)
+                }
+                GroupOutcome::Uncorrectable => return Err(uncorrectable(log, g << s)),
+            };
+            self.cached = g;
+        }
+        Ok(match &self.corrected {
+            Some(entries) => mask_entry(self.rp.scheme, entries[i & ((1 << self.shift) - 1)]),
+            None => self.rp.get_masked(i),
+        })
+    }
+
+    /// Entry `i` read with the bounds check of §VI-A-2 alone: an offset
+    /// beyond NNZ is a bounds violation.  An unprotected row pointer skips
+    /// this per-entry test; the row test of [`RpCursor::row_bounds`] still
+    /// keeps every slice inside the arrays.
+    #[inline]
+    fn entry_bounded(&self, i: usize, log: &FaultLog) -> Result<u32, AbftError> {
+        let value = self.rp.get_masked(i);
+        if self.rp.scheme != EccScheme::None && value as usize > self.rp.nnz {
+            return Err(out_of_range(log, i, value as usize, self.rp.nnz));
+        }
+        Ok(value)
+    }
+
+    /// The element range of `row`: full codeword checks when `rp_checked`
+    /// (tallying two entry checks per row into `rp_checks`), bounds checks
+    /// otherwise.  Either way the range must be ordered and inside NNZ.
+    #[inline]
+    pub(crate) fn row_bounds(
+        &mut self,
+        row: usize,
+        rp_checked: bool,
+        log: &FaultLog,
+        rp_checks: &mut u64,
+    ) -> Result<(usize, usize), AbftError> {
+        *rp_checks += 2 * rp_checked as u64;
+        let mut read = |i| {
+            if rp_checked {
+                self.entry_checked(i, log)
+            } else {
+                self.entry_bounded(i, log)
+            }
+        };
+        let (start, end) = (read(row)? as usize, read(row + 1)? as usize);
+        let nnz = self.rp.nnz;
+        if start > end || end > nnz {
+            return Err(out_of_range(log, row, end.max(start), nnz));
+        }
+        Ok((start, end))
+    }
+}
+
+/// Logs an uncorrectable row-pointer codeword and builds its error.
+#[cold]
+fn uncorrectable(log: &FaultLog, index: usize) -> AbftError {
+    log.record_uncorrectable(Region::RowPointer);
+    AbftError::Uncorrectable {
+        region: Region::RowPointer,
+        index,
+    }
+}
+
+/// Logs a row-pointer bounds violation and builds its error.
+#[cold]
+fn out_of_range(log: &FaultLog, index: usize, value: usize, limit: usize) -> AbftError {
+    log.record_bounds_violation(Region::RowPointer);
+    AbftError::OutOfRange {
+        region: Region::RowPointer,
+        index,
+        value,
+        limit,
+    }
+}
+
 /// Masks the redundancy bits off one stored entry.
 #[inline]
-pub(crate) fn mask_entry(scheme: EccScheme, e: u32) -> u32 {
+fn mask_entry(scheme: EccScheme, e: u32) -> u32 {
     match scheme {
         EccScheme::None => e,
         EccScheme::Sed => e & ROW_PTR_MASK_31,
@@ -396,25 +391,21 @@ fn write_nibbles(entries: &mut [u32], redundancy: u32) {
     }
 }
 
-/// Encodes the group starting at `base` in place (entries beyond the end of
-/// the vector are treated as zero).
-fn encode_group(scheme: EccScheme, crc: &Crc32c, data: &mut [u32], base: usize) {
-    let group = scheme.row_pointer_group();
-    let mut entries: Vec<u32> = (0..group)
-        .map(|j| data.get(base + j).copied().unwrap_or(0) & ROW_PTR_MASK_28)
-        .collect();
+/// Encodes one group in place: its payloads are kept and its redundancy
+/// written into the spare bits.
+fn encode_group(scheme: EccScheme, crc: &Crc32c, entries: &mut [u32]) {
     let redundancy = match scheme {
-        EccScheme::Secded64 => SECDED_56.encode(&pack_group_payload(&entries)[..1]) as u32,
-        EccScheme::Secded128 => SECDED_112.encode(&pack_group_payload(&entries)) as u32,
-        EccScheme::Crc32c => crc_group_checksum(crc, &entries),
-        _ => unreachable!("encode_group only called for grouped schemes"),
-    };
-    write_nibbles(&mut entries, redundancy);
-    for (j, e) in entries.iter().enumerate() {
-        if base + j < data.len() {
-            data[base + j] = *e;
+        EccScheme::None => return,
+        EccScheme::Sed => {
+            let payload = entries[0] & ROW_PTR_MASK_31;
+            entries[0] = payload | (parity_u32(payload) << 31);
+            return;
         }
-    }
+        EccScheme::Secded64 => SECDED_56.encode(&pack_group_payload(entries)[..1]) as u32,
+        EccScheme::Secded128 => SECDED_112.encode(&pack_group_payload(entries)) as u32,
+        EccScheme::Crc32c => crc_group_checksum(crc, entries),
+    };
+    write_nibbles(entries, redundancy);
 }
 
 /// CRC32C over the group's masked payloads (little-endian 32-bit words with
@@ -429,78 +420,83 @@ fn crc_group_checksum(crc: &Crc32c, entries: &[u32]) -> u32 {
     crc.checksum_words(&words)
 }
 
+/// What the group check found.
 enum GroupOutcome {
     Clean,
-    Corrected,
+    /// A single flip, and the group's corrected entries.
+    Corrected([u32; 8]),
     Uncorrectable,
 }
 
-/// Verifies one group (entries include their redundancy nibbles), correcting
-/// single flips in `entries` in place.
-fn check_group(scheme: EccScheme, crc: &Crc32c, entries: &mut [u32]) -> GroupOutcome {
+/// Verifies one stored group (entries with their redundancy bits),
+/// correcting a single flip in a copy.
+#[inline(always)]
+fn check_group(scheme: EccScheme, crc: &Crc32c, stored: &[u32]) -> GroupOutcome {
     match scheme {
-        EccScheme::Secded64 | EccScheme::Secded128 => {
-            let all_nibbles = read_nibbles(entries);
-            let code = if scheme == EccScheme::Secded64 {
-                &SECDED_56
-            } else {
-                &SECDED_112
-            };
-            // Nibble bits beyond the code's redundancy are defined to be
-            // zero; a flip there is detectable and trivially correctable.
-            let used_mask = (1u32 << code.redundancy_bits()) - 1;
-            let spare_bits_hit = all_nibbles & !used_mask != 0;
-            if spare_bits_hit {
-                write_nibbles(entries, all_nibbles & used_mask);
-            }
-            let stored = (all_nibbles & used_mask) as u16;
-            let mut payload = pack_group_payload(entries);
-            let words = if scheme == EccScheme::Secded64 { 1 } else { 2 };
-            match code.check_and_correct(&mut payload[..words], stored) {
-                DecodeOutcome::NoError if spare_bits_hit => GroupOutcome::Corrected,
-                DecodeOutcome::NoError => GroupOutcome::Clean,
-                DecodeOutcome::CorrectedData(_) => {
-                    unpack_group_payload(&payload, entries);
-                    GroupOutcome::Corrected
-                }
-                DecodeOutcome::CorrectedRedundancy => {
-                    let red = code.encode(&payload[..words]) as u32;
-                    write_nibbles(entries, red);
-                    GroupOutcome::Corrected
-                }
-                DecodeOutcome::Uncorrectable => GroupOutcome::Uncorrectable,
-            }
+        EccScheme::None => GroupOutcome::Clean,
+        EccScheme::Sed if parity_u32(stored[0]) != 0 => GroupOutcome::Uncorrectable,
+        EccScheme::Sed => GroupOutcome::Clean,
+        EccScheme::Secded64 | EccScheme::Secded128 => check_secded_group(scheme, stored),
+        EccScheme::Crc32c => check_crc_group(crc, stored),
+    }
+}
+
+/// The stored entries of a group, as a copy to correct.
+fn copy_group(stored: &[u32]) -> [u32; 8] {
+    let mut entries = [0u32; 8];
+    entries[..stored.len()].copy_from_slice(stored);
+    entries
+}
+
+/// [`check_group`] of a SECDED64 / SECDED128 group.
+fn check_secded_group(scheme: EccScheme, stored: &[u32]) -> GroupOutcome {
+    let (code, words) = if scheme == EccScheme::Secded64 {
+        (&SECDED_56, 1)
+    } else {
+        (&SECDED_112, 2)
+    };
+    // Nibble bits beyond the code's redundancy are defined to be zero; a
+    // flip there is detectable and trivially correctable.
+    let all_nibbles = read_nibbles(stored);
+    let used_mask = (1u32 << code.redundancy_bits()) - 1;
+    let redundancy = (all_nibbles & used_mask) as u16;
+    let mut payload = pack_group_payload(stored);
+    let nibbles = match code.check_and_correct(&mut payload[..words], redundancy) {
+        DecodeOutcome::NoError if all_nibbles & !used_mask == 0 => return GroupOutcome::Clean,
+        DecodeOutcome::Uncorrectable => return GroupOutcome::Uncorrectable,
+        DecodeOutcome::CorrectedRedundancy => code.encode(&payload[..words]) as u32,
+        DecodeOutcome::NoError | DecodeOutcome::CorrectedData(_) => all_nibbles & used_mask,
+    };
+    let mut entries = copy_group(stored);
+    unpack_group_payload(&payload, &mut entries[..stored.len()]);
+    write_nibbles(&mut entries[..stored.len()], nibbles);
+    GroupOutcome::Corrected(entries)
+}
+
+/// [`check_group`] of a CRC32C group.
+fn check_crc_group(crc: &Crc32c, stored: &[u32]) -> GroupOutcome {
+    let checksum = read_nibbles(stored);
+    let computed = crc_group_checksum(crc, stored);
+    if checksum == computed {
+        return GroupOutcome::Clean;
+    }
+    let mut entries = copy_group(stored);
+    if (checksum ^ computed).count_ones() == 1 {
+        // The stored checksum itself took the hit.
+        write_nibbles(&mut entries, computed);
+        return GroupOutcome::Corrected(entries);
+    }
+    // Trial single-bit correction over the packed payload bytes.
+    let mut bytes = [0u8; 32];
+    for (j, &e) in stored.iter().enumerate() {
+        bytes[j * 4..j * 4 + 4].copy_from_slice(&(e & ROW_PTR_MASK_28).to_le_bytes());
+    }
+    match abft_ecc::correction::correct_crc32c_single(crc, &mut bytes, checksum) {
+        Some(bit) if bit % 32 < 28 => {
+            entries[bit / 32] ^= 1u32 << (bit % 32);
+            GroupOutcome::Corrected(entries)
         }
-        EccScheme::Crc32c => {
-            let stored = read_nibbles(entries);
-            let computed = crc_group_checksum(crc, entries);
-            if stored == computed {
-                return GroupOutcome::Clean;
-            }
-            if (stored ^ computed).count_ones() == 1 {
-                // The stored checksum itself took the hit.
-                write_nibbles(entries, computed);
-                return GroupOutcome::Corrected;
-            }
-            // Trial single-bit correction over the packed payload bytes.
-            let mut bytes = [0u8; 32];
-            for (j, &e) in entries.iter().enumerate() {
-                bytes[j * 4..j * 4 + 4].copy_from_slice(&(e & ROW_PTR_MASK_28).to_le_bytes());
-            }
-            let len = entries.len() * 4;
-            if let Some(bit) =
-                abft_ecc::correction::correct_crc32c_single(crc, &mut bytes[..len], stored)
-            {
-                let entry = bit / 32;
-                let offset = bit % 32;
-                if offset < 28 {
-                    entries[entry] ^= 1u32 << offset;
-                    return GroupOutcome::Corrected;
-                }
-            }
-            GroupOutcome::Uncorrectable
-        }
-        _ => GroupOutcome::Clean,
+        _ => GroupOutcome::Uncorrectable,
     }
 }
 
@@ -510,6 +506,19 @@ mod tests {
 
     fn sample_row_ptr(rows: usize, per_row: u32) -> Vec<u32> {
         (0..=rows as u32).map(|i| i * per_row).collect()
+    }
+
+    /// `row`'s bounds through a fresh cursor, as the kernels read them: the
+    /// full check with `check` (on a protected vector), the bounds check
+    /// alone otherwise.
+    fn bounds_of(
+        p: &ProtectedRowPointer,
+        row: usize,
+        check: bool,
+        log: &FaultLog,
+    ) -> Result<(usize, usize), AbftError> {
+        let rp_checked = check && p.scheme() != EccScheme::None;
+        RpCursor::new(p, true).row_bounds(row, rp_checked, log, &mut 0)
     }
 
     #[test]
@@ -545,10 +554,10 @@ mod tests {
             let p =
                 ProtectedRowPointer::encode(&row_ptr, scheme, Crc32cBackend::SlicingBy16).unwrap();
             let log = FaultLog::new();
-            assert_eq!(p.row_range(3, true, &log).unwrap(), (15, 20));
-            assert_eq!(p.row_range(3, false, &log).unwrap(), (15, 20));
-            assert_eq!(p.row_range(0, true, &log).unwrap(), (0, 5));
-            assert_eq!(p.row_range(9, true, &log).unwrap(), (45, 50));
+            assert_eq!(bounds_of(&p, 3, true, &log).unwrap(), (15, 20));
+            assert_eq!(bounds_of(&p, 3, false, &log).unwrap(), (15, 20));
+            assert_eq!(bounds_of(&p, 0, true, &log).unwrap(), (0, 5));
+            assert_eq!(bounds_of(&p, 9, true, &log).unwrap(), (45, 50));
         }
     }
 
@@ -560,7 +569,7 @@ mod tests {
                 .unwrap();
         p.inject_bit_flip(4, 7);
         let log = FaultLog::new();
-        assert!(p.row_range(4, true, &log).is_err() || p.row_range(3, true, &log).is_err());
+        assert!(bounds_of(&p, 4, true, &log).is_err() || bounds_of(&p, 3, true, &log).is_err());
         assert!(log.total_uncorrectable() > 0);
         assert!(p.check_all(&log).is_err());
     }
@@ -574,7 +583,11 @@ mod tests {
             p.inject_bit_flip(5, 13);
             let log = FaultLog::new();
             // Reads still return the correct range (transient correction).
-            assert_eq!(p.row_range(5, true, &log).unwrap(), (25, 30), "{scheme:?}");
+            assert_eq!(
+                bounds_of(&p, 5, true, &log).unwrap(),
+                (25, 30),
+                "{scheme:?}"
+            );
             assert!(log.total_corrected() > 0);
             // The storage still holds the flipped bit until scrubbed.
             assert_ne!(
@@ -599,7 +612,7 @@ mod tests {
                 .unwrap();
         p.inject_bit_flip(9, 3);
         let log = FaultLog::new();
-        assert_eq!(p.row_range(9, true, &log).unwrap(), (63, 70));
+        assert_eq!(bounds_of(&p, 9, true, &log).unwrap(), (63, 70));
         assert!(log.total_corrected() > 0);
         assert_eq!(p.scrub(&log).unwrap(), 1);
         assert_eq!(p.to_plain(), row_ptr);
@@ -608,7 +621,7 @@ mod tests {
         p.inject_bit_flip(8, 2);
         p.inject_bit_flip(9, 11);
         let log = FaultLog::new();
-        assert!(p.row_range(9, true, &log).is_err());
+        assert!(bounds_of(&p, 9, true, &log).is_err());
         assert!(log.total_uncorrectable() > 0);
     }
 
@@ -622,7 +635,7 @@ mod tests {
             let bit = if scheme == EccScheme::Sed { 30 } else { 27 };
             p.inject_bit_flip(6, bit);
             let log = FaultLog::new();
-            let result = p.row_range(6, false, &log);
+            let result = bounds_of(&p, 6, false, &log);
             assert!(result.is_err(), "{scheme:?}");
             assert!(log.total_bounds_violations() > 0, "{scheme:?}");
         }
@@ -639,13 +652,13 @@ mod tests {
                 .unwrap();
         p.inject_bit_flip(6, 0);
         let log = FaultLog::new();
-        let unchecked = p.row_range(6, false, &log).unwrap();
+        let unchecked = bounds_of(&p, 6, false, &log).unwrap();
         assert_ne!(
             unchecked,
             (30, 35),
             "bounds check alone accepts the corrupt offset"
         );
-        let checked = p.row_range(6, true, &log).unwrap();
+        let checked = bounds_of(&p, 6, true, &log).unwrap();
         assert_eq!(checked, (30, 35));
     }
 
