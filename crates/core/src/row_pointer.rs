@@ -233,8 +233,8 @@ impl<'a> RpCursor<'a> {
     /// needs nothing recorded: unchecked reads (`rp_checked` off), or every
     /// codeword covering them verifying strictly clean.  Checks each group
     /// once and leaves the cache alone; on `false` the logging
-    /// [`RpCursor::row_bounds`] redoes the reads (a group this cursor has
-    /// corrected, so fails here, is then read from the cache).
+    /// [`RpCursor::row_bounds`] redoes the reads (a group the cursor has
+    /// corrected fails here and is then read from its cache).
     #[inline]
     pub(crate) fn bounds_if_clean(
         &self,
