@@ -1,19 +1,21 @@
 //! Masked-slice protected BLAS-1 kernels — the §VI-C read-caching argument
 //! applied to the *vector* half of a solver iteration.
 //!
-//! Once the protected SpMV became a raw-slice kernel (PR 2), every
-//! CG/Chebyshev/PPCG iteration spent its remaining time in
-//! [`ProtectedVector`] dot/AXPY/scale kernels that decode each codeword
-//! group into a stack buffer element by element.  The ECC math does not
-//! require that: a group can be **checked once** (a cheap verify-only
-//! predicate, no correction machinery) and, when clean — the overwhelmingly
-//! common case — the arithmetic can run straight over the raw `u64` words
-//! with the read mask held in a register, exactly like the SpMV fast path.
-//! Every kernel here has the same two arms, whatever the scheme: a run that
+//! These are the only dense-vector kernels: every [`ProtectedVector`]
+//! dot, norm, AXPY, scale, checked read, indexed update and copy is one of
+//! the range kernels below.  None decodes a codeword group into a stack
+//! buffer element by element, because the ECC math does not require it: a
+//! group can be **checked once** (a cheap verify-only predicate, no
+//! correction machinery) and, when clean — the overwhelmingly common case —
+//! the arithmetic can run straight over the raw `u64` words with the read
+//! mask held in a register, exactly like the SpMV fast path.  Every kernel
+//! has the same two arms, whatever the scheme: a run that
 //! `GroupCodec::run_clean` certifies with one batched predicate is computed
 //! with masked loads (and written back a staged run at a time), and only a
-//! run that fails it is re-walked group by group, a group that fails its
-//! own check taking the correcting `GroupCodec::decode`.
+//! run that fails it is re-walked group by group through
+//! `GroupCodec::read_group`, which takes the correcting decode only for a
+//! group that fails its own check.  Two-operand kernels panic on operands
+//! of different lengths or schemes.
 //!
 //! Three further properties, shared by every kernel here:
 //!
@@ -24,8 +26,7 @@
 //!   path too, so an aborting fault reports exactly the checks performed.
 //! * **Blocked reductions** — the dot-product family accumulates per
 //!   [`ACC_BLOCK`] elements and folds the block partials in order, so the
-//!   serial kernels, the chunked parallel kernels and the group-decode
-//!   reference path ([`ProtectedVector::dot`]) are **bitwise identical**.
+//!   serial and the chunked parallel kernels are **bitwise identical**.
 //! * **Fusion** — [`ProtectedVector::dot_axpy_masked`] applies
 //!   `self ← self + α·x` and returns the updated `‖self‖²` in a single pass
 //!   over each group, so CG's residual update and convergence check touch
@@ -221,18 +222,10 @@ fn dot_block(
     for off in (0..a.len()).step_by(group) {
         *tally += 2;
         let logical = group.min(len - (base + off));
-        let ga = &a[off..off + group];
-        let gb = &b[off..off + group];
-        if codec.is_clean(ga) && codec.is_clean(gb) {
-            for j in 0..logical {
-                acc += f64::from_bits(ga[j] & mask) * f64::from_bits(gb[j] & mask);
-            }
-        } else {
-            let av = codec.decode(ga, logical, base + off, log)?;
-            let bv = codec.decode(gb, logical, base + off, log)?;
-            for j in 0..logical {
-                acc += av[j] * bv[j];
-            }
+        let av = codec.read_group(&a[off..off + group], logical, base + off, log)?;
+        let bv = codec.read_group(&b[off..off + group], logical, base + off, log)?;
+        for j in 0..logical {
+            acc += av[j] * bv[j];
         }
     }
     Ok(acc)
@@ -263,17 +256,9 @@ fn norm_block(
     for off in (0..a.len()).step_by(group) {
         *tally += 1;
         let logical = group.min(len - (base + off));
-        let ga = &a[off..off + group];
-        if codec.is_clean(ga) {
-            for &gw in &ga[..logical] {
-                let v = f64::from_bits(gw & mask);
-                acc += v * v;
-            }
-        } else {
-            let av = codec.decode(ga, logical, base + off, log)?;
-            for &v in &av[..logical] {
-                acc += v * v;
-            }
+        let av = codec.read_group(&a[off..off + group], logical, base + off, log)?;
+        for &v in &av[..logical] {
+            acc += v * v;
         }
     }
     Ok(acc)
@@ -310,19 +295,12 @@ fn zip_range(
     for off in (0..s.len()).step_by(group) {
         *tally += 2;
         let logical = group.min(len - (base + off));
-        let mut buf = [0.0f64; MAX_GROUP];
         let gs = &mut s[off..off + group];
-        let gx = &x[off..off + group];
-        if codec.is_clean(gs) && codec.is_clean(gx) {
-            for j in 0..logical {
-                buf[j] = op(f64::from_bits(gs[j] & mask), f64::from_bits(gx[j] & mask));
-            }
-        } else {
-            let sv = codec.decode(gs, logical, base + off, log)?;
-            let xv = codec.decode(gx, logical, base + off, log)?;
-            for j in 0..logical {
-                buf[j] = op(sv[j], xv[j]);
-            }
+        let sv = codec.read_group(gs, logical, base + off, log)?;
+        let xv = codec.read_group(&x[off..off + group], logical, base + off, log)?;
+        let mut buf = [0.0f64; MAX_GROUP];
+        for j in 0..logical {
+            buf[j] = op(sv[j], xv[j]);
         }
         codec.encode(&buf, gs);
     }
@@ -373,15 +351,8 @@ pub(crate) fn read_range(
             while off < end {
                 *tally += 1;
                 let logical = group.min(len - (base + off));
-                let g = &s[off..off + group];
-                if codec.is_clean(g) {
-                    for j in 0..logical {
-                        out[off + j] = f64::from_bits(g[j] & mask);
-                    }
-                } else {
-                    let v = codec.decode(g, logical, base + off, log)?;
-                    out[off..off + logical].copy_from_slice(&v[..logical]);
-                }
+                let v = codec.read_group(&s[off..off + group], logical, base + off, log)?;
+                out[off..off + logical].copy_from_slice(&v[..logical]);
                 off += group;
             }
         }
@@ -421,21 +392,13 @@ pub(crate) fn update_range(
             while off < run.len() {
                 *tally += 1;
                 let logical = group.min(len - (at + off));
+                let gs = &mut run[off..off + group];
+                let sv = codec.read_group(gs, logical, at + off, log)?;
                 let mut buf = [0.0f64; MAX_GROUP];
-                {
-                    let gs = &run[off..off + group];
-                    if codec.is_clean(gs) {
-                        for j in 0..logical {
-                            buf[j] = f(at + off + j, f64::from_bits(gs[j] & mask));
-                        }
-                    } else {
-                        let sv = codec.decode(gs, logical, at + off, log)?;
-                        for j in 0..logical {
-                            buf[j] = f(at + off + j, sv[j]);
-                        }
-                    }
+                for j in 0..logical {
+                    buf[j] = f(at + off + j, sv[j]);
                 }
-                codec.encode(&buf, &mut run[off..off + group]);
+                codec.encode(&buf, gs);
                 off += group;
             }
         }
@@ -470,14 +433,9 @@ pub(crate) fn copy_range(
             let mut off = start;
             while off < end {
                 *tally += 1;
-                let g = &src[off..off + group];
-                if codec.is_clean(g) {
-                    dst[off..off + group].copy_from_slice(g);
-                } else {
-                    let logical = group.min(len - (base + off));
-                    let v = codec.decode(g, logical, base + off, log)?;
-                    codec.encode(&v, &mut dst[off..off + group]);
-                }
+                let logical = group.min(len - (base + off));
+                let v = codec.read_group(&src[off..off + group], logical, base + off, log)?;
+                codec.encode(&v, &mut dst[off..off + group]);
                 off += group;
             }
         }
@@ -508,7 +466,7 @@ impl ProtectedVector {
     }
 
     /// Panics unless `x` is a same-length, same-scheme operand of `what`.
-    fn assert_operand(&self, x: &ProtectedVector, what: &str) {
+    pub(crate) fn assert_operand(&self, x: &ProtectedVector, what: &str) {
         assert_eq!(self.len(), x.len(), "{what}: length mismatch");
         assert_eq!(
             self.scheme, x.scheme,
@@ -523,8 +481,10 @@ impl ProtectedVector {
     /// raw words with the mask in a register; only a failing block is
     /// re-walked group by group through the correcting decode.  Check
     /// tallies are flushed to the log in one bulk atomic update per call.
-    /// Bitwise identical to [`ProtectedVector::dot`].  Always serial; see
-    /// [`ProtectedVector::dot_masked_with`].
+    /// Always serial; see [`ProtectedVector::dot_masked_with`].
+    ///
+    /// # Panics
+    /// Panics unless `other` has this vector's length and scheme.
     ///
     /// ```
     /// use abft_core::{EccScheme, FaultLog, ProtectedVector};
@@ -536,16 +496,12 @@ impl ProtectedVector {
     ///                                     Crc32cBackend::Auto);
     /// let log = FaultLog::new();
     /// let d = a.dot_masked(&b, &log)?;
-    /// assert!((d - 32.0).abs() < 1e-9);                 // 1·4 + 2·5 + 3·6
-    /// assert_eq!(d.to_bits(), a.dot(&b, &log)?.to_bits()); // reference path agrees
+    /// assert_eq!(d, 32.0); // 1·4 + 2·5 + 3·6: small integers survive the mask
+    /// assert_eq!(log.snapshot().checks[2], 6); // one check per codeword
     /// # Ok::<(), abft_core::AbftError>(())
     /// ```
     pub fn dot_masked(&self, other: &ProtectedVector, log: &FaultLog) -> Result<f64, AbftError> {
-        assert_eq!(self.len(), other.len(), "dot_masked: length mismatch");
-        if self.scheme != other.scheme {
-            // Mismatched schemes take the checked element-wise fallback.
-            return self.dot(other, log);
-        }
+        self.assert_operand(other, "dot_masked");
         let codec = self.codec();
         let mut tally = 0u64;
         let result = sum_blocks(self.data.len(), |start, end| {
@@ -570,10 +526,10 @@ impl ProtectedVector {
         let padded = self.data.len();
         let n_blocks = padded.div_ceil(ACC_BLOCK);
         let n_chunks = self.reduction_chunks(n_blocks);
-        if n_chunks <= 1 || self.scheme != other.scheme {
+        if n_chunks <= 1 {
             return self.dot_masked(other, log);
         }
-        assert_eq!(self.len(), other.len(), "dot_masked: length mismatch");
+        self.assert_operand(other, "dot_masked");
         let codec = self.codec();
         let len = self.len;
         let (a, b) = (&self.data, &other.data);
@@ -605,7 +561,7 @@ impl ProtectedVector {
     }
 
     /// Masked Euclidean norm: one pass, one check per codeword group (the
-    /// two-operand `dot(self, self)` checks and decodes every group twice).
+    /// two-operand `dot_masked(self, self)` checks every group twice).
     /// Always serial; see [`ProtectedVector::norm2_masked_with`].
     pub fn norm2_masked(&self, log: &FaultLog) -> Result<f64, AbftError> {
         let codec = self.codec();
@@ -662,8 +618,7 @@ impl ProtectedVector {
 
     /// Masked `self ← self + α·x`: one check per group per operand, then the
     /// update runs on the raw masked words and each group is re-encoded
-    /// once.  Produces storage bitwise identical to
-    /// [`ProtectedVector::axpy`].
+    /// once.
     pub fn axpy_masked(
         &mut self,
         alpha: f64,

@@ -16,17 +16,18 @@
 //! | SECDED128 | 5 | 2 |
 //! | CRC32C | 8 | 4 |
 //!
-//! All bulk kernels (dot, AXPY, fills) work one codeword ("group") at a time:
-//! a group is decoded and integrity-checked once, operated on, and re-encoded
-//! once — the read-buffering / write-buffering scheme of §VI-C that removes
-//! the per-element read-modify-write penalty.  `dot` / `axpy` / `xpay` here
-//! are the group-decode reference path; the masked raw-slice fast paths
-//! (certify a block of groups with one batched predicate, then compute
-//! straight over the raw words with the AND-mask in a register) live in
-//! [`crate::blas1`] and share this module's `GroupCodec`, so the two paths
-//! cannot drift.  The reliability-boundary calls — `read_checked`,
-//! `update_from_fn`, `copy_from` — have no reference twin: they are thin
-//! wrappers over that module's range kernels.
+//! Every bulk kernel works one codeword ("group") at a time: a group is
+//! checked once, operated on, and re-encoded once — the read-buffering /
+//! write-buffering scheme of §VI-C that removes the per-element
+//! read-modify-write penalty.  Each has one path, a range kernel of
+//! [`crate::blas1`] on this module's `GroupCodec`: a run one batched
+//! predicate certifies is computed straight over the raw words with the
+//! AND-mask in a register, and only a run that fails it is walked group by
+//! group.  That covers the BLAS-1 family and the reliability-boundary calls
+//! (`read_checked`, `update_from_fn`, `copy_from`) alike.  Two-operand
+//! kernels take operands of one length and one scheme and panic otherwise.
+//! The per-group decode walkers the range kernels replaced live on in this
+//! module's tests as the reference they are differentially checked against.
 //!
 //! Check accounting is uniform across every method: integrity checks are
 //! tallied locally while a kernel runs and folded into the [`FaultLog`] in
@@ -45,12 +46,11 @@ use abft_ecc::{Crc32c, Crc32cBackend, SECDED_118, SECDED_56};
 /// Maximum number of elements in one codeword group.
 pub(crate) const MAX_GROUP: usize = 4;
 
-/// Elements per partial-sum block of the dot-product family.  All reduction
-/// kernels (the group-decode [`ProtectedVector::dot`] here and the masked
-/// and parallel variants in [`crate::blas1`]) accumulate per fixed-size
-/// block and then fold the block partials in order, so serial, masked and
-/// chunked-parallel reductions are **bitwise identical** for a given input.
-/// A multiple of every group size.
+/// Elements per partial-sum block of the dot-product family.  Every
+/// reduction in [`crate::blas1`] accumulates per fixed-size block and then
+/// folds the block partials in order, so the serial and chunked-parallel
+/// kernels are **bitwise identical** for a given input.  A multiple of
+/// every group size.
 pub const ACC_BLOCK: usize = 4096;
 
 /// Elements the write paths compute into a stack buffer before one
@@ -248,24 +248,6 @@ impl ProtectedVector {
         (0..self.len()).map(|i| self.get(i)).collect()
     }
 
-    /// Writes element `i`, performing the read-modify-write the paper
-    /// describes: the containing group is decoded, checked, updated and
-    /// re-encoded.  Bulk kernels avoid this cost; it exists for completeness
-    /// and for the RMW-overhead ablation bench.
-    pub fn set(&mut self, i: usize, value: f64, log: &FaultLog) -> Result<(), AbftError> {
-        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        let group = self.group_size();
-        let base = (i / group) * group;
-        if self.scheme != EccScheme::None {
-            log.record_checks(Region::DenseVector, 1);
-        }
-        let (mut buf, _) = self.decode_group(base, log)?;
-        buf[i - base] = value;
-        self.encode_group(base, &buf);
-        self.parity_commit();
-        Ok(())
-    }
-
     /// The one whole-vector walk under [`ProtectedVector::check_all`] and
     /// [`ProtectedVector::scrub`].  The batched predicate certifies a clean
     /// vector (every SpMV scrubs its input) without decoding a single group;
@@ -330,20 +312,6 @@ impl ProtectedVector {
         self.parity_commit();
     }
 
-    /// Fallible variant of [`ProtectedVector::fill_from_fn`] used when the
-    /// producing computation itself performs integrity checks (e.g. the
-    /// protected SpMV writing its result vector).
-    pub fn try_fill_from_fn(
-        &mut self,
-        mut f: impl FnMut(usize) -> Result<f64, AbftError>,
-    ) -> Result<(), AbftError> {
-        let len = self.len;
-        self.codec()
-            .try_rewrite_staged(&mut self.data, len, |i, _| f(i))?;
-        self.parity_commit();
-        Ok(())
-    }
-
     /// Sets every element to `value`.
     pub fn fill(&mut self, value: f64) {
         self.fill_from_fn(|_| value);
@@ -388,244 +356,21 @@ impl ProtectedVector {
     }
 
     /// Copies (and re-encodes) the contents of `other`, checking `other` as
-    /// it is read: `copy_range` between vectors of one scheme, a checked
-    /// staged read and re-encode between different ones.
-    pub fn copy_from(&mut self, other: &ProtectedVector, log: &FaultLog) -> Result<(), AbftError> {
-        assert_eq!(self.len(), other.len(), "copy_from: length mismatch");
-        let src = other.codec();
-        let mut tally = 0u64;
-        let result = if self.scheme == other.scheme {
-            let len = self.len;
-            copy_range(src, &mut self.data, &other.data, 0, len, log, &mut tally)
-        } else {
-            let dst = self.codec();
-            let mut stage = [0.0f64; ENCODE_STAGE];
-            let mut stages = self.data.chunks_mut(ENCODE_STAGE).enumerate();
-            stages.try_for_each(|(b, out)| {
-                let n = other.read_stage(b * ENCODE_STAGE, &mut stage, log, &mut tally)?;
-                stage[n..].fill(0.0);
-                dst.encode_run(&stage[..out.len()], out);
-                Ok(())
-            })
-        };
-        flush_checks(log, src.scheme, tally);
-        if result.is_ok() {
-            self.parity_commit();
-        }
-        result
-    }
-
-    /// Checked read of the (at most) [`ENCODE_STAGE`] logical elements from
-    /// `at` on into `stage`, returning how many there were — the read side of
-    /// the mixed-scheme paths, whose operands share no group geometry beyond
-    /// the stage boundaries.
-    fn read_stage(
-        &self,
-        at: usize,
-        stage: &mut [f64; ENCODE_STAGE],
-        log: &FaultLog,
-        tally: &mut u64,
-    ) -> Result<usize, AbftError> {
-        let n = ENCODE_STAGE.min(self.len - at);
-        let run = &self.data[at..(at + ENCODE_STAGE).min(self.data.len())];
-        read_range(self.codec(), run, &mut stage[..n], at, self.len, log, tally)?;
-        Ok(n)
-    }
-
-    /// Dot product with read-side integrity checks, one per group (§VI-C
-    /// buffering).  Mismatched schemes take a checked staged read of both
-    /// operands instead of the group-paired walk.
+    /// it is read, on the block-certified `copy_range` kernel.
     ///
-    /// Accumulation is blocked per [`ACC_BLOCK`] elements, matching the
-    /// masked and parallel kernels in [`crate::blas1`] bit for bit.
-    pub fn dot(&self, other: &ProtectedVector, log: &FaultLog) -> Result<f64, AbftError> {
-        assert_eq!(self.len(), other.len(), "dot: length mismatch");
-        if self.scheme != other.scheme {
-            let mut tallies = [0u64; 2];
-            let result = self.dot_mixed(other, log, &mut tallies);
-            flush_checks(log, self.scheme, tallies[0]);
-            flush_checks(log, other.scheme, tallies[1]);
-            return result;
-        }
+    /// # Panics
+    /// Panics unless `other` has this vector's length and scheme.
+    pub fn copy_from(&mut self, other: &ProtectedVector, log: &FaultLog) -> Result<(), AbftError> {
+        self.assert_operand(other, "copy_from");
+        let codec = other.codec();
+        let len = self.len;
         let mut tally = 0u64;
-        let result = self.dot_inner(other, log, &mut tally);
-        if self.scheme != EccScheme::None {
-            log.record_checks(Region::DenseVector, tally);
-        }
-        result
-    }
-
-    /// [`ProtectedVector::dot`] between different schemes: both operands
-    /// are read checked (corrected values) a stage at a time.
-    fn dot_mixed(
-        &self,
-        other: &ProtectedVector,
-        log: &FaultLog,
-        tallies: &mut [u64; 2],
-    ) -> Result<f64, AbftError> {
-        let (mut a, mut b) = ([0.0f64; ENCODE_STAGE], [0.0f64; ENCODE_STAGE]);
-        let mut total = 0.0;
-        for block in (0..self.len).step_by(ACC_BLOCK) {
-            let mut acc = 0.0;
-            for at in (block..(block + ACC_BLOCK).min(self.len)).step_by(ENCODE_STAGE) {
-                let n = self.read_stage(at, &mut a, log, &mut tallies[0])?;
-                other.read_stage(at, &mut b, log, &mut tallies[1])?;
-                for (av, bv) in a[..n].iter().zip(&b[..n]) {
-                    acc += av * bv;
-                }
-            }
-            total += acc;
-        }
-        Ok(total)
-    }
-
-    fn dot_inner(
-        &self,
-        other: &ProtectedVector,
-        log: &FaultLog,
-        tally: &mut u64,
-    ) -> Result<f64, AbftError> {
-        let group = self.group_size();
-        let per_element = matches!(self.scheme, EccScheme::None | EccScheme::Sed);
-        let mask = self.read_mask;
-        let sed = self.scheme == EccScheme::Sed;
-        let mut total = 0.0;
-        let mut block = 0;
-        while block < self.data.len() {
-            let block_end = (block + ACC_BLOCK).min(self.data.len());
-            let mut acc = 0.0;
-            if per_element {
-                // Per-element codewords: fused check + multiply without the
-                // group-buffer machinery.
-                for i in block..block_end {
-                    let (a, b) = (self.data[i], other.data[i]);
-                    if sed {
-                        *tally += 2;
-                        if parity_u64(a) != 0 || parity_u64(b) != 0 {
-                            log.record_uncorrectable(Region::DenseVector);
-                            return Err(AbftError::Uncorrectable {
-                                region: Region::DenseVector,
-                                index: i,
-                            });
-                        }
-                    }
-                    acc += f64::from_bits(a & mask) * f64::from_bits(b & mask);
-                }
-            } else {
-                let mut base = block;
-                while base < block_end {
-                    *tally += 2;
-                    let (a, count) = self.decode_group(base, log)?;
-                    let (b, _) = other.decode_group(base, log)?;
-                    for j in 0..count {
-                        acc += a[j] * b[j];
-                    }
-                    base += group;
-                }
-            }
-            total += acc;
-            block = block_end;
-        }
-        Ok(total)
-    }
-
-    /// Euclidean norm (checked).  Decodes every group twice (once per `dot`
-    /// operand); the single-pass variant is
-    /// [`ProtectedVector::norm2_masked`](crate::blas1).
-    pub fn norm2(&self, log: &FaultLog) -> Result<f64, AbftError> {
-        Ok(self.dot(self, log)?.sqrt())
-    }
-
-    /// `self ← self + alpha · x` with one decode + one encode per group.
-    pub fn axpy(
-        &mut self,
-        alpha: f64,
-        x: &ProtectedVector,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        self.zip_update(x, log, |s, xv| s + alpha * xv)
-    }
-
-    /// `self ← x + alpha · self` (the CG search-direction update).
-    pub fn xpay(
-        &mut self,
-        alpha: f64,
-        x: &ProtectedVector,
-        log: &FaultLog,
-    ) -> Result<(), AbftError> {
-        self.zip_update(x, log, |s, xv| xv + alpha * s)
-    }
-
-    /// Shared implementation of the two-operand updates.
-    fn zip_update(
-        &mut self,
-        x: &ProtectedVector,
-        log: &FaultLog,
-        op: impl Fn(f64, f64) -> f64,
-    ) -> Result<(), AbftError> {
-        assert_eq!(self.len(), x.len(), "vector update: length mismatch");
-        assert_eq!(
-            self.scheme, x.scheme,
-            "vector update: schemes must match (got {:?} vs {:?})",
-            self.scheme, x.scheme
-        );
-        self.parity_precheck(Some(x), log)?;
-        let mut tally = 0u64;
-        let result = self.zip_update_inner(x, log, &mut tally, op);
-        if self.scheme != EccScheme::None {
-            log.record_checks(Region::DenseVector, tally);
-        }
+        let result = copy_range(codec, &mut self.data, &other.data, 0, len, log, &mut tally);
+        flush_checks(log, codec.scheme, tally);
         if result.is_ok() {
             self.parity_commit();
         }
         result
-    }
-
-    fn zip_update_inner(
-        &mut self,
-        x: &ProtectedVector,
-        log: &FaultLog,
-        tally: &mut u64,
-        op: impl Fn(f64, f64) -> f64,
-    ) -> Result<(), AbftError> {
-        let group = self.group_size();
-        if matches!(self.scheme, EccScheme::None | EccScheme::Sed) {
-            // Per-element codewords: fused check + update + re-encode.
-            let mask = self.read_mask;
-            let sed = self.scheme == EccScheme::Sed;
-            for (i, (s, &xw)) in self.data.iter_mut().zip(&x.data).enumerate() {
-                if sed {
-                    *tally += 2;
-                    if parity_u64(*s) != 0 || parity_u64(xw) != 0 {
-                        log.record_uncorrectable(Region::DenseVector);
-                        return Err(AbftError::Uncorrectable {
-                            region: Region::DenseVector,
-                            index: i,
-                        });
-                    }
-                }
-                let updated = op(f64::from_bits(*s & mask), f64::from_bits(xw & mask));
-                let payload = updated.to_bits() & mask;
-                *s = if sed {
-                    payload | parity_u64(payload) as u64
-                } else {
-                    updated.to_bits()
-                };
-            }
-            return Ok(());
-        }
-        let mut base = 0;
-        while base < self.data.len() {
-            *tally += 2;
-            let (mut s, count) = self.decode_group(base, log)?;
-            let (xv, _) = x.decode_group(base, log)?;
-            for j in 0..count {
-                s[j] = op(s[j], xv[j]);
-            }
-            self.encode_group(base, &s);
-            base += group;
-        }
-        Ok(())
     }
 
     /// The codec for this vector's scheme — the shared check / decode /
@@ -655,17 +400,6 @@ impl ProtectedVector {
             .codec()
             .decode(&self.data[base..base + group], logical, base, log)?;
         Ok((out, logical))
-    }
-
-    /// Re-encodes the group starting at `base` from plain values (the
-    /// reserved LSBs of the inputs are discarded).  The whole group is
-    /// rewritten; entries in `values` beyond the logical length must be zero
-    /// (the callers' buffers are zero-initialised).
-    #[inline]
-    pub(crate) fn encode_group(&mut self, base: usize, values: &[f64; MAX_GROUP]) {
-        let group = self.group_size();
-        let codec = self.codec();
-        codec.encode(values, &mut self.data[base..base + group]);
     }
 
     // ------------------------------------------------------------------
@@ -1217,12 +951,10 @@ fn xor_into(acc: &mut [u64], words: &[u64]) {
     }
 }
 
-/// Per-scheme codec for one codeword group of raw storage words.
-///
-/// The [`ProtectedVector`] read-modify-write methods and the masked-slice
-/// BLAS-1 kernels in [`crate::blas1`] (which run over chunked raw slices
-/// where no `&ProtectedVector` is available) share this one implementation
-/// of check / correct / re-encode, so the two paths cannot drift.
+/// Per-scheme codec for one codeword group of raw storage words: the one
+/// implementation of check / correct / re-encode under every
+/// [`ProtectedVector`] kernel, most of which run in [`crate::blas1`] over
+/// chunked raw slices where no `&ProtectedVector` is available.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GroupCodec {
     pub(crate) scheme: EccScheme,
@@ -1338,6 +1070,28 @@ impl GroupCodec {
         let mut out = [0.0f64; MAX_GROUP];
         for j in 0..group {
             out[j] = f64::from_bits(words[j] & self.mask);
+        }
+        Ok(out)
+    }
+
+    /// One group of a run the batched predicate failed: its masked words
+    /// when it passes its own [`GroupCodec::is_clean`] check, else the
+    /// correcting [`GroupCodec::decode`].  Only the first `logical` values
+    /// are meaningful; arguments as for `decode`.
+    #[inline]
+    pub(crate) fn read_group(
+        &self,
+        words: &[u64],
+        logical: usize,
+        base: usize,
+        log: &FaultLog,
+    ) -> Result<[f64; MAX_GROUP], AbftError> {
+        if !self.is_clean(words) {
+            return self.decode(words, logical, base, log);
+        }
+        let mut out = [0.0f64; MAX_GROUP];
+        for (o, &w) in out.iter_mut().zip(&words[..logical]) {
+            *o = f64::from_bits(w & self.mask);
         }
         Ok(out)
     }
@@ -1530,27 +1284,26 @@ impl GroupCodec {
     /// — except under the per-element codes that have no batched encoder to
     /// feed (none, SED), whose results are written where they were read.
     /// `f` sees the stored word unchecked — callers certify the run first.
-    /// Stops at the first error, leaving what came before it written.
     #[inline]
-    pub(crate) fn try_rewrite_staged<E>(
+    pub(crate) fn rewrite_staged(
         &self,
         words: &mut [u64],
         logical: usize,
-        mut f: impl FnMut(usize, u64) -> Result<f64, E>,
-    ) -> Result<(), E> {
+        mut f: impl FnMut(usize, u64) -> f64,
+    ) {
         // Matched outside the loops, which then vectorise around `f`.
         match self.scheme {
             EccScheme::None => {
                 for (j, w) in words.iter_mut().enumerate() {
-                    *w = f(j, *w)?.to_bits();
+                    *w = f(j, *w).to_bits();
                 }
-                return Ok(());
+                return;
             }
             EccScheme::Sed => {
                 for (j, w) in words.iter_mut().enumerate() {
-                    *w = sed_word(f(j, *w)?, self.mask);
+                    *w = sed_word(f(j, *w), self.mask);
                 }
-                return Ok(());
+                return;
             }
             _ => {}
         }
@@ -1559,28 +1312,10 @@ impl GroupCodec {
             let at = b * ENCODE_STAGE;
             let n = out.len().min(logical - at);
             for (j, (slot, &w)) in stage[..n].iter_mut().zip(out.iter()).enumerate() {
-                *slot = f(at + j, w)?;
+                *slot = f(at + j, w);
             }
             stage[n..out.len()].fill(0.0);
             self.encode_run(&stage[..out.len()], out);
-        }
-        Ok(())
-    }
-
-    /// Infallible [`GroupCodec::try_rewrite_staged`].
-    #[inline]
-    pub(crate) fn rewrite_staged(
-        &self,
-        words: &mut [u64],
-        logical: usize,
-        mut f: impl FnMut(usize, u64) -> f64,
-    ) {
-        let done = self.try_rewrite_staged(words, logical, |j, w| {
-            Ok::<_, std::convert::Infallible>(f(j, w))
-        });
-        match done {
-            Ok(()) => {}
-            Err(never) => match never {},
         }
     }
 
@@ -1645,6 +1380,7 @@ pub fn masking_relative_error_bound(scheme: EccScheme) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReductionWorkspace;
 
     fn sample(n: usize) -> Vec<f64> {
         (0..n)
@@ -1763,14 +1499,14 @@ mod tests {
             // Reference uses the *masked* values, because that is what the
             // protected kernels are defined to compute with.
             let expect_dot: f64 = (0..25).map(|i| a.get(i) * b.get(i)).sum();
-            let got = a.dot(&b, &log).unwrap();
+            let got = a.dot_masked(&b, &log).unwrap();
             assert!(
                 (got - expect_dot).abs() <= 1e-9 * expect_dot.abs().max(1.0),
                 "{scheme:?}"
             );
 
             let mut y = a.clone();
-            y.axpy(2.5, &b, &log).unwrap();
+            y.axpy_masked(2.5, &b, &log).unwrap();
             for i in 0..25 {
                 let expect = a.get(i) + 2.5 * b.get(i);
                 let rel = (y.get(i) - expect).abs() / expect.abs().max(1e-30);
@@ -1778,14 +1514,14 @@ mod tests {
             }
 
             let mut p = a.clone();
-            p.xpay(0.75, &b, &log).unwrap();
+            p.xpay_masked(0.75, &b, &log).unwrap();
             for i in 0..25 {
                 let expect = b.get(i) + 0.75 * a.get(i);
                 let rel = (p.get(i) - expect).abs() / expect.abs().max(1e-30);
                 assert!(rel < 1e-12, "{scheme:?} xpay element {i}");
             }
 
-            let n = a.norm2(&log).unwrap();
+            let n = a.norm2_masked(&log).unwrap();
             assert!((n - expect_dot_norm(&a)).abs() < 1e-9 * n.max(1.0));
         }
     }
@@ -1811,7 +1547,8 @@ mod tests {
             assert_eq!(v.get(7), 7.0);
             v.check_all(&log).unwrap();
 
-            v.set(4, 99.0, &log).unwrap();
+            v.update_from_fn(&log, |i, x| if i == 4 { 99.0 } else { x })
+                .unwrap();
             assert_eq!(v.get(4), 99.0);
             assert_eq!(v.get(5), 5.0);
             v.check_all(&log).unwrap();
@@ -1821,120 +1558,6 @@ mod tests {
             for i in 0..11 {
                 assert_eq!(v.get(i), src.get(i));
             }
-
-            v.try_fill_from_fn(|i| Ok(i as f64 * 2.0)).unwrap();
-            assert_eq!(v.get(3), 6.0);
-        }
-    }
-
-    #[test]
-    fn copy_between_different_schemes() {
-        let log = FaultLog::new();
-        let src =
-            ProtectedVector::from_slice(&sample(9), EccScheme::Crc32c, Crc32cBackend::SlicingBy16);
-        let mut dst = ProtectedVector::zeros(9, EccScheme::Sed, Crc32cBackend::SlicingBy16);
-        dst.copy_from(&src, &log).unwrap();
-        for i in 0..9 {
-            // SED keeps 63 bits, so copying from a CRC-masked value is exact.
-            assert_eq!(dst.get(i), src.get(i));
-        }
-        // Dot between different schemes falls back to the checked slow path.
-        let d = dst.dot(&src, &log).unwrap();
-        let expect: f64 = (0..9).map(|i| src.get(i) * src.get(i)).sum();
-        assert!((d - expect).abs() < 1e-9 * expect.abs());
-    }
-
-    /// Between different schemes `copy_from` and `dot` used to certify the
-    /// source with `check_all` — which logs a correctable flip without
-    /// writing it back — and then read it through the unchecked `get`: a
-    /// "corrected" exponent flip turned 6.0 into 3.3e-308 in the copy and
-    /// 820 into 814 in the dot, both returned as `Ok`.
-    #[test]
-    fn mixed_scheme_copy_and_dot_use_corrected_values() {
-        let values: Vec<f64> = (1..=40).map(f64::from).collect();
-        let encode = |scheme| ProtectedVector::from_slice(&values, scheme, Crc32cBackend::Auto);
-        for from in all_schemes() {
-            for to in all_schemes().into_iter().filter(|&to| to != from) {
-                let clean = encode(from);
-                let ones = ProtectedVector::from_slice(&[1.0; 40], to, Crc32cBackend::Auto);
-                let dense = |log: &FaultLog| log.snapshot().checks[2];
-                let checks = |v: &ProtectedVector| match v.scheme() {
-                    EccScheme::None => 0,
-                    _ => v.logical_groups(),
-                };
-                // A payload bit (6.0 → 3.3e-308 unchecked), a redundancy
-                // bit, two payload bits.
-                for flips in [&[][..], &[62], &[3], &[20, 45]] {
-                    let label = format!("{from:?} -> {to:?} flips {flips:?}");
-                    let mut src = clean.clone();
-                    for &bit in flips {
-                        src.inject_bit_flip(5, bit);
-                    }
-                    // Parity detects one flip, cannot correct it and misses
-                    // two; an unprotected source notices nothing.
-                    let blind = match from {
-                        EccScheme::None => !flips.is_empty(),
-                        EccScheme::Sed => flips.len() == 2,
-                        _ => false,
-                    };
-                    if blind {
-                        continue;
-                    }
-                    let due = flips.len() == 2 || from == EccScheme::Sed && flips.len() == 1;
-                    let corrected = u64::from(!due && !flips.is_empty());
-
-                    let log = FaultLog::new();
-                    let mut dst = encode(to);
-                    dst.fill(-1.0);
-                    let copied = dst.copy_from(&src, &log);
-                    assert_eq!(copied.is_err(), due, "copy {label}");
-                    assert_eq!(log.total_corrected(), corrected, "copy {label}");
-                    assert_eq!(log.total_uncorrectable(), u64::from(due), "copy {label}");
-                    if !due {
-                        assert_eq!(dst.to_vec(), values, "copy {label}");
-                        assert_eq!(dense(&log), checks(&src), "copy {label}");
-                        dst.check_all(&FaultLog::new()).expect(&label);
-                    }
-
-                    for (a, b) in [(&src, &ones), (&ones, &src)] {
-                        let log = FaultLog::new();
-                        let dot = a.dot(b, &log);
-                        assert_eq!(log.total_corrected(), corrected, "dot {label}");
-                        assert_eq!(log.total_uncorrectable(), u64::from(due), "dot {label}");
-                        match dot {
-                            Ok(sum) => {
-                                assert!(!due, "dot {label}");
-                                assert_eq!(sum, 820.0, "dot {label}");
-                                assert_eq!(dense(&log), checks(a) + checks(b), "dot {label}");
-                            }
-                            Err(AbftError::Uncorrectable { index, .. }) => {
-                                assert!(due, "dot {label}");
-                                assert_eq!(index / src.group_size(), 5 / src.group_size());
-                            }
-                            Err(other) => panic!("dot {label}: {other}"),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The mixed-scheme dot folds one partial per [`ACC_BLOCK`], like every
-    /// other reduction: on values every mask preserves it is the same-scheme
-    /// dot bit for bit.
-    #[test]
-    fn mixed_scheme_dot_accumulates_per_block() {
-        let coarse = |x: &f64| f64::from_bits(x.to_bits() & !0xFFFF_FFFF);
-        let a_vals: Vec<f64> = sample(8202).iter().map(coarse).collect();
-        let b_vals: Vec<f64> = a_vals.iter().map(|x| coarse(&(x * 0.37 - 2.0))).collect();
-        let log = FaultLog::new();
-        let encode =
-            |v: &[f64], scheme| ProtectedVector::from_slice(v, scheme, Crc32cBackend::Auto);
-        let b = encode(&b_vals, EccScheme::Secded64);
-        let want = encode(&a_vals, EccScheme::Secded64).dot(&b, &log).unwrap();
-        for scheme in all_schemes() {
-            let got = encode(&a_vals, scheme).dot(&b, &log).unwrap();
-            assert_eq!(got.to_bits(), want.to_bits(), "{scheme:?}");
         }
     }
 
@@ -2049,13 +1672,39 @@ mod tests {
         }
     }
 
+    /// Every two-operand kernel rejects an operand of another length or
+    /// another scheme, `dot_masked_with` on its chunked path too (16383
+    /// elements split on a multi-core host).
     #[test]
-    #[should_panic]
-    fn mismatched_lengths_panic() {
-        let log = FaultLog::new();
-        let a = ProtectedVector::zeros(3, EccScheme::Sed, Crc32cBackend::SlicingBy16);
-        let b = ProtectedVector::zeros(4, EccScheme::Sed, Crc32cBackend::SlicingBy16);
-        let _ = a.dot(&b, &log);
+    fn mismatched_operands_panic() {
+        type Kernel = fn(&mut ProtectedVector, &ProtectedVector, &FaultLog);
+        let kernels: [(&str, Kernel); 6] = [
+            ("dot_masked", |s, x, log| drop(s.dot_masked(x, log))),
+            ("dot_masked_with", |s, x, log| {
+                drop(s.dot_masked_with(x, log, &mut ReductionWorkspace::new()))
+            }),
+            ("copy_from", |s, x, log| drop(s.copy_from(x, log))),
+            ("axpy_masked", |s, x, log| drop(s.axpy_masked(1.0, x, log))),
+            ("xpay_masked", |s, x, log| drop(s.xpay_masked(1.0, x, log))),
+            ("dot_axpy_masked", |s, x, log| {
+                drop(s.dot_axpy_masked(1.0, x, log))
+            }),
+        ];
+        let n = 16383;
+        let vector = |n, scheme| {
+            let mut v = ProtectedVector::zeros(n, scheme, Crc32cBackend::Auto);
+            v.set_parallel(true);
+            v
+        };
+        for (name, kernel) in kernels {
+            for (len, scheme) in [(n + 1, EccScheme::Sed), (n, EccScheme::Secded64)] {
+                let (mut s, x) = (vector(n, EccScheme::Sed), vector(len, scheme));
+                let log = FaultLog::new();
+                let run = std::panic::AssertUnwindSafe(|| kernel(&mut s, &x, &log));
+                let panicked = std::panic::catch_unwind(run).is_err();
+                assert!(panicked, "{name}: Sed x{n} against {scheme:?} x{len}");
+            }
+        }
     }
 
     fn small_parity() -> ParityConfig {
@@ -2163,9 +1812,9 @@ mod tests {
             EccScheme::Secded64,
             Crc32cBackend::SlicingBy16,
         );
-        v.axpy(1.5, &x, &log).unwrap();
+        v.axpy_masked(1.5, &x, &log).unwrap();
         v.update_from_fn(&log, |_, x| x * 0.25).unwrap();
-        v.set(11, 42.0, &log).unwrap();
+        v.copy_from(&x, &log).unwrap();
         // The incremental refreshes must equal a from-scratch recompute.
         let incremental = v.parity_words().unwrap().to_vec();
         let mut fresh = v.clone();
@@ -2197,16 +1846,17 @@ mod tests {
         x.inject_bit_flip(1, 45);
         let before = v.raw().to_vec();
         let parity_before = v.parity_words().unwrap().to_vec();
-        assert!(v.axpy(2.0, &x, &log).is_err());
+        assert!(v.axpy_masked(2.0, &x, &log).is_err());
         assert_eq!(v.raw(), &before[..], "failed kernel must not mutate");
         assert_eq!(v.parity_words().unwrap(), &parity_before[..]);
     }
 
-    /// The per-group walkers `read_checked`, `update_from_fn` and `copy_from`
-    /// ran on before the block-certified range kernels of [`crate::blas1`]
-    /// replaced them, kept verbatim as the reference the kernels are
-    /// differentially tested against: one scalar `decode_group` per codeword,
-    /// whatever its state.
+    /// The per-group walkers every kernel ran on before the block-certified
+    /// range kernels of [`crate::blas1`] replaced them, kept verbatim as the
+    /// reference the kernels are differentially tested against: one scalar
+    /// `decode_group` per codeword, whatever its state (the dot and the
+    /// two-operand updates fuse the check in line under the per-element
+    /// codes).  Same-scheme operands only.
     impl ProtectedVector {
         fn update_from_fn_reference(
             &mut self,
@@ -2274,15 +1924,12 @@ mod tests {
             Ok(())
         }
 
-        /// Same-scheme operands only: the mixed-scheme branch was the bug
-        /// `mixed_scheme_copy_and_dot_use_corrected_values` pins.
         fn copy_from_reference(
             &mut self,
             other: &ProtectedVector,
             log: &FaultLog,
         ) -> Result<(), AbftError> {
-            assert_eq!(self.len(), other.len(), "copy_from: length mismatch");
-            assert_eq!(self.scheme, other.scheme);
+            self.assert_operand(other, "copy_from");
             let mut tally = 0u64;
             let result = self.copy_from_inner(other, log, &mut tally);
             if self.scheme != EccScheme::None {
@@ -2310,6 +1957,175 @@ mod tests {
             }
             Ok(())
         }
+
+        /// Accumulation is blocked per [`ACC_BLOCK`] elements, like the
+        /// masked kernels.
+        fn dot_reference(&self, other: &ProtectedVector, log: &FaultLog) -> Result<f64, AbftError> {
+            self.assert_operand(other, "dot");
+            let mut tally = 0u64;
+            let result = self.dot_inner(other, log, &mut tally);
+            if self.scheme != EccScheme::None {
+                log.record_checks(Region::DenseVector, tally);
+            }
+            result
+        }
+
+        fn dot_inner(
+            &self,
+            other: &ProtectedVector,
+            log: &FaultLog,
+            tally: &mut u64,
+        ) -> Result<f64, AbftError> {
+            let group = self.group_size();
+            let per_element = matches!(self.scheme, EccScheme::None | EccScheme::Sed);
+            let mask = self.read_mask;
+            let sed = self.scheme == EccScheme::Sed;
+            let mut total = 0.0;
+            let mut block = 0;
+            while block < self.data.len() {
+                let block_end = (block + ACC_BLOCK).min(self.data.len());
+                let mut acc = 0.0;
+                if per_element {
+                    // Per-element codewords: fused check + multiply without
+                    // the group-buffer machinery.
+                    for i in block..block_end {
+                        let (a, b) = (self.data[i], other.data[i]);
+                        if sed {
+                            *tally += 2;
+                            if parity_u64(a) != 0 || parity_u64(b) != 0 {
+                                log.record_uncorrectable(Region::DenseVector);
+                                return Err(AbftError::Uncorrectable {
+                                    region: Region::DenseVector,
+                                    index: i,
+                                });
+                            }
+                        }
+                        acc += f64::from_bits(a & mask) * f64::from_bits(b & mask);
+                    }
+                } else {
+                    let mut base = block;
+                    while base < block_end {
+                        *tally += 2;
+                        let (a, count) = self.decode_group(base, log)?;
+                        let (b, _) = other.decode_group(base, log)?;
+                        for j in 0..count {
+                            acc += a[j] * b[j];
+                        }
+                        base += group;
+                    }
+                }
+                total += acc;
+                block = block_end;
+            }
+            Ok(total)
+        }
+
+        /// One checked read per group and the blocked sum of squares — not
+        /// `dot_reference(self, self)`, which checks and corrects every
+        /// group twice where the single-pass kernel does so once.
+        fn norm2_reference(&self, log: &FaultLog) -> Result<f64, AbftError> {
+            let mut values = vec![0.0; self.len];
+            self.read_checked_reference(&mut values, log)?;
+            let block = |b: &[f64]| b.iter().fold(0.0, |acc, v| acc + v * v);
+            Ok(values
+                .chunks(ACC_BLOCK)
+                .map(block)
+                .fold(0.0, |t, p| t + p)
+                .sqrt())
+        }
+
+        fn axpy_reference(
+            &mut self,
+            alpha: f64,
+            x: &ProtectedVector,
+            log: &FaultLog,
+        ) -> Result<(), AbftError> {
+            self.zip_reference(x, log, |s, xv| s + alpha * xv)
+        }
+
+        fn xpay_reference(
+            &mut self,
+            alpha: f64,
+            x: &ProtectedVector,
+            log: &FaultLog,
+        ) -> Result<(), AbftError> {
+            self.zip_reference(x, log, |s, xv| xv + alpha * s)
+        }
+
+        /// `self[i] ← op(self[i], x[i])`, one decode and one encode per group.
+        fn zip_reference(
+            &mut self,
+            x: &ProtectedVector,
+            log: &FaultLog,
+            op: impl Fn(f64, f64) -> f64,
+        ) -> Result<(), AbftError> {
+            self.assert_operand(x, "vector update");
+            self.parity_precheck(Some(x), log)?;
+            let mut tally = 0u64;
+            let result = self.zip_inner(x, log, &mut tally, op);
+            if self.scheme != EccScheme::None {
+                log.record_checks(Region::DenseVector, tally);
+            }
+            if result.is_ok() {
+                self.parity_commit();
+            }
+            result
+        }
+
+        fn zip_inner(
+            &mut self,
+            x: &ProtectedVector,
+            log: &FaultLog,
+            tally: &mut u64,
+            op: impl Fn(f64, f64) -> f64,
+        ) -> Result<(), AbftError> {
+            let group = self.group_size();
+            if matches!(self.scheme, EccScheme::None | EccScheme::Sed) {
+                // Per-element codewords: fused check + update + re-encode.
+                let mask = self.read_mask;
+                let sed = self.scheme == EccScheme::Sed;
+                for (i, (s, &xw)) in self.data.iter_mut().zip(&x.data).enumerate() {
+                    if sed {
+                        *tally += 2;
+                        if parity_u64(*s) != 0 || parity_u64(xw) != 0 {
+                            log.record_uncorrectable(Region::DenseVector);
+                            return Err(AbftError::Uncorrectable {
+                                region: Region::DenseVector,
+                                index: i,
+                            });
+                        }
+                    }
+                    let updated = op(f64::from_bits(*s & mask), f64::from_bits(xw & mask));
+                    let payload = updated.to_bits() & mask;
+                    *s = if sed {
+                        payload | parity_u64(payload) as u64
+                    } else {
+                        updated.to_bits()
+                    };
+                }
+                return Ok(());
+            }
+            let mut base = 0;
+            while base < self.data.len() {
+                *tally += 2;
+                let (mut s, count) = self.decode_group(base, log)?;
+                let (xv, _) = x.decode_group(base, log)?;
+                for j in 0..count {
+                    s[j] = op(s[j], xv[j]);
+                }
+                self.encode_group(base, &s);
+                base += group;
+            }
+            Ok(())
+        }
+
+        /// Re-encodes the group starting at `base` from plain values; entries
+        /// in `values` beyond the logical length must be zero.
+        fn encode_group(&mut self, base: usize, values: &[f64; MAX_GROUP]) {
+            let group = self.group_size();
+            let codec = self.codec();
+            codec.encode(values, &mut self.data[base..base + group]);
+        }
     }
 
     /// `(index, bit)` flips of one differential case.
@@ -2317,21 +2133,32 @@ mod tests {
 
     /// No flip, then at each edge index a payload bit, a redundancy bit, the
     /// reserved field's top bit, two bits in one word and two bits in two
-    /// words of one codeword; every padding slot gets the same.
-    fn differential_cases(v: &ProtectedVector) -> Vec<Flips> {
+    /// words of one codeword; every padding slot gets the same.  The edges
+    /// are those of the first two 128-element write stages, of the first
+    /// [`ACC_BLOCK`], of the stage after it and of the vector.  A `chunked`
+    /// sweep plants one correctable and one uncorrectable flip on each side
+    /// of every block edge (its chunk boundaries) and in the padding
+    /// instead.
+    fn differential_cases(v: &ProtectedVector, chunked: bool) -> Vec<Flips> {
         let (n, padded, group) = (v.len(), v.raw().len(), v.group_size());
-        let mut indices: Vec<usize> = [0, 127, 128, 4095, 4096, n.saturating_sub(1)]
-            .into_iter()
-            .filter(|&i| i < n)
-            .chain(n..padded)
-            .collect();
+        let edges: Vec<usize> = if chunked {
+            let blocks = (ACC_BLOCK..n).step_by(ACC_BLOCK);
+            blocks.flat_map(|b| [b - 1, b]).collect()
+        } else {
+            vec![0, 127, 128, 255, 4095, 4096, 4223, n.saturating_sub(1)]
+        };
+        let mut indices: Vec<usize> = edges.into_iter().filter(|&i| i < n).collect();
+        indices.sort_unstable();
         indices.dedup();
         let mut cases = vec![Vec::new()];
-        for i in indices {
+        for i in indices.into_iter().chain(n..padded) {
             cases.push(vec![(i, 33)]);
+            cases.push(vec![(i, 20), (i, 45)]);
+            if chunked {
+                continue;
+            }
             cases.push(vec![(i, 3)]);
             cases.push(vec![(i, 7)]);
-            cases.push(vec![(i, 20), (i, 45)]);
             let neighbour = i ^ 1;
             if group > 1 && neighbour < padded {
                 cases.push(vec![(i, 20), (neighbour, 45)]);
@@ -2340,91 +2167,305 @@ mod tests {
         cases
     }
 
+    /// Whether the embedded code alone absorbs `flips` (no parity tier):
+    /// an unprotected vector notices nothing, parity misses even flip
+    /// counts, and the correcting codes fix one flip per codeword or any
+    /// damage confined to the architecturally zero padding.
+    fn recoverable(scheme: EccScheme, n: usize, flips: &[(usize, u32)]) -> bool {
+        match scheme {
+            EccScheme::None => true,
+            EccScheme::Sed => flips.len().is_multiple_of(2),
+            _ => flips.len() < 2 || flips.iter().all(|&(i, _)| i >= n),
+        }
+    }
+
     /// Runs `kernel` and `reference` on clones of one faulted state and
     /// asserts they agree on result (error index included), fault log and
     /// whatever `observe` extracts (storage, parity, output bits, the calls
-    /// `f` received).
-    fn assert_same<S: Clone, O: PartialEq + std::fmt::Debug>(
+    /// `f` received).  Returns whether the kernel succeeded.
+    ///
+    /// When a `chunked` kernel aborts, the chunks beside the failing one may
+    /// have run: only the error and the fault events must then agree, not
+    /// the check count or what was written.
+    fn assert_same<S: Clone, R: PartialEq + std::fmt::Debug, O: PartialEq + std::fmt::Debug>(
         label: &str,
+        chunked: bool,
         state: &S,
-        kernel: impl FnOnce(&mut S, &FaultLog) -> Result<(), AbftError>,
-        reference: impl FnOnce(&mut S, &FaultLog) -> Result<(), AbftError>,
+        kernel: impl FnOnce(&mut S, &FaultLog) -> Result<R, AbftError>,
+        reference: impl FnOnce(&mut S, &FaultLog) -> Result<R, AbftError>,
         observe: impl Fn(&S) -> O,
-    ) {
+    ) -> bool {
         let (mut got, mut want) = (state.clone(), state.clone());
         let (log_got, log_want) = (FaultLog::new(), FaultLog::new());
         let result = kernel(&mut got, &log_got);
         assert_eq!(result, reference(&mut want, &log_want), "{label}");
-        assert_eq!(log_got.snapshot(), log_want.snapshot(), "{label}");
-        assert_eq!(observe(&got), observe(&want), "{label}");
+        let (mut faults_got, mut faults_want) = (log_got.snapshot(), log_want.snapshot());
+        if chunked && result.is_err() {
+            (faults_got.checks, faults_want.checks) = ([0; 3], [0; 3]);
+        } else {
+            assert_eq!(observe(&got), observe(&want), "{label}");
+        }
+        assert_eq!(faults_got, faults_want, "{label}");
+        result.is_ok()
     }
 
-    fn differential_sweep(lengths: &[usize], parity: Option<ParityConfig>) {
+    const ALPHA: f64 = 0.625;
+    const BETA: f64 = -1.25;
+
+    /// Which sweeps run a table kernel: a serial vector runs a `_with`
+    /// reduction as its serial kernel, and a parallel one runs the serial
+    /// reductions exactly as a serial vector does.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Runs {
+        Serial,
+        Chunked,
+        Both,
+    }
+
+    /// A masked kernel on one vector, or on a vector and a same-scheme
+    /// operand, with its result as bits (0 for the updates).
+    type Single = fn(&mut ProtectedVector, &FaultLog) -> Result<u64, AbftError>;
+    type Pair = fn(&mut ProtectedVector, &ProtectedVector, &FaultLog) -> Result<u64, AbftError>;
+
+    /// The one-vector masked kernels beside their references.
+    const SINGLES: [(&str, Runs, Single, Single); 3] = [
+        (
+            "norm2_masked",
+            Runs::Serial,
+            |v, log| v.norm2_masked(log).map(f64::to_bits),
+            |v, log| v.norm2_reference(log).map(f64::to_bits),
+        ),
+        (
+            "norm2_masked_with",
+            Runs::Chunked,
+            |v, log| {
+                let ws = &mut ReductionWorkspace::new();
+                v.norm2_masked_with(log, ws).map(f64::to_bits)
+            },
+            |v, log| v.norm2_reference(log).map(f64::to_bits),
+        ),
+        (
+            "scale_masked",
+            Runs::Both,
+            |v, log| v.scale_masked(ALPHA, log).map(|()| 0),
+            |v, log| {
+                v.update_from_fn_reference(log, |_, x| x * ALPHA)
+                    .map(|()| 0)
+            },
+        ),
+    ];
+
+    /// `self ← self + α·x`, then the dot of the stored result with itself.
+    fn dot_axpy_reference(
+        s: &mut ProtectedVector,
+        x: &ProtectedVector,
+        log: &FaultLog,
+    ) -> Result<u64, AbftError> {
+        s.axpy_reference(ALPHA, x, log)?;
+        let s = &*s;
+        s.dot_reference(s, &FaultLog::new()).map(f64::to_bits)
+    }
+
+    /// The two-operand masked kernels beside their references.
+    const PAIRS: [(&str, Runs, Pair, Pair); 7] = [
+        (
+            "dot_masked",
+            Runs::Serial,
+            |s, x, log| s.dot_masked(x, log).map(f64::to_bits),
+            |s, x, log| s.dot_reference(x, log).map(f64::to_bits),
+        ),
+        (
+            "dot_masked_with",
+            Runs::Chunked,
+            |s, x, log| {
+                let ws = &mut ReductionWorkspace::new();
+                s.dot_masked_with(x, log, ws).map(f64::to_bits)
+            },
+            |s, x, log| s.dot_reference(x, log).map(f64::to_bits),
+        ),
+        (
+            "axpy_masked",
+            Runs::Both,
+            |s, x, log| s.axpy_masked(ALPHA, x, log).map(|()| 0),
+            |s, x, log| s.axpy_reference(ALPHA, x, log).map(|()| 0),
+        ),
+        (
+            "xpay_masked",
+            Runs::Both,
+            |s, x, log| s.xpay_masked(ALPHA, x, log).map(|()| 0),
+            |s, x, log| s.xpay_reference(ALPHA, x, log).map(|()| 0),
+        ),
+        (
+            "scale_axpy_masked",
+            Runs::Both,
+            |s, x, log| s.scale_axpy_masked(BETA, ALPHA, x, log).map(|()| 0),
+            |s, x, log| {
+                // The scaled intermediate as the scale kernel stores it.
+                let mask = s.read_mask;
+                let op = move |v: f64, xv| f64::from_bits((v * BETA).to_bits() & mask) + ALPHA * xv;
+                s.zip_reference(x, log, op).map(|()| 0)
+            },
+        ),
+        (
+            "dot_axpy_masked",
+            Runs::Serial,
+            |s, x, log| s.dot_axpy_masked(ALPHA, x, log).map(f64::to_bits),
+            dot_axpy_reference,
+        ),
+        (
+            "dot_axpy_masked_with",
+            Runs::Chunked,
+            |s, x, log| {
+                let ws = &mut ReductionWorkspace::new();
+                s.dot_axpy_masked_with(ALPHA, x, log, ws).map(f64::to_bits)
+            },
+            dot_axpy_reference,
+        ),
+    ];
+
+    /// Every range kernel against its per-group reference, on every
+    /// [`differential_cases`] fault of every scheme and length, the
+    /// two-operand kernels with the fault in either operand.  A `parallel`
+    /// sweep sets the vectors' hint, so a long enough vector runs the
+    /// chunked paths, and runs only the kernels that have one.
+    ///
+    /// The table kernels skip the reserved-bit flip: in every kernel it
+    /// takes the `GroupCodec::read_group` → `decode` path a redundancy flip
+    /// takes, and `read_checked`, `update_from_fn` and `copy_from` keep it
+    /// for the codec branch it reaches.
+    fn differential_sweep(lengths: &[usize], parity: Option<ParityConfig>, parallel: bool) {
         let stored =
             |v: &ProtectedVector| (v.raw().to_vec(), v.parity_words().map(<[u64]>::to_vec));
+        let runs = |r: Runs| r == Runs::Both || (r == Runs::Chunked) == parallel;
         for scheme in all_schemes() {
             if parity.is_some() && scheme == EccScheme::None {
                 continue;
             }
             for &n in lengths {
-                let mut clean =
-                    ProtectedVector::from_slice(&sample(n), scheme, Crc32cBackend::Auto);
-                let mut target =
-                    ProtectedVector::from_slice(&vec![-7.0; n], scheme, Crc32cBackend::Auto);
-                if let Some(config) = parity {
-                    clean.enable_parity(config);
-                    target.enable_parity(config);
-                }
-                for flips in differential_cases(&clean) {
-                    let label = format!("{scheme:?} n={n} parity={parity:?} flips={flips:?}");
-                    let mut v = clean.clone();
-                    for &(index, bit) in &flips {
-                        v.data[index] ^= 1u64 << bit;
+                let encode = |values: &[f64]| {
+                    let mut v = ProtectedVector::from_slice(values, scheme, Crc32cBackend::Auto);
+                    v.set_parallel(parallel);
+                    if let Some(config) = parity {
+                        v.enable_parity(config);
+                    }
+                    v
+                };
+                let clean = encode(&sample(n));
+                let operand = encode(&sample(n).iter().map(|x| x * 0.5 - 3.0).collect::<Vec<_>>());
+                let target = encode(&vec![-7.0; n]);
+                for flips in differential_cases(&clean, parallel) {
+                    let label = format!(
+                        "{scheme:?} n={n} parity={parity:?} parallel={parallel} flips={flips:?}"
+                    );
+                    // Without the parity tier, whose barrier also refuses
+                    // damage the embedded code would absorb, every kernel
+                    // succeeds exactly when the code alone recovers.
+                    let recovers = |name: &str, ok: bool| {
+                        if parity.is_none() {
+                            assert_eq!(ok, recoverable(scheme, n, &flips), "{name} {label}");
+                        }
+                    };
+                    let faulted = |v: &ProtectedVector| {
+                        let mut v = v.clone();
+                        for &(index, bit) in &flips {
+                            v.data[index] ^= 1u64 << bit;
+                        }
+                        v
+                    };
+                    let v = faulted(&clean);
+
+                    if !parallel {
+                        let ok = assert_same(
+                            &format!("read_checked {label}"),
+                            false,
+                            &vec![-7.0f64; n],
+                            |out, log| v.read_checked(out, log),
+                            |out, log| v.read_checked_reference(out, log),
+                            |out| out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        );
+                        recovers("read_checked", ok);
+
+                        // Every logical element once, ascending, none at or
+                        // after an uncorrectable group — and identically so.
+                        let f = |calls: &mut Vec<usize>, i: usize, x: f64| {
+                            calls.push(i);
+                            x * 1.5 + i as f64
+                        };
+                        let ok = assert_same(
+                            &format!("update_from_fn {label}"),
+                            false,
+                            &(v.clone(), Vec::new()),
+                            |(s, calls), log| s.update_from_fn(log, |i, x| f(calls, i, x)),
+                            |(s, calls), log| {
+                                s.update_from_fn_reference(log, |i, x| f(calls, i, x))
+                            },
+                            |(s, calls)| (stored(s), calls.clone()),
+                        );
+                        recovers("update_from_fn", ok);
+
+                        let ok = assert_same(
+                            &format!("copy_from {label}"),
+                            false,
+                            &target,
+                            |dst, log| dst.copy_from(&v, log),
+                            |dst, log| dst.copy_from_reference(&v, log),
+                            stored,
+                        );
+                        recovers("copy_from", ok);
                     }
 
-                    assert_same(
-                        &format!("read_checked {label}"),
-                        &vec![-7.0f64; n],
-                        |out, log| v.read_checked(out, log),
-                        |out, log| v.read_checked_reference(out, log),
-                        |out| out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    );
-
-                    // Every logical element once, ascending, none at or
-                    // after an uncorrectable group — and identically so.
-                    let f = |calls: &mut Vec<usize>, i: usize, x: f64| {
-                        calls.push(i);
-                        x * 1.5 + i as f64
+                    if flips.iter().any(|&(_, bit)| bit == 7) {
+                        continue;
+                    }
+                    for (name, when, kernel, reference) in SINGLES {
+                        if runs(when) {
+                            let label = format!("{name} {label}");
+                            let ok = assert_same(&label, parallel, &v, kernel, reference, stored);
+                            recovers(name, ok);
+                        }
+                    }
+                    let sides = [(&v, &operand), (&clean, &faulted(&operand))];
+                    let sides = if flips.is_empty() {
+                        &sides[..1]
+                    } else {
+                        &sides[..]
                     };
-                    assert_same(
-                        &format!("update_from_fn {label}"),
-                        &(v.clone(), Vec::new()),
-                        |(s, calls), log| s.update_from_fn(log, |i, x| f(calls, i, x)),
-                        |(s, calls), log| s.update_from_fn_reference(log, |i, x| f(calls, i, x)),
-                        |(s, calls)| (stored(s), calls.clone()),
-                    );
-
-                    assert_same(
-                        &format!("copy_from {label}"),
-                        &target,
-                        |dst, log| dst.copy_from(&v, log),
-                        |dst, log| dst.copy_from_reference(&v, log),
-                        stored,
-                    );
+                    for (side, (s, x)) in sides.iter().enumerate() {
+                        for (name, when, kernel, reference) in PAIRS {
+                            if !runs(when) {
+                                continue;
+                            }
+                            let ok = assert_same(
+                                &format!("{name} fault in operand {side} {label}"),
+                                parallel,
+                                *s,
+                                |s, log| kernel(s, x, log),
+                                |s, log| reference(s, x, log),
+                                stored,
+                            );
+                            recovers(name, ok);
+                        }
+                    }
                 }
             }
         }
     }
 
+    /// The parallel-hinted lengths split into block-aligned chunks on a
+    /// multi-core host (16383 into four, 8192 into two), so every kernel
+    /// that follows the hint — the `_with` reductions included — runs its
+    /// chunked path.
     #[test]
     fn range_kernels_match_the_per_group_walkers_they_replaced() {
-        differential_sweep(&[0, 1, 3, 127, 128, 4095, 4096, 4097, 8202], None);
+        differential_sweep(&[0, 1, 3, 127, 128, 4095, 4096, 4097, 8202], None, false);
+        differential_sweep(&[16383], None, true);
     }
 
     #[test]
     fn range_kernels_keep_the_parity_barriers_of_the_walkers() {
         // The last chunk is partial and holds the 4095/4096 block edge.
-        differential_sweep(&[4097], Some(small_parity_of(680)));
+        differential_sweep(&[4097], Some(small_parity_of(680)), false);
+        differential_sweep(&[8192], Some(small_parity_of(2048)), true);
     }
 
     #[test]

@@ -1,16 +1,17 @@
-//! Fault paths through the block-granular kernels.
+//! Fault paths through the block-granular matrix kernels.
 //!
 //! The CSR range kernel certifies 64 rows of elements with one batched
-//! predicate and the masked BLAS-1 kernels certify whole runs and write back
-//! 128 staged results at a time.  Blocking must not be observable: with a
-//! fault planted at a row, pair or block edge, under every element scheme
-//! and storage tier, the outputs, the [`FaultLogSnapshot`] and the reported
-//! error must equal those of per-row / per-group execution *and* what the
-//! scheme's code alone predicts.  The per-row reference is the same public
-//! range kernel driven **one row per call** (a one-row block is a row); the
-//! predicted one runs no protected kernel at all ([`expect`], the plain
-//! `spmv_serial`); the per-group reference is the group-decode
-//! [`ProtectedVector`] methods.
+//! predicate.  Blocking must not be observable: with a fault planted at a
+//! row, pair or block edge, under every element scheme and storage tier,
+//! the outputs, the [`FaultLogSnapshot`] and the reported error must equal
+//! those of per-row execution *and* what the scheme's code alone predicts.
+//! The per-row reference is the same public range kernel driven **one row
+//! per call** (a one-row block is a row); the predicted one runs no
+//! protected kernel at all ([`expect`], the plain `spmv_serial`).  The
+//! dense-vector twin — faults at the 128-element stage and 4096-element
+//! block edges of the masked BLAS-1 kernels against the per-group walkers
+//! they replaced — is the differential sweep in `abft-core`'s
+//! `protected_vector` tests, beside those walkers.
 //!
 //! Also pinned: `scrub` reports what `verify_all` reports and restores the
 //! encoding, and `verify_all` under CRC32C reads the row structure through
@@ -20,9 +21,8 @@
 use abft_suite::core::spmv::{protected_spmm_plain, DenseView};
 use abft_suite::core::{
     AbftError, AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ProtectedMatrix,
-    ProtectedVector, ProtectionConfig, SpmmWorkspace, SpmvWorkspace, StorageTier,
+    ProtectionConfig, SpmmWorkspace, SpmvWorkspace, StorageTier,
 };
-use abft_suite::prelude::Crc32cBackend;
 use abft_suite::sparse::builders::poisson_2d_padded;
 use abft_suite::sparse::spmv::spmv_serial;
 use abft_suite::sparse::CsrMatrix;
@@ -632,148 +632,6 @@ fn coo_range_start_survives_lowered_row_indices() {
                 // The range before also decodes the first element of
                 // `row0`, to find its own end.
                 assert!(whole.faults.total_corrected() >= 1, "{label} parallel");
-            }
-        }
-    }
-}
-
-fn sample(n: usize, seed: f64) -> Vec<f64> {
-    (0..n)
-        .map(|i| ((i as f64 + seed) * 0.61803).sin() * 100.0 + 0.03125)
-        .collect()
-}
-
-/// `dot/axpy/xpay/scale/dot_axpy_masked`, `copy_from` and `read_checked`
-/// against the group-decode reference with a flip in `s` or in `x` at the
-/// edges of the 128-element write stages and of the 4096-element
-/// accumulation blocks, in the trailing partial group and in its padding.
-#[test]
-fn masked_updates_match_group_decode_with_faults_at_stage_edges() {
-    for scheme in [
-        EccScheme::None,
-        EccScheme::Sed,
-        EccScheme::Secded64,
-        EccScheme::Secded128,
-        EccScheme::Crc32c,
-    ] {
-        // Not a multiple of the group: CRC32C's last group holds two
-        // elements and two padding words, SECDED128's one and one.
-        let n = 8202 + (scheme == EccScheme::Secded128) as usize;
-        let encode =
-            |seed: f64| ProtectedVector::from_slice(&sample(n, seed), scheme, Crc32cBackend::Auto);
-        let (s0, x0) = (encode(1.0), encode(7.5));
-        let alpha = 0.625;
-        let mut indices = vec![0usize, 127, 128, 255, 4095, 4096, 4223, n - 1];
-        indices.extend(n..s0.raw().len());
-        for index in indices {
-            for in_x in [false, true] {
-                // A payload bit, a redundancy bit, two payload bits.
-                for flips in [&[33u32][..], &[3], &[20, 45]] {
-                    let label = format!("{scheme:?} index {index} in_x={in_x} flips={flips:?}");
-                    let (mut s, mut x) = (s0.clone(), x0.clone());
-                    for &bit in flips {
-                        if in_x { &mut x } else { &mut s }.inject_bit_flip(index, bit);
-                    }
-                    let recoverable = match scheme {
-                        EccScheme::None => true,
-                        // Parity sees odd flip counts only.
-                        EccScheme::Sed => flips.len() % 2 == 0,
-                        // Padding words are architecturally zero, so any
-                        // damage confined to them is repaired.
-                        _ => flips.len() == 1 || index >= n,
-                    };
-                    type Kernel = fn(
-                        &mut ProtectedVector,
-                        f64,
-                        &ProtectedVector,
-                        &FaultLog,
-                    ) -> Result<f64, AbftError>;
-                    let pairs: [(&str, Kernel, Kernel); 7] = [
-                        (
-                            "dot",
-                            |s, _, x, log| s.dot_masked(x, log),
-                            |s, _, x, log| s.dot(x, log),
-                        ),
-                        (
-                            "axpy",
-                            |s, a, x, log| s.axpy_masked(a, x, log).map(|()| 0.0),
-                            |s, a, x, log| s.axpy(a, x, log).map(|()| 0.0),
-                        ),
-                        (
-                            "xpay",
-                            |s, a, x, log| s.xpay_masked(a, x, log).map(|()| 0.0),
-                            |s, a, x, log| s.xpay(a, x, log).map(|()| 0.0),
-                        ),
-                        // `0 + α·s` is the group-decode scale (no product
-                        // here is a negative zero).
-                        (
-                            "scale",
-                            |s, a, _, log| s.scale_masked(a, log).map(|()| 0.0),
-                            |s, a, _, log| {
-                                let zeros = ProtectedVector::zeros(
-                                    s.len(),
-                                    s.scheme(),
-                                    Crc32cBackend::Auto,
-                                );
-                                s.xpay(a, &zeros, log).map(|()| 0.0)
-                            },
-                        ),
-                        (
-                            "dot_axpy",
-                            |s, a, x, log| s.dot_axpy_masked(a, x, log),
-                            |s, a, x, log| {
-                                s.axpy(a, x, log)?;
-                                s.dot(s, &FaultLog::new())
-                            },
-                        ),
-                        // `x + 0·s` is the group-decode copy.
-                        (
-                            "copy_from",
-                            |s, _, x, log| s.copy_from(x, log).map(|()| 0.0),
-                            |s, _, x, log| s.xpay(0.0, x, log).map(|()| 0.0),
-                        ),
-                        // Storing what a checked read of `x` handed out (and
-                        // nothing where it handed out nothing) is a copy.
-                        (
-                            "read_checked",
-                            |s, _, x, log| {
-                                let mut out = vec![f64::NAN; x.len()];
-                                let read = x.read_checked(&mut out, log);
-                                let keep =
-                                    |i: usize, v: f64| if out[i].is_nan() { v } else { out[i] };
-                                s.update_from_fn(&FaultLog::new(), keep)?;
-                                read.map(|()| 0.0)
-                            },
-                            |s, _, x, log| s.copy_from(x, log).map(|()| 0.0),
-                        ),
-                    ];
-                    for (name, masked, reference) in pairs {
-                        if name == "scale" && in_x {
-                            continue;
-                        }
-                        if matches!(name, "copy_from" | "read_checked") && !in_x {
-                            continue;
-                        }
-                        let (mut sm, mut sr) = (s.clone(), s.clone());
-                        let (log_m, log_r) = (FaultLog::new(), FaultLog::new());
-                        let got = masked(&mut sm, alpha, &x, &log_m);
-                        let want = reference(&mut sr, alpha, &x, &log_r);
-                        assert_eq!(got.is_ok(), recoverable, "{name} {label}");
-                        assert_eq!(
-                            got.as_ref().map(|v| v.to_bits()),
-                            want.as_ref().map(|v| v.to_bits()),
-                            "{name} {label}"
-                        );
-                        let mut faults_r = log_r.snapshot();
-                        if matches!(name, "copy_from" | "scale") {
-                            // Its reference checks a second operand too,
-                            // group for group.
-                            faults_r.checks[2] /= 2;
-                        }
-                        assert_eq!(log_m.snapshot(), faults_r, "{name} {label}");
-                        assert_eq!(sm.raw(), sr.raw(), "{name} {label}");
-                    }
-                }
             }
         }
     }

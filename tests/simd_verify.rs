@@ -5,17 +5,22 @@
 //! and the protected SpMV element loops.  The contract is that they are
 //! **invisible in every observable**: kernel results bit for bit, check
 //! counts, corrected/uncorrectable tallies and error indices must all match
-//! the per-group reference semantics, for every scheme, any vector length
-//! (including `len % group != 0` partial/padding groups), clean and faulted
-//! storage, and any worker count.
+//! the per-group semantics — plain arithmetic on the decoded values, one
+//! check per codeword and operand, the fault where it was planted — for
+//! every scheme, any vector length (including `len % group != 0`
+//! partial/padding groups), clean and faulted storage, and any worker
+//! count.  The per-group reference walkers themselves live in `abft-core`'s
+//! unit tests, whose differential sweep runs every masked kernel against
+//! them under planted faults.
 //!
 //! The ISA-level differential tests (every implementation in the dispatch
 //! table against the portable scalar reference) live inside `abft-ecc`;
 //! this suite pins the *consumers* through the public API.
 
+use abft_suite::core::protected_vector::ACC_BLOCK;
 use abft_suite::core::{
-    AnyProtectedMatrix, EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig,
-    SpmvWorkspace, StorageTier,
+    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, ProtectedCsr, ProtectedVector,
+    ProtectionConfig, Region, SpmvWorkspace, StorageTier,
 };
 use abft_suite::prelude::{Crc32cBackend, ProtectedMatrix, Solver};
 use abft_suite::solvers::backends::FullyProtected;
@@ -50,63 +55,95 @@ fn lengths() -> [usize; 10] {
     [1, 2, 3, 5, 7, 63, 130, 4095, 4097, 9000]
 }
 
-/// Masked kernels must agree bitwise with the group-decode reference on
-/// clean storage of any length, with identical check accounting — this
-/// drives the batched fast path (clean is the common case).
+/// `Σ a[i]·b[i]` folded as every protected reduction folds it: one partial
+/// per [`ACC_BLOCK`] elements, the partials added in block order.
+fn blocked_dot(a: &[f64], b: &[f64]) -> f64 {
+    a.chunks(ACC_BLOCK)
+        .zip(b.chunks(ACC_BLOCK))
+        .map(|(a, b)| a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y))
+        .fold(0.0, |total, part| total + part)
+}
+
+/// Masked kernels must agree bitwise with plain arithmetic on the decoded
+/// values on clean storage of any length (an update re-encoded through
+/// `from_slice`), with one check per codeword and operand — this drives the
+/// batched fast path (clean is the common case).
 #[test]
 fn masked_kernels_match_reference_on_all_lengths() {
     for scheme in all_schemes() {
         for len in lengths() {
-            let a_vals = sample(len, 17);
-            let b_vals = sample(len, 29);
-            let a = ProtectedVector::from_slice(&a_vals, scheme, Crc32cBackend::SlicingBy16);
-            let b = ProtectedVector::from_slice(&b_vals, scheme, Crc32cBackend::SlicingBy16);
+            let encode =
+                |v: &[f64]| ProtectedVector::from_slice(v, scheme, Crc32cBackend::SlicingBy16);
+            let a = encode(&sample(len, 17));
+            let b = encode(&sample(len, 29));
+            let (av, bv) = (a.to_vec(), b.to_vec());
+            // `op(y[i], b[i])` on the decoded values, re-encoded.
+            let update = |y: &ProtectedVector, op: &dyn Fn(f64, f64) -> f64| {
+                let values: Vec<f64> = y
+                    .to_vec()
+                    .iter()
+                    .zip(&bv)
+                    .map(|(&s, &x)| op(s, x))
+                    .collect();
+                encode(&values)
+            };
+            let groups = match scheme {
+                EccScheme::None => 0,
+                _ => a.logical_groups(),
+            };
+            // One check per codeword and operand, and no fault reported.
+            let log = FaultLog::new();
+            let accounted = |operands: u64, what: &str| {
+                let label = format!("{scheme:?} len={len}: {what}");
+                assert_eq!(log.snapshot().checks[2], operands * groups, "{label}");
+                assert_eq!(
+                    log.total_corrected() + log.total_uncorrectable(),
+                    0,
+                    "{label}"
+                );
+                log.reset();
+            };
 
-            let log_ref = FaultLog::new();
-            let log_masked = FaultLog::new();
-
-            let d_ref = a.dot(&b, &log_ref).unwrap();
-            let d_masked = a.dot_masked(&b, &log_masked).unwrap();
+            let d = a.dot_masked(&b, &log).unwrap();
             assert_eq!(
-                d_ref.to_bits(),
-                d_masked.to_bits(),
-                "{scheme:?} len={len}: dot diverged"
+                d.to_bits(),
+                blocked_dot(&av, &bv).to_bits(),
+                "{scheme:?} len={len}"
             );
+            accounted(2, "dot");
 
-            let n_ref = a.norm2(&log_ref).unwrap();
-            let n_masked = a.norm2_masked(&log_masked).unwrap();
-            assert_eq!(n_ref.to_bits(), n_masked.to_bits(), "{scheme:?} len={len}");
+            let n = a.norm2_masked(&log).unwrap();
+            let want = blocked_dot(&av, &av).sqrt();
+            assert_eq!(n.to_bits(), want.to_bits(), "{scheme:?} len={len}");
+            accounted(1, "norm2");
 
-            let mut y_ref = a.clone();
-            let mut y_masked = a.clone();
-            y_ref.axpy(0.75, &b, &log_ref).unwrap();
-            y_masked.axpy_masked(0.75, &b, &log_masked).unwrap();
-            assert_eq!(y_ref.raw(), y_masked.raw(), "{scheme:?} len={len}: axpy");
+            let mut y = a.clone();
+            y.axpy_masked(0.75, &b, &log).unwrap();
+            let want = update(&a, &|s, x| s + 0.75 * x);
+            assert_eq!(y.raw(), want.raw(), "{scheme:?} len={len}: axpy");
+            accounted(2, "axpy");
 
-            y_ref.update_from_fn(&log_ref, |_, v| v * 1.25).unwrap();
-            y_masked.scale_masked(1.25, &log_masked).unwrap();
-            assert_eq!(y_ref.raw(), y_masked.raw(), "{scheme:?} len={len}: scale");
+            y.scale_masked(1.25, &log).unwrap();
+            let want = update(&want, &|s, _| s * 1.25);
+            assert_eq!(y.raw(), want.raw(), "{scheme:?} len={len}: scale");
+            accounted(1, "scale");
 
-            // Fused dot+AXPY against its decomposition.
-            let fused = y_masked.dot_axpy_masked(-0.5, &b, &log_masked).unwrap();
-            y_ref.axpy(-0.5, &b, &log_ref).unwrap();
-            let dec = y_ref.dot(&y_ref, &log_ref).unwrap();
-            assert_eq!(fused.to_bits(), dec.to_bits(), "{scheme:?} len={len}");
-            assert_eq!(y_ref.raw(), y_masked.raw(), "{scheme:?} len={len}");
-
-            // No spurious fault reports on clean data, on either path.
-            for log in [&log_ref, &log_masked] {
-                assert_eq!(log.total_corrected(), 0, "{scheme:?} len={len}");
-                assert_eq!(log.total_uncorrectable(), 0, "{scheme:?} len={len}");
-            }
+            // Fused dot+AXPY: the dot of the stored update with itself.
+            let fused = y.dot_axpy_masked(-0.5, &b, &log).unwrap();
+            let want = update(&want, &|s, x| s + -0.5 * x);
+            assert_eq!(y.raw(), want.raw(), "{scheme:?} len={len}: dot_axpy");
+            let stored = want.to_vec();
+            let dot = blocked_dot(&stored, &stored);
+            assert_eq!(fused.to_bits(), dot.to_bits(), "{scheme:?} len={len}");
+            accounted(2, "dot_axpy");
         }
     }
 }
 
-/// A single injected bit flip must produce identical outcomes from the
-/// batched-screened kernels and the reference: transparently corrected (and
-/// identical results) for the correcting schemes, an identical abort for
-/// SED.
+/// A single injected bit flip must be invisible or an honest abort: the
+/// correcting schemes hand back the clean vector's result bit for bit with
+/// one correction and the clean run's check count, SED aborts at the
+/// flipped element.
 #[test]
 fn single_bit_faults_are_handled_identically() {
     for scheme in all_schemes() {
@@ -118,46 +155,44 @@ fn single_bit_faults_are_handled_identically() {
             let b_vals = sample(len, 11);
             let clean = ProtectedVector::from_slice(&vals, scheme, Crc32cBackend::SlicingBy16);
             let b = ProtectedVector::from_slice(&b_vals, scheme, Crc32cBackend::SlicingBy16);
+            let log_clean = FaultLog::new();
+            let want = clean.dot_masked(&b, &log_clean).unwrap();
             for (index, bit) in [(0usize, 40u32), (len / 2, 14), (len - 1, 60)] {
+                let label = format!("{scheme:?} len={len} flip=({index},{bit})");
                 let mut v = clean.clone();
                 v.inject_bit_flip(index, bit);
 
-                let log_ref = FaultLog::new();
-                let log_masked = FaultLog::new();
-                let r_ref = v.dot(&b, &log_ref);
-                let r_masked = v.dot_masked(&b, &log_masked);
-                match (r_ref, r_masked) {
-                    (Ok(x), Ok(y)) => {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "{scheme:?} len={len} flip=({index},{bit})"
-                        );
-                        assert!(
-                            scheme.corrects_single_flips(),
-                            "{scheme:?}: SED cannot correct"
-                        );
-                    }
-                    (Err(_), Err(_)) => {
-                        assert_eq!(scheme, EccScheme::Sed, "{scheme:?} should correct");
-                    }
-                    (r, m) => panic!(
-                        "{scheme:?} len={len} flip=({index},{bit}): paths disagree ({r:?} vs {m:?})"
-                    ),
+                let log = FaultLog::new();
+                let got = v.dot_masked(&b, &log);
+                if scheme.corrects_single_flips() {
+                    assert_eq!(got.unwrap().to_bits(), want.to_bits(), "{label}");
+                    assert_eq!(log.total_corrected(), 1, "{label}");
+                    assert_eq!(
+                        log.snapshot().checks,
+                        log_clean.snapshot().checks,
+                        "{label}"
+                    );
+                } else {
+                    let due = AbftError::Uncorrectable {
+                        region: Region::DenseVector,
+                        index,
+                    };
+                    assert_eq!(got, Err(due), "{label}");
+                    assert_eq!(log.total_corrected(), 0, "{label}");
                 }
-                let s_ref = log_ref.snapshot();
-                let s_masked = log_masked.snapshot();
                 assert_eq!(
-                    s_ref, s_masked,
-                    "{scheme:?} len={len} flip=({index},{bit}): fault accounting diverged"
+                    log.total_uncorrectable(),
+                    u64::from(!scheme.corrects_single_flips()),
+                    "{label}"
                 );
             }
         }
     }
 }
 
-/// Double flips in one codeword: the SECDED schemes must report an
-/// uncorrectable error from both paths with identical accounting.
+/// Double flips in one codeword: the SECDED schemes must abort the masked
+/// dot with the error `check_all` reports, after the same codewords per
+/// operand.
 #[test]
 fn double_bit_faults_abort_identically() {
     for scheme in [EccScheme::Secded64, EccScheme::Secded128] {
@@ -167,16 +202,14 @@ fn double_bit_faults_abort_identically() {
             v.inject_bit_flip(len / 2, 20);
             v.inject_bit_flip(len / 2, 45);
 
-            let log_ref = FaultLog::new();
+            let log_walk = FaultLog::new();
             let log_masked = FaultLog::new();
-            let r_ref = v.dot(&v, &log_ref).unwrap_err();
+            let r_walk = v.check_all(&log_walk).unwrap_err();
             let r_masked = v.dot_masked(&v, &log_masked).unwrap_err();
-            assert_eq!(r_ref, r_masked, "{scheme:?} len={len}");
-            assert_eq!(
-                log_ref.snapshot(),
-                log_masked.snapshot(),
-                "{scheme:?} len={len}"
-            );
+            assert_eq!(r_walk, r_masked, "{scheme:?} len={len}");
+            let (mut walk, masked) = (log_walk.snapshot(), log_masked.snapshot());
+            walk.checks[2] *= 2;
+            assert_eq!(walk, masked, "{scheme:?} len={len}");
             assert!(log_masked.total_uncorrectable() > 0);
 
             // scrub must also fail identically (it takes the batched
