@@ -48,7 +48,7 @@ mod tests {
 
     #[test]
     fn no_correction_needed_returns_none() {
-        let crc = Crc32c::best();
+        let crc = Crc32c::auto();
         let mut data = sample(64);
         let expected = crc.checksum(&data);
         assert_eq!(correct_crc32c_single(&crc, &mut data, expected), None);
@@ -74,7 +74,7 @@ mod tests {
         // Within the HD=6 window a weight-3 error is at distance >= 3 from
         // every valid codeword reachable by a single flip, so the single-flip
         // search must fail rather than "repair" to a wrong codeword.
-        let crc = Crc32c::best();
+        let crc = Crc32c::auto();
         let clean = sample(32); // 256 bits: inside 178..=5243
         let expected = crc.checksum(&clean);
         let mut corrupted = clean.clone();

@@ -121,7 +121,7 @@ pub struct Crc32c {
 
 impl Default for Crc32c {
     fn default() -> Self {
-        Self::best()
+        Self::auto()
     }
 }
 
@@ -157,17 +157,6 @@ impl Crc32c {
     /// ```
     pub fn auto() -> Self {
         Crc32c::new(Crc32cBackend::Auto)
-    }
-
-    /// Picks the fastest backend available on this CPU — hardware if
-    /// present, otherwise the per-length [`Crc32cBackend::Auto`] software
-    /// policy.
-    pub fn best() -> Self {
-        if hardware_available() {
-            Crc32c::new(Crc32cBackend::Hardware)
-        } else {
-            Crc32c::auto()
-        }
     }
 
     /// The backend actually in use.
@@ -591,7 +580,7 @@ mod tests {
 
     #[test]
     fn single_bit_flips_always_detected() {
-        let crc = Crc32c::best();
+        let crc = Crc32c::auto();
         let data: Vec<u8> = (0..64u8)
             .map(|i| i.wrapping_mul(37).wrapping_add(5))
             .collect();
@@ -609,7 +598,7 @@ mod tests {
     fn odd_weight_errors_always_detected() {
         // The (x+1) factor guarantees detection of all odd-weight error
         // patterns; spot-check weight-3 patterns on a small codeword.
-        let crc = Crc32c::best();
+        let crc = Crc32c::auto();
         let data: Vec<u8> = (0..16u8).collect();
         let reference = crc.checksum(&data);
         let bits = data.len() * 8;
@@ -628,7 +617,7 @@ mod tests {
 
     #[test]
     fn burst_errors_up_to_32_bits_detected() {
-        let crc = Crc32c::best();
+        let crc = Crc32c::auto();
         let data: Vec<u8> = (0..80u8).map(|i| i.wrapping_mul(91)).collect();
         let reference = crc.checksum(&data);
         let bits = data.len() * 8;
@@ -665,12 +654,8 @@ mod tests {
 
     #[test]
     fn best_backend_prefers_hardware_when_available() {
-        let crc = Crc32c::best();
-        if hardware_available() {
-            assert_eq!(crc.backend(), Crc32cBackend::Hardware);
-        } else {
-            assert_eq!(crc.backend(), Crc32cBackend::Auto);
-        }
+        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+        assert_eq!(Crc32c::auto().is_hardware(), hardware_available());
         // The probe is cached: repeated queries agree.
         assert_eq!(hardware_available(), hardware_available());
     }

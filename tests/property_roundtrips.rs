@@ -70,7 +70,7 @@ fn crc32c_backends_agree() {
 #[test]
 fn crc32c_detects_low_weight_errors() {
     let mut rng = rng();
-    let crc = Crc32c::best();
+    let crc = Crc32c::auto();
     for _ in 0..CASES {
         // Codeword lengths 184..2048 bits lie inside the HD=6 window, so any
         // 1..=5 distinct flips must be detected.
