@@ -21,7 +21,6 @@ use abft_core::{
     AbftError, AnyProtectedMatrix, EccScheme, FaultLog, ProtectedMatrix, ProtectedVector,
     ReductionWorkspace, SpmmWorkspace, SpmvWorkspace,
 };
-use abft_ecc::Crc32cBackend;
 use abft_sparse::spmv::{axpy_parallel, dot_parallel_with, spmv_parallel, spmv_serial};
 use abft_sparse::vector::{blas_axpy, blas_dot};
 use abft_sparse::CsrMatrix;
@@ -459,8 +458,6 @@ impl LinearOperator for MatrixProtected<'_> {
 #[derive(Debug, Clone)]
 pub struct FullyProtected<'a> {
     matrix: &'a AnyProtectedMatrix,
-    scheme: EccScheme,
-    crc_backend: Crc32cBackend,
     workspace: RefCell<SpmvWorkspace>,
     spmm: RefCell<SpmmWorkspace>,
     reduction: RefCell<ReductionWorkspace>,
@@ -472,12 +469,23 @@ impl<'a> FullyProtected<'a> {
     pub fn new(matrix: &'a AnyProtectedMatrix) -> Self {
         FullyProtected {
             matrix,
-            scheme: matrix.config().vectors,
-            crc_backend: matrix.config().crc_backend,
             workspace: RefCell::new(SpmvWorkspace::new()),
             spmm: RefCell::new(SpmmWorkspace::new()),
             reduction: RefCell::new(ReductionWorkspace::new()),
         }
+    }
+
+    /// `v` with the matrix configuration's parallel hint and, over
+    /// protected vectors, its parity tier.
+    fn configured(&self, mut v: ProtectedVector) -> ProtectedVector {
+        let config = self.matrix.config();
+        v.set_parallel(config.parallel);
+        if let Some(parity) = config.parity {
+            if config.vectors != EccScheme::None {
+                v.enable_parity(parity);
+            }
+        }
+        v
     }
 }
 
@@ -551,25 +559,24 @@ impl LinearOperator for FullyProtected<'_> {
     }
 
     fn vector_from(&self, values: &[f64]) -> ProtectedVector {
-        let mut v = ProtectedVector::from_slice(values, self.scheme, self.crc_backend);
-        v.set_parallel(self.matrix.config().parallel);
-        if let Some(parity) = self.matrix.config().parity {
-            if self.scheme != EccScheme::None {
-                v.enable_parity(parity);
-            }
-        }
-        v
+        let config = self.matrix.config();
+        self.configured(ProtectedVector::from_slice(
+            values,
+            config.vectors,
+            config.crc_backend,
+        ))
     }
 
     fn zero_vector(&self, n: usize) -> ProtectedVector {
-        let mut v = ProtectedVector::zeros(n, self.scheme, self.crc_backend);
-        v.set_parallel(self.matrix.config().parallel);
-        if let Some(parity) = self.matrix.config().parity {
-            if self.scheme != EccScheme::None {
-                v.enable_parity(parity);
-            }
-        }
-        v
+        // Not `vector_from(&vec![0.0; n])`: that keeps the zero slice alive
+        // while `configured` allocates the parity words, which raised the
+        // `queue_panel8_parity` benchmark's peak RSS by about 30 %.
+        let config = self.matrix.config();
+        self.configured(ProtectedVector::zeros(
+            n,
+            config.vectors,
+            config.crc_backend,
+        ))
     }
 
     fn bounds_hint(&self) -> Option<ChebyshevBounds> {
@@ -590,7 +597,7 @@ impl LinearOperator for FullyProtected<'_> {
         }
         // Any corrected error observed during the solve is repaired in place
         // so the returned solution reflects clean storage.
-        if self.scheme != EccScheme::None && ctx.log().total_corrected() > 0 {
+        if self.matrix.config().vectors != EccScheme::None && ctx.log().total_corrected() > 0 {
             solution.scrub(ctx.log())?;
         }
         Ok(solution.to_plain())
@@ -601,6 +608,7 @@ impl LinearOperator for FullyProtected<'_> {
 mod tests {
     use super::*;
     use abft_core::{ProtectionConfig, StorageTier};
+    use abft_ecc::Crc32cBackend;
     use abft_sparse::builders::poisson_2d_padded;
 
     fn matrix() -> CsrMatrix {
