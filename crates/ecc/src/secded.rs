@@ -16,7 +16,7 @@
 //! | [`SECDED_64`]  | 64  | 8 | one `f64` of a dense vector (8 mantissa LSBs reused) |
 //! | [`SECDED_128`] | 128 | 9 | two `f64`s of a dense vector (5 mantissa LSBs each) |
 //! | [`SECDED_88`]  | 88  | 8 | a CSR element: 64-bit value + 24-bit column index |
-//! | [`SECDED_56`]  | 56  | 7 | two row-pointer entries (28 payload bits each) |
+//! | [`SECDED_56`]  | 56  | 7 | two row-pointer entries (28 payload bits each), and the 56 high bits of a SECDED64 dense-vector word: packed, the pair is that word |
 //! | [`SECDED_112`] | 112 | 8 | four row-pointer entries (28 payload bits each) |
 //! | [`SECDED_118`] | 118 | 8 | two `f64`s with 5 LSBs masked (59 payload bits each) |
 //! | [`SECDED_176`] | 176 | 9 | a pair of CSR elements (value + 24-bit index, twice) |

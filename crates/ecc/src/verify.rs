@@ -26,8 +26,8 @@
 //!   instruction (x86-64 SSE4.2, AArch64 CRC) has a 3-cycle latency and
 //!   issues once per cycle, so the CRC32C kernels hash four codewords at a
 //!   time — four independent dependency chains, operands taken straight
-//!   from registers, no byte staging — for the 4-word dense-vector group
-//!   and the row-wide CSR codeword alike;
+//!   from registers, no byte staging — for the 4-word dense-vector group,
+//!   the 8-entry row-pointer group and the row-wide CSR codeword alike;
 //! * the implementation is selected **once**, at first use, into a
 //!   process-wide function-pointer table (a `OnceLock` function table) from
 //!   `is_x86_feature_detected!` — feature detection never runs inside a
@@ -95,6 +95,7 @@ struct Kernels {
     secded88_elements: fn(&[f64], &[u32]) -> bool,
     secded64_encode: fn(&[f64], &mut [u64]),
     crc32c_groups: fn(&Crc32c, &[u64]) -> bool,
+    crc32c_entry_groups: fn(&Crc32c, &[u32]) -> bool,
     crc32c_encode: fn(&Crc32c, &[f64], &mut [u64]),
     crc32c_rows: fn(&Crc32c, &[f64], &[u32], &[usize]) -> bool,
 }
@@ -153,6 +154,7 @@ fn scalar_kernels() -> Kernels {
         secded88_elements: scalar::secded88_elements_clean,
         secded64_encode: scalar::secded64_encode_words,
         crc32c_groups: scalar::crc32c_groups_clean,
+        crc32c_entry_groups: scalar::crc32c_entry_groups_clean,
         crc32c_encode: scalar::crc32c_encode_groups,
         crc32c_rows: scalar::crc32c_rows_clean,
     };
@@ -160,6 +162,7 @@ fn scalar_kernels() -> Kernels {
     if crate::crc32c::hardware_available() {
         return Kernels {
             crc32c_groups: crc_hw::crc32c_groups_clean,
+            crc32c_entry_groups: crc_hw::crc32c_entry_groups_clean,
             crc32c_encode: crc_hw::crc32c_encode_groups,
             crc32c_rows: crc_hw::crc32c_rows_clean,
             ..lanes
@@ -211,6 +214,11 @@ pub fn sed_elements_clean(values: &[f64], cols: &[u32]) -> bool {
 /// Batched verify of SECDED64 dense-vector codewords: `true` iff every word
 /// is a clean 72-bit vector codeword (56-bit payload in the high bits, 7
 /// redundancy bits + 1 zero bit in the low byte).
+///
+/// A SECDED64 CSR row-pointer pair is the same codeword once packed: the
+/// two 28-bit payloads `e0 & M | (e1 & M) << 28` above the redundancy
+/// nibbles `e0 >> 28 | (e1 >> 28) << 4`, whose must-be-zero eighth bit is
+/// bit 7 here.  The row pointer screens its groups through this predicate.
 #[inline]
 pub fn secded64_words_clean(words: &[u64]) -> bool {
     (kernels().secded64_words)(words)
@@ -297,6 +305,11 @@ const CRC_WORD_MASK: u64 = !0xFF;
 const CRC_COL_MASK: u32 = 0x00FF_FFFF;
 /// Entries of a row whose spare column bytes hold the row's checksum.
 const CRC_ROW_MIN: usize = 4;
+/// Entries per CRC32C row-pointer codeword.
+const CRC_ENTRY_GROUP: usize = 8;
+/// AND-mask of two row-pointer entries read as one little-endian word: the
+/// 28 payload bits of each.
+const CRC_ENTRY_PAIR_MASK: u64 = 0x0FFF_FFFF_0FFF_FFFF;
 
 /// The checksum a CRC32C dense-vector codeword stores: byte `j` in the low
 /// byte of word `j`.
@@ -316,6 +329,20 @@ fn crc_row_stored(row_cols: &[u32]) -> u32 {
         | (row_cols[1] >> 24) << 8
         | (row_cols[2] >> 24) << 16
         | (row_cols[3] >> 24) << 24
+}
+
+/// Word `j` of a run of CRC32C row-pointer codewords: entries `2j` and
+/// `2j + 1` as one little-endian word, their checksum nibbles cleared.
+#[inline(always)]
+fn crc_entry_word(entries: &[u32], j: usize) -> u64 {
+    (entries[2 * j] as u64 | (entries[2 * j + 1] as u64) << 32) & CRC_ENTRY_PAIR_MASK
+}
+
+/// The checksum a CRC32C row-pointer codeword stores: nibble `j` in the top
+/// four bits of entry `j`.
+#[inline(always)]
+fn crc_entry_stored(group: &[u32]) -> u32 {
+    (0..CRC_ENTRY_GROUP).fold(0, |acc, j| acc | (group[j] >> 28) << (4 * j))
 }
 
 /// The value and column slices of row `start..end` when it can hold a
@@ -359,6 +386,21 @@ fn crc_row<'a>(
 pub fn crc32c_groups_clean(crc: &Crc32c, words: &[u64]) -> bool {
     debug_assert_eq!(words.len() % CRC_GROUP, 0);
     (kernels().crc32c_groups)(crc, words)
+}
+
+/// Batched verify of CRC32C row-pointer codewords: `true` iff every
+/// consecutive group of eight 32-bit entries is a clean codeword — the
+/// CRC32C of their 28-bit payloads, hashed two entries per little-endian
+/// word with the top nibbles cleared, equals the checksum those nibbles
+/// store (nibble `j` in entry `j`).  `entries.len()` must be a multiple of
+/// eight (protected row pointers are always padded to whole groups).
+///
+/// Backends as in [`crc32c_groups_clean`]: four groups at a time on the
+/// CPU's CRC instruction, one `crc` checksum per group otherwise.
+#[inline]
+pub fn crc32c_entry_groups_clean(crc: &Crc32c, entries: &[u32]) -> bool {
+    debug_assert_eq!(entries.len() % CRC_ENTRY_GROUP, 0);
+    (kernels().crc32c_entry_groups)(crc, entries)
 }
 
 /// Batched encode of CRC32C dense-vector codewords: every group of four
@@ -759,6 +801,15 @@ pub mod scalar {
             .all(|g| crc_group_stored(g) == crc.checksum_words_masked(g, CRC_WORD_MASK))
     }
 
+    /// Portable [`super::crc32c_entry_groups_clean`]: one `crc` checksum
+    /// per group.
+    pub fn crc32c_entry_groups_clean(crc: &Crc32c, entries: &[u32]) -> bool {
+        entries.chunks_exact(CRC_ENTRY_GROUP).all(|g| {
+            let words = [0, 1, 2, 3].map(|j| crc_entry_word(g, j));
+            crc_entry_stored(g) == crc.checksum_words(&words)
+        })
+    }
+
     /// Portable [`super::crc32c_encode_groups`]: one `crc` checksum per
     /// group.
     pub fn crc32c_encode_groups(crc: &Crc32c, values: &[f64], out: &mut [u64]) {
@@ -814,12 +865,44 @@ mod crc_hw {
     const STREAMS: usize = 4;
 
     pub(super) fn crc32c_groups_clean(crc: &Crc32c, words: &[u64]) -> bool {
+        groups_clean::<CRC_GROUP, _>(
+            crc,
+            || scalar::crc32c_groups_clean(crc, words),
+            words,
+            |group, j| group[j] & CRC_WORD_MASK,
+            crc_group_stored,
+        )
+    }
+
+    pub(super) fn crc32c_entry_groups_clean(crc: &Crc32c, entries: &[u32]) -> bool {
+        groups_clean::<CRC_ENTRY_GROUP, _>(
+            crc,
+            || scalar::crc32c_entry_groups_clean(crc, entries),
+            entries,
+            crc_entry_word,
+            crc_entry_stored,
+        )
+    }
+
+    /// The one hardware entry of both group layouts: `run` is whole
+    /// codewords of `GROUP` elements, `word(elements, j)` the `j`-th masked
+    /// word hashed from a run of them and `stored(group)` the checksum a
+    /// codeword stores.  A `crc` on a software backend runs `portable`
+    /// instead.
+    #[inline(always)]
+    fn groups_clean<const GROUP: usize, T>(
+        crc: &Crc32c,
+        portable: impl FnOnce() -> bool,
+        run: &[T],
+        word: impl Fn(&[T], usize) -> u64,
+        stored: impl Fn(&[T]) -> u32,
+    ) -> bool {
         if !crc.is_hardware() {
-            return scalar::crc32c_groups_clean(crc, words);
+            return portable();
         }
         // SAFETY: `is_hardware` is true only for a `Crc32c` built after the
         // CRC instruction was detected.
-        unsafe { groups_clean_impl(words) }
+        unsafe { groups_clean_impl::<GROUP, T>(run, word, stored) }
     }
 
     /// Raw CRC states of `STREAMS` consecutive groups, `word(i)` giving the
@@ -847,20 +930,23 @@ mod crc_hw {
 
     #[cfg_attr(target_arch = "x86_64", target_feature(enable = "sse4.2"))]
     #[cfg_attr(target_arch = "aarch64", target_feature(enable = "crc"))]
-    fn groups_clean_impl(words: &[u64]) -> bool {
+    fn groups_clean_impl<const GROUP: usize, T>(
+        run: &[T],
+        word: impl Fn(&[T], usize) -> u64,
+        stored: impl Fn(&[T]) -> u32,
+    ) -> bool {
         // Every group's own mismatch is ORed in: nothing cancels across
         // codewords.
         let mut bad = 0u32;
-        let mut batches = words.chunks_exact(CRC_GROUP * STREAMS);
+        let mut batches = run.chunks_exact(GROUP * STREAMS);
         for batch in &mut batches {
-            let states = batch_states(|i| batch[i] & CRC_WORD_MASK);
-            for (state, group) in states.iter().zip(batch.chunks_exact(CRC_GROUP)) {
-                bad |= !state ^ crc_group_stored(group);
+            let states = batch_states(|i| word(batch, i));
+            for (state, group) in states.iter().zip(batch.chunks_exact(GROUP)) {
+                bad |= !state ^ stored(group);
             }
         }
-        for group in batches.remainder().chunks_exact(CRC_GROUP) {
-            let state = group_state(|j| group[j] & CRC_WORD_MASK);
-            bad |= !state ^ crc_group_stored(group);
+        for group in batches.remainder().chunks_exact(GROUP) {
+            bad |= !group_state(|j| word(group, j)) ^ stored(group);
         }
         bad == 0
     }
@@ -1773,6 +1859,7 @@ mod tests {
     }
 
     type CrcGroupsFn = fn(&Crc32c, &[u64]) -> bool;
+    type CrcEntryGroupsFn = fn(&Crc32c, &[u32]) -> bool;
     type CrcEncodeFn = fn(&Crc32c, &[f64], &mut [u64]);
     type CrcRowsFn = fn(&Crc32c, &[f64], &[u32], &[usize]) -> bool;
 
@@ -1811,6 +1898,14 @@ mod tests {
             crc32c_groups_clean,
             scalar::crc32c_groups_clean,
             hardware_tier::crc32c_groups_clean,
+        ])
+    }
+
+    fn crc_entry_groups_impls() -> Vec<(&'static str, CrcEntryGroupsFn, Crc32c)> {
+        crc_impls([
+            crc32c_entry_groups_clean,
+            scalar::crc32c_entry_groups_clean,
+            hardware_tier::crc32c_entry_groups_clean,
         ])
     }
 
@@ -1857,6 +1952,34 @@ mod tests {
             let values: Vec<f64> = g.iter().map(|&w| f64::from_bits(w)).collect();
             encode_crc_group(&values)[..] == *g
         })
+    }
+
+    /// The clean row-pointer codeword of eight entries' 28-bit payloads:
+    /// the reference checksum of their little-endian bytes, top nibbles
+    /// cleared, stored nibble `j` in entry `j`.
+    fn encode_crc_entry_group(entries: &[u32]) -> Vec<u32> {
+        let payloads: Vec<u32> = entries.iter().map(|e| e & 0x0FFF_FFFF).collect();
+        let bytes: Vec<u8> = payloads.iter().flat_map(|e| e.to_le_bytes()).collect();
+        let checksum = naive_crc(&bytes);
+        let nibble = |j: usize| ((checksum >> (4 * j)) & 0xF) << 28;
+        payloads
+            .iter()
+            .enumerate()
+            .map(|(j, e)| e | nibble(j))
+            .collect()
+    }
+
+    /// Clean row-pointer codewords from random payloads.
+    fn encode_crc_entries(groups: usize, x: &mut u64) -> Vec<u32> {
+        let raw: Vec<u32> = (0..8 * groups).map(|_| xorshift(x) as u32).collect();
+        raw.chunks(8).flat_map(encode_crc_entry_group).collect()
+    }
+
+    /// Reference verdict on a run of row-pointer codewords.
+    fn crc_entry_groups_reference(entries: &[u32]) -> bool {
+        entries
+            .chunks_exact(8)
+            .all(|g| encode_crc_entry_group(g) == g)
     }
 
     /// Clean row-wide codewords for rows of the given lengths: values,
@@ -1909,6 +2032,7 @@ mod tests {
             .map(|_| f64::from_bits(xorshift(&mut x)))
             .collect();
         let words: Vec<u64> = values.chunks(4).flat_map(encode_crc_group).collect();
+        let entries = encode_crc_entries(21, &mut x);
         let lens = mixed_row_lens(21, &mut x);
         let (rv, rc, rb) = encode_crc_rows(&lens, &mut x);
         for offset in 0..4 {
@@ -1917,6 +2041,10 @@ mod tests {
                 let w = &words[4 * offset..4 * (offset + len)];
                 for (name, f, crc) in crc_groups_impls() {
                     assert!(f(&crc, w), "{name} clean groups {label}");
+                }
+                let e = &entries[8 * offset..8 * (offset + len)];
+                for (name, f, crc) in crc_entry_groups_impls() {
+                    assert!(f(&crc, e), "{name} clean entry groups {label}");
                 }
                 for (name, f, crc) in crc_encode_impls() {
                     let mut out = vec![u64::MAX; 4 * len];
@@ -1932,14 +2060,22 @@ mod tests {
                 }
                 // One single and one double flip per window.
                 let mut bad = w.to_vec();
+                let mut bad_entries = e.to_vec();
                 let (mut bv, mut bc) = (rv.clone(), rc.clone());
                 let word = (xorshift(&mut x) as usize) % bad.len();
+                let entry = (xorshift(&mut x) as usize) % bad_entries.len();
                 let element = b[0] + (xorshift(&mut x) as usize) % (b[len] - b[0]);
                 for round in 0..2 {
                     bad[word] ^= 1u64 << (xorshift(&mut x) % 64);
                     let reference = crc_groups_reference(&bad);
                     for (name, f, crc) in crc_groups_impls() {
                         assert_eq!(f(&crc, &bad), reference, "{name} groups {label} #{round}");
+                    }
+                    bad_entries[entry] ^= 1u32 << (xorshift(&mut x) % 32);
+                    let reference = crc_entry_groups_reference(&bad_entries);
+                    for (name, f, crc) in crc_entry_groups_impls() {
+                        let verdict = f(&crc, &bad_entries);
+                        assert_eq!(verdict, reference, "{name} entry groups {label} #{round}");
                     }
                     flip_element(&mut bv, &mut bc, element, (xorshift(&mut x) % 96) as usize);
                     let reference = crc_rows_reference(&bv, &bc, b);
@@ -1974,6 +2110,17 @@ mod tests {
                     }
                 }
             }
+            // 28 payload bits and the checksum nibble of every entry.
+            let entries = encode_crc_entries(run, &mut x);
+            for slot in 0..entries.len() {
+                for bit in 0..32 {
+                    let mut bad = entries.clone();
+                    bad[slot] ^= 1u32 << bit;
+                    for (name, f, crc) in crc_entry_groups_impls() {
+                        assert!(!f(&crc, &bad), "{name} run={run} entry={slot} bit={bit}");
+                    }
+                }
+            }
             let lens = mixed_row_lens(run, &mut x);
             let (rv, rc, rb) = encode_crc_rows(&lens, &mut x);
             for row in 0..run {
@@ -2002,6 +2149,7 @@ mod tests {
         let mut x = 0x5EED_0012u64;
         let values: Vec<f64> = (0..16).map(|_| f64::from_bits(xorshift(&mut x))).collect();
         let words: Vec<u64> = values.chunks(4).flat_map(encode_crc_group).collect();
+        let entries = encode_crc_entries(4, &mut x);
         let (rv, rc, rb) = encode_crc_rows(&[5, 5, 7, 4], &mut x);
         for a in 0..4 {
             for b in a + 1..4 {
@@ -2011,6 +2159,14 @@ mod tests {
                     bad[4 * b + 1] ^= 1u64 << bit;
                     for (name, f, crc) in crc_groups_impls() {
                         assert!(!f(&crc, &bad), "{name} groups {a},{b} bit {bit}");
+                    }
+                }
+                for bit in 0..32 {
+                    let mut bad = entries.clone();
+                    bad[8 * a + 3] ^= 1u32 << bit;
+                    bad[8 * b + 3] ^= 1u32 << bit;
+                    for (name, f, crc) in crc_entry_groups_impls() {
+                        assert!(!f(&crc, &bad), "{name} entry groups {a},{b} bit {bit}");
                     }
                 }
                 for bit in (0..88).step_by(5) {
