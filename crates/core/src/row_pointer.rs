@@ -25,19 +25,31 @@
 //! One group check serves every read: `RpCursor`, the only reader of the
 //! row bounds, and the whole-vector walk under
 //! [`ProtectedRowPointer::check_all`] and [`ProtectedRowPointer::scrub`] —
-//! `scrub` is that walk plus the write-backs it reports.
+//! `scrub` is that walk plus the write-backs it reports.  Both first screen
+//! a run of groups at once and call the group check only on a run that
+//! fails the screen.  A SECDED64 group, packed as payloads above nibbles,
+//! is bit for bit a SECDED64 dense-vector codeword, so its screen is the
+//! batched [`abft_ecc::verify::secded64_words_clean`]; CRC32C groups have
+//! their own batched [`abft_ecc::verify::crc32c_entry_groups_clean`].  The
+//! screen decides only *when* the group check runs, never what it finds.
 
 use crate::error::AbftError;
 use crate::report::{FaultLog, Region};
 use crate::schemes::EccScheme;
 use abft_ecc::secded::DecodeOutcome;
 use abft_ecc::sed::parity_u32;
+use abft_ecc::verify::{crc32c_entry_groups_clean, secded64_words_clean};
 use abft_ecc::{Crc32c, Crc32cBackend, SECDED_112, SECDED_56};
 
 /// Mask selecting the 28 payload bits of an entry under SECDED / CRC32C.
 pub const ROW_PTR_MASK_28: u32 = 0x0FFF_FFFF;
 /// Mask selecting the 31 payload bits of an entry under SED.
 pub const ROW_PTR_MASK_31: u32 = 0x7FFF_FFFF;
+
+/// Codeword groups one screen packs per predicate call: a 64-row block
+/// reads at most 33 SECDED64 groups, so one call covers it, and the walk
+/// screens the vector in runs of this many.
+const SCREEN_GROUPS: usize = 64;
 
 /// The CSR row-pointer vector with embedded redundancy.
 ///
@@ -125,12 +137,28 @@ impl ProtectedRowPointer {
         mask_entry(self.scheme, self.data[i])
     }
 
+    /// Whether every codeword group of `stored`, whole groups of this
+    /// vector's storage, is one [`check_group`] finds `Clean`: the batched
+    /// predicates for SECDED64 and CRC32C groups, the group check itself
+    /// for the rest.  Nothing is corrected or recorded.
+    fn groups_clean(&self, stored: &[u32]) -> bool {
+        match self.scheme {
+            EccScheme::Secded64 => secded64_groups_clean(stored),
+            EccScheme::Crc32c => crc32c_entry_groups_clean(&self.crc, stored),
+            scheme => stored
+                .chunks_exact(scheme.row_pointer_group())
+                .all(|g| matches!(check_group(scheme, &self.crc, g), GroupOutcome::Clean)),
+        }
+    }
+
     /// The one whole-vector walk under [`ProtectedRowPointer::check_all`]
     /// and [`ProtectedRowPointer::scrub`]: every codeword verified once, in
     /// order, a correction logged and handed to `repair` as `(first entry,
     /// repaired entries)`, the first uncorrectable codeword logged and
-    /// returned.  `tally` gains one check per codeword walked; an
-    /// unprotected vector has no codewords and is not walked.
+    /// returned.  Runs of codewords are screened first and only a failing
+    /// run is re-walked group by group.  `tally` gains one check per
+    /// codeword walked; an unprotected vector has no codewords and is not
+    /// walked.
     fn walk(
         &self,
         log: &FaultLog,
@@ -141,15 +169,22 @@ impl ProtectedRowPointer {
             return Ok(());
         }
         let group = self.scheme.row_pointer_group();
-        for (g, stored) in self.data.chunks_exact(group).enumerate() {
-            *tally += 1;
-            match check_group(self.scheme, &self.crc, stored) {
-                GroupOutcome::Clean => {}
-                GroupOutcome::Corrected(entries) => {
-                    log.record_corrected(Region::RowPointer);
-                    repair(g * group, entries);
+        for (r, run) in self.data.chunks(group * SCREEN_GROUPS).enumerate() {
+            if self.groups_clean(run) {
+                *tally += (run.len() / group) as u64;
+                continue;
+            }
+            for (g, stored) in run.chunks_exact(group).enumerate() {
+                let base = (r * SCREEN_GROUPS + g) * group;
+                *tally += 1;
+                match check_group(self.scheme, &self.crc, stored) {
+                    GroupOutcome::Clean => {}
+                    GroupOutcome::Corrected(entries) => {
+                        log.record_corrected(Region::RowPointer);
+                        repair(base, entries);
+                    }
+                    GroupOutcome::Uncorrectable => return Err(uncorrectable(log, base)),
                 }
-                GroupOutcome::Uncorrectable => return Err(uncorrectable(log, g * group)),
             }
         }
         Ok(())
@@ -199,9 +234,12 @@ impl ProtectedRowPointer {
 /// Consecutive rows share row-pointer entries (row `i` ends where row `i+1`
 /// starts) and whole codeword groups; decoding a group once per
 /// `group − 1` rows instead of twice per row removes most of the
-/// row-pointer ECC work from the SpMV.  A checked read corrects transiently
-/// (storage untouched) and logs a correction once per group per cursor —
-/// unless the caller has walked the vector already and logged it there.
+/// row-pointer ECC work from the SpMV, and the block read
+/// [`RpCursor::bounds_if_clean`] screens all of a block's groups in one
+/// batched call.  A checked read corrects transiently (storage untouched)
+/// and logs a correction once per group per cursor — unless the caller has
+/// walked the vector already and logged it there.  The group check stays
+/// the one decoder: a screen only decides when it runs.
 pub(crate) struct RpCursor<'a> {
     rp: &'a ProtectedRowPointer,
     /// log₂ of the entries per codeword group (a power of two), so the
@@ -231,10 +269,12 @@ impl<'a> RpCursor<'a> {
 
     /// Reads entries `first..first + bounds.len()` into `bounds` when that
     /// needs nothing recorded: unchecked reads (`rp_checked` off), or every
-    /// codeword covering them verifying strictly clean.  Checks each group
-    /// once and leaves the cache alone; on `false` the logging
-    /// [`RpCursor::row_bounds`] redoes the reads (a group the cursor has
-    /// corrected fails here and is then read from its cache).
+    /// codeword covering them verifying strictly clean.  Screens the groups
+    /// in one call (a batched predicate for SECDED64 and CRC32C, the group
+    /// check otherwise) and leaves the cache alone; on `false` the logging
+    /// [`RpCursor::row_bounds`] redoes the reads through the group check (a
+    /// group the cursor has corrected fails here and is then read from its
+    /// cache).
     #[inline]
     pub(crate) fn bounds_if_clean(
         &self,
@@ -245,8 +285,7 @@ impl<'a> RpCursor<'a> {
         let (s, rp) = (self.shift, self.rp);
         let entries = first..first + bounds.len();
         let groups = &rp.data[(first >> s) << s..(((entries.end - 1) >> s) + 1) << s];
-        let clean = |group| matches!(check_group(rp.scheme, &rp.crc, group), GroupOutcome::Clean);
-        if rp_checked && !groups.chunks_exact(1 << s).all(clean) {
+        if rp_checked && !rp.groups_clean(groups) {
             return false;
         }
         for (bound, i) in bounds.iter_mut().zip(entries) {
@@ -362,6 +401,30 @@ fn pack_group_payload(entries: &[u32]) -> [u64; 2] {
         acc |= ((e & ROW_PTR_MASK_28) as u128) << (j * 28);
     }
     [acc as u64, (acc >> 64) as u64]
+}
+
+/// A SECDED64 group `[e0, e1]` as the SECDED64 dense-vector codeword it is
+/// bit for bit: the 56 packed payload bits above the two redundancy nibbles,
+/// so the 7 [`SECDED_56`] redundancy bits fill bits 0–6 and the
+/// must-be-zero eighth nibble bit is the vector layout's zero bit 7.
+#[inline(always)]
+fn secded64_word(pair: &[u32]) -> u64 {
+    let (e0, e1) = (pair[0] as u64, pair[1] as u64);
+    let mask = ROW_PTR_MASK_28 as u64;
+    ((e0 & mask) | (e1 & mask) << 28) << 8 | e0 >> 28 | (e1 >> 28) << 4
+}
+
+/// SECDED64 groups screened by the dense-vector predicate, packed by
+/// [`secded64_word`] into a stack buffer.
+fn secded64_groups_clean(stored: &[u32]) -> bool {
+    let mut words = [0u64; SCREEN_GROUPS];
+    stored.chunks(2 * SCREEN_GROUPS).all(|run| {
+        let words = &mut words[..run.len() / 2];
+        for (word, pair) in words.iter_mut().zip(run.chunks_exact(2)) {
+            *word = secded64_word(pair);
+        }
+        secded64_words_clean(words)
+    })
 }
 
 /// Unpacks corrected payloads back into the low 28 bits of each entry,
@@ -660,6 +723,105 @@ mod tests {
         );
         let checked = bounds_of(&p, 6, true, &log).unwrap();
         assert_eq!(checked, (30, 35));
+    }
+
+    /// A vector of `groups` whole codeword groups that all differ: row
+    /// lengths vary, so the payloads and redundancy nibbles do too.
+    fn varied_sample(
+        scheme: EccScheme,
+        backend: Crc32cBackend,
+        groups: usize,
+    ) -> ProtectedRowPointer {
+        let mut row_ptr = vec![0u32];
+        for i in 0..(groups * scheme.row_pointer_group()) as u32 - 1 {
+            row_ptr.push(row_ptr[i as usize] + 1 + (i * 7919) % 4099);
+        }
+        ProtectedRowPointer::encode(&row_ptr, scheme, backend).unwrap()
+    }
+
+    /// What the screen must say: every group one the group check finds
+    /// `Clean`.
+    fn all_groups_clean(p: &ProtectedRowPointer, stored: &[u32]) -> bool {
+        stored
+            .chunks_exact(p.scheme.row_pointer_group())
+            .all(|g| matches!(check_group(p.scheme, &p.crc, g), GroupOutcome::Clean))
+    }
+
+    /// Pins [`ProtectedRowPointer::groups_clean`] to the group check over
+    /// runs of `counts` groups starting at an even and an odd group: every
+    /// single flip of all stored bits of one group at every slot, and the
+    /// same flip in two groups of one run.
+    fn screen_matches_the_group_check(scheme: EccScheme, backend: Crc32cBackend, counts: &[usize]) {
+        let group = scheme.row_pointer_group();
+        let bits = 32 * group;
+        let p = varied_sample(scheme, backend, counts.iter().max().unwrap() + 2);
+        for &count in counts {
+            for first in [0, 1] {
+                let stored = &p.raw()[group * first..group * (first + count)];
+                assert!(all_groups_clean(&p, stored));
+                assert!(p.groups_clean(stored), "{count} groups from {first}");
+                let mut copy = stored.to_vec();
+                for slot in 0..count {
+                    for bit in 0..bits {
+                        let (entry, mask) = (group * slot + bit / 32, 1u32 << (bit % 32));
+                        copy[entry] ^= mask;
+                        let expect = all_groups_clean(&p, &copy[group * slot..group * (slot + 1)]);
+                        assert!(!expect, "a single flip is never clean");
+                        assert_eq!(
+                            p.groups_clean(&copy),
+                            expect,
+                            "{count}/{first}/{slot}/{bit}"
+                        );
+                        copy[entry] ^= mask;
+                    }
+                }
+                // Equal flips cannot cancel across codewords.
+                for (a, b) in [(0, count - 1), (count / 2, count / 2 + 1)] {
+                    if b >= count || a == b {
+                        continue;
+                    }
+                    for bit in 0..bits {
+                        let mask = 1u32 << (bit % 32);
+                        copy[group * a + bit / 32] ^= mask;
+                        copy[group * b + bit / 32] ^= mask;
+                        assert!(!p.groups_clean(&copy), "{count}/{first}: {a}, {b}, {bit}");
+                        assert!(!all_groups_clean(&p, &copy));
+                        copy[group * a + bit / 32] ^= mask;
+                        copy[group * b + bit / 32] ^= mask;
+                    }
+                }
+                assert_eq!(copy, stored);
+            }
+        }
+    }
+
+    #[test]
+    fn secded64_screen_matches_the_group_check() {
+        // 64 stored bits per group: 56 payload, 7 redundancy and the spare
+        // nibble bit.  The runs cross the 16-codeword batch edge; one starting
+        // at an odd group is a block read starting at an odd row.
+        let counts = [1, 15, 16, 17, 33, 34];
+        screen_matches_the_group_check(EccScheme::Secded64, Crc32cBackend::Auto, &counts);
+    }
+
+    #[test]
+    fn crc32c_screen_matches_the_group_check() {
+        // Around the four groups hashed at a time on the CRC instruction,
+        // and on a software backend, which checksums group by group.
+        for backend in [Crc32cBackend::Auto, Crc32cBackend::SlicingBy16] {
+            screen_matches_the_group_check(EccScheme::Crc32c, backend, &[1, 4, 5, 9]);
+        }
+    }
+
+    #[test]
+    fn secded64_groups_pack_to_vector_codewords() {
+        let p = varied_sample(EccScheme::Secded64, Crc32cBackend::Auto, 40);
+        for pair in p.raw().chunks_exact(2) {
+            let payload = pair[0] as u64 & 0x0FFF_FFFF | (pair[1] as u64 & 0x0FFF_FFFF) << 28;
+            let mut encoded = [0u64];
+            abft_ecc::verify::secded64_encode_words(&[f64::from_bits(payload << 8)], &mut encoded);
+            assert_eq!(secded64_word(pair), encoded[0], "{pair:?}");
+        }
     }
 
     #[test]
