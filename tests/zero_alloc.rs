@@ -4,7 +4,8 @@
 //! A counting global allocator measures the allocations of a 10-iteration
 //! and a 60-iteration solve of the same system on the same operator; the
 //! counts must be identical — every allocation belongs to per-solve setup
-//! (vector clones, the decoded solution), none to the iterations.
+//! (vector clones, the decoded solution), none to the iterations.  A clean
+//! matrix's `verify_all` and `scrub` must allocate nothing at all.
 //!
 //! The serial solves are counted on the measuring thread alone, so what the
 //! test harness and the other tests' threads allocate meanwhile cannot leak
@@ -13,7 +14,8 @@
 //! count has settled.
 
 use abft_suite::core::{
-    AnyProtectedMatrix, EccScheme, ParityConfig, ProtectionConfig, StorageTier,
+    AnyProtectedMatrix, EccScheme, FaultLog, ParityConfig, ProtectedMatrix, ProtectionConfig,
+    StorageTier,
 };
 use abft_suite::prelude::{Crc32cBackend, PrecondKind, Reliability, Solver};
 use abft_suite::solvers::backends::{FullyProtected, MatrixProtected, Plain};
@@ -111,6 +113,26 @@ fn matrix_protected_cg_iterations_do_not_allocate() {
         allocs_short, allocs_long,
         "CG iterations allocated: {allocs_short} allocs at 10 iters vs {allocs_long} at 60"
     );
+
+    // The whole-structure walks of a clean matrix: the row-pointer walk
+    // screens its codeword runs on the stack, the element walk certifies in
+    // place, and a scrub with nothing to repair keeps nothing.
+    for tier in [StorageTier::Csr, StorageTier::BlockedCsr(3)] {
+        for scheme in [EccScheme::Secded64, EccScheme::Crc32c] {
+            let cfg = ProtectionConfig::matrix_only(scheme);
+            let mut m = AnyProtectedMatrix::encode(&a, &cfg, tier).unwrap();
+            let log = FaultLog::new();
+            m.verify_all(&log).unwrap();
+            assert_eq!(m.scrub(&log).unwrap(), 0);
+            let verify = allocations_during(|| m.verify_all(&log).unwrap());
+            let scrub = allocations_during(|| assert_eq!(m.scrub(&log).unwrap(), 0));
+            assert_eq!(
+                (verify, scrub),
+                (0, 0),
+                "{tier} {scheme:?}: clean walks allocated"
+            );
+        }
+    }
 }
 
 #[test]
