@@ -4,7 +4,7 @@
 //! CRC32C detects every error of weight ≤ 5 inside the 178–5243-bit window,
 //! or that the SECDED syndromes of all single-bit errors are distinct — by
 //! *measuring* the behaviour of the implementations rather than assuming it.
-//! They are used by the test-suites and by `experiments --crc-capability`.
+//! They are used by the test-suites.
 
 use crate::bitops;
 use crate::crc32c::Crc32c;

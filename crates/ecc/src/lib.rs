@@ -21,9 +21,9 @@
 //!   minimum Hamming distance 6 for codewords between 178 and 5243 bits, a
 //!   single or double bit flip can be located and repaired by trial
 //!   re-encoding (the paper's nECmED discussion, §IV).
-//! * [`analysis`] — code-capability analysis helpers used by the tests and
-//!   the `experiments --crc-capability` harness: syndrome uniqueness checks,
-//!   detection exhaustiveness over bounded error weights.
+//! * [`analysis`] — code-capability analysis helpers used by the tests:
+//!   syndrome uniqueness checks, detection exhaustiveness over bounded error
+//!   weights.
 //! * [`verify`] — batched, SIMD-accelerated verify-only kernels and the
 //!   SECDED64 encode, with runtime ISA dispatch (AVX2 or the portable
 //!   scalar reference, resolved once into a function-pointer table): the

@@ -35,9 +35,7 @@ use abft_solvers::{
     SolverError,
 };
 use abft_sparse::CsrMatrix;
-use abft_tealeaf::assembly::{assemble_matrix, assemble_rhs, face_coefficients, Conductivity};
-use abft_tealeaf::states::apply_states;
-use abft_tealeaf::{Deck, Grid};
+use abft_tealeaf::{Deck, Simulation};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::cell::Cell;
@@ -543,17 +541,11 @@ impl Campaign {
                 || !matches!(kind, ChunkErasure | SolverVectorFlips | SolverVectorBurst),
             "{kind:?} trials need protected vectors"
         );
-        let deck = Deck::standard(config.nx, config.ny, 1);
-        let grid = Grid::new(deck.x_cells, deck.y_cells, deck.x_max, deck.y_max);
-        let mut density = vec![1.0; grid.cells()];
-        let mut energy = vec![1.0; grid.cells()];
-        apply_states(&grid, &deck.states, &mut density, &mut energy);
-        let coeffs = face_coefficients(&grid, &density, Conductivity::Reciprocal);
-        let matrix = assemble_matrix(&grid, &coeffs, deck.dt_init);
-        let rhs = assemble_rhs(&density, &energy);
+        let simulation = Simulation::new(Deck::standard(config.nx, config.ny, 1));
+        let (matrix, rhs) = simulation.assemble();
         let reference = Solver::cg()
-            .max_iterations(deck.max_iters)
-            .tolerance(deck.eps)
+            .max_iterations(simulation.deck().max_iters)
+            .tolerance(simulation.deck().eps)
             .solve(&matrix, &rhs)
             .expect("plain reference solve cannot fault");
         assert!(reference.status.converged, "reference solve must converge");

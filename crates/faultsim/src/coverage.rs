@@ -1,4 +1,4 @@
-//! CI fault-coverage gate (`experiments --check-coverage`).
+//! CI fault-coverage gate (`coverage --check`).
 //!
 //! The end-to-end benchmark (`benchmark/`) measures what the protected
 //! kernels *cost*; this gate protects their *effectiveness*.  It re-runs
@@ -10,8 +10,10 @@
 //! parity-rebuild ladder shows up as a rate drop; campaigns are
 //! deterministic for a given seed (per-trial ChaCha streams), so on the
 //! committing host the fresh rates reproduce the committed ones exactly and
-//! the tolerance only absorbs cross-host floating-point drift in the
-//! correctness threshold.
+//! the tolerance ([`TOLERANCE_PP`]) only absorbs cross-host floating-point
+//! drift in the correctness threshold.  A committed row that the build no
+//! longer measures fails the gate too, so renaming or dropping a scenario
+//! cannot pass it silently.
 //!
 //! Three rates are gated, and only *drops* fail (rates may improve freely):
 //!
@@ -23,16 +25,17 @@
 //!   (e.g. erasures suddenly classified as masked) cannot hide behind an
 //!   unchanged recovery rate.
 
-use abft_core::{EccScheme, ParityConfig, ProtectionConfig, StorageTier};
-use abft_ecc::Crc32cBackend;
-use abft_faultsim::json::Json;
-use abft_faultsim::{
+use crate::json::Json;
+use crate::{
     Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultSpec, FaultTarget, InjectionKind,
     StopRule, StreamConfig, TrialDraw,
 };
+use abft_core::{Crc32cBackend, EccScheme, ParityConfig, ProtectionConfig, StorageTier};
 use abft_solvers::Reliability;
+use abft_tealeaf::{Deck, Simulation};
 
-use crate::tealeaf_system;
+/// Allowed drop of each gated rate, in percentage points.
+pub const TOLERANCE_PP: f64 = 5.0;
 
 /// Gate configuration.
 #[derive(Debug, Clone)]
@@ -47,8 +50,6 @@ pub struct CoverageConfig {
     pub trials: usize,
     /// Campaign seed (the committed rates are reproducible from it).
     pub seed: u64,
-    /// Allowed rate drop, in percentage points.
-    pub tolerance_pp: f64,
     /// When set, rows run through the streaming engine with an adaptive
     /// stop rule targeting this Wilson lower bound on the safety rate:
     /// `trials` becomes a *maximum* and each row stops as soon as the
@@ -67,7 +68,6 @@ impl Default for CoverageConfig {
             ny: 16,
             trials: 40,
             seed: 0xABF7,
-            tolerance_pp: 5.0,
             stop_lb: None,
         }
     }
@@ -163,7 +163,7 @@ fn coo_parallel_row(config: &CoverageConfig, scheme: EccScheme) -> CoverageRow {
         storage: StorageTier::Coo,
         ..CampaignConfig::default()
     });
-    let matrix = tealeaf_system(nx, ny).matrix;
+    let (matrix, _) = Simulation::new(Deck::standard(nx, ny, 1)).assemble();
     let row0 = matrix.rows().div_ceil(2);
     let lowering = (0..24u32).filter(|bit| row0 >> bit & 1 == 1);
     let window = matrix
@@ -444,7 +444,7 @@ pub struct CoverageGateRow {
     /// Freshly measured rate in percent.
     pub fresh_pct: f64,
     /// Whether the fresh rate dropped below the committed one by more than
-    /// the tolerance.
+    /// [`TOLERANCE_PP`].
     pub dropped: bool,
 }
 
@@ -453,8 +453,6 @@ pub struct CoverageGateRow {
 pub struct CoverageReport {
     /// All compared metrics.
     pub rows: Vec<CoverageGateRow>,
-    /// The tolerance the verdict used, in percentage points.
-    pub tolerance_pp: f64,
 }
 
 impl CoverageReport {
@@ -483,8 +481,7 @@ impl CoverageReport {
             ));
         }
         out.push_str(&format!(
-            "tolerance: -{:.1} percentage points on each rate\n",
-            self.tolerance_pp
+            "tolerance: -{TOLERANCE_PP:.1} percentage points on each rate\n"
         ));
         out
     }
@@ -500,7 +497,8 @@ fn num_field(row: &Json, key: &str) -> f64 {
 
 /// Runs the gate: re-measures the committed workload (size, trial count and
 /// seed are read back from the baseline so the rates are comparable) and
-/// fails any rate that dropped by more than the tolerance.
+/// fails any rate that dropped by more than [`TOLERANCE_PP`].  A committed
+/// row with no measured counterpart is an error naming the row.
 pub fn check_coverage(config: &CoverageConfig) -> Result<CoverageReport, String> {
     let text = std::fs::read_to_string(&config.baseline)
         .map_err(|e| format!("cannot read baseline {}: {e}", config.baseline))?;
@@ -526,6 +524,7 @@ pub fn check_coverage(config: &CoverageConfig) -> Result<CoverageReport, String>
         .ok_or_else(|| format!("{}: no coverage array", config.baseline))?;
 
     let mut rows = Vec::new();
+    let mut missing = Vec::new();
     for base_row in baseline {
         let (injection, scheme, target) = (
             str_field(base_row, "injection"),
@@ -536,6 +535,7 @@ pub fn check_coverage(config: &CoverageConfig) -> Result<CoverageReport, String>
             .iter()
             .find(|r| r.injection == injection && r.scheme == scheme && r.target == target)
         else {
+            missing.push(format!("{injection} / {scheme} / {target}"));
             continue;
         };
         for (metric, baseline_pct, fresh_pct) in [
@@ -561,17 +561,21 @@ pub fn check_coverage(config: &CoverageConfig) -> Result<CoverageReport, String>
                 metric,
                 baseline_pct,
                 fresh_pct,
-                dropped: fresh_pct < baseline_pct - config.tolerance_pp,
+                dropped: fresh_pct < baseline_pct - TOLERANCE_PP,
             });
         }
+    }
+    if !missing.is_empty() {
+        return Err(format!(
+            "{}: committed rows not measured by this build: {}",
+            config.baseline,
+            missing.join("; ")
+        ));
     }
     if rows.is_empty() {
         return Err("coverage gate compared zero rows — baseline empty or mismatched".into());
     }
-    Ok(CoverageReport {
-        rows,
-        tolerance_pp: config.tolerance_pp,
-    })
+    Ok(CoverageReport { rows })
 }
 
 #[cfg(test)]
@@ -585,7 +589,6 @@ mod tests {
             ny: 12,
             trials: 4,
             seed: 99,
-            tolerance_pp: 5.0,
             baseline: String::new(),
             stop_lb: None,
         };
@@ -639,10 +642,29 @@ mod tests {
         std::fs::write(&bad, coverage_json(&small, &inflated).render()).unwrap();
         let report = check_coverage(&CoverageConfig {
             baseline: bad.to_string_lossy().into_owned(),
-            ..small
+            ..small.clone()
         })
         .unwrap();
         assert!(report.dropped(), "{}", report.render());
+
+        // A committed row the build no longer measures — a scenario renamed
+        // or dropped — must fail the gate and name the row.
+        let mut extra = rows.clone();
+        extra.push(CoverageRow {
+            injection: "retired scenario".into(),
+            ..rows[0].clone()
+        });
+        let stale = std::env::temp_dir().join("abft_gate_coverage_stale.json");
+        std::fs::write(&stale, coverage_json(&small, &extra).render()).unwrap();
+        let err = check_coverage(&CoverageConfig {
+            baseline: stale.to_string_lossy().into_owned(),
+            ..small
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("retired scenario / SED / matrix values"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Minimal JSON emission and parsing, shared by the benchmark harness
-//! (`experiments --json`, the `--check-coverage` gate)
-//! and the fault-campaign failure corpus ([`crate::record`]).
+//! Minimal JSON emission and parsing, shared by the coverage table and its
+//! gate ([`crate::coverage`]) and the fault-campaign failure corpus
+//! ([`crate::record`]).
 //!
 //! The build environment cannot fetch `serde`/`serde_json`, so a tiny value
 //! tree with a renderer and a recursive-descent parser (sufficient for the

@@ -27,10 +27,14 @@
 //!   a deterministic minimizer into [`TrialRecord`]s, and a
 //!   [`FailureCorpus`] serializes them for bit-for-bit
 //!   [`Campaign::replay`].
-//! * [`json`] — the dependency-free JSON reader/writer the corpus (and the
-//!   bench crate) serialize with.
+//! * [`coverage`] — the fixed-seed coverage table every scheme × region ×
+//!   injection model runs through, and the CI gate that compares it against
+//!   the committed `BENCH_coverage.json` (the `coverage` binary).
+//! * [`json`] — the dependency-free JSON reader/writer the corpus and the
+//!   coverage table serialize with.
 
 pub mod campaign;
+pub mod coverage;
 pub mod engine;
 pub mod flip;
 pub mod json;

@@ -506,6 +506,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn missing_file_is_a_clean_error() {
+        match load_matrix_market("/nonexistent/matrix.mtx") {
+            Err(MatrixMarketError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::NotFound)
+            }
+            other => panic!("expected a not-found I/O error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn parses_a_general_coordinate_file() {
         let m = parse_matrix_market_str(
             "%%MatrixMarket matrix coordinate real general\n\

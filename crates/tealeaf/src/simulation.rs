@@ -21,6 +21,7 @@ use crate::states::apply_states;
 use crate::summary::FieldSummary;
 use abft_core::{FaultLogSnapshot, ProtectionConfig};
 use abft_solvers::{Method, Solver, SolverConfig, SolverError};
+use abft_sparse::CsrMatrix;
 use std::time::Instant;
 
 /// Per-time-step results.
@@ -152,12 +153,20 @@ impl Simulation {
             .protection(self.protection)
     }
 
+    /// Assembles the current step's linear system: face coefficients from
+    /// the density, the conduction matrix, and the right-hand side.
+    pub fn assemble(&self) -> (CsrMatrix, Vec<f64>) {
+        let coeffs = face_coefficients(&self.grid, &self.density, self.conductivity);
+        (
+            assemble_matrix(&self.grid, &coeffs, self.deck.dt_init),
+            assemble_rhs(&self.density, &self.energy),
+        )
+    }
+
     /// Advances the simulation by one time-step.
     pub fn step(&mut self, step_index: usize) -> Result<StepReport, SolverError> {
         let assembly_start = Instant::now();
-        let coeffs = face_coefficients(&self.grid, &self.density, self.conductivity);
-        let matrix = assemble_matrix(&self.grid, &coeffs, self.deck.dt_init);
-        let rhs = assemble_rhs(&self.density, &self.energy);
+        let (matrix, rhs) = self.assemble();
         let assembly_seconds = assembly_start.elapsed().as_secs_f64();
 
         let solve_start = Instant::now();
@@ -323,6 +332,16 @@ mod tests {
                 // The protected run actually performed integrity checks.
                 assert!(report.steps[0].faults.checks.iter().sum::<u64>() > 0);
             }
+        }
+    }
+
+    #[test]
+    fn system_assembly_has_five_entries_per_row() {
+        let (matrix, rhs) = Simulation::new(Deck::standard(12, 10, 1)).assemble();
+        assert_eq!(matrix.rows(), 120);
+        assert_eq!(rhs.len(), 120);
+        for row in 0..matrix.rows() {
+            assert_eq!(matrix.row_range(row).len(), 5);
         }
     }
 

@@ -5,14 +5,15 @@
 //! ```
 //!
 //! Protects the whole CSR matrix with each scheme and sweeps the integrity
-//! check interval, printing the overhead relative to the unprotected solve.
-//! The trade-off is detection latency: with interval N an error can go
-//! unnoticed for up to N−1 CG iterations (bounds checks still prevent
-//! out-of-range accesses in between).
+//! check interval, printing the exact number of matrix integrity checks each
+//! fixed-length CG solve performed.  The trade-off is detection latency: with
+//! interval N an error can go unnoticed for up to N−1 CG iterations (bounds
+//! checks still prevent out-of-range accesses in between).  What the saved
+//! checks are worth in time to solution is the benchmark's to measure
+//! (`benchmark/run.sh`), not this example's.
 
-use abft_bench::{overhead_pct, tealeaf_system, time_cg};
-use abft_suite::core::{EccScheme, ProtectionConfig};
-use abft_suite::ecc::Crc32cBackend;
+use abft_suite::core::Region;
+use abft_suite::prelude::*;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -20,38 +21,37 @@ fn main() {
     let ny: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(192);
     let iters: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(40);
 
-    let system = tealeaf_system(nx, ny);
+    let (matrix, rhs) = Simulation::new(Deck::standard(nx, ny, 1)).assemble();
     println!(
-        "TeaLeaf {}x{} ({} non-zeros), {} CG iterations per measurement\n",
+        "TeaLeaf {}x{} ({} non-zeros), {} CG iterations per solve\n",
         nx,
         ny,
-        system.matrix.nnz(),
+        matrix.nnz(),
         iters
     );
-
-    let baseline = (0..3)
-        .map(|_| time_cg(&system, &ProtectionConfig::unprotected(), iters))
-        .fold(f64::INFINITY, f64::min);
-    println!("unprotected baseline: {baseline:.4} s\n");
     println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>22}",
-        "scheme", "interval", "seconds", "overhead %", "worst-case delay (iters)"
+        "{:<12} {:>10} {:>16} {:>14} {:>22}",
+        "scheme", "interval", "matrix checks", "checks/iter", "worst-case delay (iters)"
     );
 
+    // Tolerance 0 disables early exit, so every solve runs exactly `iters`
+    // iterations and the check counts are comparable across intervals.
+    let solver = Solver::cg().max_iterations(iters).tolerance(0.0);
     for scheme in [EccScheme::Sed, EccScheme::Secded64, EccScheme::Crc32c] {
         for interval in [1u32, 2, 8, 32, 128] {
-            let cfg = ProtectionConfig::matrix_only(scheme)
-                .with_check_interval(interval)
-                .with_crc_backend(Crc32cBackend::SlicingBy16);
-            let seconds = (0..3)
-                .map(|_| time_cg(&system, &cfg, iters))
-                .fold(f64::INFINITY, f64::min);
+            let outcome = solver
+                .protection(ProtectionConfig::matrix_only(scheme).with_check_interval(interval))
+                .solve(&matrix, &rhs)
+                .expect("clean solve");
+            assert_eq!(outcome.status.iterations, iters);
+            let checks = outcome.faults.region(Region::CsrElements).0
+                + outcome.faults.region(Region::RowPointer).0;
             println!(
-                "{:<12} {:>10} {:>12.4} {:>12.1} {:>22}",
+                "{:<12} {:>10} {:>16} {:>14.1} {:>22}",
                 scheme.label(),
                 interval,
-                seconds,
-                overhead_pct(baseline, seconds),
+                checks,
+                checks as f64 / iters as f64,
                 interval - 1
             );
         }

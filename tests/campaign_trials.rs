@@ -1,7 +1,7 @@
 //! Every campaign trial label, pinned trial by trial.
 //!
 //! For every injection kind, under every scheme and storage tier the
-//! coverage gate (`experiments --check-coverage`) runs — CSR and COO bit
+//! coverage gate (`coverage --check`) runs — CSR and COO bit
 //! flips, the live solver-vector strikes, chunk erasures with and without
 //! the parity tier, row-pointer group erasures and the preconditioner
 //! faults in both reliability tiers — trials 0–7 are drawn, executed, and

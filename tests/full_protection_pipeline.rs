@@ -5,28 +5,10 @@
 use abft_suite::core::spmv::protected_spmv;
 use abft_suite::prelude::*;
 use abft_suite::solvers::backends::MatrixProtected;
-use abft_suite::tealeaf::assembly::{
-    assemble_matrix, assemble_rhs, face_coefficients, Conductivity,
-};
-use abft_suite::tealeaf::states::apply_states;
-use abft_suite::tealeaf::{Deck, Grid};
-
-fn tealeaf_system(nx: usize, ny: usize) -> (abft_suite::sparse::CsrMatrix, Vec<f64>) {
-    let deck = Deck::standard(nx, ny, 1);
-    let grid = Grid::new(deck.x_cells, deck.y_cells, deck.x_max, deck.y_max);
-    let mut density = vec![1.0; grid.cells()];
-    let mut energy = vec![1.0; grid.cells()];
-    apply_states(&grid, &deck.states, &mut density, &mut energy);
-    let coeffs = face_coefficients(&grid, &density, Conductivity::Reciprocal);
-    (
-        assemble_matrix(&grid, &coeffs, deck.dt_init),
-        assemble_rhs(&density, &energy),
-    )
-}
 
 #[test]
 fn every_scheme_solves_the_tealeaf_system_cleanly() {
-    let (matrix, rhs) = tealeaf_system(24, 18);
+    let (matrix, rhs) = Simulation::new(Deck::standard(24, 18, 1)).assemble();
     let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
     let baseline = solver.solve(&matrix, &rhs).unwrap();
     for scheme in EccScheme::ALL {
@@ -60,7 +42,7 @@ fn every_scheme_solves_the_tealeaf_system_cleanly() {
 
 #[test]
 fn parallel_and_serial_protected_solves_agree() {
-    let (matrix, rhs) = tealeaf_system(20, 20);
+    let (matrix, rhs) = Simulation::new(Deck::standard(20, 20, 1)).assemble();
     let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
     for scheme in [EccScheme::Sed, EccScheme::Secded64, EccScheme::Crc32c] {
         let serial = solver
@@ -89,7 +71,7 @@ fn parallel_and_serial_protected_solves_agree() {
 
 #[test]
 fn injected_fault_mid_pipeline_is_absorbed() {
-    let (matrix, rhs) = tealeaf_system(16, 16);
+    let (matrix, rhs) = Simulation::new(Deck::standard(16, 16, 1)).assemble();
     let protection = ProtectionConfig::full(EccScheme::Crc32c);
     let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
     let clean = solver.protection(protection).solve(&matrix, &rhs).unwrap();
@@ -125,7 +107,7 @@ fn injected_fault_mid_pipeline_is_absorbed() {
 
 #[test]
 fn protected_spmv_with_protected_vectors_is_consistent() {
-    let (matrix, rhs) = tealeaf_system(12, 12);
+    let (matrix, rhs) = Simulation::new(Deck::standard(12, 12, 1)).assemble();
     for scheme in EccScheme::ALL {
         let protection = ProtectionConfig::full(scheme);
         let a = ProtectedCsr::from_csr(&matrix, &protection).unwrap();
