@@ -400,12 +400,16 @@ pub fn coverage_json(config: &CoverageConfig, rows: &[CoverageRow]) -> Json {
     Json::obj([
         (
             "workload",
-            Json::obj([
-                ("nx", config.nx.into()),
-                ("ny", config.ny.into()),
-                ("trials", config.trials.into()),
-                ("seed", (config.seed as usize).into()),
-            ]),
+            Json::obj(
+                [
+                    ("nx", config.nx.into()),
+                    ("ny", config.ny.into()),
+                    ("trials", config.trials.into()),
+                    ("seed", (config.seed as usize).into()),
+                ]
+                .into_iter()
+                .chain(config.stop_lb.map(|lb| ("stop_lb", lb.into()))),
+            ),
         ),
         (
             "coverage",
@@ -495,29 +499,32 @@ fn num_field(row: &Json, key: &str) -> f64 {
     row.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
 }
 
-/// Runs the gate: re-measures the committed workload (size, trial count and
-/// seed are read back from the baseline so the rates are comparable) and
-/// fails any rate that dropped by more than [`TOLERANCE_PP`].  A committed
-/// row with no measured counterpart is an error naming the row.
-pub fn check_coverage(config: &CoverageConfig) -> Result<CoverageReport, String> {
-    let text = std::fs::read_to_string(&config.baseline)
-        .map_err(|e| format!("cannot read baseline {}: {e}", config.baseline))?;
-    let doc = Json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", config.baseline))?;
-    let workload = doc.get("workload");
-    let usize_field = |key: &str, default: usize| {
-        workload
-            .and_then(|w| w.get(key))
-            .and_then(Json::as_f64)
-            .map(|v| v as usize)
-            .unwrap_or(default)
-    };
-    let measured = measure_coverage(&CoverageConfig {
+/// The configuration a baseline was measured with: size, trial count, seed
+/// and stop rule read back from its workload block, `config`'s where the
+/// block has none.
+fn baseline_config(doc: &Json, config: &CoverageConfig) -> CoverageConfig {
+    let field = |key: &str| doc.get("workload").and_then(|w| w.get(key))?.as_f64();
+    let usize_field = |key: &str, default: usize| field(key).map_or(default, |v| v as usize);
+    CoverageConfig {
         nx: usize_field("nx", config.nx),
         ny: usize_field("ny", config.ny),
         trials: usize_field("trials", config.trials),
         seed: usize_field("seed", config.seed as usize) as u64,
+        stop_lb: field("stop_lb").or(config.stop_lb),
         ..config.clone()
-    });
+    }
+}
+
+/// Runs the gate: re-measures the committed workload (read back from the
+/// baseline by `baseline_config` so the rates are comparable) and fails
+/// any rate that dropped by more than [`TOLERANCE_PP`].  A committed row
+/// with no measured counterpart, or a measured row the baseline does not
+/// list, is an error naming the row.
+pub fn check_coverage(config: &CoverageConfig) -> Result<CoverageReport, String> {
+    let text = std::fs::read_to_string(&config.baseline)
+        .map_err(|e| format!("cannot read baseline {}: {e}", config.baseline))?;
+    let doc = Json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", config.baseline))?;
+    let measured = measure_coverage(&baseline_config(&doc, config));
     let baseline = doc
         .get("coverage")
         .and_then(Json::as_arr)
@@ -525,19 +532,22 @@ pub fn check_coverage(config: &CoverageConfig) -> Result<CoverageReport, String>
 
     let mut rows = Vec::new();
     let mut missing = Vec::new();
+    // Measured rows no committed row has matched yet.
+    let mut unlisted: Vec<&CoverageRow> = measured.iter().collect();
     for base_row in baseline {
         let (injection, scheme, target) = (
             str_field(base_row, "injection"),
             str_field(base_row, "scheme"),
             str_field(base_row, "target"),
         );
-        let Some(fresh) = measured
+        let Some(at) = unlisted
             .iter()
-            .find(|r| r.injection == injection && r.scheme == scheme && r.target == target)
+            .position(|r| r.injection == injection && r.scheme == scheme && r.target == target)
         else {
-            missing.push(format!("{injection} / {scheme} / {target}"));
+            missing.push(format!("{injection} / {scheme} / {target} (not measured)"));
             continue;
         };
+        let fresh = unlisted.remove(at);
         for (metric, baseline_pct, fresh_pct) in [
             ("safe", num_field(base_row, "safe_pct"), fresh.safe_pct),
             (
@@ -565,9 +575,17 @@ pub fn check_coverage(config: &CoverageConfig) -> Result<CoverageReport, String>
             });
         }
     }
+    // A row on one side only: committed but no longer measured (a scenario
+    // renamed or dropped), or measured but never committed (a new one).
+    missing.extend(unlisted.iter().map(|r| {
+        format!(
+            "{} / {} / {} (not committed)",
+            r.injection, r.scheme, r.target
+        )
+    }));
     if !missing.is_empty() {
         return Err(format!(
-            "{}: committed rows not measured by this build: {}",
+            "{}: rows not both committed and measured: {}",
             config.baseline,
             missing.join("; ")
         ));
@@ -662,9 +680,67 @@ mod tests {
         })
         .unwrap_err();
         assert!(
-            err.contains("retired scenario / SED / matrix values"),
+            err.contains("retired scenario / SED / matrix values (not measured)"),
             "{err}"
         );
+
+        // A measured row the baseline does not list — a new scenario nobody
+        // re-committed — must fail the gate too, and name the row.
+        let dropped_row = &rows[rows.len() - 1];
+        let short = std::env::temp_dir().join("abft_gate_coverage_short.json");
+        std::fs::write(
+            &short,
+            coverage_json(&small, &rows[..rows.len() - 1]).render(),
+        )
+        .unwrap();
+        let err = check_coverage(&CoverageConfig {
+            baseline: short.to_string_lossy().into_owned(),
+            ..small
+        })
+        .unwrap_err();
+        let name = format!(
+            "{} / {} / {}",
+            dropped_row.injection, dropped_row.scheme, dropped_row.target
+        );
+        assert!(err.contains(&format!("{name} (not committed)")), "{err}");
+    }
+
+    #[test]
+    fn the_stop_rule_round_trips_through_the_json() {
+        let streamed = CoverageConfig {
+            nx: 8,
+            ny: 8,
+            trials: 64,
+            seed: 7,
+            baseline: String::new(),
+            stop_lb: Some(0.5),
+        };
+        let rows = measure_coverage(&streamed);
+        assert!(rows.iter().any(|r| r.trials < streamed.trials));
+        let doc = Json::parse(&coverage_json(&streamed, &rows).render()).unwrap();
+        let read = baseline_config(&doc, &CoverageConfig::default());
+        assert_eq!(read.stop_lb, Some(0.5));
+        assert_eq!((read.nx, read.ny, read.trials, read.seed), (8, 8, 64, 7));
+        // A fixed-trial table carries no stop rule, and reads back as none.
+        let fixed = CoverageConfig {
+            stop_lb: None,
+            ..streamed.clone()
+        };
+        let doc = Json::parse(&coverage_json(&fixed, &rows).render()).unwrap();
+        assert!(doc.get("workload").unwrap().get("stop_lb").is_none());
+        assert_eq!(baseline_config(&doc, &fixed).stop_lb, None);
+
+        // The gate re-measures with the recorded rule: the streamed table
+        // passes against itself.
+        let path = std::env::temp_dir().join("abft_gate_coverage_streamed.json");
+        std::fs::write(&path, coverage_json(&streamed, &rows).render()).unwrap();
+        let report = check_coverage(&CoverageConfig {
+            baseline: path.to_string_lossy().into_owned(),
+            stop_lb: None,
+            ..streamed
+        })
+        .unwrap();
+        assert!(!report.dropped(), "{}", report.render());
     }
 
     #[test]

@@ -14,88 +14,181 @@ use crate::{CooMatrix, CsrMatrix};
 /// grid with Dirichlet boundaries: diagonal 4, off-diagonals −1 for the four
 /// neighbours.  Symmetric positive definite, `nx·ny` unknowns.
 pub fn poisson_2d(nx: usize, ny: usize) -> CsrMatrix {
-    five_point_stencil(nx, ny, |_, _| (4.0, -1.0, -1.0, -1.0, -1.0))
+    five_point_stencil(nx, ny, 0, |_, _| (4.0, -1.0, -1.0, -1.0, -1.0))
 }
 
-/// [`poisson_2d`] padded to at least four stored entries per row
-/// ([`pad_rows_to_min_entries`]) — the canonical test/benchmark operator of
-/// this repository, assembled in one place so every experiment, benchmark,
-/// and example protects exactly the same matrix.  Four entries per row is
-/// the floor the CRC32C element scheme needs to spread its 32-bit checksum
-/// over 8 spare bits per element.
+/// [`poisson_2d`] padded to at least four stored entries per row (the
+/// rule of [`pad_rows_to_min_entries`]) — the canonical test/benchmark
+/// operator of this repository, assembled in one place so every experiment,
+/// benchmark, and example protects exactly the same matrix.  Four entries
+/// per row is the floor the CRC32C element scheme needs to spread its
+/// 32-bit checksum over 8 spare bits per element.
+///
+/// # Panics
+/// Panics if the grid has fewer than four cells.
 pub fn poisson_2d_padded(nx: usize, ny: usize) -> CsrMatrix {
-    pad_rows_to_min_entries(&poisson_2d(nx, ny), 4)
+    five_point_stencil(nx, ny, 4, |_, _| (4.0, -1.0, -1.0, -1.0, -1.0))
 }
 
 /// A general five-point-stencil operator: for each grid point `(i, j)` the
 /// callback returns `(centre, west, east, south, north)` coefficients.
 /// Entries that would fall outside the grid are dropped (Dirichlet
 /// truncation), exactly like TeaLeaf's interior-chunk assembly.
+///
+/// Rows are emitted straight into CSR in row order, columns ascending.  A
+/// row left with fewer than `min_entries` entries is padded with explicit
+/// zeros at its lowest unused columns, the rule of
+/// [`pad_rows_to_min_entries`]; `0` pads nothing.
+///
+/// # Panics
+/// Panics if the grid has fewer than `min_entries` cells.
 pub fn five_point_stencil(
     nx: usize,
     ny: usize,
+    min_entries: usize,
     mut coeff: impl FnMut(usize, usize) -> (f64, f64, f64, f64, f64),
 ) -> CsrMatrix {
     let n = nx * ny;
-    let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
+    let mut out = PaddedRows::new(n, n, min_entries, n * min_entries.max(5));
     for j in 0..ny {
         for i in 0..nx {
             let row = j * nx + i;
             let (c, w, e, s, nth) = coeff(i, j);
+            // The stencil's neighbours, already in ascending column order.
+            let mut entries = [(0u32, 0.0f64); 5];
+            let mut len = 0;
+            let mut push = |col: usize, value: f64| {
+                entries[len] = (col as u32, value);
+                len += 1;
+            };
             if j > 0 {
-                coo.push(row, row - nx, s);
+                push(row - nx, s);
             }
             if i > 0 {
-                coo.push(row, row - 1, w);
+                push(row - 1, w);
             }
-            coo.push(row, row, c);
+            push(row, c);
             if i + 1 < nx {
-                coo.push(row, row + 1, e);
+                push(row + 1, e);
             }
             if j + 1 < ny {
-                coo.push(row, row + nx, nth);
+                push(row + nx, nth);
             }
+            out.push_row(entries[..len].iter().copied());
         }
     }
-    coo.to_csr()
-        .expect("stencil assembly is structurally valid")
+    out.finish()
 }
 
 /// Pads every row of `matrix` to at least `min_entries` stored entries by
-/// adding explicit zero-valued entries at unused columns.
+/// adding explicit zero-valued entries at the lowest columns the row does
+/// not use.
 ///
 /// The CRC32C element-protection scheme of the ABFT layer distributes its
 /// 32-bit checksum over 8 spare bits per element and therefore needs at least
 /// four entries per row.  TeaLeaf's five-point-stencil assembly always stores
-/// five entries per row; for general matrices (e.g. the plain Poisson
-/// operator whose corner rows only have three neighbours) this helper
-/// restores that property without changing the operator.
+/// five entries per row; for general matrices (e.g. a Matrix Market file
+/// with short rows) this helper restores that property without changing
+/// the operator.  One CSR→CSR pass, merging each row with its zeros.
 ///
 /// # Panics
-/// Panics if the matrix has fewer columns than `min_entries`.
+/// Panics if the matrix has fewer columns than `min_entries`, or if a row's
+/// columns are not strictly ascending (every constructor in this crate
+/// builds rows that way).
 pub fn pad_rows_to_min_entries(matrix: &CsrMatrix, min_entries: usize) -> CsrMatrix {
-    assert!(
-        matrix.cols() >= min_entries,
-        "cannot pad rows of a matrix with fewer than {min_entries} columns"
-    );
-    let mut coo =
-        CooMatrix::with_capacity(matrix.rows(), matrix.cols(), matrix.nnz() + matrix.rows());
-    for row in 0..matrix.rows() {
-        let existing: Vec<u32> = matrix.row_entries(row).map(|(c, _)| c).collect();
-        for (c, v) in matrix.row_entries(row) {
-            coo.push(row, c as usize, v);
-        }
-        let mut missing = min_entries.saturating_sub(existing.len());
-        let mut candidate = 0usize;
-        while missing > 0 {
-            if !existing.contains(&(candidate as u32)) {
-                coo.push(row, candidate, 0.0);
-                missing -= 1;
-            }
-            candidate += 1;
+    let bounds = matrix.row_pointer();
+    let nnz = bounds
+        .windows(2)
+        .map(|w| ((w[1] - w[0]) as usize).max(min_entries))
+        .sum();
+    let mut out = PaddedRows::new(matrix.rows(), matrix.cols(), min_entries, nnz);
+    for w in bounds.windows(2) {
+        let range = w[0] as usize..w[1] as usize;
+        let cols = &matrix.col_indices()[range.clone()];
+        assert!(
+            cols.windows(2).all(|c| c[0] < c[1]),
+            "row columns must be strictly ascending"
+        );
+        out.push_row(
+            cols.iter()
+                .copied()
+                .zip(matrix.values()[range].iter().copied()),
+        );
+    }
+    out.finish()
+}
+
+/// CSR arrays written one row at a time, each row padded with explicit
+/// zeros at its lowest unused columns up to `min_entries`: the one padding
+/// rule, shared by [`five_point_stencil`] and [`pad_rows_to_min_entries`].
+struct PaddedRows {
+    cols: usize,
+    min_entries: usize,
+    values: Vec<f64>,
+    col_indices: Vec<u32>,
+    row_pointer: Vec<u32>,
+}
+
+impl PaddedRows {
+    fn new(rows: usize, cols: usize, min_entries: usize, nnz: usize) -> Self {
+        assert!(
+            cols >= min_entries,
+            "cannot pad rows of a matrix with fewer than {min_entries} columns"
+        );
+        let mut row_pointer = Vec::with_capacity(rows + 1);
+        row_pointer.push(0);
+        PaddedRows {
+            cols,
+            min_entries,
+            values: Vec::with_capacity(nnz),
+            col_indices: Vec::with_capacity(nnz),
+            row_pointer,
         }
     }
-    coo.to_csr().expect("padding preserves validity")
+
+    /// Appends one row, given in strictly ascending column order, merged
+    /// with the zeros it needs.
+    fn push_row(&mut self, entries: impl ExactSizeIterator<Item = (u32, f64)>) {
+        let mut missing = self.min_entries.saturating_sub(entries.len());
+        // A row that needs no zeros (every interior stencil row) skips the
+        // merge: TeaLeaf assembles every step through here.
+        if missing == 0 {
+            for (col, value) in entries {
+                self.col_indices.push(col);
+                self.values.push(value);
+            }
+            self.row_pointer.push(self.col_indices.len() as u32);
+            return;
+        }
+        let mut candidate = 0u32;
+        for (col, value) in entries {
+            while missing > 0 && candidate < col {
+                self.col_indices.push(candidate);
+                self.values.push(0.0);
+                candidate += 1;
+                missing -= 1;
+            }
+            self.col_indices.push(col);
+            self.values.push(value);
+            candidate = col + 1;
+        }
+        for zero_col in candidate..candidate + missing as u32 {
+            self.col_indices.push(zero_col);
+            self.values.push(0.0);
+        }
+        self.row_pointer.push(self.col_indices.len() as u32);
+    }
+
+    fn finish(self) -> CsrMatrix {
+        CsrMatrix::try_new(
+            self.row_pointer.len() - 1,
+            self.cols,
+            self.values,
+            self.col_indices,
+            self.row_pointer,
+        )
+        .expect("padded rows are structurally valid")
+    }
 }
 
 /// Symmetric positive-definite tridiagonal matrix with the given diagonal and
@@ -151,7 +244,99 @@ pub fn random_spd(n: usize, extra: usize, seed: u64) -> CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{assert_same_bits, five_point_stencil_via_coo, pad_rows_via_coo};
     use crate::Vector;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The Poisson stencil's coefficients.
+    fn poisson_point(_: usize, _: usize) -> (f64, f64, f64, f64, f64) {
+        (4.0, -1.0, -1.0, -1.0, -1.0)
+    }
+
+    const GRIDS: [(usize, usize); 6] = [(1, 1), (1, 7), (2, 2), (3, 1), (17, 13), (256, 256)];
+
+    /// Coefficients that differ per point and per direction, with a signed
+    /// zero in every fifth north entry (stored, so its sign must survive).
+    fn varied(i: usize, j: usize) -> (f64, f64, f64, f64, f64) {
+        let base = (i * 31 + j * 17) as f64 * 0.125;
+        let north = if (i + j).is_multiple_of(5) {
+            -0.0
+        } else {
+            -base - 1.0
+        };
+        (4.0 + base, -base - 0.5, -base - 0.75, -base - 0.25, north)
+    }
+
+    /// `new` and `old` both panic, or both return the same bits.
+    fn pin(label: &str, new: impl FnOnce() -> CsrMatrix, old: impl FnOnce() -> CsrMatrix) {
+        match (
+            catch_unwind(AssertUnwindSafe(new)),
+            catch_unwind(AssertUnwindSafe(old)),
+        ) {
+            (Ok(got), Ok(want)) => assert_same_bits(&got, &want, label),
+            (Err(_), Err(_)) => {}
+            (got, want) => panic!(
+                "{label}: new panicked {}, old panicked {}",
+                got.is_err(),
+                want.is_err()
+            ),
+        }
+    }
+
+    #[test]
+    fn direct_stencil_equals_the_coo_route_bit_for_bit() {
+        for (nx, ny) in GRIDS {
+            let label = format!("{nx}x{ny}");
+            pin(
+                &format!("poisson_2d {label}"),
+                || poisson_2d(nx, ny),
+                || five_point_stencil_via_coo(nx, ny, poisson_point),
+            );
+            pin(
+                &format!("poisson_2d_padded {label}"),
+                || poisson_2d_padded(nx, ny),
+                || pad_rows_via_coo(&five_point_stencil_via_coo(nx, ny, poisson_point), 4),
+            );
+            for floor in [0, 4, 5] {
+                pin(
+                    &format!("five_point_stencil {label} floor {floor}"),
+                    || five_point_stencil(nx, ny, floor, varied),
+                    || pad_rows_via_coo(&five_point_stencil_via_coo(nx, ny, varied), floor),
+                );
+            }
+        }
+        // Floors larger than the grid panic, as padding always has.
+        assert!(catch_unwind(|| poisson_2d_padded(1, 3)).is_err());
+        assert!(catch_unwind(|| five_point_stencil(2, 2, 5, varied)).is_err());
+    }
+
+    #[test]
+    fn padding_equals_the_coo_route_on_every_fixture() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures");
+        let mut fixtures = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|e| e != "mtx") {
+                continue;
+            }
+            fixtures += 1;
+            let matrix = crate::load_matrix_market(&path).unwrap();
+            for floor in [0, 4, 5] {
+                pin(
+                    &format!("{} floor {floor}", path.display()),
+                    || pad_rows_to_min_entries(&matrix, floor),
+                    || pad_rows_via_coo(&matrix, floor),
+                );
+            }
+        }
+        assert_eq!(fixtures, 5);
+    }
+
+    #[test]
+    fn padding_rejects_rows_out_of_column_order() {
+        let unsorted = CsrMatrix::try_new(1, 4, vec![1.0, 2.0], vec![2, 1], vec![0, 2]).unwrap();
+        assert!(catch_unwind(|| pad_rows_to_min_entries(&unsorted, 4)).is_err());
+    }
 
     #[test]
     fn poisson_structure() {
@@ -181,7 +366,7 @@ mod tests {
 
     #[test]
     fn stencil_callback_receives_grid_coordinates() {
-        let a = five_point_stencil(4, 3, |i, j| ((i + j) as f64 + 1.0, 0.5, 0.5, 0.5, 0.5));
+        let a = five_point_stencil(4, 3, 0, |i, j| ((i + j) as f64 + 1.0, 0.5, 0.5, 0.5, 0.5));
         assert_eq!(a.get(0, 0), 1.0); // (0,0)
         assert_eq!(a.get(5, 5), 3.0); // (1,1)
         assert_eq!(a.get(11, 11), 6.0); // (3,2)

@@ -61,32 +61,74 @@ impl CooMatrix {
         self.entries.push((row as u32, col as u32, value));
     }
 
-    /// Converts to CSR, sorting by row then column and summing duplicates.
+    /// Converts to CSR: the crate's one triplet→CSR conversion.  A row
+    /// histogram becomes the row pointer, a stable counting-sort scatter
+    /// places each triplet in its row in push order, and one pass per row
+    /// sorts the columns (unless already strictly ascending) and sums
+    /// duplicate coordinates, compacting in place.
+    ///
+    /// Duplicates are summed in push order: pushes of `a`, `b`, `c` at one
+    /// coordinate store `(a + b) + c`.  Floating-point addition is not
+    /// associative, so from three duplicates on the order is in the result.
     pub fn to_csr(&self) -> Result<CsrMatrix, SparseError> {
-        let mut entries = self.entries.clone();
-        entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
-
-        let mut values = Vec::with_capacity(entries.len());
-        let mut col_indices = Vec::with_capacity(entries.len());
+        let total = self.entries.len();
+        if total > u32::MAX as usize {
+            return Err(SparseError::TooLarge(format!("{total} entries")));
+        }
         let mut row_pointer = vec![0u32; self.rows + 1];
-
-        let mut iter = entries.into_iter().peekable();
-        while let Some((r, c, mut v)) = iter.next() {
-            while let Some(&(nr, nc, nv)) = iter.peek() {
-                if nr == r && nc == c {
-                    v += nv;
-                    iter.next();
-                } else {
-                    break;
-                }
-            }
-            values.push(v);
-            col_indices.push(c);
+        for &(r, _, _) in &self.entries {
             row_pointer[r as usize + 1] += 1;
         }
         for i in 0..self.rows {
             row_pointer[i + 1] += row_pointer[i];
         }
+        // Stable scatter: push order is kept within each row, so the merge
+        // below sums duplicates in push order.
+        let mut cursors = row_pointer[..self.rows].to_vec();
+        let mut col_indices = vec![0u32; total];
+        let mut values = vec![0.0f64; total];
+        for &(r, c, v) in &self.entries {
+            let slot = &mut cursors[r as usize];
+            col_indices[*slot as usize] = c;
+            values[*slot as usize] = v;
+            *slot += 1;
+        }
+        // Canonicalise each row in place: sort its columns (stably) and sum
+        // duplicates, compacting the arrays and rewriting the row bounds.
+        let mut scratch: Vec<(u32, f64)> = Vec::new();
+        let mut start = 0usize;
+        let mut write = 0usize;
+        for row in 0..self.rows {
+            let end = row_pointer[row + 1] as usize;
+            let row_start = write;
+            if col_indices[start..end].windows(2).all(|w| w[0] < w[1]) {
+                col_indices.copy_within(start..end, write);
+                values.copy_within(start..end, write);
+                write += end - start;
+            } else {
+                scratch.clear();
+                scratch.extend(
+                    col_indices[start..end]
+                        .iter()
+                        .copied()
+                        .zip(values[start..end].iter().copied()),
+                );
+                scratch.sort_by_key(|&(c, _)| c);
+                for &(c, v) in &scratch {
+                    if write > row_start && col_indices[write - 1] == c {
+                        values[write - 1] += v;
+                    } else {
+                        col_indices[write] = c;
+                        values[write] = v;
+                        write += 1;
+                    }
+                }
+            }
+            row_pointer[row + 1] = write as u32;
+            start = end;
+        }
+        col_indices.truncate(write);
+        values.truncate(write);
         CsrMatrix::try_new(self.rows, self.cols, values, col_indices, row_pointer)
     }
 
@@ -101,6 +143,7 @@ impl CooMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{assert_same_bits, to_csr_via_global_sort};
 
     #[test]
     fn assembly_and_conversion() {
@@ -163,5 +206,53 @@ mod tests {
         let csr = coo.to_csr().unwrap();
         assert_eq!(csr.nnz(), 0);
         assert_eq!(csr.row_pointer(), &[0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn counting_sort_equals_the_global_sort_on_random_triplets() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for case in 0..300 {
+            let rows = 1 + next(40);
+            let cols = 1 + next(40);
+            let mut coo = CooMatrix::new(rows, cols);
+            let mut used = std::collections::HashSet::new();
+            for _ in 0..next(4 * rows * cols / 3 + 1) {
+                let (r, c) = (next(rows), next(cols));
+                if used.insert((r, c)) {
+                    // Random bit patterns: signed zeros, subnormals, NaNs.
+                    let bits = (next(1 << 31) as u64) << 33 | next(1 << 31) as u64;
+                    coo.push(r, c, f64::from_bits(bits));
+                }
+            }
+            let want = to_csr_via_global_sort(&coo);
+            assert_same_bits(&coo.to_csr().unwrap(), &want, &format!("case {case}"));
+        }
+    }
+
+    #[test]
+    fn three_duplicates_sum_in_push_order() {
+        // The same three values at one coordinate: floating-point addition
+        // is not associative, and the sum follows the push order.
+        for (pushes, sum) in [
+            ([1e16, 1.0, -1e16], 0.0),
+            ([1.0, 1e16, -1e16], 0.0),
+            ([1e16, -1e16, 1.0], 1.0),
+        ] {
+            let mut coo = CooMatrix::new(2, 2);
+            coo.push(1, 1, 5.0);
+            for v in pushes {
+                coo.push(0, 1, v);
+            }
+            coo.push(0, 0, 2.0);
+            let csr = coo.to_csr().unwrap();
+            assert_eq!(csr.col_indices(), &[0, 1, 1]);
+            assert_eq!(csr.get(0, 1), sum, "{pushes:?}");
+        }
     }
 }

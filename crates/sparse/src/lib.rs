@@ -16,6 +16,8 @@ pub mod builders;
 pub mod coo;
 pub mod csr;
 pub mod matrix_market;
+#[cfg(test)]
+mod reference;
 pub mod spmv;
 pub mod vector;
 

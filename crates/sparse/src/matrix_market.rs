@@ -1,13 +1,11 @@
 //! Streaming Matrix Market (`.mtx`) ingestion.
 //!
-//! Parses the NIST Matrix Market exchange format directly into [`CsrMatrix`]
-//! storage without materialising an intermediate vector of `(row, col,
-//! value)` triples: entries stream into structure-of-arrays buffers, a
-//! per-row counting pass turns into the CSR row pointer by prefix sum, and a
-//! stable counting-sort scatter places each entry (plus its symmetric
-//! mirror) in its row.  A final per-row pass sorts columns and merges
-//! duplicate coordinates by summation, so files with unsorted or repeated
-//! entries load into canonical CSR form.
+//! Parses the NIST Matrix Market exchange format into [`CsrMatrix`] storage:
+//! entries (plus the mirror of each off-diagonal entry of a symmetric file)
+//! stream into a [`CooMatrix`] in file order, and [`CooMatrix::to_csr`],
+//! the crate's one triplet→CSR conversion, sorts each row's columns and
+//! sums repeated coordinates in file order, so files with unsorted or
+//! repeated entries load into canonical CSR form.
 //!
 //! Supported header combinations:
 //!
@@ -15,14 +13,14 @@
 //!   column-major; exact zeros are dropped while building the sparse form);
 //! * fields — `real`, `integer`, and `pattern` (pattern entries get value
 //!   `1.0`; `pattern` is only valid with `coordinate`);
-//! * symmetries — `general` and `symmetric` (off-diagonal entries of a
-//!   symmetric file are mirrored; `skew-symmetric` and `hermitian` are
-//!   rejected, as is the `complex` field).
+//! * symmetries — `general` and `symmetric` (square only; off-diagonal
+//!   entries of a symmetric file are mirrored; `skew-symmetric` and
+//!   `hermitian` are rejected, as is the `complex` field).
 //!
 //! Indices in the file are 1-based per the format specification and are
 //! validated against the declared dimensions.
 
-use crate::{CsrMatrix, SparseError};
+use crate::{CooMatrix, CsrMatrix, SparseError};
 use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
@@ -151,115 +149,16 @@ fn parse_header(line: &str) -> Result<Header, MatrixMarketError> {
 }
 
 /// Entries reserved up front from a size line's declared count: the entry
-/// buffers grow past it only with entries actually read, so no declared
+/// buffer grows past it only with entries actually read, so no declared
 /// count can make the reader allocate for entries the file does not hold.
-/// (The row histogram is `rows + 1` counters by construction of CSR.)
 const FIRST_RESERVE: usize = 1 << 16;
 
-/// Streaming accumulator: structure-of-arrays entry buffers plus the
-/// per-row histogram that later becomes the row pointer.
-struct Accumulator {
-    rows: usize,
-    cols: usize,
-    symmetric: bool,
-    entry_rows: Vec<u32>,
-    entry_cols: Vec<u32>,
-    entry_vals: Vec<f64>,
-    row_counts: Vec<u32>,
-}
-
-impl Accumulator {
-    fn new(rows: usize, cols: usize, symmetric: bool, capacity: usize) -> Self {
-        Accumulator {
-            rows,
-            cols,
-            symmetric,
-            entry_rows: Vec::with_capacity(capacity),
-            entry_cols: Vec::with_capacity(capacity),
-            entry_vals: Vec::with_capacity(capacity),
-            row_counts: vec![0u32; rows],
-        }
-    }
-
-    /// Accepts one 0-based entry, counting its symmetric mirror too.
-    fn push(&mut self, row: u32, col: u32, value: f64) {
-        self.entry_rows.push(row);
-        self.entry_cols.push(col);
-        self.entry_vals.push(value);
-        self.row_counts[row as usize] += 1;
-        if self.symmetric && row != col {
-            self.row_counts[col as usize] += 1;
-        }
-    }
-
-    /// Prefix sum → scatter → per-row sort and duplicate merge.
-    fn into_csr(self) -> Result<CsrMatrix, MatrixMarketError> {
-        let total: usize = self.row_counts.iter().map(|&c| c as usize).sum();
-        if total > u32::MAX as usize {
-            return Err(MatrixMarketError::Invalid(SparseError::TooLarge(format!(
-                "{total} entries after symmetric expansion"
-            ))));
-        }
-        let mut row_pointer = Vec::with_capacity(self.rows + 1);
-        row_pointer.push(0u32);
-        let mut acc = 0u32;
-        for &c in &self.row_counts {
-            acc += c;
-            row_pointer.push(acc);
-        }
-        // Stable scatter: input order within each row is preserved, so the
-        // later duplicate merge sums file entries in file order.
-        let mut cursors: Vec<u32> = row_pointer[..self.rows].to_vec();
-        let mut col_indices = vec![0u32; total];
-        let mut values = vec![0.0f64; total];
-        let mut place = |r: u32, c: u32, v: f64, cursors: &mut [u32]| {
-            let slot = cursors[r as usize] as usize;
-            cursors[r as usize] += 1;
-            col_indices[slot] = c;
-            values[slot] = v;
-        };
-        for k in 0..self.entry_rows.len() {
-            let (r, c, v) = (self.entry_rows[k], self.entry_cols[k], self.entry_vals[k]);
-            place(r, c, v, &mut cursors);
-            if self.symmetric && r != c {
-                place(c, r, v, &mut cursors);
-            }
-        }
-
-        // Canonicalise each row: sort by column via a reusable index
-        // permutation, merging duplicate coordinates by summation.
-        let mut out_cols = Vec::with_capacity(total);
-        let mut out_vals = Vec::with_capacity(total);
-        let mut out_ptr = Vec::with_capacity(self.rows + 1);
-        out_ptr.push(0u32);
-        let mut perm: Vec<u32> = Vec::new();
-        for row in 0..self.rows {
-            let start = row_pointer[row] as usize;
-            let end = row_pointer[row + 1] as usize;
-            let cols = &col_indices[start..end];
-            let vals = &values[start..end];
-            perm.clear();
-            perm.extend(0..cols.len() as u32);
-            perm.sort_by_key(|&i| cols[i as usize]);
-            for &i in &perm {
-                let (c, v) = (cols[i as usize], vals[i as usize]);
-                match out_cols.last() {
-                    Some(&last)
-                        if out_cols.len() > *out_ptr.last().unwrap() as usize && last == c =>
-                    {
-                        *out_vals.last_mut().unwrap() += v;
-                    }
-                    _ => {
-                        out_cols.push(c);
-                        out_vals.push(v);
-                    }
-                }
-            }
-            out_ptr.push(out_cols.len() as u32);
-        }
-        Ok(CsrMatrix::try_new(
-            self.rows, self.cols, out_vals, out_cols, out_ptr,
-        )?)
+/// Pushes one 0-based entry, and its mirror when a symmetric file stores it
+/// off the diagonal.
+fn push_entry(coo: &mut CooMatrix, symmetry: Symmetry, r: u32, c: u32, v: f64) {
+    coo.push(r as usize, c as usize, v);
+    if symmetry == Symmetry::Symmetric && r != c {
+        coo.push(c as usize, r as usize, v);
     }
 }
 
@@ -317,7 +216,7 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
 
     let mut line_no = 1usize;
     let mut size: Option<(usize, usize, usize)> = None;
-    let mut acc: Option<Accumulator> = None;
+    let mut acc: Option<CooMatrix> = None;
     // Array format state: entries stream in column-major order.
     let mut array_cursor = 0usize;
     let mut array_expected = 0usize;
@@ -341,6 +240,13 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
                     "{rows} x {cols}"
                 ))));
             }
+            // Every mirrored entry must land inside the matrix.
+            if header.symmetry == Symmetry::Symmetric && rows != cols {
+                return Err(MatrixMarketError::Parse {
+                    line: line_no,
+                    message: format!("symmetric matrix must be square, got {rows} x {cols}"),
+                });
+            }
             let nnz = match header.format {
                 Format::Coordinate => {
                     let nnz = parse_usize(tokens.next().unwrap_or(""), line_no, "entry count")?;
@@ -351,21 +257,8 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
                     }
                     nnz
                 }
-                Format::Array => {
-                    if header.symmetry == Symmetry::Symmetric {
-                        if rows != cols {
-                            return Err(MatrixMarketError::Parse {
-                                line: line_no,
-                                message: format!(
-                                    "symmetric array matrix must be square, got {rows} x {cols}"
-                                ),
-                            });
-                        }
-                        rows * (rows + 1) / 2
-                    } else {
-                        rows * cols
-                    }
-                }
+                Format::Array if header.symmetry == Symmetry::Symmetric => rows * (rows + 1) / 2,
+                Format::Array => rows * cols,
             };
             if tokens.next().is_some() {
                 return Err(MatrixMarketError::Parse {
@@ -379,12 +272,7 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
             // The declared count is an upper bound nobody has checked yet
             // (array zeros are dropped, a short file is reported at the
             // end): reserve a first chunk and grow with what is read.
-            acc = Some(Accumulator::new(
-                rows,
-                cols,
-                header.symmetry == Symmetry::Symmetric,
-                nnz.min(FIRST_RESERVE),
-            ));
+            acc = Some(CooMatrix::with_capacity(rows, cols, nnz.min(FIRST_RESERVE)));
             continue;
         }
         let (rows, cols, _) = size.unwrap();
@@ -420,7 +308,7 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
                         ),
                     });
                 }
-                acc.push(r, c, v);
+                push_entry(acc, header.symmetry, r, c, v);
             }
             Format::Array => {
                 // Dense values, one or more per line, column-major; for the
@@ -446,7 +334,7 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
                     };
                     array_cursor += 1;
                     if v != 0.0 {
-                        acc.push(r, c, v);
+                        push_entry(acc, header.symmetry, r, c, v);
                     }
                 }
             }
@@ -474,7 +362,7 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
         }
         _ => {}
     }
-    acc.unwrap().into_csr()
+    Ok(acc.unwrap().to_csr()?)
 }
 
 /// Maps a linear position in a column-major lower-triangle walk (diagonal
@@ -700,6 +588,22 @@ mod tests {
             matches!(e, Err(MatrixMarketError::Parse { .. })),
             "short array file: {e:?}"
         );
+    }
+
+    #[test]
+    fn a_symmetric_file_must_be_square() {
+        // A coordinate file too: the mirror of an entry could otherwise land
+        // past the last column.
+        for (format, body) in [("coordinate", "3 2 1\n2 1 5.0"), ("array", "3 2\n1\n2\n3")] {
+            let data = format!("%%MatrixMarket matrix {format} real symmetric\n{body}\n");
+            assert!(
+                matches!(
+                    parse_matrix_market_str(&data),
+                    Err(MatrixMarketError::Parse { line: 2, .. })
+                ),
+                "{format}"
+            );
+        }
     }
 
     #[test]

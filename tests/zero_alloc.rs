@@ -5,7 +5,9 @@
 //! and a 60-iteration solve of the same system on the same operator; the
 //! counts must be identical — every allocation belongs to per-solve setup
 //! (vector clones, the decoded solution), none to the iterations.  A clean
-//! matrix's `verify_all` and `scrub` must allocate nothing at all.
+//! matrix's `verify_all` and `scrub` must allocate nothing at all.  The
+//! builders write CSR rows straight into three arrays, so their count is
+//! fixed too, whatever the row count.
 //!
 //! The serial solves are counted on the measuring thread alone, so what the
 //! test harness and the other tests' threads allocate meanwhile cannot leak
@@ -19,7 +21,7 @@ use abft_suite::core::{
 };
 use abft_suite::prelude::{Crc32cBackend, PrecondKind, Reliability, Solver};
 use abft_suite::solvers::backends::{FullyProtected, MatrixProtected, Plain};
-use abft_suite::sparse::builders::poisson_2d_padded;
+use abft_suite::sparse::builders::{pad_rows_to_min_entries, poisson_2d, poisson_2d_padded};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,5 +323,19 @@ fn ft_pcg_iterations_do_not_allocate() {
             allocs_short, allocs_long,
             "{tier:?}: FT-PCG iterations allocated"
         );
+    }
+}
+
+/// The stencil assembler and the padding pass write each row straight into
+/// the output arrays: values, columns and row pointer, three allocations
+/// whatever the row count (no triplet copies, no per-row buffer).
+#[test]
+fn builders_allocate_the_three_output_arrays_only() {
+    for (nx, ny) in [(16, 16), (64, 64), (64, 128)] {
+        let allocs = allocations_during(|| drop(poisson_2d_padded(nx, ny)));
+        assert_eq!(allocs, 3, "poisson_2d_padded({nx}, {ny})");
+        let plain = poisson_2d(nx, ny);
+        let allocs = allocations_during(|| drop(pad_rows_to_min_entries(&plain, 5)));
+        assert_eq!(allocs, 3, "pad_rows_to_min_entries of {nx}x{ny}");
     }
 }
