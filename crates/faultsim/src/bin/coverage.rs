@@ -14,9 +14,11 @@ use abft_faultsim::coverage::{
 const HELP: &str = "coverage — the fixed-seed fault-coverage campaign (bit flips for every
 scheme x region, the parity-tier erasure scenarios, the live solver-vector and
 selective-reliability strikes: the BENCH_coverage.json table).
-  --check        re-run the campaign and compare safe / recovered / rebuilt
-                 rates against the committed BENCH_coverage.json (exit 1 on
-                 a rate drop or a committed row no longer measured)
+  --check        re-run the campaign with the workload and stop rule that
+                 BENCH_coverage.json records, and compare safe / recovered /
+                 rebuilt rates against it (exit 1 on a rate drop, a
+                 committed row no longer measured, or a measured row not
+                 committed)
   --trials N     trials per row (default 40)
   --stop-lb LB   stream each row through the adaptive engine, stopping early
                  once the spending-corrected Wilson lower bound on its safety

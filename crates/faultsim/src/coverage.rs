@@ -499,9 +499,11 @@ fn num_field(row: &Json, key: &str) -> f64 {
     row.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
 }
 
-/// The configuration a baseline was measured with: size, trial count, seed
-/// and stop rule read back from its workload block, `config`'s where the
-/// block has none.
+/// The configuration a baseline was measured with: size, trial count and
+/// seed read back from its workload block, `config`'s where the block has
+/// none.  The stop rule is the block's alone: `coverage_json` records it
+/// whenever one was used, so a block without `stop_lb` is a fixed-trial
+/// table, whatever `config` asks for.
 fn baseline_config(doc: &Json, config: &CoverageConfig) -> CoverageConfig {
     let field = |key: &str| doc.get("workload").and_then(|w| w.get(key))?.as_f64();
     let usize_field = |key: &str, default: usize| field(key).map_or(default, |v| v as usize);
@@ -510,7 +512,7 @@ fn baseline_config(doc: &Json, config: &CoverageConfig) -> CoverageConfig {
         ny: usize_field("ny", config.ny),
         trials: usize_field("trials", config.trials),
         seed: usize_field("seed", config.seed as usize) as u64,
-        stop_lb: field("stop_lb").or(config.stop_lb),
+        stop_lb: field("stop_lb"),
         ..config.clone()
     }
 }
@@ -729,6 +731,8 @@ mod tests {
         let doc = Json::parse(&coverage_json(&fixed, &rows).render()).unwrap();
         assert!(doc.get("workload").unwrap().get("stop_lb").is_none());
         assert_eq!(baseline_config(&doc, &fixed).stop_lb, None);
+        // Nor does a stop rule asked for at the gate turn it into one.
+        assert_eq!(baseline_config(&doc, &streamed).stop_lb, None);
 
         // The gate re-measures with the recorded rule: the streamed table
         // passes against itself.

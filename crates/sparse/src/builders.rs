@@ -8,6 +8,7 @@
 //! provided for tests and for exercising the ABFT schemes on structures that
 //! are *not* five rows wide.
 
+use crate::coo::sort_and_merge_row;
 use crate::{CooMatrix, CsrMatrix};
 
 /// The standard 2-D Poisson (negative Laplacian) operator on an `nx × ny`
@@ -54,25 +55,21 @@ pub fn five_point_stencil(
         for i in 0..nx {
             let row = j * nx + i;
             let (c, w, e, s, nth) = coeff(i, j);
-            // The stencil's neighbours, already in ascending column order.
+            // The stencil's neighbours in ascending column order, those
+            // outside the grid dropped.
             let mut entries = [(0u32, 0.0f64); 5];
             let mut len = 0;
-            let mut push = |col: usize, value: f64| {
-                entries[len] = (col as u32, value);
-                len += 1;
-            };
-            if j > 0 {
-                push(row - nx, s);
-            }
-            if i > 0 {
-                push(row - 1, w);
-            }
-            push(row, c);
-            if i + 1 < nx {
-                push(row + 1, e);
-            }
-            if j + 1 < ny {
-                push(row + nx, nth);
+            for (inside, col, value) in [
+                (j > 0, row.wrapping_sub(nx), s),
+                (i > 0, row.wrapping_sub(1), w),
+                (true, row, c),
+                (i + 1 < nx, row + 1, e),
+                (j + 1 < ny, row + nx, nth),
+            ] {
+                if inside {
+                    entries[len] = (col as u32, value);
+                    len += 1;
+                }
             }
             out.push_row(entries[..len].iter().copied());
         }
@@ -91,10 +88,11 @@ pub fn five_point_stencil(
 /// with short rows) this helper restores that property without changing
 /// the operator.  One CSR→CSR pass, merging each row with its zeros.
 ///
+/// A row out of column order (a valid [`CsrMatrix`] may hold one) is first
+/// sorted and its repeated columns summed, as [`CooMatrix::to_csr`] does.
+///
 /// # Panics
-/// Panics if the matrix has fewer columns than `min_entries`, or if a row's
-/// columns are not strictly ascending (every constructor in this crate
-/// builds rows that way).
+/// Panics if the matrix has fewer columns than `min_entries`.
 pub fn pad_rows_to_min_entries(matrix: &CsrMatrix, min_entries: usize) -> CsrMatrix {
     let bounds = matrix.row_pointer();
     let nnz = bounds
@@ -102,18 +100,23 @@ pub fn pad_rows_to_min_entries(matrix: &CsrMatrix, min_entries: usize) -> CsrMat
         .map(|w| ((w[1] - w[0]) as usize).max(min_entries))
         .sum();
     let mut out = PaddedRows::new(matrix.rows(), matrix.cols(), min_entries, nnz);
+    // Only a row out of column order touches this buffer.
+    let mut scratch = Vec::new();
     for w in bounds.windows(2) {
         let range = w[0] as usize..w[1] as usize;
         let cols = &matrix.col_indices()[range.clone()];
-        assert!(
-            cols.windows(2).all(|c| c[0] < c[1]),
-            "row columns must be strictly ascending"
-        );
-        out.push_row(
-            cols.iter()
-                .copied()
-                .zip(matrix.values()[range].iter().copied()),
-        );
+        let entries = cols
+            .iter()
+            .copied()
+            .zip(matrix.values()[range].iter().copied());
+        if cols.windows(2).all(|c| c[0] < c[1]) {
+            out.push_row(entries);
+        } else {
+            scratch.clear();
+            scratch.extend(entries);
+            let len = sort_and_merge_row(&mut scratch);
+            out.push_row(scratch[..len].iter().copied());
+        }
     }
     out.finish()
 }
@@ -333,9 +336,30 @@ mod tests {
     }
 
     #[test]
-    fn padding_rejects_rows_out_of_column_order() {
+    fn padding_canonicalises_rows_out_of_column_order() {
+        // Without duplicates, the old route's bits.
         let unsorted = CsrMatrix::try_new(1, 4, vec![1.0, 2.0], vec![2, 1], vec![0, 2]).unwrap();
-        assert!(catch_unwind(|| pad_rows_to_min_entries(&unsorted, 4)).is_err());
+        for floor in [0, 4] {
+            pin(
+                &format!("unsorted floor {floor}"),
+                || pad_rows_to_min_entries(&unsorted, floor),
+                || pad_rows_via_coo(&unsorted, floor),
+            );
+        }
+        // Duplicates are summed in stored order before the row is padded,
+        // so the padded row holds the floor's count of distinct columns.
+        let repeated = CsrMatrix::try_new(
+            2,
+            4,
+            vec![1e16, 1.0, -1e16, 7.0, 3.0],
+            vec![3, 3, 3, 0, 2],
+            vec![0, 3, 5],
+        )
+        .unwrap();
+        let padded = pad_rows_to_min_entries(&repeated, 3);
+        assert_eq!(padded.row_pointer(), &[0, 3, 6]);
+        assert_eq!(padded.col_indices(), &[0, 1, 3, 0, 1, 2]);
+        assert_eq!(padded.values(), &[0.0, 0.0, 0.0, 7.0, 0.0, 3.0]);
     }
 
     #[test]

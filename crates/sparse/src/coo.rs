@@ -64,8 +64,8 @@ impl CooMatrix {
     /// Converts to CSR: the crate's one triplet→CSR conversion.  A row
     /// histogram becomes the row pointer, a stable counting-sort scatter
     /// places each triplet in its row in push order, and one pass per row
-    /// sorts the columns (unless already strictly ascending) and sums
-    /// duplicate coordinates, compacting in place.
+    /// sorts the columns (stably) and sums duplicate coordinates, compacting
+    /// in place.
     ///
     /// Duplicates are summed in push order: pushes of `a`, `b`, `c` at one
     /// coordinate store `(a + b) + c`.  Floating-point addition is not
@@ -85,50 +85,23 @@ impl CooMatrix {
         // Stable scatter: push order is kept within each row, so the merge
         // below sums duplicates in push order.
         let mut cursors = row_pointer[..self.rows].to_vec();
-        let mut col_indices = vec![0u32; total];
-        let mut values = vec![0.0f64; total];
+        let mut scattered = vec![(0u32, 0.0f64); total];
         for &(r, c, v) in &self.entries {
-            let slot = &mut cursors[r as usize];
-            col_indices[*slot as usize] = c;
-            values[*slot as usize] = v;
-            *slot += 1;
+            scattered[cursors[r as usize] as usize] = (c, v);
+            cursors[r as usize] += 1;
         }
-        // Canonicalise each row in place: sort its columns (stably) and sum
-        // duplicates, compacting the arrays and rewriting the row bounds.
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        let mut start = 0usize;
-        let mut write = 0usize;
-        for row in 0..self.rows {
-            let end = row_pointer[row + 1] as usize;
-            let row_start = write;
-            if col_indices[start..end].windows(2).all(|w| w[0] < w[1]) {
-                col_indices.copy_within(start..end, write);
-                values.copy_within(start..end, write);
-                write += end - start;
-            } else {
-                scratch.clear();
-                scratch.extend(
-                    col_indices[start..end]
-                        .iter()
-                        .copied()
-                        .zip(values[start..end].iter().copied()),
-                );
-                scratch.sort_by_key(|&(c, _)| c);
-                for &(c, v) in &scratch {
-                    if write > row_start && col_indices[write - 1] == c {
-                        values[write - 1] += v;
-                    } else {
-                        col_indices[write] = c;
-                        values[write] = v;
-                        write += 1;
-                    }
-                }
-            }
+        // Canonicalise each row in place, compacting the merged rows to the
+        // front and rewriting the row bounds; `cursors` now holds row ends.
+        let (mut start, mut write) = (0, 0);
+        for (row, &end) in cursors.iter().enumerate() {
+            let len = sort_and_merge_row(&mut scattered[start..end as usize]);
+            scattered.copy_within(start..start + len, write);
+            write += len;
             row_pointer[row + 1] = write as u32;
-            start = end;
+            start = end as usize;
         }
-        col_indices.truncate(write);
-        values.truncate(write);
+        scattered.truncate(write);
+        let (col_indices, values) = scattered.into_iter().unzip();
         CsrMatrix::try_new(self.rows, self.cols, values, col_indices, row_pointer)
     }
 
@@ -138,6 +111,25 @@ impl CooMatrix {
             .iter()
             .map(|&(r, c, v)| (r as usize, c as usize, v))
     }
+}
+
+/// Sorts one row's `(col, value)` entries by column, stably, and sums
+/// duplicate columns in their stored order (`a`, `b`, `c` at one column
+/// become `(a + b) + c`), compacting the row to its front: the merged row
+/// is `row[..len]` for the returned `len`.  The crate's one rule for
+/// canonicalising a row.
+pub(crate) fn sort_and_merge_row(row: &mut [(u32, f64)]) -> usize {
+    row.sort_by_key(|&(c, _)| c);
+    let mut len = 0;
+    for k in 0..row.len() {
+        if len > 0 && row[len - 1].0 == row[k].0 {
+            row[len - 1].1 += row[k].1;
+        } else {
+            row[len] = row[k];
+            len += 1;
+        }
+    }
+    len
 }
 
 #[cfg(test)]

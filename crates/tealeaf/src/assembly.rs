@@ -117,17 +117,16 @@ pub fn energy_from_u(u: &[f64], density: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_sparse::builders::pad_rows_to_min_entries;
-    use abft_sparse::CooMatrix;
-
-    /// The assembly route [`assemble_matrix`] replaced: grid → COO → CSR,
-    /// then zero-padded.  The sparse crate's tests pin that conversion and
-    /// that padding to their old global-sort routes, bit for bit.
-    fn assemble_via_coo(grid: &Grid, coeffs: &FaceCoefficients, dt: f64) -> CsrMatrix {
+    /// The assembly route [`assemble_matrix`] replaced, written out in full
+    /// so the pin shares no code with the sparse crate's assembler: each
+    /// row's stencil entries and its padding zeros (at the lowest columns
+    /// the row does not use) are collected, then sorted by column.  Rows
+    /// come in row order, so this is the old global `(row, col)` sort.
+    fn assemble_via_sorted_rows(grid: &Grid, coeffs: &FaceCoefficients, dt: f64) -> CsrMatrix {
         let n = grid.cells();
         let rx = dt / (grid.dx() * grid.dx());
         let ry = dt / (grid.dy() * grid.dy());
-        let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
+        let (mut values, mut col_indices, mut row_pointer) = (Vec::new(), Vec::new(), vec![0]);
         for j in 0..grid.ny {
             for i in 0..grid.nx {
                 let idx = grid.index(i, j);
@@ -144,23 +143,36 @@ mod tests {
                     0.0
                 };
                 let centre = 1.0 + rx * (west + east) + ry * (south + north);
+                let mut row = Vec::new();
                 if j > 0 {
-                    coo.push(idx, idx - grid.nx, -ry * south);
+                    row.push((idx - grid.nx, -ry * south));
                 }
                 if i > 0 {
-                    coo.push(idx, idx - 1, -rx * west);
+                    row.push((idx - 1, -rx * west));
                 }
-                coo.push(idx, idx, centre);
+                row.push((idx, centre));
                 if i + 1 < grid.nx {
-                    coo.push(idx, idx + 1, -rx * east);
+                    row.push((idx + 1, -rx * east));
                 }
                 if j + 1 < grid.ny {
-                    coo.push(idx, idx + grid.nx, -ry * north);
+                    row.push((idx + grid.nx, -ry * north));
                 }
+                let mut candidate = 0;
+                while row.len() < 5.min(n) {
+                    if !row.iter().any(|&(c, _)| c == candidate) {
+                        row.push((candidate, 0.0));
+                    }
+                    candidate += 1;
+                }
+                row.sort_by_key(|&(c, _)| c);
+                for (c, v) in row {
+                    col_indices.push(c as u32);
+                    values.push(v);
+                }
+                row_pointer.push(col_indices.len() as u32);
             }
         }
-        let matrix = coo.to_csr().expect("conduction assembly is valid");
-        pad_rows_to_min_entries(&matrix, 5.min(grid.cells()))
+        CsrMatrix::try_new(n, n, values, col_indices, row_pointer).unwrap()
     }
 
     #[test]
@@ -185,7 +197,7 @@ mod tests {
             for conductivity in [Conductivity::Reciprocal, Conductivity::Density] {
                 let coeffs = face_coefficients(&grid, &density, conductivity);
                 let got = assemble_matrix(&grid, &coeffs, 0.004);
-                let want = assemble_via_coo(&grid, &coeffs, 0.004);
+                let want = assemble_via_sorted_rows(&grid, &coeffs, 0.004);
                 let label = format!("{nx}x{ny} {conductivity:?}");
                 assert_eq!(got.row_pointer(), want.row_pointer(), "{label}");
                 // Column order, and with it where boundary rows put their
