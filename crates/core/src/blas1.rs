@@ -17,7 +17,7 @@
 //! group that fails its own check.  Two-operand kernels panic on operands
 //! of different lengths or schemes.
 //!
-//! Three further properties, shared by every kernel here:
+//! Four further properties, shared by every kernel here:
 //!
 //! * **Bulk fault accounting** — integrity checks are tallied in a local
 //!   counter and flushed to the [`FaultLog`] in one update per call,
@@ -32,7 +32,12 @@
 //!   over each group, so CG's residual update and convergence check touch
 //!   every codeword once instead of three times.  Likewise
 //!   [`ProtectedVector::scale_axpy_masked`] fuses Chebyshev's
-//!   `d ← β·d + α·r` pair.
+//!   `d ← β·d + α·r` pair and [`ProtectedVector::axpy_xpay_masked`] CG's
+//!   `x ← x + α·p; p ← r + β·p`.
+//! * **Certify once** — in parity mode a kernel's operands have passed the
+//!   barrier's sweep before it runs, and that sweep is their one check:
+//!   the range kernels then take the certified arm without a second
+//!   predicate or tally.
 //!
 //! Serial or parallel is the vector's own
 //! [`is_parallel`](ProtectedVector::is_parallel) hint, read by the kernel:
@@ -71,15 +76,21 @@ pub(crate) fn flush_checks(log: &FaultLog, scheme: EccScheme, tally: u64) {
     }
 }
 
-/// Number of chunk states for a parallel kernel over `n` storage words such
-/// that every chunk boundary falls on an [`ACC_BLOCK`] boundary (and hence
-/// on a codeword-group boundary).  Returns 1 — run serial — when the input
-/// is too small or no aligned split exists.
+/// Most chunks an elementwise kernel splits into: the fused x/p kernel
+/// hands its second mutated operand to the chunks as a stack array of
+/// slices.
+const MAX_UPDATE_CHUNKS: usize = 64;
+
+/// Number of chunk states, at most [`MAX_UPDATE_CHUNKS`], for a parallel
+/// kernel over `n` storage words such that every chunk boundary falls on an
+/// [`ACC_BLOCK`] boundary (and hence on a codeword-group boundary).
+/// Returns 1 — run serial — when the input is too small or no aligned split
+/// exists.
 fn block_aligned_chunks(n: usize) -> usize {
     if n < PARALLEL_MIN_ELEMENTS {
         return 1;
     }
-    let max = rayon::chunk_count(n);
+    let max = rayon::chunk_count(n).min(MAX_UPDATE_CHUNKS);
     (2..=max)
         .rev()
         .find(|&k| n.div_ceil(k) % ACC_BLOCK == 0)
@@ -268,12 +279,14 @@ fn norm_block(
 /// range, one check per group per operand, one re-encode per group.  `op`
 /// sees every logical element pair once, in ascending order, and none at or
 /// after an uncorrectable group — a fused kernel may reduce over what it
-/// returns.
+/// returns.  A `certified` range (both operands passed the parity barrier's
+/// sweep) is computed without a second predicate or check.
 #[allow(clippy::too_many_arguments)]
 fn zip_range(
     codec: GroupCodec,
     s: &mut [u64],
     x: &[u64],
+    certified: bool,
     base: usize,
     len: usize,
     log: &FaultLog,
@@ -282,11 +295,13 @@ fn zip_range(
 ) -> Result<(), AbftError> {
     let mask = codec.mask;
     let group = codec.group();
-    if codec.run_clean(s) && codec.run_clean(x) {
+    if certified || (codec.run_clean(s) && codec.run_clean(x)) {
         // Batched screening pass: one predicate over each operand's whole
         // range replaces the per-group checks, and the results are written
         // a staged run at a time.
-        *tally += 2 * (s.len() / group) as u64;
+        if !certified {
+            *tally += 2 * (s.len() / group) as u64;
+        }
         codec.rewrite_staged(s, s.len().min(len - base), |j, sw| {
             op(f64::from_bits(sw & mask), f64::from_bits(x[j] & mask))
         });
@@ -363,12 +378,15 @@ pub(crate) fn read_range(
 
 /// Indexed read-modify-write `s[i] ← f(i, s[i])` over a whole-group storage
 /// range, one check and one re-encode per group, certified per
-/// [`ACC_BLOCK`] run like [`read_range`].  `f` sees every logical element
-/// once, in ascending order, and none at or after an uncorrectable group; a
+/// [`ACC_BLOCK`] run like [`read_range`] unless the parity barrier has
+/// `certified` it already.  `f` sees every logical element once, in
+/// ascending order, and none at or after an uncorrectable group; a
 /// corrected group is healed by its re-encode.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn update_range(
     codec: GroupCodec,
     s: &mut [u64],
+    certified: bool,
     base: usize,
     len: usize,
     log: &FaultLog,
@@ -382,8 +400,10 @@ pub(crate) fn update_range(
         let end = (start + ACC_BLOCK).min(s.len());
         let at = base + start;
         let run = &mut s[start..end];
-        if codec.run_clean(run) {
-            *tally += (run.len() / group) as u64;
+        if certified || codec.run_clean(run) {
+            if !certified {
+                *tally += (run.len() / group) as u64;
+            }
             codec.rewrite_staged(run, run.len().min(len - at), |j, sw| {
                 f(at + j, f64::from_bits(sw & mask))
             });
@@ -409,13 +429,16 @@ pub(crate) fn update_range(
 
 /// Checked copy `dst[i] ← src[i]` between whole-group storage ranges of one
 /// scheme, one check per source group, certified per [`ACC_BLOCK`] run like
-/// [`read_range`]: a clean codeword is its own canonical re-encoding, so a
+/// [`read_range`] unless the parity barrier has `certified` the source
+/// already: a clean codeword is its own canonical re-encoding, so a
 /// certified run is a plain word copy and only a failing group is decoded
 /// (corrected) and re-encoded.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn copy_range(
     codec: GroupCodec,
     dst: &mut [u64],
     src: &[u64],
+    certified: bool,
     base: usize,
     len: usize,
     log: &FaultLog,
@@ -426,8 +449,10 @@ pub(crate) fn copy_range(
     while start < src.len() {
         let end = (start + ACC_BLOCK).min(src.len());
         let run = &src[start..end];
-        if codec.run_clean(run) {
-            *tally += (run.len() / group) as u64;
+        if certified || codec.run_clean(run) {
+            if !certified {
+                *tally += (run.len() / group) as u64;
+            }
             dst[start..end].copy_from_slice(run);
         } else {
             let mut off = start;
@@ -440,6 +465,62 @@ pub(crate) fn copy_range(
             }
         }
         start = end;
+    }
+    Ok(())
+}
+
+/// Fused `x[i] ← x[i] + α·p[i]`, `p[i] ← r[i] + β·p[i]` over whole-group
+/// storage ranges — CG's iterate and search-direction updates in one pass.
+/// Each [`ACC_BLOCK`] run is certified by one batched predicate per operand
+/// (or not at all when the parity barrier has `certified` all three) and
+/// then written a staged run at a time, `x` before `p`, so `x` reads the
+/// old `p`; a failing run is walked group by group, one check per group
+/// per operand, correcting as it reads.  Bitwise the AXPY followed by the
+/// XPAY.
+#[allow(clippy::too_many_arguments)]
+fn axpy_xpay_range(
+    codec: GroupCodec,
+    x: &mut [u64],
+    p: &mut [u64],
+    r: &[u64],
+    certified: bool,
+    (alpha, beta): (f64, f64),
+    base: usize,
+    len: usize,
+    log: &FaultLog,
+    tally: &mut u64,
+) -> Result<(), AbftError> {
+    let mask = codec.mask;
+    let group = codec.group();
+    let masked = |w: u64| f64::from_bits(w & mask);
+    for start in (0..x.len()).step_by(ACC_BLOCK) {
+        let end = (start + ACC_BLOCK).min(x.len());
+        let at = base + start;
+        let (x, p, r) = (&mut x[start..end], &mut p[start..end], &r[start..end]);
+        if certified || (codec.run_clean(x) && codec.run_clean(p) && codec.run_clean(r)) {
+            if !certified {
+                *tally += 3 * (x.len() / group) as u64;
+            }
+            let logical = x.len().min(len - at);
+            codec.rewrite_staged(x, logical, |j, xw| masked(xw) + alpha * masked(p[j]));
+            codec.rewrite_staged(p, logical, |j, pw| masked(r[j]) + beta * masked(pw));
+            continue;
+        }
+        for off in (0..x.len()).step_by(group) {
+            *tally += 3;
+            let logical = group.min(len - (at + off));
+            let (gx, gp) = (&mut x[off..off + group], &mut p[off..off + group]);
+            let xv = codec.read_group(gx, logical, at + off, log)?;
+            let pv = codec.read_group(gp, logical, at + off, log)?;
+            let rv = codec.read_group(&r[off..off + group], logical, at + off, log)?;
+            let (mut new_x, mut new_p) = ([0.0f64; MAX_GROUP], [0.0f64; MAX_GROUP]);
+            for j in 0..logical {
+                new_x[j] = xv[j] + alpha * pv[j];
+                new_p[j] = rv[j] + beta * pv[j];
+            }
+            codec.encode(&new_x, gx);
+            codec.encode(&new_p, gp);
+        }
     }
     Ok(())
 }
@@ -640,7 +721,7 @@ impl ProtectedVector {
 
     /// Masked `self ← α·self`: one check and one re-encode per group.
     pub fn scale_masked(&mut self, alpha: f64, log: &FaultLog) -> Result<(), AbftError> {
-        self.parity_precheck(None, log)?;
+        let certified = self.parity_precheck(&[], log)?;
         let codec = self.codec();
         let len = self.len;
         let states = &mut vec![(); self.update_chunks()];
@@ -650,7 +731,8 @@ impl ProtectedVector {
             log,
             codec.scheme,
             |offset, chunk, _, tally| {
-                update_range(codec, chunk, offset, len, log, tally, &mut |_, v| v * alpha)
+                let f = &mut |_, v| v * alpha;
+                update_range(codec, chunk, certified, offset, len, log, tally, f)
             },
         );
         if result.is_ok() {
@@ -689,7 +771,7 @@ impl ProtectedVector {
         log: &FaultLog,
     ) -> Result<f64, AbftError> {
         self.assert_operand(x, "dot_axpy_masked");
-        self.parity_precheck(Some(x), log)?;
+        let certified = self.parity_precheck(&[x], log)?;
         let codec = self.codec();
         let len = self.len;
         let mut tally = 0u64;
@@ -697,7 +779,7 @@ impl ProtectedVector {
             let (s, x) = (&mut self.data[start..end], &x.data[start..end]);
             let mut part = 0.0;
             let op = &mut |s, xv| axpy_and_square(alpha, codec.mask, &mut part, s, xv);
-            zip_range(codec, s, x, start, len, log, &mut tally, op)?;
+            zip_range(codec, s, x, certified, start, len, log, &mut tally, op)?;
             Ok(part)
         });
         flush_checks(log, codec.scheme, tally);
@@ -725,7 +807,7 @@ impl ProtectedVector {
             return self.dot_axpy_masked(alpha, x, log);
         }
         self.assert_operand(x, "dot_axpy_masked");
-        self.parity_precheck(Some(x), log)?;
+        let certified = self.parity_precheck(&[x], log)?;
         let codec = self.codec();
         let len = self.len;
         let x_data = &x.data;
@@ -741,7 +823,7 @@ impl ProtectedVector {
                     let x = &x_data[at..at + s.len()];
                     let mut part = 0.0;
                     let op = &mut |s, xv| axpy_and_square(alpha, codec.mask, &mut part, s, xv);
-                    zip_range(codec, s, x, at, len, log, tally, op)?;
+                    zip_range(codec, s, x, certified, at, len, log, tally, op)?;
                     partials.push(part);
                 }
                 Ok(())
@@ -749,6 +831,67 @@ impl ProtectedVector {
         )?;
         self.parity_commit();
         Ok(states.iter().flatten().sum())
+    }
+
+    /// Fused masked `self ← self + α·p; p ← r + β·p` — CG's iterate and
+    /// search-direction updates in one pass, serial or block-aligned chunks
+    /// per the parallel hint, bitwise identical to `axpy_masked(α, p)`
+    /// followed by `p.xpay_masked(β, r)`.  One check per group per operand
+    /// (the AXPY and the XPAY check `p` twice between them), and none in
+    /// parity mode once the barrier's sweep of all three has passed; then a
+    /// detected fault aborts before either vector is written.
+    ///
+    /// # Panics
+    /// Panics unless `p` and `r` have this vector's length and scheme.
+    pub fn axpy_xpay_masked(
+        &mut self,
+        alpha: f64,
+        p: &mut ProtectedVector,
+        beta: f64,
+        r: &ProtectedVector,
+        log: &FaultLog,
+    ) -> Result<(), AbftError> {
+        self.assert_operand(p, "axpy_xpay_masked");
+        self.assert_operand(r, "axpy_xpay_masked");
+        let certified = self.parity_precheck(&[p, r], log)?;
+        let codec = self.codec();
+        let len = self.len;
+        let n_chunks = self.update_chunks();
+        // `p`'s chunks, cut where `run_chunks` cuts `self`'s.
+        let mut p_parts: [&mut [u64]; MAX_UPDATE_CHUNKS] =
+            std::array::from_fn(|_| Default::default());
+        let chunk = self.data.len().div_ceil(n_chunks).max(1);
+        for (slot, part) in p_parts.iter_mut().zip(p.data.chunks_mut(chunk)) {
+            *slot = part;
+        }
+        let r_data = &r.data;
+        let result = run_chunks(
+            &mut self.data,
+            &mut p_parts[..n_chunks],
+            log,
+            codec.scheme,
+            |offset, x, p, tally| {
+                let r = &r_data[offset..offset + x.len()];
+                let coefficients = (alpha, beta);
+                axpy_xpay_range(
+                    codec,
+                    x,
+                    p,
+                    r,
+                    certified,
+                    coefficients,
+                    offset,
+                    len,
+                    log,
+                    tally,
+                )
+            },
+        );
+        if result.is_ok() {
+            self.parity_commit();
+            p.parity_commit();
+        }
+        result
     }
 
     /// Shared driver of the two-operand masked updates `self[i] ←
@@ -762,7 +905,7 @@ impl ProtectedVector {
         op: impl Fn(f64, f64) -> f64 + Sync,
     ) -> Result<(), AbftError> {
         self.assert_operand(x, what);
-        self.parity_precheck(Some(x), log)?;
+        let certified = self.parity_precheck(&[x], log)?;
         let codec = self.codec();
         let len = self.len;
         let x_data = &x.data;
@@ -774,7 +917,9 @@ impl ProtectedVector {
             codec.scheme,
             |offset, chunk, _, tally| {
                 let x = &x_data[offset..offset + chunk.len()];
-                zip_range(codec, chunk, x, offset, len, log, tally, &mut &op)
+                zip_range(
+                    codec, chunk, x, certified, offset, len, log, tally, &mut &op,
+                )
             },
         );
         if result.is_ok() {
@@ -795,7 +940,7 @@ mod tests {
         assert_eq!(block_aligned_chunks(ACC_BLOCK), 1);
         for n in [4 * ACC_BLOCK, 16 * ACC_BLOCK, 256 * ACC_BLOCK] {
             let k = block_aligned_chunks(n);
-            assert!(k >= 1);
+            assert!((1..=MAX_UPDATE_CHUNKS).contains(&k));
             if k > 1 {
                 assert_eq!(n.div_ceil(k) % ACC_BLOCK, 0, "n={n} k={k}");
             }
@@ -812,6 +957,8 @@ mod tests {
         b.axpy_masked(2.0, &a, &log).unwrap();
         b.scale_masked(3.0, &log).unwrap();
         assert_eq!(b.dot_axpy_masked(1.0, &a, &log).unwrap(), 0.0);
+        let mut c = a.clone();
+        b.axpy_xpay_masked(1.0, &mut c, 2.0, &a, &log).unwrap();
         assert_eq!(log.snapshot().checks[2], 0);
     }
 }

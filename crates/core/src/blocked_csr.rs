@@ -24,7 +24,7 @@ use crate::protected_csr::ProtectedCsr;
 use crate::protected_matrix::ProtectedMatrix;
 use crate::report::FaultLog;
 use crate::schemes::ProtectionConfig;
-use crate::spmv::DenseView;
+use crate::spmv::{DenseView, InterleavedX};
 use abft_sparse::CsrMatrix;
 
 /// A CSR matrix stored as independently protected, codeword-group-aligned
@@ -203,13 +203,13 @@ impl ProtectedMatrix for ProtectedBlockedCsr {
     fn spmm_range_view(
         &self,
         row0: usize,
-        xs: &[DenseView<'_>],
+        xp: InterleavedX<'_>,
         products: &mut [f64],
         check: bool,
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        let width = xs.len().max(1);
+        let width = xp.width();
         let mut products = products;
         let mut consumed = 0usize;
         self.for_blocks_in_range(
@@ -217,7 +217,7 @@ impl ProtectedMatrix for ProtectedBlockedCsr {
             products.len() / width,
             |block, local_row0, out_lo, out_hi| {
                 let slice = &mut products[(out_lo - consumed) * width..(out_hi - consumed) * width];
-                let result = block.spmm_range_view(local_row0, xs, slice, check, scratch, log);
+                let result = block.spmm_range_view(local_row0, xp, slice, check, scratch, log);
                 let taken = std::mem::take(&mut products);
                 products = &mut taken[(out_hi - consumed) * width..];
                 consumed = out_hi;

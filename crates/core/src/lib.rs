@@ -54,4 +54,6 @@ pub use protected_vector::ProtectedVector;
 pub use report::{FaultLog, FaultLogSnapshot, Region};
 pub use row_pointer::ProtectedRowPointer;
 pub use schemes::{EccScheme, ParityConfig, ProtectionConfig};
-pub use spmv::{DenseSource, DenseView, SpmmWorkspace, SpmvWorkspace, MAX_PANEL_WIDTH};
+pub use spmv::{
+    DenseSource, DenseView, InterleavedX, SpmmWorkspace, SpmvWorkspace, MAX_PANEL_WIDTH,
+};

@@ -29,11 +29,11 @@
 
 use crate::csr_element::{ElementCodec, COL_MASK_24, COL_MASK_31};
 use crate::error::AbftError;
-use crate::protected_csr::{KernelTally, OneVector, Panel, RowSink};
+use crate::protected_csr::{KernelTally, OneVector, RowSink};
 use crate::protected_matrix::{ProtectedMatrix, Repair};
 use crate::report::{FaultLog, Region};
 use crate::schemes::{EccScheme, ProtectionConfig};
-use crate::spmv::{dispatch_panel_readers, DenseView, MaskedX, SliceX};
+use crate::spmv::{DenseView, InterleavedX, MaskedX, SliceX};
 use abft_ecc::secded::{DecodeOutcome, Secded};
 use abft_ecc::sed::parity_u32;
 use abft_sparse::CsrMatrix;
@@ -409,20 +409,13 @@ impl ProtectedMatrix for ProtectedCoo {
     fn spmm_range_view(
         &self,
         row0: usize,
-        xs: &[DenseView<'_>],
+        xp: InterleavedX<'_>,
         products: &mut [f64],
         check: bool,
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        dispatch_panel_readers!(xs, |readers| self.range_kernel(
-            row0,
-            &Panel(readers),
-            products,
-            check,
-            scratch,
-            log
-        ))
+        self.range_kernel(row0, &xp, products, check, scratch, log)
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {

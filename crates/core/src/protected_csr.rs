@@ -23,7 +23,7 @@ use crate::protected_matrix::{ProtectedMatrix, Repair};
 use crate::report::{FaultLog, Region};
 use crate::row_pointer::{ProtectedRowPointer, RpCursor};
 use crate::schemes::{EccScheme, ProtectionConfig};
-use crate::spmv::{dispatch_panel_readers, DenseView, MaskedX, SliceX, XRead, MAX_PANEL_WIDTH};
+use crate::spmv::{DenseView, InterleavedX, MaskedX, SliceX, XRead, MAX_PANEL_WIDTH};
 use abft_sparse::CsrMatrix;
 
 /// Rows per block of the range kernel: each block's contiguous element run
@@ -96,8 +96,8 @@ impl ProtectedCsr {
     /// Computes `out[i * w + j] = (A x_j)[row0 + i]` for a contiguous row
     /// range and the `w` input vectors behind `sink` — the one kernel under
     /// every SpMV and SpMM entry point, monomorphized over its accumulator
-    /// (a scalar for one vector, a stack panel for several) and over the
-    /// input-vector storage kind.
+    /// and input: a scalar over one vector's storage kind, or eight stack
+    /// lanes over an interleaved panel ([`InterleavedX`]).
     ///
     /// Every matrix codeword (row-pointer group, element codeword, CRC row)
     /// is verified **once** per traversal whatever the width, and each
@@ -279,20 +279,13 @@ impl ProtectedMatrix for ProtectedCsr {
     fn spmm_range_view(
         &self,
         row0: usize,
-        xs: &[DenseView<'_>],
+        xp: InterleavedX<'_>,
         products: &mut [f64],
         check: bool,
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        dispatch_panel_readers!(xs, |readers| self.range_kernel(
-            row0,
-            &Panel(readers),
-            products,
-            check,
-            scratch,
-            log
-        ))
+        self.range_kernel(row0, &xp, products, check, scratch, log)
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {
@@ -447,16 +440,17 @@ impl<R: XRead> RowSink for OneVector<R> {
     }
 }
 
-/// A panel of up to [`MAX_PANEL_WIDTH`] input vectors, one stack slot each.
-pub(crate) struct Panel<'a, R>(pub(crate) &'a [R]);
-
-impl<R: XRead> RowSink for Panel<'_, R> {
+/// An interleaved panel of up to [`MAX_PANEL_WIDTH`] input vectors, one
+/// stack slot each: an element reads every column's input from one row of
+/// the panel, all eight lanes at once (the lanes past the width are zero
+/// and never stored).
+impl RowSink for InterleavedX<'_> {
     type Acc = [f64; MAX_PANEL_WIDTH];
     const ZERO: Self::Acc = [0.0; MAX_PANEL_WIDTH];
 
     #[inline(always)]
     fn width(&self) -> usize {
-        self.0.len()
+        self.width
     }
 
     #[inline(always)]
@@ -468,8 +462,11 @@ impl<R: XRead> RowSink for Panel<'_, R> {
         k: usize,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        for (j, x) in self.0.iter().enumerate() {
-            acc[j] += v * read_x(*x, col, k, log)?;
+        let Some(xs) = self.xp.get(col) else {
+            return Err(x_out_of_range(log, k, col, self.xp.len()));
+        };
+        for (a, &x) in acc.iter_mut().zip(xs) {
+            *a += v * x;
         }
         Ok(())
     }

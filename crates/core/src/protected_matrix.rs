@@ -36,7 +36,7 @@ use crate::protected_coo::ProtectedCoo;
 use crate::protected_csr::ProtectedCsr;
 use crate::report::FaultLog;
 use crate::schemes::ProtectionConfig;
-use crate::spmv::{spmv_rows, DenseSource, DenseView, SpmvWorkspace};
+use crate::spmv::{spmv_rows, DenseSource, DenseView, InterleavedX, SpmvWorkspace};
 use crate::ProtectedBlockedCsr;
 use abft_sparse::CsrMatrix;
 
@@ -117,17 +117,16 @@ pub trait ProtectedMatrix: Send + Sync {
         log: &FaultLog,
     ) -> Result<(), AbftError>;
 
-    /// Computes `products[i*k + j] = (A xs[j])[row0 + i]` for a contiguous
-    /// row range and a width-`k` panel — the multi-RHS sibling of
-    /// [`ProtectedMatrix::spmv_range_view`].  Column `j`'s output is bitwise
-    /// identical to a single-vector product of `xs[j]`.
-    ///
-    /// The panel is uniform: every view is a [`DenseView::Slice`] or every
-    /// view is [`DenseView::MaskedWords`] (debug builds assert it).
+    /// Computes `products[i*k + j] = (A x_j)[row0 + i]` for a contiguous
+    /// row range and the width-`k` interleaved panel `xp` — the multi-RHS
+    /// sibling of [`ProtectedMatrix::spmv_range_view`].  Column `j`'s output
+    /// is bitwise identical to a single-vector product of `x_j`, and a
+    /// column index out of range fails as it does there, against the
+    /// vector length `xp` holds.
     fn spmm_range_view(
         &self,
         row0: usize,
-        xs: &[DenseView<'_>],
+        xp: InterleavedX<'_>,
         products: &mut [f64],
         check: bool,
         scratch: &mut Vec<u8>,
@@ -319,13 +318,13 @@ impl ProtectedMatrix for AnyProtectedMatrix {
     fn spmm_range_view(
         &self,
         row0: usize,
-        xs: &[DenseView<'_>],
+        xp: InterleavedX<'_>,
         products: &mut [f64],
         check: bool,
         scratch: &mut Vec<u8>,
         log: &FaultLog,
     ) -> Result<(), AbftError> {
-        delegate!(self, m => m.spmm_range_view(row0, xs, products, check, scratch, log))
+        delegate!(self, m => m.spmm_range_view(row0, xp, products, check, scratch, log))
     }
 
     fn verify_all(&self, log: &FaultLog) -> Result<(), AbftError> {

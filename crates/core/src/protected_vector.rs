@@ -327,11 +327,12 @@ impl ProtectedVector {
         log: &FaultLog,
         mut f: impl FnMut(usize, f64) -> f64,
     ) -> Result<(), AbftError> {
-        self.parity_precheck(None, log)?;
+        let certified = self.parity_precheck(&[], log)?;
         let codec = self.codec();
         let len = self.len;
         let mut tally = 0u64;
-        let result = update_range(codec, &mut self.data, 0, len, log, &mut tally, &mut f);
+        let data = &mut self.data;
+        let result = update_range(codec, data, certified, 0, len, log, &mut tally, &mut f);
         flush_checks(log, codec.scheme, tally);
         if result.is_ok() {
             self.parity_commit();
@@ -356,16 +357,23 @@ impl ProtectedVector {
     }
 
     /// Copies (and re-encodes) the contents of `other`, checking `other` as
-    /// it is read, on the block-certified `copy_range` kernel.
+    /// it is read, on the block-certified `copy_range` kernel.  With the
+    /// erasure tier on this vector the source first passes the parity
+    /// barrier, like every other operand a parity-mode write reads: an
+    /// erased source chunk is convicted (and nothing written), not decoded
+    /// as correctable noise, and a swept source is copied without a second
+    /// check.
     ///
     /// # Panics
     /// Panics unless `other` has this vector's length and scheme.
     pub fn copy_from(&mut self, other: &ProtectedVector, log: &FaultLog) -> Result<(), AbftError> {
         self.assert_operand(other, "copy_from");
+        let certified = self.parity.is_some() && other.barrier_certify(log)?;
         let codec = other.codec();
         let len = self.len;
         let mut tally = 0u64;
-        let result = copy_range(codec, &mut self.data, &other.data, 0, len, log, &mut tally);
+        let (dst, src) = (&mut self.data, &other.data);
+        let result = copy_range(codec, dst, src, certified, 0, len, log, &mut tally);
         flush_checks(log, codec.scheme, tally);
         if result.is_ok() {
             self.parity_commit();
@@ -872,27 +880,40 @@ impl ProtectedVector {
     /// rebuild the lost chunk and re-run the kernel without double-applying
     /// a partial update.  A no-op when the erasure tier is disabled.
     ///
-    /// Each operand is one [`ProtectedVector::barrier_sweep`]; only an
-    /// operand the sweep does not pass takes the classifying sequence, with
-    /// its events, indices and counts.
+    /// This vector and each of `operands` is one
+    /// [`ProtectedVector::barrier_sweep`]; only a vector the sweep does not
+    /// pass takes the classifying sequence, with its events, indices and
+    /// counts.  `Ok(true)` when every sweep passed: the sweeps are then the
+    /// kernel's one certification of its operands, and its range kernels
+    /// take their certified arm without checking a word again.  `Ok(false)`
+    /// without the tier, or when a vector had to be classified (and may
+    /// hold a correctable flip the range kernels must still correct).
     pub(crate) fn parity_precheck(
         &self,
-        operand: Option<&ProtectedVector>,
+        operands: &[&ProtectedVector],
         log: &FaultLog,
-    ) -> Result<(), AbftError> {
+    ) -> Result<bool, AbftError> {
         if self.parity.is_none() {
-            return Ok(());
+            return Ok(false);
         }
-        for v in std::iter::once(self).chain(operand) {
-            if !v.barrier_sweep(log) {
-                // Parity first (see `verify_parity`): an erasure must be
-                // convicted before any decode treats its garbage as
-                // correctable noise.
-                v.verify_parity(log)?;
-                v.check_all(log)?;
-            }
+        let mut swept = true;
+        for v in std::iter::once(self).chain(operands.iter().copied()) {
+            swept &= v.barrier_certify(log)?;
         }
-        Ok(())
+        Ok(swept)
+    }
+
+    /// One vector through the barrier: `Ok(true)` when its sweep passes,
+    /// else the classifying sequence — parity first (see `verify_parity`):
+    /// an erasure must be convicted before any decode treats its garbage as
+    /// correctable noise — and `Ok(false)` when that finds nothing fatal.
+    fn barrier_certify(&self, log: &FaultLog) -> Result<bool, AbftError> {
+        if self.barrier_sweep(log) {
+            return Ok(true);
+        }
+        self.verify_parity(log)?;
+        self.check_all(log)?;
+        Ok(false)
     }
 
     /// Parity-mode write epilogue: recompute parity after a successful
@@ -1863,12 +1884,10 @@ mod tests {
             log: &FaultLog,
             f: impl FnMut(usize, f64) -> f64,
         ) -> Result<(), AbftError> {
-            self.parity_precheck(None, log)?;
+            let certified = self.parity_precheck(&[], log)?;
             let mut tally = 0u64;
             let result = self.update_from_fn_inner(log, &mut tally, f);
-            if self.scheme != EccScheme::None {
-                log.record_checks(Region::DenseVector, tally);
-            }
+            self.record_reference_checks(log, certified, tally);
             if result.is_ok() {
                 self.parity_commit();
             }
@@ -1930,11 +1949,10 @@ mod tests {
             log: &FaultLog,
         ) -> Result<(), AbftError> {
             self.assert_operand(other, "copy_from");
+            let certified = self.parity.is_some() && other.barrier_certify(log)?;
             let mut tally = 0u64;
             let result = self.copy_from_inner(other, log, &mut tally);
-            if self.scheme != EccScheme::None {
-                log.record_checks(Region::DenseVector, tally);
-            }
+            self.record_reference_checks(log, certified, tally);
             if result.is_ok() {
                 self.parity_commit();
             }
@@ -2060,12 +2078,10 @@ mod tests {
             op: impl Fn(f64, f64) -> f64,
         ) -> Result<(), AbftError> {
             self.assert_operand(x, "vector update");
-            self.parity_precheck(Some(x), log)?;
+            let certified = self.parity_precheck(&[x], log)?;
             let mut tally = 0u64;
             let result = self.zip_inner(x, log, &mut tally, op);
-            if self.scheme != EccScheme::None {
-                log.record_checks(Region::DenseVector, tally);
-            }
+            self.record_reference_checks(log, certified, tally);
             if result.is_ok() {
                 self.parity_commit();
             }
@@ -2117,6 +2133,52 @@ mod tests {
                 base += group;
             }
             Ok(())
+        }
+
+        /// `self ← self + α·p; p ← r + β·p`, one decode of each operand and
+        /// one encode of each written vector per group.
+        fn axpy_xpay_reference(
+            &mut self,
+            alpha: f64,
+            p: &mut ProtectedVector,
+            beta: f64,
+            r: &ProtectedVector,
+            log: &FaultLog,
+        ) -> Result<(), AbftError> {
+            self.assert_operand(p, "axpy_xpay");
+            self.assert_operand(r, "axpy_xpay");
+            let certified = self.parity_precheck(&[p, r], log)?;
+            let mut tally = 0u64;
+            let mut walk = || {
+                for base in (0..self.data.len()).step_by(self.group_size()) {
+                    tally += 3;
+                    let (mut x, count) = self.decode_group(base, log)?;
+                    let (mut pv, _) = p.decode_group(base, log)?;
+                    let (rv, _) = r.decode_group(base, log)?;
+                    for j in 0..count {
+                        x[j] += alpha * pv[j];
+                        pv[j] = rv[j] + beta * pv[j];
+                    }
+                    self.encode_group(base, &x);
+                    p.encode_group(base, &pv);
+                }
+                Ok(())
+            };
+            let result = walk();
+            self.record_reference_checks(log, certified, tally);
+            if result.is_ok() {
+                self.parity_commit();
+                p.parity_commit();
+            }
+            result
+        }
+
+        /// A reference walk's checks, unless the parity barrier's sweeps
+        /// were the kernel's certification.
+        fn record_reference_checks(&self, log: &FaultLog, certified: bool, tally: u64) {
+            if self.scheme != EccScheme::None && !certified {
+                log.record_checks(Region::DenseVector, tally);
+            }
         }
 
         /// Re-encodes the group starting at `base` from plain values; entries
@@ -2430,6 +2492,26 @@ mod tests {
                     } else {
                         &sides[..]
                     };
+                    // The fused x/p update with the fault in each of its
+                    // three operands in turn.
+                    let r = encode(&sample(n).iter().map(|x| 2.0 - x).collect::<Vec<_>>());
+                    let triples = [
+                        (&v, operand.clone(), r.clone()),
+                        (&clean, faulted(&operand), r.clone()),
+                        (&clean, operand.clone(), faulted(&r)),
+                    ];
+                    let fused_sides = if flips.is_empty() { 1 } else { 3 };
+                    for (side, (s, p, r)) in triples.iter().take(fused_sides).enumerate() {
+                        let ok = assert_same(
+                            &format!("axpy_xpay_masked fault in operand {side} {label}"),
+                            parallel,
+                            &((*s).clone(), p.clone()),
+                            |(s, p), log| s.axpy_xpay_masked(ALPHA, p, BETA, r, log),
+                            |(s, p), log| s.axpy_xpay_reference(ALPHA, p, BETA, r, log),
+                            |(s, p)| (stored(s), stored(p)),
+                        );
+                        recovers("axpy_xpay_masked", ok);
+                    }
                     for (side, (s, x)) in sides.iter().enumerate() {
                         for (name, when, kernel, reference) in PAIRS {
                             if !runs(when) {

@@ -18,7 +18,12 @@
 //!   one load and one AND per access instead of an assert-guarded
 //!   `ProtectedVector::get` call;
 //! * the output vector is written one codeword group at a time (write
-//!   buffering), so each group is encoded exactly once.
+//!   buffering), so each group is encoded exactly once, and `x · y` is
+//!   summed from the staged products (CG's `p · Ap` without re-verifying
+//!   either vector);
+//! * a multi-RHS panel is interleaved once per call into one row-major
+//!   input ([`InterleavedX`]), so a matrix element reads all its columns'
+//!   inputs from one cache line.
 //!
 //! Every entry point — [`ProtectedMatrix::spmv_with`], [`protected_spmv`],
 //! [`protected_spmm_plain`] and [`protected_spmm`] — runs its range kernel
@@ -33,7 +38,7 @@
 
 use crate::error::AbftError;
 use crate::protected_matrix::ProtectedMatrix;
-use crate::protected_vector::ProtectedVector;
+use crate::protected_vector::{ProtectedVector, ACC_BLOCK};
 use crate::report::FaultLog;
 use crate::schemes::EccScheme;
 use abft_sparse::Vector;
@@ -152,69 +157,62 @@ impl XRead for MaskedX<'_> {
     }
 }
 
-/// Builds the fixed-size [`XRead`] panel for a `&[DenseView]` and invokes
-/// the body with the reader slice bound — the storage-tier side of
-/// [`ProtectedMatrix::spmm_range_view`]'s monomorphization.  A panel is
-/// uniform: [`protected_spmm_plain`] builds only plain-slice panels and
-/// [`protected_spmm`] only masked-word ones, so the first column picks the
-/// reader for all of them.
-macro_rules! dispatch_panel_readers {
-    ($xs:expr, |$r:ident| $call:expr) => {{
-        use $crate::spmv::{DenseView, MaskedX, SliceX, MAX_PANEL_WIDTH};
-        let views: &[DenseView<'_>] = $xs;
-        let plain = matches!(views.first(), Some(DenseView::Slice(_)));
-        debug_assert!(
-            views
-                .iter()
-                .all(|v| matches!(v, DenseView::Slice(_)) == plain),
-            "spmm_range_view: a panel mixes plain and masked columns"
-        );
-        if plain {
-            let mut readers = [SliceX(&[][..]); MAX_PANEL_WIDTH];
-            for (slot, v) in readers.iter_mut().zip(views) {
-                if let DenseView::Slice(s) = v {
-                    *slot = SliceX(s);
-                }
-            }
-            let $r = &readers[..views.len()];
-            $call
-        } else {
-            let mut readers = [MaskedX {
-                words: &[][..],
-                mask: 0,
-            }; MAX_PANEL_WIDTH];
-            for (slot, v) in readers.iter_mut().zip(views) {
-                if let DenseView::MaskedWords { words, mask } = v {
-                    *slot = MaskedX { words, mask: *mask };
-                }
-            }
-            let $r = &readers[..views.len()];
-            $call
-        }
-    }};
-}
-pub(crate) use dispatch_panel_readers;
-
 /// Maximum number of right-hand sides a multi-RHS panel may carry.
 ///
 /// The SpMM kernels accumulate one stack slot per column, so the bound keeps
-/// per-row state in registers / L1 and lets panel views live in fixed-size
-/// arrays (no per-call allocation).  Eight is where the per-RHS matrix
-/// verify cost has already dropped below the memory-bandwidth noise floor.
+/// per-row state in registers / L1 and lets the interleaved input panel
+/// hold one fixed-size array per vector element.  Eight is where the
+/// per-RHS matrix verify cost has already dropped below the
+/// memory-bandwidth noise floor.
 pub const MAX_PANEL_WIDTH: usize = 8;
+
+/// The input of the multi-RHS range kernels: a width-`k` panel of vectors
+/// interleaved row-major, `xp[col][j]` element `col` of column `j` (the
+/// flat `xp[col * MAX_PANEL_WIDTH + j]`), so one matrix element reads its
+/// `k` inputs from one cache line instead of from `k` separate vectors.
+/// Slots `j >= k` are zero.  The entry points fill it once per call, row by
+/// row from the certified (masked) words, into their workspace.
+#[derive(Debug, Clone, Copy)]
+pub struct InterleavedX<'a> {
+    pub(crate) xp: &'a [[f64; MAX_PANEL_WIDTH]],
+    pub(crate) width: usize,
+}
+
+impl<'a> InterleavedX<'a> {
+    /// Wraps an interleaved panel of `width` columns, one row per vector
+    /// element.
+    ///
+    /// # Panics
+    /// Panics unless `width` is in `1..=MAX_PANEL_WIDTH`.
+    pub fn new(xp: &'a [[f64; MAX_PANEL_WIDTH]], width: usize) -> Self {
+        assert!(
+            (1..=MAX_PANEL_WIDTH).contains(&width),
+            "interleaved panel width {width} outside 1..={MAX_PANEL_WIDTH}"
+        );
+        InterleavedX { xp, width }
+    }
+
+    /// Number of columns.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+}
 
 /// Reusable scratch storage for the SpMV and SpMM kernels, owned by the
 /// solver state so iterations perform no heap allocations after setup.
 ///
 /// One workspace serves every kernel shape: the staging buffer of the fully
 /// protected products (`rows` slots for one vector, a row-major `rows × k`
-/// panel, `products[row * k + col]`, for several) and one CRC row-codeword
-/// scratch buffer per chunk (a serial call is chunk 0).  Buffers grow on
-/// first use and are reused verbatim afterwards.
+/// panel, `products[row * k + col]`, for several), the interleaved input
+/// panel of the SpMM ([`InterleavedX`]) and one CRC row-codeword scratch
+/// buffer per chunk (a serial call is chunk 0).  Buffers grow on first use
+/// and are reused verbatim afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct SpmvWorkspace {
     /// Row products before group encoding.
     pub(crate) products: Vec<f64>,
+    /// The SpMM input panel, one row per input-vector element.
+    panel: Vec<[f64; MAX_PANEL_WIDTH]>,
     /// CRC row-codeword bytes, one buffer per chunk.
     pub(crate) chunk_scratch: Vec<Vec<u8>>,
 }
@@ -280,38 +278,59 @@ pub(crate) fn spmv_rows<A: ProtectedMatrix + ?Sized>(
     })
 }
 
-/// Certifies `x` for one kernel invocation and returns the masked view the
-/// kernels then read it through.  A clean vector is certified — and, with
-/// the erasure tier, cross-checked against its stripe parity — by one
-/// barrier sweep without decoding any group; anything else takes the scrub
-/// (checked, and repaired if a correctable flip is found) after the parity
-/// repair.
+/// Certifies `x` for one kernel invocation and returns the masked words
+/// and read mask the kernels then read it through.  A clean vector is
+/// certified — and, with the erasure tier, cross-checked against its stripe
+/// parity — by one barrier sweep without decoding any group; anything else
+/// takes the scrub (checked, and repaired if a correctable flip is found)
+/// after the parity repair.
 ///
 /// Parity first: an erased chunk whose garbage mimics correctable noise
 /// would be silently miscorrected by the scrub — and the schemes are linear,
 /// so afterwards the stripe evidence can no longer single out the culprit.
 /// The repair rebuilds any convicted chunk before the scrub runs (a no-op
 /// without the tier).
-fn scrubbed_view<'a>(
+fn scrubbed_words<'a>(
     x: &'a mut ProtectedVector,
     log: &FaultLog,
-) -> Result<DenseView<'a>, AbftError> {
+) -> Result<(&'a [u64], u64), AbftError> {
     if x.scheme() != EccScheme::None && !x.barrier_sweep(log) {
         x.repair_parity(log)?;
         x.scrub(log)?;
     }
-    let (words, mask) = x.masked_words();
-    Ok(DenseView::MaskedWords { words, mask })
+    Ok(x.masked_words())
 }
 
-/// `y = A x` with both the matrix and the vectors protected.
+/// `x · y` over masked words and the values `y` is about to store, summed
+/// per [`ACC_BLOCK`] elements and the block partials folded in order —
+/// bitwise [`ProtectedVector::dot_masked`] of the certified input and the
+/// written output, without reading (or checking) either again.  A
+/// rectangular product sums over the shorter of the two.
+fn masked_dot((x, x_mask): (&[u64], u64), y: &[f64], y_mask: u64) -> f64 {
+    let mut total = 0.0;
+    for (x, y) in x.chunks(ACC_BLOCK).zip(y.chunks(ACC_BLOCK)) {
+        let mut block = 0.0;
+        for (&w, &v) in x.iter().zip(y) {
+            block += f64::from_bits(w & x_mask) * f64::from_bits(v.to_bits() & y_mask);
+        }
+        total += block;
+    }
+    total
+}
+
+/// `y = A x` with both the matrix and the vectors protected, returning
+/// `x · y` (see below).
 ///
 /// The input vector is scrubbed (checked, and repaired if a correctable flip
 /// is found) once up front — a clean vector is certified by one batched
 /// SIMD predicate without decoding any group; row products are then
 /// computed through the masked raw-slice fast path into the workspace (on
 /// the worker pool when the matrix is configured parallel) and the output
-/// vector is rebuilt group by group.
+/// vector is rebuilt group by group.  From the staged products the kernel
+/// also sums `x · y` in [`ProtectedVector::dot_masked`]'s order, so for a
+/// square `A` the returned value is bitwise that dot product — CG's `p·Ap`
+/// — without re-verifying the two vectors it has just certified and
+/// encoded.
 ///
 /// ```
 /// use abft_core::spmv::protected_spmv;
@@ -330,9 +349,10 @@ fn scrubbed_view<'a>(
 /// let mut y = ProtectedVector::zeros(2, EccScheme::Secded64, Crc32cBackend::Auto);
 /// let log = FaultLog::new();
 /// let mut ws = SpmvWorkspace::new();
-/// protected_spmv(&a, &mut x, &mut y, 0, &log, &mut ws)?;
+/// let xy = protected_spmv(&a, &mut x, &mut y, 0, &log, &mut ws)?;
 /// assert!((y.get(0) - 12.0).abs() < 1e-9); // 2·1 + 1·10
 /// assert!((y.get(1) - 30.0).abs() < 1e-9); // 3·10
+/// assert_eq!(xy, x.dot_masked(&y, &log)?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn protected_spmv<A: ProtectedMatrix + ?Sized>(
@@ -342,32 +362,92 @@ pub fn protected_spmv<A: ProtectedMatrix + ?Sized>(
     iteration: u64,
     log: &FaultLog,
     ws: &mut SpmvWorkspace,
-) -> Result<(), AbftError> {
+) -> Result<f64, AbftError> {
     assert_eq!(x.len(), a.cols(), "protected_spmv: x has wrong length");
     assert_eq!(y.len(), a.rows(), "protected_spmv: y has wrong length");
-    let xv = scrubbed_view(x, log)?;
+    let (words, mask) = scrubbed_words(x, log)?;
     let check = a.policy().should_check(iteration);
     let (products, chunk_scratch) = ws.buffers(a.rows());
+    let xv = DenseView::MaskedWords { words, mask };
     spmv_rows(a, xv, products, check, log, chunk_scratch)?;
     y.fill_from_fn(|row| products[row]);
-    Ok(())
+    Ok(masked_dot((words, mask), products, y.read_mask))
 }
 
-/// Runs a prepared view panel through the SpMM range kernel and
+/// Fills `panel[..cols]` row by row: `panel[i][j]` is element `i` of
+/// column `j` read through `read(column j's word, j)`, slots past the
+/// panel's width zero.
+fn interleave<T: Copy>(
+    panel: &mut [[f64; MAX_PANEL_WIDTH]],
+    columns: &[&[T]],
+    read: impl Fn(T, usize) -> f64,
+) {
+    let width = columns.len();
+    for (i, row) in panel.iter_mut().enumerate() {
+        for (j, (slot, column)) in row.iter_mut().zip(columns).enumerate() {
+            *slot = read(column[i], j);
+        }
+        row[width..].fill(0.0);
+    }
+}
+
+/// Runs a prepared view panel through the range kernels and
 /// [`drive_rows`], leaving the row-major product panel in the workspace.
-/// Matrix-side checks and faults go to `log`.
+/// One column takes the single-vector sink straight off its view; a wider
+/// panel is first interleaved into the workspace ([`InterleavedX`]), its
+/// views uniform — all plain or all masked.  Matrix-side checks and faults
+/// go to `log`.
 fn spmm_rows<A: ProtectedMatrix + ?Sized>(
     a: &A,
-    xs: &[DenseView<'_>],
+    views: &[DenseView<'_>],
     check: bool,
     log: &FaultLog,
     ws: &mut SpmmWorkspace,
 ) -> Result<(), AbftError> {
-    let width = xs.len();
-    let (products, chunk_scratch) = ws.buffers(a.rows() * width);
-    drive_rows(a, products, width, chunk_scratch, |row0, rows, scratch| {
-        a.spmm_range_view(row0, xs, rows, check, scratch, log)
-    })
+    let width = views.len();
+    if width == 1 {
+        let (products, chunk_scratch) = ws.buffers(a.rows());
+        return spmv_rows(a, views[0], products, check, log, chunk_scratch);
+    }
+    let cols = a.cols();
+    if ws.panel.len() < cols {
+        ws.panel.resize(cols, [0.0; MAX_PANEL_WIDTH]);
+    }
+    let panel = &mut ws.panel[..cols];
+    if let DenseView::Slice(_) = views[0] {
+        let mut columns = [&[][..]; MAX_PANEL_WIDTH];
+        for (column, view) in columns.iter_mut().zip(views) {
+            let DenseView::Slice(s) = *view else {
+                panic!("spmm: a panel mixes plain and masked columns")
+            };
+            *column = s;
+        }
+        interleave(panel, &columns[..width], |v, _| v);
+    } else {
+        let (mut columns, mut masks) = ([&[][..]; MAX_PANEL_WIDTH], [0u64; MAX_PANEL_WIDTH]);
+        for ((column, m), view) in columns.iter_mut().zip(&mut masks).zip(views) {
+            let DenseView::MaskedWords { words, mask } = *view else {
+                panic!("spmm: a panel mixes plain and masked columns")
+            };
+            (*column, *m) = (words, mask);
+        }
+        interleave(panel, &columns[..width], |w, j| {
+            f64::from_bits(w & masks[j])
+        });
+    }
+    let xp = InterleavedX::new(&ws.panel[..cols], width);
+    let len = a.rows() * width;
+    if ws.products.len() < len {
+        ws.products.resize(len, 0.0);
+    }
+    let products = &mut ws.products[..len];
+    drive_rows(
+        a,
+        products,
+        width,
+        &mut ws.chunk_scratch,
+        |row0, rows, scratch| a.spmm_range_view(row0, xp, rows, check, scratch, log),
+    )
 }
 
 /// `ys[j] = A xs[j]` for a panel of plain vectors over a protected matrix —
@@ -424,16 +504,20 @@ pub fn protected_spmm_plain<A: ProtectedMatrix + ?Sized>(
 }
 
 /// `ys[j] = A xs[j]` for a panel of protected vectors over a protected
-/// matrix — the fully protected multi-RHS kernel.
+/// matrix — the fully protected multi-RHS kernel.  Returns `xs[j] · ys[j]`
+/// for every column that was computed (0.0 for the others), each bitwise
+/// the value [`protected_spmv`] returns for that column.
 ///
 /// Vector-side integrity is per column: each `xs[j]` is scrubbed once into
 /// its own `col_logs[j]` (exactly the per-invocation scrub of
 /// [`protected_spmv`]), and a column whose scrub fails is dropped from the
 /// panel with its error stored in `col_errors[j]` — the other columns
-/// proceed.  Matrix-side checks and faults go to `matrix_log`; a matrix
-/// fault aborts the whole panel with `Err` (every surviving column read the
-/// same corrupt structure).  Columns whose `col_errors` slot is already
-/// `Some` on entry are skipped.
+/// proceed.  The survivors are interleaved into one input panel in the
+/// workspace, so the matrix traversal reads all of them per element from
+/// one cache line.  Matrix-side checks and faults go to `matrix_log`; a
+/// matrix fault aborts the whole panel with `Err` (every surviving column
+/// read the same corrupt structure).  Columns whose `col_errors` slot is
+/// already `Some` on entry are skipped.
 #[allow(clippy::too_many_arguments)]
 pub fn protected_spmm<A: ProtectedMatrix + ?Sized>(
     a: &A,
@@ -444,7 +528,7 @@ pub fn protected_spmm<A: ProtectedMatrix + ?Sized>(
     matrix_log: &FaultLog,
     col_errors: &mut [Option<AbftError>],
     ws: &mut SpmmWorkspace,
-) -> Result<(), AbftError> {
+) -> Result<[f64; MAX_PANEL_WIDTH], AbftError> {
     let width = xs.len();
     assert!(
         (1..=MAX_PANEL_WIDTH).contains(&width),
@@ -471,35 +555,75 @@ pub fn protected_spmm<A: ProtectedMatrix + ?Sized>(
     // per-invocation certification of `protected_spmv`); a failing column is
     // isolated, not panel-fatal, and the survivors are compacted into a
     // fixed-size view panel.
-    let mut views = [DenseView::MaskedWords {
-        words: &[][..],
-        mask: 0,
-    }; MAX_PANEL_WIDTH];
+    let mut inputs = [(&[][..], 0u64); MAX_PANEL_WIDTH];
+    let mut views = [DenseView::Slice(&[][..]); MAX_PANEL_WIDTH];
     let mut positions = [0usize; MAX_PANEL_WIDTH];
     let mut live = 0usize;
     for (j, x) in xs.iter_mut().enumerate() {
         if col_errors[j].is_some() {
             continue;
         }
-        match scrubbed_view(x, col_logs[j]) {
-            Ok(view) => {
-                views[live] = view;
+        match scrubbed_words(x, col_logs[j]) {
+            Ok((words, mask)) => {
+                inputs[live] = (words, mask);
+                views[live] = DenseView::MaskedWords { words, mask };
                 positions[live] = j;
                 live += 1;
             }
             Err(e) => col_errors[j] = Some(e),
         }
     }
+    let mut dots = [0.0; MAX_PANEL_WIDTH];
     if live == 0 {
-        return Ok(());
+        return Ok(dots);
     }
     let check = a.policy().should_check(iteration);
     spmm_rows(a, &views[..live], check, matrix_log, ws)?;
-    let panel = &ws.products[..a.rows() * live];
-    for (pos, &j) in positions[..live].iter().enumerate() {
-        ys[j].fill_from_fn(|row| panel[row * live + pos]);
+    let products = &ws.products[..a.rows() * live];
+    if live == 1 {
+        let j = positions[0];
+        ys[j].fill_from_fn(|row| products[row]);
+        dots[j] = masked_dot(inputs[0], products, ys[j].read_mask);
+        return Ok(dots);
     }
-    Ok(())
+    let mut y_masks = [0u64; MAX_PANEL_WIDTH];
+    for (mask, &j) in y_masks.iter_mut().zip(&positions[..live]) {
+        *mask = ys[j].read_mask;
+    }
+    let panel_dots = panel_dots(&ws.panel[..a.cols()], products, live, &y_masks);
+    for (pos, &j) in positions[..live].iter().enumerate() {
+        ys[j].fill_from_fn(|row| products[row * live + pos]);
+        dots[j] = panel_dots[pos];
+    }
+    Ok(dots)
+}
+
+/// `x_j · y_j` for every column of a panel product — `xp` the interleaved
+/// (masked) inputs, `products` the row-major outputs before encoding —
+/// bitwise what [`masked_dot`] returns column by column: lane `j` adds its
+/// products element by element per [`ACC_BLOCK`] block and folds the block
+/// partials in order, the lanes side by side instead of one after another.
+fn panel_dots(
+    xp: &[[f64; MAX_PANEL_WIDTH]],
+    products: &[f64],
+    width: usize,
+    y_masks: &[u64; MAX_PANEL_WIDTH],
+) -> [f64; MAX_PANEL_WIDTH] {
+    let (mut total, mut block) = ([0.0; MAX_PANEL_WIDTH], [0.0; MAX_PANEL_WIDTH]);
+    for (i, (x, y)) in xp.iter().zip(products.chunks_exact(width)).enumerate() {
+        if i % ACC_BLOCK == 0 {
+            for (t, b) in total.iter_mut().zip(&mut block) {
+                *t += std::mem::take(b);
+            }
+        }
+        for (j, (b, &v)) in block.iter_mut().zip(y).enumerate() {
+            *b += x[j] * f64::from_bits(v.to_bits() & y_masks[j]);
+        }
+    }
+    for (t, b) in total.iter_mut().zip(block) {
+        *t += b;
+    }
+    total
 }
 
 #[cfg(test)]

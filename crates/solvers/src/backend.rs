@@ -12,12 +12,14 @@
 //! Two traits capture the surfaces:
 //!
 //! * [`LinearOperator`] — the matrix side: `apply` (SpMV, with the iteration
-//!   index that drives the check-interval policy), vector construction for
+//!   index that drives the check-interval policy) and its fused `apply_dot`
+//!   (the SpMV with the `p · Ap` of a CG step), vector construction for
 //!   its associated storage, the diagonal (for Jacobi), and the end-of-solve
 //!   `finish` hook (whole-matrix verification + scrubbing, §VI-A-2).
 //! * [`SolverVector`] — the vector side: the BLAS-1 kernels the CG family
-//!   needs (`dot`, `axpy`, `xpay`, `scale`, fills and copies), each
-//!   fallible because protected storage verifies codewords on access.
+//!   needs (`dot`, `axpy`, `xpay`, `scale`, fills and copies, and the fused
+//!   `dot_axpy` and `axpy_xpay` of a CG step), each fallible because
+//!   protected storage verifies codewords on access.
 //!
 //! Every operation threads a [`FaultContext`] carrying the
 //! [`FaultLog`] in which integrity-check activity is
@@ -25,7 +27,7 @@
 //! uncorrectable fault.  Concrete backends for the three protection tiers
 //! live in [`crate::backends`].
 
-use abft_core::{AbftError, FaultLog, FaultLogSnapshot, ReductionWorkspace};
+use abft_core::{AbftError, FaultLog, FaultLogSnapshot, ReductionWorkspace, MAX_PANEL_WIDTH};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -236,6 +238,25 @@ pub trait SolverVector: Clone {
         self.axpy(alpha, x, ctx)
     }
 
+    /// Fused `self ← self + alpha · p; p ← r + beta · p` — CG's iterate and
+    /// search-direction updates in one pass, `self` reading `p` before it
+    /// changes.  The default runs [`SolverVector::axpy`] then
+    /// [`SolverVector::xpay`]; protected backends override it with one
+    /// kernel that reads each of the three operands once (bitwise the same
+    /// result).  The solvers retry the call once after a parity rebuild, so
+    /// an override must not write either vector before it can fail.
+    fn axpy_xpay(
+        &mut self,
+        alpha: f64,
+        p: &mut Self,
+        beta: f64,
+        r: &Self,
+        ctx: &FaultContext,
+    ) -> Result<(), SolverError> {
+        self.axpy(alpha, p, ctx)?;
+        p.xpay(beta, r, ctx)
+    }
+
     /// Overwrites every element with `value` (re-encoding, never reading).
     fn fill(&mut self, value: f64);
 
@@ -331,6 +352,52 @@ pub trait LinearOperator {
             }
         }
         Ok(())
+    }
+
+    /// `y = A x` returning `x · y` — a CG step's SpMV with the `p · Ap` that
+    /// follows it.  The default is [`LinearOperator::apply`] then
+    /// [`SolverVector::dot`]; the fully protected backend overrides it with
+    /// the SpMV that accumulates the dot while it encodes `y` — bitwise the
+    /// same value, without re-verifying the two vectors it has just
+    /// certified and written.
+    fn apply_dot(
+        &self,
+        x: &mut Self::Vector,
+        y: &mut Self::Vector,
+        iteration: u64,
+        ctx: &FaultContext,
+    ) -> Result<f64, SolverError> {
+        self.apply(x, y, iteration, ctx)?;
+        x.dot(y, ctx)
+    }
+
+    /// [`LinearOperator::apply_panel`] that also returns `xs[j] · ys[j]` in
+    /// slot `j` for every column left without an error (other slots are
+    /// unspecified).  The default is `apply_panel` then one
+    /// [`SolverVector::dot`] per such column in that column's context, a
+    /// failing dot parked in `col_errors[j]`; the fully protected backend
+    /// overrides it with the SpMM that accumulates the dots while it
+    /// encodes the outputs.
+    fn apply_panel_dot(
+        &self,
+        xs: &mut [&mut Self::Vector],
+        ys: &mut [&mut Self::Vector],
+        iteration: u64,
+        col_ctxs: &[&FaultContext],
+        matrix_ctx: &FaultContext,
+        col_errors: &mut [Option<SolverError>],
+    ) -> Result<[f64; MAX_PANEL_WIDTH], SolverError> {
+        self.apply_panel(xs, ys, iteration, col_ctxs, matrix_ctx, col_errors)?;
+        let mut dots = [0.0; MAX_PANEL_WIDTH];
+        for (j, (x, y)) in xs.iter().zip(ys.iter()).enumerate() {
+            if col_errors[j].is_none() {
+                match x.dot(y, col_ctxs[j]) {
+                    Ok(d) => dots[j] = d,
+                    Err(e) => col_errors[j] = Some(e),
+                }
+            }
+        }
+        Ok(dots)
     }
 
     /// The matrix diagonal as plain values (Jacobi's preconditioner).

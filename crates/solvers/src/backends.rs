@@ -19,7 +19,7 @@ use crate::chebyshev::ChebyshevBounds;
 use abft_core::spmv::{protected_spmm, protected_spmm_plain, protected_spmv};
 use abft_core::{
     AbftError, AnyProtectedMatrix, EccScheme, FaultLog, ProtectedMatrix, ProtectedVector,
-    ReductionWorkspace, SpmmWorkspace, SpmvWorkspace,
+    ReductionWorkspace, SpmmWorkspace, SpmvWorkspace, MAX_PANEL_WIDTH,
 };
 use abft_sparse::spmv::{axpy_parallel, dot_parallel_with, spmv_parallel, spmv_serial};
 use abft_sparse::vector::{blas_axpy, blas_dot};
@@ -92,6 +92,33 @@ impl SolverVector for PlainVector {
     fn scale(&mut self, alpha: f64, _ctx: &FaultContext) -> Result<(), SolverError> {
         for v in &mut self.data {
             *v *= alpha;
+        }
+        Ok(())
+    }
+
+    /// One pass over the three vectors when serial: PPCG and FT-PCG run this
+    /// update after the preconditioner, which has evicted `x` and `p` from
+    /// cache, and the two-pass default would read `p` back twice.  Bitwise
+    /// the default's AXPY then XPAY.
+    fn axpy_xpay(
+        &mut self,
+        alpha: f64,
+        p: &mut Self,
+        beta: f64,
+        r: &Self,
+        ctx: &FaultContext,
+    ) -> Result<(), SolverError> {
+        if self.parallel {
+            self.axpy(alpha, p, ctx)?;
+            return p.xpay(beta, r, ctx);
+        }
+        assert!(
+            self.len() == p.len() && p.len() == r.len(),
+            "axpy_xpay: length mismatch"
+        );
+        for ((x, p), &r) in self.data.iter_mut().zip(&mut p.data).zip(&r.data) {
+            *x += alpha * *p;
+            *p = r + beta * *p;
         }
         Ok(())
     }
@@ -177,6 +204,17 @@ impl SolverVector for ProtectedVector {
         ctx: &FaultContext,
     ) -> Result<(), SolverError> {
         Ok(self.scale_axpy_masked(beta, alpha, x, ctx.log())?)
+    }
+
+    fn axpy_xpay(
+        &mut self,
+        alpha: f64,
+        p: &mut Self,
+        beta: f64,
+        r: &Self,
+        ctx: &FaultContext,
+    ) -> Result<(), SolverError> {
+        Ok(self.axpy_xpay_masked(alpha, p, beta, r, ctx.log())?)
     }
 
     fn fill(&mut self, value: f64) {
@@ -400,12 +438,19 @@ impl LinearOperator for MatrixProtected<'_> {
         // matrix-side and panel-fatal; matrix checks are recorded once in
         // the panel's matrix context (1/k per RHS).
         let mut ws = self.spmm.borrow_mut();
-        let x_slices: Vec<&[f64]> = xs.iter().map(|x| &x.data[..]).collect();
-        let mut y_slices: Vec<&mut [f64]> = ys.iter_mut().map(|y| &mut y.data[..]).collect();
+        let width = xs.len();
+        let mut x_slices = [&[][..]; MAX_PANEL_WIDTH];
+        let mut y_slices: [&mut [f64]; MAX_PANEL_WIDTH] = Default::default();
+        for (slot, x) in x_slices.iter_mut().zip(xs.iter()) {
+            *slot = &x.data[..];
+        }
+        for (slot, y) in y_slices.iter_mut().zip(ys.iter_mut()) {
+            *slot = &mut y.data[..];
+        }
         Ok(protected_spmm_plain(
             self.matrix,
-            &x_slices,
-            &mut y_slices,
+            &x_slices[..width],
+            &mut y_slices[..width],
             iteration,
             matrix_ctx.log(),
             &mut ws,
@@ -507,6 +552,16 @@ impl LinearOperator for FullyProtected<'_> {
         iteration: u64,
         ctx: &FaultContext,
     ) -> Result<(), SolverError> {
+        self.apply_dot(x, y, iteration, ctx).map(drop)
+    }
+
+    fn apply_dot(
+        &self,
+        x: &mut ProtectedVector,
+        y: &mut ProtectedVector,
+        iteration: u64,
+        ctx: &FaultContext,
+    ) -> Result<f64, SolverError> {
         let mut ws = self.workspace.borrow_mut();
         Ok(protected_spmv(
             self.matrix,
@@ -527,21 +582,38 @@ impl LinearOperator for FullyProtected<'_> {
         matrix_ctx: &FaultContext,
         col_errors: &mut [Option<SolverError>],
     ) -> Result<(), SolverError> {
+        self.apply_panel_dot(xs, ys, iteration, col_ctxs, matrix_ctx, col_errors)
+            .map(drop)
+    }
+
+    fn apply_panel_dot(
+        &self,
+        xs: &mut [&mut ProtectedVector],
+        ys: &mut [&mut ProtectedVector],
+        iteration: u64,
+        col_ctxs: &[&FaultContext],
+        matrix_ctx: &FaultContext,
+        col_errors: &mut [Option<SolverError>],
+    ) -> Result<[f64; MAX_PANEL_WIDTH], SolverError> {
         // Each column's vector-side scrub reports to its own context; the
         // single matrix traversal reports to the panel's matrix context.  A
         // column whose input fails its scrub is dropped from the panel and
         // its error parked — only matrix-side faults abort the whole panel.
         let mut ws = self.spmm.borrow_mut();
-        let col_logs: Vec<&FaultLog> = col_ctxs.iter().map(|c| c.log()).collect();
-        let mut abft_errors: Vec<Option<AbftError>> = (0..xs.len()).map(|_| None).collect();
-        protected_spmm(
+        let width = xs.len();
+        let mut col_logs = [matrix_ctx.log(); MAX_PANEL_WIDTH];
+        for (slot, ctx) in col_logs.iter_mut().zip(col_ctxs) {
+            *slot = ctx.log();
+        }
+        let mut abft_errors: [Option<AbftError>; MAX_PANEL_WIDTH] = Default::default();
+        let dots = protected_spmm(
             self.matrix,
             xs,
             ys,
             iteration,
-            &col_logs,
+            &col_logs[..width],
             matrix_ctx.log(),
-            &mut abft_errors,
+            &mut abft_errors[..width],
             &mut ws,
         )?;
         for (slot, err) in col_errors.iter_mut().zip(abft_errors) {
@@ -549,7 +621,7 @@ impl LinearOperator for FullyProtected<'_> {
                 *slot = Some(SolverError::Fault(e));
             }
         }
-        Ok(())
+        Ok(dots)
     }
 
     fn diagonal(&self, ctx: &FaultContext) -> Result<Vec<f64>, SolverError> {

@@ -72,12 +72,15 @@ macro_rules! retry_kernel {
 /// Conjugate Gradient: `A x = b` from `x = 0`.
 ///
 /// One SpMV and two dot products per iteration — the three kernels that hold
-/// over 98 % of TeaLeaf's runtime and therefore carry the ABFT checks.  The
-/// residual update and its convergence reduction go through the fused
-/// [`SolverVector::dot_axpy`], so protected backends touch each codeword
-/// group of `r` once per iteration instead of three times; on the plain
-/// backend the fused default decomposes into exactly the historical AXPY +
-/// dot sequence, preserving trajectories bit for bit.
+/// over 98 % of TeaLeaf's runtime and therefore carry the ABFT checks.  An
+/// iteration is three passes, each through a fused trait method:
+/// [`LinearOperator::apply_dot`] (`w = A p` and `p · w`),
+/// [`SolverVector::dot_axpy`] (`r ← r − α w` and `r · r`) and
+/// [`SolverVector::axpy_xpay`] (`x ← x + α p; p ← r + β p`; on convergence
+/// the AXPY alone).  Protected backends verify each operand of a pass once;
+/// on the plain backend each default decomposes into exactly the historical
+/// kernel sequence (the iterate update moved after the residual update,
+/// which does not read it), preserving trajectories bit for bit.
 pub fn cg<Op: LinearOperator>(
     op: &Op,
     b: &Op::Vector,
@@ -145,22 +148,25 @@ pub fn cg_with_poll<Op: LinearOperator>(
                 p: &mut p,
             },
         );
-        retry_kernel!(ctx, [p, w], op.apply(&mut p, &mut w, iteration as u64, ctx))?;
-        let pw = retry_kernel!(ctx, [p, w], p.dot(&w, ctx))?;
+        let pw = retry_kernel!(
+            ctx,
+            [p, w],
+            op.apply_dot(&mut p, &mut w, iteration as u64, ctx)
+        )?;
         if pw == 0.0 {
             break;
         }
         let alpha = rr / pw;
-        retry_kernel!(ctx, [x, p], x.axpy(alpha, &p, ctx))?;
         let rr_new = retry_kernel!(ctx, [r, w], r.dot_axpy(-alpha, &w, ctx))?;
         status.iterations = iteration + 1;
         status.final_residual = rr_new;
         if rr_new < config.tolerance {
             status.converged = true;
+            retry_kernel!(ctx, [x, p], x.axpy(alpha, &p, ctx))?;
             break;
         }
         let beta = rr_new / rr;
-        retry_kernel!(ctx, [p, r], p.xpay(beta, &r, ctx))?;
+        retry_kernel!(ctx, [x, p, r], x.axpy_xpay(alpha, &mut p, beta, &r, ctx))?;
         rr = rr_new;
     }
     Ok((x, status))
@@ -203,9 +209,11 @@ fn snapshot_delta(after: &FaultLogSnapshot, before: &FaultLogSnapshot) -> FaultL
 /// — same kernels, same element order, same iteration indices — so each
 /// column's iterates are **bitwise identical** to a standalone solve of that
 /// system.  What changes is the matrix traversal: the panel SpMM
-/// ([`LinearOperator::apply_panel`]) verifies each matrix codeword group
-/// once per iteration regardless of how many columns are live, so the
-/// per-RHS matrix verify cost shrinks as `1/k`.
+/// ([`LinearOperator::apply_panel_dot`], which also returns every column's
+/// `p · w`) verifies each matrix codeword group once per iteration
+/// regardless of how many columns are live, so the per-RHS matrix verify
+/// cost shrinks as `1/k`.  An iteration allocates nothing: the live columns
+/// are kept at the front of fixed slots.
 ///
 /// Columns converge (and fault, stall, cancel or expire) independently: a
 /// finished column is compacted out of the panel, not recomputed.  Because
@@ -297,6 +305,13 @@ pub fn block_cg_panel<Op: LinearOperator>(
         }
     }
 
+    // The panel's vectors by slot: slots `0..live` hold the live columns in
+    // column order (`order[slot]` is the column), so a panel call takes them
+    // as a prefix and an iteration collects nothing.
+    let mut p_slots: Vec<&mut Op::Vector> = ps.iter_mut().collect();
+    let mut w_slots: Vec<&mut Op::Vector> = ws.iter_mut().collect();
+    let mut order: [usize; MAX_PANEL_WIDTH] = std::array::from_fn(|j| j);
+
     for iteration in 0..config.max_iterations {
         // Iteration-boundary controls: budgets and cooperative polls.
         for j in 0..k {
@@ -311,107 +326,112 @@ pub fn block_cg_panel<Op: LinearOperator>(
                 active[j] = false;
             }
         }
-        let live: Vec<usize> = (0..k).filter(|&j| active[j]).collect();
-        if live.is_empty() {
+        // Move the live columns to the front, keeping their order.
+        let mut live = 0;
+        for slot in 0..k {
+            if active[order[slot]] {
+                p_slots.swap(live, slot);
+                w_slots.swap(live, slot);
+                order.swap(live, slot);
+                live += 1;
+            }
+        }
+        if live == 0 {
             break;
         }
+        let columns = &order[..live];
 
-        // One matrix traversal for every live column: w_j = A p_j.
-        let mut panel_x: Vec<&mut Op::Vector> = ps
-            .iter_mut()
-            .enumerate()
-            .filter(|(j, _)| active[*j])
-            .map(|(_, v)| v)
-            .collect();
-        let mut panel_y: Vec<&mut Op::Vector> = ws
-            .iter_mut()
-            .enumerate()
-            .filter(|(j, _)| active[*j])
-            .map(|(_, v)| v)
-            .collect();
-        let panel_ctxs: Vec<&FaultContext> = live.iter().map(|&j| col_ctxs[j]).collect();
-        let mut panel_errors: Vec<Option<SolverError>> = (0..live.len()).map(|_| None).collect();
+        // One matrix traversal for every live column: w_j = A p_j and p_j · w_j.
+        let mut panel_ctxs = [matrix_ctx; MAX_PANEL_WIDTH];
+        for (slot, &j) in panel_ctxs.iter_mut().zip(columns) {
+            *slot = col_ctxs[j];
+        }
+        let mut panel_errors: [Option<SolverError>; MAX_PANEL_WIDTH] = Default::default();
         let before = attribute.then(|| matrix_ctx.snapshot());
-        let panel_result = op.apply_panel(
-            &mut panel_x,
-            &mut panel_y,
+        let panel_result = op.apply_panel_dot(
+            &mut p_slots[..live],
+            &mut w_slots[..live],
             iteration as u64,
-            &panel_ctxs,
+            &panel_ctxs[..live],
             matrix_ctx,
-            &mut panel_errors,
+            &mut panel_errors[..live],
         );
         if let Some(before) = before {
             // Attribute the shared traversal to every column that rode it.
             let delta = snapshot_delta(&matrix_ctx.snapshot(), &before);
-            for &j in &live {
+            for &j in columns {
                 col_ctxs[j].log().absorb(&delta);
             }
         }
-        drop((panel_x, panel_y));
-        match panel_result {
+        let mut dots = match panel_result {
+            Ok(dots) => dots,
             Err(e) => {
                 // Matrix-side fault: every live column read the same corrupt
                 // structure.
-                for &j in &live {
+                for &j in columns {
                     errors[j] = Some(e.clone());
                     terminations[j] = Some(Termination::Fault);
                     active[j] = false;
                 }
                 break;
             }
-            Ok(()) => {
-                for (slot, &j) in panel_errors.into_iter().zip(&live) {
-                    if let Some(e) = slot {
-                        // Erasure escalation before declaring the column
-                        // faulted: rebuild the column's vectors from parity
-                        // and re-run its SpMV solo.  The extra traversal's
-                        // matrix checks land on the retried column's own
-                        // context — the column pays for its own retry, its
-                        // panel neighbours see nothing.
-                        let recovered = rebuildable(&e)
-                            && (ps[j].try_rebuild(col_ctxs[j]) | ws[j].try_rebuild(col_ctxs[j]))
-                            && {
-                                rebuild_backoff();
-                                op.apply(&mut ps[j], &mut ws[j], iteration as u64, col_ctxs[j])
-                                    .is_ok()
-                            };
-                        if !recovered {
-                            errors[j] = Some(e);
-                            terminations[j] = Some(Termination::Fault);
-                            active[j] = false;
-                        }
-                    }
-                }
+        };
+        for (slot, error) in panel_errors[..live].iter_mut().enumerate() {
+            let Some(e) = error.take() else {
+                continue;
+            };
+            // Erasure escalation before declaring the column faulted: rebuild
+            // the column's vectors from parity and re-run its SpMV solo.  The
+            // extra traversal's matrix checks land on the retried column's
+            // own context — the column pays for its own retry, its panel
+            // neighbours see nothing.
+            let j = order[slot];
+            let ctx = col_ctxs[j];
+            let (p, w) = (&mut *p_slots[slot], &mut *w_slots[slot]);
+            let recovered = rebuildable(&e) && (p.try_rebuild(ctx) | w.try_rebuild(ctx)) && {
+                rebuild_backoff();
+                op.apply_dot(p, w, iteration as u64, ctx)
+                    .map(|pw| dots[slot] = pw)
+                    .is_ok()
+            };
+            if !recovered {
+                errors[j] = Some(e);
+                terminations[j] = Some(Termination::Fault);
+                active[j] = false;
             }
         }
 
         // Per-column CG updates, operation-for-operation the [`cg`] body.
-        for &j in &live {
+        for slot in 0..live {
+            let j = order[slot];
             if !active[j] {
                 continue;
             }
             let ctx = col_ctxs[j];
+            let (p, w) = (&mut *p_slots[slot], &mut *w_slots[slot]);
             let result: Result<(), SolverError> = (|| {
-                let pw = retry_kernel!(ctx, [ps[j], ws[j]], ps[j].dot(&ws[j], ctx))?;
+                let pw = dots[slot];
                 if pw == 0.0 {
                     terminations[j] = Some(Termination::Stalled);
                     active[j] = false;
                     return Ok(());
                 }
                 let alpha = rr[j] / pw;
-                retry_kernel!(ctx, [xs[j], ps[j]], xs[j].axpy(alpha, &ps[j], ctx))?;
-                let rr_new =
-                    retry_kernel!(ctx, [rs[j], ws[j]], rs[j].dot_axpy(-alpha, &ws[j], ctx))?;
+                let rr_new = retry_kernel!(ctx, [rs[j], w], rs[j].dot_axpy(-alpha, w, ctx))?;
                 statuses[j].iterations = iteration + 1;
                 statuses[j].final_residual = rr_new;
                 if rr_new < config.tolerance {
                     statuses[j].converged = true;
                     terminations[j] = Some(Termination::Converged);
                     active[j] = false;
-                    return Ok(());
+                    return retry_kernel!(ctx, [xs[j], p], xs[j].axpy(alpha, p, ctx));
                 }
                 let beta = rr_new / rr[j];
-                retry_kernel!(ctx, [ps[j], rs[j]], ps[j].xpay(beta, &rs[j], ctx))?;
+                retry_kernel!(
+                    ctx,
+                    [xs[j], p, rs[j]],
+                    xs[j].axpy_xpay(alpha, p, beta, &rs[j], ctx)
+                )?;
                 rr[j] = rr_new;
                 Ok(())
             })();
@@ -685,18 +705,21 @@ pub fn ppcg<Op: LinearOperator>(
     let mut rz = retry_kernel!(ctx, [r, z], r.dot(&z, ctx))?;
 
     for iteration in 0..config.max_iterations {
-        retry_kernel!(ctx, [p, w], op.apply(&mut p, &mut w, iteration as u64, ctx))?;
-        let pw = retry_kernel!(ctx, [p, w], p.dot(&w, ctx))?;
+        let pw = retry_kernel!(
+            ctx,
+            [p, w],
+            op.apply_dot(&mut p, &mut w, iteration as u64, ctx)
+        )?;
         if pw == 0.0 || rz == 0.0 {
             break;
         }
         let alpha = rz / pw;
-        retry_kernel!(ctx, [x, p], x.axpy(alpha, &p, ctx))?;
         let rr = retry_kernel!(ctx, [r, w], r.dot_axpy(-alpha, &w, ctx))?;
         status.iterations = iteration + 1;
         status.final_residual = rr;
         if rr < config.tolerance {
             status.converged = true;
+            retry_kernel!(ctx, [x, p], x.axpy(alpha, &p, ctx))?;
             break;
         }
         polynomial_preconditioner(
@@ -711,7 +734,7 @@ pub fn ppcg<Op: LinearOperator>(
         )?;
         let rz_new = retry_kernel!(ctx, [r, z], r.dot(&z, ctx))?;
         let beta = rz_new / rz;
-        retry_kernel!(ctx, [p, z], p.xpay(beta, &z, ctx))?;
+        retry_kernel!(ctx, [x, p, z], x.axpy_xpay(alpha, &mut p, beta, &z, ctx))?;
         rz = rz_new;
     }
     Ok((x, status))
@@ -829,18 +852,21 @@ pub fn ft_pcg<Op: LinearOperator>(
     let mut rz = retry_kernel!(ctx, [r, z], r.dot(&z, ctx))?;
 
     for iteration in 0..config.max_iterations {
-        retry_kernel!(ctx, [p, w], op.apply(&mut p, &mut w, iteration as u64, ctx))?;
-        let pw = retry_kernel!(ctx, [p, w], p.dot(&w, ctx))?;
+        let pw = retry_kernel!(
+            ctx,
+            [p, w],
+            op.apply_dot(&mut p, &mut w, iteration as u64, ctx)
+        )?;
         if pw == 0.0 || rz == 0.0 {
             break;
         }
         let alpha = rz / pw;
-        retry_kernel!(ctx, [x, p], x.axpy(alpha, &p, ctx))?;
         let rr = retry_kernel!(ctx, [r, w], r.dot_axpy(-alpha, &w, ctx))?;
         status.iterations = iteration + 1;
         status.final_residual = rr;
         if rr < config.tolerance {
             status.converged = true;
+            retry_kernel!(ctx, [x, p], x.axpy(alpha, &p, ctx))?;
             break;
         }
         // `r_prev` keeps the certified snapshot from before the residual
@@ -855,7 +881,7 @@ pub fn ft_pcg<Op: LinearOperator>(
             flexible_num += z_plain[i] * (r_now[i] - r_prev[i]);
         }
         let beta = (flexible_num / rz).max(0.0);
-        retry_kernel!(ctx, [p, z], p.xpay(beta, &z, ctx))?;
+        retry_kernel!(ctx, [x, p, z], x.axpy_xpay(alpha, &mut p, beta, &z, ctx))?;
         rz = rz_new;
     }
     Ok((x, status))

@@ -283,8 +283,10 @@ pub struct Ilu0 {
 impl Ilu0 {
     /// Factors `a` and stores the result in the requested reliability
     /// tier.  Fails with [`SolverError::Unsupported`] when the matrix is
-    /// not square, is missing a diagonal entry, or produces a zero pivot
-    /// (use [`Polynomial`] for such patterns).
+    /// not square, has a row out of strictly increasing column order (the
+    /// factorization and the triangular solves find a row's lower and upper
+    /// parts by position), is missing a diagonal entry, or produces a zero
+    /// pivot (use [`Polynomial`] for such patterns).
     pub fn new(
         a: &CsrMatrix,
         reliability: Reliability,
@@ -360,7 +362,13 @@ fn ilu0_factor(
     let mut values = a.values().to_vec();
     let mut diag = vec![usize::MAX; n];
     for i in 0..n {
-        if let Some(off) = cols[rowptr[i]..rowptr[i + 1]].iter().position(|&c| c == i) {
+        let row = &cols[rowptr[i]..rowptr[i + 1]];
+        if row.windows(2).any(|pair| pair[0] >= pair[1]) {
+            return Err(SolverError::Unsupported(format!(
+                "ilu0: row {i} is not in strictly increasing column order"
+            )));
+        }
+        if let Some(off) = row.iter().position(|&c| c == i) {
             diag[i] = rowptr[i] + off;
         }
         if diag[i] == usize::MAX {
@@ -581,6 +589,43 @@ mod tests {
             .map(|(azi, ri)| (azi - ri) * (azi - ri))
             .sum::<f64>()
             .sqrt()
+    }
+
+    #[test]
+    fn ilu0_refuses_a_row_out_of_column_order() {
+        // [[4,-1,0],[-1,4,-1],[0,-1,4]]: tridiagonal, so ILU(0) is exact.
+        let factor = |cols: Vec<u32>, vals: Vec<f64>| {
+            let a = CsrMatrix::try_new(3, 3, vals, cols, vec![0, 2, 5, 7]).unwrap();
+            Ilu0::new(
+                &a,
+                Reliability::Unreliable,
+                EccScheme::None,
+                Crc32cBackend::Auto,
+            )
+        };
+        let sorted = factor(
+            vec![0, 1, 0, 1, 2, 1, 2],
+            vec![4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0],
+        )
+        .unwrap();
+        let mut z = [0.0; 3];
+        sorted
+            .apply(&[1.0, 2.0, 3.0], &mut z, &FaultContext::new())
+            .unwrap();
+        let exact = [13.0 / 28.0, 24.0 / 28.0, 27.0 / 28.0];
+        for (got, want) in z.iter().zip(exact) {
+            assert!((got - want).abs() < 1e-14, "{z:?}");
+        }
+        // Row 1 stored as columns (2, 1, 0) factored to z = [0.4375, 0.75,
+        // 0.875] before the order was checked; now it is refused by name.
+        let scrambled = factor(
+            vec![0, 1, 2, 1, 0, 1, 2],
+            vec![4.0, -1.0, -1.0, 4.0, -1.0, -1.0, 4.0],
+        );
+        match scrambled {
+            Err(SolverError::Unsupported(why)) => assert!(why.contains("row 1"), "{why}"),
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 
 use abft_suite::core::spmv::{protected_spmm_plain, DenseView};
 use abft_suite::core::{
-    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ProtectedMatrix,
-    ProtectionConfig, SpmmWorkspace, SpmvWorkspace, StorageTier,
+    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, InterleavedX,
+    ProtectedMatrix, ProtectionConfig, SpmmWorkspace, SpmvWorkspace, StorageTier, MAX_PANEL_WIDTH,
 };
 use abft_suite::sparse::builders::poisson_2d_padded;
 use abft_suite::sparse::spmv::spmv_serial;
@@ -119,6 +119,11 @@ fn run_per_row(a: &AnyProtectedMatrix, xs: &[Vec<f64>]) -> Run {
     let log = FaultLog::new();
     let width = xs.len();
     let views: Vec<DenseView<'_>> = xs.iter().map(|x| DenseView::Slice(x)).collect();
+    // The SpMM's input: the columns interleaved, one row per element.
+    let panel: Vec<[f64; MAX_PANEL_WIDTH]> = (0..a.cols())
+        .map(|i| std::array::from_fn(|j| xs.get(j).map_or(0.0, |x| x[i])))
+        .collect();
+    let xp = InterleavedX::new(&panel, width);
     let mut ys = vec![vec![0.0; a.rows()]; width];
     let mut scratch = Vec::new();
     let mut products = vec![0.0; width];
@@ -127,7 +132,7 @@ fn run_per_row(a: &AnyProtectedMatrix, xs: &[Vec<f64>]) -> Run {
         result = if width == 1 {
             a.spmv_range_view(row, views[0], &mut products, true, &mut scratch, &log)
         } else {
-            a.spmm_range_view(row, &views, &mut products, true, &mut scratch, &log)
+            a.spmm_range_view(row, xp, &mut products, true, &mut scratch, &log)
         };
         if result.is_err() {
             break;

@@ -98,6 +98,51 @@ fn double_chunk_loss_in_one_stripe_aborts_instead_of_serving_garbage() {
     assert!(log.total_uncorrectable() > 0);
 }
 
+/// `copy_from` into a parity-tier vector reads its source through the
+/// barrier.  The erased source chunk here holds another vector's codewords
+/// with one bit flipped in each: every word looks like a correctable flip,
+/// so the embedded code alone "corrects" it to the wrong values.  The
+/// stripe parity convicts the chunk instead; nothing is written, and once
+/// the source is rebuilt the copy reads the original values.
+#[test]
+fn copy_from_convicts_an_erased_source_chunk_that_looks_correctable() {
+    let mut src = parity_vector();
+    let original = src.to_vec();
+    let impostor: Vec<f64> = original.iter().map(|v| v * -3.0 + 0.5).collect();
+    let impostor =
+        ProtectedVector::from_slice(&impostor, EccScheme::Secded64, Crc32cBackend::Hardware);
+    let words = 2 * PARITY.chunk_words..3 * PARITY.chunk_words;
+    for i in words.clone() {
+        let delta = src.raw()[i] ^ impostor.raw()[i] ^ (1 << 40);
+        for bit in (0..64).filter(|b| delta >> b & 1 == 1) {
+            src.inject_bit_flip(i, bit);
+        }
+    }
+    // Alone, the embedded code accepts the chunk as sixteen corrections.
+    let log = FaultLog::new();
+    src.check_all(&log).unwrap();
+    assert_eq!(log.total_corrected(), PARITY.chunk_words as u64);
+
+    let mut dst = parity_vector();
+    dst.fill(0.0);
+    let (dst_words, dst_parity) = (dst.raw().to_vec(), dst.parity_words().unwrap().to_vec());
+    let log = FaultLog::new();
+    assert_eq!(
+        dst.copy_from(&src, &log),
+        Err(AbftError::Uncorrectable {
+            region: abft_suite::core::Region::DenseVector,
+            index: words.start,
+        })
+    );
+    assert_eq!(log.total_corrected(), 0, "the garbage was decoded");
+    assert_eq!(dst.raw(), &dst_words[..], "a convicted copy wrote");
+    assert_eq!(dst.parity_words().unwrap(), &dst_parity[..]);
+
+    assert!(src.try_recover(&log));
+    dst.copy_from(&src, &log).unwrap();
+    assert_eq!(dst.to_vec(), original);
+}
+
 /// A single correctable flip in a chunk that is not its stripe's last is
 /// ordinary bit noise: the scrub behind the barrier corrects it in place.
 /// The stripe classifier must not convict that chunk as erased, which
@@ -113,9 +158,12 @@ fn correctable_flip_outside_a_stripes_last_chunk_is_corrected_not_rebuilt() {
     )
     .unwrap();
     let non_last = (0..2 * PARITY.stripe_chunks).filter(|c| (c + 1) % PARITY.stripe_chunks != 0);
-    // `(call, whether the fault goes into the operand x)`.
+    // `(call, whether the fault goes into the operand x)`; `axpy_xpay`
+    // updates `y` and `x` from a clean third vector.
     let calls = [
         ("spmv", true),
+        ("axpy_xpay", false),
+        ("axpy_xpay", true),
         ("axpy", false),
         ("axpy", true),
         ("xpay", false),
@@ -139,8 +187,9 @@ fn correctable_flip_outside_a_stripes_last_chunk_is_corrected_not_rebuilt() {
                 let result = match call {
                     "spmv" => {
                         let mut ws = SpmvWorkspace::new();
-                        protected_spmv(&matrix, &mut x, &mut y, 0, &log, &mut ws)
+                        protected_spmv(&matrix, &mut x, &mut y, 0, &log, &mut ws).map(drop)
                     }
+                    "axpy_xpay" => y.axpy_xpay_masked(1.5, &mut x, 0.5, &clean_y, &log),
                     "axpy" => y.axpy_masked(1.5, &x, &log),
                     "xpay" => y.xpay_masked(0.5, &x, &log),
                     "dot_axpy" => y.dot_axpy_masked(-0.25, &x, &log).map(drop),
@@ -328,13 +377,14 @@ fn scaled_erasure_campaign_recovers_with_wilson_lower_bound_above_99_pct() {
 // ---------------------------------------------------------------------------
 // Barrier fault paths.  Every call that certifies its operands at the
 // parity barrier (the prechecked read-modify-write kernels and their
-// parallel twins, and the SpMV / SpMM inputs) plus `copy_from`, which reads
-// its source checked and refreshes its destination's parity, on every
+// parallel twins, the fused x/p update with a fault in each of its three
+// operands, `copy_from`'s source, and the SpMV / SpMM inputs) on every
 // scheme the tier accepts, over four stripe layouts and every fault the
-// barrier tells apart.  Each outcome — the result, every fault-log snapshot and the
-// storage and parity words of every vector afterwards — is pinned in
-// `fixtures/barrier_paths.txt`, recorded before the barrier became one
-// sweep per operand: the fast path may only ever be faster.
+// barrier tells apart.  Each outcome — the result, every fault-log snapshot
+// and the storage and parity words of every vector afterwards — is pinned
+// in `fixtures/barrier_paths.txt`.  A passing sweep is a kernel's one
+// certification of its operands, so a clean call records one check per
+// codeword per operand and no second one.
 // ---------------------------------------------------------------------------
 
 const BARRIER_SCHEMES: [EccScheme; 4] = [
@@ -410,29 +460,37 @@ fn inject_barrier_fault(v: &mut ProtectedVector, fault: BarrierFault) -> bool {
     true
 }
 
-/// `(call, whether the fault goes into the operand rather than the vector
-/// the call mutates)`; `copy` mutates its destination and reads `x`,
-/// `spmv` / `spmm` read `x` (column 1 of a three-column panel).
-const BARRIER_CALLS: [(&str, bool); 19] = [
-    ("axpy", false),
-    ("axpy", true),
-    ("xpay", false),
-    ("xpay", true),
-    ("dot_axpy", false),
-    ("dot_axpy", true),
-    ("axpy_par", false),
-    ("axpy_par", true),
-    ("xpay_par", false),
-    ("xpay_par", true),
-    ("dot_axpy_par", false),
-    ("dot_axpy_par", true),
-    ("scale", false),
-    ("scale_par", false),
-    ("update", false),
-    ("copy", false),
-    ("copy", true),
-    ("spmv", true),
-    ("spmm", true),
+/// `(call, the vector the fault goes into)`: `y` is the vector the call
+/// mutates and `x` its operand; `copy` mutates its destination and reads
+/// `x`, `spmv` / `spmm` read `x` (column 1 of a three-column panel), and
+/// `axpy_xpay` updates `y ← y + α x; x ← r + β x`, so its fault may also
+/// sit in the third operand `r`.
+const BARRIER_CALLS: [(&str, &str); 25] = [
+    ("axpy", "y"),
+    ("axpy", "x"),
+    ("xpay", "y"),
+    ("xpay", "x"),
+    ("dot_axpy", "y"),
+    ("dot_axpy", "x"),
+    ("axpy_par", "y"),
+    ("axpy_par", "x"),
+    ("xpay_par", "y"),
+    ("xpay_par", "x"),
+    ("dot_axpy_par", "y"),
+    ("dot_axpy_par", "x"),
+    ("scale", "y"),
+    ("scale_par", "y"),
+    ("update", "y"),
+    ("copy", "y"),
+    ("copy", "x"),
+    ("spmv", "x"),
+    ("spmm", "x"),
+    ("axpy_xpay", "y"),
+    ("axpy_xpay", "x"),
+    ("axpy_xpay", "r"),
+    ("axpy_xpay_par", "y"),
+    ("axpy_xpay_par", "x"),
+    ("axpy_xpay_par", "r"),
 ];
 
 fn barrier_vector(scheme: EccScheme, n: usize, parity: ParityConfig, seed: f64) -> ProtectedVector {
@@ -491,10 +549,17 @@ fn barrier_lines() -> Vec<String> {
             .unwrap();
             let clean_y = barrier_vector(scheme, n, parity, 2.0);
             let clean_x = barrier_vector(scheme, n, parity, -1.25);
+            let clean_r = barrier_vector(scheme, n, parity, 0.5);
             for fault in BARRIER_FAULTS {
-                for (call, into_x) in BARRIER_CALLS {
+                for (call, target) in BARRIER_CALLS {
                     let (mut y, mut x) = (clean_y.clone(), clean_x.clone());
-                    if !inject_barrier_fault(if into_x { &mut x } else { &mut y }, fault) {
+                    let mut r = clean_r.clone();
+                    let faulted = match target {
+                        "y" => &mut y,
+                        "x" => &mut x,
+                        _ => &mut r,
+                    };
+                    if !inject_barrier_fault(faulted, fault) {
                         continue;
                     }
                     let log = FaultLog::new();
@@ -516,7 +581,12 @@ fn barrier_lines() -> Vec<String> {
                         "copy" => y.copy_from(&x, &log),
                         "spmv" => {
                             let mut ws = SpmvWorkspace::new();
-                            protected_spmv(&matrix, &mut x, &mut y, 0, &log, &mut ws)
+                            protected_spmv(&matrix, &mut x, &mut y, 0, &log, &mut ws).map(drop)
+                        }
+                        "axpy_xpay" => {
+                            let result = y.axpy_xpay_masked(1.5, &mut x, 0.5, &r, &log);
+                            extra.push(r.clone());
+                            result
                         }
                         "spmm" => {
                             let (mut x0, mut x2) = (clean_y.clone(), clean_x.clone());
@@ -541,7 +611,7 @@ fn barrier_lines() -> Vec<String> {
                                 col_codes.push_str(&format!("[{code}]"));
                             }
                             extra.extend([x0, x2, y0, y2]);
-                            result
+                            result.map(drop)
                         }
                         other => unreachable!("unknown call {other}"),
                     };
@@ -549,7 +619,6 @@ fn barrier_lines() -> Vec<String> {
                     for v in [&y, &x].into_iter().chain(&extra) {
                         fnv_vector(&mut hash, v);
                     }
-                    let target = if into_x { "x" } else { "y" };
                     lines.push(format!(
                         "{scheme:?} {layout} {fault:?} {call}/{target} {}{col_codes} {hash:016x}",
                         result_code(&result)

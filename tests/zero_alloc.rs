@@ -17,10 +17,11 @@
 
 use abft_suite::core::{
     AnyProtectedMatrix, EccScheme, FaultLog, ParityConfig, ProtectedMatrix, ProtectionConfig,
-    StorageTier,
+    StorageTier, MAX_PANEL_WIDTH,
 };
 use abft_suite::prelude::{Crc32cBackend, PrecondKind, Reliability, Solver};
 use abft_suite::solvers::backends::{FullyProtected, MatrixProtected, Plain};
+use abft_suite::solvers::{block_cg_panel, FaultContext, LinearOperator, SolverConfig};
 use abft_suite::sparse::builders::{pad_rows_to_min_entries, poisson_2d, poisson_2d_padded};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -296,6 +297,51 @@ fn parity_fully_protected_cg_iterations_do_not_allocate() {
     }
 }
 
+/// Allocations of a width-8 block CG on `op` at 10 and at 60 iterations,
+/// after a warm-up solve.  Column 3 is capped at 5 iterations, so the
+/// panel also shrinks mid-solve.
+fn panel_allocations<Op: LinearOperator>(op: &Op, b: &[f64]) -> (u64, u64) {
+    let bs: Vec<Op::Vector> = (0..MAX_PANEL_WIDTH)
+        .map(|j| op.vector_from(&b.iter().map(|v| v + j as f64 * 0.125).collect::<Vec<_>>()))
+        .collect();
+    let refs: Vec<&Op::Vector> = bs.iter().collect();
+    let (ctx, matrix_ctx) = (FaultContext::new(), FaultContext::new());
+    let ctxs = vec![&ctx; MAX_PANEL_WIDTH];
+    let mut budgets = vec![None; MAX_PANEL_WIDTH];
+    budgets[3] = Some(5);
+    let solve = |iterations| {
+        let config = SolverConfig::new(iterations, 0.0);
+        let poll = |_, _| None;
+        block_cg_panel(op, &refs, &config, &ctxs, &matrix_ctx, true, &budgets, poll)
+    };
+    drop(solve(10));
+    let short = allocations_during(|| drop(solve(10)));
+    let long = allocations_during(|| drop(solve(60)));
+    (short, long)
+}
+
+#[test]
+fn block_cg_panel_iterations_do_not_allocate() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    let (a, b) = system();
+    // The serving queue's panel: SECDED64 vectors with the erasure tier,
+    // eight columns through one SpMM per iteration.  The panel's slots,
+    // contexts and errors are fixed arrays and the SpMM's interleaved input
+    // lives in the operator's workspace.  Plain vectors on a protected
+    // matrix take the other SpMM entry point.
+    let full = ProtectionConfig::full(EccScheme::Secded64)
+        .with_parity(ParityConfig::default())
+        .with_crc_backend(Crc32cBackend::SlicingBy16);
+    let protected = AnyProtectedMatrix::encode(&a, &full, StorageTier::Csr).unwrap();
+    let (short, long) = panel_allocations(&FullyProtected::new(&protected), &b);
+    assert_eq!(short, long, "SECDED64 + parity panel iterations allocated");
+
+    let matrix_only = ProtectionConfig::matrix_only(EccScheme::Secded64);
+    let protected = AnyProtectedMatrix::encode(&a, &matrix_only, StorageTier::Csr).unwrap();
+    let (short, long) = panel_allocations(&MatrixProtected::new(&protected), &b);
+    assert_eq!(short, long, "matrix-protected panel iterations allocated");
+}
+
 #[test]
 fn ft_pcg_iterations_do_not_allocate() {
     let _guard = MEASURE_LOCK.lock().unwrap();
@@ -328,9 +374,12 @@ fn ft_pcg_iterations_do_not_allocate() {
 
 /// The stencil assembler and the padding pass write each row straight into
 /// the output arrays: values, columns and row pointer, three allocations
-/// whatever the row count (no triplet copies, no per-row buffer).
+/// whatever the row count (no triplet copies, no per-row buffer).  Counted
+/// per thread, but under the lock all the same: its allocations must not
+/// land in a parallel test's process-wide count.
 #[test]
 fn builders_allocate_the_three_output_arrays_only() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
     for (nx, ny) in [(16, 16), (64, 64), (64, 128)] {
         let allocs = allocations_during(|| drop(poisson_2d_padded(nx, ny)));
         assert_eq!(allocs, 3, "poisson_2d_padded({nx}, {ny})");
