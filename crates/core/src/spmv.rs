@@ -18,19 +18,20 @@
 //!   one load and one AND per access instead of an assert-guarded
 //!   `ProtectedVector::get` call;
 //! * the output vector is written one codeword group at a time (write
-//!   buffering), so each group is encoded exactly once, and `x · y` is
-//!   summed from the staged products (CG's `p · Ap` without re-verifying
-//!   either vector);
+//!   buffering), so each group is encoded exactly once, and
+//!   [`protected_spmv_dot`] / [`protected_spmm_dot`] sum each `x · y` from
+//!   the staged products (CG's `p · Ap` without re-verifying either
+//!   vector);
 //! * a multi-RHS panel is interleaved once per call into one row-major
 //!   input ([`InterleavedX`]), so a matrix element reads all its columns'
 //!   inputs from one cache line.
 //!
-//! Every entry point — [`ProtectedMatrix::spmv_with`], [`protected_spmv`],
-//! [`protected_spmm_plain`] and [`protected_spmm`] — runs its range kernel
-//! through one row-range driver that follows the matrix's own
-//! `config().parallel`: one chunk on the caller, or `rayon::chunk_count`
-//! row-aligned chunks on the worker pool.  Rows never straddle a chunk, so
-//! both produce the same bits.
+//! Every entry point — [`ProtectedMatrix::spmv_with`], [`protected_spmv`]
+//! and its `_dot` form, [`protected_spmm_plain`], [`protected_spmm`] and its
+//! `_dot` form — runs its range kernel through one row-range driver that
+//! follows the matrix's own `config().parallel`: one chunk on the caller,
+//! or `rayon::chunk_count` row-aligned chunks on the worker pool.  Rows
+//! never straddle a chunk, so both produce the same bits.
 //!
 //! All row products are staged in a caller-owned [`SpmvWorkspace`], so a
 //! solver iterating these kernels performs **zero heap allocations** after
@@ -318,19 +319,14 @@ fn masked_dot((x, x_mask): (&[u64], u64), y: &[f64], y_mask: u64) -> f64 {
     total
 }
 
-/// `y = A x` with both the matrix and the vectors protected, returning
-/// `x · y` (see below).
+/// `y = A x` with both the matrix and the vectors protected.
 ///
 /// The input vector is scrubbed (checked, and repaired if a correctable flip
 /// is found) once up front — a clean vector is certified by one batched
 /// SIMD predicate without decoding any group; row products are then
 /// computed through the masked raw-slice fast path into the workspace (on
 /// the worker pool when the matrix is configured parallel) and the output
-/// vector is rebuilt group by group.  From the staged products the kernel
-/// also sums `x · y` in [`ProtectedVector::dot_masked`]'s order, so for a
-/// square `A` the returned value is bitwise that dot product — CG's `p·Ap`
-/// — without re-verifying the two vectors it has just certified and
-/// encoded.
+/// vector is rebuilt group by group.
 ///
 /// ```
 /// use abft_core::spmv::protected_spmv;
@@ -349,10 +345,9 @@ fn masked_dot((x, x_mask): (&[u64], u64), y: &[f64], y_mask: u64) -> f64 {
 /// let mut y = ProtectedVector::zeros(2, EccScheme::Secded64, Crc32cBackend::Auto);
 /// let log = FaultLog::new();
 /// let mut ws = SpmvWorkspace::new();
-/// let xy = protected_spmv(&a, &mut x, &mut y, 0, &log, &mut ws)?;
+/// protected_spmv(&a, &mut x, &mut y, 0, &log, &mut ws)?;
 /// assert!((y.get(0) - 12.0).abs() < 1e-9); // 2·1 + 1·10
 /// assert!((y.get(1) - 30.0).abs() < 1e-9); // 3·10
-/// assert_eq!(xy, x.dot_masked(&y, &log)?);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn protected_spmv<A: ProtectedMatrix + ?Sized>(
@@ -362,6 +357,54 @@ pub fn protected_spmv<A: ProtectedMatrix + ?Sized>(
     iteration: u64,
     log: &FaultLog,
     ws: &mut SpmvWorkspace,
+) -> Result<(), AbftError> {
+    spmv_encode(a, x, y, iteration, log, ws, false).map(drop)
+}
+
+/// [`protected_spmv`] that also returns `x · y` — CG's `p · Ap`.  The dot
+/// is summed from the certified input and the staged products in
+/// [`ProtectedVector::dot_masked`]'s order, so for a square `A` it is
+/// bitwise that dot product, without re-verifying either vector.
+///
+/// ```
+/// use abft_core::spmv::protected_spmv_dot;
+/// use abft_core::{EccScheme, FaultLog, ProtectedCsr, ProtectedVector,
+///                 ProtectionConfig, SpmvWorkspace};
+/// use abft_ecc::Crc32cBackend;
+/// use abft_sparse::CsrMatrix;
+///
+/// let m = CsrMatrix::try_new(2, 2, vec![2.0, 1.0, 3.0], vec![0, 1, 1],
+///                            vec![0, 2, 3])?;
+/// let a = ProtectedCsr::from_csr(&m, &ProtectionConfig::full(EccScheme::Secded64))?;
+/// let mut x = ProtectedVector::from_slice(&[1.0, 10.0], EccScheme::Secded64,
+///                                         Crc32cBackend::Auto);
+/// let mut y = ProtectedVector::zeros(2, EccScheme::Secded64, Crc32cBackend::Auto);
+/// let log = FaultLog::new();
+/// let xy = protected_spmv_dot(&a, &mut x, &mut y, 0, &log, &mut SpmvWorkspace::new())?;
+/// assert_eq!(xy, x.dot_masked(&y, &log)?); // 1·12 + 10·30
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn protected_spmv_dot<A: ProtectedMatrix + ?Sized>(
+    a: &A,
+    x: &mut ProtectedVector,
+    y: &mut ProtectedVector,
+    iteration: u64,
+    log: &FaultLog,
+    ws: &mut SpmvWorkspace,
+) -> Result<f64, AbftError> {
+    spmv_encode(a, x, y, iteration, log, ws, true)
+}
+
+/// The body of [`protected_spmv`] and [`protected_spmv_dot`]; the dot is
+/// summed only when `with_dot`.
+fn spmv_encode<A: ProtectedMatrix + ?Sized>(
+    a: &A,
+    x: &mut ProtectedVector,
+    y: &mut ProtectedVector,
+    iteration: u64,
+    log: &FaultLog,
+    ws: &mut SpmvWorkspace,
+    with_dot: bool,
 ) -> Result<f64, AbftError> {
     assert_eq!(x.len(), a.cols(), "protected_spmv: x has wrong length");
     assert_eq!(y.len(), a.rows(), "protected_spmv: y has wrong length");
@@ -371,7 +414,11 @@ pub fn protected_spmv<A: ProtectedMatrix + ?Sized>(
     let xv = DenseView::MaskedWords { words, mask };
     spmv_rows(a, xv, products, check, log, chunk_scratch)?;
     y.fill_from_fn(|row| products[row]);
-    Ok(masked_dot((words, mask), products, y.read_mask))
+    Ok(if with_dot {
+        masked_dot((words, mask), products, y.read_mask)
+    } else {
+        0.0
+    })
 }
 
 /// Fills `panel[..cols]` row by row: `panel[i][j]` is element `i` of
@@ -504,9 +551,7 @@ pub fn protected_spmm_plain<A: ProtectedMatrix + ?Sized>(
 }
 
 /// `ys[j] = A xs[j]` for a panel of protected vectors over a protected
-/// matrix — the fully protected multi-RHS kernel.  Returns `xs[j] · ys[j]`
-/// for every column that was computed (0.0 for the others), each bitwise
-/// the value [`protected_spmv`] returns for that column.
+/// matrix — the fully protected multi-RHS kernel.
 ///
 /// Vector-side integrity is per column: each `xs[j]` is scrubbed once into
 /// its own `col_logs[j]` (exactly the per-invocation scrub of
@@ -528,6 +573,45 @@ pub fn protected_spmm<A: ProtectedMatrix + ?Sized>(
     matrix_log: &FaultLog,
     col_errors: &mut [Option<AbftError>],
     ws: &mut SpmmWorkspace,
+) -> Result<(), AbftError> {
+    spmm_encode(
+        a, xs, ys, iteration, col_logs, matrix_log, col_errors, ws, false,
+    )
+    .map(drop)
+}
+
+/// [`protected_spmm`] that also returns `xs[j] · ys[j]` for every column it
+/// computed (0.0 for the others) — block CG's `p · Ap`, each bitwise what
+/// [`protected_spmv_dot`] returns for that column.
+#[allow(clippy::too_many_arguments)]
+pub fn protected_spmm_dot<A: ProtectedMatrix + ?Sized>(
+    a: &A,
+    xs: &mut [&mut ProtectedVector],
+    ys: &mut [&mut ProtectedVector],
+    iteration: u64,
+    col_logs: &[&FaultLog],
+    matrix_log: &FaultLog,
+    col_errors: &mut [Option<AbftError>],
+    ws: &mut SpmmWorkspace,
+) -> Result<[f64; MAX_PANEL_WIDTH], AbftError> {
+    spmm_encode(
+        a, xs, ys, iteration, col_logs, matrix_log, col_errors, ws, true,
+    )
+}
+
+/// The body of [`protected_spmm`] and [`protected_spmm_dot`]; the dots are
+/// summed only when `with_dots`.
+#[allow(clippy::too_many_arguments)]
+fn spmm_encode<A: ProtectedMatrix + ?Sized>(
+    a: &A,
+    xs: &mut [&mut ProtectedVector],
+    ys: &mut [&mut ProtectedVector],
+    iteration: u64,
+    col_logs: &[&FaultLog],
+    matrix_log: &FaultLog,
+    col_errors: &mut [Option<AbftError>],
+    ws: &mut SpmmWorkspace,
+    with_dots: bool,
 ) -> Result<[f64; MAX_PANEL_WIDTH], AbftError> {
     let width = xs.len();
     assert!(
@@ -583,17 +667,23 @@ pub fn protected_spmm<A: ProtectedMatrix + ?Sized>(
     if live == 1 {
         let j = positions[0];
         ys[j].fill_from_fn(|row| products[row]);
-        dots[j] = masked_dot(inputs[0], products, ys[j].read_mask);
+        if with_dots {
+            dots[j] = masked_dot(inputs[0], products, ys[j].read_mask);
+        }
         return Ok(dots);
     }
-    let mut y_masks = [0u64; MAX_PANEL_WIDTH];
-    for (mask, &j) in y_masks.iter_mut().zip(&positions[..live]) {
-        *mask = ys[j].read_mask;
+    if with_dots {
+        let mut y_masks = [0u64; MAX_PANEL_WIDTH];
+        for (mask, &j) in y_masks.iter_mut().zip(&positions[..live]) {
+            *mask = ys[j].read_mask;
+        }
+        let panel_dots = panel_dots(&ws.panel[..a.cols()], products, live, &y_masks);
+        for (pos, &j) in positions[..live].iter().enumerate() {
+            dots[j] = panel_dots[pos];
+        }
     }
-    let panel_dots = panel_dots(&ws.panel[..a.cols()], products, live, &y_masks);
     for (pos, &j) in positions[..live].iter().enumerate() {
         ys[j].fill_from_fn(|row| products[row * live + pos]);
-        dots[j] = panel_dots[pos];
     }
     Ok(dots)
 }

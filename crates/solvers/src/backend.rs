@@ -238,13 +238,20 @@ pub trait SolverVector: Clone {
         self.axpy(alpha, x, ctx)
     }
 
+    /// True when [`SolverVector::axpy_xpay`] is one kernel that can fail
+    /// only before it writes either vector.  Only then may a solver retry
+    /// the call as one unit after a parity rebuild; otherwise it runs and
+    /// retries [`SolverVector::axpy`] and [`SolverVector::xpay`] one by one,
+    /// because the default has already written `self` when its XPAY fails
+    /// and a whole retry would apply the AXPY twice.
+    const FUSED_AXPY_XPAY: bool = false;
+
     /// Fused `self ← self + alpha · p; p ← r + beta · p` — CG's iterate and
     /// search-direction updates in one pass, `self` reading `p` before it
     /// changes.  The default runs [`SolverVector::axpy`] then
     /// [`SolverVector::xpay`]; protected backends override it with one
     /// kernel that reads each of the three operands once (bitwise the same
-    /// result).  The solvers retry the call once after a parity rebuild, so
-    /// an override must not write either vector before it can fail.
+    /// result) and set [`SolverVector::FUSED_AXPY_XPAY`].
     fn axpy_xpay(
         &mut self,
         alpha: f64,
@@ -356,8 +363,9 @@ pub trait LinearOperator {
 
     /// `y = A x` returning `x · y` — a CG step's SpMV with the `p · Ap` that
     /// follows it.  The default is [`LinearOperator::apply`] then
-    /// [`SolverVector::dot`]; the fully protected backend overrides it with
-    /// the SpMV that accumulates the dot while it encodes `y` — bitwise the
+    /// [`SolverVector::dot`] (a retry re-runs both, and re-running the SpMV
+    /// is harmless); the fully protected backend overrides it with the SpMV
+    /// that sums the dot from the products it encodes into `y` — bitwise the
     /// same value, without re-verifying the two vectors it has just
     /// certified and written.
     fn apply_dot(

@@ -16,7 +16,9 @@
 
 use crate::backend::{FaultContext, LinearOperator, SolverError, SolverVector};
 use crate::chebyshev::ChebyshevBounds;
-use abft_core::spmv::{protected_spmm, protected_spmm_plain, protected_spmv};
+use abft_core::spmv::{
+    protected_spmm, protected_spmm_dot, protected_spmm_plain, protected_spmv, protected_spmv_dot,
+};
 use abft_core::{
     AbftError, AnyProtectedMatrix, EccScheme, FaultLog, ProtectedMatrix, ProtectedVector,
     ReductionWorkspace, SpmmWorkspace, SpmvWorkspace, MAX_PANEL_WIDTH,
@@ -25,6 +27,18 @@ use abft_sparse::spmv::{axpy_parallel, dot_parallel_with, spmv_parallel, spmv_se
 use abft_sparse::vector::{blas_axpy, blas_dot};
 use abft_sparse::CsrMatrix;
 use std::cell::RefCell;
+
+/// The signature shared by the fully protected panel kernels.
+type PanelKernel<R> = fn(
+    &AnyProtectedMatrix,
+    &mut [&mut ProtectedVector],
+    &mut [&mut ProtectedVector],
+    u64,
+    &[&FaultLog],
+    &FaultLog,
+    &mut [Option<AbftError>],
+    &mut SpmmWorkspace,
+) -> Result<R, AbftError>;
 
 /// Plain work vector: `Vec<f64>` storage plus the kernel-dispatch flag, so a
 /// parallel solve uses the pool dot/AXPY kernels exactly as the plain CG
@@ -95,6 +109,9 @@ impl SolverVector for PlainVector {
         }
         Ok(())
     }
+
+    /// Plain storage never errs, so the one-pass form is safe to retry.
+    const FUSED_AXPY_XPAY: bool = true;
 
     /// One pass over the three vectors when serial: PPCG and FT-PCG run this
     /// update after the preconditioner, which has evicted `x` and `p` from
@@ -205,6 +222,9 @@ impl SolverVector for ProtectedVector {
     ) -> Result<(), SolverError> {
         Ok(self.scale_axpy_masked(beta, alpha, x, ctx.log())?)
     }
+
+    /// The masked kernel certifies all three operands before it writes.
+    const FUSED_AXPY_XPAY: bool = true;
 
     fn axpy_xpay(
         &mut self,
@@ -520,6 +540,48 @@ impl<'a> FullyProtected<'a> {
         }
     }
 
+    /// Runs one of the panel kernels (`protected_spmm` or
+    /// `protected_spmm_dot`) with each column's vector-side scrub reporting
+    /// to its own context and the single matrix traversal to the panel's
+    /// matrix context.  A column whose input fails its scrub is dropped
+    /// from the panel and its error parked — only matrix-side faults abort
+    /// the whole panel.
+    #[allow(clippy::too_many_arguments)]
+    fn panel<R>(
+        &self,
+        xs: &mut [&mut ProtectedVector],
+        ys: &mut [&mut ProtectedVector],
+        iteration: u64,
+        col_ctxs: &[&FaultContext],
+        matrix_ctx: &FaultContext,
+        col_errors: &mut [Option<SolverError>],
+        kernel: PanelKernel<R>,
+    ) -> Result<R, SolverError> {
+        let mut ws = self.spmm.borrow_mut();
+        let width = xs.len();
+        let mut col_logs = [matrix_ctx.log(); MAX_PANEL_WIDTH];
+        for (slot, ctx) in col_logs.iter_mut().zip(col_ctxs) {
+            *slot = ctx.log();
+        }
+        let mut abft_errors: [Option<AbftError>; MAX_PANEL_WIDTH] = Default::default();
+        let out = kernel(
+            self.matrix,
+            xs,
+            ys,
+            iteration,
+            &col_logs[..width],
+            matrix_ctx.log(),
+            &mut abft_errors[..width],
+            &mut ws,
+        )?;
+        for (slot, err) in col_errors.iter_mut().zip(abft_errors) {
+            if let Some(e) = err {
+                *slot = Some(SolverError::Fault(e));
+            }
+        }
+        Ok(out)
+    }
+
     /// `v` with the matrix configuration's parallel hint and, over
     /// protected vectors, its parity tier.
     fn configured(&self, mut v: ProtectedVector) -> ProtectedVector {
@@ -552,7 +614,15 @@ impl LinearOperator for FullyProtected<'_> {
         iteration: u64,
         ctx: &FaultContext,
     ) -> Result<(), SolverError> {
-        self.apply_dot(x, y, iteration, ctx).map(drop)
+        let mut ws = self.workspace.borrow_mut();
+        Ok(protected_spmv(
+            self.matrix,
+            x,
+            y,
+            iteration,
+            ctx.log(),
+            &mut ws,
+        )?)
     }
 
     fn apply_dot(
@@ -563,7 +633,7 @@ impl LinearOperator for FullyProtected<'_> {
         ctx: &FaultContext,
     ) -> Result<f64, SolverError> {
         let mut ws = self.workspace.borrow_mut();
-        Ok(protected_spmv(
+        Ok(protected_spmv_dot(
             self.matrix,
             x,
             y,
@@ -582,8 +652,15 @@ impl LinearOperator for FullyProtected<'_> {
         matrix_ctx: &FaultContext,
         col_errors: &mut [Option<SolverError>],
     ) -> Result<(), SolverError> {
-        self.apply_panel_dot(xs, ys, iteration, col_ctxs, matrix_ctx, col_errors)
-            .map(drop)
+        self.panel(
+            xs,
+            ys,
+            iteration,
+            col_ctxs,
+            matrix_ctx,
+            col_errors,
+            protected_spmm,
+        )
     }
 
     fn apply_panel_dot(
@@ -595,33 +672,15 @@ impl LinearOperator for FullyProtected<'_> {
         matrix_ctx: &FaultContext,
         col_errors: &mut [Option<SolverError>],
     ) -> Result<[f64; MAX_PANEL_WIDTH], SolverError> {
-        // Each column's vector-side scrub reports to its own context; the
-        // single matrix traversal reports to the panel's matrix context.  A
-        // column whose input fails its scrub is dropped from the panel and
-        // its error parked — only matrix-side faults abort the whole panel.
-        let mut ws = self.spmm.borrow_mut();
-        let width = xs.len();
-        let mut col_logs = [matrix_ctx.log(); MAX_PANEL_WIDTH];
-        for (slot, ctx) in col_logs.iter_mut().zip(col_ctxs) {
-            *slot = ctx.log();
-        }
-        let mut abft_errors: [Option<AbftError>; MAX_PANEL_WIDTH] = Default::default();
-        let dots = protected_spmm(
-            self.matrix,
+        self.panel(
             xs,
             ys,
             iteration,
-            &col_logs[..width],
-            matrix_ctx.log(),
-            &mut abft_errors[..width],
-            &mut ws,
-        )?;
-        for (slot, err) in col_errors.iter_mut().zip(abft_errors) {
-            if let Some(e) = err {
-                *slot = Some(SolverError::Fault(e));
-            }
-        }
-        Ok(dots)
+            col_ctxs,
+            matrix_ctx,
+            col_errors,
+            protected_spmm_dot,
+        )
     }
 
     fn diagonal(&self, ctx: &FaultContext) -> Result<Vec<f64>, SolverError> {

@@ -69,6 +69,26 @@ macro_rules! retry_kernel {
     }};
 }
 
+/// CG's `x ← x + α p; p ← r + β p` under [`retry_kernel!`]: one
+/// fused call retried whole when the vector fuses it
+/// ([`SolverVector::FUSED_AXPY_XPAY`]), otherwise the AXPY and the XPAY
+/// each retried on its own, so a rebuild never re-applies a finished AXPY.
+fn update_x_p<V: SolverVector>(
+    x: &mut V,
+    p: &mut V,
+    r: &mut V,
+    alpha: f64,
+    beta: f64,
+    ctx: &FaultContext,
+) -> Result<(), SolverError> {
+    if V::FUSED_AXPY_XPAY {
+        retry_kernel!(ctx, [x, p, r], x.axpy_xpay(alpha, p, beta, r, ctx))
+    } else {
+        retry_kernel!(ctx, [x, p], x.axpy(alpha, p, ctx))?;
+        retry_kernel!(ctx, [p, r], p.xpay(beta, r, ctx))
+    }
+}
+
 /// Conjugate Gradient: `A x = b` from `x = 0`.
 ///
 /// One SpMV and two dot products per iteration — the three kernels that hold
@@ -166,7 +186,7 @@ pub fn cg_with_poll<Op: LinearOperator>(
             break;
         }
         let beta = rr_new / rr;
-        retry_kernel!(ctx, [x, p, r], x.axpy_xpay(alpha, &mut p, beta, &r, ctx))?;
+        update_x_p(&mut x, &mut p, &mut r, alpha, beta, ctx)?;
         rr = rr_new;
     }
     Ok((x, status))
@@ -427,11 +447,7 @@ pub fn block_cg_panel<Op: LinearOperator>(
                     return retry_kernel!(ctx, [xs[j], p], xs[j].axpy(alpha, p, ctx));
                 }
                 let beta = rr_new / rr[j];
-                retry_kernel!(
-                    ctx,
-                    [xs[j], p, rs[j]],
-                    xs[j].axpy_xpay(alpha, p, beta, &rs[j], ctx)
-                )?;
+                update_x_p(&mut xs[j], p, &mut rs[j], alpha, beta, ctx)?;
                 rr[j] = rr_new;
                 Ok(())
             })();
@@ -734,7 +750,7 @@ pub fn ppcg<Op: LinearOperator>(
         )?;
         let rz_new = retry_kernel!(ctx, [r, z], r.dot(&z, ctx))?;
         let beta = rz_new / rz;
-        retry_kernel!(ctx, [x, p, z], x.axpy_xpay(alpha, &mut p, beta, &z, ctx))?;
+        update_x_p(&mut x, &mut p, &mut z, alpha, beta, ctx)?;
         rz = rz_new;
     }
     Ok((x, status))
@@ -881,7 +897,7 @@ pub fn ft_pcg<Op: LinearOperator>(
             flexible_num += z_plain[i] * (r_now[i] - r_prev[i]);
         }
         let beta = (flexible_num / rz).max(0.0);
-        retry_kernel!(ctx, [x, p, z], x.axpy_xpay(alpha, &mut p, beta, &z, ctx))?;
+        update_x_p(&mut x, &mut p, &mut z, alpha, beta, ctx)?;
         rz = rz_new;
     }
     Ok((x, status))

@@ -7,13 +7,18 @@
 //!   through the trait defaults of an operator that implements only the
 //!   required methods, on every vector scheme with and without the parity
 //!   tier.
+//! * A parity erasure that convicts the XPAY half of the default x/p update
+//!   is rebuilt and retried without applying the AXPY half twice, in CG and
+//!   in block CG.
 //! * The interleaved SpMM equals one single-vector SpMV per column, bit for
 //!   bit, on every storage tier and panel width, and its fused dots equal
 //!   the masked dot of each column's input and output.
 //! * A column index pushed out of range while the interval policy skips the
 //!   checks fails the SpMM exactly as it fails the SpMV.
 
-use abft_suite::core::spmv::{protected_spmm, protected_spmm_plain, protected_spmv};
+use abft_suite::core::spmv::{
+    protected_spmm, protected_spmm_dot, protected_spmm_plain, protected_spmv, protected_spmv_dot,
+};
 use abft_suite::core::{
     AbftError, AnyProtectedMatrix, EccScheme, FaultLog, ParityConfig, ProtectedMatrix,
     ProtectedVector, ProtectionConfig, Region, SpmmWorkspace, SpmvWorkspace, StorageTier,
@@ -28,9 +33,17 @@ use abft_suite::solvers::{
 };
 use abft_suite::sparse::builders::poisson_2d_padded;
 use abft_suite::sparse::CsrMatrix;
+use std::cell::Cell;
+
+thread_local! {
+    /// Residual updates left before the next one erases a parity chunk of
+    /// the residual it has just written; `None` erases nothing.
+    static ERASE_RESIDUAL_AFTER: Cell<Option<usize>> = const { Cell::new(None) };
+}
 
 /// A protected vector that implements only the required [`SolverVector`]
-/// methods, so every fused one runs its default call sequence.
+/// methods, `dot_axpy` (the erasure hook) and `try_rebuild`, so the x/p
+/// update runs its default call sequence.
 #[derive(Debug, Clone)]
 struct Unfused(ProtectedVector);
 
@@ -53,6 +66,20 @@ impl SolverVector for Unfused {
 
     fn scale(&mut self, alpha: f64, ctx: &FaultContext) -> Result<(), SolverError> {
         self.0.scale(alpha, ctx)
+    }
+
+    fn dot_axpy(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<f64, SolverError> {
+        let rr = self.0.dot_axpy(alpha, &x.0, ctx)?;
+        let erase = ERASE_RESIDUAL_AFTER.with(|left| {
+            let now = left.get();
+            left.set(now.and_then(|n| n.checked_sub(1)));
+            now == Some(0)
+        });
+        if erase {
+            let chunk_words = self.0.parity_chunk_words().expect("parity tier");
+            self.0.inject_chunk_erasure(chunk_words, 1, 0x0E7A_5E0F);
+        }
+        Ok(rr)
     }
 
     fn fill(&mut self, value: f64) {
@@ -78,10 +105,15 @@ impl SolverVector for Unfused {
     fn read_checked(&self, out: &mut [f64], ctx: &FaultContext) -> Result<(), SolverError> {
         SolverVector::read_checked(&self.0, out, ctx)
     }
+
+    fn try_rebuild(&mut self, ctx: &FaultContext) -> bool {
+        self.0.try_rebuild(ctx)
+    }
 }
 
 /// The fully protected backend behind the required [`LinearOperator`]
-/// methods only: `apply_dot` and `apply_panel_dot` run their defaults.
+/// methods only: `apply_dot`, `apply_panel` and `apply_panel_dot` run their
+/// defaults.
 struct UnfusedOp<'a>(FullyProtected<'a>);
 
 impl LinearOperator for UnfusedOp<'_> {
@@ -194,6 +226,47 @@ fn solvers_match_through_the_fused_overrides_and_the_trait_defaults() {
     }
 }
 
+#[test]
+fn an_erasure_convicted_by_the_default_xpay_is_retried_without_a_second_axpy() {
+    let a = matrix();
+    let rhs: Vec<f64> = (0..a.rows()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+    let cfg = ProtectionConfig::full(EccScheme::Secded64).with_parity(ParityConfig {
+        stripe_chunks: 4,
+        chunk_words: 16,
+    });
+    let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
+    let op = UnfusedOp(FullyProtected::new(&protected));
+    let config = SolverConfig::new(400, 1e-20);
+    let solve = |block: bool, erase_after: Option<usize>| {
+        ERASE_RESIDUAL_AFTER.with(|left| left.set(erase_after));
+        let ctx = FaultContext::new();
+        let b = op.vector_from(&rhs);
+        let outcome = if block {
+            let column = block_cg(&op, &[&b], &config, &ctx).remove(0);
+            assert!(column.error.is_none(), "{:?}", column.error);
+            trace(&column.solution, column.status)
+        } else {
+            let (x, status) = cg(&op, &b, &config, &ctx).unwrap();
+            trace(&x, status)
+        };
+        (outcome, ctx.snapshot())
+    };
+    for block in [false, true] {
+        let (clean, clean_log) = solve(block, None);
+        assert_eq!(clean_log.rebuilt.iter().sum::<u64>(), 0);
+        // The residual written by iteration 4's update loses a chunk: the
+        // x/p update's AXPY passes, its XPAY convicts the chunk, the
+        // residual is rebuilt from parity and only the XPAY runs again.
+        let (faulted, faulted_log) = solve(block, Some(3));
+        assert!(clean.1.iterations > 4, "block {block}: {:?}", clean.1);
+        assert_eq!(faulted_log.rebuilt.iter().sum::<u64>(), 1, "block {block}");
+        assert!(
+            faulted == clean,
+            "block {block}: x differs from the unfaulted solve"
+        );
+    }
+}
+
 /// Protected inputs of a width-`k` panel, each column different.
 fn panel_inputs(a: &AnyProtectedMatrix, width: usize) -> Vec<ProtectedVector> {
     let cfg = a.config();
@@ -221,26 +294,46 @@ fn interleaved_spmm_matches_per_column_spmvs_on_every_tier() {
             for width in 1..=MAX_PANEL_WIDTH {
                 let label = format!("{scheme:?} {tier} width {width}");
                 let mut xs = panel_inputs(&m, width);
-                // One SpMV per column: its output and its fused dot.
+                // One SpMV per column: its output and its fused dot, which
+                // is the masked dot of its input and output.
                 let mut refs = Vec::new();
                 for x in &mut xs {
-                    let mut y = ProtectedVector::zeros(m.rows(), cfg.vectors, cfg.crc_backend);
+                    let zero = || ProtectedVector::zeros(m.rows(), cfg.vectors, cfg.crc_backend);
+                    let (mut y, mut y_dot) = (zero(), zero());
                     let log = FaultLog::new();
+                    protected_spmv(&m, x, &mut y, 0, &log, &mut SpmvWorkspace::new()).unwrap();
                     let dot =
-                        protected_spmv(&m, x, &mut y, 0, &log, &mut SpmvWorkspace::new()).unwrap();
+                        protected_spmv_dot(&m, x, &mut y_dot, 0, &log, &mut SpmvWorkspace::new())
+                            .unwrap();
+                    assert_eq!(y_dot.raw(), y.raw(), "{label}");
                     assert_eq!(dot.to_bits(), x.dot_masked(&y, &log).unwrap().to_bits());
                     refs.push((y, dot));
                 }
-                let mut ys: Vec<ProtectedVector> = (0..width)
-                    .map(|_| ProtectedVector::zeros(m.rows(), cfg.vectors, cfg.crc_backend))
-                    .collect();
                 let logs: Vec<FaultLog> = (0..width).map(|_| FaultLog::new()).collect();
                 let log_refs: Vec<&FaultLog> = logs.iter().collect();
-                let mut errors = vec![None; width];
+                let zeros = || -> Vec<ProtectedVector> {
+                    (0..width)
+                        .map(|_| ProtectedVector::zeros(m.rows(), cfg.vectors, cfg.crc_backend))
+                        .collect()
+                };
+                let (mut ys, mut ys_dot) = (zeros(), zeros());
                 let dots = {
                     let mut xr: Vec<&mut ProtectedVector> = xs.iter_mut().collect();
                     let mut yr: Vec<&mut ProtectedVector> = ys.iter_mut().collect();
+                    let mut errors = vec![None; width];
                     protected_spmm(
+                        &m,
+                        &mut xr,
+                        &mut yr,
+                        0,
+                        &log_refs,
+                        &FaultLog::new(),
+                        &mut errors,
+                        &mut SpmmWorkspace::new(),
+                    )
+                    .unwrap();
+                    let mut yr: Vec<&mut ProtectedVector> = ys_dot.iter_mut().collect();
+                    protected_spmm_dot(
                         &m,
                         &mut xr,
                         &mut yr,
@@ -254,6 +347,7 @@ fn interleaved_spmm_matches_per_column_spmvs_on_every_tier() {
                 };
                 for (j, (y, dot)) in refs.iter().enumerate() {
                     assert_eq!(ys[j].raw(), y.raw(), "{label} column {j}");
+                    assert_eq!(ys_dot[j].raw(), y.raw(), "{label} column {j}");
                     assert_eq!(dots[j].to_bits(), dot.to_bits(), "{label} column {j}");
                 }
                 assert!(dots[width..].iter().all(|&d| d == 0.0), "{label}");
