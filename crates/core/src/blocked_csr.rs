@@ -93,7 +93,7 @@ impl ProtectedBlockedCsr {
                 matrix.col_indices()[elem0..elem1].to_vec(),
                 sub_row_ptr,
             );
-            blocks.push(ProtectedCsr::from_csr(&sub, config)?);
+            blocks.push(ProtectedCsr::from_csr(sub, config)?);
         }
         elem_starts.push(matrix.nnz());
 
@@ -106,6 +106,23 @@ impl ProtectedBlockedCsr {
             blocks,
             config: *config,
         })
+    }
+
+    /// Decodes the matrix back into a plain [`CsrMatrix`] (masked,
+    /// unchecked), the blocks' arrays concatenated.
+    /// [`ProtectedMatrix::to_csr`] is this on a copy.
+    pub fn into_csr(self) -> CsrMatrix {
+        let mut values = Vec::with_capacity(self.nnz);
+        let mut cols = Vec::with_capacity(self.nnz);
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0u32);
+        for (block, &elem0) in self.blocks.into_iter().zip(&self.elem_starts) {
+            let plain = block.into_csr();
+            values.extend_from_slice(plain.values());
+            cols.extend_from_slice(plain.col_indices());
+            row_ptr.extend(plain.row_pointer()[1..].iter().map(|&e| e + elem0 as u32));
+        }
+        CsrMatrix::from_raw(self.rows, self.cols, values, cols, row_ptr)
     }
 
     /// The realized number of blocks (after group alignment and
@@ -239,18 +256,7 @@ impl ProtectedMatrix for ProtectedBlockedCsr {
     }
 
     fn to_csr(&self) -> CsrMatrix {
-        let mut values = Vec::with_capacity(self.nnz);
-        let mut cols = Vec::with_capacity(self.nnz);
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        row_ptr.push(0u32);
-        for (b, block) in self.blocks.iter().enumerate() {
-            let plain = block.to_csr();
-            let elem0 = self.elem_starts[b] as u32;
-            values.extend_from_slice(plain.values());
-            cols.extend_from_slice(plain.col_indices());
-            row_ptr.extend(plain.row_pointer()[1..].iter().map(|&e| e + elem0));
-        }
-        CsrMatrix::from_raw(self.rows, self.cols, values, cols, row_ptr)
+        self.clone().into_csr()
     }
 
     fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {

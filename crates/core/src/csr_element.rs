@@ -77,31 +77,30 @@ impl ElementCodec {
         self.scheme.element_group() == ElementGrouping::PerRow
     }
 
-    /// Embeds redundancy for every element into the column-index array.
+    /// Embeds redundancy for every element into the column-index array, in
+    /// place and without allocating.
     ///
     /// `row_ptr` is the *plain* (not yet protected) row pointer, needed to
-    /// delimit rows for the CRC32C scheme.
+    /// delimit rows for the CRC32C scheme.  A row too short to carry its
+    /// checksum fails the call before any index is written.
     pub fn encode(
         &self,
         values: &[f64],
         cols: &mut [u32],
         row_ptr: &[u32],
     ) -> Result<(), AbftError> {
-        let mut scratch = Vec::new();
         if !self.row_granular() {
-            self.encode_run(values, cols, 0, values.len(), &mut scratch);
+            self.encode_run(values, cols, 0, values.len());
             return Ok(());
         }
-        for (row, bounds) in row_ptr.windows(2).enumerate() {
-            let (start, end) = (bounds[0] as usize, bounds[1] as usize);
-            if end - start < self.scheme.min_row_entries() {
-                return Err(AbftError::RowTooShort {
-                    row,
-                    entries: end - start,
-                    min: self.scheme.min_row_entries(),
-                });
-            }
-            self.encode_run(values, cols, start, end, &mut scratch);
+        let min = self.scheme.min_row_entries();
+        let entries = |w: &[u32]| (w[1] - w[0]) as usize;
+        if let Some(row) = row_ptr.windows(2).position(|w| entries(w) < min) {
+            let entries = entries(&row_ptr[row..row + 2]);
+            return Err(AbftError::RowTooShort { row, entries, min });
+        }
+        for w in row_ptr.windows(2) {
+            self.encode_run(values, cols, w[0] as usize, w[1] as usize);
         }
         Ok(())
     }
@@ -109,14 +108,7 @@ impl ElementCodec {
     /// Writes the canonical redundancy of every codeword of the
     /// codeword-aligned run `start..end` (one row under CRC32C, an even
     /// start otherwise) from its values and masked column indices.
-    fn encode_run(
-        &self,
-        values: &[f64],
-        cols: &mut [u32],
-        start: usize,
-        end: usize,
-        scratch: &mut Vec<u8>,
-    ) {
+    fn encode_run(&self, values: &[f64], cols: &mut [u32], start: usize, end: usize) {
         match self.scheme {
             EccScheme::None => {}
             EccScheme::Sed => {
@@ -149,13 +141,33 @@ impl ElementCodec {
                 for c in &mut cols[start..end] {
                     *c &= COL_MASK_24;
                 }
-                fill_row_codeword(&values[start..end], &cols[start..end], scratch);
-                let checksum = self.crc.checksum(scratch);
+                let checksum = self.row_checksum(&values[start..end], &cols[start..end]);
                 for (c, byte) in cols[start..].iter_mut().zip(checksum.to_le_bytes()) {
                     *c |= (byte as u32) << 24;
                 }
             }
         }
+    }
+
+    /// The CRC32C of a row's codeword bytes (see [`fill_row_codeword`]),
+    /// staged through a stack buffer a few elements at a time.
+    fn row_checksum(&self, values: &[f64], cols: &[u32]) -> u32 {
+        const STAGE: usize = 16;
+        let mut buf = [0u8; STAGE * CRC_BYTES_PER_ELEMENT];
+        let mut state = !0u32;
+        for (v, c) in values.chunks(STAGE).zip(cols.chunks(STAGE)) {
+            for (slot, (x, col)) in buf
+                .chunks_exact_mut(CRC_BYTES_PER_ELEMENT)
+                .zip(v.iter().zip(c))
+            {
+                slot[..8].copy_from_slice(&x.to_bits().to_le_bytes());
+                slot[8..].copy_from_slice(&(col & COL_MASK_24).to_le_bytes());
+            }
+            state = self
+                .crc
+                .update(state, &buf[..v.len() * CRC_BYTES_PER_ELEMENT]);
+        }
+        !state
     }
 
     /// False for the one scheme without a batched check-only predicate
@@ -377,7 +389,6 @@ impl ElementCodec {
     /// last run belong to the run an uncorrectable codeword stopped, and
     /// stay as stored.
     pub(crate) fn write_back(&self, values: &mut [f64], cols: &mut [u32], repairs: &[Repair]) {
-        let mut scratch = Vec::new();
         let mut pending = 0;
         for (i, repair) in repairs.iter().enumerate() {
             if let Repair::Run(start, end) = *repair {
@@ -387,7 +398,7 @@ impl ElementCodec {
                         cols[k] = c;
                     }
                 }
-                self.encode_run(values, cols, start, end, &mut scratch);
+                self.encode_run(values, cols, start, end);
                 pending = i + 1;
             }
         }

@@ -29,7 +29,7 @@
 
 use crate::csr_element::{ElementCodec, COL_MASK_24, COL_MASK_31};
 use crate::error::AbftError;
-use crate::protected_csr::{KernelTally, OneVector, RowSink};
+use crate::protected_csr::{check_columns, KernelTally, OneVector, RowSink};
 use crate::protected_matrix::{ProtectedMatrix, Repair};
 use crate::report::{FaultLog, Region};
 use crate::schemes::{EccScheme, ProtectionConfig};
@@ -37,6 +37,7 @@ use crate::spmv::{DenseView, InterleavedX, MaskedX, SliceX};
 use abft_ecc::secded::{DecodeOutcome, Secded};
 use abft_ecc::sed::parity_u32;
 use abft_sparse::CsrMatrix;
+use std::borrow::Cow;
 
 /// SECDED code over a 24-bit row index: five Hamming bits plus overall
 /// parity fit in the six spare bits above the index.
@@ -56,19 +57,22 @@ pub struct ProtectedCoo {
 }
 
 impl ProtectedCoo {
-    /// Encodes a plain CSR matrix into protected COO storage under `config`.
+    /// Encodes a CSR matrix into protected COO storage under `config`: the
+    /// values move over as they are and the column indices gain the element
+    /// redundancy in place, as in [`ProtectedCsr::from_csr`](crate::ProtectedCsr::from_csr);
+    /// only the per-element row indices are new storage.  A borrowed matrix
+    /// is copied once first.
     ///
-    /// Fails when the matrix exceeds the element scheme's dimension limits,
-    /// when the row count exceeds what the row-index code's payload can
-    /// address, or (for CRC32C element protection) when a row has fewer than
-    /// four entries.
-    pub fn from_csr(matrix: &CsrMatrix, config: &ProtectionConfig) -> Result<Self, AbftError> {
-        if config.elements != EccScheme::None && matrix.cols() > config.elements.max_columns() {
-            return Err(AbftError::TooManyColumns {
-                cols: matrix.cols(),
-                max: config.elements.max_columns(),
-            });
-        }
+    /// Fails, before anything is written, when the matrix exceeds the
+    /// element scheme's dimension limits, when the row count exceeds what
+    /// the row-index code's payload can address, or (for CRC32C element
+    /// protection) when a row has fewer than four entries.
+    pub fn from_csr<'a>(
+        matrix: impl Into<Cow<'a, CsrMatrix>>,
+        config: &ProtectionConfig,
+    ) -> Result<Self, AbftError> {
+        let matrix = matrix.into();
+        check_columns(config.elements, matrix.cols())?;
         let max_rows = match config.row_pointer {
             EccScheme::None => u32::MAX as usize,
             EccScheme::Sed => COL_MASK_31 as usize,
@@ -83,25 +87,36 @@ impl ProtectedCoo {
             )));
         }
         let codec = ElementCodec::new(config.elements, config.crc_backend);
-        let mut col_indices = matrix.col_indices().to_vec();
-        codec.encode(matrix.values(), &mut col_indices, matrix.row_pointer())?;
-        let mut row_indices = Vec::with_capacity(matrix.nnz());
-        for row in 0..matrix.rows() {
-            let start = matrix.row_pointer()[row] as usize;
-            let end = matrix.row_pointer()[row + 1] as usize;
-            for _ in start..end {
-                row_indices.push(encode_row_index(row as u32, config.row_pointer));
-            }
+        let (rows, cols, values, mut col_indices, row_pointer) = matrix.into_owned().into_raw();
+        codec.encode(&values, &mut col_indices, &row_pointer)?;
+        let mut row_indices = Vec::with_capacity(values.len());
+        for (row, bounds) in row_pointer.windows(2).enumerate() {
+            let index = encode_row_index(row as u32, config.row_pointer);
+            row_indices.extend((bounds[0]..bounds[1]).map(|_| index));
         }
         Ok(ProtectedCoo {
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            values: matrix.values().to_vec(),
+            rows,
+            cols,
+            values,
             col_indices,
             row_indices,
             codec,
             config: *config,
         })
+    }
+
+    /// Decodes the matrix back into a plain [`CsrMatrix`] (masked,
+    /// unchecked): the values move back as they are and the redundancy
+    /// bits are masked off the column indices in place; the row pointer is
+    /// rebuilt from the row indices.  [`ProtectedMatrix::to_csr`] is this
+    /// on a copy.
+    pub fn into_csr(self) -> CsrMatrix {
+        let row_ptr = self.masked_row_pointer();
+        let mut cols = self.col_indices;
+        for c in &mut cols {
+            *c = self.codec.mask_col(*c);
+        }
+        CsrMatrix::from_raw(self.rows, self.cols, self.values, cols, row_ptr)
     }
 
     /// Raw stored values (exposed for fault injection and tests).
@@ -438,13 +453,7 @@ impl ProtectedMatrix for ProtectedCoo {
     }
 
     fn to_csr(&self) -> CsrMatrix {
-        let row_ptr = self.masked_row_pointer();
-        let cols: Vec<u32> = self
-            .col_indices
-            .iter()
-            .map(|&c| self.codec.mask_col(c))
-            .collect();
-        CsrMatrix::from_raw(self.rows, self.cols, self.values.clone(), cols, row_ptr)
+        self.clone().into_csr()
     }
 
     fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {

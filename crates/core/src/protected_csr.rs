@@ -21,10 +21,11 @@ use crate::csr_element::ElementCodec;
 use crate::error::AbftError;
 use crate::protected_matrix::{ProtectedMatrix, Repair};
 use crate::report::{FaultLog, Region};
-use crate::row_pointer::{ProtectedRowPointer, RpCursor};
+use crate::row_pointer::{check_nnz, ProtectedRowPointer, RpCursor};
 use crate::schemes::{EccScheme, ProtectionConfig};
 use crate::spmv::{DenseView, InterleavedX, MaskedX, SliceX, XRead, MAX_PANEL_WIDTH};
 use abft_sparse::CsrMatrix;
+use std::borrow::Cow;
 
 /// Rows per block of the range kernel: each block's contiguous element run
 /// is certified by one batched predicate (which needs runs of at least 16
@@ -46,35 +47,51 @@ pub struct ProtectedCsr {
 }
 
 impl ProtectedCsr {
-    /// Encodes a plain CSR matrix under `config`.
+    /// Encodes a CSR matrix under `config`, in its own arrays: the values
+    /// move over as they are, the column indices gain the element
+    /// redundancy in their top bits and the row pointer is padded to whole
+    /// codeword groups and encoded in place (as the paper's `init_matrix_ecc`
+    /// does).  An owned matrix is encoded where it lies; a borrowed one is
+    /// copied once first.
     ///
-    /// Fails when the matrix exceeds the scheme's dimension limits or (for
-    /// CRC32C element protection) has rows with fewer than four entries.
-    pub fn from_csr(matrix: &CsrMatrix, config: &ProtectionConfig) -> Result<Self, AbftError> {
-        if config.elements != EccScheme::None && matrix.cols() > config.elements.max_columns() {
-            return Err(AbftError::TooManyColumns {
-                cols: matrix.cols(),
-                max: config.elements.max_columns(),
-            });
-        }
+    /// Fails, before anything is written, when the matrix exceeds the
+    /// scheme's dimension limits or (for CRC32C element protection) has rows
+    /// with fewer than four entries.
+    pub fn from_csr<'a>(
+        matrix: impl Into<Cow<'a, CsrMatrix>>,
+        config: &ProtectionConfig,
+    ) -> Result<Self, AbftError> {
+        let matrix = matrix.into();
+        check_columns(config.elements, matrix.cols())?;
+        check_nnz(config.row_pointer, matrix.nnz())?;
         let codec = ElementCodec::new(config.elements, config.crc_backend);
-        let mut col_indices = matrix.col_indices().to_vec();
-        codec.encode(matrix.values(), &mut col_indices, matrix.row_pointer())?;
-        let row_pointer = ProtectedRowPointer::encode(
-            matrix.row_pointer(),
-            config.row_pointer,
-            config.crc_backend,
-        )?;
+        let (rows, cols, values, mut col_indices, row_pointer) = matrix.into_owned().into_raw();
+        codec.encode(&values, &mut col_indices, &row_pointer)?;
+        let row_pointer =
+            ProtectedRowPointer::encode(row_pointer, config.row_pointer, config.crc_backend)?;
         Ok(ProtectedCsr {
-            rows: matrix.rows(),
-            cols: matrix.cols(),
-            nnz: matrix.nnz(),
-            values: matrix.values().to_vec(),
+            rows,
+            cols,
+            nnz: values.len(),
+            values,
             col_indices,
             row_pointer,
             codec,
             config: *config,
         })
+    }
+
+    /// Decodes the matrix back into a plain [`CsrMatrix`] (masked,
+    /// unchecked) in its own arrays: the values move back as they are, the
+    /// redundancy bits are masked off the column indices and the row
+    /// pointer in place.  [`ProtectedMatrix::to_csr`] is this on a copy.
+    pub fn into_csr(self) -> CsrMatrix {
+        let mut cols = self.col_indices;
+        for c in &mut cols {
+            *c = self.codec.mask_col(*c);
+        }
+        let row_pointer = self.row_pointer.into_plain();
+        CsrMatrix::from_raw(self.rows, self.cols, self.values, cols, row_pointer)
     }
 
     /// The protected row pointer.
@@ -305,18 +322,7 @@ impl ProtectedMatrix for ProtectedCsr {
     }
 
     fn to_csr(&self) -> CsrMatrix {
-        let cols: Vec<u32> = self
-            .col_indices
-            .iter()
-            .map(|&c| self.codec.mask_col(c))
-            .collect();
-        CsrMatrix::from_raw(
-            self.rows,
-            self.cols,
-            self.values.clone(),
-            cols,
-            self.row_pointer.to_plain(),
-        )
+        self.clone().into_csr()
     }
 
     fn inject_value_bit_flip(&mut self, k: usize, bit: u32) {
@@ -334,6 +340,18 @@ impl ProtectedMatrix for ProtectedCsr {
     fn structure_entries(&self) -> usize {
         self.rows + 1
     }
+}
+
+/// Fails when `cols` columns do not fit the index bits the element
+/// `scheme` leaves.
+pub(crate) fn check_columns(scheme: EccScheme, cols: usize) -> Result<(), AbftError> {
+    if scheme != EccScheme::None && cols > scheme.max_columns() {
+        return Err(AbftError::TooManyColumns {
+            cols,
+            max: scheme.max_columns(),
+        });
+    }
+    Ok(())
 }
 
 /// Check counts a range kernel tallies locally and folds into the shared log
@@ -588,6 +606,27 @@ mod tests {
             assert_eq!(p.rows(), m.rows());
             assert_eq!(p.cols(), m.cols());
             assert_eq!(p.nnz(), m.nnz());
+        }
+    }
+
+    #[test]
+    fn owned_and_borrowed_encodes_store_the_same_bits() {
+        let m = test_matrix();
+        for elements in EccScheme::ALL {
+            for row_pointer in EccScheme::ALL {
+                let cfg = config(elements, row_pointer);
+                for tier in [
+                    StorageTier::Csr,
+                    StorageTier::Coo,
+                    StorageTier::BlockedCsr(3),
+                ] {
+                    let borrowed = AnyProtectedMatrix::encode(&m, &cfg, tier).unwrap();
+                    let owned = AnyProtectedMatrix::encode(m.clone(), &cfg, tier).unwrap();
+                    let label = format!("{elements:?}/{row_pointer:?} {tier}");
+                    assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"), "{label}");
+                    assert_eq!(owned.into_csr(), m, "{label}");
+                }
+            }
         }
     }
 

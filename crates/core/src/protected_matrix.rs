@@ -39,6 +39,7 @@ use crate::schemes::ProtectionConfig;
 use crate::spmv::{spmv_rows, DenseSource, DenseView, InterleavedX, SpmvWorkspace};
 use crate::ProtectedBlockedCsr;
 use abft_sparse::CsrMatrix;
+use std::borrow::Cow;
 
 /// The protected sparse-matrix storage tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +178,7 @@ pub trait ProtectedMatrix: Send + Sync {
         assert_eq!(x.length(), self.cols(), "spmv: x has wrong length");
         assert_eq!(y.len(), self.rows(), "spmv: y has wrong length");
         let check = self.policy().should_check(iteration);
-        spmv_rows(self, x.view(), y, check, log, &mut ws.chunk_scratch)
+        spmv_rows(self, x.view(), y, check, log, &mut ws.chunks)
     }
 }
 
@@ -208,19 +209,38 @@ pub enum AnyProtectedMatrix {
 }
 
 impl AnyProtectedMatrix {
-    /// Encodes a plain CSR matrix into the requested storage tier.
-    pub fn encode(
-        matrix: &CsrMatrix,
+    /// Encodes a CSR matrix into the requested storage tier.
+    ///
+    /// Takes the matrix by value or by reference.  An owned matrix is
+    /// encoded where it lies: the CSR and COO tiers keep its value array and
+    /// write the redundancy into its index arrays (only the blocked tier,
+    /// which re-lays the matrix out, copies).  A borrowed matrix is copied
+    /// once.  Every limit is checked before anything is written.
+    pub fn encode<'a>(
+        matrix: impl Into<Cow<'a, CsrMatrix>>,
         config: &ProtectionConfig,
         tier: StorageTier,
     ) -> Result<Self, AbftError> {
+        let matrix = matrix.into();
         Ok(match tier {
             StorageTier::Csr => AnyProtectedMatrix::Csr(ProtectedCsr::from_csr(matrix, config)?),
             StorageTier::Coo => AnyProtectedMatrix::Coo(ProtectedCoo::from_csr(matrix, config)?),
             StorageTier::BlockedCsr(blocks) => AnyProtectedMatrix::BlockedCsr(
-                ProtectedBlockedCsr::from_csr(matrix, config, blocks)?,
+                ProtectedBlockedCsr::from_csr(&matrix, config, blocks)?,
             ),
         })
+    }
+
+    /// Decodes the matrix back into a plain [`CsrMatrix`] (masked,
+    /// unchecked) in its own arrays where the tier allows — the CSR and
+    /// COO tiers hand back the value array they hold.
+    /// [`ProtectedMatrix::to_csr`] is this on a copy.
+    pub fn into_csr(self) -> CsrMatrix {
+        match self {
+            AnyProtectedMatrix::Csr(m) => m.into_csr(),
+            AnyProtectedMatrix::Coo(m) => m.into_csr(),
+            AnyProtectedMatrix::BlockedCsr(m) => m.into_csr(),
+        }
     }
 
     /// The tier this matrix is stored in.

@@ -69,33 +69,30 @@ pub struct ProtectedRowPointer {
 }
 
 impl ProtectedRowPointer {
-    /// Encodes a plain row-pointer vector.
+    /// Encodes a plain row-pointer vector where it lies: the vector is
+    /// padded to whole codeword groups and its entries gain their
+    /// redundancy bits in place.
     ///
-    /// Fails when NNZ exceeds what the scheme can represent in the remaining
-    /// payload bits.
+    /// Fails, before writing anything, when NNZ exceeds what the scheme can
+    /// represent in the remaining payload bits.
     pub fn encode(
-        row_ptr: &[u32],
+        mut data: Vec<u32>,
         scheme: EccScheme,
         backend: Crc32cBackend,
     ) -> Result<Self, AbftError> {
-        let nnz = row_ptr.last().copied().unwrap_or(0) as usize;
-        if scheme != EccScheme::None && nnz > scheme.max_nnz() {
-            return Err(AbftError::TooManyNonZeros {
-                nnz,
-                max: scheme.max_nnz(),
-            });
-        }
+        let nnz = data.last().copied().unwrap_or(0) as usize;
+        check_nnz(scheme, nnz)?;
         let crc = Crc32c::new(backend);
         let group = scheme.row_pointer_group();
-        let mut data = row_ptr.to_vec();
-        data.resize(row_ptr.len().div_ceil(group) * group, 0);
+        let len = data.len();
+        data.resize(len.div_ceil(group) * group, 0);
         for entries in data.chunks_exact_mut(group) {
             encode_group(scheme, &crc, entries);
         }
         Ok(ProtectedRowPointer {
             scheme,
             data,
-            len: row_ptr.len(),
+            len,
             nnz,
             crc,
         })
@@ -221,10 +218,27 @@ impl ProtectedRowPointer {
         result.map(|()| repairs.len())
     }
 
-    /// Decodes the whole vector back to plain offsets (no checking).
-    pub fn to_plain(&self) -> Vec<u32> {
-        (0..self.len).map(|i| self.get_masked(i)).collect()
+    /// Decodes the whole vector back to plain offsets (no checking), in
+    /// place: the redundancy bits are masked off and the group padding
+    /// dropped.
+    pub fn into_plain(mut self) -> Vec<u32> {
+        self.data.truncate(self.len);
+        for entry in &mut self.data {
+            *entry = mask_entry(self.scheme, *entry);
+        }
+        self.data
     }
+}
+
+/// Fails when `nnz` offsets do not fit the payload bits `scheme` leaves.
+pub(crate) fn check_nnz(scheme: EccScheme, nnz: usize) -> Result<(), AbftError> {
+    if scheme != EccScheme::None && nnz > scheme.max_nnz() {
+        return Err(AbftError::TooManyNonZeros {
+            nnz,
+            max: scheme.max_nnz(),
+        });
+    }
+    Ok(())
 }
 
 /// Sequential reader of row bounds caching the last decoded codeword group:
@@ -595,8 +609,9 @@ mod tests {
             EccScheme::Crc32c,
         ] {
             let p =
-                ProtectedRowPointer::encode(&row_ptr, scheme, Crc32cBackend::SlicingBy16).unwrap();
-            assert_eq!(p.to_plain(), row_ptr, "{scheme:?}");
+                ProtectedRowPointer::encode(row_ptr.clone(), scheme, Crc32cBackend::SlicingBy16)
+                    .unwrap();
+            assert_eq!(p.clone().into_plain(), row_ptr, "{scheme:?}");
             assert_eq!(p.scheme(), scheme);
             assert_eq!(p.len(), 24);
             assert!(!p.is_empty());
@@ -615,7 +630,8 @@ mod tests {
         let row_ptr = sample_row_ptr(10, 5);
         for scheme in EccScheme::ALL {
             let p =
-                ProtectedRowPointer::encode(&row_ptr, scheme, Crc32cBackend::SlicingBy16).unwrap();
+                ProtectedRowPointer::encode(row_ptr.clone(), scheme, Crc32cBackend::SlicingBy16)
+                    .unwrap();
             let log = FaultLog::new();
             assert_eq!(bounds_of(&p, 3, true, &log).unwrap(), (15, 20));
             assert_eq!(bounds_of(&p, 3, false, &log).unwrap(), (15, 20));
@@ -627,9 +643,12 @@ mod tests {
     #[test]
     fn sed_detects_single_flip() {
         let row_ptr = sample_row_ptr(8, 5);
-        let mut p =
-            ProtectedRowPointer::encode(&row_ptr, EccScheme::Sed, Crc32cBackend::SlicingBy16)
-                .unwrap();
+        let mut p = ProtectedRowPointer::encode(
+            row_ptr.clone(),
+            EccScheme::Sed,
+            Crc32cBackend::SlicingBy16,
+        )
+        .unwrap();
         p.inject_bit_flip(4, 7);
         let log = FaultLog::new();
         assert!(bounds_of(&p, 4, true, &log).is_err() || bounds_of(&p, 3, true, &log).is_err());
@@ -642,7 +661,8 @@ mod tests {
         for scheme in [EccScheme::Secded64, EccScheme::Secded128] {
             let row_ptr = sample_row_ptr(13, 5);
             let mut p =
-                ProtectedRowPointer::encode(&row_ptr, scheme, Crc32cBackend::SlicingBy16).unwrap();
+                ProtectedRowPointer::encode(row_ptr.clone(), scheme, Crc32cBackend::SlicingBy16)
+                    .unwrap();
             p.inject_bit_flip(5, 13);
             let log = FaultLog::new();
             // Reads still return the correct range (transient correction).
@@ -655,13 +675,13 @@ mod tests {
             // The storage still holds the flipped bit until scrubbed.
             assert_ne!(
                 p.raw()[5],
-                ProtectedRowPointer::encode(&row_ptr, scheme, Crc32cBackend::SlicingBy16)
+                ProtectedRowPointer::encode(row_ptr.clone(), scheme, Crc32cBackend::SlicingBy16)
                     .unwrap()
                     .raw()[5]
             );
             let repaired = p.scrub(&log).unwrap();
             assert_eq!(repaired, 1);
-            assert_eq!(p.to_plain(), row_ptr);
+            assert_eq!(p.clone().into_plain(), row_ptr);
             // A second scrub finds nothing.
             assert_eq!(p.scrub(&log).unwrap(), 0);
         }
@@ -670,15 +690,18 @@ mod tests {
     #[test]
     fn crc_corrects_single_flip_and_detects_double() {
         let row_ptr = sample_row_ptr(20, 7);
-        let mut p =
-            ProtectedRowPointer::encode(&row_ptr, EccScheme::Crc32c, Crc32cBackend::SlicingBy16)
-                .unwrap();
+        let mut p = ProtectedRowPointer::encode(
+            row_ptr.clone(),
+            EccScheme::Crc32c,
+            Crc32cBackend::SlicingBy16,
+        )
+        .unwrap();
         p.inject_bit_flip(9, 3);
         let log = FaultLog::new();
         assert_eq!(bounds_of(&p, 9, true, &log).unwrap(), (63, 70));
         assert!(log.total_corrected() > 0);
         assert_eq!(p.scrub(&log).unwrap(), 1);
-        assert_eq!(p.to_plain(), row_ptr);
+        assert_eq!(p.clone().into_plain(), row_ptr);
 
         // Two flips in the same group are uncorrectable.
         p.inject_bit_flip(8, 2);
@@ -693,7 +716,8 @@ mod tests {
         let row_ptr = sample_row_ptr(10, 5);
         for scheme in [EccScheme::Sed, EccScheme::Secded64, EccScheme::Crc32c] {
             let mut p =
-                ProtectedRowPointer::encode(&row_ptr, scheme, Crc32cBackend::SlicingBy16).unwrap();
+                ProtectedRowPointer::encode(row_ptr.clone(), scheme, Crc32cBackend::SlicingBy16)
+                    .unwrap();
             // Flip a high payload bit so the masked value becomes enormous.
             let bit = if scheme == EccScheme::Sed { 30 } else { 27 };
             p.inject_bit_flip(6, bit);
@@ -710,9 +734,12 @@ mod tests {
         // see it (that is the price of less frequent checking), but the full
         // check can.
         let row_ptr = sample_row_ptr(10, 5);
-        let mut p =
-            ProtectedRowPointer::encode(&row_ptr, EccScheme::Secded64, Crc32cBackend::SlicingBy16)
-                .unwrap();
+        let mut p = ProtectedRowPointer::encode(
+            row_ptr.clone(),
+            EccScheme::Secded64,
+            Crc32cBackend::SlicingBy16,
+        )
+        .unwrap();
         p.inject_bit_flip(6, 0);
         let log = FaultLog::new();
         let unchecked = bounds_of(&p, 6, false, &log).unwrap();
@@ -736,7 +763,7 @@ mod tests {
         for i in 0..(groups * scheme.row_pointer_group()) as u32 - 1 {
             row_ptr.push(row_ptr[i as usize] + 1 + (i * 7919) % 4099);
         }
-        ProtectedRowPointer::encode(&row_ptr, scheme, backend).unwrap()
+        ProtectedRowPointer::encode(row_ptr.clone(), scheme, backend).unwrap()
     }
 
     /// What the screen must say: every group one the group check finds
@@ -828,12 +855,18 @@ mod tests {
     fn nnz_limits_are_enforced() {
         // SED allows up to 2^31-1 but SECDED64 only 2^28-1.
         let row_ptr = vec![0u32, (1 << 28) + 5];
-        assert!(
-            ProtectedRowPointer::encode(&row_ptr, EccScheme::Sed, Crc32cBackend::SlicingBy16)
-                .is_ok()
-        );
+        assert!(ProtectedRowPointer::encode(
+            row_ptr.clone(),
+            EccScheme::Sed,
+            Crc32cBackend::SlicingBy16
+        )
+        .is_ok());
         assert!(matches!(
-            ProtectedRowPointer::encode(&row_ptr, EccScheme::Secded64, Crc32cBackend::SlicingBy16),
+            ProtectedRowPointer::encode(
+                row_ptr.clone(),
+                EccScheme::Secded64,
+                Crc32cBackend::SlicingBy16
+            ),
             Err(AbftError::TooManyNonZeros { .. })
         ));
     }
@@ -842,11 +875,13 @@ mod tests {
     fn empty_and_single_entry_vectors() {
         let log = FaultLog::new();
         for scheme in EccScheme::ALL {
-            let p = ProtectedRowPointer::encode(&[], scheme, Crc32cBackend::SlicingBy16).unwrap();
+            let p =
+                ProtectedRowPointer::encode(vec![], scheme, Crc32cBackend::SlicingBy16).unwrap();
             assert!(p.is_empty());
             p.check_all(&log).unwrap();
-            let p = ProtectedRowPointer::encode(&[0], scheme, Crc32cBackend::SlicingBy16).unwrap();
-            assert_eq!(p.to_plain(), vec![0]);
+            let p =
+                ProtectedRowPointer::encode(vec![0], scheme, Crc32cBackend::SlicingBy16).unwrap();
+            assert_eq!(p.clone().into_plain(), vec![0]);
             p.check_all(&log).unwrap();
         }
     }

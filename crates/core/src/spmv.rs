@@ -17,11 +17,14 @@
 //!   AND-mask held in a register, so the bandwidth-bound inner loop performs
 //!   one load and one AND per access instead of an assert-guarded
 //!   `ProtectedVector::get` call;
-//! * the output vector is written one codeword group at a time (write
-//!   buffering), so each group is encoded exactly once, and
-//!   [`protected_spmv_dot`] / [`protected_spmm_dot`] sum each `x · y` from
-//!   the staged products (CG's `p · Ap` without re-verifying either
-//!   vector);
+//! * the output vector is streamed: [`protected_spmv`] computes one
+//!   [`ACC_BLOCK`] of rows into a stack stage and encodes it straight into
+//!   `y`'s storage, so each group is encoded exactly once and no `rows`-long
+//!   buffer exists, and [`protected_spmv_dot`] folds each block's `x · y`
+//!   partial from the stage before the next block (CG's `p · Ap` without
+//!   re-verifying either vector); the panel kernels stage their row-major
+//!   product panel in the workspace and sum [`protected_spmm_dot`]'s dots
+//!   from it;
 //! * a multi-RHS panel is interleaved once per call into one row-major
 //!   input ([`InterleavedX`]), so a matrix element reads all its columns'
 //!   inputs from one cache line.
@@ -33,13 +36,14 @@
 //! or `rayon::chunk_count` row-aligned chunks on the worker pool.  Rows
 //! never straddle a chunk, so both produce the same bits.
 //!
-//! All row products are staged in a caller-owned [`SpmvWorkspace`], so a
-//! solver iterating these kernels performs **zero heap allocations** after
-//! the first call warms the workspace.
+//! Per-chunk scratch and the panel stage live in a caller-owned
+//! [`SpmvWorkspace`], so a solver iterating these kernels performs **zero
+//! heap allocations** after the first call warms the workspace (a serial
+//! single-vector product, with nothing to stage, allocates nothing at all).
 
 use crate::error::AbftError;
 use crate::protected_matrix::ProtectedMatrix;
-use crate::protected_vector::{ProtectedVector, ACC_BLOCK};
+use crate::protected_vector::{GroupCodec, ProtectedVector, ACC_BLOCK};
 use crate::report::FaultLog;
 use crate::schemes::EccScheme;
 use abft_sparse::Vector;
@@ -202,20 +206,31 @@ impl<'a> InterleavedX<'a> {
 /// Reusable scratch storage for the SpMV and SpMM kernels, owned by the
 /// solver state so iterations perform no heap allocations after setup.
 ///
-/// One workspace serves every kernel shape: the staging buffer of the fully
-/// protected products (`rows` slots for one vector, a row-major `rows × k`
-/// panel, `products[row * k + col]`, for several), the interleaved input
-/// panel of the SpMM ([`InterleavedX`]) and one CRC row-codeword scratch
-/// buffer per chunk (a serial call is chunk 0).  Buffers grow on first use
-/// and are reused verbatim afterwards.
+/// One workspace serves every kernel shape: the staging buffer of the
+/// multi-RHS products (a row-major `rows × k` panel, `products[row * k +
+/// col]`), the interleaved input panel of the SpMM ([`InterleavedX`]) and
+/// one `ChunkScratch` per chunk (a serial call is chunk 0).  The streamed
+/// single-vector products stage their rows on the stack.  Buffers grow on
+/// first use and are reused verbatim afterwards.
 #[derive(Debug, Default, Clone)]
 pub struct SpmvWorkspace {
-    /// Row products before group encoding.
+    /// Panel products before group encoding.
     pub(crate) products: Vec<f64>,
     /// The SpMM input panel, one row per input-vector element.
     panel: Vec<[f64; MAX_PANEL_WIDTH]>,
-    /// CRC row-codeword bytes, one buffer per chunk.
-    pub(crate) chunk_scratch: Vec<Vec<u8>>,
+    /// CRC row-codeword bytes of a serial streamed product, apart from the
+    /// chunk scratch so that such a product sizes nothing.
+    scratch: Vec<u8>,
+    /// Per-chunk scratch of the range kernels.
+    pub(crate) chunks: Vec<ChunkScratch>,
+}
+
+/// One chunk's scratch: the CRC row-codeword bytes of its range kernels and
+/// the per-block `x · y` partials of a parallel streamed product.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct ChunkScratch {
+    bytes: Vec<u8>,
+    partials: Vec<f64>,
 }
 
 /// The workspace of the multi-RHS kernels: the same buffers, the product
@@ -228,14 +243,22 @@ impl SpmvWorkspace {
     pub fn new() -> Self {
         SpmvWorkspace::default()
     }
+}
 
-    /// `len` product slots and the per-chunk scratch buffers.
-    fn buffers(&mut self, len: usize) -> (&mut [f64], &mut Vec<Vec<u8>>) {
-        if self.products.len() < len {
-            self.products.resize(len, 0.0);
-        }
-        (&mut self.products[..len], &mut self.chunk_scratch)
+/// The first `len` product slots, grown on first use.
+fn product_slots(products: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if products.len() < len {
+        products.resize(len, 0.0);
     }
+    &mut products[..len]
+}
+
+/// The first `n` chunk scratches, grown on first use.
+fn chunk_states(chunks: &mut Vec<ChunkScratch>, n: usize) -> &mut [ChunkScratch] {
+    if chunks.len() < n {
+        chunks.resize_with(n, ChunkScratch::default);
+    }
+    &mut chunks[..n]
 }
 
 /// The row-range driver every protected SpMV and SpMM runs through:
@@ -243,12 +266,12 @@ impl SpmvWorkspace {
 /// so no chunk splits a panel row) as one chunk on the caller, or — when
 /// the matrix is configured parallel — as `rayon::chunk_count` row-aligned
 /// chunks on the worker pool, chunk `c` staging its CRC row codewords in
-/// `chunk_scratch[c]`.
+/// `chunks[c]`.
 fn drive_rows<A: ProtectedMatrix + ?Sized>(
     a: &A,
     out: &mut [f64],
     stride: usize,
-    chunk_scratch: &mut Vec<Vec<u8>>,
+    chunks: &mut Vec<ChunkScratch>,
     kernel: impl Fn(usize, &mut [f64], &mut Vec<u8>) -> Result<(), AbftError> + Sync,
 ) -> Result<(), AbftError> {
     let n_chunks = if a.config().parallel {
@@ -256,12 +279,9 @@ fn drive_rows<A: ProtectedMatrix + ?Sized>(
     } else {
         1
     };
-    if chunk_scratch.len() < n_chunks {
-        chunk_scratch.resize_with(n_chunks, Vec::new);
-    }
-    let states = &mut chunk_scratch[..n_chunks];
-    rayon::with_chunks_mut_strided(out, states, stride, |offset, rows, scratch| {
-        kernel(offset / stride, rows, scratch)
+    let states = chunk_states(chunks, n_chunks);
+    rayon::with_chunks_mut_strided(out, states, stride, |offset, rows, state| {
+        kernel(offset / stride, rows, &mut state.bytes)
     })
 }
 
@@ -272,9 +292,9 @@ pub(crate) fn spmv_rows<A: ProtectedMatrix + ?Sized>(
     y: &mut [f64],
     check: bool,
     log: &FaultLog,
-    chunk_scratch: &mut Vec<Vec<u8>>,
+    chunks: &mut Vec<ChunkScratch>,
 ) -> Result<(), AbftError> {
-    drive_rows(a, y, 1, chunk_scratch, |row0, rows, scratch| {
+    drive_rows(a, y, 1, chunks, |row0, rows, scratch| {
         a.spmv_range_view(row0, x, rows, check, scratch, log)
     })
 }
@@ -310,13 +330,69 @@ fn scrubbed_words<'a>(
 fn masked_dot((x, x_mask): (&[u64], u64), y: &[f64], y_mask: u64) -> f64 {
     let mut total = 0.0;
     for (x, y) in x.chunks(ACC_BLOCK).zip(y.chunks(ACC_BLOCK)) {
-        let mut block = 0.0;
-        for (&w, &v) in x.iter().zip(y) {
-            block += f64::from_bits(w & x_mask) * f64::from_bits(v.to_bits() & y_mask);
-        }
-        total += block;
+        total += block_dot(x, x_mask, y, y_mask);
     }
     total
+}
+
+/// One block's partial of [`masked_dot`], over the shorter of `x` and `y`.
+#[inline]
+fn block_dot(x: &[u64], x_mask: u64, y: &[f64], y_mask: u64) -> f64 {
+    let mut block = 0.0;
+    for (&w, &v) in x.iter().zip(y) {
+        block += f64::from_bits(w & x_mask) * f64::from_bits(v.to_bits() & y_mask);
+    }
+    block
+}
+
+/// One streamed single-vector product: what every block of
+/// [`spmv_encode`] needs besides its slice of `y`'s storage.
+struct RowStream<'a, A: ?Sized> {
+    a: &'a A,
+    /// The certified input, as masked words and their read mask.
+    x: (&'a [u64], u64),
+    check: bool,
+    log: &'a FaultLog,
+    /// `y`'s codec, which also carries its read mask.
+    codec: GroupCodec,
+    /// `y`'s logical length.
+    rows: usize,
+    /// Elements the `x · y` dot sums over: the shorter side, or none.
+    dot_len: usize,
+}
+
+impl<A: ProtectedMatrix + ?Sized> RowStream<'_, A> {
+    /// Streams the rows behind the storage words `offset..offset +
+    /// out.len()` of `y` (`offset` on an [`ACC_BLOCK`] boundary): each
+    /// block's products are computed into a stack stage, encoded into
+    /// `out`, and the block's `x · y` partial handed to `partial` — in
+    /// block order, exactly [`masked_dot`]'s blocks.  A matrix fault
+    /// returns at once, the blocks before it already stored.
+    fn run(
+        &self,
+        offset: usize,
+        out: &mut [u64],
+        scratch: &mut Vec<u8>,
+        mut partial: impl FnMut(f64),
+    ) -> Result<(), AbftError> {
+        let (words, mask) = self.x;
+        let xv = DenseView::MaskedWords { words, mask };
+        let mut stage = [0.0f64; ACC_BLOCK];
+        for (b, block) in out.chunks_mut(ACC_BLOCK).enumerate() {
+            let at = offset + b * ACC_BLOCK;
+            let stage = &mut stage[..block.len()];
+            let (products, padding) = stage.split_at_mut(block.len().min(self.rows - at));
+            self.a
+                .spmv_range_view(at, xv, products, self.check, scratch, self.log)?;
+            padding.fill(0.0);
+            self.codec.encode_run(stage, block);
+            if at < self.dot_len {
+                let x = &words[at..self.dot_len.min(at + ACC_BLOCK)];
+                partial(block_dot(x, mask, stage, self.codec.mask));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// `y = A x` with both the matrix and the vectors protected.
@@ -396,7 +472,12 @@ pub fn protected_spmv_dot<A: ProtectedMatrix + ?Sized>(
 }
 
 /// The body of [`protected_spmv`] and [`protected_spmv_dot`]; the dot is
-/// summed only when `with_dot`.
+/// summed only when `with_dot`.  `y` is streamed a [`RowStream`] block at
+/// a time, serially or — when the matrix is configured parallel — in
+/// block-aligned chunks on the pool whose block partials are folded in
+/// block order afterwards, the same bits either way.  `y`'s parity tier is
+/// refreshed on the error path too, so a matrix fault leaves every stripe
+/// matching the blocks already stored.
 fn spmv_encode<A: ProtectedMatrix + ?Sized>(
     a: &A,
     x: &mut ProtectedVector,
@@ -409,16 +490,44 @@ fn spmv_encode<A: ProtectedMatrix + ?Sized>(
     assert_eq!(x.len(), a.cols(), "protected_spmv: x has wrong length");
     assert_eq!(y.len(), a.rows(), "protected_spmv: y has wrong length");
     let (words, mask) = scrubbed_words(x, log)?;
-    let check = a.policy().should_check(iteration);
-    let (products, chunk_scratch) = ws.buffers(a.rows());
-    let xv = DenseView::MaskedWords { words, mask };
-    spmv_rows(a, xv, products, check, log, chunk_scratch)?;
-    y.fill_from_fn(|row| products[row]);
-    Ok(if with_dot {
-        masked_dot((words, mask), products, y.read_mask)
+    let stream = RowStream {
+        a,
+        x: (words, mask),
+        check: a.policy().should_check(iteration),
+        log,
+        codec: y.codec(),
+        rows: y.len(),
+        dot_len: if with_dot {
+            words.len().min(y.len())
+        } else {
+            0
+        },
+    };
+    let n_chunks = if a.config().parallel {
+        rayon::chunk_count(y.data.len())
     } else {
-        0.0
-    })
+        1
+    };
+    let mut total = 0.0;
+    let result = if n_chunks == 1 {
+        stream.run(0, &mut y.data, &mut ws.scratch, |p| total += p)
+    } else {
+        let states = chunk_states(&mut ws.chunks, n_chunks);
+        for state in states.iter_mut() {
+            state.partials.clear();
+        }
+        let result =
+            rayon::with_chunks_mut_strided(&mut y.data, states, ACC_BLOCK, |offset, out, state| {
+                let partials = &mut state.partials;
+                stream.run(offset, out, &mut state.bytes, |p| partials.push(p))
+            });
+        for p in states.iter().flat_map(|state| &state.partials) {
+            total += p;
+        }
+        result
+    };
+    y.parity_commit();
+    result.map(|()| total)
 }
 
 /// Fills `panel[..cols]` row by row: `panel[i][j]` is element `i` of
@@ -453,8 +562,8 @@ fn spmm_rows<A: ProtectedMatrix + ?Sized>(
 ) -> Result<(), AbftError> {
     let width = views.len();
     if width == 1 {
-        let (products, chunk_scratch) = ws.buffers(a.rows());
-        return spmv_rows(a, views[0], products, check, log, chunk_scratch);
+        let products = product_slots(&mut ws.products, a.rows());
+        return spmv_rows(a, views[0], products, check, log, &mut ws.chunks);
     }
     let cols = a.cols();
     if ws.panel.len() < cols {
@@ -483,18 +592,10 @@ fn spmm_rows<A: ProtectedMatrix + ?Sized>(
         });
     }
     let xp = InterleavedX::new(&ws.panel[..cols], width);
-    let len = a.rows() * width;
-    if ws.products.len() < len {
-        ws.products.resize(len, 0.0);
-    }
-    let products = &mut ws.products[..len];
-    drive_rows(
-        a,
-        products,
-        width,
-        &mut ws.chunk_scratch,
-        |row0, rows, scratch| a.spmm_range_view(row0, xp, rows, check, scratch, log),
-    )
+    let products = product_slots(&mut ws.products, a.rows() * width);
+    drive_rows(a, products, width, &mut ws.chunks, |row0, rows, scratch| {
+        a.spmm_range_view(row0, xp, rows, check, scratch, log)
+    })
 }
 
 /// `ys[j] = A xs[j]` for a panel of plain vectors over a protected matrix —
@@ -827,18 +928,32 @@ mod tests {
         let (a, mut x, mut y, _) = setup(EccScheme::Crc32c);
         let log = FaultLog::new();
         let mut ws = SpmvWorkspace::new();
-        protected_spmv(&a, &mut x, &mut y, 0, &log, &mut ws).unwrap();
+        // The streamed single-vector product stages on the stack: clean
+        // serial calls size nothing.
+        for iteration in 0..3 {
+            protected_spmv(&a, &mut x, &mut y, iteration, &log, &mut ws).unwrap();
+        }
+        assert_eq!(ws.products.capacity(), 0);
+        assert!(ws.chunks.is_empty());
+        // A panel sizes its stage and chunk scratch once.
+        let xs = [vec![1.0; a.cols()], vec![2.0; a.cols()]];
+        let mut ys = [vec![0.0; a.rows()], vec![0.0; a.rows()]];
+        let mut panel = |ws: &mut SpmvWorkspace, iteration| {
+            let [y0, y1] = &mut ys;
+            let xs = [&xs[0][..], &xs[1][..]];
+            protected_spmm_plain(&a, &xs, &mut [y0, y1], iteration, &log, ws).unwrap();
+        };
+        panel(&mut ws, 0);
         let products_ptr = ws.products.as_ptr();
         let products_cap = ws.products.capacity();
-        let scratch_cap = ws.chunk_scratch[0].capacity();
+        assert!(products_cap >= 2 * a.rows());
         for iteration in 1..10 {
-            protected_spmv(&a, &mut x, &mut y, iteration, &log, &mut ws).unwrap();
+            panel(&mut ws, iteration);
         }
         // The staging buffers were neither reallocated nor grown.
         assert_eq!(ws.products.as_ptr(), products_ptr);
         assert_eq!(ws.products.capacity(), products_cap);
-        assert_eq!(ws.chunk_scratch.len(), 1);
-        assert_eq!(ws.chunk_scratch[0].capacity(), scratch_cap);
+        assert_eq!(ws.chunks.len(), 1);
     }
 
     #[test]

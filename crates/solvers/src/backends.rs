@@ -275,14 +275,16 @@ impl SolverVector for ProtectedVector {
 /// private copy rather than the unchecked `to_csr`: the scrub verifies every
 /// codeword, repairing the row structure before anything is indexed through
 /// it, and the borrowed matrix is never written.  An uncorrectable codeword
-/// is a [`SolverError::Fault`], never a wild index.
+/// is a [`SolverError::Fault`], never a wild index.  The copy is the only
+/// one made: it is decoded in its own arrays
+/// ([`AnyProtectedMatrix::into_csr`]).
 pub fn decode_checked(
     matrix: &AnyProtectedMatrix,
     log: &FaultLog,
 ) -> Result<CsrMatrix, SolverError> {
     let mut scrubbed = matrix.clone();
     scrubbed.scrub(log)?;
-    Ok(scrubbed.to_csr())
+    Ok(scrubbed.into_csr())
 }
 
 /// [`LinearOperator::bounds_hint`] of the protected backends.  The trait
@@ -829,6 +831,27 @@ mod tests {
         spmv_serial(&m, &x3.to_plain(), &mut masked_ref);
         for (got, expect) in y3.to_plain().iter().zip(&masked_ref) {
             assert!((got - expect).abs() <= 1e-10 + 1e-12 * expect.abs());
+        }
+    }
+
+    #[test]
+    fn the_checked_decode_ends_in_the_copys_own_arrays() {
+        let m = matrix();
+        let cfg = ProtectionConfig::full(EccScheme::Secded64);
+        for tier in [StorageTier::Csr, StorageTier::Coo] {
+            let protected = AnyProtectedMatrix::encode(&m, &cfg, tier).unwrap();
+            assert_eq!(decode_checked(&protected, &FaultLog::new()).unwrap(), m);
+            // The consuming decode `decode_checked` ends in hands back the
+            // scrubbed copy's value array itself.
+            let copy = protected.clone();
+            let values = match &copy {
+                AnyProtectedMatrix::Csr(c) => c.raw_values().as_ptr(),
+                AnyProtectedMatrix::Coo(c) => c.raw_values().as_ptr(),
+                AnyProtectedMatrix::BlockedCsr(_) => unreachable!(),
+            };
+            let plain = copy.into_csr();
+            assert_eq!(plain.values().as_ptr(), values, "{tier}");
+            assert_eq!(plain, m, "{tier}");
         }
     }
 

@@ -40,6 +40,7 @@ use crate::status::{SolveStatus, SolverConfig};
 use crate::with_backend;
 use abft_core::{AnyProtectedMatrix, FaultLog, FaultLogSnapshot, ProtectionConfig, StorageTier};
 use abft_sparse::CsrMatrix;
+use std::borrow::Cow;
 
 /// The iterative method to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -207,33 +208,52 @@ impl Solver {
     }
 
     /// Solves `A x = b`, encoding the matrix under the configured
-    /// protection first.
-    pub fn solve(&self, a: &CsrMatrix, b: &[f64]) -> Result<SolveOutcome, SolverError> {
+    /// protection first.  Takes the matrix by value or by reference: an
+    /// owned matrix is encoded where it lies (see
+    /// [`AnyProtectedMatrix::encode`]), a borrowed one is copied once.
+    pub fn solve<'a>(
+        &self,
+        a: impl Into<Cow<'a, CsrMatrix>>,
+        b: &[f64],
+    ) -> Result<SolveOutcome, SolverError> {
         self.solve_logged(a, b, &FaultLog::new())
     }
 
     /// Like [`Solver::solve`], but records integrity-check activity live
     /// into a caller-supplied log, so observations made before an aborting
     /// fault survive on the error path.
-    pub fn solve_logged(
+    pub fn solve_logged<'a>(
         &self,
-        a: &CsrMatrix,
+        a: impl Into<Cow<'a, CsrMatrix>>,
         b: &[f64],
         log: &FaultLog,
     ) -> Result<SolveOutcome, SolverError> {
+        let a = a.into();
         // Estimate Chebyshev bounds from the plain matrix up front: cheaper
         // and exact, where the protected backends would have to decode.
-        let mut solver = *self;
-        if solver.bounds.is_none() && matches!(self.method, Method::Chebyshev | Method::Ppcg) {
-            solver.bounds = Some(ChebyshevBounds::estimate_gershgorin(a));
-        }
-        let precond = self.build_preconditioner(a)?;
+        let solver = self.with_bounds_from(&a);
+        let precond = self.build_preconditioner(&a)?;
         if self.protection.is_unprotected() {
-            let op = Plain::new(a, self.protection.parallel);
+            let op = Plain::new(&a, self.protection.parallel);
             return solver.solve_in(&op, b, precond.as_deref(), &FaultContext::with_log(log));
         }
         let encoded = AnyProtectedMatrix::encode(a, &self.protection, self.storage)?;
         solver.solve_encoded(&encoded, b, precond.as_deref(), log)
+    }
+
+    /// Whether the method needs spectral bounds and none were supplied.
+    fn needs_bounds(&self) -> bool {
+        self.bounds.is_none() && matches!(self.method, Method::Chebyshev | Method::Ppcg)
+    }
+
+    /// This solver with Gershgorin bounds of `a` filled in when it
+    /// [needs bounds](Solver::needs_bounds).
+    fn with_bounds_from(&self, a: &CsrMatrix) -> Solver {
+        let mut solver = *self;
+        if self.needs_bounds() {
+            solver.bounds = Some(ChebyshevBounds::estimate_gershgorin(a));
+        }
+        solver
     }
 
     /// Solves on an already-encoded matrix, on the backend its
@@ -245,8 +265,11 @@ impl Solver {
     /// queue factors once per panel, the campaigns inject into the factors
     /// first); with `None`, a preconditioner attached through
     /// [`Solver::preconditioner`] is factored from a checked decode of the
-    /// matrix.  The protection and storage settings of the builder are not
-    /// consulted: the matrix carries its own.
+    /// matrix.  Chebyshev and PPCG without supplied bounds take them from
+    /// the same decode, so a matrix fault it meets is recorded in `log` and
+    /// ends the solve as [`SolverError::Fault`].  The protection and
+    /// storage settings of the builder are not consulted: the matrix
+    /// carries its own.
     pub fn solve_encoded(
         &self,
         matrix: &AnyProtectedMatrix,
@@ -254,13 +277,19 @@ impl Solver {
         precond: Option<&dyn Preconditioner>,
         log: &FaultLog,
     ) -> Result<SolveOutcome, SolverError> {
-        let built = match (precond, self.precond) {
-            (None, Some(_)) => self.build_preconditioner(&decode_checked(matrix, log)?)?,
-            _ => None,
-        };
+        let needs_factors = precond.is_none() && self.precond.is_some();
+        let mut solver = *self;
+        let mut built = None;
+        if needs_factors || self.needs_bounds() {
+            let plain = decode_checked(matrix, log)?;
+            solver = self.with_bounds_from(&plain);
+            if needs_factors {
+                built = self.build_preconditioner(&plain)?;
+            }
+        }
         let precond = precond.or(built.as_deref());
         let ctx = FaultContext::with_log(log);
-        with_backend!(matrix, |op| self.solve_in(op, b, precond, &ctx))
+        with_backend!(matrix, |op| solver.solve_in(op, b, precond, &ctx))
     }
 
     /// Solves on an existing backend operator — the advanced path for
@@ -355,7 +384,7 @@ impl Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abft_core::{EccScheme, Region};
+    use abft_core::{AbftError, EccScheme, ProtectedMatrix, Region};
     use abft_ecc::Crc32cBackend;
     use abft_sparse::builders::poisson_2d_padded;
     use abft_sparse::spmv::spmv_serial;
@@ -559,6 +588,47 @@ mod tests {
                 .unwrap();
             assert!(outcome.status.converged, "{protection:?}");
             assert!(residual_norm(&a, &outcome.solution, &b) < 1e-6);
+        }
+    }
+
+    #[test]
+    fn an_owned_matrix_solves_like_a_borrowed_one() {
+        let (a, b) = system();
+        for protection in protections() {
+            let solver = Solver::cg()
+                .max_iterations(500)
+                .tolerance(1e-18)
+                .protection(protection);
+            let borrowed = solver.solve(&a, &b).unwrap();
+            let owned = solver.solve(a.clone(), &b).unwrap();
+            assert_eq!(owned.solution, borrowed.solution, "{protection:?}");
+            assert_eq!(owned.faults, borrowed.faults, "{protection:?}");
+        }
+    }
+
+    #[test]
+    fn encoded_chebyshev_bounds_record_a_matrix_fault_on_the_callers_log() {
+        let (a, b) = system();
+        let mut encoded =
+            AnyProtectedMatrix::encode(&a, &protections()[2], StorageTier::Csr).unwrap();
+        // Two flips in one element: the checked decode the bounds come from
+        // meets an uncorrectable codeword.
+        encoded.inject_value_bit_flip(11, 3);
+        encoded.inject_value_bit_flip(11, 40);
+        for solver in [Solver::chebyshev(), Solver::ppcg()] {
+            let log = FaultLog::new();
+            let err = solver.solve_encoded(&encoded, &b, None, &log).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SolverError::Fault(AbftError::Uncorrectable {
+                        region: Region::CsrElements,
+                        index: 11,
+                    })
+                ),
+                "{err:?}"
+            );
+            assert_eq!(log.total_uncorrectable(), 1);
         }
     }
 

@@ -9,6 +9,7 @@
 //! are *not* five rows wide.
 
 use crate::coo::sort_and_merge_row;
+use crate::csr::ROW_POINTER_SLACK;
 use crate::{CooMatrix, CsrMatrix};
 
 /// The standard 2-D Poisson (negative Laplacian) operator on an `nx × ny`
@@ -138,7 +139,7 @@ impl PaddedRows {
             cols >= min_entries,
             "cannot pad rows of a matrix with fewer than {min_entries} columns"
         );
-        let mut row_pointer = Vec::with_capacity(rows + 1);
+        let mut row_pointer = Vec::with_capacity(rows + 1 + ROW_POINTER_SLACK);
         row_pointer.push(0);
         PaddedRows {
             cols,

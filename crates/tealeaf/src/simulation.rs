@@ -170,7 +170,9 @@ impl Simulation {
         let assembly_seconds = assembly_start.elapsed().as_secs_f64();
 
         let solve_start = Instant::now();
-        let outcome = self.solver().solve(&matrix, &rhs)?;
+        // The freshly assembled matrix is handed over, not lent: the
+        // protected solve encodes it in its own arrays.
+        let outcome = self.solver().solve(matrix, &rhs)?;
         let solve_seconds = solve_start.elapsed().as_secs_f64();
 
         self.energy = energy_from_u(&outcome.solution, &self.density);

@@ -153,7 +153,7 @@ fn correctable_flip_outside_a_stripes_last_chunk_is_corrected_not_rebuilt() {
     // Two full stripes; every chunk but each stripe's last takes a turn.
     let n = 2 * PARITY.stripe_chunks * PARITY.chunk_words;
     let matrix = ProtectedCsr::from_csr(
-        &tridiagonal(n, 4.0, -1.0),
+        tridiagonal(n, 4.0, -1.0),
         &ProtectionConfig::full(EccScheme::Secded64),
     )
     .unwrap();
@@ -543,7 +543,7 @@ fn barrier_lines() -> Vec<String> {
     for scheme in BARRIER_SCHEMES {
         for (layout, n, parity) in barrier_layouts() {
             let matrix = ProtectedCsr::from_csr(
-                &tridiagonal(n, 4.0, -1.0),
+                tridiagonal(n, 4.0, -1.0),
                 &ProtectionConfig::full(EccScheme::Secded64),
             )
             .unwrap();

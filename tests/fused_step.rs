@@ -13,9 +13,15 @@
 //! * The interleaved SpMM equals one single-vector SpMV per column, bit for
 //!   bit, on every storage tier and panel width, and its fused dots equal
 //!   the masked dot of each column's input and output.
+//! * The streamed single-vector product equals the width-1 panel (the
+//!   staged product and dot) on non-square matrices whose sides are not
+//!   multiples of `ACC_BLOCK`, serial and on the pool.
+//! * A matrix fault in the last block of a streamed product returns the
+//!   fault and leaves the output's codewords and parity consistent.
 //! * A column index pushed out of range while the interval policy skips the
 //!   checks fails the SpMM exactly as it fails the SpMV.
 
+use abft_suite::core::protected_vector::ACC_BLOCK;
 use abft_suite::core::spmv::{
     protected_spmm, protected_spmm_dot, protected_spmm_plain, protected_spmv, protected_spmv_dot,
 };
@@ -374,6 +380,110 @@ fn interleaved_spmm_matches_per_column_spmvs_on_every_tier() {
             }
         }
     }
+}
+
+/// A `rows × cols` matrix of five entries per row at scattered columns,
+/// with mixed-sign values so the dots cancel.
+fn rectangular(rows: usize, cols: usize) -> CsrMatrix {
+    let (mut values, mut col_indices, mut row_pointer) = (Vec::new(), Vec::new(), vec![0u32]);
+    for i in 0..rows {
+        let mut row: Vec<u32> = (0..5).map(|j| ((i * 7 + j * 13) % cols) as u32).collect();
+        row.sort_unstable();
+        for c in row {
+            col_indices.push(c);
+            values.push(((i + 3 * c as usize) % 11) as f64 * 0.0625 - 0.3);
+        }
+        row_pointer.push(col_indices.len() as u32);
+    }
+    CsrMatrix::try_new(rows, cols, values, col_indices, row_pointer).unwrap()
+}
+
+#[test]
+fn streamed_spmv_matches_the_width_one_panel_on_non_square_matrices() {
+    // Four lanes, so the parallel configuration splits the output into
+    // several block-aligned chunks even on a one-core host.
+    rayon::set_worker_limit(Some(4));
+    let long = 2 * ACC_BLOCK + 37;
+    for (rows, cols) in [(long, long - 2200), (long - 2200, long)] {
+        let a = rectangular(rows, cols);
+        for scheme in [EccScheme::Secded64, EccScheme::Crc32c] {
+            for tier in [
+                StorageTier::Csr,
+                StorageTier::BlockedCsr(3),
+                StorageTier::Coo,
+            ] {
+                for parallel in [false, true] {
+                    let label = format!("{rows}x{cols} {scheme:?} {tier} parallel {parallel}");
+                    let cfg = ProtectionConfig::full(scheme).with_parallel(parallel);
+                    let m = AnyProtectedMatrix::encode(&a, &cfg, tier).unwrap();
+                    let mut x = panel_inputs(&m, 1).remove(0);
+                    let zero = || ProtectedVector::zeros(rows, cfg.vectors, cfg.crc_backend);
+                    let (mut streamed, mut staged) = (zero(), zero());
+                    let log = FaultLog::new();
+                    let mut ws = SpmvWorkspace::new();
+                    let dot =
+                        protected_spmv_dot(&m, &mut x, &mut streamed, 0, &log, &mut ws).unwrap();
+                    let panel_dot = protected_spmm_dot(
+                        &m,
+                        &mut [&mut x],
+                        &mut [&mut staged],
+                        0,
+                        &[&log],
+                        &log,
+                        &mut [None],
+                        &mut SpmmWorkspace::new(),
+                    )
+                    .unwrap()[0];
+                    assert_eq!(streamed.raw(), staged.raw(), "{label}");
+                    assert_eq!(dot.to_bits(), panel_dot.to_bits(), "{label}");
+                    assert_ne!(dot, 0.0, "{label}");
+                    let mut plain = zero();
+                    protected_spmv(&m, &mut x, &mut plain, 0, &log, &mut ws).unwrap();
+                    assert_eq!(plain.raw(), staged.raw(), "{label}");
+                }
+            }
+        }
+    }
+    rayon::set_worker_limit(None);
+}
+
+#[test]
+fn a_matrix_fault_in_the_last_block_leaves_the_output_consistent() {
+    let a = poisson_2d_padded(91, 91);
+    assert!(a.rows() > 2 * ACC_BLOCK && !a.rows().is_multiple_of(ACC_BLOCK));
+    let cfg = ProtectionConfig::full(EccScheme::Secded64).with_parity(ParityConfig {
+        stripe_chunks: 4,
+        chunk_words: 64,
+    });
+    let mut protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
+    // Two flips in one element of a row in the last block: uncorrectable.
+    let k = a.row_pointer()[a.rows() - 40] as usize + 2;
+    protected.inject_value_bit_flip(k, 3);
+    protected.inject_value_bit_flip(k, 40);
+    let op = FullyProtected::new(&protected);
+    let values: Vec<f64> = (0..a.cols()).map(|i| 1.0 + (i % 9) as f64 * 0.25).collect();
+    let mut p = op.vector_from(&values);
+    let mut w = op.zero_vector(a.rows());
+    let ctx = FaultContext::new();
+    let error = op.apply_dot(&mut p, &mut w, 0, &ctx).unwrap_err();
+    assert!(
+        matches!(
+            error,
+            SolverError::Fault(AbftError::Uncorrectable {
+                region: Region::CsrElements,
+                index,
+            }) if index == k
+        ),
+        "{error:?}"
+    );
+    let log = FaultLog::new();
+    w.check_all(&log).unwrap();
+    w.verify_parity(&log).unwrap();
+    // No stripe is stale: recomputing the parity changes nothing.
+    let mut refreshed = w.clone();
+    refreshed.refresh_parity();
+    assert_eq!(refreshed.parity_words(), w.parity_words());
+    assert_eq!(log.total_corrected() + log.total_uncorrectable(), 0);
 }
 
 #[test]

@@ -383,8 +383,9 @@ fn protected_row_pointer_roundtrip_and_flip_handling() {
             row_ptr.push(row_ptr.last().unwrap() + rng.gen_range(0u32..9));
         }
         let scheme = SCHEMES[rng.gen_range(0usize..SCHEMES.len())];
-        let p = ProtectedRowPointer::encode(&row_ptr, scheme, Crc32cBackend::Hardware).unwrap();
-        assert_eq!(p.to_plain(), row_ptr);
+        let p =
+            ProtectedRowPointer::encode(row_ptr.clone(), scheme, Crc32cBackend::Hardware).unwrap();
+        assert_eq!(p.clone().into_plain(), row_ptr);
         let log = FaultLog::new();
         p.check_all(&log).unwrap();
 
@@ -395,7 +396,7 @@ fn protected_row_pointer_roundtrip_and_flip_handling() {
             assert!(result.is_err());
         } else {
             result.unwrap();
-            assert_eq!(corrupted.to_plain(), row_ptr);
+            assert_eq!(corrupted.clone().into_plain(), row_ptr);
         }
     }
 }

@@ -21,7 +21,9 @@ use abft_suite::core::{
 };
 use abft_suite::prelude::{Crc32cBackend, PrecondKind, Reliability, Solver};
 use abft_suite::solvers::backends::{FullyProtected, MatrixProtected, Plain};
-use abft_suite::solvers::{block_cg_panel, FaultContext, LinearOperator, SolverConfig};
+use abft_suite::solvers::{
+    block_cg_panel, decode_checked, FaultContext, LinearOperator, SolverConfig,
+};
 use abft_suite::sparse::builders::{pad_rows_to_min_entries, poisson_2d, poisson_2d_padded};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -387,4 +389,82 @@ fn builders_allocate_the_three_output_arrays_only() {
         let allocs = allocations_during(|| drop(pad_rows_to_min_entries(&plain, 5)));
         assert_eq!(allocs, 3, "pad_rows_to_min_entries of {nx}x{ny}");
     }
+}
+
+/// The raw value array of a CSR-tier matrix.
+fn csr_values(m: &AnyProtectedMatrix) -> *const f64 {
+    match m {
+        AnyProtectedMatrix::Csr(csr) => csr.raw_values().as_ptr(),
+        _ => unreachable!("a CSR-tier matrix"),
+    }
+}
+
+/// An owned matrix is encoded in its own arrays: the values stay where
+/// they are and the redundancy goes into the index arrays.  The only
+/// allocation left is growing the row pointer to whole codeword groups,
+/// and the row-at-a-time builders leave room for that too.
+#[test]
+fn an_owned_encode_writes_into_the_matrix_it_is_given() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    let built = poisson_2d_padded(64, 64);
+    for scheme in [EccScheme::Secded64, EccScheme::Crc32c] {
+        let cfg = ProtectionConfig::matrix_only(scheme);
+        // Warm whatever the configuration sets up lazily.
+        drop(AnyProtectedMatrix::encode(&built, &cfg, StorageTier::Csr).unwrap());
+        // Fresh from the builder, and a clone, whose row pointer holds
+        // exactly its `rows + 1` entries.
+        for (matrix, most) in [(poisson_2d_padded(64, 64), 0), (built.clone(), 1)] {
+            let values = matrix.values().as_ptr();
+            let mut encoded = None;
+            let allocs = allocations_during(|| {
+                encoded = Some(AnyProtectedMatrix::encode(matrix, &cfg, StorageTier::Csr).unwrap());
+            });
+            let encoded = encoded.unwrap();
+            assert!(
+                allocs <= most,
+                "{scheme:?}: {allocs} allocations, at most {most}"
+            );
+            assert_eq!(csr_values(&encoded), values, "{scheme:?}: values moved");
+            assert_eq!(encoded.to_csr(), built, "{scheme:?}");
+        }
+    }
+}
+
+/// The streamed product stages one block of rows on the stack: a fresh
+/// operator's first serial `apply_dot` sizes no workspace buffer at all.
+#[test]
+fn a_serial_apply_dot_allocates_nothing() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    let a = poisson_2d_padded(64, 64);
+    for scheme in [EccScheme::Secded64, EccScheme::Crc32c] {
+        let cfg = ProtectionConfig::full(scheme);
+        let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
+        let op = FullyProtected::new(&protected);
+        let values: Vec<f64> = (0..a.cols()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let mut x = op.vector_from(&values);
+        let mut y = op.zero_vector(a.rows());
+        let ctx = FaultContext::new();
+        let allocs = allocations_during(|| {
+            op.apply_dot(&mut x, &mut y, 0, &ctx).unwrap();
+        });
+        assert_eq!(allocs, 0, "{scheme:?}: a serial apply_dot allocated");
+    }
+}
+
+/// The checked decode copies the protected matrix once and decodes the
+/// scrubbed copy in its own arrays: the copy's three arrays are all it
+/// allocates.
+#[test]
+fn the_checked_decode_allocates_one_copy() {
+    let _guard = MEASURE_LOCK.lock().unwrap();
+    let (a, _) = system();
+    let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64);
+    let protected = AnyProtectedMatrix::encode(&a, &cfg, StorageTier::Csr).unwrap();
+    let log = FaultLog::new();
+    let mut plain = None;
+    let allocs = allocations_during(|| plain = Some(decode_checked(&protected, &log).unwrap()));
+    // Debug builds add the three copies `CsrMatrix::from_raw` validates.
+    let validation = if cfg!(debug_assertions) { 3 } else { 0 };
+    assert_eq!(allocs, 3 + validation);
+    assert_eq!(plain.unwrap(), a);
 }
