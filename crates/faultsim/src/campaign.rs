@@ -11,8 +11,9 @@
 //! so a trial never depends on which worker runs it or when.
 //! [`Campaign::execute_draw`] is the one executor: it encodes the matrix,
 //! applies the draw through the hook its kind needs (at-rest flips, a
-//! poll-hook strike on a live CG vector, an erasing operator, factor flips
-//! or an erasing preconditioner), maps a failed run to an outcome in one
+//! poll-hook strike on a live CG vector — a bit flip or a chunk erased at
+//! an iteration boundary, before the SpMV reads it — factor flips or an
+//! erasing preconditioner), maps a failed run to an outcome in one
 //! place, and labels every answer through one classifier whose per-kind
 //! differences are the explicit rows of `Rules`.  The split is what makes
 //! failures *replayable*: a captured draw re-executes bit for bit without
@@ -49,11 +50,12 @@ pub enum InjectionKind {
     /// One contiguous burst of `flips_per_trial` bits inside one element
     /// (the error class CRC32C targets).
     Burst,
-    /// Mid-iteration whole-chunk erasure of dense solver-vector state: a
-    /// chunk of the CG direction vector is overwritten with garbage during
-    /// an SpMV, modelling a lost shard rather than a bit upset.  Requires
-    /// `protection.vectors != None`; recovery additionally requires the
-    /// parity tier (`protection.parity`).
+    /// Mid-solve whole-chunk erasure of dense solver-vector state: a chunk
+    /// of the CG direction vector `p` is overwritten with garbage at an
+    /// iteration boundary, via the solver's poll hook, before the SpMV
+    /// reads it — a lost shard rather than a bit upset.  Requires
+    /// `protection.vectors != None` and [`Method::Cg`]; recovery
+    /// additionally requires the parity tier (`protection.parity`).
     ChunkErasure,
     /// Erasure of a whole row-pointer codeword group: every entry of an
     /// aligned 4-element span has half its bits flipped.
@@ -516,10 +518,10 @@ impl Campaign {
     ///
     /// # Panics
     /// When the injection kind cannot run under the configuration: the
-    /// live-vector strikes and the preconditioner faults run CG (the poll
-    /// hook, FT-PCG), and the live-vector strikes and chunk erasures need
-    /// protected vectors (unprotected live state cannot tell detection from
-    /// luck).
+    /// live-vector strikes, chunk erasures and preconditioner faults run CG
+    /// (the poll hook, FT-PCG), and the live-vector strikes and chunk
+    /// erasures need protected vectors (unprotected live state cannot tell
+    /// detection from luck).
     pub fn new(config: CampaignConfig) -> Self {
         use InjectionKind::*;
         let kind = config.injection;
@@ -527,7 +529,8 @@ impl Campaign {
             config.solver == Method::Cg
                 || !matches!(
                     kind,
-                    SolverVectorFlips
+                    ChunkErasure
+                        | SolverVectorFlips
                         | SolverVectorBurst
                         | PrecondFactorFlips
                         | PrecondFactorBurst
@@ -724,26 +727,11 @@ impl Campaign {
                 }
                 solver.solve_operator(&MatrixProtected::new(&protected), &self.rhs)
             }
-            TrialDraw::ChunkErasure {
-                chunk,
-                chunk_words,
-                strike_iteration,
-                garbage_seed,
-            } => {
-                let striking = InjectingOperator {
-                    inner: &FullyProtected::new(&protected),
-                    strike_iteration: *strike_iteration,
-                    chunk: *chunk,
-                    chunk_words: *chunk_words,
-                    garbage_seed: *garbage_seed,
-                    fired: Cell::new(false),
-                };
-                solver.solve_operator(&striking, &self.rhs)
-            }
             TrialDraw::SolverVector {
-                vector,
-                strike_iteration,
-                flips,
+                strike_iteration, ..
+            }
+            | TrialDraw::ChunkErasure {
+                strike_iteration, ..
             } => {
                 let op = FullyProtected::new(&protected);
                 let log = FaultLog::new();
@@ -753,16 +741,30 @@ impl Campaign {
                 let b = op.vector_from(&self.rhs);
                 let (mut x, status) =
                     cg_with_poll(&op, &b, &self.solver_config(), &ctx, |iteration, state| {
-                        if !fired && iteration >= *strike_iteration {
-                            fired = true;
-                            let struck = match vector {
-                                SolverVectorTarget::X => state.x,
-                                SolverVectorTarget::R => state.r,
-                                SolverVectorTarget::P => state.p,
-                            };
-                            for &(element, bit) in flips {
-                                struck.inject_bit_flip(element, bit);
+                        if fired || iteration < *strike_iteration {
+                            return;
+                        }
+                        fired = true;
+                        match draw {
+                            TrialDraw::SolverVector { vector, flips, .. } => {
+                                let struck = match vector {
+                                    SolverVectorTarget::X => state.x,
+                                    SolverVectorTarget::R => state.r,
+                                    SolverVectorTarget::P => state.p,
+                                };
+                                for &(element, bit) in flips {
+                                    struck.inject_bit_flip(element, bit);
+                                }
                             }
+                            TrialDraw::ChunkErasure {
+                                chunk,
+                                chunk_words,
+                                garbage_seed,
+                                ..
+                            } => state
+                                .p
+                                .inject_chunk_erasure(*chunk_words, *chunk, *garbage_seed),
+                            _ => unreachable!("only live-vector draws strike through the poll"),
                         }
                     })?;
                 let solution = op.finish(&mut x, &ctx)?;
@@ -969,74 +971,6 @@ fn mix_seed(seed: u64, trial: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Wraps a protected operator and poisons one chunk of the *input* vector
-/// the first time the solver applies it at (or past) the strike iteration —
-/// the mid-iteration erasure of live solver state.  Everything else
-/// delegates unchanged, so the solve is exactly the production stack with
-/// one shard yanked out from under it.
-struct InjectingOperator<'a, Op> {
-    inner: &'a Op,
-    strike_iteration: u64,
-    chunk: usize,
-    chunk_words: usize,
-    garbage_seed: u64,
-    fired: Cell<bool>,
-}
-
-impl<Op: LinearOperator<Vector = ProtectedVector>> LinearOperator for InjectingOperator<'_, Op> {
-    type Vector = ProtectedVector;
-
-    fn rows(&self) -> usize {
-        self.inner.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.inner.cols()
-    }
-
-    fn apply(
-        &self,
-        x: &mut ProtectedVector,
-        y: &mut ProtectedVector,
-        iteration: u64,
-        ctx: &FaultContext,
-    ) -> Result<(), SolverError> {
-        if !self.fired.get() && iteration >= self.strike_iteration {
-            self.fired.set(true);
-            x.inject_chunk_erasure(self.chunk_words, self.chunk, self.garbage_seed);
-        }
-        self.inner.apply(x, y, iteration, ctx)
-    }
-
-    fn diagonal(&self, ctx: &FaultContext) -> Result<Vec<f64>, SolverError> {
-        self.inner.diagonal(ctx)
-    }
-
-    fn vector_from(&self, values: &[f64]) -> ProtectedVector {
-        self.inner.vector_from(values)
-    }
-
-    fn zero_vector(&self, n: usize) -> ProtectedVector {
-        self.inner.zero_vector(n)
-    }
-
-    fn bounds_hint(&self) -> Option<ChebyshevBounds> {
-        self.inner.bounds_hint()
-    }
-
-    fn reduction_workspace(&self) -> Option<&std::cell::RefCell<abft_core::ReductionWorkspace>> {
-        self.inner.reduction_workspace()
-    }
-
-    fn finish(
-        &self,
-        solution: &mut ProtectedVector,
-        ctx: &FaultContext,
-    ) -> Result<Vec<f64>, SolverError> {
-        self.inner.finish(solution, ctx)
-    }
-}
-
 /// Wraps a preconditioner and writes one bit burst into the output vector
 /// `z` the first time the apply counter reaches the strike point — after
 /// the inner stage produced its answer, before the protected outer
@@ -1209,6 +1143,15 @@ mod tests {
             stats.count(FaultOutcome::DetectedAborted) > 0,
             "without parity the erasure must surface as an abort: {stats}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "ChunkErasure trials run CG, not Chebyshev")]
+    fn chunk_erasure_refuses_a_method_without_the_poll_hook() {
+        let mut cfg = config(EccScheme::Secded64, FaultTarget::DenseVector, 1);
+        cfg.injection = InjectionKind::ChunkErasure;
+        cfg.solver = Method::Chebyshev;
+        Campaign::new(cfg);
     }
 
     #[test]

@@ -214,32 +214,27 @@ struct PendingJob {
     solo: bool,
 }
 
-/// Per-column input to a panel solve, detached from the queue so the
-/// closure owns everything it touches.
-struct PanelColumn {
-    id: JobId,
-    tenant: String,
-    rhs: Vec<f64>,
-    budget: Option<usize>,
-    cancel: Arc<AtomicBool>,
-    deadline: Option<Duration>,
-    submitted: Instant,
-    attempts: u32,
-}
-
 struct ColumnResult {
-    id: JobId,
-    tenant: String,
+    /// The column's job, moved into its panel and
+    /// [handed back](PendingJob::returned).
+    job: PendingJob,
     solution: Option<Vec<f64>>,
     status: SolveStatus,
     termination: Termination,
     error: Option<SolverError>,
     faults: FaultLogSnapshot,
     panel_width: usize,
-    attempts: u32,
-    /// The original right-hand side, handed back only for faulted columns
-    /// so the queue can requeue the job without keeping a second copy.
-    rhs: Option<Vec<f64>>,
+}
+
+impl PendingJob {
+    /// The job handed back by its panel: only a faulted job, which the
+    /// queue may requeue, keeps its right-hand side.
+    fn returned(mut self, termination: Termination) -> Self {
+        if termination != Termination::Fault {
+            self.spec.rhs = Vec::new();
+        }
+        self
+    }
 }
 
 /// Panel grouping key: (matrix id, config hash halves, preconditioner
@@ -416,22 +411,7 @@ impl SolveQueue {
         // Requeued retries carry a per-job `solo` marker that makes their
         // key unique: a column that already faulted gets its own panel.
         let mut groups: Vec<(PanelKey, Vec<PendingJob>)> = Vec::new();
-        let mut retry_meta: HashMap<usize, RetryMeta> = HashMap::new();
         for job in ready {
-            if self.retry_budget > 0 {
-                retry_meta.insert(
-                    job.id.0,
-                    RetryMeta {
-                        matrix: job.spec.matrix,
-                        config: job.spec.config,
-                        deadline: job.spec.deadline,
-                        budget: job.spec.budget,
-                        precond: job.spec.precond,
-                        cancel: Arc::clone(&job.cancel),
-                        submitted: job.submitted,
-                    },
-                );
-            }
             let key = (
                 job.spec.matrix.0,
                 job.spec.config.max_iterations,
@@ -452,20 +432,7 @@ impl SolveQueue {
             let precond = members[0].spec.precond;
             let mut members = members.into_iter().peekable();
             while members.peek().is_some() {
-                let panel: Vec<PanelColumn> = members
-                    .by_ref()
-                    .take(self.max_width)
-                    .map(|job| PanelColumn {
-                        id: job.id,
-                        tenant: job.spec.tenant,
-                        rhs: job.spec.rhs,
-                        budget: job.spec.budget,
-                        cancel: job.cancel,
-                        deadline: job.spec.deadline,
-                        submitted: job.submitted,
-                        attempts: job.attempts,
-                    })
-                    .collect();
+                let panel: Vec<PendingJob> = members.by_ref().take(self.max_width).collect();
                 let matrix = Arc::clone(&matrix);
                 tickets.push(submit(move || solve_panel(&matrix, config, precond, panel)));
             }
@@ -479,69 +446,39 @@ impl SolveQueue {
                 cols
             })
             .collect();
-        results.sort_by_key(|c| c.id);
+        results.sort_by_key(|c| c.job.id);
 
         let mut outcomes = Vec::new();
-        for mut col in results {
+        for col in results {
+            let mut job = col.job;
             // Fault accounting lands in the tenant's log right away, even
             // when the job is requeued instead of answered — degradation
             // must not hide detected faults from the tenant's history.
             self.tenant_logs
-                .entry(col.tenant.clone())
+                .entry(job.spec.tenant.clone())
                 .or_default()
                 .absorb(&col.faults);
-            let retry = col.termination == Termination::Fault
-                && col.attempts < self.retry_budget
-                && col.rhs.is_some();
-            if retry {
-                let meta = retry_meta
-                    .remove(&col.id.0)
-                    .expect("drain: faulted column missing retry metadata");
-                self.pending.push(PendingJob {
-                    id: col.id,
-                    spec: JobSpec {
-                        tenant: col.tenant,
-                        matrix: meta.matrix,
-                        rhs: col.rhs.take().expect("drain: retry without rhs"),
-                        config: meta.config,
-                        deadline: meta.deadline,
-                        budget: meta.budget,
-                        precond: meta.precond,
-                    },
-                    cancel: meta.cancel,
-                    submitted: meta.submitted,
-                    attempts: col.attempts + 1,
-                    earliest_drain: now + (1u64 << col.attempts.min(16)),
-                    solo: true,
-                });
+            if col.termination == Termination::Fault && job.attempts < self.retry_budget {
+                job.earliest_drain = now + (1u64 << job.attempts.min(16));
+                job.attempts += 1;
+                job.solo = true;
+                self.pending.push(job);
                 continue;
             }
             outcomes.push(JobOutcome {
-                id: col.id,
-                tenant: col.tenant,
+                id: job.id,
+                tenant: job.spec.tenant,
                 solution: col.solution,
                 status: col.status,
                 termination: col.termination,
                 error: col.error,
                 faults: col.faults,
                 panel_width: col.panel_width,
-                attempts: col.attempts,
+                attempts: job.attempts,
             });
         }
         outcomes
     }
-}
-
-/// Everything needed to reconstruct a faulted job's [`JobSpec`] at requeue
-/// time (the right-hand side rides back in the [`ColumnResult`]).
-struct RetryMeta {
-    matrix: MatrixId,
-    config: SolverConfig,
-    deadline: Option<Duration>,
-    budget: Option<usize>,
-    precond: Option<(PrecondKind, Reliability)>,
-    cancel: Arc<AtomicBool>,
-    submitted: Instant,
 }
 
 /// Solves one panel on whichever backend tier the matrix was encoded for.
@@ -551,7 +488,7 @@ fn solve_panel(
     matrix: &AnyProtectedMatrix,
     config: SolverConfig,
     precond: Option<(PrecondKind, Reliability)>,
-    columns: Vec<PanelColumn>,
+    columns: Vec<PendingJob>,
 ) -> (Vec<ColumnResult>, FaultLogSnapshot) {
     match precond {
         Some(precond) => run_precond_panel(matrix, config, precond, columns),
@@ -577,7 +514,7 @@ fn run_precond_panel(
     matrix: &AnyProtectedMatrix,
     config: SolverConfig,
     (kind, reliability): (PrecondKind, Reliability),
-    columns: Vec<PanelColumn>,
+    columns: Vec<PendingJob>,
 ) -> (Vec<ColumnResult>, FaultLogSnapshot) {
     let width = columns.len();
     let solver = Solver::cg()
@@ -600,6 +537,7 @@ fn run_precond_panel(
             let stopped = if col.cancel.load(Ordering::Relaxed) {
                 Some(Termination::Cancelled)
             } else if col
+                .spec
                 .deadline
                 .is_some_and(|limit| col.submitted.elapsed() >= limit)
             {
@@ -612,12 +550,12 @@ fn run_precond_panel(
                 (Ok(_), Some(stopped)) => (Some(vec![0.0; matrix.rows()]), idle, stopped, None),
                 (Ok(precond), None) => {
                     let mut cfg = config;
-                    if let Some(budget) = col.budget {
+                    if let Some(budget) = col.spec.budget {
                         cfg.max_iterations = cfg.max_iterations.min(budget);
                     }
                     match solver.config(cfg).solve_encoded(
                         matrix,
-                        &col.rhs,
+                        &col.spec.rhs,
                         precond.as_deref(),
                         &log,
                     ) {
@@ -636,16 +574,13 @@ fn run_precond_panel(
                 }
             };
             ColumnResult {
-                id: col.id,
-                tenant: col.tenant,
+                job: col.returned(termination),
                 solution,
                 status,
                 termination,
                 error,
                 faults: log.snapshot(),
                 panel_width: width,
-                attempts: col.attempts,
-                rhs: (termination == Termination::Fault).then_some(col.rhs),
             }
         })
         .collect();
@@ -658,7 +593,7 @@ fn run_precond_panel(
 fn run_panel<Op: LinearOperator>(
     op: &Op,
     config: SolverConfig,
-    columns: Vec<PanelColumn>,
+    columns: Vec<PendingJob>,
 ) -> (Vec<ColumnResult>, FaultLogSnapshot) {
     let width = columns.len();
     let logs: Vec<FaultLog> = (0..width).map(|_| FaultLog::new()).collect();
@@ -671,9 +606,12 @@ fn run_panel<Op: LinearOperator>(
     let matrix_log = FaultLog::new();
     let matrix_ctx = FaultContext::with_log(&matrix_log);
 
-    let bs: Vec<Op::Vector> = columns.iter().map(|c| op.vector_from(&c.rhs)).collect();
+    let bs: Vec<Op::Vector> = columns
+        .iter()
+        .map(|c| op.vector_from(&c.spec.rhs))
+        .collect();
     let b_refs: Vec<&Op::Vector> = bs.iter().collect();
-    let budgets: Vec<Option<usize>> = columns.iter().map(|c| c.budget).collect();
+    let budgets: Vec<Option<usize>> = columns.iter().map(|c| c.spec.budget).collect();
 
     let block = block_cg_panel(
         op,
@@ -689,6 +627,7 @@ fn run_panel<Op: LinearOperator>(
                 return Some(Termination::Cancelled);
             }
             if col
+                .spec
                 .deadline
                 .is_some_and(|limit| col.submitted.elapsed() >= limit)
             {
@@ -702,7 +641,7 @@ fn run_panel<Op: LinearOperator>(
         .into_iter()
         .zip(columns)
         .enumerate()
-        .map(|(j, (mut col, spec))| {
+        .map(|(j, (mut col, job))| {
             let (solution, termination, error) = if col.termination == Termination::Fault {
                 (None, Termination::Fault, col.error.take())
             } else {
@@ -714,18 +653,14 @@ fn run_panel<Op: LinearOperator>(
                     Err(e) => (None, Termination::Fault, Some(e)),
                 }
             };
-            let rhs = (termination == Termination::Fault).then_some(spec.rhs);
             ColumnResult {
-                id: spec.id,
-                tenant: spec.tenant,
+                job: job.returned(termination),
                 solution,
                 status: col.status,
                 termination,
                 error,
                 faults: logs[j].snapshot(),
                 panel_width: width,
-                attempts: spec.attempts,
-                rhs,
             }
         })
         .collect();

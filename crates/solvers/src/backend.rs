@@ -212,31 +212,24 @@ pub trait SolverVector: Clone {
     /// Fused `self ← self + alpha · x` returning the updated `self · self` —
     /// CG's residual update and convergence reduction in one kernel, so
     /// protected storage checks and re-encodes each codeword group once
-    /// instead of three times.  The default delegates to [`SolverVector::axpy`]
-    /// followed by [`SolverVector::dot`] (bitwise identical on plain
-    /// storage); protected backends override it with the single-pass masked
-    /// kernel.
-    fn dot_axpy(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<f64, SolverError> {
-        self.axpy(alpha, x, ctx)?;
-        let s: &Self = self;
-        s.dot(s, ctx)
-    }
+    /// instead of three times.
+    ///
+    /// Each impl must fail before it writes `self`, or never fail: the
+    /// solvers retry the whole call after a parity rebuild, so an AXPY
+    /// written before a failing dot would be applied twice.
+    fn dot_axpy(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<f64, SolverError>;
 
     /// Fused `self ← beta · self + alpha · x` — the Chebyshev
     /// search-direction update, one pass instead of a scale followed by an
-    /// AXPY.  The default delegates to [`SolverVector::scale`] +
-    /// [`SolverVector::axpy`]; protected backends override it with the
-    /// single-pass masked kernel.
+    /// AXPY.  Like [`SolverVector::dot_axpy`], each impl must fail before
+    /// it writes `self`, or never fail.
     fn scale_axpy(
         &mut self,
         beta: f64,
         alpha: f64,
         x: &Self,
         ctx: &FaultContext,
-    ) -> Result<(), SolverError> {
-        self.scale(beta, ctx)?;
-        self.axpy(alpha, x, ctx)
-    }
+    ) -> Result<(), SolverError>;
 
     /// True when [`SolverVector::axpy_xpay`] is one kernel that can fail
     /// only before it writes either vector.  Only then may a solver retry

@@ -110,6 +110,24 @@ impl SolverVector for PlainVector {
         Ok(())
     }
 
+    /// The AXPY then the dot: plain storage never errs, so the two passes
+    /// are safe to retry.
+    fn dot_axpy(&mut self, alpha: f64, x: &Self, ctx: &FaultContext) -> Result<f64, SolverError> {
+        self.axpy(alpha, x, ctx)?;
+        self.dot(self, ctx)
+    }
+
+    fn scale_axpy(
+        &mut self,
+        beta: f64,
+        alpha: f64,
+        x: &Self,
+        ctx: &FaultContext,
+    ) -> Result<(), SolverError> {
+        self.scale(beta, ctx)?;
+        self.axpy(alpha, x, ctx)
+    }
+
     /// Plain storage never errs, so the one-pass form is safe to retry.
     const FUSED_AXPY_XPAY: bool = true;
 

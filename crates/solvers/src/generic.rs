@@ -98,7 +98,7 @@ fn update_x_p<V: SolverVector>(
 /// [`SolverVector::dot_axpy`] (`r ← r − α w` and `r · r`) and
 /// [`SolverVector::axpy_xpay`] (`x ← x + α p; p ← r + β p`; on convergence
 /// the AXPY alone).  Protected backends verify each operand of a pass once;
-/// on the plain backend each default decomposes into exactly the historical
+/// on the plain backend each pass decomposes into exactly the historical
 /// kernel sequence (the iterate update moved after the residual update,
 /// which does not read it), preserving trajectories bit for bit.
 pub fn cg<Op: LinearOperator>(
@@ -131,9 +131,9 @@ pub struct CgPollState<'a, V> {
 /// iteration about to run.  With a no-op closure this **is** `cg`: the
 /// arithmetic sequence is identical, so trajectories are preserved bit for
 /// bit (the plain `cg` entry point delegates here).  The fault campaigns use
-/// the hook to plant mid-iteration flips in solver vectors
-/// (`InjectionKind::SolverVectorFlips`/`SolverVectorBurst` in
-/// `abft-faultsim`).
+/// the hook to plant mid-iteration flips and chunk erasures in solver
+/// vectors (`InjectionKind::SolverVectorFlips`/`SolverVectorBurst`/
+/// `ChunkErasure` in `abft-faultsim`).
 pub fn cg_with_poll<Op: LinearOperator>(
     op: &Op,
     b: &Op::Vector,

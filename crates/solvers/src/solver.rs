@@ -216,18 +216,6 @@ impl Solver {
         a: impl Into<Cow<'a, CsrMatrix>>,
         b: &[f64],
     ) -> Result<SolveOutcome, SolverError> {
-        self.solve_logged(a, b, &FaultLog::new())
-    }
-
-    /// Like [`Solver::solve`], but records integrity-check activity live
-    /// into a caller-supplied log, so observations made before an aborting
-    /// fault survive on the error path.
-    pub fn solve_logged<'a>(
-        &self,
-        a: impl Into<Cow<'a, CsrMatrix>>,
-        b: &[f64],
-        log: &FaultLog,
-    ) -> Result<SolveOutcome, SolverError> {
         let a = a.into();
         // Estimate Chebyshev bounds from the plain matrix up front: cheaper
         // and exact, where the protected backends would have to decode.
@@ -235,10 +223,10 @@ impl Solver {
         let precond = self.build_preconditioner(&a)?;
         if self.protection.is_unprotected() {
             let op = Plain::new(&a, self.protection.parallel);
-            return solver.solve_in(&op, b, precond.as_deref(), &FaultContext::with_log(log));
+            return solver.solve_in(&op, b, precond.as_deref(), &FaultContext::new());
         }
         let encoded = AnyProtectedMatrix::encode(a, &self.protection, self.storage)?;
-        solver.solve_encoded(&encoded, b, precond.as_deref(), log)
+        solver.solve_encoded(&encoded, b, precond.as_deref(), &FaultLog::new())
     }
 
     /// Whether the method needs spectral bounds and none were supplied.
@@ -293,8 +281,8 @@ impl Solver {
     }
 
     /// Solves on an existing backend operator — the advanced path for
-    /// callers that pin the backend themselves (fault-injecting decorators,
-    /// the matrix-only tier on a fully configured matrix).  There is no
+    /// callers that pin the backend themselves (the matrix-only tier on a
+    /// fully configured matrix, a tracing decorator).  There is no
     /// matrix to factor here, so a solver with a preconditioner attached is
     /// [`SolverError::Unsupported`]; use [`Solver::solve_encoded`].
     pub fn solve_operator<Op: LinearOperator>(
@@ -302,34 +290,13 @@ impl Solver {
         op: &Op,
         b: &[f64],
     ) -> Result<SolveOutcome, SolverError> {
-        self.solve_operator_in(op, b, &FaultContext::new())
-    }
-
-    /// Like [`Solver::solve_operator`], but records integrity-check activity
-    /// live into a caller-supplied log, so observations made before an
-    /// aborting fault survive on the error path.
-    pub fn solve_operator_logged<Op: LinearOperator>(
-        &self,
-        op: &Op,
-        b: &[f64],
-        log: &FaultLog,
-    ) -> Result<SolveOutcome, SolverError> {
-        self.solve_operator_in(op, b, &FaultContext::with_log(log))
-    }
-
-    fn solve_operator_in<Op: LinearOperator>(
-        &self,
-        op: &Op,
-        b: &[f64],
-        ctx: &FaultContext<'_>,
-    ) -> Result<SolveOutcome, SolverError> {
         if self.precond.is_some() {
             return Err(SolverError::Unsupported(
                 "solve_operator has no matrix to factor a preconditioner from; use solve_encoded"
                     .into(),
             ));
         }
-        self.solve_in(op, b, None, ctx)
+        self.solve_in(op, b, None, &FaultContext::new())
     }
 
     /// The one driver every entry point ends in.

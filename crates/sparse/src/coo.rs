@@ -6,6 +6,7 @@
 //! COO as well as CSR; here COO serves as the builder for CSR and as a
 //! secondary format for tests.
 
+use crate::csr::ROW_POINTER_SLACK;
 use crate::{CsrMatrix, SparseError};
 
 /// A sparse matrix under assembly, stored as coordinate triplets.
@@ -75,7 +76,10 @@ impl CooMatrix {
         if total > u32::MAX as usize {
             return Err(SparseError::TooLarge(format!("{total} entries")));
         }
-        let mut row_pointer = vec![0u32; self.rows + 1];
+        // Spare entries, as the builders leave, so an owned encode pads the
+        // row pointer in place.
+        let mut row_pointer = Vec::with_capacity(self.rows + 1 + ROW_POINTER_SLACK);
+        row_pointer.resize(self.rows + 1, 0u32);
         for &(r, _, _) in &self.entries {
             row_pointer[r as usize + 1] += 1;
         }

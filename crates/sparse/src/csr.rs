@@ -17,7 +17,8 @@ use crate::{SparseError, Vector};
 use std::borrow::Cow;
 
 /// Spare row-pointer capacity, in entries, that the row-at-a-time builders
-/// of [`crate::builders`] leave past the `rows + 1` offsets: room to pad
+/// of [`crate::builders`] and [`crate::CooMatrix::to_csr`] leave past the
+/// `rows + 1` offsets: room to pad
 /// the row pointer to whole groups of up to eight entries in place, as the
 /// protected encoders do, without reallocating it.
 pub const ROW_POINTER_SLACK: usize = 7;

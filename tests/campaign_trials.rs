@@ -105,12 +105,7 @@ fn cases() -> Vec<CampaignConfig> {
         protection: erasure.protection.with_parity(parity),
         ..erasure.clone()
     });
-    cases.push(erasure.clone());
-    cases.push(CampaignConfig {
-        protection: erasure.protection.with_parity(parity),
-        solver: Method::Chebyshev,
-        ..erasure
-    });
+    cases.push(erasure);
     for reliability in [Reliability::Protected, Reliability::Unreliable] {
         for (injection, flips) in [
             (InjectionKind::PrecondFactorFlips, 1),

@@ -6,8 +6,6 @@
 //! single-chunk erasure ends in a converged, parity-rebuilt solve, with a
 //! Wilson 95 % lower bound ≥ 99 %.
 
-use std::cell::{Cell, RefCell};
-
 use abft_suite::core::spmv::{protected_spmm, protected_spmv};
 use abft_suite::core::{
     AbftError, AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ParityConfig,
@@ -17,9 +15,9 @@ use abft_suite::core::{
 use abft_suite::faultsim::{
     Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultTarget, InjectionKind, StreamConfig,
 };
-use abft_suite::prelude::{Crc32cBackend, Solver, SolverError};
+use abft_suite::prelude::{Crc32cBackend, Solver, SolverConfig};
 use abft_suite::solvers::backends::FullyProtected;
-use abft_suite::solvers::{ChebyshevBounds, FaultContext, LinearOperator};
+use abft_suite::solvers::{cg_with_poll, FaultContext, LinearOperator};
 use abft_suite::sparse::builders::{poisson_2d_padded, tridiagonal};
 
 const PARITY: ParityConfig = ParityConfig {
@@ -208,70 +206,6 @@ fn correctable_flip_outside_a_stripes_last_chunk_is_corrected_not_rebuilt() {
     }
 }
 
-/// Wraps an operator and poisons one chunk of the input vector at a fixed
-/// iteration — the integration-level twin of the campaign's injector, used
-/// here to pin the *trajectory* (not just the outcome histogram).
-struct StrikeOnce<'a> {
-    inner: &'a FullyProtected<'a>,
-    strike_iteration: u64,
-    chunk: usize,
-    fired: Cell<bool>,
-}
-
-impl LinearOperator for StrikeOnce<'_> {
-    type Vector = ProtectedVector;
-
-    fn rows(&self) -> usize {
-        self.inner.rows()
-    }
-
-    fn cols(&self) -> usize {
-        self.inner.cols()
-    }
-
-    fn apply(
-        &self,
-        x: &mut ProtectedVector,
-        y: &mut ProtectedVector,
-        iteration: u64,
-        ctx: &FaultContext,
-    ) -> Result<(), SolverError> {
-        if !self.fired.get() && iteration >= self.strike_iteration {
-            self.fired.set(true);
-            x.inject_chunk_erasure(PARITY.chunk_words, self.chunk, 0x0D15_C0DE);
-        }
-        self.inner.apply(x, y, iteration, ctx)
-    }
-
-    fn diagonal(&self, ctx: &FaultContext) -> Result<Vec<f64>, SolverError> {
-        self.inner.diagonal(ctx)
-    }
-
-    fn vector_from(&self, values: &[f64]) -> ProtectedVector {
-        self.inner.vector_from(values)
-    }
-
-    fn zero_vector(&self, n: usize) -> ProtectedVector {
-        self.inner.zero_vector(n)
-    }
-
-    fn bounds_hint(&self) -> Option<ChebyshevBounds> {
-        self.inner.bounds_hint()
-    }
-
-    fn reduction_workspace(&self) -> Option<&RefCell<ReductionWorkspace>> {
-        self.inner.reduction_workspace()
-    }
-
-    fn finish(
-        &self,
-        solution: &mut ProtectedVector,
-        ctx: &FaultContext,
-    ) -> Result<Vec<f64>, SolverError> {
-        self.inner.finish(solution, ctx)
-    }
-}
-
 #[test]
 fn post_rebuild_trajectory_is_bitwise_identical_across_worker_counts() {
     let matrix = poisson_2d_padded(16, 16);
@@ -282,10 +216,11 @@ fn post_rebuild_trajectory_is_bitwise_identical_across_worker_counts() {
         .with_parity(PARITY)
         .with_parallel(true);
     let protected = AnyProtectedMatrix::encode(&matrix, &protection, StorageTier::Csr).unwrap();
-    let solver = Solver::cg().max_iterations(2000).tolerance(1e-15);
+    let config = SolverConfig::new(2000, 1e-15);
 
     // The reference trajectory: the same solve with no fault at all.
-    let clean = solver
+    let clean = Solver::cg()
+        .config(config)
         .solve_operator(&FullyProtected::new(&protected), &rhs)
         .unwrap();
     let clean_bits: Vec<u64> = clean.solution.iter().map(|v| v.to_bits()).collect();
@@ -294,32 +229,40 @@ fn post_rebuild_trajectory_is_bitwise_identical_across_worker_counts() {
     let mut struck_iterations = None;
     for workers in [1usize, 2, 8] {
         rayon::set_worker_limit(Some(workers));
+        // Erase chunk 3 of the search direction at the boundary of
+        // iteration 2, before the fused SpMV reads it.
         let op = FullyProtected::new(&protected);
-        let striking = StrikeOnce {
-            inner: &op,
-            strike_iteration: 2,
-            chunk: 3,
-            fired: Cell::new(false),
-        };
-        let outcome = solver.solve_operator(&striking, &rhs).unwrap();
+        let log = FaultLog::new();
+        let base = FaultContext::with_log(&log);
+        let ctx = base.scoped_to(op.reduction_workspace());
+        let b = op.vector_from(&rhs);
+        let (mut x, status) = cg_with_poll(&op, &b, &config, &ctx, |iteration, state| {
+            if iteration == 2 {
+                state
+                    .p
+                    .inject_chunk_erasure(PARITY.chunk_words, 3, 0x0D15_C0DE);
+            }
+        })
+        .unwrap();
+        let solution = op.finish(&mut x, &ctx).unwrap();
         assert!(
-            outcome.faults.total_rebuilt() > 0,
+            log.total_rebuilt() > 0,
             "workers={workers}: the erasure must go through the parity rebuild"
         );
         // The pre-mutation parity check certifies the operand *before* the
         // kernel writes anything, so rebuild + retry replays the clean
         // trajectory exactly: same iterate bits, same iteration count, on
         // every worker count.
-        let bits: Vec<u64> = outcome.solution.iter().map(|v| v.to_bits()).collect();
+        let bits: Vec<u64> = solution.iter().map(|v| v.to_bits()).collect();
         assert_eq!(
             bits, clean_bits,
             "workers={workers}: post-rebuild solution diverged from the clean trajectory"
         );
         match struck_iterations {
-            None => struck_iterations = Some(outcome.status.iterations),
-            Some(expected) => assert_eq!(outcome.status.iterations, expected),
+            None => struck_iterations = Some(status.iterations),
+            Some(expected) => assert_eq!(status.iterations, expected),
         }
-        assert_eq!(outcome.status.iterations, clean.status.iterations);
+        assert_eq!(status.iterations, clean.status.iterations);
     }
     rayon::set_worker_limit(None);
 }

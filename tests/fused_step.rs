@@ -48,8 +48,8 @@ thread_local! {
 }
 
 /// A protected vector that implements only the required [`SolverVector`]
-/// methods, `dot_axpy` (the erasure hook) and `try_rebuild`, so the x/p
-/// update runs its default call sequence.
+/// methods (`dot_axpy` is also the erasure hook) and `try_rebuild`, so the
+/// x/p update runs its default call sequence.
 #[derive(Debug, Clone)]
 struct Unfused(ProtectedVector);
 
@@ -86,6 +86,16 @@ impl SolverVector for Unfused {
             self.0.inject_chunk_erasure(chunk_words, 1, 0x0E7A_5E0F);
         }
         Ok(rr)
+    }
+
+    fn scale_axpy(
+        &mut self,
+        beta: f64,
+        alpha: f64,
+        x: &Self,
+        ctx: &FaultContext,
+    ) -> Result<(), SolverError> {
+        self.0.scale_axpy(beta, alpha, &x.0, ctx)
     }
 
     fn fill(&mut self, value: f64) {

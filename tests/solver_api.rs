@@ -275,11 +275,11 @@ fn protected_ppcg_recovers_from_vector_bit_flips() {
     assert!(relative_error(&outcome.solution, &clean.solution) < 1e-9);
 }
 
-/// `solve_operator_logged` must record into the caller's fault log (not a
-/// fresh context), so campaign-style fault accounting matches the snapshot
-/// the outcome reports — counts, not just "something was recorded".
+/// `solve_encoded` must record into the caller's fault log (not a fresh
+/// context), so campaign-style fault accounting matches the snapshot the
+/// outcome reports — counts, not just "something was recorded".
 #[test]
-fn solve_operator_logged_records_into_the_callers_log() {
+fn solve_encoded_records_into_the_callers_log() {
     let (a, b) = system();
     let config = SolverConfig::new(120, 1e-18);
 
@@ -292,7 +292,7 @@ fn solve_operator_logged_records_into_the_callers_log() {
     let log = FaultLog::new();
     let logged = Solver::cg()
         .config(config)
-        .solve_operator_logged(&MatrixProtected::new(&protected), &b, &log)
+        .solve_encoded(&protected, &b, None, &log)
         .unwrap();
     let builder = Solver::cg()
         .config(config)
@@ -318,7 +318,7 @@ fn solve_operator_logged_records_into_the_callers_log() {
     let log = FaultLog::new();
     let logged = Solver::cg()
         .config(config)
-        .solve_operator_logged(&FullyProtected::new(&encoded), &b, &log)
+        .solve_encoded(&encoded, &b, None, &log)
         .unwrap();
     let builder = Solver::cg()
         .config(config)
@@ -335,11 +335,9 @@ fn solve_operator_logged_records_into_the_callers_log() {
     let mut corrupt = AnyProtectedMatrix::encode(&a, &sed, StorageTier::Csr).unwrap();
     corrupt.inject_value_bit_flip(10, 52);
     let log = FaultLog::new();
-    let result = Solver::cg().config(config).solve_operator_logged(
-        &MatrixProtected::new(&corrupt),
-        &b,
-        &log,
-    );
+    let result = Solver::cg()
+        .config(config)
+        .solve_encoded(&corrupt, &b, None, &log);
     assert!(matches!(result, Err(SolverError::Fault(_))));
     assert!(log.total_uncorrectable() > 0);
     assert!(log.snapshot().checks.iter().sum::<u64>() > 0);

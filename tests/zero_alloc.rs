@@ -25,6 +25,7 @@ use abft_suite::solvers::{
     block_cg_panel, decode_checked, FaultContext, LinearOperator, SolverConfig,
 };
 use abft_suite::sparse::builders::{pad_rows_to_min_entries, poisson_2d, poisson_2d_padded};
+use abft_suite::sparse::{CooMatrix, CsrMatrix};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +88,7 @@ fn process_allocations_during(f: impl FnOnce()) -> u64 {
 
 /// 63×63 grid: 3969 rows, below the parallel threshold, so the solve stays
 /// on the calling thread and its counter observes every allocation.
-fn system() -> (abft_suite::sparse::CsrMatrix, Vec<f64>) {
+fn system() -> (CsrMatrix, Vec<f64>) {
     let a = poisson_2d_padded(63, 63);
     let b: Vec<f64> = (0..a.rows()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
     (a, b)
@@ -391,6 +392,17 @@ fn builders_allocate_the_three_output_arrays_only() {
     }
 }
 
+/// `m`'s entries as triplets, row by row.
+fn triplets(m: &CsrMatrix) -> CooMatrix {
+    let mut coo = CooMatrix::new(m.rows(), m.cols());
+    for row in 0..m.rows() {
+        for (col, value) in m.row_entries(row) {
+            coo.push(row, col as usize, value);
+        }
+    }
+    coo
+}
+
 /// The raw value array of a CSR-tier matrix.
 fn csr_values(m: &AnyProtectedMatrix) -> *const f64 {
     match m {
@@ -402,7 +414,8 @@ fn csr_values(m: &AnyProtectedMatrix) -> *const f64 {
 /// An owned matrix is encoded in its own arrays: the values stay where
 /// they are and the redundancy goes into the index arrays.  The only
 /// allocation left is growing the row pointer to whole codeword groups,
-/// and the row-at-a-time builders leave room for that too.
+/// and the row-at-a-time builders and the triplet conversion leave room
+/// for that too.
 #[test]
 fn an_owned_encode_writes_into_the_matrix_it_is_given() {
     let _guard = MEASURE_LOCK.lock().unwrap();
@@ -411,9 +424,14 @@ fn an_owned_encode_writes_into_the_matrix_it_is_given() {
         let cfg = ProtectionConfig::matrix_only(scheme);
         // Warm whatever the configuration sets up lazily.
         drop(AnyProtectedMatrix::encode(&built, &cfg, StorageTier::Csr).unwrap());
-        // Fresh from the builder, and a clone, whose row pointer holds
+        // Fresh from the builder, through the triplet conversion (the
+        // Matrix Market reader's), and a clone, whose row pointer holds
         // exactly its `rows + 1` entries.
-        for (matrix, most) in [(poisson_2d_padded(64, 64), 0), (built.clone(), 1)] {
+        for (matrix, most) in [
+            (poisson_2d_padded(64, 64), 0),
+            (triplets(&built).to_csr().unwrap(), 0),
+            (built.clone(), 1),
+        ] {
             let values = matrix.values().as_ptr();
             let mut encoded = None;
             let allocs = allocations_during(|| {
